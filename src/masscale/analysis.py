@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoBoundForKind, NonPositiveEigenvalue, NonUniformMesh
-from .linalg import MatrixPair, generalized_eig, gershgorin_max, sym_eig
+from .linalg import MatrixPair, generalized_eig, gershgorin_max, is_diagonal, sym_eig
 
 __all__ = [
     "BoundRecord",
@@ -299,17 +299,12 @@ def spectral_report(pair, scaled, blocks=None, condition=False):
         report.kappa_m = float(dec_m.values[-1] / dec_m.values[0])
         report.kappa_mbar = float(dec_mb.values[-1] / dec_mb.values[0])
         report.kappa_pair = float(dec_p.values[-1] / dec_p.values[0])
-        s = 1.0 / np.sqrt(np.diag(pair.b)) if _diagonalish(pair.b) else None
+        s = 1.0 / np.sqrt(np.diag(pair.b)) if is_diagonal(pair.b) else None
         if s is not None:
             report.gershgorin_scaled = gershgorin_max(
                 scaled.kbar * s[:, None] * s[None, :]
             )
     return report
-
-
-def _diagonalish(a):
-    off = a - np.diag(np.diag(a))
-    return np.abs(off).max() <= 1e-14 * (np.abs(a).max() or 1.0)
 
 
 def report_to_json(report, path=None):

@@ -28,7 +28,6 @@ class ExperimentConfig:
     material: fem.Material
     seed: int = DEFAULT_SEED
     output_dir: str = "out"
-    threads: int = 1
     mesh_counts: tuple | None = None
     mesh_extents: tuple | None = None  # meters
     element_size: tuple | None = None  # meters
@@ -115,7 +114,6 @@ def load_config(path):
     cfg = ExperimentConfig(material=_parse_material(raw.get("material", {})))
     cfg.seed = int(raw.get("seed", DEFAULT_SEED))
     cfg.output_dir = raw.get("output_dir", "out")
-    cfg.threads = int(raw.get("threads", 1))
     if has_mesh:
         mesh_obj = geometry["mesh"]
         counts = mesh_obj.get("node_counts")
@@ -307,12 +305,11 @@ def study_integrate(cfg, emitter):
     results = {}
     for spec in cfg.scalings or [scaling.ScalingSpec("none")]:
         scaled = scaling.apply_spec(spec, blocks, mesh.dof_count, pair=pair, k_global=pair.a)
-        mbar = scaled.mbar_dense()
-        dec_s = analysis.generalized_eig(MatrixPair(scaled.kbar, mbar))
+        dec_s = analysis.generalized_eig(MatrixPair(scaled.kbar, scaled.mbar_dense()))
         dt_c = analysis.critical_dt(dec_s.values[-1])
         highest = dec_s.vectors[:, -1]
         verdicts = integrator.stability_bracket(
-            scaled.kbar, mbar, dt_c, seed=cfg.seed, highest_mode=highest
+            scaled.kbar, scaled.mbar, dt_c, seed=cfg.seed, highest_mode=highest
         )
         results[_spec_label(spec)] = [
             {
@@ -320,6 +317,8 @@ def study_integrate(cfg, emitter):
                 "growth_factor": v.growth_factor,
                 "steps_run": v.steps_run,
                 "dt": v.dt,
+                "stable_crossing": v.stable_crossing,
+                "unstable_crossing": v.unstable_crossing,
             }
             for v in verdicts
         ]
@@ -360,15 +359,13 @@ def execute(cfg, studies):
     return manifest
 
 
-def _run(config, out, seed, threads, studies):
+def _run(config, out, seed, studies):
     try:
         cfg = load_config(config)
         if out is not None:
             cfg.output_dir = out
         if seed is not None:
             cfg.seed = int(seed)
-        if threads is not None:
-            cfg.threads = int(threads)
         if studies is None:
             studies = [n for n in STUDY_NAMES if cfg.studies.get(n)]
             if not studies:
@@ -387,7 +384,6 @@ _common = [
     click.option("--config", required=True, type=click.Path(exists=False)),
     click.option("--out", default=None, help="output directory (overrides config)"),
     click.option("--seed", default=None, type=int),
-    click.option("--threads", default=None, type=int),
 ]
 
 
@@ -404,16 +400,16 @@ def main():
 
 @main.command()
 @_with_common
-def run(config, out, seed, threads):
+def run(config, out, seed):
     """Run every study enabled in the config."""
-    _run(config, out, seed, threads, None)
+    _run(config, out, seed, None)
 
 
 def _make_single(study, cli_name):
     @main.command(name=cli_name)
     @_with_common
-    def _cmd(config, out, seed, threads):
-        _run(config, out, seed, threads, [study])
+    def _cmd(config, out, seed):
+        _run(config, out, seed, [study])
 
     _cmd.__doc__ = f"Run only the {study} study."
     return _cmd

@@ -1,18 +1,19 @@
 """Central difference explicit time integration for M a + K u = f.
 
-Used to empirically bracket the critical time step. Mass solves pick the
-cheapest available path: diagonal division, a cached dense Cholesky
-factor, or a Woodbury solve for implicit low-rank updates.
+Used to empirically bracket the critical time step. K and the mass are
+kept as operators: K is applied as a sparse (CSR) product and the mass
+is factored once by :class:`MassSolver`, so each step costs one sparse
+K u and one mass solve; no dense n x n product or solve, and no dense
+M^{-1} K, is formed.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import NotPositiveDefinite, SolveFailure
-from .linalg import LowRankUpdate, cholesky, woodbury_solve
+from .linalg import LowRankUpdate, factor_spd, woodbury_factor
 
 __all__ = [
     "MassSolver",
@@ -28,34 +29,43 @@ UNSTABLE_FACTOR = 1e6
 DEFAULT_STEPS = 10_000
 
 
-class MassSolver:
-    """Repeated solves with a (scaled) mass matrix.
+def _csr(a):
+    """``a`` as a CSR array (dense input is converted once)."""
+    from scipy import sparse  # deferred: its import would add to every CLI start
 
-    Accepts a diagonal as a 1-D array, a dense SPD matrix (Cholesky factor
-    cached at construction), or a :class:`LowRankUpdate` (Woodbury path).
+    return a if sparse.issparse(a) else sparse.csr_array(np.asarray(a, dtype=float))
+
+
+class MassSolver:
+    """Repeated solves with a (scaled) mass matrix, factored once.
+
+    ``mode`` names the path:
+
+    - ``"diagonal"``: a 1-D diagonal, or a 2-D matrix that
+      :func:`~masscale.linalg.is_diagonal` accepts; solves divide.
+    - ``"dense"``: any other SPD matrix, factored once as a sparse LU
+      (:func:`~masscale.linalg.factor_spd`); each solve costs the LU's fill.
+    - ``"woodbury"``: a :class:`LowRankUpdate`. Its base gets a solver of
+      its own (``base``; a diagonal base, 1-D or 2-D, divides), and the
+      r x r inner system is solved once at construction.
+
+    Raises :class:`SolveFailure` when the mass is not SPD.
     """
 
     def __init__(self, mass):
         if isinstance(mass, LowRankUpdate):
             self._mode = "woodbury"
+            self.base = MassSolver(mass.base)
+            self._solve = woodbury_factor(mass, self.base._solve)
             self._update = mass
             return
-        mass = np.asarray(mass, dtype=float)
-        if mass.ndim == 1:
-            if np.any(mass <= 0):
-                raise SolveFailure("diagonal mass has nonpositive entries")
-            self._mode = "diagonal"
-            self._diag = mass
-            return
-        off = mass - np.diag(np.diag(mass))
-        if np.abs(off).max() <= 1e-14 * np.abs(mass).max():
-            return self.__init__(np.diag(mass).copy())
         try:
-            self._factor = cholesky(mass)
+            self._diag, self._solve = factor_spd(mass)
         except NotPositiveDefinite as exc:
             raise SolveFailure(f"mass matrix is not SPD: {exc}") from exc
-        self._matrix = mass
-        self._mode = "dense"
+        self._mode = "diagonal" if self._diag is not None else "dense"
+        if self._diag is None:
+            self._matrix = _csr(mass)
 
     @property
     def mode(self):
@@ -63,12 +73,7 @@ class MassSolver:
 
     def solve(self, rhs):
         """Solve M x = rhs; rhs may be a vector or a matrix of columns."""
-        if self._mode == "diagonal":
-            return (rhs.T / self._diag).T
-        if self._mode == "dense":
-            y = sla.solve_triangular(self._factor, rhs, lower=True)
-            return sla.solve_triangular(self._factor.T, y, lower=False)
-        return woodbury_solve(self._update, rhs)
+        return self._solve(rhs)
 
     def dot(self, x):
         """Mass matrix times a vector (for energy evaluation)."""
@@ -77,9 +82,7 @@ class MassSolver:
         if self._mode == "dense":
             return self._matrix @ x
         upd = self._update
-        base = np.asarray(upd.base, dtype=float)
-        bx = base * x if base.ndim == 1 else base @ x
-        return bx + upd.factors @ (upd.core * (upd.factors.T @ x))
+        return self.base.dot(x) + upd.factors @ (upd.core * (upd.factors.T @ x))
 
 
 @dataclass
@@ -106,12 +109,19 @@ class TransientResult:
 
 @dataclass
 class StabilityVerdict:
-    """Outcome of one stability probe run."""
+    """Outcome of one stability probe run.
+
+    ``stable_crossing`` and ``unstable_crossing`` are the first steps at
+    which the growth exceeded ``STABLE_FACTOR`` and reached
+    ``UNSTABLE_FACTOR`` (or stopped being finite); None if it never did.
+    """
 
     classification: str  # "stable" | "unstable" | "inconclusive"
     growth_factor: float
     steps_run: int
     dt: float
+    stable_crossing: int | None
+    unstable_crossing: int | None
 
 
 def central_difference_run(
@@ -130,25 +140,26 @@ def central_difference_run(
     u_{-1} = u_0 - dt v_0 + dt^2/2 a_0, then
     u_{k+1} = 2 u_k - u_{k-1} + dt^2 M^{-1}(f - K u_k).
 
+    ``kbar`` may be dense or scipy.sparse; it is applied as a CSR product.
+    ``mbar`` is anything :class:`MassSolver` accepts, or a MassSolver.
+    Each step costs one K u and one mass solve.
+
     ``stop_growth`` aborts early once the response norm exceeds that
     multiple of the initial norm (the run is then flagged diverged).
     Energy 0.5 v^T M v + 0.5 u^T K u is evaluated at synchronized
-    instants with the midpoint velocity estimate.
+    instants with the midpoint velocity estimate; u^T K u reuses the
+    step's K u.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    kbar = np.asarray(kbar, dtype=float)
+    kbar = _csr(kbar)
     solver = mbar if isinstance(mbar, MassSolver) else MassSolver(mbar)
     u_prev = np.asarray(u0, dtype=float).copy()
     v0 = np.asarray(v0, dtype=float)
     f = np.zeros_like(u_prev) if force is None else np.asarray(force, dtype=float)
 
-    # the force is constant, so M^{-1} K and M^{-1} f are fixed operators;
-    # factoring them out once turns every step into a single matvec
-    amat = solver.solve(kbar)
-    fhat = solver.solve(f)
-
-    a0 = fhat - amat @ u_prev
+    ku = kbar @ u_prev
+    a0 = solver.solve(f - ku)
     u_minus = u_prev - dt * v0 + 0.5 * dt * dt * a0
     u_old, u = u_minus, u_prev
 
@@ -158,19 +169,20 @@ def central_difference_run(
     energies = np.empty(steps + 1)
     times[0] = 0.0
     norms[0] = np.linalg.norm(u_prev)
-    energies[0] = 0.5 * v0 @ solver.dot(v0) + 0.5 * u_prev @ (kbar @ u_prev)
+    energies[0] = 0.5 * v0 @ solver.dot(v0) + 0.5 * u_prev @ ku
 
     diverged = False
     k = 0
     v = v0
     a = a0
     for k in range(1, steps + 1):
-        a = fhat - amat @ u
+        ku = kbar @ u
+        a = solver.solve(f - ku)
         u_new = 2.0 * u - u_old + dt * dt * a
         v = (u_new - u_old) / (2.0 * dt)
         times[k] = k * dt
         norms[k] = np.linalg.norm(u_new)
-        energies[k] = 0.5 * v @ solver.dot(v) + 0.5 * u @ (kbar @ u)
+        energies[k] = 0.5 * v @ solver.dot(v) + 0.5 * u @ ku
         u_old, u = u, u_new
         if not np.isfinite(norms[k]) or (
             stop_growth is not None and norms[k] > stop_growth * norm0
@@ -218,10 +230,13 @@ def stability_bracket(
     Runs with a seeded random unit-norm initial displacement. A run is
     stable iff the response norm never exceeds 10x the initial norm over
     all steps, unstable iff it exceeds 1e6x, and inconclusive otherwise.
-    Returns one :class:`StabilityVerdict` per factor.
+    K is converted to CSR and the mass factored once for all runs.
+    Returns one :class:`StabilityVerdict` per factor, with the first steps
+    at which the growth crossed 10x and 1e6x.
     """
+    kbar = _csr(kbar)
     solver = mbar if isinstance(mbar, MassSolver) else MassSolver(mbar)
-    ndof = np.asarray(kbar).shape[0]
+    ndof = kbar.shape[0]
     u0 = _seeded_initial(ndof, seed, highest_mode, solver.dot)
     v0 = np.zeros(ndof)
 
@@ -231,7 +246,8 @@ def stability_bracket(
         result = central_difference_run(
             kbar, solver, u0, v0, dt, steps, stop_growth=UNSTABLE_FACTOR
         )
-        growth = float(np.nanmax(result.response_norms)) / float(result.response_norms[0])
+        growths = result.response_norms / result.response_norms[0]
+        growth = float(np.nanmax(growths))
         if result.diverged or growth >= UNSTABLE_FACTOR or not np.isfinite(growth):
             classification = "unstable"
             growth = float("inf") if not np.isfinite(growth) else growth
@@ -239,5 +255,13 @@ def stability_bracket(
             classification = "stable"
         else:
             classification = "inconclusive"
-        verdicts.append(StabilityVerdict(classification, growth, len(result.times) - 1, dt))
+        verdicts.append(StabilityVerdict(
+            classification, growth, len(result.times) - 1, dt,
+            _first(~(growths <= STABLE_FACTOR)), _first(~(growths < UNSTABLE_FACTOR)),
+        ))
     return tuple(verdicts)
+
+
+def _first(mask):
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None

@@ -4,6 +4,8 @@ Factorizations, standard and generalized eigensolvers, low-rank-update
 (Woodbury) solves and matrix-level bounds. Everything operates on plain
 numpy arrays; symmetry is enforced at construction points with
 :func:`symmetrize` and checked with :func:`require_symmetric`.
+:func:`factor_spd` factors a general SPD matrix once as a sparse LU, so
+that each later solve costs the factor's fill, not n^2.
 
 Dense factorizations and the standard symmetric eigensolver are delegated
 to LAPACK (through numpy/scipy); the generalized solver performs the
@@ -42,9 +44,12 @@ __all__ = [
     "EigDecomposition",
     "LowRankUpdate",
     "cholesky",
+    "is_diagonal",
+    "factor_spd",
     "sym_eig",
     "generalized_eig",
     "generalized_eigvalues",
+    "woodbury_factor",
     "woodbury_solve",
     "gershgorin_max",
     "condition_number",
@@ -169,10 +174,46 @@ def sym_eig(m):
     return EigDecomposition(values, _fix_signs(vectors), "unit")
 
 
-def _is_diagonal(a, rtol=1e-14):
+def is_diagonal(a, rtol=1e-14):
+    """True when no off-diagonal entry of the square matrix ``a`` exceeds
+    ``rtol`` times its largest entry in magnitude."""
     off = a - np.diag(np.diag(a))
     scale = np.abs(a).max() or 1.0
     return np.abs(off).max() <= rtol * scale
+
+
+def factor_spd(b):
+    """Factor an SPD matrix once for repeated solves.
+
+    Returns ``(diag, solve)``, where ``solve(rhs)`` solves B x = rhs for a
+    vector or a matrix of columns. A 1-D ``b`` is a diagonal, and a 2-D
+    ``b`` that :func:`is_diagonal` accepts is reduced to its diagonal:
+    ``diag`` is then that 1-D diagonal and ``solve`` divides. Any other
+    ``b`` is factored as a sparse LU with a symmetric minimum-degree
+    ordering and diagonal pivots only (``diag`` is None). Without row
+    interchanges the pivots of a symmetric matrix are all positive exactly
+    when it is positive definite, so that is the SPD test.
+
+    Raises :class:`NotPositiveDefinite` (with the first failing pivot in
+    elimination order) when ``b`` is not SPD.
+    """
+    b = np.asarray(b, dtype=float)
+    if b.ndim == 1 or is_diagonal(b):
+        d = b if b.ndim == 1 else np.diag(b).copy()
+        bad = np.flatnonzero(~(d > 0))
+        if bad.size:
+            raise NotPositiveDefinite(int(bad[0]))
+        return d, lambda rhs: (rhs.T / d).T
+    from scipy import sparse  # deferred: its import would add to every CLI start
+    from scipy.sparse import linalg as spla
+
+    b = require_symmetric(b, "b")
+    lu = spla.splu(sparse.csc_array(b), permc_spec="MMD_AT_PLUS_A",
+                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    bad = np.flatnonzero(~(lu.U.diagonal() > 0) | (lu.perm_r != lu.perm_c))
+    if bad.size:
+        raise NotPositiveDefinite(int(bad[0]))
+    return None, lu.solve
 
 
 _EPS = np.finfo(float).eps
@@ -188,7 +229,7 @@ def _standard_form(pair):
     A diagonal B takes a scaling path instead of the Cholesky reduction.
     """
     a, b = pair.a, pair.b
-    if _is_diagonal(b):
+    if is_diagonal(b):
         d = np.diag(b).copy()
         bad = np.flatnonzero(d <= 0)
         if bad.size:
@@ -330,40 +371,41 @@ def generalized_eigvalues(pair):
     return values
 
 
-def woodbury_solve(update, rhs):
-    """Solve (base + V S V^T) x = rhs through the Woodbury identity.
+def woodbury_factor(update, base_solve=None):
+    """Precompute solves with base + V S V^T through the Woodbury identity.
 
-    Cost is dominated by solves with the SPD base plus one dense r x r
-    solve. Zero core entries are dropped (they contribute nothing).
+    Returns ``solve(rhs)`` for a vector or a matrix of columns.
+    ``base_solve`` solves with the SPD base; by default the base is
+    factored once with :func:`factor_spd`. Zero core entries are dropped
+    (they contribute nothing). The r x r inner system S^{-1} + V^T B^{-1} V
+    is solved here once for all of V^T, so each later solve costs one base
+    solve and two n x r products.
     """
-    rhs = np.asarray(rhs, dtype=float)
-    base = np.asarray(update.base, dtype=float)
-    if base.ndim == 1:
-        d = base
-        def base_solve(x):
-            return (x.T / d).T
-    else:
-        ell = cholesky(base)
-        def base_solve(x):
-            y = sla.solve_triangular(ell, x, lower=True)
-            return sla.solve_triangular(ell.T, y, lower=False)
-
+    if base_solve is None:
+        _, base_solve = factor_spd(update.base)
     keep = np.flatnonzero(update.core != 0.0)
     if keep.size == 0:
-        return base_solve(rhs)
+        return base_solve
     v = update.factors[:, keep]
-    s = update.core[keep]
-
-    y = base_solve(rhs)
     bv = base_solve(v)
-    inner = np.diag(1.0 / s) + v.T @ bv
+    inner = np.diag(1.0 / update.core[keep]) + v.T @ bv
     try:
-        coef = sla.solve(inner, v.T @ y, assume_a="sym")
+        coef = sla.solve(inner, v.T, assume_a="sym")
     except (sla.LinAlgError, ValueError) as exc:
         raise SingularCore(str(exc)) from exc
     if not np.all(np.isfinite(coef)):
         raise SingularCore("inner system produced non-finite solution")
-    return y - bv @ coef
+
+    def solve(rhs):
+        y = base_solve(rhs)
+        return y - bv @ (coef @ y)
+
+    return solve
+
+
+def woodbury_solve(update, rhs):
+    """Solve (base + V S V^T) x = rhs once; see :func:`woodbury_factor`."""
+    return woodbury_factor(update)(np.asarray(rhs, dtype=float))
 
 
 def gershgorin_max(m):

@@ -27,6 +27,7 @@ from .linalg import (
     MatrixPair,
     cholesky,
     generalized_eig,
+    is_diagonal,
     symmetrize,
 )
 
@@ -200,8 +201,7 @@ def polynomial_sms(k, m_diag, c):
     k = np.asarray(k, dtype=float)
     m_diag = np.asarray(m_diag, dtype=float)
     if m_diag.ndim == 2:
-        off = m_diag - np.diag(np.diag(m_diag))
-        if np.abs(off).max() > 1e-14 * np.abs(m_diag).max():
+        if not is_diagonal(m_diag):
             raise NonDiagonalMass("polynomial SMS requires a diagonal mass matrix")
         m_diag = np.diag(m_diag)
     if np.any(m_diag <= 0):

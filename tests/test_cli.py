@@ -131,6 +131,19 @@ class TestCommands:
         assert lines[0] == "value,dt_ratio,bound,kappa_ratio"
         assert len(lines) == 3
 
+    def test_integrate_outputs(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, scalings=[{"kind": "none"}, {"kind": "global_deflation", "rank": 4}])
+        out = tmp_path / "out"
+        res = self.run_cli(["integrate", "--config", str(cfg), "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        data = json.loads((out / "stability_brackets.json").read_text())
+        assert set(data) == {"none", "global_deflation_rank4"}
+        for below, above in data.values():
+            assert (below["classification"], above["classification"]) == ("stable", "unstable")
+            assert below["stable_crossing"] is None and below["unstable_crossing"] is None
+            assert 0 < above["stable_crossing"] < above["unstable_crossing"] == above["steps_run"]
+
     def test_run_requires_enabled_study(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         write_config(cfg)

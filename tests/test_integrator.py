@@ -4,7 +4,7 @@ import pytest
 from conftest import random_spd
 from masscale import analysis, integrator, scaling
 from masscale.errors import SolveFailure
-from masscale.linalg import LowRankUpdate, MatrixPair, generalized_eigvalues
+from masscale.linalg import LowRankUpdate, MatrixPair, generalized_eigvalues, woodbury_solve
 from masscale.integrator import MassSolver, central_difference_run, stability_bracket
 
 
@@ -45,6 +45,33 @@ class TestMassSolver:
     def test_rejects_indefinite(self):
         with pytest.raises(SolveFailure):
             MassSolver(np.array([1.0, -1.0]))
+
+    def test_rejects_symmetric_indefinite_matrix(self):
+        with pytest.raises(SolveFailure):
+            MassSolver(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_woodbury_diagonal_2d_base_divides(self):
+        rng = np.random.default_rng(5)
+        d = rng.uniform(1.0, 2.0, 8)
+        v = rng.standard_normal((8, 2))
+        s = np.array([0.5, 1.5])
+        solver = MassSolver(LowRankUpdate(np.diag(d), v, s))
+        assert solver.mode == "woodbury"
+        assert solver.base.mode == "diagonal"
+        rhs = rng.standard_normal(8)
+        flat = MassSolver(LowRankUpdate(d, v, s))
+        np.testing.assert_array_equal(solver.solve(rhs), flat.solve(rhs))
+
+    @pytest.mark.parametrize("dense_base", [False, True])
+    def test_woodbury_solve_agrees(self, dense_base):
+        rng = np.random.default_rng(6)
+        base = random_spd(10, rng) if dense_base else rng.uniform(1.0, 2.0, 10)
+        upd = LowRankUpdate(base, rng.standard_normal((10, 3)), np.array([2.0, 0.0, 0.5]))
+        solver = MassSolver(upd)
+        assert solver.base.mode == ("dense" if dense_base else "diagonal")
+        rhs = rng.standard_normal(10)
+        np.testing.assert_array_equal(solver.solve(rhs), woodbury_solve(upd, rhs))
+        assert np.allclose(solver.solve(rhs), np.linalg.solve(upd.dense(), rhs))
 
 
 class TestCentralDifference:
@@ -100,6 +127,64 @@ class TestCentralDifference:
         assert len(lines) == 12
 
 
+def _dense_reference(k, mbar, u0, dt, steps):
+    """Central difference with M^{-1} K formed explicitly; v0 = 0, no force."""
+    amat = np.linalg.solve(mbar, k)
+    u_old = u0 - 0.5 * dt * dt * (amat @ u0)
+    u = u0
+    norms, energies = [np.linalg.norm(u0)], [0.5 * u0 @ (k @ u0)]
+    for _ in range(steps):
+        u_new = 2.0 * u - u_old - dt * dt * (amat @ u)
+        v = (u_new - u_old) / (2.0 * dt)
+        norms.append(np.linalg.norm(u_new))
+        energies.append(0.5 * v @ (mbar @ v) + 0.5 * u @ (k @ u))
+        u_old, u = u, u_new
+    return np.array(norms), np.array(energies)
+
+
+class TestOperatorLoop:
+    """The operator step loop against a dense M^{-1} K reference."""
+
+    @pytest.mark.parametrize(
+        "kind, path",
+        [("none", "diagonal"), ("olovsson", "dense"),
+         ("global_deflation", "woodbury"), ("polynomial_sms", "dense")],
+    )
+    def test_matches_dense_reference(self, small_system, kind, path):
+        mesh, blocks, pair = small_system
+        if kind == "none":
+            scaled = scaling.apply_spec(scaling.ScalingSpec("none"), blocks, mesh.dof_count, pair)
+        elif kind == "olovsson":
+            scaled = scaling.olovsson(blocks, mesh.dof_count, 10.0, k_global=pair.a)
+        elif kind == "global_deflation":
+            scaled = scaling.global_deflation(pair, 8, mode="shave")
+        else:
+            lam_max = generalized_eigvalues(pair)[-1]
+            scaled = scaling.polynomial_sms(pair.a, pair.b, 1.0 / lam_max**2)
+        kbar, mbar, mbar_dense = scaled.kbar, scaled.mbar, scaled.mbar_dense()
+        solver = MassSolver(mbar)
+        assert solver.mode == path
+        lam = generalized_eigvalues(MatrixPair(kbar, mbar_dense))
+        dt = 0.9 * analysis.critical_dt(lam[-1])
+        u0 = np.random.default_rng(11).standard_normal(mesh.dof_count)
+        res = central_difference_run(kbar, solver, u0, np.zeros_like(u0), dt, 500)
+        norms, energies = _dense_reference(kbar, mbar_dense, u0, dt, 500)
+        assert not res.diverged
+        assert np.all(np.abs(res.response_norms - norms) <= 1e-10 * norms)
+        assert np.all(np.abs(res.energies - energies) <= 1e-10 * energies)
+
+    def test_sparse_stiffness_accepted(self):
+        from scipy import sparse
+
+        k = np.array([[2.0, -1.0], [-1.0, 2.0]])
+        m = np.array([1.0, 1.0])
+        u0 = np.array([1.0, 0.0])
+        dense = central_difference_run(k, m, u0, np.zeros(2), 0.1, 50)
+        csr = central_difference_run(sparse.csr_array(k), m, u0, np.zeros(2), 0.1, 50)
+        np.testing.assert_array_equal(dense.response_norms, csr.response_norms)
+        np.testing.assert_array_equal(dense.energies, csr.energies)
+
+
 class TestStabilityBracket:
     def test_oscillator_brackets_critical_step(self):
         k = np.array([[4.0]])
@@ -142,3 +227,12 @@ class TestStabilityBracket:
         below, above = stability_bracket(k, m, analysis.critical_dt(4.0))
         assert below.growth_factor <= integrator.STABLE_FACTOR
         assert above.growth_factor >= integrator.UNSTABLE_FACTOR or above.growth_factor == float("inf")
+
+    def test_growth_crossings_recorded(self):
+        k = np.array([[4.0]])
+        m = np.array([1.0])
+        below, above = stability_bracket(k, m, analysis.critical_dt(4.0))
+        assert below.stable_crossing is None and below.unstable_crossing is None
+        assert 0 < above.stable_crossing < above.unstable_crossing
+        # the run stops on the step that reaches the unstable factor
+        assert above.unstable_crossing == above.steps_run
