@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoBoundForKind, NonPositiveEigenvalue, NonUniformMesh
-from .linalg import MatrixPair, generalized_eig, gershgorin_max, is_diagonal, sym_eig
+from .linalg import MatrixPair, condition_number, generalized_eig, gershgorin_max, is_diagonal
+from .scaling import KINDS
 
 __all__ = [
     "BoundRecord",
@@ -128,55 +129,32 @@ def sandwich_bounds(k, m, mbar, pair_km=None, pair_kmbar=None):
 def corollary_bound(spec, blocks=None):
     """Upper bound on omega_i / omegabar_i for the given strategy.
 
-    CMS: sqrt(alpha); local deflation S1: sqrt(1 + alpha); S2 needs the
-    element blocks: max_e omega_{m,e} / omega_{m-r,e}; Olovsson:
-    sqrt(1 + 8 beta / 7); Hoffmann: sqrt(1 + 9 beta / 2).
+    sqrt(g) for a kind with growth factor g (see :class:`scaling.Kind`):
+    CMS sqrt(alpha), local deflation S1 sqrt(1 + alpha), Olovsson
+    sqrt(1 + 8 beta / 7), Hoffmann sqrt(1 + 9 beta / 2). S2 needs the
+    element blocks: max_e omega_{m,e} / omega_{m-r,e}. No scaling: 1.
     """
-    kind = spec.kind
-    if kind == "none":
-        return 1.0
-    if kind == "cms":
-        return float(np.sqrt(spec.alpha))
-    if kind == "local_deflation_s1":
-        return float(np.sqrt(1.0 + spec.alpha))
-    if kind == "local_deflation_s2":
-        if blocks is None:
-            raise ValueError("S2 bound needs the element blocks")
-        worst = 1.0
-        for block in blocks:
-            dec = generalized_eig(MatrixPair(block.stiffness, np.diag(block.lumped_mass)))
-            top = dec.values[-1]
-            anchor = dec.values[len(dec.values) - spec.rank - 1]
-            worst = max(worst, float(np.sqrt(top / anchor)))
-        return worst
-    if kind == "olovsson":
-        return float(np.sqrt(1.0 + 8.0 * spec.beta / 7.0))
-    if kind == "hoffmann":
-        return float(np.sqrt(1.0 + 9.0 * spec.beta / 2.0))
-    raise NoBoundForKind(f"no corollary bound for kind {kind!r}")
+    entry = KINDS[spec.kind]
+    if entry.corollary is not None:
+        return entry.corollary(spec, blocks)
+    if entry.growth is None:
+        raise NoBoundForKind(f"no corollary bound for kind {spec.kind!r}")
+    return float(np.sqrt(entry.growth(spec)))
 
 
 def kappa_ratio_bound(spec):
-    """Per-method upper bound on kappa(Mbar) / kappa(M), where available."""
-    if spec.kind == "olovsson":
-        return 1.0 + 8.0 * spec.beta / 7.0
-    if spec.kind == "hoffmann":
-        return 1.0 + 9.0 * spec.beta / 2.0
-    if spec.kind == "cms":
-        return float(spec.alpha)
-    if spec.kind == "local_deflation_s1":
-        return 1.0 + float(spec.alpha)
-    raise NoBoundForKind(f"no condition-ratio bound for kind {spec.kind!r}")
+    """Per-method upper bound g on kappa(Mbar) / kappa(M), where available."""
+    growth = KINDS[spec.kind].growth
+    if growth is None:
+        raise NoBoundForKind(f"no condition-ratio bound for kind {spec.kind!r}")
+    return growth(spec)
 
 
 def condition_report(m, mbar, p_max, element_masses, spec=None, element_mbar=None):
     """Condition numbers of M, Mbar and (Mbar, M) with their upper bounds."""
-    dec_m = sym_eig(m)
-    dec_mbar = sym_eig(mbar)
-    kappa_m = float(dec_m.values[-1] / dec_m.values[0])
-    kappa_mbar = float(dec_mbar.values[-1] / dec_mbar.values[0])
-    dec_pair = generalized_eig(MatrixPair(mbar, m))
-    kappa_pair = float(dec_pair.values[-1] / dec_pair.values[0])
+    kappa_m = condition_number(m)
+    kappa_mbar = condition_number(mbar)
+    kappa_pair = condition_number(mbar, m)
 
     out = BoundSet()
     out.add(BoundRecord("kappa_M", kappa_m))
@@ -196,13 +174,8 @@ def condition_report(m, mbar, p_max, element_masses, spec=None, element_mbar=Non
             upper=float(p_max * masses.max() / masses.min()),
         )
     )
-    if spec is not None:
-        try:
-            ratio_bound = kappa_ratio_bound(spec)
-        except NoBoundForKind:
-            ratio_bound = None
-        if ratio_bound is not None:
-            out.add(BoundRecord("kappa_ratio", kappa_mbar / kappa_m, upper=ratio_bound))
+    if spec is not None and KINDS[spec.kind].growth is not None:
+        out.add(BoundRecord("kappa_ratio", kappa_mbar / kappa_m, upper=kappa_ratio_bound(spec)))
     return out
 
 
@@ -293,12 +266,9 @@ def spectral_report(pair, scaled, blocks=None, condition=False):
         corollary=bound,
     )
     if condition:
-        dec_m = sym_eig(pair.b)
-        dec_mb = sym_eig(mbar)
-        dec_p = generalized_eig(MatrixPair(mbar, pair.b))
-        report.kappa_m = float(dec_m.values[-1] / dec_m.values[0])
-        report.kappa_mbar = float(dec_mb.values[-1] / dec_mb.values[0])
-        report.kappa_pair = float(dec_p.values[-1] / dec_p.values[0])
+        report.kappa_m = condition_number(pair.b)
+        report.kappa_mbar = condition_number(mbar)
+        report.kappa_pair = condition_number(mbar, pair.b)
         s = 1.0 / np.sqrt(np.diag(pair.b)) if is_diagonal(pair.b) else None
         if s is not None:
             report.gershgorin_scaled = gershgorin_max(

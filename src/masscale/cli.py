@@ -6,7 +6,9 @@ to SI on load. Exit codes: 0 ok, 1 config error, 2 internal error.
 """
 from __future__ import annotations
 
+import functools
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -15,8 +17,8 @@ import click
 import numpy as np
 
 from . import __version__, analysis, fem, integrator, scaling
-from .errors import ConfigError, MasscaleError
-from .linalg import MatrixPair
+from .errors import ConfigError, InvalidCounts, MasscaleError
+from .linalg import MatrixPair, condition_number
 
 DEFAULT_SEED = 42
 
@@ -39,7 +41,10 @@ class ExperimentConfig:
     def mesh(self):
         if self.mesh_counts is None:
             raise ConfigError("geometry.mesh: required for mesh-level studies")
-        return fem.build_structured_mesh(self.mesh_counts, self.mesh_extents)
+        try:
+            return fem.build_structured_mesh(self.mesh_counts, self.mesh_extents)
+        except InvalidCounts as exc:
+            raise ConfigError(f"geometry.mesh: {exc}") from exc
 
     def element_geometry_size(self):
         if self.element_size is not None:
@@ -79,19 +84,13 @@ def _parse_material(obj):
 
 def parse_scaling(obj):
     """Build a ScalingSpec from a config mapping (kind + named parameters)."""
-    obj = dict(obj)
-    kind = obj.pop("kind", None)
+    if not isinstance(obj, dict):
+        raise ConfigError(f"scaling: expected an object, got {obj!r}")
+    kind = obj.get("kind")
     if kind is None:
         raise ConfigError("scaling.kind: missing")
     aliases = {"r": "rank", "eps": "epsilon"}
-    kwargs = {}
-    for key, value in obj.items():
-        key = aliases.get(key, key)
-        if key == "selector":
-            value = tuple(int(v) for v in value)
-        elif key == "w":
-            value = tuple(float(v) for v in value)
-        kwargs[key] = value
+    kwargs = {aliases.get(key, key): value for key, value in obj.items() if key != "kind"}
     try:
         return scaling.ScalingSpec(kind, **kwargs)
     except (TypeError, ValueError) as exc:
@@ -119,7 +118,10 @@ def load_config(path):
         counts = mesh_obj.get("node_counts")
         if not counts or len(counts) != 3:
             raise ConfigError("geometry.mesh.node_counts: expected 3 values")
-        cfg.mesh_counts = tuple(int(c) for c in counts)
+        try:
+            cfg.mesh_counts = tuple(int(c) for c in counts)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"geometry.mesh.node_counts: {exc}") from exc
         cfg.mesh_extents = _length_triplet(mesh_obj, "extents")
     else:
         cfg.element_size = _length_triplet(geometry["element"], "size")
@@ -141,15 +143,11 @@ class Emitter:
     """Serializes writes into the output directory and records the manifest."""
 
     def __init__(self, out_dir):
-        import os
-
         os.makedirs(out_dir, exist_ok=True)
         self.out_dir = out_dir
         self.files = []
 
     def path(self, name):
-        import os
-
         p = os.path.join(self.out_dir, name)
         self.files.append(p)
         return p
@@ -163,40 +161,20 @@ class Emitter:
         analysis.write_curve_csv(self.path(name), columns)
 
 
-def _single_element_blocks(cfg):
-    lx, ly, lz = cfg.element_geometry_size()
-    mesh = fem.build_structured_mesh((2, 2, 2), (lx, ly, lz))
-    return mesh, fem.element_blocks(mesh, cfg.material)
-
-
-def _spec_label(spec):
-    parts = [spec.kind]
-    for name in ("beta", "alpha", "mu", "c", "rank", "epsilon"):
-        value = getattr(spec, name)
-        if value is not None:
-            parts.append(f"{name}{value:g}" if isinstance(value, float) else f"{name}{value}")
-    if spec.mode:
-        parts.append(spec.mode)
-    return "_".join(parts)
-
-
-def study_element_spectrum(cfg, emitter):
+def study_element_spectrum(cfg, emitter, system):
     """Per-element spectra and Rayleigh tables for each configured scaling."""
-    mesh, blocks = _single_element_blocks(cfg)
+    mesh = fem.build_structured_mesh((2, 2, 2), cfg.element_geometry_size())
+    blocks = fem.element_blocks(mesh, cfg.material)
     block = blocks[0]
+    pair = MatrixPair(
+        fem.assemble(blocks, "stiffness", mesh.dof_count),
+        fem.assemble(blocks, "lumped", mesh.dof_count),
+    )
     for spec in cfg.scalings or [scaling.ScalingSpec("none")]:
         if spec.kind == "none":
             mbar_e = np.diag(block.lumped_mass)
         else:
-            scaled = scaling.apply_spec(
-                spec,
-                blocks,
-                mesh.dof_count,
-                pair=MatrixPair(
-                    fem.assemble(blocks, "stiffness", mesh.dof_count),
-                    fem.assemble(blocks, "lumped", mesh.dof_count),
-                ),
-            )
+            scaled = scaling.apply_spec(spec, blocks, mesh.dof_count, pair=pair)
             mbar_e = (
                 scaled.element_mbar[0]
                 if scaled.element_mbar is not None
@@ -204,7 +182,7 @@ def study_element_spectrum(cfg, emitter):
             )
         rows, ordering = analysis.element_rayleigh_report(block, mbar_e)
         emitter.write_csv(
-            f"element_{_spec_label(spec)}.csv",
+            f"element_{spec.label}.csv",
             {
                 "mode": [r.mode for r in rows],
                 "original": [r.original for r in rows],
@@ -213,7 +191,7 @@ def study_element_spectrum(cfg, emitter):
             },
         )
         emitter.write_json(
-            f"element_{_spec_label(spec)}.json",
+            f"element_{spec.label}.json",
             {"kind": spec.kind, "ordering_preserved": ordering},
         )
 
@@ -226,13 +204,13 @@ def _mesh_system(cfg):
     return mesh, blocks, MatrixPair(k, m)
 
 
-def study_spectrum(cfg, emitter):
+def study_spectrum(cfg, emitter, system):
     """Full spectral reports (original vs scaled) on the configured mesh."""
-    mesh, blocks, pair = _mesh_system(cfg)
+    mesh, blocks, pair = system()
     for spec in cfg.scalings or [scaling.ScalingSpec("none")]:
         scaled = scaling.apply_spec(spec, blocks, mesh.dof_count, pair=pair, k_global=pair.a)
         report = analysis.spectral_report(pair, scaled, blocks=blocks)
-        label = _spec_label(spec)
+        label = spec.label
         analysis.report_to_json(report, emitter.path(f"spectrum_{label}.json"))
         emitter.write_csv(
             f"ratio_{label}.csv",
@@ -243,9 +221,9 @@ def study_spectrum(cfg, emitter):
         )
 
 
-def study_bounds(cfg, emitter):
+def study_bounds(cfg, emitter, system):
     """Sandwich and condition bounds for each configured scaling."""
-    mesh, blocks, pair = _mesh_system(cfg)
+    mesh, blocks, pair = system()
     masses = [b.element_mass for b in blocks]
     for spec in cfg.scalings or [scaling.ScalingSpec("none")]:
         scaled = scaling.apply_spec(spec, blocks, mesh.dof_count, pair=pair, k_global=pair.a)
@@ -263,18 +241,17 @@ def study_bounds(cfg, emitter):
                     "upper": rec.upper,
                     "holds": rec.holds(),
                 }
-        emitter.write_json(f"bounds_{_spec_label(spec)}.json", payload)
+        emitter.write_json(f"bounds_{spec.label}.json", payload)
 
 
-def study_sweep(cfg, emitter):
+def study_sweep(cfg, emitter, system):
     """Parameter sweep: step ratio, corollary bound, condition ratio per point."""
     if cfg.sweep is None:
         raise ConfigError("sweep: section missing")
-    mesh, blocks, pair = _mesh_system(cfg)
+    mesh, blocks, pair = system()
     dec = analysis.generalized_eig(pair)
     dt0 = analysis.critical_dt(dec.values[-1])
-    kappa_m = analysis.sym_eig(pair.b)
-    kappa_m = float(kappa_m.values[-1] / kappa_m.values[0])
+    kappa_m = condition_number(pair.b)
 
     kind = cfg.sweep["kind"]
     parameter = cfg.sweep["parameter"]
@@ -290,8 +267,7 @@ def study_sweep(cfg, emitter):
             bound = analysis.corollary_bound(spec, blocks)
         except MasscaleError:
             bound = float("nan")
-        kappa_s = analysis.sym_eig(mbar)
-        kappa_ratio = float(kappa_s.values[-1] / kappa_s.values[0]) / kappa_m
+        kappa_ratio = condition_number(mbar) / kappa_m
         rows["value"].append(float(value))
         rows["dt_ratio"].append(float(dt_ratio))
         rows["bound"].append(float(bound))
@@ -299,9 +275,9 @@ def study_sweep(cfg, emitter):
     emitter.write_csv(f"sweep_{kind}_{parameter}.csv", rows)
 
 
-def study_integrate(cfg, emitter):
+def study_integrate(cfg, emitter, system):
     """Stability brackets around the computed critical step for each scaling."""
-    mesh, blocks, pair = _mesh_system(cfg)
+    mesh, blocks, pair = system()
     results = {}
     for spec in cfg.scalings or [scaling.ScalingSpec("none")]:
         scaled = scaling.apply_spec(spec, blocks, mesh.dof_count, pair=pair, k_global=pair.a)
@@ -311,7 +287,7 @@ def study_integrate(cfg, emitter):
         verdicts = integrator.stability_bracket(
             scaled.kbar, scaled.mbar, dt_c, seed=cfg.seed, highest_mode=highest
         )
-        results[_spec_label(spec)] = [
+        results[spec.label] = [
             {
                 "classification": v.classification,
                 "growth_factor": v.growth_factor,
@@ -335,11 +311,14 @@ _STUDIES = {
 
 
 def execute(cfg, studies):
+    """Run ``studies`` in order and write the manifest. The mesh studies
+    share one (mesh, blocks, (K, M)), built when the first asks for it."""
     emitter = Emitter(cfg.output_dir)
+    system = functools.cache(functools.partial(_mesh_system, cfg))
     timings = {}
     for name in studies:
         start = time.perf_counter()
-        _STUDIES[name](cfg, emitter)
+        _STUDIES[name](cfg, emitter, system)
         timings[name] = time.perf_counter() - start
     manifest = {
         "config": cfg.echo,
@@ -351,8 +330,6 @@ def execute(cfg, studies):
         "wall_clock_s": timings,
         "outputs": emitter.files,
     }
-    import os
-
     with open(os.path.join(cfg.output_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -376,6 +353,10 @@ def _run(config, out, seed, studies):
         sys.exit(1)
     except MasscaleError as exc:
         click.echo(f"internal error: {exc}", err=True)
+        sys.exit(2)
+    except Exception as exc:  # the CLI contract: one line, no traceback
+        message = " ".join(str(exc).split())
+        click.echo(f"internal error: {type(exc).__name__}: {message}", err=True)
         sys.exit(2)
     sys.exit(0)
 

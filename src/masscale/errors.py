@@ -41,8 +41,8 @@ class IndexOutOfRange(MasscaleError):
     """Element dof map references an index outside the global range."""
 
 
-class EmptySelection(MasscaleError):
-    """CMS selector picked no degrees of freedom."""
+class EmptySelection(MasscaleError, ValueError):
+    """CMS selector picked no degrees of freedom or one outside the element."""
 
 
 class DegenerateLFT(MasscaleError):
@@ -57,12 +57,12 @@ class NonDiagonalMass(MasscaleError):
     """Polynomial SMS requires a diagonal (lumped) mass matrix."""
 
 
-class RankTooLarge(MasscaleError):
+class RankTooLarge(MasscaleError, ValueError):
     """Deflation/stabilization rank exceeds the admissible range."""
 
 
 class DefectiveElementPair(MasscaleError):
-    """Element eigensolve failed during local deflation."""
+    """An element term failed a definiteness check (element eigensolve)."""
 
 
 class NonPositiveEigenvalue(MasscaleError):

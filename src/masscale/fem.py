@@ -31,10 +31,7 @@ __all__ = [
     "build_structured_mesh",
     "element_blocks",
     "assemble",
-    "assemble_lumped_diag",
     "rigid_body_modes",
-    "save_mesh",
-    "load_mesh",
 ]
 
 # Vertex order: bottom ring counterclockwise (viewed from +z), then top ring.
@@ -349,17 +346,6 @@ def assemble(blocks, which, ndof, element_matrices=None):
     return symmetrize(out)
 
 
-def assemble_lumped_diag(blocks, ndof):
-    """Diagonal of the assembled lumped mass matrix (vector of length ndof)."""
-    out = np.zeros(ndof)
-    for i, block in enumerate(blocks):
-        dof = block.dof_map
-        if dof.min() < 0 or dof.max() >= ndof:
-            raise IndexOutOfRange(f"dof map of element {i} exceeds range {ndof}")
-        np.add.at(out, dof, block.lumped_mass)
-    return out
-
-
 def rigid_body_modes(coords):
     """Six rigid-body vectors (3 translations, 3 infinitesimal rotations).
 
@@ -382,29 +368,3 @@ def rigid_body_modes(coords):
     modes[npts : 2 * npts, 5] = x
     return modes
 
-
-def save_mesh(mesh, path):
-    """Write a mesh as a simple textual node/element list."""
-    with open(path, "w") as fh:
-        fh.write(f"nodes {mesh.node_count}\n")
-        for xyz in mesh.coords:
-            fh.write("{:.17g} {:.17g} {:.17g}\n".format(*xyz))
-        fh.write(f"elements {mesh.element_count}\n")
-        for row in mesh.connectivity:
-            fh.write(" ".join(str(int(v)) for v in row) + "\n")
-
-
-def load_mesh(path):
-    """Read a mesh written by :func:`save_mesh`."""
-    with open(path) as fh:
-        tokens = fh.read().split()
-    it = iter(tokens)
-    if next(it) != "nodes":
-        raise ValueError("expected 'nodes' header")
-    nn = int(next(it))
-    coords = np.array([[float(next(it)) for _ in range(3)] for _ in range(nn)])
-    if next(it) != "elements":
-        raise ValueError("expected 'elements' header")
-    ne = int(next(it))
-    conn = np.array([[int(next(it)) for _ in range(8)] for _ in range(ne)], dtype=int)
-    return Mesh(coords, conn)

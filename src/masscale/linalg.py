@@ -53,7 +53,6 @@ __all__ = [
     "woodbury_solve",
     "gershgorin_max",
     "condition_number",
-    "pair_condition",
 ]
 
 _SYM_RTOL = 1e-12
@@ -415,19 +414,13 @@ def gershgorin_max(m):
     return float(np.max(np.diag(m) + radii))
 
 
-def condition_number(m):
-    """Spectral condition number lambda_max / lambda_min of an SPD matrix."""
-    dec = sym_eig(m)
-    lo, hi = dec.values[0], dec.values[-1]
-    if lo <= 0:
-        raise NotPositiveDefinite(0, "matrix has a nonpositive eigenvalue")
-    return float(hi / lo)
+def condition_number(a, b=None):
+    """Spectral condition number lambda_max / lambda_min of an SPD matrix
+    ``a`` or, given ``b``, of the SPD pair (a, b).
 
-
-def pair_condition(pair):
-    """Spectral condition number lambda_max / lambda_min of an SPD pair."""
-    dec = generalized_eig(pair)
-    lo, hi = dec.values[0], dec.values[-1]
-    if lo <= 0:
-        raise NotPositiveDefinite(0, "pair has a nonpositive eigenvalue")
-    return float(hi / lo)
+    Raises :class:`NotPositiveDefinite` when lambda_min <= 0.
+    """
+    values = (sym_eig(a) if b is None else generalized_eig(MatrixPair(a, b))).values
+    if values[0] <= 0:
+        raise NotPositiveDefinite(0, "nonpositive smallest eigenvalue")
+    return float(values[-1] / values[0])

@@ -5,10 +5,19 @@ assembled pair (K, M); local strategies (CMS, local deflation, the ad hoc
 Olovsson and Hoffmann constructions, eigenvalue stabilization) modify the
 element mass matrices before assembly. Every strategy returns a
 :class:`ScaledSystem` carrying the scaled pair plus provenance.
+
+:data:`KINDS` holds one :class:`Kind` per strategy: its typed parameters,
+its element term or pair transform, and its bound data. A new kind is one
+more entry there; a parameter no kind takes yet also needs a field on
+:class:`ScalingSpec`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import numbers
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -28,11 +37,13 @@ from .linalg import (
     cholesky,
     generalized_eig,
     is_diagonal,
+    sym_eig,
     symmetrize,
 )
 
 __all__ = [
     "KINDS",
+    "Kind",
     "ScalingSpec",
     "ScaledSystem",
     "cms",
@@ -48,19 +59,7 @@ __all__ = [
     "apply_spec",
 ]
 
-KINDS = (
-    "none",
-    "cms",
-    "uniform_lft",
-    "stiffness_proportional_lft",
-    "polynomial_sms",
-    "global_deflation",
-    "local_deflation_s1",
-    "local_deflation_s2",
-    "olovsson",
-    "hoffmann",
-    "eig_stabilization",
-)
+_ORDER = 24  # dofs of a hex8 element
 
 # Hoffmann coupling matrices: thickness pairing and in-plane ring pattern.
 _HOFFMANN_A = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -75,8 +74,35 @@ _HOFFMANN_G = np.array(
 
 
 @dataclass(frozen=True)
+class Kind:
+    """One scaling kind: its parameters, what it does and its bound data.
+
+    ``params`` (required) and ``optional`` map :class:`ScalingSpec` fields
+    to checkers ``(name, value) -> value`` that raise on a bad value and
+    return it as its type; ``check(spec)`` tests parameters jointly. A
+    local kind sets ``element_term(block, spec) -> Mbar_e``, a global kind
+    ``transform(pair, spec) -> ScaledSystem``. ``growth(spec)`` is g, the
+    largest eigenvalue of every element pair (Mbar_e, M_e), whose smallest
+    is 1: omega_i / omegabar_i <= sqrt(g) and kappa(Mbar) / kappa(M) <= g.
+    ``corollary(spec, blocks)`` gives the first bound in another form.
+    """
+
+    params: dict = field(default_factory=dict)
+    optional: dict = field(default_factory=dict)
+    element_term: Callable | None = None
+    transform: Callable | None = None
+    growth: Callable | None = None
+    corollary: Callable | None = None
+    check: Callable | None = None
+
+
+@dataclass(frozen=True)
 class ScalingSpec:
-    """Tagged description of one scaling strategy and its parameters."""
+    """One scaling kind and its parameters, checked by the kind's :data:`KINDS`
+    entry; a field the kind does not take keeps its default. A bad value
+    raises ``TypeError`` or ``ValueError`` (:class:`RankTooLarge` and
+    :class:`EmptySelection` are ``ValueError`` too).
+    """
 
     kind: str
     beta: float | None = None
@@ -86,31 +112,37 @@ class ScalingSpec:
     rank: int | None = None
     epsilon: float | None = None
     selector: tuple | None = None  # local dof indices for CMS
-    w: tuple | None = None  # 2x2 LFT coefficients, row major
     mode: str | None = None  # global deflation: "shave" | "cutoff"
     projector_variant: bool = False  # Olovsson footnote variant
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        entry = KINDS.get(self.kind)
+        if entry is None:
             raise ValueError(f"unknown scaling kind {self.kind!r}")
-        if self.kind in ("olovsson", "hoffmann") and (self.beta is None or self.beta < 0):
-            raise ValueError(f"{self.kind} requires beta >= 0")
-        if self.kind == "cms" and (self.alpha is None or self.alpha < 1):
-            raise ValueError("cms requires alpha >= 1")
-        if self.kind == "local_deflation_s1" and (self.alpha is None or self.alpha < 0):
-            raise ValueError("local deflation S1 requires alpha >= 0")
-        if self.kind.startswith("local_deflation") and (self.rank is None or self.rank < 0):
-            raise ValueError("local deflation requires a nonnegative rank")
-        if self.kind == "global_deflation" and (self.rank is None or self.rank < 0):
-            raise ValueError("global deflation requires a nonnegative rank")
-        if self.kind == "polynomial_sms" and (self.c is None or self.c < 0):
-            raise ValueError("polynomial SMS requires c >= 0")
-        if self.kind in ("uniform_lft", "stiffness_proportional_lft") and (
-            self.mu is None or self.mu <= 0
-        ):
-            raise ValueError(f"{self.kind} requires mu > 0")
-        if self.kind == "eig_stabilization" and (self.epsilon is None or self.epsilon <= 0):
-            raise ValueError("eigenvalue stabilization requires epsilon > 0")
+        for f in fields(self)[1:]:
+            value = getattr(self, f.name)
+            check = entry.params.get(f.name) or entry.optional.get(f.name)
+            if value is f.default:
+                if f.name in entry.params:
+                    raise ValueError(f"{self.kind} requires {f.name}")
+            elif check is None:
+                raise ValueError(f"{self.kind} takes no parameter {f.name}")
+            else:
+                object.__setattr__(self, f.name, check(f.name, value))
+        if entry.check is not None:
+            entry.check(self)
+
+    @property
+    def label(self):
+        """File-name tag: the kind, its numeric parameters, then the mode."""
+        parts = [self.kind]
+        for name in ("beta", "alpha", "mu", "c", "rank", "epsilon"):
+            value = getattr(self, name)
+            if value is not None:
+                parts.append(f"{name}{value:g}" if isinstance(value, float) else f"{name}{value}")
+        if self.mode:
+            parts.append(self.mode)
+        return "_".join(parts)
 
 
 @dataclass(frozen=True)
@@ -120,12 +152,13 @@ class ScaledSystem:
     ``mbar`` is a dense array except for global deflation, where it stays
     an implicit :class:`LowRankUpdate` so Woodbury solves remain available.
     For local strategies ``element_mbar`` holds the per-element scaled
-    blocks in assembly order.
+    blocks in assembly order. ``spec`` is None only for :func:`lft` with a
+    bare W.
     """
 
     kbar: np.ndarray
     mbar: object  # np.ndarray | LowRankUpdate
-    spec: ScalingSpec
+    spec: ScalingSpec | None
     element_mbar: list | None = None
 
     def mbar_dense(self):
@@ -134,36 +167,74 @@ class ScaledSystem:
         return self.mbar
 
 
-def _global_k(blocks, ndof, k_global):
-    if k_global is None:
-        return fem.assemble(blocks, "stiffness", ndof)
-    return k_global
+def _number(low, high=None, strict=False, integer=False):
+    """Checker for a finite float (an int is accepted) or, with ``integer``,
+    an int, never a bool: low <= value <= high, or low < value if ``strict``."""
+    cls, what = (numbers.Integral, "an integer") if integer else (numbers.Real, "a finite number")
+    span = f"{'>' if strict else '>='} {low:g}" + ("" if high is None else f" and <= {high:g}")
+
+    def check(name, value):
+        if isinstance(value, bool) or not isinstance(value, cls):
+            raise TypeError(f"{name} must be {what}, got {value!r}")
+        value = int(value) if integer else float(value)
+        if not (math.isfinite(value) and (value > low if strict else value >= low)
+                and (high is None or value <= high)):
+            error = RankTooLarge if integer else ValueError
+            raise error(f"{name} must be {what} {span}, got {value!r}")
+        return value
+
+    return check
+
+
+def _selector(name, value):
+    """Checker for CMS local dof indices: nonempty, in [0, 24); kept sorted and unique."""
+    items = list(value) if isinstance(value, Iterable) else None
+    if items is None or any(
+        isinstance(i, bool) or not isinstance(i, numbers.Integral) for i in items
+    ):
+        raise TypeError(f"{name} must be a list of integers, got {value!r}")
+    picked = tuple(sorted({int(i) for i in items}))
+    if not picked or picked[0] < 0 or picked[-1] >= _ORDER:
+        raise EmptySelection(f"{name} must pick indices in [0, {_ORDER}), got {value!r}")
+    return picked
+
+
+def _flag(name, value):
+    if not isinstance(value, bool):
+        raise TypeError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _deflation_mode(name, value):
+    if value not in ("shave", "cutoff"):
+        raise ValueError(f"{name} must be shave or cutoff, got {value!r}")
+    return value
+
+
+def _cutoff_needs_alpha(spec):
+    if spec.mode == "cutoff" and spec.alpha is None:
+        raise ValueError("cutoff mode requires alpha")
+
+
+def _cms_term(block, spec):
+    """Lumped element mass with the selected entries (all by default) times alpha."""
+    diag = block.lumped_mass.copy()
+    diag[list(spec.selector or range(_ORDER))] *= spec.alpha
+    return np.diag(diag)
 
 
 def cms(blocks, ndof, selector, alpha, k_global=None):
     """Conventional mass scaling: selected lumped entries multiplied by alpha."""
-    selector = np.asarray(sorted(set(int(i) for i in selector)), dtype=int)
-    if selector.size == 0:
-        raise EmptySelection("CMS selector picked no dofs")
-    if selector.min() < 0 or selector.max() >= 24:
-        raise EmptySelection("CMS selector indices must lie in [0, 24)")
-    element_mbar = []
-    for block in blocks:
-        diag = block.lumped_mass.copy()
-        diag[selector] *= alpha
-        element_mbar.append(np.diag(diag))
-    kbar = _global_k(blocks, ndof, k_global)
-    mbar = fem.assemble(blocks, "custom", ndof, element_matrices=element_mbar)
-    spec = ScalingSpec("cms", alpha=alpha, selector=tuple(selector.tolist()))
-    return ScaledSystem(kbar, mbar, spec, element_mbar)
+    spec = ScalingSpec("cms", alpha=alpha, selector=selector)
+    return apply_spec(spec, blocks, ndof, k_global=k_global)
 
 
-def lft(pair, w):
+def lft(pair, w, spec=None):
     """Linear fractional transformation of a pair.
 
     Returns (w11 A + w21 B, w12 A + w22 B); eigenvalues map by
     lambda -> (w11 lambda + w21) / (w12 lambda + w22), eigenvectors
-    are unchanged.
+    are unchanged. ``spec`` tags the result.
     """
     if not isinstance(pair, MatrixPair):
         pair = MatrixPair(*pair)
@@ -176,9 +247,6 @@ def lft(pair, w):
         cholesky(mbar)
     except NotPositiveDefinite as exc:
         raise LostDefiniteness(f"transformed B is not SPD (pivot {exc.pivot})") from exc
-    spec = ScalingSpec("uniform_lft" if w[0, 1] == 0 else "stiffness_proportional_lft",
-                       mu=float(w[1, 1] if w[0, 1] == 0 else w[0, 1]),
-                       w=tuple(w.ravel().tolist()))
     return ScaledSystem(kbar, mbar, spec)
 
 
@@ -210,6 +278,23 @@ def polynomial_sms(k, m_diag, c):
     return ScaledSystem(k, mbar, ScalingSpec("polynomial_sms", c=c))
 
 
+def _global_deflation(pair, spec):
+    n = pair.order
+    r = spec.rank
+    if r >= n:
+        raise RankTooLarge(f"rank {r} out of range for order {n}")
+    dec = generalized_eig(pair)
+    u2 = dec.vectors[:, n - r:]
+    d2 = dec.values[n - r:]
+    v = pair.b @ u2
+    if spec.mode == "cutoff":
+        g = np.full(r, spec.alpha)
+    else:
+        g = d2 / dec.values[n - r - 1] - 1.0 if r > 0 else np.zeros(0)
+    mbar = LowRankUpdate(pair.b, v, np.asarray(g, dtype=float))
+    return ScaledSystem(pair.a, mbar, spec)
+
+
 def global_deflation(pair, r, mode="shave", alpha=None):
     """Deflate the top r eigenvalues of the assembled pair.
 
@@ -217,27 +302,8 @@ def global_deflation(pair, r, mode="shave", alpha=None):
     ``cutoff`` divides them by (1 + alpha). The scaled mass is returned
     as an implicit low-rank update supporting Woodbury solves.
     """
-    if not isinstance(pair, MatrixPair):
-        pair = MatrixPair(*pair)
-    n = pair.order
-    if r < 0 or r >= n:
-        raise RankTooLarge(f"rank {r} out of range for order {n}")
-    dec = generalized_eig(pair)
-    u2 = dec.vectors[:, n - r:]
-    d2 = dec.values[n - r:]
-    v = pair.b @ u2
-    if mode == "shave":
-        anchor = dec.values[n - r - 1] if r > 0 else None
-        g = d2 / anchor - 1.0 if r > 0 else np.zeros(0)
-    elif mode == "cutoff":
-        if alpha is None or alpha < 0:
-            raise ValueError("cutoff mode requires alpha >= 0")
-        g = np.full(r, float(alpha))
-    else:
-        raise ValueError(f"unknown deflation mode {mode!r}")
-    mbar = LowRankUpdate(pair.b, v, np.asarray(g, dtype=float))
     spec = ScalingSpec("global_deflation", rank=r, mode=mode, alpha=alpha)
-    return ScaledSystem(pair.a, mbar, spec)
+    return apply_spec(spec, None, None, pair=pair)
 
 
 def _deflation_rank(values, r, expand_ties, rtol=1e-9):
@@ -252,43 +318,43 @@ def _deflation_rank(values, r, expand_ties, rtol=1e-9):
     return r
 
 
+def _deflated_term(block, spec, cutoff):
+    """M_e + V_e G V_e^T over the top element eigenpairs of (K_e, M_e).
+
+    With ``cutoff`` (S1) G = alpha I; otherwise (S2) G shaves the top r
+    element eigenvalues to lambda_{m-r}.
+    """
+    diag = block.lumped_mass
+    if spec.rank == 0:
+        return np.diag(diag)
+    dec = generalized_eig(MatrixPair(block.stiffness, np.diag(diag)))
+    re = _deflation_rank(dec.values, spec.rank, expand_ties=cutoff)
+    u2 = dec.vectors[:, _ORDER - re:]
+    d2 = dec.values[_ORDER - re:]
+    g = np.full(re, spec.alpha) if cutoff else d2 / dec.values[_ORDER - re - 1] - 1.0
+    v = diag[:, None] * u2  # V_e = M_e U_{e,2} for diagonal M_e
+    return symmetrize(np.diag(diag) + (v * g) @ v.T)
+
+
+def _s2_corollary(spec, blocks):
+    """max(1, max_e omega_{m,e} / omega_{m-r,e}) over the element pairs."""
+    if blocks is None:
+        raise ValueError("S2 bound needs the element blocks")
+    worst = 1.0
+    for block in blocks:
+        values = generalized_eig(MatrixPair(block.stiffness, np.diag(block.lumped_mass))).values
+        worst = max(worst, float(np.sqrt(values[-1] / values[len(values) - spec.rank - 1])))
+    return worst
+
+
 def local_deflation(blocks, ndof, r, strategy, alpha=None, k_global=None):
     """Element-wise deflation of the top r eigenvalues of (K_e, M_e).
 
     Strategy "s1" uses the uniform cutoff g = alpha; strategy "s2" shaves
     the top r element eigenvalues to lambda_{m-r}(K_e, M_e).
     """
-    if strategy not in ("s1", "s2"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == "s1" and (alpha is None or alpha < 0):
-        raise ValueError("strategy s1 requires alpha >= 0")
-    m = 24
-    if not 0 <= r < m:
-        raise RankTooLarge(f"rank {r} out of range for element order {m}")
-    element_mbar = []
-    for i, block in enumerate(blocks):
-        diag = block.lumped_mass
-        if r == 0:
-            element_mbar.append(np.diag(diag))
-            continue
-        try:
-            dec = generalized_eig(MatrixPair(block.stiffness, np.diag(diag)))
-        except NotPositiveDefinite as exc:
-            raise DefectiveElementPair(f"element {i}: {exc}") from exc
-        re = _deflation_rank(dec.values, r, expand_ties=(strategy == "s1"))
-        u2 = dec.vectors[:, m - re:]
-        d2 = dec.values[m - re:]
-        if strategy == "s1":
-            g = np.full(re, float(alpha))
-        else:
-            g = d2 / dec.values[m - re - 1] - 1.0
-        v = diag[:, None] * u2  # V_e = M_e U_{e,2} for diagonal M_e
-        element_mbar.append(symmetrize(np.diag(diag) + (v * g) @ v.T))
-    kbar = _global_k(blocks, ndof, k_global)
-    mbar = fem.assemble(blocks, "custom", ndof, element_matrices=element_mbar)
-    kind = "local_deflation_s1" if strategy == "s1" else "local_deflation_s2"
-    spec = ScalingSpec(kind, rank=r, alpha=alpha)
-    return ScaledSystem(kbar, mbar, spec, element_mbar)
+    spec = ScalingSpec(f"local_deflation_{strategy}", rank=r, alpha=alpha)
+    return apply_spec(spec, blocks, ndof, k_global=k_global)
 
 
 def olovsson_block(element_mass, beta, projector_variant=False):
@@ -304,16 +370,8 @@ def olovsson_block(element_mass, beta, projector_variant=False):
 
 def olovsson(blocks, ndof, beta, projector_variant=False, k_global=None):
     """Ad hoc local scaling of Olovsson et al. for hex8 elements."""
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
-    element_mbar = [
-        np.diag(b.lumped_mass) + olovsson_block(b.element_mass, beta, projector_variant)
-        for b in blocks
-    ]
-    kbar = _global_k(blocks, ndof, k_global)
-    mbar = fem.assemble(blocks, "custom", ndof, element_matrices=element_mbar)
     spec = ScalingSpec("olovsson", beta=beta, projector_variant=projector_variant)
-    return ScaledSystem(kbar, mbar, spec, element_mbar)
+    return apply_spec(spec, blocks, ndof, k_global=k_global)
 
 
 def hoffmann_block(element_mass, beta):
@@ -325,71 +383,99 @@ def hoffmann_block(element_mass, beta):
 
 def hoffmann(blocks, ndof, beta, k_global=None):
     """Ad hoc local scaling of Hoffmann et al. for hex8 elements."""
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
-    element_mbar = [
-        np.diag(b.lumped_mass) + hoffmann_block(b.element_mass, beta) for b in blocks
-    ]
-    kbar = _global_k(blocks, ndof, k_global)
-    mbar = fem.assemble(blocks, "custom", ndof, element_matrices=element_mbar)
-    return ScaledSystem(kbar, mbar, ScalingSpec("hoffmann", beta=beta), element_mbar)
+    return apply_spec(ScalingSpec("hoffmann", beta=beta), blocks, ndof, k_global=k_global)
+
+
+def _stabilized_term(block, spec):
+    """M_e + epsilon U_1 U_1^T over the r smallest element mass eigenvectors."""
+    me = np.diag(block.lumped_mass)
+    u1 = sym_eig(me).vectors[:, :spec.rank]
+    return symmetrize(me + spec.epsilon * (u1 @ u1.T))
 
 
 def eig_stabilization(blocks, ndof, r, epsilon, k_global=None):
-    """Floor the r smallest element mass eigenvalues by epsilon."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    m = 24
-    if not 0 < r <= m:
-        raise RankTooLarge(f"rank {r} out of range for element order {m}")
-    from .linalg import sym_eig
-
-    element_mbar = []
-    for block in blocks:
-        me = np.diag(block.lumped_mass)
-        dec = sym_eig(me)
-        u1 = dec.vectors[:, :r]
-        element_mbar.append(symmetrize(me + epsilon * (u1 @ u1.T)))
-    kbar = _global_k(blocks, ndof, k_global)
-    mbar = fem.assemble(blocks, "custom", ndof, element_matrices=element_mbar)
+    """Add epsilon to the r smallest element mass eigenvalues."""
     spec = ScalingSpec("eig_stabilization", rank=r, epsilon=epsilon)
-    return ScaledSystem(kbar, mbar, spec, element_mbar)
+    return apply_spec(spec, blocks, ndof, k_global=k_global)
 
 
 def apply_spec(spec, blocks, ndof, pair=None, k_global=None):
-    """Dispatch a :class:`ScalingSpec` to the matching strategy.
+    """Apply the strategy that :data:`KINDS` holds for ``spec.kind``.
 
-    Global kinds need the assembled ``pair`` (K, M); local kinds operate
-    on the element ``blocks``.
+    Global kinds transform the assembled ``pair`` (K, M). Local kinds
+    scale each element of ``blocks`` and assemble the result; K is
+    ``k_global`` when given, else assembled from ``blocks``.
     """
-    def need_pair():
+    entry = KINDS[spec.kind]
+    if entry.transform is not None:
         if pair is None:
             raise ValueError(f"{spec.kind} requires the assembled pair")
-        return pair if isinstance(pair, MatrixPair) else MatrixPair(*pair)
+        return entry.transform(pair if isinstance(pair, MatrixPair) else MatrixPair(*pair), spec)
+    element_mbar = []
+    for i, block in enumerate(blocks):
+        try:
+            element_mbar.append(entry.element_term(block, spec))
+        except NotPositiveDefinite as exc:
+            raise DefectiveElementPair(f"element {i}: {exc}") from exc
+    kbar = fem.assemble(blocks, "stiffness", ndof) if k_global is None else k_global
+    mbar = fem.assemble(blocks, "custom", ndof, element_matrices=element_mbar)
+    return ScaledSystem(kbar, mbar, spec, element_mbar)
 
-    if spec.kind == "none":
-        p = need_pair()
-        return ScaledSystem(p.a, p.b, spec)
-    if spec.kind == "cms":
-        selector = spec.selector if spec.selector is not None else tuple(range(24))
-        return cms(blocks, ndof, selector, spec.alpha, k_global=k_global)
-    if spec.kind == "uniform_lft":
-        return lft(need_pair(), uniform_lft_matrix(spec.mu))
-    if spec.kind == "stiffness_proportional_lft":
-        return lft(need_pair(), stiffness_proportional_lft_matrix(spec.mu))
-    if spec.kind == "polynomial_sms":
-        p = need_pair()
-        return polynomial_sms(p.a, p.b, spec.c)
-    if spec.kind == "global_deflation":
-        return global_deflation(need_pair(), spec.rank, spec.mode or "shave", spec.alpha)
-    if spec.kind == "local_deflation_s1":
-        return local_deflation(blocks, ndof, spec.rank, "s1", spec.alpha, k_global=k_global)
-    if spec.kind == "local_deflation_s2":
-        return local_deflation(blocks, ndof, spec.rank, "s2", k_global=k_global)
-    if spec.kind == "olovsson":
-        return olovsson(blocks, ndof, spec.beta, spec.projector_variant, k_global=k_global)
-    if spec.kind == "hoffmann":
-        return hoffmann(blocks, ndof, spec.beta, k_global=k_global)
-    if spec.kind == "eig_stabilization":
-        return eig_stabilization(blocks, ndof, spec.rank, spec.epsilon, k_global=k_global)
-    raise ValueError(f"unknown scaling kind {spec.kind!r}")
+
+KINDS = {
+    "none": Kind(
+        transform=lambda pair, spec: ScaledSystem(pair.a, pair.b, spec),
+        corollary=lambda spec, blocks: 1.0,
+    ),
+    "cms": Kind(
+        params={"alpha": _number(1)},
+        optional={"selector": _selector},
+        element_term=_cms_term,
+        growth=lambda spec: spec.alpha,
+    ),
+    "uniform_lft": Kind(
+        params={"mu": _number(0, strict=True)},
+        transform=lambda pair, spec: lft(pair, uniform_lft_matrix(spec.mu), spec),
+    ),
+    "stiffness_proportional_lft": Kind(
+        params={"mu": _number(0, strict=True)},
+        transform=lambda pair, spec: lft(pair, stiffness_proportional_lft_matrix(spec.mu), spec),
+    ),
+    "polynomial_sms": Kind(
+        params={"c": _number(0)},
+        transform=lambda pair, spec: polynomial_sms(pair.a, pair.b, spec.c),
+    ),
+    "global_deflation": Kind(
+        params={"rank": _number(0, integer=True)},
+        optional={"mode": _deflation_mode, "alpha": _number(0)},
+        transform=_global_deflation,
+        check=_cutoff_needs_alpha,
+    ),
+    "local_deflation_s1": Kind(
+        params={"rank": _number(0, _ORDER - 1, integer=True), "alpha": _number(0)},
+        element_term=partial(_deflated_term, cutoff=True),
+        growth=lambda spec: 1.0 + spec.alpha,
+    ),
+    "local_deflation_s2": Kind(
+        params={"rank": _number(0, _ORDER - 1, integer=True)},
+        element_term=partial(_deflated_term, cutoff=False),
+        corollary=_s2_corollary,
+    ),
+    "olovsson": Kind(
+        params={"beta": _number(0)},
+        optional={"projector_variant": _flag},
+        element_term=lambda block, spec: np.diag(block.lumped_mass)
+        + olovsson_block(block.element_mass, spec.beta, spec.projector_variant),
+        growth=lambda spec: 1.0 + 8.0 * spec.beta / 7.0,
+    ),
+    "hoffmann": Kind(
+        params={"beta": _number(0)},
+        element_term=lambda block, spec: np.diag(block.lumped_mass)
+        + hoffmann_block(block.element_mass, spec.beta),
+        growth=lambda spec: 1.0 + 9.0 * spec.beta / 2.0,
+    ),
+    "eig_stabilization": Kind(
+        params={"rank": _number(1, _ORDER, integer=True), "epsilon": _number(0, strict=True)},
+        element_term=_stabilized_term,
+    ),
+}

@@ -175,3 +175,64 @@ class TestCommands:
         assert res.exit_code == 0, res.output
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 7
+
+
+def _probe(scaling):
+    return {"scalings": [scaling]}
+
+
+# Malformed documents on a 3 x 2 x 2 mesh: each ends with the given exit
+# code and a one-line message that starts with the given text.
+PROBES = {
+    "rank_float": (_probe({"kind": "local_deflation_s2", "rank": 7.5}), 1,
+                   "config error: scaling[local_deflation_s2]: "),
+    "beta_nan": (_probe({"kind": "olovsson", "beta": float("nan")}), 1,
+                 "config error: scaling[olovsson]: "),
+    "rank_missing": (_probe({"kind": "eig_stabilization", "epsilon": 1e-3}), 1,
+                     "config error: scaling[eig_stabilization]: "),
+    "rank_zero": (_probe({"kind": "eig_stabilization", "rank": 0, "epsilon": 1e-3}), 1,
+                  "config error: scaling[eig_stabilization]: "),
+    "rank_above_element": (_probe({"kind": "local_deflation_s1", "rank": 30, "alpha": 1.0}), 1,
+                           "config error: scaling[local_deflation_s1]: "),
+    "selector_outside": (_probe({"kind": "cms", "alpha": 2.0, "selector": [99]}), 1,
+                         "config error: scaling[cms]: "),
+    "mode_bogus": (_probe({"kind": "global_deflation", "rank": 2, "mode": "bogus"}), 1,
+                   "config error: scaling[global_deflation]: "),
+    "rank_bool": (_probe({"kind": "local_deflation_s2", "rank": True}), 1,
+                  "config error: scaling[local_deflation_s2]: "),
+    "node_counts_text": ({"geometry": {"mesh": {"node_counts": ["a", 2, 2],
+                                                "extents_mm": [30.0, 20.0, 10.0]}}}, 1,
+                         "config error: geometry.mesh.node_counts: "),
+    "node_counts_one": ({"geometry": {"mesh": {"node_counts": [1, 2, 2],
+                                               "extents_mm": [30.0, 20.0, 10.0]}}}, 1,
+                        "config error: geometry.mesh: "),
+    "sweep_not_an_object": ({"sweep": [1, 2]}, 2, "internal error: AttributeError: "),
+}
+
+
+@pytest.mark.parametrize("name", list(PROBES))
+def test_malformed_config_one_line_no_traceback(tmp_path, name):
+    overrides, code, prefix = PROBES[name]
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, **{"geometry": {"mesh": {"node_counts": [3, 2, 2],
+                                               "extents_mm": [30.0, 20.0, 10.0]}},
+                         **overrides})
+    res = CliRunner().invoke(cli.main, ["bounds", "--config", str(cfg), "--out",
+                                        str(tmp_path / "out")])
+    assert res.exit_code == code, res.output
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix), res.stderr
+
+
+def test_mesh_system_built_once_per_execute(tmp_path, monkeypatch):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, sweep={"kind": "olovsson", "parameter": "beta", "values": [1.0]})
+    cfg = cli.load_config(cfg_path)
+    cfg.output_dir = str(tmp_path / "out")
+    calls = []
+    build = cli.fem.element_blocks
+    monkeypatch.setattr(cli.fem, "element_blocks", lambda *a: calls.append(a) or build(*a))
+    for expected in (1, 2):
+        cli.execute(cfg, ["spectrum", "bounds", "sweep", "integrate"])
+        assert len(calls) == expected

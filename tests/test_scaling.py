@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from masscale import fem, scaling
+from masscale import analysis, cli, fem, scaling
 from masscale.errors import (
+    ConfigError,
     DegenerateLFT,
     EmptySelection,
     LostDefiniteness,
+    NoBoundForKind,
     NonDiagonalMass,
     RankTooLarge,
 )
@@ -40,11 +42,95 @@ class TestScalingSpec:
             dict(kind="polynomial_sms"),
             dict(kind="uniform_lft", mu=0.0),
             dict(kind="eig_stabilization", rank=1),
+            dict(kind="olovsson", beta=float("nan")),
+            dict(kind="hoffmann", beta=float("inf")),
+            dict(kind="local_deflation_s2", rank=24),
+            dict(kind="eig_stabilization", rank=0, epsilon=1e-3),
+            dict(kind="cms", alpha=2.0, selector=(99,)),
+            dict(kind="global_deflation", rank=2, mode="bogus"),
+            dict(kind="global_deflation", rank=2, mode="cutoff"),
         ],
     )
     def test_parameter_validation(self, kwargs):
         with pytest.raises(ValueError):
             ScalingSpec(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(kind="local_deflation_s2", rank=7.5),
+            dict(kind="local_deflation_s2", rank=True),
+            dict(kind="olovsson", beta="10"),
+        ],
+    )
+    def test_parameter_types(self, kwargs):
+        with pytest.raises(TypeError):
+            ScalingSpec(**kwargs)
+
+
+# The scalings of the kinds_small benchmark workload, as config documents,
+# and the file labels their outputs carry.
+KIND_DOCS = {
+    "none": ({"kind": "none"}, "none"),
+    "cms": ({"kind": "cms", "alpha": 4.0}, "cms_alpha4"),
+    "uniform_lft": ({"kind": "uniform_lft", "mu": 2.0}, "uniform_lft_mu2"),
+    "stiffness_proportional_lft": (
+        {"kind": "stiffness_proportional_lft", "mu": 2e-14},
+        "stiffness_proportional_lft_mu2e-14",
+    ),
+    "polynomial_sms": ({"kind": "polynomial_sms", "c": 1.5e-28}, "polynomial_sms_c1.5e-28"),
+    "global_deflation": ({"kind": "global_deflation", "rank": 10}, "global_deflation_rank10"),
+    "local_deflation_s1": (
+        {"kind": "local_deflation_s1", "rank": 3, "alpha": 4.0},
+        "local_deflation_s1_alpha4_rank3",
+    ),
+    "local_deflation_s2": ({"kind": "local_deflation_s2", "rank": 2}, "local_deflation_s2_rank2"),
+    "olovsson": ({"kind": "olovsson", "beta": 10.0}, "olovsson_beta10"),
+    "hoffmann": ({"kind": "hoffmann", "beta": 10.0}, "hoffmann_beta10"),
+    "eig_stabilization": (
+        {"kind": "eig_stabilization", "rank": 3, "epsilon": 1e-6},
+        "eig_stabilization_rank3_epsilon1e-06",
+    ),
+}
+
+
+class TestKindsTable:
+    def test_every_kind_has_a_document(self):
+        assert set(KIND_DOCS) == set(scaling.KINDS)
+
+    @pytest.mark.parametrize("kind", list(scaling.KINDS))
+    def test_label(self, kind):
+        doc, label = KIND_DOCS[kind]
+        assert cli.parse_scaling(doc).label == label
+
+    def test_int_becomes_float(self):
+        spec = ScalingSpec("olovsson", beta=10)
+        assert type(spec.beta) is float and spec.label == "olovsson_beta10"
+
+    def test_corollary_is_sqrt_of_kappa_ratio(self, small_system):
+        _, blocks, _ = small_system
+        both = []
+        for kind in scaling.KINDS:
+            spec = cli.parse_scaling(KIND_DOCS[kind][0])
+            try:
+                ratio = analysis.kappa_ratio_bound(spec)
+                bound = analysis.corollary_bound(spec, blocks)
+            except NoBoundForKind:
+                continue
+            assert bound == np.sqrt(ratio)
+            both.append(kind)
+        assert both == ["cms", "local_deflation_s1", "olovsson", "hoffmann"]
+
+    @pytest.mark.parametrize("kind", list(scaling.KINDS))
+    def test_rejects_a_parameter_the_kind_does_not_take(self, kind):
+        entry = scaling.KINDS[kind]
+        extra = next(
+            name for name in ("beta", "alpha", "mu", "c", "rank", "epsilon")
+            if name not in entry.params and name not in entry.optional
+        )
+        doc = {**KIND_DOCS[kind][0], extra: 1}
+        with pytest.raises(ConfigError, match=f"takes no parameter {extra}"):
+            cli.parse_scaling(doc)
 
 
 class TestLFT:
