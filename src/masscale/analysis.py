@@ -1,5 +1,10 @@
 """Spectral reporting, frequency-ratio curves, and every bound in the suite.
 
+The reports take the ascending spectra of (K, M), (K, Mbar), (Mbar, M),
+M and Mbar and solve no assembled pencil; the caller decides what to
+solve (the CLI, each pencil once per run). Only the element Rayleigh
+tables solve their own 24 x 24 element pairs.
+
 Bounds are *reported* (both sides stored, slack signed) rather than
 asserted; the test suite owns the assertions.
 """
@@ -12,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoBoundForKind, NonPositiveEigenvalue, NonUniformMesh
-from .linalg import MatrixPair, condition_number, generalized_eig, gershgorin_max, is_diagonal
+from .linalg import MatrixPair, condition_number, generalized_eig
 from .scaling import KINDS
 
 __all__ = [
@@ -105,20 +110,16 @@ def frequency_ratio_curve(original, scaled, rtol=RIGID_BODY_RTOL):
     return frequencies(original[start:]) / frequencies(scaled[start:])
 
 
-def sandwich_bounds(k, m, mbar, pair_km=None, pair_kmbar=None):
+def sandwich_bounds(values, scaled_values, mass_values):
     """Check lambda_1(Mbar,M) <= lambda_k(K,M)/lambda_k(K,Mbar) <= lambda_n(Mbar,M).
 
-    Full decompositions may be passed in to avoid recomputation. Returns a
-    BoundSet with one record for the min and max observed ratio.
+    Takes the ascending eigenvalues of (K, M), (K, Mbar) and (Mbar, M).
+    Returns a BoundSet with one record for the min and max observed ratio
+    over the flexible modes, and one for the pair extremes.
     """
-    dec_mm = generalized_eig(MatrixPair(mbar, m))
-    lo, hi = dec_mm.values[0], dec_mm.values[-1]
-    if pair_km is None:
-        pair_km = generalized_eig(MatrixPair(k, m))
-    if pair_kmbar is None:
-        pair_kmbar = generalized_eig(MatrixPair(k, mbar))
-    start = max(flexible_slice(pair_km.values), flexible_slice(pair_kmbar.values))
-    ratios = pair_km.values[start:] / pair_kmbar.values[start:]
+    lo, hi = mass_values[0], mass_values[-1]
+    start = max(flexible_slice(values), flexible_slice(scaled_values))
+    ratios = values[start:] / scaled_values[start:]
     out = BoundSet()
     out.add(BoundRecord("eig_pert_bounds_mass:min_ratio", float(ratios.min()), lower=float(lo)))
     out.add(BoundRecord("eig_pert_bounds_mass:max_ratio", float(ratios.max()), upper=float(hi)))
@@ -150,11 +151,13 @@ def kappa_ratio_bound(spec):
     return growth(spec)
 
 
-def condition_report(m, mbar, p_max, element_masses, spec=None, element_mbar=None):
-    """Condition numbers of M, Mbar and (Mbar, M) with their upper bounds."""
-    kappa_m = condition_number(m)
-    kappa_mbar = condition_number(mbar)
-    kappa_pair = condition_number(mbar, m)
+def condition_report(m_values, mbar_values, mass_values, p_max, element_masses, spec=None,
+                     element_mbar=None):
+    """Condition numbers of M, Mbar and (Mbar, M), from their ascending
+    eigenvalues, with their upper bounds (Fried's from ``element_mbar``)."""
+    kappa_m = condition_number(m_values)
+    kappa_mbar = condition_number(mbar_values)
+    kappa_pair = condition_number(mass_values)
 
     out = BoundSet()
     out.add(BoundRecord("kappa_M", kappa_m))
@@ -229,7 +232,7 @@ def element_rayleigh_report(block, mbar_e, rigid_rtol=RIGID_BODY_RTOL):
 
 @dataclass
 class SpectralReport:
-    """Original and scaled spectra with derived step/condition quantities."""
+    """Original and scaled spectra with the derived critical steps."""
 
     kind: str
     original_values: np.ndarray
@@ -238,43 +241,24 @@ class SpectralReport:
     dt_original: float
     dt_scaled: float
     corollary: float | None
-    kappa_m: float | None = None
-    kappa_mbar: float | None = None
-    kappa_pair: float | None = None
-    gershgorin_scaled: float | None = None
 
 
-def spectral_report(pair, scaled, blocks=None, condition=False):
-    """Build a SpectralReport for one scaled system against the original pair."""
-    if not isinstance(pair, MatrixPair):
-        pair = MatrixPair(*pair)
-    dec = generalized_eig(pair)
-    mbar = scaled.mbar_dense()
-    dec_s = generalized_eig(MatrixPair(scaled.kbar, mbar))
-    ratios = frequency_ratio_curve(dec.values, dec_s.values)
+def spectral_report(values, scaled_values, spec, blocks=None):
+    """SpectralReport for one scaling from the ascending eigenvalues of
+    (K, M) and of (Kbar, Mbar); ``blocks`` serve the S2 corollary."""
     try:
-        bound = corollary_bound(scaled.spec, blocks)
+        bound = corollary_bound(spec, blocks)
     except (NoBoundForKind, ValueError):
         bound = None
-    report = SpectralReport(
-        kind=scaled.spec.kind,
-        original_values=dec.values,
-        scaled_values=dec_s.values,
-        ratio_curve=ratios,
-        dt_original=critical_dt(dec.values[-1]),
-        dt_scaled=critical_dt(dec_s.values[-1]),
+    return SpectralReport(
+        kind=spec.kind,
+        original_values=values,
+        scaled_values=scaled_values,
+        ratio_curve=frequency_ratio_curve(values, scaled_values),
+        dt_original=critical_dt(values[-1]),
+        dt_scaled=critical_dt(scaled_values[-1]),
         corollary=bound,
     )
-    if condition:
-        report.kappa_m = condition_number(pair.b)
-        report.kappa_mbar = condition_number(mbar)
-        report.kappa_pair = condition_number(mbar, pair.b)
-        s = 1.0 / np.sqrt(np.diag(pair.b)) if is_diagonal(pair.b) else None
-        if s is not None:
-            report.gershgorin_scaled = gershgorin_max(
-                scaled.kbar * s[:, None] * s[None, :]
-            )
-    return report
 
 
 def report_to_json(report, path=None):
@@ -287,10 +271,8 @@ def report_to_json(report, path=None):
         "dt_original": report.dt_original,
         "dt_scaled": report.dt_scaled,
         "corollary_bound": report.corollary,
-        "kappa_m": report.kappa_m,
-        "kappa_mbar": report.kappa_mbar,
-        "kappa_pair": report.kappa_pair,
-        "gershgorin_scaled": report.gershgorin_scaled,
+        # null, kept for readers; the bounds study writes the condition numbers
+        **dict.fromkeys(("kappa_m", "kappa_mbar", "kappa_pair", "gershgorin_scaled")),
     }
     text = json.dumps(payload, indent=2, sort_keys=True)
     if path is not None:

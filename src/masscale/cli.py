@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__, analysis, fem, integrator, scaling
 from .errors import ConfigError, InvalidCounts, MasscaleError
-from .linalg import MatrixPair, condition_number
+from .linalg import MatrixPair, condition_number, generalized_eig, sym_eig
 
 DEFAULT_SEED = 42
 
@@ -56,37 +56,45 @@ class ExperimentConfig:
         raise ConfigError("geometry: one of 'element' or 'mesh' is required")
 
 
+def _object(value, name):
+    """``value`` when it is a JSON object; else a ConfigError naming ``name``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name}: expected an object, got {value!r}")
+    return value
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _length_triplet(obj, key):
     """Read a 3-vector with unit suffix _m or _mm; returns meters."""
-    if f"{key}_m" in obj:
-        vals = obj[f"{key}_m"]
-    elif f"{key}_mm" in obj:
-        vals = [v * 1e-3 for v in obj[f"{key}_mm"]]
-    else:
+    name = next((key + unit for unit in ("_m", "_mm") if key + unit in obj), None)
+    if name is None:
         raise ConfigError(f"{key}: expected '{key}_m' or '{key}_mm'")
-    if len(vals) != 3:
-        raise ConfigError(f"{key}: expected 3 values")
-    return tuple(float(v) for v in vals)
+    vals = obj[name]
+    if not (isinstance(vals, list) and len(vals) == 3 and all(map(_is_number, vals))):
+        raise ConfigError(f"{name}: expected 3 numbers, got {vals!r}")
+    return tuple(float(v) * (1e-3 if name.endswith("_mm") else 1.0) for v in vals)
 
 
 def _parse_material(obj):
-    if "young_modulus_gpa" in obj:
-        e = float(obj["young_modulus_gpa"]) * 1e9
-    elif "young_modulus" in obj:
-        e = float(obj["young_modulus"])
-    else:
-        raise ConfigError("material.young_modulus: missing")
+    obj = _object(obj, "material")
+    gpa = "young_modulus_gpa" in obj
+    keys = ("young_modulus_gpa" if gpa else "young_modulus", "poisson_ratio", "density")
+    for key in keys:
+        if not _is_number(obj.get(key)):
+            raise ConfigError(f"material.{key}: expected a number, got {obj.get(key)!r}")
+    e, nu, rho = (float(obj[key]) for key in keys)
     try:
-        return fem.Material(e, float(obj["poisson_ratio"]), float(obj["density"]))
-    except (KeyError, ValueError) as exc:
+        return fem.Material(e * 1e9 if gpa else e, nu, rho)
+    except ValueError as exc:
         raise ConfigError(f"material: {exc}") from exc
 
 
 def parse_scaling(obj):
     """Build a ScalingSpec from a config mapping (kind + named parameters)."""
-    if not isinstance(obj, dict):
-        raise ConfigError(f"scaling: expected an object, got {obj!r}")
-    kind = obj.get("kind")
+    kind = _object(obj, "scaling").get("kind")
     if kind is None:
         raise ConfigError("scaling.kind: missing")
     aliases = {"r": "rank", "eps": "epsilon"}
@@ -98,25 +106,32 @@ def parse_scaling(obj):
 
 
 def load_config(path):
+    """Read and check a config document; every malformed field raises a
+    ConfigError that names it."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"config: {exc}") from exc
+    _object(raw, "config")
 
-    geometry = raw.get("geometry", {})
-    has_mesh = "mesh" in geometry
-    has_element = "element" in geometry
+    geometry = _object(raw.get("geometry", {}), "geometry")
+    has_mesh, has_element = "mesh" in geometry, "element" in geometry
     if has_mesh == has_element:
         raise ConfigError("geometry: exactly one of 'mesh' or 'element' is required")
 
     cfg = ExperimentConfig(material=_parse_material(raw.get("material", {})))
-    cfg.seed = int(raw.get("seed", DEFAULT_SEED))
+    try:
+        cfg.seed = int(raw.get("seed", DEFAULT_SEED))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"seed: {exc}") from exc
     cfg.output_dir = raw.get("output_dir", "out")
+    if not isinstance(cfg.output_dir, str):
+        raise ConfigError(f"output_dir: expected a string, got {cfg.output_dir!r}")
     if has_mesh:
-        mesh_obj = geometry["mesh"]
+        mesh_obj = _object(geometry["mesh"], "geometry.mesh")
         counts = mesh_obj.get("node_counts")
-        if not counts or len(counts) != 3:
+        if not isinstance(counts, list) or len(counts) != 3:
             raise ConfigError("geometry.mesh.node_counts: expected 3 values")
         try:
             cfg.mesh_counts = tuple(int(c) for c in counts)
@@ -124,17 +139,19 @@ def load_config(path):
             raise ConfigError(f"geometry.mesh.node_counts: {exc}") from exc
         cfg.mesh_extents = _length_triplet(mesh_obj, "extents")
     else:
-        cfg.element_size = _length_triplet(geometry["element"], "size")
+        element = _object(geometry["element"], "geometry.element")
+        cfg.element_size = _length_triplet(element, "size")
 
     cfg.scalings = [parse_scaling(s) for s in raw.get("scalings", [])]
     cfg.sweep = raw.get("sweep")
     if cfg.sweep is not None:
-        values = cfg.sweep.get("values")
-        if not values:
-            raise ConfigError("sweep.values: grid must be non-empty")
+        values = _object(cfg.sweep, "sweep").get("values")
+        if not (isinstance(values, list) and values):
+            raise ConfigError(f"sweep.values: expected a non-empty list, got {values!r}")
         if "kind" not in cfg.sweep or "parameter" not in cfg.sweep:
             raise ConfigError("sweep: requires 'kind' and 'parameter'")
-    cfg.studies = {name: bool(raw.get("studies", {}).get(name, False)) for name in STUDY_NAMES}
+    studies = _object(raw.get("studies", {}), "studies")
+    cfg.studies = {name: bool(studies.get(name, False)) for name in STUDY_NAMES}
     cfg.echo = raw
     return cfg
 
@@ -175,11 +192,7 @@ def study_element_spectrum(cfg, emitter, system):
             mbar_e = np.diag(block.lumped_mass)
         else:
             scaled = scaling.apply_spec(spec, blocks, mesh.dof_count, pair=pair)
-            mbar_e = (
-                scaled.element_mbar[0]
-                if scaled.element_mbar is not None
-                else scaled.mbar_dense()
-            )
+            mbar_e = scaled.mbar_dense() if scaled.element_mbar is None else scaled.element_mbar[0]
         rows, ordering = analysis.element_rayleigh_report(block, mbar_e)
         emitter.write_csv(
             f"element_{spec.label}.csv",
@@ -196,51 +209,85 @@ def study_element_spectrum(cfg, emitter, system):
         )
 
 
-def _mesh_system(cfg):
-    mesh = cfg.mesh()
-    blocks = fem.element_blocks(mesh, cfg.material)
-    k = fem.assemble(blocks, "stiffness", mesh.dof_count)
-    m = fem.assemble(blocks, "lumped", mesh.dof_count)
-    return mesh, blocks, MatrixPair(k, m)
+class _MeshSystem:
+    """The configured mesh, its element blocks and (K, M), built on first
+    use, and the eigenvalues of the assembled pencils the studies share,
+    each solved on first request: (K, M) and M once, (Kbar, Mbar) and Mbar
+    once per scaling spec. It keeps eigenvalues only, never eigenvectors
+    or scaled matrices.
+    """
+
+    def __init__(self, cfg):
+        self.cfg, self._values = cfg, {}
+
+    @functools.cached_property
+    def parts(self):
+        """(mesh, blocks, MatrixPair(K, M))."""
+        mesh = self.cfg.mesh()
+        blocks = fem.element_blocks(mesh, self.cfg.material)
+        k = fem.assemble(blocks, "stiffness", mesh.dof_count)
+        m = fem.assemble(blocks, "lumped", mesh.dof_count)
+        return mesh, blocks, MatrixPair(k, m)
+
+    def scale(self, spec):
+        mesh, blocks, pair = self.parts
+        return scaling.apply_spec(spec, blocks, mesh.dof_count, pair=pair, k_global=pair.a)
+
+    def _once(self, key, solve):
+        if key not in self._values:
+            self._values[key] = solve().values
+        return self._values[key]
+
+    def values_km(self):
+        return self._once("K,M", lambda: generalized_eig(self.parts[2]))
+
+    def values_m(self):
+        return self._once("M", lambda: sym_eig(self.parts[2].b))
+
+    def values_kmbar(self, scaled):
+        key = ("Kbar,Mbar", scaled.spec)
+        return self._once(
+            key, lambda: generalized_eig(MatrixPair(scaled.kbar, scaled.mbar_dense()))
+        )
+
+    def values_mbar(self, scaled):
+        return self._once(("Mbar", scaled.spec), lambda: sym_eig(scaled.mbar_dense()))
 
 
 def study_spectrum(cfg, emitter, system):
     """Full spectral reports (original vs scaled) on the configured mesh."""
-    mesh, blocks, pair = system()
+    _, blocks, _ = system.parts
     for spec in cfg.scalings or [scaling.ScalingSpec("none")]:
-        scaled = scaling.apply_spec(spec, blocks, mesh.dof_count, pair=pair, k_global=pair.a)
-        report = analysis.spectral_report(pair, scaled, blocks=blocks)
+        scaled = system.scale(spec)
+        report = analysis.spectral_report(
+            system.values_km(), system.values_kmbar(scaled), spec, blocks=blocks
+        )
         label = spec.label
         analysis.report_to_json(report, emitter.path(f"spectrum_{label}.json"))
-        emitter.write_csv(
-            f"ratio_{label}.csv",
-            {
-                "mode": list(range(len(report.ratio_curve))),
-                "ratio": report.ratio_curve.tolist(),
-            },
-        )
+        curve = report.ratio_curve
+        emitter.write_csv(f"ratio_{label}.csv",
+                          {"mode": list(range(len(curve))), "ratio": curve.tolist()})
 
 
 def study_bounds(cfg, emitter, system):
     """Sandwich and condition bounds for each configured scaling."""
-    mesh, blocks, pair = system()
+    mesh, blocks, pair = system.parts
     masses = [b.element_mass for b in blocks]
     for spec in cfg.scalings or [scaling.ScalingSpec("none")]:
-        scaled = scaling.apply_spec(spec, blocks, mesh.dof_count, pair=pair, k_global=pair.a)
-        mbar = scaled.mbar_dense()
-        sandwich = analysis.sandwich_bounds(pair.a, pair.b, mbar)
-        cond = analysis.condition_report(
-            pair.b, mbar, mesh.p_max, masses, spec=spec, element_mbar=scaled.element_mbar
+        scaled = system.scale(spec)
+        # Kbar is K for every kind, so (Kbar, Mbar) is the sandwich's (K, Mbar).
+        mass_values = generalized_eig(MatrixPair(scaled.mbar_dense(), pair.b)).values
+        sandwich = analysis.sandwich_bounds(
+            system.values_km(), system.values_kmbar(scaled), mass_values
         )
-        payload = {}
-        for bound_set in (sandwich, cond):
-            for name, rec in bound_set.records.items():
-                payload[name] = {
-                    "value": rec.value,
-                    "lower": rec.lower,
-                    "upper": rec.upper,
-                    "holds": rec.holds(),
-                }
+        cond = analysis.condition_report(
+            system.values_m(), system.values_mbar(scaled), mass_values,
+            mesh.p_max, masses, spec=spec, element_mbar=scaled.element_mbar,
+        )
+        payload = {
+            name: {"value": r.value, "lower": r.lower, "upper": r.upper, "holds": r.holds()}
+            for bound_set in (sandwich, cond) for name, r in bound_set.records.items()
+        }
         emitter.write_json(f"bounds_{spec.label}.json", payload)
 
 
@@ -248,10 +295,9 @@ def study_sweep(cfg, emitter, system):
     """Parameter sweep: step ratio, corollary bound, condition ratio per point."""
     if cfg.sweep is None:
         raise ConfigError("sweep: section missing")
-    mesh, blocks, pair = system()
-    dec = analysis.generalized_eig(pair)
-    dt0 = analysis.critical_dt(dec.values[-1])
-    kappa_m = condition_number(pair.b)
+    _, blocks, _ = system.parts
+    dt0 = analysis.critical_dt(system.values_km()[-1])
+    kappa_m = condition_number(system.values_m())
 
     kind = cfg.sweep["kind"]
     parameter = cfg.sweep["parameter"]
@@ -259,45 +305,32 @@ def study_sweep(cfg, emitter, system):
     rows = {"value": [], "dt_ratio": [], "bound": [], "kappa_ratio": []}
     for value in cfg.sweep["values"]:
         spec = parse_scaling({"kind": kind, parameter: value, **base})
-        scaled = scaling.apply_spec(spec, blocks, mesh.dof_count, pair=pair, k_global=pair.a)
-        mbar = scaled.mbar_dense()
-        dec_s = analysis.generalized_eig(MatrixPair(scaled.kbar, mbar))
-        dt_ratio = analysis.critical_dt(dec_s.values[-1]) / dt0
+        scaled = system.scale(spec)
+        dt_ratio = analysis.critical_dt(system.values_kmbar(scaled)[-1]) / dt0
         try:
             bound = analysis.corollary_bound(spec, blocks)
         except MasscaleError:
             bound = float("nan")
-        kappa_ratio = condition_number(mbar) / kappa_m
-        rows["value"].append(float(value))
-        rows["dt_ratio"].append(float(dt_ratio))
-        rows["bound"].append(float(bound))
-        rows["kappa_ratio"].append(kappa_ratio)
+        kappa_ratio = condition_number(system.values_mbar(scaled)) / kappa_m
+        for column, v in zip(rows.values(), (value, dt_ratio, bound, kappa_ratio)):
+            column.append(float(v))
     emitter.write_csv(f"sweep_{kind}_{parameter}.csv", rows)
 
 
 def study_integrate(cfg, emitter, system):
     """Stability brackets around the computed critical step for each scaling."""
-    mesh, blocks, pair = system()
     results = {}
     for spec in cfg.scalings or [scaling.ScalingSpec("none")]:
-        scaled = scaling.apply_spec(spec, blocks, mesh.dof_count, pair=pair, k_global=pair.a)
-        dec_s = analysis.generalized_eig(MatrixPair(scaled.kbar, scaled.mbar_dense()))
-        dt_c = analysis.critical_dt(dec_s.values[-1])
-        highest = dec_s.vectors[:, -1]
+        scaled = system.scale(spec)
+        # Its own solve: the bracket starts from the top eigenvector.
+        dec_s = generalized_eig(MatrixPair(scaled.kbar, scaled.mbar_dense()))
         verdicts = integrator.stability_bracket(
-            scaled.kbar, scaled.mbar, dt_c, seed=cfg.seed, highest_mode=highest
+            scaled.kbar, scaled.mbar, analysis.critical_dt(dec_s.values[-1]), seed=cfg.seed,
+            highest_mode=dec_s.vectors[:, -1],
         )
-        results[spec.label] = [
-            {
-                "classification": v.classification,
-                "growth_factor": v.growth_factor,
-                "steps_run": v.steps_run,
-                "dt": v.dt,
-                "stable_crossing": v.stable_crossing,
-                "unstable_crossing": v.unstable_crossing,
-            }
-            for v in verdicts
-        ]
+        keys = ("classification", "growth_factor", "steps_run", "dt", "stable_crossing",
+                "unstable_crossing")
+        results[spec.label] = [{k: getattr(v, k) for k in keys} for v in verdicts]
     emitter.write_json("stability_brackets.json", results)
 
 
@@ -312,9 +345,10 @@ _STUDIES = {
 
 def execute(cfg, studies):
     """Run ``studies`` in order and write the manifest. The mesh studies
-    share one (mesh, blocks, (K, M)), built when the first asks for it."""
+    share one :class:`_MeshSystem`, so each assembled pencil is solved
+    once per call."""
     emitter = Emitter(cfg.output_dir)
-    system = functools.cache(functools.partial(_mesh_system, cfg))
+    system = _MeshSystem(cfg)
     timings = {}
     for name in studies:
         start = time.perf_counter()
@@ -323,10 +357,7 @@ def execute(cfg, studies):
     manifest = {
         "config": cfg.echo,
         "seed": cfg.seed,
-        "versions": {
-            "masscale": __version__,
-            "numpy": np.__version__,
-        },
+        "versions": {"masscale": __version__, "numpy": np.__version__},
         "wall_clock_s": timings,
         "outputs": emitter.files,
     }
@@ -396,11 +427,8 @@ def _make_single(study, cli_name):
     return _cmd
 
 
-_make_single("element_spectrum", "element-spectrum")
-_make_single("spectrum", "spectrum")
-_make_single("bounds", "bounds")
-_make_single("sweep", "sweep")
-_make_single("integrate", "integrate")
+for _study in STUDY_NAMES:
+    _make_single(_study, _study.replace("_", "-"))
 
 
 if __name__ == "__main__":

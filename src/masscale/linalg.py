@@ -1,11 +1,11 @@
 """Dense symmetric linear algebra.
 
 Factorizations, standard and generalized eigensolvers, low-rank-update
-(Woodbury) solves and matrix-level bounds. Everything operates on plain
-numpy arrays; symmetry is enforced at construction points with
-:func:`symmetrize` and checked with :func:`require_symmetric`.
-:func:`factor_spd` factors a general SPD matrix once as a sparse LU, so
-that each later solve costs the factor's fill, not n^2.
+(Woodbury) solves, and condition numbers of computed eigenvalues.
+Everything operates on plain numpy arrays; symmetry is enforced at
+construction points with :func:`symmetrize` and checked with
+:func:`require_symmetric`. :func:`factor_spd` factors a general SPD matrix
+once as a sparse LU, so that each later solve costs the factor's fill.
 
 Dense factorizations and the standard symmetric eigensolver are delegated
 to LAPACK (through numpy/scipy); the generalized solver performs the
@@ -51,7 +51,6 @@ __all__ = [
     "generalized_eigvalues",
     "woodbury_factor",
     "woodbury_solve",
-    "gershgorin_max",
     "condition_number",
 ]
 
@@ -407,20 +406,10 @@ def woodbury_solve(update, rhs):
     return woodbury_factor(update)(np.asarray(rhs, dtype=float))
 
 
-def gershgorin_max(m):
-    """Max over rows of diagonal + sum of off-diagonal magnitudes (>= lambda_max)."""
-    m = require_symmetric(m, "m")
-    radii = np.abs(m).sum(axis=1) - np.abs(np.diag(m))
-    return float(np.max(np.diag(m) + radii))
-
-
-def condition_number(a, b=None):
-    """Spectral condition number lambda_max / lambda_min of an SPD matrix
-    ``a`` or, given ``b``, of the SPD pair (a, b).
-
-    Raises :class:`NotPositiveDefinite` when lambda_min <= 0.
-    """
-    values = (sym_eig(a) if b is None else generalized_eig(MatrixPair(a, b))).values
+def condition_number(values):
+    """lambda_max / lambda_min of ascending eigenvalues, such as
+    ``sym_eig(a).values`` or ``generalized_eig(pair).values``; raises
+    :class:`NotPositiveDefinite` when lambda_min <= 0."""
     if values[0] <= 0:
         raise NotPositiveDefinite(0, "nonpositive smallest eigenvalue")
     return float(values[-1] / values[0])

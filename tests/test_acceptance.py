@@ -414,10 +414,10 @@ def _check_invariants_random(rng, chk, tag):
     mbar = 0.5 * (m + e + (m + e).T)
     lam_bar = generalized_eigvalues(MatrixPair(k, mbar))
     ok_mono = bool(np.all(lam_bar <= lam * (1 + REL) + REL * abs(lam[-1])))
-    ok_sandwich = analysis.sandwich_bounds(k, m, mbar).all_hold(REL)
+    pair_vals = generalized_eigvalues(MatrixPair(mbar, m))
+    ok_sandwich = analysis.sandwich_bounds(lam, lam_bar, pair_vals).all_hold(REL)
     km = m_diag.max() / m_diag.min()
     kbar_vals = np.linalg.eigvalsh(mbar)
-    pair_vals = generalized_eigvalues(MatrixPair(mbar, m))
     ok_cond = (kbar_vals[-1] / kbar_vals[0]) / km <= (
         pair_vals[-1] / pair_vals[0]
     ) * (1 + REL)

@@ -5,8 +5,21 @@ import pytest
 
 from masscale import analysis, fem, scaling
 from masscale.errors import NoBoundForKind, NonPositiveEigenvalue, NonUniformMesh
-from masscale.linalg import MatrixPair, generalized_eigvalues
+from masscale.linalg import MatrixPair, generalized_eig, generalized_eigvalues, sym_eig
 from masscale.scaling import ScalingSpec
+
+
+def sandwich_spectra(pair, mbar):
+    """Eigenvalues of (K, M), (K, Mbar) and (Mbar, M)."""
+    return [
+        generalized_eig(MatrixPair(a, b)).values
+        for a, b in ((pair.a, pair.b), (pair.a, mbar), (mbar, pair.b))
+    ]
+
+
+def mass_spectra(m, mbar):
+    """Eigenvalues of M, Mbar and (Mbar, M)."""
+    return sym_eig(m).values, sym_eig(mbar).values, generalized_eig(MatrixPair(mbar, m)).values
 
 
 class TestCriticalDt:
@@ -63,12 +76,12 @@ class TestSandwichBounds:
     def test_ratio_sandwiched_by_pair_extremes(self, small_system, spec):
         mesh, blocks, pair = small_system
         scaled = scaling.apply_spec(spec, blocks, mesh.dof_count, pair, k_global=pair.a)
-        bounds = analysis.sandwich_bounds(pair.a, pair.b, scaled.mbar_dense())
+        bounds = analysis.sandwich_bounds(*sandwich_spectra(pair, scaled.mbar_dense()))
         assert bounds.all_hold(rtol=1e-9)
 
     def test_identity_scaling_gives_unit_ratios(self, small_system):
         _, _, pair = small_system
-        bounds = analysis.sandwich_bounds(pair.a, pair.b, pair.b.copy())
+        bounds = analysis.sandwich_bounds(*sandwich_spectra(pair, pair.b.copy()))
         rec = bounds["eig_pert_bounds_mass:min_ratio"]
         assert rec.value == pytest.approx(1.0, rel=1e-9)
 
@@ -126,7 +139,7 @@ class TestConditionReport:
         mesh, blocks, pair = small_system
         masses = [b.element_mass for b in blocks]
         report = analysis.condition_report(
-            pair.b, pair.b.copy(), mesh.p_max, masses
+            *mass_spectra(pair.b, pair.b.copy()), mesh.p_max, masses
         )
         assert report["kappa_M"].value == pytest.approx(report["kappa_Mbar"].value)
         assert report["kappa_pair"].value == pytest.approx(1.0, rel=1e-9)
@@ -145,7 +158,7 @@ class TestConditionReport:
         scaled = scaling.apply_spec(spec, blocks, mesh.dof_count, pair, k_global=pair.a)
         masses = [b.element_mass for b in blocks]
         report = analysis.condition_report(
-            pair.b, scaled.mbar_dense(), mesh.p_max, masses,
+            *mass_spectra(pair.b, scaled.mbar_dense()), mesh.p_max, masses,
             spec=spec, element_mbar=scaled.element_mbar,
         )
         assert report.all_hold(rtol=1e-9)
@@ -156,7 +169,7 @@ class TestConditionReport:
         scaled = scaling.apply_spec(spec, blocks, mesh.dof_count, pair, k_global=pair.a)
         masses = [b.element_mass for b in blocks]
         report = analysis.condition_report(
-            pair.b, scaled.mbar_dense(), mesh.p_max, masses,
+            *mass_spectra(pair.b, scaled.mbar_dense()), mesh.p_max, masses,
             spec=spec, element_mbar=scaled.element_mbar,
         )
         assert report.all_hold(rtol=1e-9)
@@ -223,7 +236,12 @@ class TestReports:
         mesh, blocks, pair = small_system
         spec = ScalingSpec("olovsson", beta=10.0)
         scaled = scaling.apply_spec(spec, blocks, mesh.dof_count, pair, k_global=pair.a)
-        report = analysis.spectral_report(pair, scaled, blocks, condition=True)
+        report = analysis.spectral_report(
+            generalized_eig(pair).values,
+            generalized_eig(MatrixPair(scaled.kbar, scaled.mbar_dense())).values,
+            spec,
+            blocks,
+        )
         assert report.kind == "olovsson"
         assert report.dt_scaled > report.dt_original
         path = tmp_path / "report.json"
@@ -231,7 +249,8 @@ class TestReports:
         data = json.loads(path.read_text())
         assert data["kind"] == "olovsson"
         assert len(data["original_values"]) == pair.order
-        assert data["kappa_pair"] is not None
+        for key in ("kappa_m", "kappa_mbar", "kappa_pair", "gershgorin_scaled"):
+            assert key in data and data[key] is None
 
     def test_write_curve_csv(self, tmp_path):
         path = tmp_path / "curve.csv"

@@ -1,9 +1,13 @@
+import hashlib
 import json
+import sys
+from collections import Counter
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from masscale import cli
+from masscale import cli, linalg
 from masscale.errors import ConfigError
 
 
@@ -181,9 +185,27 @@ def _probe(scaling):
     return {"scalings": [scaling]}
 
 
+def _mesh_probe(**mesh):
+    return {"geometry": {"mesh": {"node_counts": [3, 2, 2], **mesh}}}
+
+
 # Malformed documents on a 3 x 2 x 2 mesh: each ends with the given exit
-# code and a one-line message that starts with the given text.
+# code and a one-line message that starts with the given text. A list is
+# written as the whole document.
 PROBES = {
+    "document_array": ([{"seed": 1}], 1, "config error: config: "),
+    "material_number": ({"material": 5}, 1, "config error: material: "),
+    "young_modulus_text": ({"material": {"young_modulus_gpa": "x", "poisson_ratio": 0.3,
+                                         "density": 7800.0}}, 1,
+                           "config error: material.young_modulus_gpa: "),
+    "extents_text": (_mesh_probe(extents_mm="abc"), 1, "config error: extents_mm: "),
+    "extents_entry_text": (_mesh_probe(extents_mm=["a", 1, 1]), 1,
+                           "config error: extents_mm: "),
+    "size_entry_text": ({"geometry": {"element": {"size_m": ["a", 1, 1]}}}, 1,
+                        "config error: size_m: "),
+    "seed_text": ({"seed": "x"}, 1, "config error: seed: "),
+    "studies_list": ({"studies": []}, 1, "config error: studies: "),
+    "output_dir_number": ({"output_dir": 5}, 1, "config error: output_dir: "),
     "rank_float": (_probe({"kind": "local_deflation_s2", "rank": 7.5}), 1,
                    "config error: scaling[local_deflation_s2]: "),
     "beta_nan": (_probe({"kind": "olovsson", "beta": float("nan")}), 1,
@@ -206,7 +228,10 @@ PROBES = {
     "node_counts_one": ({"geometry": {"mesh": {"node_counts": [1, 2, 2],
                                                "extents_mm": [30.0, 20.0, 10.0]}}}, 1,
                         "config error: geometry.mesh: "),
-    "sweep_not_an_object": ({"sweep": [1, 2]}, 2, "internal error: AttributeError: "),
+    "sweep_not_an_object": ({"sweep": [1, 2]}, 1, "config error: sweep: "),
+    "sweep_one_item": ({"sweep": [1]}, 1, "config error: sweep: "),
+    "sweep_values_number": ({"sweep": {"kind": "olovsson", "parameter": "beta", "values": 5}}, 1,
+                            "config error: sweep.values: "),
 }
 
 
@@ -214,9 +239,12 @@ PROBES = {
 def test_malformed_config_one_line_no_traceback(tmp_path, name):
     overrides, code, prefix = PROBES[name]
     cfg = tmp_path / "cfg.json"
-    write_config(cfg, **{"geometry": {"mesh": {"node_counts": [3, 2, 2],
-                                               "extents_mm": [30.0, 20.0, 10.0]}},
-                         **overrides})
+    if isinstance(overrides, list):
+        cfg.write_text(json.dumps(overrides))
+    else:
+        write_config(cfg, **{"geometry": {"mesh": {"node_counts": [3, 2, 2],
+                                                   "extents_mm": [30.0, 20.0, 10.0]}},
+                             **overrides})
     res = CliRunner().invoke(cli.main, ["bounds", "--config", str(cfg), "--out",
                                         str(tmp_path / "out")])
     assert res.exit_code == code, res.output
@@ -236,3 +264,42 @@ def test_mesh_system_built_once_per_execute(tmp_path, monkeypatch):
     for expected in (1, 2):
         cli.execute(cfg, ["spectrum", "bounds", "sweep", "integrate"])
         assert len(calls) == expected
+
+
+def test_each_assembled_pencil_solved_once_per_execute(tmp_path, monkeypatch):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(
+        cfg_path,
+        scalings=[{"kind": "olovsson", "beta": 10.0}, {"kind": "cms", "alpha": 4.0}],
+        sweep={"kind": "olovsson", "parameter": "beta", "values": [1.0, 10.0]},
+    )
+    cfg = cli.load_config(cfg_path)
+    cfg.output_dir = str(tmp_path / "out")
+    solves = Counter()  # (solver, order, digests of its matrices) -> outermost calls
+    depth = [0]
+
+    def counting(name, fn):
+        def wrapper(arg):
+            if depth[0] == 0:
+                mats = (arg.a, arg.b) if name == "generalized_eig" else (arg,)
+                digests = tuple(hashlib.sha256(np.ascontiguousarray(m)).hexdigest() for m in mats)
+                solves[name, mats[0].shape[0], digests] += 1
+            depth[0] += 1
+            try:
+                return fn(arg)
+            finally:
+                depth[0] -= 1
+
+        return wrapper
+
+    for name in ("generalized_eig", "sym_eig"):
+        original = getattr(linalg, name)
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "masscale" and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting(name, original))
+    for expected in (1, 2):
+        cli.execute(cfg, ["spectrum", "bounds", "sweep"])
+        assembled = {key: n for key, n in solves.items() if key[1] > 24}
+        # (K, M), M, and (Kbar, Mbar) and Mbar for three specs; (Mbar, M) for two
+        assert len(assembled) == 10
+        assert set(assembled.values()) == {expected}
