@@ -18,7 +18,13 @@ import numpy as np
 
 from . import __version__, analysis, fem, integrator, scaling
 from .errors import ConfigError, InvalidCounts, MasscaleError
-from .linalg import MatrixPair, condition_number, generalized_eig, sym_eig
+from .linalg import (
+    MatrixPair,
+    condition_number,
+    extreme_eigvalues,
+    generalized_eig,
+    generalized_eigvalues,
+)
 
 DEFAULT_SEED = 42
 
@@ -142,7 +148,10 @@ def load_config(path):
         element = _object(geometry["element"], "geometry.element")
         cfg.element_size = _length_triplet(element, "size")
 
-    cfg.scalings = [parse_scaling(s) for s in raw.get("scalings", [])]
+    scalings = raw.get("scalings", [])
+    if not isinstance(scalings, list):
+        raise ConfigError(f"scalings: expected a list, got {scalings!r}")
+    cfg.scalings = [parse_scaling(s) for s in scalings]
     cfg.sweep = raw.get("sweep")
     if cfg.sweep is not None:
         values = _object(cfg.sweep, "sweep").get("values")
@@ -211,10 +220,11 @@ def study_element_spectrum(cfg, emitter, system):
 
 class _MeshSystem:
     """The configured mesh, its element blocks and (K, M), built on first
-    use, and the eigenvalues of the assembled pencils the studies share,
-    each solved on first request: (K, M) and M once, (Kbar, Mbar) and Mbar
-    once per scaling spec. It keeps eigenvalues only, never eigenvectors
-    or scaled matrices.
+    use, and what the studies read of the assembled pencils, each solved
+    on first request: all eigenvalues of (K, M) and the extremes of M once,
+    and the same of (Kbar, Mbar) and Mbar once per scaling spec. The none
+    kind's Kbar and Mbar are K and M, so it shares their entries. It keeps
+    eigenvalues only, never eigenvectors or scaled matrices.
     """
 
     def __init__(self, cfg):
@@ -233,25 +243,26 @@ class _MeshSystem:
         mesh, blocks, pair = self.parts
         return scaling.apply_spec(spec, blocks, mesh.dof_count, pair=pair, k_global=pair.a)
 
-    def _once(self, key, solve):
-        if key not in self._values:
-            self._values[key] = solve().values
-        return self._values[key]
+    def _once(self, key, scaled, solve):
+        spec = None if scaled is None or scaled.spec.kind == "none" else scaled.spec
+        if (key, spec) not in self._values:
+            self._values[key, spec] = solve()
+        return self._values[key, spec]
 
     def values_km(self):
-        return self._once("K,M", lambda: generalized_eig(self.parts[2]))
+        return self._once("K,M", None, lambda: generalized_eigvalues(self.parts[2]))
 
     def values_m(self):
-        return self._once("M", lambda: sym_eig(self.parts[2].b))
+        """(lambda_min, lambda_max) of M."""
+        return self._once("M", None, lambda: extreme_eigvalues(self.parts[2].b))
 
     def values_kmbar(self, scaled):
-        key = ("Kbar,Mbar", scaled.spec)
-        return self._once(
-            key, lambda: generalized_eig(MatrixPair(scaled.kbar, scaled.mbar_dense()))
-        )
+        return self._once("K,M", scaled, lambda: generalized_eigvalues(
+            MatrixPair(scaled.kbar, scaled.mbar_dense())))
 
     def values_mbar(self, scaled):
-        return self._once(("Mbar", scaled.spec), lambda: sym_eig(scaled.mbar_dense()))
+        """(lambda_min, lambda_max) of Mbar."""
+        return self._once("M", scaled, lambda: extreme_eigvalues(scaled.mbar_dense()))
 
 
 def study_spectrum(cfg, emitter, system):
@@ -276,7 +287,7 @@ def study_bounds(cfg, emitter, system):
     for spec in cfg.scalings or [scaling.ScalingSpec("none")]:
         scaled = system.scale(spec)
         # Kbar is K for every kind, so (Kbar, Mbar) is the sandwich's (K, Mbar).
-        mass_values = generalized_eig(MatrixPair(scaled.mbar_dense(), pair.b)).values
+        mass_values = generalized_eigvalues(MatrixPair(scaled.mbar_dense(), pair.b))
         sandwich = analysis.sandwich_bounds(
             system.values_km(), system.values_kmbar(scaled), mass_values
         )
@@ -285,7 +296,8 @@ def study_bounds(cfg, emitter, system):
             mesh.p_max, masses, spec=spec, element_mbar=scaled.element_mbar,
         )
         payload = {
-            name: {"value": r.value, "lower": r.lower, "upper": r.upper, "holds": r.holds()}
+            name: {"value": r.value, "lower": r.lower, "upper": r.upper, "holds": r.holds(),
+                   "slack_lower": r.slack_lower, "slack_upper": r.slack_upper}
             for bound_set in (sandwich, cond) for name, r in bound_set.records.items()
         }
         emitter.write_json(f"bounds_{spec.label}.json", payload)

@@ -1,8 +1,8 @@
-"""Dense symmetric linear algebra.
+"""Symmetric linear algebra: dense solvers, and sparse Lanczos where it pays.
 
 Factorizations, standard and generalized eigensolvers, low-rank-update
 (Woodbury) solves, and condition numbers of computed eigenvalues.
-Everything operates on plain numpy arrays; symmetry is enforced at
+Everything takes plain numpy arrays; symmetry is enforced at
 construction points with :func:`symmetrize` and checked with
 :func:`require_symmetric`. :func:`factor_spd` factors a general SPD matrix
 once as a sparse LU, so that each later solve costs the factor's fill.
@@ -12,6 +12,23 @@ to LAPACK (through numpy/scipy); the generalized solver performs the
 explicit Cholesky reduction to standard form so that eigenvectors come out
 B-orthonormal.
 
+Each question has its own solver, so that a caller pays for what it reads:
+
+- all eigenpairs of a pencil: :func:`generalized_eig`, dense; with
+  ``top``, only the largest pairs, by a partial dense solve;
+- all eigenvalues of a pencil: :func:`generalized_eigvalues`. From order
+  _SPARSE_ORDER on, for matrices with at most a _SPARSE_FILL share of
+  nonzero entries, it takes the dense values-only solve and recomputes
+  the low tail (below) from shift-invert Lanczos vectors through a sparse
+  LU; otherwise it is :func:`generalized_eig` without the vectors;
+- lambda_min and lambda_max of a symmetric matrix:
+  :func:`extreme_eigvalues`: the ends of the diagonal of a diagonal
+  matrix, Lanczos where sparse solves pay as above, the ends of the dense
+  values-only solve elsewhere.
+
+Lanczos starts from a fixed vector, so every solver returns the same bits
+for the same input.
+
 Accuracy of the generalized eigenvalues. The dense solve errs by about
 eps * lambda_max in absolute terms on every eigenvalue, so it is accurate
 relative to each value only well above that. The small eigenvalues of a
@@ -19,14 +36,18 @@ positive semidefinite pencil such as (K, M) lie far below: the first
 flexible mode of the benchmark plate is 3e-8 * lambda_max and keeps eight
 or nine digits, different ones for each matrix ordering and BLAS thread
 count. :func:`generalized_eig` and :func:`generalized_eigvalues` therefore
-recompute every value below 1e-4 * lambda_max by Rayleigh-Ritz on its
-dense eigenvectors, with A u formed in twice the working precision.
-Every eigenvalue is then accurate to a few 1e-12 relative to itself: the
-low tail by the recomputation (to about 1e-15), the rest because the
-dense error eps * lambda_max is at most 2e-12 of a value above the cut.
-A's null space (the rigid-body modes) is not factored out: its dense
-vectors, whose values lie within n * eps * lambda_max of zero, stay in the
-Rayleigh-Ritz block, which separates them from the flexible modes.
+recompute every value below 1e-4 * lambda_max by Rayleigh-Ritz, with A u
+formed in twice the working precision, on the dense eigenvectors or on
+the Lanczos ones. Every eigenvalue is then accurate to a few 1e-12
+relative to itself: the low tail by the recomputation (to about 1e-15,
+on either kind of vectors), the rest because the dense error
+eps * lambda_max is at most 2e-12 of a value above the cut. The
+values-only and the full dense solves use different LAPACK algorithms, so
+their values above the cut differ by up to that bound. A's null space
+(the rigid-body modes) is not factored out: its vectors, whose values lie
+within n * eps * lambda_max of zero, stay in the Rayleigh-Ritz block,
+which separates them from the flexible modes. The Lanczos extremes of a
+matrix agree with its dense values to about 1e-14 relative.
 """
 from __future__ import annotations
 
@@ -49,6 +70,7 @@ __all__ = [
     "sym_eig",
     "generalized_eig",
     "generalized_eigvalues",
+    "extreme_eigvalues",
     "woodbury_factor",
     "woodbury_solve",
     "condition_number",
@@ -180,6 +202,24 @@ def is_diagonal(a, rtol=1e-14):
     return np.abs(off).max() <= rtol * scale
 
 
+def _factor_sparse(s):
+    """Sparse LU of a symmetric sparse matrix with a column approximate
+    minimum-degree (COLAMD) ordering applied symmetrically and diagonal
+    pivots only. Without row interchanges the pivots of a symmetric
+    matrix are all positive exactly when it is positive definite, so that
+    is the SPD test: :class:`NotPositiveDefinite` names the first failing
+    pivot in elimination order.
+    """
+    from scipy.sparse import linalg as spla  # deferred: its import would add to every CLI start
+
+    lu = spla.splu(s.tocsc(), permc_spec="COLAMD", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
+    bad = np.flatnonzero(~(lu.U.diagonal() > 0) | (lu.perm_r != lu.perm_c))
+    if bad.size:
+        raise NotPositiveDefinite(int(bad[0]))
+    return lu
+
+
 def factor_spd(b):
     """Factor an SPD matrix once for repeated solves.
 
@@ -187,10 +227,8 @@ def factor_spd(b):
     vector or a matrix of columns. A 1-D ``b`` is a diagonal, and a 2-D
     ``b`` that :func:`is_diagonal` accepts is reduced to its diagonal:
     ``diag`` is then that 1-D diagonal and ``solve`` divides. Any other
-    ``b`` is factored as a sparse LU with a symmetric minimum-degree
-    ordering and diagonal pivots only (``diag`` is None). Without row
-    interchanges the pivots of a symmetric matrix are all positive exactly
-    when it is positive definite, so that is the SPD test.
+    ``b`` is factored as a sparse LU (``diag`` is None), which is also the
+    SPD test (see :func:`_factor_sparse`).
 
     Raises :class:`NotPositiveDefinite` (with the first failing pivot in
     elimination order) when ``b`` is not SPD.
@@ -203,15 +241,9 @@ def factor_spd(b):
             raise NotPositiveDefinite(int(bad[0]))
         return d, lambda rhs: (rhs.T / d).T
     from scipy import sparse  # deferred: its import would add to every CLI start
-    from scipy.sparse import linalg as spla
 
     b = require_symmetric(b, "b")
-    lu = spla.splu(sparse.csc_array(b), permc_spec="MMD_AT_PLUS_A",
-                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    bad = np.flatnonzero(~(lu.U.diagonal() > 0) | (lu.perm_r != lu.perm_c))
-    if bad.size:
-        raise NotPositiveDefinite(int(bad[0]))
-    return None, lu.solve
+    return None, _factor_sparse(sparse.csc_array(b)).solve
 
 
 _EPS = np.finfo(float).eps
@@ -219,6 +251,17 @@ _EPS = np.finfo(float).eps
 # there the dense error eps * lambda_max exceeds 2e-12 of the value. Above
 # it lie all flexible values of the benchmark meshes' element pairs.
 _LOW_CUT = 1e-4
+# Lanczos vectors computed beyond a recomputed tail, so that the tail's
+# own vectors converge.
+_GUARD = 4
+# Lanczos through a sparse LU replaces dense solves from this order on,
+# for matrices with at most this share of nonzero entries. Timed with one
+# BLAS thread on hex8 meshes: dense solves win at n = 360; Lanczos wins at
+# 720 on the pencils and on the Olovsson and Hoffmann masses, and at 1500
+# and 2400 on every kind at most 13 % full. A sparse LU of a full matrix
+# (a global-deflation mass) takes seconds.
+_SPARSE_ORDER = 500
+_SPARSE_FILL = 0.1
 
 
 def _standard_form(pair):
@@ -324,7 +367,7 @@ def _ritz(pair, x):
     return values[order], x @ q[:, order]
 
 
-def generalized_eig(pair):
+def generalized_eig(pair, top=None):
     """Solve A u = lambda B u via Cholesky reduction to standard form.
 
     Eigenvalues are real and ascending; eigenvectors are B-orthonormal.
@@ -340,10 +383,18 @@ def generalized_eig(pair):
     space below the cut (mass pairs, most element pairs) or with A
     indefinite keep the dense result at no extra cost. See the module
     docstring.
+
+    With ``top``, only the ``top`` largest pairs are formed, by a partial
+    dense solve; their values are the dense solve's, with no
+    recomputation.
     """
     if not isinstance(pair, MatrixPair):
         pair = MatrixPair(*pair)
     c, back = _standard_form(pair)
+    if top is not None:
+        n = pair.order
+        values, y = sla.eigh(c, subset_by_index=[n - top, n - 1])
+        return EigDecomposition(values, _fix_signs(back(y)), "b-orthonormal")
     std = sym_eig(c)
     values, vectors = std.values, back(std.vectors)
     count = _low_tail(values)
@@ -352,21 +403,97 @@ def generalized_eig(pair):
     return EigDecomposition(values, _fix_signs(vectors), "b-orthonormal")
 
 
+def _sparse_pays(*mats):
+    """True when Lanczos through a sparse LU beats the dense solvers on
+    these matrices: from order _SPARSE_ORDER on, when each has at most a
+    _SPARSE_FILL share of its entries nonzero."""
+    n = mats[0].shape[0]
+    return n >= _SPARSE_ORDER and all(np.count_nonzero(m) <= _SPARSE_FILL * n * n for m in mats)
+
+
+def _start_vector(n):
+    """The Lanczos start vector: fixed, so that repeated solves agree to the bit."""
+    return np.random.default_rng(0).standard_normal(n)
+
+
+def _b_orthonormal(x, b):
+    """The columns of x made B-orthonormal (Cholesky QR in the B inner product)."""
+    ell = np.linalg.cholesky(symmetrize(x.T @ (b @ x)))
+    return sla.solve_triangular(ell, x.T, lower=True).T
+
+
+def _lanczos_tail(pair, count, lam_max):
+    """The ``count`` smallest eigenvalues of a PSD pencil whose largest is ``lam_max``.
+
+    Shift-invert Lanczos (Ericsson and Ruhe, 1980) at sigma = -1e-8 * lam_max,
+    where A - sigma B is SPD and is factored once as a sparse LU, finds
+    the lowest count + _GUARD vectors. One block inverse-iteration step
+    with the same factor, between B-orthonormalizations, refines them,
+    and :func:`_ritz` makes each value accurate relative to itself.
+    """
+    from scipy import sparse  # deferred: its import would add to every CLI start
+    from scipy.sparse import linalg as spla
+
+    n = pair.order
+    sigma = -1e-8 * lam_max
+    a, b = sparse.csr_array(pair.a), sparse.csr_array(pair.b)
+    lu = _factor_sparse(a - sigma * b)
+    shift_invert = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+    _, x = spla.eigsh(a, k=count + _GUARD, M=b, sigma=sigma, OPinv=shift_invert,
+                      v0=_start_vector(n))
+    x = _b_orthonormal(lu.solve(b @ _b_orthonormal(x, b)), b)
+    return _ritz(pair, x)[0][:count]
+
+
 def generalized_eigvalues(pair):
     """Eigenvalues only of A u = lambda B u, as accurate as :func:`generalized_eig`.
 
-    Vectors are formed only for a low tail that is recomputed; that costs
-    a second partial dense solve.
+    Where sparse solves pay (see the module docstring), the values come
+    from the dense values-only solve of the standard form, and a low tail
+    that :func:`generalized_eig` would recompute is recomputed from sparse
+    shift-invert Lanczos vectors instead of dense ones (see
+    :func:`_lanczos_tail`); the two tails agree to a few 1e-15. Elsewhere
+    these are :func:`generalized_eig`'s values.
     """
     if not isinstance(pair, MatrixPair):
         pair = MatrixPair(*pair)
-    c, back = _standard_form(pair)
+    if not _sparse_pays(pair.a, pair.b):
+        return generalized_eig(pair).values
+    c, _ = _standard_form(pair)
     values = np.linalg.eigvalsh(c)
     count = _low_tail(values)
     if count:
-        _, y = sla.eigh(c, subset_by_index=[0, count - 1])
-        values[:count], _ = _ritz(pair, back(y))
+        values[:count] = _lanczos_tail(pair, count, values[-1])
     return values
+
+
+def extreme_eigvalues(a):
+    """(lambda_min, lambda_max) of a symmetric matrix, as a 2-array.
+
+    A matrix that :func:`is_diagonal` accepts gives the ends of its
+    diagonal, exactly. Where sparse solves pay (see the module docstring),
+    Lanczos from a fixed start vector: shift-invert at 0, through a sparse
+    LU, for lambda_min, and plain Lanczos to tolerance 1e-13 for
+    lambda_max; both agree with the dense values to about 1e-14 relative.
+    That path needs ``a`` positive definite and raises
+    :class:`NotPositiveDefinite` otherwise. Elsewhere, the two ends of the
+    dense values-only solve.
+    """
+    a = require_symmetric(a, "a")
+    if is_diagonal(a):
+        d = np.diag(a)
+        return np.array([d.min(), d.max()])
+    if not _sparse_pays(a):
+        return np.linalg.eigvalsh(a)[[0, -1]]
+    from scipy import sparse  # deferred: its import would add to every CLI start
+    from scipy.sparse import linalg as spla
+
+    s = sparse.csr_array(a)
+    inverse = spla.LinearOperator(s.shape, matvec=_factor_sparse(s).solve, dtype=float)
+    v0 = _start_vector(s.shape[0])
+    low = spla.eigsh(s, k=1, sigma=0.0, OPinv=inverse, v0=v0, return_eigenvectors=False)
+    high = spla.eigsh(s, k=1, which="LA", tol=1e-13, v0=v0, return_eigenvectors=False)
+    return np.concatenate([low, high])
 
 
 def woodbury_factor(update, base_solve=None):

@@ -283,14 +283,14 @@ def _global_deflation(pair, spec):
     r = spec.rank
     if r >= n:
         raise RankTooLarge(f"rank {r} out of range for order {n}")
-    dec = generalized_eig(pair)
-    u2 = dec.vectors[:, n - r:]
-    d2 = dec.values[n - r:]
+    dec = generalized_eig(pair, top=r + 1)
+    u2 = dec.vectors[:, 1:]
+    d2 = dec.values[1:]
     v = pair.b @ u2
     if spec.mode == "cutoff":
         g = np.full(r, spec.alpha)
     else:
-        g = d2 / dec.values[n - r - 1] - 1.0 if r > 0 else np.zeros(0)
+        g = d2 / dec.values[0] - 1.0
     mbar = LowRankUpdate(pair.b, v, np.asarray(g, dtype=float))
     return ScaledSystem(pair.a, mbar, spec)
 

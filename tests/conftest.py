@@ -75,3 +75,29 @@ def random_spsd(order, rng, rank=None):
     rank = rank or order
     g = rng.standard_normal((order, rank))
     return g @ g.T
+
+
+# The scalings of the kinds_small benchmark workload, as config documents,
+# and the file labels their outputs carry.
+KIND_DOCS = {
+    "none": ({"kind": "none"}, "none"),
+    "cms": ({"kind": "cms", "alpha": 4.0}, "cms_alpha4"),
+    "uniform_lft": ({"kind": "uniform_lft", "mu": 2.0}, "uniform_lft_mu2"),
+    "stiffness_proportional_lft": (
+        {"kind": "stiffness_proportional_lft", "mu": 2e-14},
+        "stiffness_proportional_lft_mu2e-14",
+    ),
+    "polynomial_sms": ({"kind": "polynomial_sms", "c": 1.5e-28}, "polynomial_sms_c1.5e-28"),
+    "global_deflation": ({"kind": "global_deflation", "rank": 10}, "global_deflation_rank10"),
+    "local_deflation_s1": (
+        {"kind": "local_deflation_s1", "rank": 3, "alpha": 4.0},
+        "local_deflation_s1_alpha4_rank3",
+    ),
+    "local_deflation_s2": ({"kind": "local_deflation_s2", "rank": 2}, "local_deflation_s2_rank2"),
+    "olovsson": ({"kind": "olovsson", "beta": 10.0}, "olovsson_beta10"),
+    "hoffmann": ({"kind": "hoffmann", "beta": 10.0}, "hoffmann_beta10"),
+    "eig_stabilization": (
+        {"kind": "eig_stabilization", "rank": 3, "epsilon": 1e-6},
+        "eig_stabilization_rank3_epsilon1e-06",
+    ),
+}

@@ -121,6 +121,12 @@ class TestCommands:
         data = json.loads((out / "bounds_olovsson_beta10.json").read_text())
         assert data["eig_pert_bounds_mass:max_ratio"]["holds"] is True
         assert data["kappa_ratio"]["holds"] is True
+        for record in data.values():
+            for side in ("lower", "upper"):
+                expected = None if record[side] is None else (
+                    record["value"] - record[side] if side == "lower"
+                    else record[side] - record["value"])
+                assert record[f"slack_{side}"] == expected
 
     def test_sweep_outputs(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -230,6 +236,7 @@ PROBES = {
                         "config error: geometry.mesh: "),
     "sweep_not_an_object": ({"sweep": [1, 2]}, 1, "config error: sweep: "),
     "sweep_one_item": ({"sweep": [1]}, 1, "config error: sweep: "),
+    "scalings_number": ({"scalings": 5}, 1, "config error: scalings: "),
     "sweep_values_number": ({"sweep": {"kind": "olovsson", "parameter": "beta", "values": 5}}, 1,
                             "config error: sweep.values: "),
 }
@@ -270,7 +277,8 @@ def test_each_assembled_pencil_solved_once_per_execute(tmp_path, monkeypatch):
     cfg_path = tmp_path / "cfg.json"
     write_config(
         cfg_path,
-        scalings=[{"kind": "olovsson", "beta": 10.0}, {"kind": "cms", "alpha": 4.0}],
+        scalings=[{"kind": "olovsson", "beta": 10.0}, {"kind": "cms", "alpha": 4.0},
+                  {"kind": "none"}, {"kind": "global_deflation", "rank": 4}],
         sweep={"kind": "olovsson", "parameter": "beta", "values": [1.0, 10.0]},
     )
     cfg = cli.load_config(cfg_path)
@@ -281,7 +289,7 @@ def test_each_assembled_pencil_solved_once_per_execute(tmp_path, monkeypatch):
     def counting(name, fn):
         def wrapper(arg):
             if depth[0] == 0:
-                mats = (arg.a, arg.b) if name == "generalized_eig" else (arg,)
+                mats = (arg.a, arg.b) if name == "generalized_eigvalues" else (arg,)
                 digests = tuple(hashlib.sha256(np.ascontiguousarray(m)).hexdigest() for m in mats)
                 solves[name, mats[0].shape[0], digests] += 1
             depth[0] += 1
@@ -292,7 +300,7 @@ def test_each_assembled_pencil_solved_once_per_execute(tmp_path, monkeypatch):
 
         return wrapper
 
-    for name in ("generalized_eig", "sym_eig"):
+    for name in ("generalized_eigvalues", "extreme_eigvalues"):
         original = getattr(linalg, name)
         for mod_name, module in list(sys.modules.items()):
             if mod_name.split(".")[0] == "masscale" and getattr(module, name, None) is original:
@@ -300,6 +308,7 @@ def test_each_assembled_pencil_solved_once_per_execute(tmp_path, monkeypatch):
     for expected in (1, 2):
         cli.execute(cfg, ["spectrum", "bounds", "sweep"])
         assembled = {key: n for key, n in solves.items() if key[1] > 24}
-        # (K, M), M, and (Kbar, Mbar) and Mbar for three specs; (Mbar, M) for two
-        assert len(assembled) == 10
+        # (K, M) and M, shared with none; (Kbar, Mbar) and Mbar for four
+        # other specs; (Mbar, M) for the four configured specs
+        assert len(assembled) == 14
         assert set(assembled.values()) == {expected}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_spd, random_spsd
+from conftest import KIND_DOCS, random_spd, random_spsd
 from masscale import analysis, fem, linalg, scaling
 from masscale.errors import NotPositiveDefinite, SingularCore
 from masscale.linalg import (
@@ -10,6 +10,7 @@ from masscale.linalg import (
     MatrixPair,
     cholesky,
     condition_number,
+    extreme_eigvalues,
     generalized_eig,
     generalized_eigvalues,
     sym_eig,
@@ -193,6 +194,90 @@ class TestLowSpectrumAccuracy:
         res = pair.a @ u - (pair.b @ u) * dec.values
         assert np.abs(res).max() <= 1e-12 * dec.values[-1] * np.abs(pair.b).max()
         assert np.all(np.diff(dec.values) >= 0)
+
+
+@pytest.fixture(scope="module")
+def wide_system(material):
+    """A 15 x 4 x 6-node mesh (n = 1080), above linalg's sparse-path order."""
+    mesh = fem.build_structured_mesh((15, 4, 6), (0.075, 0.015, 0.005))
+    blocks = fem.element_blocks(mesh, material)
+    n = mesh.dof_count
+    assert n >= linalg._SPARSE_ORDER
+    pair = MatrixPair(
+        fem.assemble(blocks, "stiffness", n), fem.assemble(blocks, "lumped", n)
+    )
+    return mesh, blocks, pair
+
+
+def scaled_mass(system, kind):
+    mesh, blocks, pair = system
+    spec = scaling.ScalingSpec(**KIND_DOCS[kind][0])
+    return scaling.apply_spec(spec, blocks, mesh.dof_count, pair=pair, k_global=pair.a)
+
+
+class TestExtremeEigvalues:
+    @pytest.mark.parametrize("kind", sorted(KIND_DOCS))
+    @pytest.mark.parametrize("system", ["small_system", "wide_system"])
+    def test_matches_dense_values(self, request, system, kind):
+        mbar = scaled_mass(request.getfixturevalue(system), kind).mbar_dense()
+        dense = np.linalg.eigvalsh(mbar)[[0, -1]]
+        assert np.allclose(extreme_eigvalues(mbar), dense, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("system", ["small_system", "wide_system"])
+    def test_diagonal_path_is_exact(self, request, system):
+        m = request.getfixturevalue(system)[2].b
+        assert np.array_equal(extreme_eigvalues(m), sym_eig(m).values[[0, -1]])
+
+    def test_rejects_asymmetric(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            extreme_eigvalues(np.array([[2.0, 1.0], [0.0, 2.0]]))
+
+
+class TestRepeatable:
+    # the Lanczos start vector is fixed, so repeated solves agree to the bit
+    def test_generalized_eigvalues(self, wide_system):
+        _, _, pair = wide_system
+        scaled = scaled_mass(wide_system, "olovsson")
+        for p in (pair, MatrixPair(scaled.kbar, scaled.mbar_dense())):
+            assert linalg._low_tail(generalized_eigvalues(p)) > 0
+            assert np.array_equal(generalized_eigvalues(p), generalized_eigvalues(p))
+
+    def test_extreme_eigvalues(self, wide_system):
+        mbar = scaled_mass(wide_system, "olovsson").mbar_dense()
+        assert np.array_equal(extreme_eigvalues(mbar), extreme_eigvalues(mbar))
+
+
+@pytest.fixture(scope="module")
+def long_beam(material):
+    """The slender beam's cross-section and elements, 83 elements long (n = 1008).
+
+    Its first flexible eigenvalue is 1.6e-10 of the largest, and its order
+    takes generalized_eigvalues' sparse Lanczos path.
+    """
+    mesh = fem.build_structured_mesh((84, 2, 2), (0.83, 0.01, 0.0005))
+    blocks = fem.element_blocks(mesh, material)
+    n = mesh.dof_count
+    assert n >= linalg._SPARSE_ORDER
+    pair = MatrixPair(
+        fem.assemble(blocks, "stiffness", n), fem.assemble(blocks, "lumped", n)
+    )
+    return blocks, pair
+
+
+class TestLowSpectrumAccuracyLanczos(TestLowSpectrumAccuracy):
+    """The same checks where the low tail comes from the Lanczos path."""
+
+    @pytest.fixture(scope="class")
+    def slender_beam(self, long_beam):
+        return long_beam
+
+    def test_tail_matches_dense_recomputation(self, slender_beam):
+        _, pair = slender_beam
+        lam = generalized_eigvalues(pair)
+        count = linalg._low_tail(lam)
+        assert count > 6
+        full = generalized_eig(pair).values
+        assert np.allclose(lam[6:count], full[6:count], rtol=1e-12, atol=0.0)
 
 
 class TestWoodbury:
