@@ -20,7 +20,9 @@ Each question has its own solver, so that a caller pays for what it reads:
   _SPARSE_ORDER on, for matrices with at most a _SPARSE_FILL share of
   nonzero entries, it takes the dense values-only solve and recomputes
   the low tail (below) from shift-invert Lanczos vectors through a sparse
-  LU; otherwise it is :func:`generalized_eig` without the vectors;
+  LU, when the tail holds at most a _TAIL_SHARE share of the values and
+  the Lanczos tail agrees with the dense one to within the dense error;
+  otherwise it is :func:`generalized_eig` without the vectors;
 - lambda_min and lambda_max of a symmetric matrix:
   :func:`extreme_eigvalues`: the ends of the diagonal of a diagonal
   matrix, Lanczos where sparse solves pay as above, the ends of the dense
@@ -203,16 +205,16 @@ def is_diagonal(a, rtol=1e-14):
 
 
 def _factor_sparse(s):
-    """Sparse LU of a symmetric sparse matrix with a column approximate
-    minimum-degree (COLAMD) ordering applied symmetrically and diagonal
-    pivots only. Without row interchanges the pivots of a symmetric
-    matrix are all positive exactly when it is positive definite, so that
-    is the SPD test: :class:`NotPositiveDefinite` names the first failing
-    pivot in elimination order.
+    """Sparse LU of a symmetric sparse matrix with a minimum-degree ordering
+    applied symmetrically and diagonal pivots only. Without row
+    interchanges the pivots of a symmetric matrix are all positive exactly
+    when it is positive definite, so that is the SPD test:
+    :class:`NotPositiveDefinite` names the first failing pivot in
+    elimination order.
     """
     from scipy.sparse import linalg as spla  # deferred: its import would add to every CLI start
 
-    lu = spla.splu(s.tocsc(), permc_spec="COLAMD", diag_pivot_thresh=0.0,
+    lu = spla.splu(s.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                    options={"SymmetricMode": True})
     bad = np.flatnonzero(~(lu.U.diagonal() > 0) | (lu.perm_r != lu.perm_c))
     if bad.size:
@@ -251,9 +253,11 @@ _EPS = np.finfo(float).eps
 # there the dense error eps * lambda_max exceeds 2e-12 of the value. Above
 # it lie all flexible values of the benchmark meshes' element pairs.
 _LOW_CUT = 1e-4
-# Lanczos vectors computed beyond a recomputed tail, so that the tail's
-# own vectors converge.
-_GUARD = 4
+# Lanczos recomputes a low tail of at most this share of the spectrum.
+# Timed against the dense vectors on hex8 meshes: at n = 2400, tails of
+# 1 and 3 % take 0.6 of their time; at n = 1008, tails of 6 to 12 % take
+# as long, 15 % 1.5 times and 26 % 2.7 times as long.
+_TAIL_SHARE = 0.1
 # Lanczos through a sparse LU replaces dense solves from this order on,
 # for matrices with at most this share of nonzero entries. Timed with one
 # BLAS thread on hex8 meshes: dense solves win at n = 360; Lanczos wins at
@@ -416,33 +420,38 @@ def _start_vector(n):
     return np.random.default_rng(0).standard_normal(n)
 
 
-def _b_orthonormal(x, b):
-    """The columns of x made B-orthonormal (Cholesky QR in the B inner product)."""
-    ell = np.linalg.cholesky(symmetrize(x.T @ (b @ x)))
-    return sla.solve_triangular(ell, x.T, lower=True).T
+def _lanczos_tail(pair, values, count):
+    """The ``count`` smallest eigenvalues of a PSD pencil, recomputed from
+    its dense ascending ``values``, or None where Lanczos fails.
 
-
-def _lanczos_tail(pair, count, lam_max):
-    """The ``count`` smallest eigenvalues of a PSD pencil whose largest is ``lam_max``.
-
-    Shift-invert Lanczos (Ericsson and Ruhe, 1980) at sigma = -1e-8 * lam_max,
-    where A - sigma B is SPD and is factored once as a sparse LU, finds
-    the lowest count + _GUARD vectors. One block inverse-iteration step
-    with the same factor, between B-orthonormalizations, refines them,
-    and :func:`_ritz` makes each value accurate relative to itself.
+    Shift-invert Lanczos (Ericsson and Ruhe, 1980) at
+    sigma = -1e-8 * lambda_max, where A - sigma B is SPD and is factored
+    once as a sparse LU, finds the lowest ``count`` vectors, and
+    :func:`_ritz` makes each value accurate relative to itself. From one
+    start vector Lanczos finds one vector per distinct eigenvalue, so a
+    tail with a multiple eigenvalue may come back short of it and padded
+    with higher ones: the mass pencil (Mbar, M) has an exact cluster at 1
+    wherever Mbar - M has a null space. The dense values are accurate to
+    n * eps * lambda_max, so a tail farther from them than that, or one
+    whose Lanczos or Rayleigh-Ritz step fails, is rejected.
     """
     from scipy import sparse  # deferred: its import would add to every CLI start
     from scipy.sparse import linalg as spla
 
     n = pair.order
-    sigma = -1e-8 * lam_max
+    sigma = -1e-8 * values[-1]
     a, b = sparse.csr_array(pair.a), sparse.csr_array(pair.b)
-    lu = _factor_sparse(a - sigma * b)
-    shift_invert = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
-    _, x = spla.eigsh(a, k=count + _GUARD, M=b, sigma=sigma, OPinv=shift_invert,
-                      v0=_start_vector(n))
-    x = _b_orthonormal(lu.solve(b @ _b_orthonormal(x, b)), b)
-    return _ritz(pair, x)[0][:count]
+    shift_invert = spla.LinearOperator(
+        (n, n), matvec=_factor_sparse(a - sigma * b).solve, dtype=float)
+    try:
+        _, x = spla.eigsh(a, k=count, M=b, sigma=sigma, OPinv=shift_invert,
+                          v0=_start_vector(n))
+        tail = _ritz(pair, x)[0]
+    except (spla.ArpackNoConvergence, np.linalg.LinAlgError):
+        return None
+    if np.abs(tail - values[:count]).max() > n * _EPS * values[-1]:
+        return None
+    return tail
 
 
 def generalized_eigvalues(pair):
@@ -451,20 +460,25 @@ def generalized_eigvalues(pair):
     Where sparse solves pay (see the module docstring), the values come
     from the dense values-only solve of the standard form, and a low tail
     that :func:`generalized_eig` would recompute is recomputed from sparse
-    shift-invert Lanczos vectors instead of dense ones (see
-    :func:`_lanczos_tail`); the two tails agree to a few 1e-15. Elsewhere
-    these are :func:`generalized_eig`'s values.
+    shift-invert Lanczos vectors instead of dense ones when it holds at
+    most a _TAIL_SHARE share of the values (see :func:`_lanczos_tail`); the
+    two tails agree to a few 1e-15. A longer tail, one that Lanczos cannot
+    give, and every pencil elsewhere take :func:`generalized_eig`'s values.
     """
     if not isinstance(pair, MatrixPair):
         pair = MatrixPair(*pair)
-    if not _sparse_pays(pair.a, pair.b):
-        return generalized_eig(pair).values
-    c, _ = _standard_form(pair)
-    values = np.linalg.eigvalsh(c)
-    count = _low_tail(values)
-    if count:
-        values[:count] = _lanczos_tail(pair, count, values[-1])
-    return values
+    if _sparse_pays(pair.a, pair.b):
+        c, _ = _standard_form(pair)
+        values = np.linalg.eigvalsh(c)
+        count = _low_tail(values)
+        if not count:
+            return values
+        if count <= _TAIL_SHARE * pair.order:
+            tail = _lanczos_tail(pair, values, count)
+            if tail is not None:
+                values[:count] = tail
+                return values
+    return generalized_eig(pair).values
 
 
 def extreme_eigvalues(a):

@@ -249,12 +249,12 @@ class TestRepeatable:
 
 @pytest.fixture(scope="module")
 def long_beam(material):
-    """The slender beam's cross-section and elements, 83 elements long (n = 1008).
+    """A 30 cm beam of the slender beam's cross-section, 83 elements long (n = 1008).
 
-    Its first flexible eigenvalue is 1.6e-10 of the largest, and its order
-    takes generalized_eigvalues' sparse Lanczos path.
+    Its first flexible eigenvalue is 1.3e-9 of the largest, and its low
+    tail (80 values) takes generalized_eigvalues' sparse Lanczos path.
     """
-    mesh = fem.build_structured_mesh((84, 2, 2), (0.83, 0.01, 0.0005))
+    mesh = fem.build_structured_mesh((84, 2, 2), (0.3, 0.01, 0.0005))
     blocks = fem.element_blocks(mesh, material)
     n = mesh.dof_count
     assert n >= linalg._SPARSE_ORDER
@@ -264,20 +264,84 @@ def long_beam(material):
     return blocks, pair
 
 
-class TestLowSpectrumAccuracyLanczos(TestLowSpectrumAccuracy):
-    """The same checks where the low tail comes from the Lanczos path."""
+@pytest.fixture
+def lanczos_only(monkeypatch):
+    """Make generalized_eigvalues fail if it falls back to the dense vectors.
 
-    @pytest.fixture(scope="class")
-    def slender_beam(self, long_beam):
-        return long_beam
+    This module's own ``generalized_eig`` name still gives the dense oracle.
+    """
 
-    def test_tail_matches_dense_recomputation(self, slender_beam):
-        _, pair = slender_beam
+    def refuse(pair, top=None):
+        raise AssertionError("generalized_eigvalues fell back to generalized_eig")
+
+    monkeypatch.setattr(linalg, "generalized_eig", refuse)
+
+
+class TestLanczosTail:
+    """TestLowSpectrumAccuracy's values-only checks where the low tail comes
+    from Lanczos, and the tail against the dense recomputation."""
+
+    def test_first_flexible_values_survive_dof_permutation(self, long_beam, lanczos_only):
+        _, pair = long_beam
+        lam = generalized_eigvalues(pair)
+        assert lam[6] < 2e-9 * lam[-1]
+        rng = np.random.default_rng(2)
+        for _ in range(3):
+            p = rng.permutation(pair.order)
+            lam_p = generalized_eigvalues(MatrixPair(pair.a[np.ix_(p, p)], pair.b[np.ix_(p, p)]))
+            assert np.allclose(lam_p[6:9], lam[6:9], rtol=1e-11, atol=0.0)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_spsd_mass_term_never_raises_a_frequency(self, long_beam, lanczos_only, rank):
+        blocks, pair = long_beam
+        spec = scaling.ScalingSpec("local_deflation_s2", rank=rank)
+        scaled = scaling.apply_spec(spec, blocks, pair.order, pair=pair, k_global=pair.a)
+        lam = generalized_eigvalues(pair)
+        lam_bar = generalized_eigvalues(MatrixPair(scaled.kbar, scaled.mbar_dense()))
+        ratios = analysis.frequency_ratio_curve(lam, lam_bar)
+        assert ratios.min() >= 1.0 - 1e-12
+
+    def test_tail_matches_dense_recomputation(self, long_beam, lanczos_only):
+        _, pair = long_beam
         lam = generalized_eigvalues(pair)
         count = linalg._low_tail(lam)
-        assert count > 6
+        assert 6 < count <= linalg._TAIL_SHARE * pair.order
         full = generalized_eig(pair).values
         assert np.allclose(lam[6:count], full[6:count], rtol=1e-12, atol=0.0)
+
+    def test_forced_on_polynomial_sms(self, material, monkeypatch, lanczos_only):
+        # the kinds_small mesh and its polynomial SMS (Kbar, Mbar), a pencil
+        # that the size cut and the fill guard otherwise keep dense
+        mesh = fem.build_structured_mesh((10, 4, 3), (0.05, 0.015, 0.002))
+        blocks = fem.element_blocks(mesh, material)
+        n = mesh.dof_count
+        pair = MatrixPair(fem.assemble(blocks, "stiffness", n), fem.assemble(blocks, "lumped", n))
+        spec = scaling.ScalingSpec(**KIND_DOCS["polynomial_sms"][0])
+        scaled = scaling.apply_spec(spec, blocks, n, pair=pair, k_global=pair.a)
+        pencil = MatrixPair(scaled.kbar, scaled.mbar_dense())
+        full = generalized_eig(pencil).values
+        monkeypatch.setattr(linalg, "_SPARSE_ORDER", 0)
+        monkeypatch.setattr(linalg, "_SPARSE_FILL", 1.0)
+        lam = generalized_eigvalues(pencil)
+        count = linalg._low_tail(lam)
+        assert count > 6
+        assert np.allclose(lam[6:count], full[6:count], rtol=1e-12, atol=0.0)
+
+
+class TestMassPencilTail:
+    # With alpha = 1e5, lambda_max(Mbar, M) is 1e5 and the low tail is the
+    # exact cluster at 1: 870 of 1080 values with selector [0] (beyond the
+    # Lanczos share), 18 with selector 0..20 (where Lanczos from one start
+    # vector comes back with values 2.5e4 times too large).
+    @pytest.mark.parametrize("selector", [[0], list(range(21))], ids=["one_dof", "21_dofs"])
+    def test_clustered_tail_matches_dense(self, wide_system, selector):
+        mesh, blocks, pair = wide_system
+        spec = scaling.ScalingSpec("cms", alpha=1e5, selector=selector)
+        scaled = scaling.apply_spec(spec, blocks, mesh.dof_count, pair=pair, k_global=pair.a)
+        mass_pair = MatrixPair(scaled.mbar_dense(), pair.b)
+        full = generalized_eig(mass_pair).values
+        assert linalg._low_tail(full) > 10
+        assert np.allclose(generalized_eigvalues(mass_pair), full, rtol=1e-12, atol=0.0)
 
 
 class TestWoodbury:
