@@ -154,7 +154,8 @@ def kappa_ratio_bound(spec):
 def condition_report(m_values, mbar_values, mass_values, p_max, element_masses, spec=None,
                      element_mbar=None):
     """Condition numbers of M, Mbar and (Mbar, M), from their ascending
-    eigenvalues, with their upper bounds (Fried's from ``element_mbar``)."""
+    eigenvalues, with their upper bounds (Fried's from ``element_mbar``,
+    the (E, 24, 24) scaled element masses, by one stacked eigensolve)."""
     kappa_m = condition_number(m_values)
     kappa_mbar = condition_number(mbar_values)
     kappa_pair = condition_number(mass_values)
@@ -167,8 +168,8 @@ def condition_report(m_values, mbar_values, mass_values, p_max, element_masses, 
     out.add(BoundRecord("conditioning_bound", kappa_mbar / kappa_m, upper=kappa_pair))
     masses = np.asarray(element_masses, dtype=float)
     if element_mbar is not None:
-        lams = [np.linalg.eigvalsh(me) for me in element_mbar]
-        fried = p_max * max(l[-1] for l in lams) / min(l[0] for l in lams)
+        lams = np.linalg.eigvalsh(np.asarray(element_mbar, dtype=float))
+        fried = p_max * lams[:, -1].max() / lams[:, 0].min()
         out.add(BoundRecord("fried_upper_cond", kappa_mbar, upper=float(fried)))
     out.add(
         BoundRecord(

@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__, analysis, fem, integrator, scaling
 from .errors import ConfigError, InvalidCounts, MasscaleError
 from .linalg import (
+    LowRankUpdate,
     MatrixPair,
     condition_number,
     extreme_eigvalues,
@@ -224,11 +225,13 @@ class _MeshSystem:
     on first request: all eigenvalues of (K, M) and the extremes of M once,
     and the same of (Kbar, Mbar) and Mbar once per scaling spec. The none
     kind's Kbar and Mbar are K and M, so it shares their entries. It keeps
-    eigenvalues only, never eigenvectors or scaled matrices.
+    eigenvalues, and the scaled systems of global deflation, whose Mbar is
+    M plus an n x r factor formed by a partial dense solve; others are
+    rebuilt on request, so that no n x n Mbar is held.
     """
 
     def __init__(self, cfg):
-        self.cfg, self._values = cfg, {}
+        self.cfg, self._values, self._low_rank = cfg, {}, {}
 
     @functools.cached_property
     def parts(self):
@@ -240,8 +243,13 @@ class _MeshSystem:
         return mesh, blocks, MatrixPair(k, m)
 
     def scale(self, spec):
+        if spec in self._low_rank:
+            return self._low_rank[spec]
         mesh, blocks, pair = self.parts
-        return scaling.apply_spec(spec, blocks, mesh.dof_count, pair=pair, k_global=pair.a)
+        scaled = scaling.apply_spec(spec, blocks, mesh.dof_count, pair=pair, k_global=pair.a)
+        if isinstance(scaled.mbar, LowRankUpdate):
+            self._low_rank[spec] = scaled
+        return scaled
 
     def _once(self, key, scaled, solve):
         spec = None if scaled is None or scaled.spec.kind == "none" else scaled.spec
@@ -283,7 +291,6 @@ def study_spectrum(cfg, emitter, system):
 def study_bounds(cfg, emitter, system):
     """Sandwich and condition bounds for each configured scaling."""
     mesh, blocks, pair = system.parts
-    masses = [b.element_mass for b in blocks]
     for spec in cfg.scalings or [scaling.ScalingSpec("none")]:
         scaled = system.scale(spec)
         # Kbar is K for every kind, so (Kbar, Mbar) is the sandwich's (K, Mbar).
@@ -293,7 +300,7 @@ def study_bounds(cfg, emitter, system):
         )
         cond = analysis.condition_report(
             system.values_m(), system.values_mbar(scaled), mass_values,
-            mesh.p_max, masses, spec=spec, element_mbar=scaled.element_mbar,
+            mesh.p_max, blocks.element_mass, spec=spec, element_mbar=scaled.element_mbar,
         )
         payload = {
             name: {"value": r.value, "lower": r.lower, "upper": r.upper, "holds": r.holds(),

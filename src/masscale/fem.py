@@ -4,6 +4,12 @@ Degree-of-freedom ordering is component-blocked everywhere: all x
 displacements first, then all y, then all z. Element matrices use the
 local counterpart (local dof = component * 8 + vertex), so Kronecker
 structures of the form I_3 (x) A stay block-diagonal per component.
+
+Elements are handled all at once. :func:`element_blocks` returns
+:class:`ElementBlocks`, stacked arrays with element e in row e, from one
+quadrature kernel over elements and Gauss points; ``blocks[e]`` is that
+element's :class:`ElementBlock`. :func:`assemble` scatters stacked
+element matrices into the dense global matrix in one ``bincount``.
 """
 from __future__ import annotations
 
@@ -24,6 +30,7 @@ __all__ = [
     "Hex8Geometry",
     "Mesh",
     "ElementBlock",
+    "ElementBlocks",
     "hex8_stiffness",
     "hex8_consistent_mass",
     "lump_row_sum",
@@ -48,6 +55,11 @@ _CORNER_SIGNS = np.array(
     ],
     dtype=float,
 )
+
+# Strain-displacement entries (strain row, displacement component, gradient
+# direction) in Voigt order xx, yy, zz, xy, yz, xz with engineering shear.
+_B_ENTRIES = ((0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 0, 1), (3, 1, 0),
+              (4, 1, 2), (4, 2, 1), (5, 0, 2), (5, 2, 0))
 
 
 @dataclass(frozen=True)
@@ -126,80 +138,104 @@ def gauss_points(n):
     return pts, wts
 
 
-def hex8_stiffness(geometry, material, quadrature=2):
-    """24x24 element stiffness, component-blocked, 2x2x2 Gauss by default."""
+def _hex8_matrices(corners, material, quadrature=2):
+    """Stiffness and consistent mass of every element, each (E, 24, 24).
+
+    ``corners`` is (E, 8, 3). The loop runs over the Gauss points; at each
+    one the Jacobians, their determinants and the physical shape gradients
+    of all elements are batched, and K_e += w det J B^T D B and
+    M8_e += w det J rho N N^T add the point's terms, so each element gets
+    the same arithmetic as a loop over its own points. Raises
+    :class:`DegenerateJacobian` naming the first element with det J <= 0.
+    """
     d = material.elasticity()
-    k = np.zeros((24, 24))
+    count = corners.shape[0]
+    stiffness, m8 = np.zeros((count, 24, 24)), np.zeros((count, 8, 8))
     pts, wts = gauss_points(quadrature)
     for xi, w in zip(pts, wts):
         dn_dxi = shape_gradients(xi)
-        jac = dn_dxi.T @ geometry.corners  # J[i, j] = d x_j / d xi_i
+        jac = dn_dxi.T @ corners  # J[i, j] = d x_j / d xi_i
         det = np.linalg.det(jac)
-        if det <= 0:
-            raise DegenerateJacobian(f"det J = {det:g} at quadrature point {xi}")
-        dn_dx = np.linalg.solve(jac, dn_dxi.T).T  # (8, 3) physical gradients
-        b = np.zeros((6, 24))
-        b[0, 0:8] = dn_dx[:, 0]
-        b[1, 8:16] = dn_dx[:, 1]
-        b[2, 16:24] = dn_dx[:, 2]
-        b[3, 0:8] = dn_dx[:, 1]
-        b[3, 8:16] = dn_dx[:, 0]
-        b[4, 8:16] = dn_dx[:, 2]
-        b[4, 16:24] = dn_dx[:, 1]
-        b[5, 0:8] = dn_dx[:, 2]
-        b[5, 16:24] = dn_dx[:, 0]
-        k += w * det * (b.T @ d @ b)
-    return symmetrize(k)
+        bad = np.flatnonzero(~(det > 0))
+        if bad.size:
+            raise DegenerateJacobian(
+                f"element {bad[0]}: det J = {det[bad[0]]:g} at quadrature point {xi}")
+        dn_dx = np.linalg.solve(jac, np.broadcast_to(dn_dxi.T, (count, 3, 8)))  # (E, 3, 8)
+        b = np.zeros((count, 6, 24))
+        for row, comp, direction in _B_ENTRIES:
+            b[:, row, comp * 8:(comp + 1) * 8] = dn_dx[:, direction]
+        stiffness += (w * det)[:, None, None] * (b.transpose(0, 2, 1) @ d @ b)
+        n = shape_functions(xi)
+        m8 += (w * det * material.density)[:, None, None] * np.outer(n, n)
+    m8, mass = symmetrize(m8), np.zeros((count, 24, 24))
+    for c in range(3):
+        mass[:, c * 8:(c + 1) * 8, c * 8:(c + 1) * 8] = m8
+    return symmetrize(stiffness), mass
+
+
+def hex8_stiffness(geometry, material, quadrature=2):
+    """24x24 element stiffness, component-blocked, 2x2x2 Gauss by default."""
+    return _hex8_matrices(geometry.corners[None], material, quadrature)[0][0]
 
 
 def hex8_consistent_mass(geometry, material, quadrature=2):
     """24x24 consistent mass I_3 (x) M8 with M8[a,b] = int rho N_a N_b."""
-    m8 = np.zeros((8, 8))
-    pts, wts = gauss_points(quadrature)
-    for xi, w in zip(pts, wts):
-        dn_dxi = shape_gradients(xi)
-        jac = dn_dxi.T @ geometry.corners
-        det = np.linalg.det(jac)
-        if det <= 0:
-            raise DegenerateJacobian(f"det J = {det:g} at quadrature point {xi}")
-        n = shape_functions(xi)
-        m8 += w * det * material.density * np.outer(n, n)
-    return np.kron(np.eye(3), symmetrize(m8))
+    return _hex8_matrices(geometry.corners[None], material, quadrature)[1][0]
 
 
-def lump_row_sum(consistent):
-    """Row-sum lumping; returns the diagonal as a vector of length 24."""
-    diag = np.asarray(consistent, dtype=float).sum(axis=1)
-    if np.any(diag <= 0):
-        raise NegativeLumpedEntry("row-sum produced a nonpositive entry")
+def _require_positive(diag, rule):
+    """Raise :class:`NegativeLumpedEntry` for a nonpositive lumped entry,
+    naming the element when ``diag`` is stacked (E, 24)."""
+    bad = np.argwhere(~(diag > 0))
+    if bad.size:
+        where = f" in element {bad[0][0]}" if diag.ndim == 2 else ""
+        raise NegativeLumpedEntry(f"{rule} produced a nonpositive entry{where}")
     return diag
 
 
+def lump_row_sum(consistent):
+    """Row-sum lumping of a (24, 24) or stacked (E, 24, 24) consistent mass;
+    returns the diagonals, (24,) or (E, 24)."""
+    return _require_positive(np.asarray(consistent, dtype=float).sum(axis=-1), "row-sum")
+
+
 def lump_hrz(consistent):
-    """HRZ (diagonal scaling) lumping preserving total mass per component."""
+    """HRZ (diagonal scaling) lumping preserving total mass per component,
+    of a (24, 24) or stacked (E, 24, 24) consistent mass."""
     consistent = np.asarray(consistent, dtype=float)
-    diag = np.diag(consistent).copy()
-    out = np.empty_like(diag)
-    m = diag.shape[0] // 3
+    diag = np.diagonal(consistent, axis1=-2, axis2=-1).copy()
+    m = diag.shape[-1] // 3
     for c in range(3):
         sl = slice(c * m, (c + 1) * m)
-        total = consistent[sl, sl].sum()
-        out[sl] = diag[sl] * (total / diag[sl].sum())
-    if np.any(out <= 0):
-        raise NegativeLumpedEntry("HRZ produced a nonpositive entry")
-    return out
+        total = consistent[..., sl, sl].sum(axis=(-2, -1))
+        diag[..., sl] *= (total / diag[..., sl].sum(axis=-1))[..., None]
+    return _require_positive(diag, "HRZ")
 
 
 @dataclass(frozen=True)
 class Mesh:
-    """Hexahedral mesh: node coordinates plus element connectivity."""
+    """Hexahedral mesh: node coordinates plus element connectivity.
+
+    ``coords`` must be (N, 3) and finite, ``connectivity`` (E, 8) and
+    integral, or ``ValueError`` is raised; a node index outside the mesh
+    raises :class:`IndexOutOfRange`.
+    """
 
     coords: np.ndarray  # (node_count, 3)
     connectivity: np.ndarray  # (element_count, 8) node indices
 
     def __post_init__(self):
         coords = np.asarray(self.coords, dtype=float)
-        conn = np.asarray(self.connectivity, dtype=int)
+        if coords.ndim != 2 or coords.shape[1] != 3:
+            raise ValueError(f"coords must have shape (N, 3), got {coords.shape}")
+        if not np.isfinite(coords).all():
+            raise ValueError("coords contains non-finite entries")
+        conn = np.asarray(self.connectivity)
+        if not np.issubdtype(conn.dtype, np.integer):
+            raise ValueError(f"connectivity must hold integers, got dtype {conn.dtype}")
+        if conn.ndim != 2 or conn.shape[1] != 8:
+            raise ValueError(f"connectivity must have shape (E, 8), got {conn.shape}")
+        conn = conn.astype(int)
         if conn.min(initial=0) < 0 or conn.max(initial=-1) >= coords.shape[0]:
             raise IndexOutOfRange("connectivity references an invalid node")
         object.__setattr__(self, "coords", coords)
@@ -223,25 +259,20 @@ class Mesh:
         counts = np.bincount(self.connectivity.ravel(), minlength=self.node_count)
         return int(counts.max())
 
-    def element_geometry(self, e):
-        return Hex8Geometry(self.coords[self.connectivity[e]])
-
     def dof_map(self, e):
-        """24 global dof indices of element e, component-blocked."""
+        """Global dof indices, component-blocked: (24,) for element index
+        ``e``, (E, 24) for a slice of elements."""
         nodes = self.connectivity[e]
-        return np.concatenate([c * self.node_count + nodes for c in range(3)])
+        return np.concatenate([c * self.node_count + nodes for c in range(3)], axis=-1)
 
     def is_uniform(self, rtol=1e-12):
-        """True when all elements are congruent axis-aligned boxes."""
-        ref = None
-        for e in range(self.element_count):
-            c = self.coords[self.connectivity[e]]
-            local = c - c[0]
-            if ref is None:
-                ref = local
-            elif not np.allclose(local, ref, rtol=0, atol=rtol * np.abs(ref).max()):
-                return False
-        return ref is not None
+        """True when all elements are translates of the first one: every
+        corner offset from corner 0 matches to rtol of the largest offset."""
+        if self.element_count == 0:
+            return False
+        corners = self.coords[self.connectivity]
+        local = corners - corners[:, :1]
+        return bool(np.all(np.abs(local - local[0]) <= rtol * np.abs(local[0]).max()))
 
 
 def build_structured_mesh(node_counts, extents):
@@ -256,41 +287,19 @@ def build_structured_mesh(node_counts, extents):
     lx, ly, lz = (float(v) for v in extents)
     if min(lx, ly, lz) <= 0:
         raise InvalidCounts(f"extents must be positive, got {extents}")
-    xs = np.linspace(0.0, lx, nx)
-    ys = np.linspace(0.0, ly, ny)
-    zs = np.linspace(0.0, lz, nz)
-
-    def nid(ix, iy, iz):
-        return ix + nx * (iy + ny * iz)
-
-    coords = np.empty((nx * ny * nz, 3))
-    for iz in range(nz):
-        for iy in range(ny):
-            for ix in range(nx):
-                coords[nid(ix, iy, iz)] = (xs[ix], ys[iy], zs[iz])
-
-    conn = []
-    for iz in range(nz - 1):
-        for iy in range(ny - 1):
-            for ix in range(nx - 1):
-                conn.append(
-                    [
-                        nid(ix, iy, iz),
-                        nid(ix + 1, iy, iz),
-                        nid(ix + 1, iy + 1, iz),
-                        nid(ix, iy + 1, iz),
-                        nid(ix, iy, iz + 1),
-                        nid(ix + 1, iy, iz + 1),
-                        nid(ix + 1, iy + 1, iz + 1),
-                        nid(ix, iy + 1, iz + 1),
-                    ]
-                )
-    return Mesh(coords, np.array(conn, dtype=int))
+    # node (ix, iy, iz) has index ix + nx * (iy + ny * iz); elements run x fastest
+    z, y, x = np.meshgrid(*(np.linspace(0.0, length, count) for length, count
+                            in ((lz, nz), (ly, ny), (lx, nx))), indexing="ij")
+    coords = np.column_stack([x.ravel(), y.ravel(), z.ravel()])
+    first = np.arange(nx * ny * nz).reshape(nz, ny, nx)[:-1, :-1, :-1].ravel()
+    corner = ((_CORNER_SIGNS + 1) / 2).astype(int) @ np.array([1, nx, nx * ny])
+    return Mesh(coords, first[:, None] + corner)
 
 
 @dataclass(frozen=True)
 class ElementBlock:
-    """Per-element matrices plus the map into global dof indices."""
+    """One element's matrices plus the map into global dof indices, as
+    ``ElementBlocks[e]`` gives them."""
 
     stiffness: np.ndarray  # (24, 24)
     consistent_mass: np.ndarray  # (24, 24)
@@ -298,52 +307,73 @@ class ElementBlock:
     element_mass: float  # kg
     dof_map: np.ndarray  # (24,) global indices
 
+
+@dataclass(frozen=True)
+class ElementBlocks:
+    """The matrices of every element, stacked: element e is row e of each
+    array. ``len(blocks)`` is the element count and ``blocks[e]`` the
+    :class:`ElementBlock` of element e, so iteration yields those in
+    order. A dof map that repeats an index raises
+    :class:`IndexOutOfRange` naming the first such element.
+    """
+
+    stiffness: np.ndarray  # (E, 24, 24)
+    consistent_mass: np.ndarray  # (E, 24, 24)
+    lumped_mass: np.ndarray  # (E, 24) diagonals
+    element_mass: np.ndarray  # (E,) kg
+    dof_map: np.ndarray  # (E, 24) global indices
+
     def __post_init__(self):
         dof = np.asarray(self.dof_map, dtype=int)
-        if len(np.unique(dof)) != dof.size:
-            raise IndexOutOfRange("dof_map is not injective")
+        ordered = np.sort(dof, axis=1)
+        bad = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+        if bad.size:
+            raise IndexOutOfRange(f"dof_map of element {bad[0]} is not injective")
         object.__setattr__(self, "dof_map", dof)
+
+    def __len__(self):
+        return self.dof_map.shape[0]
+
+    def __getitem__(self, e):
+        return ElementBlock(self.stiffness[e], self.consistent_mass[e], self.lumped_mass[e],
+                            float(self.element_mass[e]), self.dof_map[e])
 
 
 def element_blocks(mesh, material, lumping="row_sum"):
-    """Build stiffness/mass blocks for every element of the mesh."""
+    """Stiffness and mass blocks of every element of the mesh, stacked."""
     lump = {"row_sum": lump_row_sum, "hrz": lump_hrz}[lumping]
-    blocks = []
-    for e in range(mesh.element_count):
-        geo = mesh.element_geometry(e)
-        k = hex8_stiffness(geo, material)
-        mc = hex8_consistent_mass(geo, material)
-        diag = lump(mc)
-        me = float(diag[:8].sum())  # translational mass in one direction
-        blocks.append(ElementBlock(k, mc, diag, me, mesh.dof_map(e)))
-    return blocks
-
-
-def _element_matrix(block, which):
-    if which == "stiffness":
-        return block.stiffness
-    if which == "consistent":
-        return block.consistent_mass
-    if which == "lumped":
-        return np.diag(block.lumped_mass)
-    raise ValueError(f"unknown matrix kind {which!r}")
+    stiffness, consistent = _hex8_matrices(mesh.coords[mesh.connectivity], material)
+    diag = lump(consistent)
+    masses = diag[:, :8].sum(axis=1)  # translational mass in one direction
+    return ElementBlocks(stiffness, consistent, diag, masses, mesh.dof_map(slice(None)))
 
 
 def assemble(blocks, which, ndof, element_matrices=None):
     """Global matrix A = sum_e L_e^T A_e L_e as a dense symmetric array.
 
-    ``which`` selects stiffness | consistent | lumped from the blocks;
-    pass ``which="custom"`` with explicit ``element_matrices`` (one 24x24
-    per block, e.g. scaling matrices) to assemble arbitrary contributions.
+    ``which`` selects stiffness | consistent | lumped from the
+    :class:`ElementBlocks`; pass ``which="custom"`` with explicit
+    ``element_matrices`` ((E, 24, 24), one per element, e.g. scaled
+    masses) to assemble arbitrary contributions. Each A_e is symmetrized,
+    and one ``bincount`` scatter adds the entries into the dense array in
+    element order, so that A_ij and A_ji receive the same terms in the
+    same order: the result is exactly symmetric, and each entry is summed
+    as an element-by-element loop would sum it.
     """
-    out = np.zeros((ndof, ndof))
-    for i, block in enumerate(blocks):
-        ae = element_matrices[i] if which == "custom" else _element_matrix(block, which)
-        dof = block.dof_map
-        if dof.min() < 0 or dof.max() >= ndof:
-            raise IndexOutOfRange(f"dof map of element {i} exceeds range {ndof}")
-        out[np.ix_(dof, dof)] += ae
-    return symmetrize(out)
+    dof = blocks.dof_map
+    bad = np.flatnonzero((dof < 0).any(axis=1) | (dof >= ndof).any(axis=1))
+    if bad.size:
+        raise IndexOutOfRange(f"dof map of element {bad[0]} exceeds range {ndof}")
+    if which == "lumped":
+        index, data = dof * (ndof + 1), blocks.lumped_mass
+    else:
+        chosen = {"stiffness": blocks.stiffness, "consistent": blocks.consistent_mass,
+                  "custom": element_matrices}
+        if which not in chosen:
+            raise ValueError(f"unknown matrix kind {which!r}")
+        index, data = dof[:, :, None] * ndof + dof[:, None, :], symmetrize(chosen[which])
+    summed = np.bincount(index.ravel(), weights=data.ravel(), minlength=ndof * ndof)
+    return summed.reshape(ndof, ndof)
 
 
 def rigid_body_modes(coords):
@@ -367,4 +397,3 @@ def rigid_body_modes(coords):
     modes[:npts, 5] = -y
     modes[npts : 2 * npts, 5] = x
     return modes
-

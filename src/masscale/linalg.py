@@ -78,24 +78,34 @@ __all__ = [
     "condition_number",
 ]
 
-_SYM_RTOL = 1e-12
+_TILE = 256  # rows per block of the symmetry check
 
 
 def symmetrize(a):
-    """Return the exactly symmetric part 0.5 * (A + A^T)."""
+    """Return the exactly symmetric part 0.5 * (A + A^T), of each matrix of
+    a stack (..., n, n)."""
     a = np.asarray(a, dtype=float)
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
 def require_symmetric(a, name="matrix", rtol=1e-10):
-    """Validate that ``a`` is square, finite and symmetric to ``rtol``."""
+    """Validate that ``a`` is square, finite and symmetric to ``rtol``:
+    max |a - a^T| <= rtol * max |a|, evaluated over tile pairs a_ij
+    against a_ji^T so that no n x n temporary is formed."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains non-finite entries")
-    scale = np.abs(a).max() or 1.0
-    if np.abs(a - a.T).max() > rtol * scale:
+    n = a.shape[0]
+    scale = asymmetry = 0.0
+    for i in range(0, n, _TILE):
+        top = np.abs(a[i:i + _TILE]).max()  # NaN and inf propagate through max
+        if not np.isfinite(top):
+            raise ValueError(f"{name} contains non-finite entries")
+        scale = max(scale, top)
+        for j in range(0, i + 1, _TILE):
+            tile = a[i:i + _TILE, j:j + _TILE] - a[j:j + _TILE, i:i + _TILE].T
+            asymmetry = max(asymmetry, np.abs(tile).max())
+    if asymmetry > rtol * (scale or 1.0):
         raise ValueError(f"{name} is not symmetric")
     return a
 

@@ -33,11 +33,11 @@ from .errors import (
 )
 from .linalg import (
     LowRankUpdate,
+    _low_tail,
     MatrixPair,
     cholesky,
     generalized_eig,
     is_diagonal,
-    sym_eig,
     symmetrize,
 )
 
@@ -80,7 +80,9 @@ class Kind:
     ``params`` (required) and ``optional`` map :class:`ScalingSpec` fields
     to checkers ``(name, value) -> value`` that raise on a bad value and
     return it as its type; ``check(spec)`` tests parameters jointly. A
-    local kind sets ``element_term(block, spec) -> Mbar_e``, a global kind
+    local kind sets ``element_term(blocks, spec)``, which maps the stacked
+    :class:`fem.ElementBlocks` to the scaled element masses Mbar_e of all
+    elements at once, (E, 24, 24); a global kind sets
     ``transform(pair, spec) -> ScaledSystem``. ``growth(spec)`` is g, the
     largest eigenvalue of every element pair (Mbar_e, M_e), whose smallest
     is 1: omega_i / omegabar_i <= sqrt(g) and kappa(Mbar) / kappa(M) <= g.
@@ -151,15 +153,15 @@ class ScaledSystem:
 
     ``mbar`` is a dense array except for global deflation, where it stays
     an implicit :class:`LowRankUpdate` so Woodbury solves remain available.
-    For local strategies ``element_mbar`` holds the per-element scaled
-    blocks in assembly order. ``spec`` is None only for :func:`lft` with a
-    bare W.
+    For local strategies ``element_mbar`` is the (E, 24, 24) array of the
+    scaled element masses, element e in row e as in the blocks. ``spec``
+    is None only for :func:`lft` with a bare W.
     """
 
     kbar: np.ndarray
     mbar: object  # np.ndarray | LowRankUpdate
     spec: ScalingSpec | None
-    element_mbar: list | None = None
+    element_mbar: np.ndarray | None = None
 
     def mbar_dense(self):
         if isinstance(self.mbar, LowRankUpdate):
@@ -216,11 +218,40 @@ def _cutoff_needs_alpha(spec):
         raise ValueError("cutoff mode requires alpha")
 
 
-def _cms_term(block, spec):
-    """Lumped element mass with the selected entries (all by default) times alpha."""
-    diag = block.lumped_mass.copy()
-    diag[list(spec.selector or range(_ORDER))] *= spec.alpha
-    return np.diag(diag)
+def _diagonal(diag):
+    """(E, 24, 24) matrices with the rows of ``diag`` (E, 24) on their diagonals."""
+    out = np.zeros(diag.shape + diag.shape[-1:])
+    out[:, np.arange(_ORDER), np.arange(_ORDER)] = diag
+    return out
+
+
+def _element_eigh(blocks):
+    """Ascending eigenvalues (E, 24) and M_e-orthonormal vectors
+    (E, 24, 24) of every element pair (K_e, M_e), M_e = D_e lumped, as
+    :func:`generalized_eig` gives them: one stacked ``eigh`` of
+    D_e^{-1/2} K_e D_e^{-1/2}, and :func:`generalized_eig` itself for an
+    element with a low tail to recompute (a thin element; none on the
+    benchmark meshes). A lumped entry that is not positive raises
+    :class:`DefectiveElementPair` naming the first such element."""
+    diag = blocks.lumped_mass
+    bad = np.argwhere(~(diag > 0))
+    if bad.size:
+        e, entry = bad[0]
+        raise DefectiveElementPair(f"element {e}: lumped mass entry {entry} is not positive")
+    s = 1.0 / np.sqrt(diag)
+    values, vectors = np.linalg.eigh(symmetrize(blocks.stiffness * s[:, :, None] * s[:, None, :]))
+    vectors *= s[:, :, None]
+    for e in np.flatnonzero([_low_tail(v) for v in values]):
+        dec = generalized_eig(MatrixPair(blocks.stiffness[e], np.diag(diag[e])))
+        values[e], vectors[e] = dec.values, dec.vectors
+    return values, vectors
+
+
+def _cms_term(blocks, spec):
+    """Lumped element masses with the selected entries (all by default) times alpha."""
+    diag = blocks.lumped_mass.copy()
+    diag[:, list(spec.selector or range(_ORDER))] *= spec.alpha
+    return _diagonal(diag)
 
 
 def cms(blocks, ndof, selector, alpha, k_global=None):
@@ -313,38 +344,38 @@ def _deflation_rank(values, r, expand_ties, rtol=1e-9):
     if not expand_ties:
         return r
     scale = abs(values[-1]) or 1.0
-    while r < m - 1 and abs(values[m - r - 1] - values[m - r]) <= rtol * scale:
+    while 0 < r < m - 1 and abs(values[m - r - 1] - values[m - r]) <= rtol * scale:
         r += 1
     return r
 
 
-def _deflated_term(block, spec, cutoff):
+def _deflated_term(blocks, spec, cutoff):
     """M_e + V_e G V_e^T over the top element eigenpairs of (K_e, M_e).
 
-    With ``cutoff`` (S1) G = alpha I; otherwise (S2) G shaves the top r
-    element eigenvalues to lambda_{m-r}.
+    With ``cutoff`` (S1) G = alpha I over the top pairs, each element's
+    rank widened by :func:`_deflation_rank`; otherwise (S2) G shaves the
+    top r element eigenvalues to lambda_{m-r}.
     """
-    diag = block.lumped_mass
-    if spec.rank == 0:
-        return np.diag(diag)
-    dec = generalized_eig(MatrixPair(block.stiffness, np.diag(diag)))
-    re = _deflation_rank(dec.values, spec.rank, expand_ties=cutoff)
-    u2 = dec.vectors[:, _ORDER - re:]
-    d2 = dec.values[_ORDER - re:]
-    g = np.full(re, spec.alpha) if cutoff else d2 / dec.values[_ORDER - re - 1] - 1.0
-    v = diag[:, None] * u2  # V_e = M_e U_{e,2} for diagonal M_e
-    return symmetrize(np.diag(diag) + (v * g) @ v.T)
+    diag = blocks.lumped_mass
+    values, vectors = _element_eigh(blocks)
+    ranks = np.array([_deflation_rank(v, spec.rank, expand_ties=cutoff) for v in values])
+    out = _diagonal(diag)
+    for re in np.unique(ranks[ranks > 0]):  # one product per rank, shaped as one element's
+        sel = ranks == re
+        cut = _ORDER - re
+        d2 = values[sel, cut:]
+        g = np.full(d2.shape, spec.alpha) if cutoff else d2 / values[sel, cut - 1:cut] - 1.0
+        v = diag[sel, :, None] * vectors[sel, :, cut:]  # V_e = M_e U_{e,2} for diagonal M_e
+        out[sel] = symmetrize(out[sel] + (v * g[:, None, :]) @ v.transpose(0, 2, 1))
+    return out
 
 
 def _s2_corollary(spec, blocks):
     """max(1, max_e omega_{m,e} / omega_{m-r,e}) over the element pairs."""
     if blocks is None:
         raise ValueError("S2 bound needs the element blocks")
-    worst = 1.0
-    for block in blocks:
-        values = generalized_eig(MatrixPair(block.stiffness, np.diag(block.lumped_mass))).values
-        worst = max(worst, float(np.sqrt(values[-1] / values[len(values) - spec.rank - 1])))
-    return worst
+    values = _element_eigh(blocks)[0]
+    return max(1.0, float(np.sqrt(values[:, -1] / values[:, _ORDER - spec.rank - 1]).max()))
 
 
 def local_deflation(blocks, ndof, r, strategy, alpha=None, k_global=None):
@@ -358,14 +389,15 @@ def local_deflation(blocks, ndof, r, strategy, alpha=None, k_global=None):
 
 
 def olovsson_block(element_mass, beta, projector_variant=False):
-    """24x24 scaling matrix E_e = I_3 (x) (beta m_e / 56) (8 I_8 - e e^T).
+    """24x24 scaling matrix E_e = I_3 (x) (beta m_e / 56) (8 I_8 - e e^T);
+    (E, 24, 24) for an array of E element masses.
 
     The footnoted variant uses (beta m_e / 8)(I_8 - u u^T) instead, which
     only changes the constant.
     """
     e8 = 8.0 * np.eye(8) - np.ones((8, 8))
-    factor = beta * element_mass / (64.0 if projector_variant else 56.0)
-    return np.kron(np.eye(3), factor * e8)
+    factor = beta * np.asarray(element_mass, dtype=float) / (64.0 if projector_variant else 56.0)
+    return np.multiply.outer(factor, np.kron(np.eye(3), e8))
 
 
 def olovsson(blocks, ndof, beta, projector_variant=False, k_global=None):
@@ -375,10 +407,11 @@ def olovsson(blocks, ndof, beta, projector_variant=False, k_global=None):
 
 
 def hoffmann_block(element_mass, beta):
-    """24x24 scaling matrix E_e = I_3 (x) (beta m_e / 32) (A (x) G)."""
-    gamma_tilde = element_mass / 8.0
-    e8 = (beta * gamma_tilde / 4.0) * np.kron(_HOFFMANN_A, _HOFFMANN_G)
-    return np.kron(np.eye(3), e8)
+    """24x24 scaling matrix E_e = I_3 (x) (beta m_e / 32) (A (x) G);
+    (E, 24, 24) for an array of E element masses."""
+    gamma_tilde = np.asarray(element_mass, dtype=float) / 8.0
+    e8 = np.kron(_HOFFMANN_A, _HOFFMANN_G)
+    return np.multiply.outer(beta * gamma_tilde / 4.0, np.kron(np.eye(3), e8))
 
 
 def hoffmann(blocks, ndof, beta, k_global=None):
@@ -386,11 +419,11 @@ def hoffmann(blocks, ndof, beta, k_global=None):
     return apply_spec(ScalingSpec("hoffmann", beta=beta), blocks, ndof, k_global=k_global)
 
 
-def _stabilized_term(block, spec):
+def _stabilized_term(blocks, spec):
     """M_e + epsilon U_1 U_1^T over the r smallest element mass eigenvectors."""
-    me = np.diag(block.lumped_mass)
-    u1 = sym_eig(me).vectors[:, :spec.rank]
-    return symmetrize(me + spec.epsilon * (u1 @ u1.T))
+    me = _diagonal(blocks.lumped_mass)
+    u1 = np.linalg.eigh(me)[1][:, :, :spec.rank]
+    return symmetrize(me + spec.epsilon * (u1 @ u1.transpose(0, 2, 1)))
 
 
 def eig_stabilization(blocks, ndof, r, epsilon, k_global=None):
@@ -403,20 +436,15 @@ def apply_spec(spec, blocks, ndof, pair=None, k_global=None):
     """Apply the strategy that :data:`KINDS` holds for ``spec.kind``.
 
     Global kinds transform the assembled ``pair`` (K, M). Local kinds
-    scale each element of ``blocks`` and assemble the result; K is
-    ``k_global`` when given, else assembled from ``blocks``.
+    scale all elements of the stacked ``blocks`` at once and assemble the
+    result; K is ``k_global`` when given, else assembled from ``blocks``.
     """
     entry = KINDS[spec.kind]
     if entry.transform is not None:
         if pair is None:
             raise ValueError(f"{spec.kind} requires the assembled pair")
         return entry.transform(pair if isinstance(pair, MatrixPair) else MatrixPair(*pair), spec)
-    element_mbar = []
-    for i, block in enumerate(blocks):
-        try:
-            element_mbar.append(entry.element_term(block, spec))
-        except NotPositiveDefinite as exc:
-            raise DefectiveElementPair(f"element {i}: {exc}") from exc
+    element_mbar = entry.element_term(blocks, spec)
     kbar = fem.assemble(blocks, "stiffness", ndof) if k_global is None else k_global
     mbar = fem.assemble(blocks, "custom", ndof, element_matrices=element_mbar)
     return ScaledSystem(kbar, mbar, spec, element_mbar)
@@ -464,14 +492,14 @@ KINDS = {
     "olovsson": Kind(
         params={"beta": _number(0)},
         optional={"projector_variant": _flag},
-        element_term=lambda block, spec: np.diag(block.lumped_mass)
-        + olovsson_block(block.element_mass, spec.beta, spec.projector_variant),
+        element_term=lambda blocks, spec: _diagonal(blocks.lumped_mass)
+        + olovsson_block(blocks.element_mass, spec.beta, spec.projector_variant),
         growth=lambda spec: 1.0 + 8.0 * spec.beta / 7.0,
     ),
     "hoffmann": Kind(
         params={"beta": _number(0)},
-        element_term=lambda block, spec: np.diag(block.lumped_mass)
-        + hoffmann_block(block.element_mass, spec.beta),
+        element_term=lambda blocks, spec: _diagonal(blocks.lumped_mass)
+        + hoffmann_block(blocks.element_mass, spec.beta),
         growth=lambda spec: 1.0 + 9.0 * spec.beta / 2.0,
     ),
     "eig_stabilization": Kind(

@@ -300,11 +300,22 @@ def test_each_assembled_pencil_solved_once_per_execute(tmp_path, monkeypatch):
 
         return wrapper
 
-    for name in ("generalized_eigvalues", "extreme_eigvalues"):
+    tops = Counter()  # (top, order) -> partial dense solves
+
+    def counting_top(fn):
+        def wrapper(pair, top=None):
+            if top is not None:
+                tops[top, pair.order] += 1
+            return fn(pair, top=top)
+
+        return wrapper
+
+    for name in ("generalized_eigvalues", "extreme_eigvalues", "generalized_eig"):
         original = getattr(linalg, name)
+        wrapped = counting_top(original) if name == "generalized_eig" else counting(name, original)
         for mod_name, module in list(sys.modules.items()):
             if mod_name.split(".")[0] == "masscale" and getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counting(name, original))
+                monkeypatch.setattr(module, name, wrapped)
     for expected in (1, 2):
         cli.execute(cfg, ["spectrum", "bounds", "sweep"])
         assembled = {key: n for key, n in solves.items() if key[1] > 24}
@@ -312,3 +323,5 @@ def test_each_assembled_pencil_solved_once_per_execute(tmp_path, monkeypatch):
         # other specs; (Mbar, M) for the four configured specs
         assert len(assembled) == 14
         assert set(assembled.values()) == {expected}
+        # global deflation rank 4 takes its top 5 pairs of (K, M) once
+        assert tops == {(5, 108): expected}

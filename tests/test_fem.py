@@ -1,10 +1,69 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import BENCH_RHO, PLATE_COUNTS, PLATE_EXTENTS
-from masscale import fem
-from masscale.errors import DegenerateJacobian, IndexOutOfRange, InvalidCounts
+from masscale import fem, scaling
+from masscale.errors import (
+    DegenerateJacobian,
+    IndexOutOfRange,
+    InvalidCounts,
+    NegativeLumpedEntry,
+)
 from masscale.linalg import MatrixPair, generalized_eigvalues, is_diagonal, sym_eig
+
+DISTORTED_EXTENTS = (0.03, 0.02, 0.01)
+
+
+def loop_element_matrices(corners, material):
+    """One element's stiffness and consistent mass by a Gauss-point loop:
+    the reference for the stacked kernel."""
+    d = material.elasticity()
+    k = np.zeros((24, 24))
+    m8 = np.zeros((8, 8))
+    pts, wts = fem.gauss_points(2)
+    for xi, w in zip(pts, wts):
+        dn_dxi = fem.shape_gradients(xi)
+        jac = dn_dxi.T @ corners
+        det = np.linalg.det(jac)
+        dn_dx = np.linalg.solve(jac, dn_dxi.T).T
+        b = np.zeros((6, 24))
+        b[0, 0:8] = dn_dx[:, 0]
+        b[1, 8:16] = dn_dx[:, 1]
+        b[2, 16:24] = dn_dx[:, 2]
+        b[3, 0:8] = dn_dx[:, 1]
+        b[3, 8:16] = dn_dx[:, 0]
+        b[4, 8:16] = dn_dx[:, 2]
+        b[4, 16:24] = dn_dx[:, 1]
+        b[5, 0:8] = dn_dx[:, 2]
+        b[5, 16:24] = dn_dx[:, 0]
+        k += w * det * (b.T @ d @ b)
+        n = fem.shape_functions(xi)
+        m8 += w * det * material.density * np.outer(n, n)
+    return 0.5 * (k + k.T), np.kron(np.eye(3), 0.5 * (m8 + m8.T))
+
+
+def loop_assemble(blocks, mats, ndof):
+    out = np.zeros((ndof, ndof))
+    for block, ae in zip(blocks, mats):
+        out[np.ix_(block.dof_map, block.dof_map)] += ae
+    return out
+
+
+@pytest.fixture(scope="module")
+def distorted(material):
+    """4 x 4 x 4 nodes with every interior node moved by up to 20 % of the
+    spacing, so that each of the 27 elements has a moved corner."""
+    mesh = fem.build_structured_mesh((4, 4, 4), DISTORTED_EXTENTS)
+    extents = np.array(DISTORTED_EXTENTS)
+    interior = np.flatnonzero(np.all((mesh.coords > 0) & (mesh.coords < extents), axis=1))
+    coords = mesh.coords.copy()
+    rng = np.random.default_rng(17)
+    coords[interior] += rng.uniform(-0.2, 0.2, (interior.size, 3)) * extents / 3
+    mesh = fem.Mesh(coords, mesh.connectivity)
+    assert np.isin(mesh.connectivity, interior).any(axis=1).all()
+    return mesh, fem.element_blocks(mesh, material)
 
 
 class TestMaterial:
@@ -179,3 +238,128 @@ class TestAssembly:
         with pytest.raises(IndexOutOfRange):
             fem.assemble(blocks, "stiffness", 10)
 
+
+
+class TestStackedKernel:
+    def test_matches_per_element_loop(self, distorted, material):
+        mesh, blocks = distorted
+        assert len(blocks) == mesh.element_count == 27
+        for e in range(mesh.element_count):
+            k, mc = loop_element_matrices(mesh.coords[mesh.connectivity[e]], material)
+            assert np.abs(blocks.stiffness[e] - k).max() <= 1e-13 * np.abs(k).max()
+            assert np.abs(blocks.consistent_mass[e] - mc).max() <= 1e-13 * np.abs(mc).max()
+            assert np.array_equal(blocks[e].lumped_mass, fem.lump_row_sum(blocks.consistent_mass[e]))
+            assert np.array_equal(blocks[e].dof_map, mesh.dof_map(e))
+
+    def test_rigid_body_null_spaces(self, distorted):
+        mesh, blocks = distorted
+        for block in blocks:
+            modes = fem.rigid_body_modes(mesh.coords[block.dof_map[:8]])
+            assert np.abs(block.stiffness @ modes).max() <= 1e-8 * np.abs(block.stiffness).max()
+        k = fem.assemble(blocks, "stiffness", mesh.dof_count)
+        modes = fem.rigid_body_modes(mesh.coords)
+        assert np.abs(k @ modes).max() <= 1e-8 * np.abs(k).max()
+
+    def test_total_mass(self, distorted):
+        mesh, blocks = distorted
+        expect = BENCH_RHO * np.prod(DISTORTED_EXTENTS)
+        assert blocks.element_mass.sum() == pytest.approx(expect, rel=1e-12)
+        m = fem.assemble(blocks, "lumped", mesh.dof_count)
+        assert np.trace(m) / 3 == pytest.approx(expect, rel=1e-12)
+
+    def test_hrz_matches_per_element(self, distorted):
+        _, blocks = distorted
+        stacked = fem.lump_hrz(blocks.consistent_mass)
+        for e, mc in enumerate(blocks.consistent_mass):
+            assert np.allclose(stacked[e], fem.lump_hrz(mc), rtol=1e-15, atol=0)
+
+    def test_single_element_functions_are_the_kernel(self, material):
+        geo = fem.Hex8Geometry.box(0.3, 0.2, 0.1)
+        blocks = fem.element_blocks(fem.Mesh(geo.corners, np.arange(8)[None]), material)
+        assert np.array_equal(fem.hex8_stiffness(geo, material), blocks.stiffness[0])
+        assert np.array_equal(fem.hex8_consistent_mass(geo, material), blocks.consistent_mass[0])
+
+    def test_assembly_matches_loop_and_is_exactly_symmetric(self, distorted):
+        mesh, blocks = distorted
+        n = mesh.dof_count
+        for which, mats in (("stiffness", blocks.stiffness),
+                            ("consistent", blocks.consistent_mass),
+                            ("lumped", [np.diag(d) for d in blocks.lumped_mass])):
+            a = fem.assemble(blocks, which, n)
+            assert np.array_equal(a, a.T)
+            ref = loop_assemble(blocks, mats, n)
+            assert np.abs(a - ref).max() <= 1e-15 * np.abs(ref).max()
+        pair = MatrixPair(fem.assemble(blocks, "stiffness", n), fem.assemble(blocks, "lumped", n))
+        for spec in (scaling.ScalingSpec("olovsson", beta=10.0),
+                     scaling.ScalingSpec("local_deflation_s2", rank=3)):
+            mbar = scaling.apply_spec(spec, blocks, n, pair=pair, k_global=pair.a).mbar
+            assert np.array_equal(mbar, mbar.T)
+
+    def test_degenerate_jacobian_names_element(self, material):
+        mesh = fem.build_structured_mesh((4, 2, 2), (0.3, 0.1, 0.1))
+        conn = mesh.connectivity.copy()
+        conn[1] = conn[1][[4, 5, 6, 7, 0, 1, 2, 3]]  # element 1 turned inside out
+        with pytest.raises(DegenerateJacobian, match="element 1:"):
+            fem.element_blocks(fem.Mesh(mesh.coords, conn), material)
+
+    def test_non_injective_dof_map_names_element(self, distorted):
+        _, blocks = distorted
+        dof = blocks.dof_map.copy()
+        dof[2, 5] = dof[2, 0]
+        with pytest.raises(IndexOutOfRange, match="element 2 "):
+            dataclasses.replace(blocks, dof_map=dof)
+
+    def test_out_of_range_names_first_element(self, distorted):
+        mesh, blocks = distorted
+        ndof = mesh.dof_count - 1
+        first = int(np.flatnonzero(blocks.dof_map.max(axis=1) >= ndof)[0])
+        assert first > 0
+        with pytest.raises(IndexOutOfRange, match=f"element {first} "):
+            fem.assemble(blocks, "stiffness", ndof)
+
+    def test_nonpositive_lumped_entry_names_element(self, distorted):
+        _, blocks = distorted
+        consistent = blocks.consistent_mass.copy()
+        consistent[4] *= -1.0
+        with pytest.raises(NegativeLumpedEntry, match="element 4"):
+            fem.lump_row_sum(consistent)
+        with pytest.raises(NegativeLumpedEntry, match="element 4"):
+            fem.lump_hrz(consistent)
+
+
+class TestMeshShapes:
+    COORDS = fem.build_structured_mesh((3, 2, 2), (0.2, 0.1, 0.1)).coords
+    CONN = fem.build_structured_mesh((3, 2, 2), (0.2, 0.1, 0.1)).connectivity
+
+    @pytest.mark.parametrize(
+        "coords, conn",
+        [
+            (COORDS[:, :2], CONN),
+            (COORDS.ravel(), CONN),
+            (np.where(np.arange(COORDS.size).reshape(COORDS.shape) == 4, np.nan, COORDS), CONN),
+            (np.where(np.arange(COORDS.size).reshape(COORDS.shape) == 7, np.inf, COORDS), CONN),
+            (COORDS, CONN[:, :7]),
+            (COORDS, CONN.ravel()),
+            (COORDS, CONN.astype(float)),
+            (COORDS, CONN.astype(bool)),
+        ],
+        ids=["coords_2d", "coords_flat", "coords_nan", "coords_inf", "conn_7", "conn_flat",
+             "conn_float", "conn_bool"],
+    )
+    def test_malformed_shapes_raise(self, coords, conn):
+        with pytest.raises(ValueError):
+            fem.Mesh(coords, conn)
+
+    def test_node_index_out_of_range(self):
+        conn = self.CONN.copy()
+        conn[1, 3] = self.COORDS.shape[0]
+        with pytest.raises(IndexOutOfRange):
+            fem.Mesh(self.COORDS, conn)
+        conn[1, 3] = -1
+        with pytest.raises(IndexOutOfRange):
+            fem.Mesh(self.COORDS, conn)
+
+    def test_distorted_mesh_is_not_uniform(self, distorted):
+        mesh, _ = distorted
+        assert not mesh.is_uniform()
+        assert fem.build_structured_mesh((5, 3, 2), (0.4, 0.2, 0.1)).is_uniform()

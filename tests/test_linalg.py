@@ -52,6 +52,34 @@ class TestCholesky:
             cholesky(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+class TestRequireSymmetric:
+    # order 600 spans tiles of 256, 256 and a partial one of 88 rows
+    @pytest.fixture
+    def sym(self):
+        return symmetrize(np.random.default_rng(3).standard_normal((600, 600)))
+
+    def test_accepts_symmetric(self, sym):
+        assert linalg.require_symmetric(sym) is not None
+
+    def test_asymmetry_in_an_off_diagonal_tile(self, sym):
+        scale = np.abs(sym).max()
+        sym[300, 10] += 0.9e-10 * scale
+        linalg.require_symmetric(sym)
+        sym[300, 10] += 0.2e-10 * scale
+        with pytest.raises(ValueError, match="not symmetric"):
+            linalg.require_symmetric(sym)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_in_the_last_partial_tile(self, sym, value):
+        sym[599, 598] = sym[598, 599] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.require_symmetric(sym)
+
+    def test_non_square(self, sym):
+        with pytest.raises(ValueError, match="square"):
+            linalg.require_symmetric(sym[:, :599])
+
+
 class TestSymEig:
     def test_diagonal(self):
         dec = sym_eig(np.diag([3.0, 1.0, 2.0]))

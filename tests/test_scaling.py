@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from conftest import KIND_DOCS
 from masscale import analysis, cli, fem, scaling
 from masscale.errors import (
     ConfigError,
+    DefectiveElementPair,
     DegenerateLFT,
     EmptySelection,
     LostDefiniteness,
@@ -18,6 +21,7 @@ from masscale.linalg import (
     generalized_eig,
     generalized_eigvalues,
     sym_eig,
+    symmetrize,
 )
 from masscale.scaling import ScalingSpec
 
@@ -283,6 +287,68 @@ class TestLocalDeflation:
         mesh, blocks, pair = small_system
         scaled = scaling.local_deflation(blocks, mesh.dof_count, 0, "s2")
         assert np.allclose(scaled.mbar, pair.b)
+
+    def test_s1_rank_zero_unchanged(self, small_system):
+        mesh, blocks, pair = small_system
+        scaled = scaling.local_deflation(blocks, mesh.dof_count, 0, "s1", 4.0)
+        assert np.array_equal(scaled.mbar, pair.b)
+
+    @pytest.mark.parametrize(
+        "counts, extents, strategy, rank",
+        [
+            # cube elements tie, so S1 widens each of these cuts
+            ((3, 3, 3), (0.02, 0.02, 0.02), "s1", 2),
+            ((3, 3, 3), (0.02, 0.02, 0.02), "s1", 11),
+            ((3, 3, 3), (0.02, 0.02, 0.02), "s2", 3),
+            ((3, 3, 3), (0.02, 0.02, 0.02), "s2", 9),
+            # thin elements: the cut lies in the recomputed low tail
+            ((3, 2, 2), (1.0, 1.0, 1e-3), "s2", 15),
+            ((3, 2, 2), (1.0, 1.0, 1e-3), "s1", 15),
+        ],
+        ids=["cube-s1-2", "cube-s1-11", "cube-s2-3", "cube-s2-9", "thin-s2-15", "thin-s1-15"],
+    )
+    def test_matches_per_element_loop(self, material, counts, extents, strategy, rank):
+        # the reference: each element's own generalized eigensolve and cut
+        mesh = fem.build_structured_mesh(counts, extents)
+        blocks = fem.element_blocks(mesh, material)
+        pair = MatrixPair(fem.assemble(blocks, "stiffness", mesh.dof_count),
+                          fem.assemble(blocks, "lumped", mesh.dof_count))
+        cutoff, alpha = strategy == "s1", 4.0
+        expected, widened = [], 0
+        for block in blocks:
+            diag = block.lumped_mass
+            dec = generalized_eig(MatrixPair(block.stiffness, np.diag(diag)))
+            re = scaling._deflation_rank(dec.values, rank, expand_ties=cutoff)
+            widened += re > rank
+            u2, d2 = dec.vectors[:, 24 - re:], dec.values[24 - re:]
+            g = np.full(re, alpha) if cutoff else d2 / dec.values[24 - re - 1] - 1.0
+            v = diag[:, None] * u2
+            expected.append(symmetrize(np.diag(diag) + (v * g) @ v.T))
+        if cutoff and counts == (3, 3, 3):
+            assert widened == len(blocks)
+        scaled = scaling.local_deflation(blocks, mesh.dof_count, rank, strategy,
+                                         alpha if cutoff else None)
+        scale = np.abs(scaled.element_mbar).max()
+        assert np.abs(scaled.element_mbar - np.array(expected)).max() <= 1e-13 * scale
+        loop = np.zeros_like(pair.b)
+        for block, mbar_e in zip(blocks, expected):
+            loop[np.ix_(block.dof_map, block.dof_map)] += mbar_e
+        assert np.abs(scaled.mbar - loop).max() <= 1e-13 * np.abs(loop).max()
+        if not cutoff:
+            bound = max(1.0, max(np.sqrt(v[-1] / v[23 - rank]) for v in (
+                generalized_eigvalues(MatrixPair(b.stiffness, np.diag(b.lumped_mass)))
+                for b in blocks)))
+            assert analysis.corollary_bound(scaled.spec, blocks) == pytest.approx(bound, rel=1e-13)
+
+    def test_defective_pair_names_element(self, small_system):
+        mesh, blocks, pair = small_system
+        lumped = blocks.lumped_mass.copy()
+        lumped[3, 5] = 0.0
+        broken = dataclasses.replace(blocks, lumped_mass=lumped)
+        for spec in (ScalingSpec("local_deflation_s1", rank=3, alpha=4.0),
+                     ScalingSpec("local_deflation_s2", rank=3)):
+            with pytest.raises(DefectiveElementPair, match="element 3:"):
+                scaling.apply_spec(spec, broken, mesh.dof_count, k_global=pair.a)
 
 
 class TestOlovsson:
