@@ -45,14 +45,6 @@ class EmptySelection(MasscaleError, ValueError):
     """CMS selector picked no degrees of freedom or one outside the element."""
 
 
-class DegenerateLFT(MasscaleError):
-    """LFT coefficient matrix W is singular."""
-
-
-class LostDefiniteness(MasscaleError):
-    """Transformed mass matrix of an LFT is not positive definite."""
-
-
 class NonDiagonalMass(MasscaleError):
     """Polynomial SMS requires a diagonal (lumped) mass matrix."""
 

@@ -34,7 +34,6 @@ __all__ = [
     "hex8_stiffness",
     "hex8_consistent_mass",
     "lump_row_sum",
-    "lump_hrz",
     "build_structured_mesh",
     "element_blocks",
     "assemble",
@@ -138,12 +137,12 @@ def gauss_points(n):
     return pts, wts
 
 
-def _hex8_matrices(corners, material, quadrature=2):
+def _hex8_matrices(corners, material):
     """Stiffness and consistent mass of every element, each (E, 24, 24).
 
-    ``corners`` is (E, 8, 3). The loop runs over the Gauss points; at each
-    one the Jacobians, their determinants and the physical shape gradients
-    of all elements are batched, and K_e += w det J B^T D B and
+    ``corners`` is (E, 8, 3). The loop runs over the 2x2x2 Gauss points;
+    at each one the Jacobians, their determinants and the physical shape
+    gradients of all elements are batched, and K_e += w det J B^T D B and
     M8_e += w det J rho N N^T add the point's terms, so each element gets
     the same arithmetic as a loop over its own points. Raises
     :class:`DegenerateJacobian` naming the first element with det J <= 0.
@@ -151,7 +150,7 @@ def _hex8_matrices(corners, material, quadrature=2):
     d = material.elasticity()
     count = corners.shape[0]
     stiffness, m8 = np.zeros((count, 24, 24)), np.zeros((count, 8, 8))
-    pts, wts = gauss_points(quadrature)
+    pts, wts = gauss_points(2)
     for xi, w in zip(pts, wts):
         dn_dxi = shape_gradients(xi)
         jac = dn_dxi.T @ corners  # J[i, j] = d x_j / d xi_i
@@ -173,43 +172,26 @@ def _hex8_matrices(corners, material, quadrature=2):
     return symmetrize(stiffness), mass
 
 
-def hex8_stiffness(geometry, material, quadrature=2):
-    """24x24 element stiffness, component-blocked, 2x2x2 Gauss by default."""
-    return _hex8_matrices(geometry.corners[None], material, quadrature)[0][0]
+def hex8_stiffness(geometry, material):
+    """24x24 element stiffness, component-blocked, 2x2x2 Gauss."""
+    return _hex8_matrices(geometry.corners[None], material)[0][0]
 
 
-def hex8_consistent_mass(geometry, material, quadrature=2):
+def hex8_consistent_mass(geometry, material):
     """24x24 consistent mass I_3 (x) M8 with M8[a,b] = int rho N_a N_b."""
-    return _hex8_matrices(geometry.corners[None], material, quadrature)[1][0]
-
-
-def _require_positive(diag, rule):
-    """Raise :class:`NegativeLumpedEntry` for a nonpositive lumped entry,
-    naming the element when ``diag`` is stacked (E, 24)."""
-    bad = np.argwhere(~(diag > 0))
-    if bad.size:
-        where = f" in element {bad[0][0]}" if diag.ndim == 2 else ""
-        raise NegativeLumpedEntry(f"{rule} produced a nonpositive entry{where}")
-    return diag
+    return _hex8_matrices(geometry.corners[None], material)[1][0]
 
 
 def lump_row_sum(consistent):
     """Row-sum lumping of a (24, 24) or stacked (E, 24, 24) consistent mass;
-    returns the diagonals, (24,) or (E, 24)."""
-    return _require_positive(np.asarray(consistent, dtype=float).sum(axis=-1), "row-sum")
-
-
-def lump_hrz(consistent):
-    """HRZ (diagonal scaling) lumping preserving total mass per component,
-    of a (24, 24) or stacked (E, 24, 24) consistent mass."""
-    consistent = np.asarray(consistent, dtype=float)
-    diag = np.diagonal(consistent, axis1=-2, axis2=-1).copy()
-    m = diag.shape[-1] // 3
-    for c in range(3):
-        sl = slice(c * m, (c + 1) * m)
-        total = consistent[..., sl, sl].sum(axis=(-2, -1))
-        diag[..., sl] *= (total / diag[..., sl].sum(axis=-1))[..., None]
-    return _require_positive(diag, "HRZ")
+    returns the diagonals, (24,) or (E, 24). A nonpositive entry raises
+    :class:`NegativeLumpedEntry`, naming the element when stacked."""
+    diag = np.asarray(consistent, dtype=float).sum(axis=-1)
+    bad = np.argwhere(~(diag > 0))
+    if bad.size:
+        where = f" in element {bad[0][0]}" if diag.ndim == 2 else ""
+        raise NegativeLumpedEntry(f"row-sum produced a nonpositive entry{where}")
+    return diag
 
 
 @dataclass(frozen=True)
@@ -266,13 +248,16 @@ class Mesh:
         return np.concatenate([c * self.node_count + nodes for c in range(3)], axis=-1)
 
     def is_uniform(self, rtol=1e-12):
-        """True when all elements are translates of the first one: every
-        corner offset from corner 0 matches to rtol of the largest offset."""
+        """True when all elements are translates of one axis-aligned box:
+        every corner offset from corner 0 matches, to rtol of the largest
+        offset, that of the box spanned by corners 0 and 6 of the first
+        element."""
         if self.element_count == 0:
             return False
         corners = self.coords[self.connectivity]
         local = corners - corners[:, :1]
-        return bool(np.all(np.abs(local - local[0]) <= rtol * np.abs(local[0]).max()))
+        box = (_CORNER_SIGNS + 1) / 2 * local[0, 6]
+        return bool(np.all(np.abs(local - box) <= rtol * np.abs(box).max()))
 
 
 def build_structured_mesh(node_counts, extents):
@@ -339,11 +324,11 @@ class ElementBlocks:
                             float(self.element_mass[e]), self.dof_map[e])
 
 
-def element_blocks(mesh, material, lumping="row_sum"):
-    """Stiffness and mass blocks of every element of the mesh, stacked."""
-    lump = {"row_sum": lump_row_sum, "hrz": lump_hrz}[lumping]
+def element_blocks(mesh, material):
+    """Stiffness, consistent and row-sum lumped mass of every element of
+    the mesh, stacked."""
     stiffness, consistent = _hex8_matrices(mesh.coords[mesh.connectivity], material)
-    diag = lump(consistent)
+    diag = lump_row_sum(consistent)
     masses = diag[:, :8].sum(axis=1)  # translational mass in one direction
     return ElementBlocks(stiffness, consistent, diag, masses, mesh.dof_map(slice(None)))
 

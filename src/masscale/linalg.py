@@ -74,7 +74,6 @@ __all__ = [
     "generalized_eigvalues",
     "extreme_eigvalues",
     "woodbury_factor",
-    "woodbury_solve",
     "condition_number",
 ]
 
@@ -550,11 +549,6 @@ def woodbury_factor(update, base_solve=None):
         return y - bv @ (coef @ y)
 
     return solve
-
-
-def woodbury_solve(update, rhs):
-    """Solve (base + V S V^T) x = rhs once; see :func:`woodbury_factor`."""
-    return woodbury_factor(update)(np.asarray(rhs, dtype=float))
 
 
 def condition_number(values):

@@ -1,10 +1,12 @@
-"""Mass-scaling strategies.
+"""Mass-scaling strategies, one :data:`KINDS` entry each.
 
-Global strategies (LFTs, polynomial SMS, global deflation) act on the
-assembled pair (K, M); local strategies (CMS, local deflation, the ad hoc
-Olovsson and Hoffmann constructions, eigenvalue stabilization) modify the
-element mass matrices before assembly. Every strategy returns a
-:class:`ScaledSystem` carrying the scaled pair plus provenance.
+A scaling replaces M by Mbar = M + E and keeps Kbar = K. Global kinds
+(the two LFTs, polynomial SMS, global deflation) transform the assembled
+pair (K, M); local kinds (CMS, local deflation, the ad hoc Olovsson and
+Hoffmann constructions, eigenvalue stabilization) scale the element mass
+matrices before assembly. A :class:`ScalingSpec` names a kind and its
+parameters, and :func:`apply_spec` is the one way to scale: it returns a
+:class:`ScaledSystem` carrying the scaled pair and the spec.
 
 :data:`KINDS` holds one :class:`Kind` per strategy: its typed parameters,
 its element term or pair transform, and its bound data. A new kind is one
@@ -22,42 +24,17 @@ from functools import partial
 import numpy as np
 
 from . import fem
-from .errors import (
-    DefectiveElementPair,
-    DegenerateLFT,
-    EmptySelection,
-    LostDefiniteness,
-    NonDiagonalMass,
-    NotPositiveDefinite,
-    RankTooLarge,
-)
+from .errors import DefectiveElementPair, EmptySelection, NonDiagonalMass, RankTooLarge
 from .linalg import (
     LowRankUpdate,
     _low_tail,
     MatrixPair,
-    cholesky,
     generalized_eig,
     is_diagonal,
     symmetrize,
 )
 
-__all__ = [
-    "KINDS",
-    "Kind",
-    "ScalingSpec",
-    "ScaledSystem",
-    "cms",
-    "lft",
-    "uniform_lft_matrix",
-    "stiffness_proportional_lft_matrix",
-    "polynomial_sms",
-    "global_deflation",
-    "local_deflation",
-    "olovsson",
-    "hoffmann",
-    "eig_stabilization",
-    "apply_spec",
-]
+__all__ = ["KINDS", "Kind", "ScalingSpec", "ScaledSystem", "apply_spec"]
 
 _ORDER = 24  # dofs of a hex8 element
 
@@ -136,31 +113,44 @@ class ScalingSpec:
 
     @property
     def label(self):
-        """File-name tag: the kind, its numeric parameters, then the mode."""
+        """File-name tag: the kind, then each field that differs from its
+        default, in field order, so that unequal specs get unequal tags. A
+        number is its name and value (``:g``, or ``repr`` where ``:g``
+        rounds), the selector its name and dash-joined indices, the mode
+        its value and a true flag its name."""
         parts = [self.kind]
-        for name in ("beta", "alpha", "mu", "c", "rank", "epsilon"):
-            value = getattr(self, name)
-            if value is not None:
-                parts.append(f"{name}{value:g}" if isinstance(value, float) else f"{name}{value}")
-        if self.mode:
-            parts.append(self.mode)
+        for f in fields(self)[1:]:
+            value = getattr(self, f.name)
+            if value == f.default:
+                continue
+            if isinstance(value, bool):
+                parts.append(f.name)
+            elif isinstance(value, str):
+                parts.append(value)
+            elif isinstance(value, tuple):
+                parts.append(f.name + "-".join(map(str, value)))
+            elif isinstance(value, float):
+                text = f"{value:g}"
+                parts.append(f.name + (text if float(text) == value else repr(value)))
+            else:
+                parts.append(f"{f.name}{value}")
         return "_".join(parts)
 
 
 @dataclass(frozen=True)
 class ScaledSystem:
-    """Scaled pair (kbar, mbar) with provenance.
+    """Scaled pair (kbar, mbar) and the :class:`ScalingSpec` that made it.
 
-    ``mbar`` is a dense array except for global deflation, where it stays
-    an implicit :class:`LowRankUpdate` so Woodbury solves remain available.
-    For local strategies ``element_mbar`` is the (E, 24, 24) array of the
-    scaled element masses, element e in row e as in the blocks. ``spec``
-    is None only for :func:`lft` with a bare W.
+    ``kbar`` is K for every kind. ``mbar`` is a dense array except for
+    global deflation, where it stays an implicit :class:`LowRankUpdate`
+    so Woodbury solves remain available. For local strategies
+    ``element_mbar`` is the (E, 24, 24) array of the scaled element
+    masses, element e in row e as in the blocks.
     """
 
     kbar: np.ndarray
     mbar: object  # np.ndarray | LowRankUpdate
-    spec: ScalingSpec | None
+    spec: ScalingSpec
     element_mbar: np.ndarray | None = None
 
     def mbar_dense(self):
@@ -254,62 +244,26 @@ def _cms_term(blocks, spec):
     return _diagonal(diag)
 
 
-def cms(blocks, ndof, selector, alpha, k_global=None):
-    """Conventional mass scaling: selected lumped entries multiplied by alpha."""
-    spec = ScalingSpec("cms", alpha=alpha, selector=selector)
-    return apply_spec(spec, blocks, ndof, k_global=k_global)
-
-
-def lft(pair, w, spec=None):
-    """Linear fractional transformation of a pair.
-
-    Returns (w11 A + w21 B, w12 A + w22 B); eigenvalues map by
-    lambda -> (w11 lambda + w21) / (w12 lambda + w22), eigenvectors
-    are unchanged. ``spec`` tags the result.
-    """
-    if not isinstance(pair, MatrixPair):
-        pair = MatrixPair(*pair)
-    w = np.asarray(w, dtype=float).reshape(2, 2)
-    if abs(np.linalg.det(w)) == 0.0:
-        raise DegenerateLFT("det(W) = 0")
-    kbar = symmetrize(w[0, 0] * pair.a + w[1, 0] * pair.b)
-    mbar = symmetrize(w[0, 1] * pair.a + w[1, 1] * pair.b)
-    try:
-        cholesky(mbar)
-    except NotPositiveDefinite as exc:
-        raise LostDefiniteness(f"transformed B is not SPD (pivot {exc.pivot})") from exc
-    return ScaledSystem(kbar, mbar, spec)
-
-
-def uniform_lft_matrix(mu):
-    """W for uniform mass scaling: lambda -> lambda / mu."""
-    return np.array([[1.0, 0.0], [0.0, float(mu)]])
-
-
-def stiffness_proportional_lft_matrix(mu):
-    """W for stiffness-proportional SMS: lambda -> lambda / (mu lambda + 1)."""
-    return np.array([[1.0, float(mu)], [0.0, 1.0]])
-
-
-def polynomial_sms(k, m_diag, c):
+def _polynomial_sms(pair, spec):
     """Second-degree polynomial SMS: Mbar = M + c K M^{-1} K.
 
     Transformed eigenvalues obey lambda -> lambda / (1 + c lambda^2) with
-    eigenvectors preserved. Requires a diagonal (lumped) mass.
+    eigenvectors preserved. Requires a diagonal (lumped) mass with a
+    positive diagonal, else raises :class:`NonDiagonalMass`.
     """
-    k = np.asarray(k, dtype=float)
-    m_diag = np.asarray(m_diag, dtype=float)
-    if m_diag.ndim == 2:
-        if not is_diagonal(m_diag):
-            raise NonDiagonalMass("polynomial SMS requires a diagonal mass matrix")
-        m_diag = np.diag(m_diag)
+    if not is_diagonal(pair.b):
+        raise NonDiagonalMass("polynomial SMS requires a diagonal mass matrix")
+    m_diag = np.diag(pair.b)
     if np.any(m_diag <= 0):
         raise NonDiagonalMass("mass diagonal must be strictly positive")
-    mbar = symmetrize(np.diag(m_diag) + c * (k @ (k / m_diag[:, None])))
-    return ScaledSystem(k, mbar, ScalingSpec("polynomial_sms", c=c))
+    mbar = symmetrize(np.diag(m_diag) + spec.c * (pair.a @ (pair.a / m_diag[:, None])))
+    return ScaledSystem(pair.a, mbar, spec)
 
 
 def _global_deflation(pair, spec):
+    """Deflate the top r eigenvalues of the assembled pair: ``shave`` (the
+    default) flattens them to lambda_{n-r}, ordering preserved; ``cutoff``
+    divides them by 1 + alpha. Mbar stays a :class:`LowRankUpdate`."""
     n = pair.order
     r = spec.rank
     if r >= n:
@@ -324,17 +278,6 @@ def _global_deflation(pair, spec):
         g = d2 / dec.values[0] - 1.0
     mbar = LowRankUpdate(pair.b, v, np.asarray(g, dtype=float))
     return ScaledSystem(pair.a, mbar, spec)
-
-
-def global_deflation(pair, r, mode="shave", alpha=None):
-    """Deflate the top r eigenvalues of the assembled pair.
-
-    ``shave`` flattens them to lambda_{n-r} (ordering preserved);
-    ``cutoff`` divides them by (1 + alpha). The scaled mass is returned
-    as an implicit low-rank update supporting Woodbury solves.
-    """
-    spec = ScalingSpec("global_deflation", rank=r, mode=mode, alpha=alpha)
-    return apply_spec(spec, None, None, pair=pair)
 
 
 def _deflation_rank(values, r, expand_ties, rtol=1e-9):
@@ -378,16 +321,6 @@ def _s2_corollary(spec, blocks):
     return max(1.0, float(np.sqrt(values[:, -1] / values[:, _ORDER - spec.rank - 1]).max()))
 
 
-def local_deflation(blocks, ndof, r, strategy, alpha=None, k_global=None):
-    """Element-wise deflation of the top r eigenvalues of (K_e, M_e).
-
-    Strategy "s1" uses the uniform cutoff g = alpha; strategy "s2" shaves
-    the top r element eigenvalues to lambda_{m-r}(K_e, M_e).
-    """
-    spec = ScalingSpec(f"local_deflation_{strategy}", rank=r, alpha=alpha)
-    return apply_spec(spec, blocks, ndof, k_global=k_global)
-
-
 def olovsson_block(element_mass, beta, projector_variant=False):
     """24x24 scaling matrix E_e = I_3 (x) (beta m_e / 56) (8 I_8 - e e^T);
     (E, 24, 24) for an array of E element masses.
@@ -400,12 +333,6 @@ def olovsson_block(element_mass, beta, projector_variant=False):
     return np.multiply.outer(factor, np.kron(np.eye(3), e8))
 
 
-def olovsson(blocks, ndof, beta, projector_variant=False, k_global=None):
-    """Ad hoc local scaling of Olovsson et al. for hex8 elements."""
-    spec = ScalingSpec("olovsson", beta=beta, projector_variant=projector_variant)
-    return apply_spec(spec, blocks, ndof, k_global=k_global)
-
-
 def hoffmann_block(element_mass, beta):
     """24x24 scaling matrix E_e = I_3 (x) (beta m_e / 32) (A (x) G);
     (E, 24, 24) for an array of E element masses."""
@@ -414,22 +341,11 @@ def hoffmann_block(element_mass, beta):
     return np.multiply.outer(beta * gamma_tilde / 4.0, np.kron(np.eye(3), e8))
 
 
-def hoffmann(blocks, ndof, beta, k_global=None):
-    """Ad hoc local scaling of Hoffmann et al. for hex8 elements."""
-    return apply_spec(ScalingSpec("hoffmann", beta=beta), blocks, ndof, k_global=k_global)
-
-
 def _stabilized_term(blocks, spec):
     """M_e + epsilon U_1 U_1^T over the r smallest element mass eigenvectors."""
     me = _diagonal(blocks.lumped_mass)
     u1 = np.linalg.eigh(me)[1][:, :, :spec.rank]
     return symmetrize(me + spec.epsilon * (u1 @ u1.transpose(0, 2, 1)))
-
-
-def eig_stabilization(blocks, ndof, r, epsilon, k_global=None):
-    """Add epsilon to the r smallest element mass eigenvalues."""
-    spec = ScalingSpec("eig_stabilization", rank=r, epsilon=epsilon)
-    return apply_spec(spec, blocks, ndof, k_global=k_global)
 
 
 def apply_spec(spec, blocks, ndof, pair=None, k_global=None):
@@ -461,17 +377,17 @@ KINDS = {
         element_term=_cms_term,
         growth=lambda spec: spec.alpha,
     ),
-    "uniform_lft": Kind(
+    "uniform_lft": Kind(  # lambda -> lambda / mu
         params={"mu": _number(0, strict=True)},
-        transform=lambda pair, spec: lft(pair, uniform_lft_matrix(spec.mu), spec),
+        transform=lambda pair, spec: ScaledSystem(pair.a, spec.mu * pair.b, spec),
     ),
-    "stiffness_proportional_lft": Kind(
+    "stiffness_proportional_lft": Kind(  # lambda -> lambda / (mu lambda + 1)
         params={"mu": _number(0, strict=True)},
-        transform=lambda pair, spec: lft(pair, stiffness_proportional_lft_matrix(spec.mu), spec),
+        transform=lambda pair, spec: ScaledSystem(pair.a, pair.b + spec.mu * pair.a, spec),
     ),
     "polynomial_sms": Kind(
         params={"c": _number(0)},
-        transform=lambda pair, spec: polynomial_sms(pair.a, pair.b, spec.c),
+        transform=_polynomial_sms,
     ),
     "global_deflation": Kind(
         params={"rank": _number(0, integer=True)},

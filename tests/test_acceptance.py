@@ -128,7 +128,8 @@ def test_criterion_02_hoffmann_element_spectrum(thin_element):
 @pytest.fixture(scope="module")
 def lft_plate(plate):
     mu = 10.0 / plate.values[-1]
-    scaled = scaling.lft(plate.pair, scaling.stiffness_proportional_lft_matrix(mu))
+    spec = ScalingSpec("stiffness_proportional_lft", mu=mu)
+    scaled = scaling.apply_spec(spec, None, None, plate.pair)
     vals = generalized_eigvalues(MatrixPair(scaled.kbar, scaled.mbar))
     return mu, scaled, vals
 
@@ -157,7 +158,8 @@ def test_criterion_03_lft_exactness(plate, lft_plate):
 
 @pytest.fixture(scope="module")
 def deflated_plate(plate):
-    scaled = scaling.global_deflation(plate.pair, 20, mode="shave")
+    spec = ScalingSpec("global_deflation", rank=20, mode="shave")
+    scaled = scaling.apply_spec(spec, None, None, plate.pair)
     vals = generalized_eigvalues(
         MatrixPair(scaled.kbar, scaled.mbar.dense())
     )
@@ -277,8 +279,8 @@ def test_criterion_09_condition_numbers(plate, scaled_plate):
         ratios = []
         for beta in SLOPE_BETAS:
             spec = ScalingSpec("olovsson", beta=beta)
-            mbar = scaling.olovsson(
-                plate.blocks, plate.mesh.dof_count, beta, k_global=plate.pair.a
+            mbar = scaling.apply_spec(
+                spec, plate.blocks, plate.mesh.dof_count, k_global=plate.pair.a
             ).mbar
             ratios.append(kappa_of(mbar, ("slope", beta)) / kappa_m)
         slope = analysis.fit_cond_slope(SLOPE_BETAS, ratios)
@@ -303,8 +305,8 @@ def test_criterion_10_ordering_threshold(thin_element):
             (0.9 * threshold, True),
             (1.1 * threshold, False),
         ):
-            scaled = scaling.local_deflation(
-                blocks, mesh.dof_count, rank, "s1", alpha
+            scaled = scaling.apply_spec(
+                ScalingSpec("local_deflation_s1", rank=rank, alpha=alpha), blocks, mesh.dof_count
             )
             mbar_e = scaled.element_mbar[0]
             lam_bar = generalized_eigvalues(MatrixPair(block.stiffness, mbar_e))

@@ -35,7 +35,7 @@ class TestCriticalDt:
         _, _, pair = small_system
         mu = 9.0
         lam = generalized_eigvalues(pair)
-        scaled = scaling.lft(pair, scaling.uniform_lft_matrix(mu))
+        scaled = scaling.apply_spec(ScalingSpec("uniform_lft", mu=mu), None, None, pair)
         lam_bar = generalized_eigvalues(MatrixPair(scaled.kbar, scaled.mbar))
         gain = analysis.critical_dt(lam_bar[-1]) / analysis.critical_dt(lam[-1])
         assert gain == pytest.approx(np.sqrt(mu), rel=1e-10)
@@ -55,7 +55,7 @@ class TestFrequencies:
         _, _, pair = small_system
         mu = 4.0
         vals = generalized_eigvalues(pair)
-        scaled = scaling.lft(pair, scaling.uniform_lft_matrix(mu))
+        scaled = scaling.apply_spec(ScalingSpec("uniform_lft", mu=mu), None, None, pair)
         vals_bar = generalized_eigvalues(MatrixPair(scaled.kbar, scaled.mbar))
         curve = analysis.frequency_ratio_curve(vals, vals_bar)
         assert curve.shape == (pair.order - 6,)
@@ -190,6 +190,20 @@ class TestAsymptoticRate:
         bent = fem.Mesh(coords, mesh.connectivity)
         with pytest.raises(NonUniformMesh):
             analysis.asymptotic_cond_rate(bent)
+
+    def test_sheared_plate_rejected(self, plate_system):
+        # every element is a translate of the first, but none is a box
+        mesh, _, _ = plate_system
+        coords = mesh.coords.copy()
+        coords[:, 0] += 3.0 * coords[:, 2]
+        with pytest.raises(NonUniformMesh):
+            analysis.asymptotic_cond_rate(fem.Mesh(coords, mesh.connectivity))
+
+    @pytest.mark.parametrize("counts", [(40, 5, 4), (60, 7, 4)])
+    def test_box_meshes_stay_uniform(self, counts):
+        mesh = fem.build_structured_mesh(counts, (0.2, 0.02, 0.002))
+        assert analysis.asymptotic_cond_rate(mesh) == pytest.approx(
+            8 * mesh.dof_count / (7 * 24 * mesh.element_count), rel=1e-14)
 
 
 class TestSlopeFit:

@@ -128,6 +128,24 @@ class TestCommands:
                     else record[side] - record["value"])
                 assert record[f"slack_{side}"] == expected
 
+    def test_unequal_specs_write_separate_files(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, scalings=[
+            {"kind": "cms", "alpha": 4.0},
+            {"kind": "cms", "alpha": 4.0, "selector": list(range(8))},
+            {"kind": "olovsson", "beta": 10.0},
+            {"kind": "olovsson", "beta": 10.0, "projector_variant": True},
+        ])
+        out = tmp_path / "out"
+        res = self.run_cli(["spectrum", "--config", str(cfg), "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert len(outputs) == len(set(outputs)) == 8
+        curves = {p: (out / p).read_text() for p in (
+            "ratio_cms_alpha4.csv", "ratio_cms_alpha4_selector0-1-2-3-4-5-6-7.csv",
+            "ratio_olovsson_beta10.csv", "ratio_olovsson_beta10_projector_variant.csv")}
+        assert len(set(curves.values())) == 4
+
     def test_sweep_outputs(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         write_config(

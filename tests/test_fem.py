@@ -153,12 +153,6 @@ class TestElementMatrices:
         diag = fem.lump_row_sum(fem.hex8_consistent_mass(geo, material))
         assert np.allclose(diag, 0.975, rtol=1e-12)
 
-    def test_hrz_matches_row_sum_on_box(self, material):
-        # for an undistorted box both lumpings agree
-        geo = fem.Hex8Geometry.box(0.5, 0.25, 0.1)
-        mc = fem.hex8_consistent_mass(geo, material)
-        assert np.allclose(fem.lump_hrz(mc), fem.lump_row_sum(mc), rtol=1e-12)
-
     def test_inverted_element_raises(self, material):
         corners = fem._CORNER_SIGNS.copy()
         corners[:, 2] *= -1.0  # flips orientation
@@ -267,12 +261,6 @@ class TestStackedKernel:
         m = fem.assemble(blocks, "lumped", mesh.dof_count)
         assert np.trace(m) / 3 == pytest.approx(expect, rel=1e-12)
 
-    def test_hrz_matches_per_element(self, distorted):
-        _, blocks = distorted
-        stacked = fem.lump_hrz(blocks.consistent_mass)
-        for e, mc in enumerate(blocks.consistent_mass):
-            assert np.allclose(stacked[e], fem.lump_hrz(mc), rtol=1e-15, atol=0)
-
     def test_single_element_functions_are_the_kernel(self, material):
         geo = fem.Hex8Geometry.box(0.3, 0.2, 0.1)
         blocks = fem.element_blocks(fem.Mesh(geo.corners, np.arange(8)[None]), material)
@@ -323,8 +311,6 @@ class TestStackedKernel:
         consistent[4] *= -1.0
         with pytest.raises(NegativeLumpedEntry, match="element 4"):
             fem.lump_row_sum(consistent)
-        with pytest.raises(NegativeLumpedEntry, match="element 4"):
-            fem.lump_hrz(consistent)
 
 
 class TestMeshShapes:

@@ -8,9 +8,7 @@ from masscale import analysis, cli, fem, scaling
 from masscale.errors import (
     ConfigError,
     DefectiveElementPair,
-    DegenerateLFT,
     EmptySelection,
-    LostDefiniteness,
     NoBoundForKind,
     NonDiagonalMass,
     RankTooLarge,
@@ -82,6 +80,23 @@ class TestKindsTable:
         doc, label = KIND_DOCS[kind]
         assert cli.parse_scaling(doc).label == label
 
+    def test_unequal_specs_get_unequal_labels(self):
+        specs = [
+            ScalingSpec("cms", alpha=4.0),
+            ScalingSpec("cms", alpha=4.0, selector=range(8)),
+            ScalingSpec("cms", alpha=4.0, selector=(0, 7)),
+            ScalingSpec("olovsson", beta=10.0),
+            ScalingSpec("olovsson", beta=10.0, projector_variant=True),
+            ScalingSpec("olovsson", beta=10.0000001),
+            ScalingSpec("global_deflation", rank=5),
+            ScalingSpec("global_deflation", rank=5, mode="shave"),
+            ScalingSpec("global_deflation", rank=5, mode="cutoff", alpha=2.0),
+        ]
+        assert len({spec.label for spec in specs}) == len(specs)
+        assert specs[1].label == "cms_alpha4_selector0-1-2-3-4-5-6-7"
+        assert specs[4].label == "olovsson_beta10_projector_variant"
+        assert specs[8].label == "global_deflation_alpha2_rank5_cutoff"
+
     def test_int_becomes_float(self):
         spec = ScalingSpec("olovsson", beta=10)
         assert type(spec.beta) is float and spec.label == "olovsson_beta10"
@@ -116,7 +131,7 @@ class TestLFT:
     def test_uniform_divides_eigenvalues(self, small_system):
         _, _, pair = small_system
         mu = 4.0
-        scaled = scaling.lft(pair, scaling.uniform_lft_matrix(mu))
+        scaled = scaling.apply_spec(ScalingSpec("uniform_lft", mu=mu), None, None, pair)
         lam = generalized_eigvalues(pair)
         lam_bar = generalized_eigvalues(MatrixPair(scaled.kbar, scaled.mbar))
         assert np.allclose(lam_bar, lam / mu, rtol=1e-9, atol=1e-9 * lam[-1] / mu)
@@ -124,7 +139,8 @@ class TestLFT:
     def test_stiffness_proportional_map(self, small_system):
         _, _, pair = small_system
         mu = 1e-9
-        scaled = scaling.lft(pair, scaling.stiffness_proportional_lft_matrix(mu))
+        scaled = scaling.apply_spec(ScalingSpec("stiffness_proportional_lft", mu=mu), None, None,
+                                    pair)
         lam = generalized_eigvalues(pair)
         lam_bar = generalized_eigvalues(MatrixPair(scaled.kbar, scaled.mbar))
         expect = lam / (mu * lam + 1.0)
@@ -132,7 +148,8 @@ class TestLFT:
 
     def test_eigenvectors_preserved(self, small_system):
         _, _, pair = small_system
-        scaled = scaling.lft(pair, scaling.stiffness_proportional_lft_matrix(1e-9))
+        scaled = scaling.apply_spec(ScalingSpec("stiffness_proportional_lft", mu=1e-9), None,
+                                    None, pair)
         dec = generalized_eig(pair)
         # flexible eigenvectors stay eigenvectors of the transformed pair
         u = dec.vectors[:, 20]
@@ -140,38 +157,28 @@ class TestLFT:
         resid = scaled.kbar @ u - lam_bar * (scaled.mbar @ u)
         assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(scaled.kbar @ u)
 
-    def test_singular_w(self, small_system):
-        _, _, pair = small_system
-        with pytest.raises(DegenerateLFT):
-            scaling.lft(pair, np.ones((2, 2)))
-
-    def test_lost_definiteness(self, small_system):
-        _, _, pair = small_system
-        # Mbar = -M is not positive definite
-        with pytest.raises(LostDefiniteness):
-            scaling.lft(pair, np.array([[1.0, 0.0], [0.0, -1.0]]))
-
 
 class TestPolynomialSMS:
     def test_eigenvalue_map(self, small_system):
         _, _, pair = small_system
         lam = generalized_eigvalues(pair)
         c = 1.0 / lam[-1] ** 2
-        scaled = scaling.polynomial_sms(pair.a, pair.b, c)
+        scaled = scaling.apply_spec(ScalingSpec("polynomial_sms", c=c), None, None, pair)
         lam_bar = generalized_eigvalues(MatrixPair(scaled.kbar, scaled.mbar))
         expect = np.sort(lam / (1.0 + c * lam**2))
         assert np.allclose(lam_bar, expect, rtol=1e-9, atol=1e-9 * lam[-1])
 
     def test_c_zero_identity(self, small_system):
         _, _, pair = small_system
-        scaled = scaling.polynomial_sms(pair.a, pair.b, 0.0)
+        scaled = scaling.apply_spec(ScalingSpec("polynomial_sms", c=0.0), None, None, pair)
         assert np.allclose(scaled.mbar, pair.b)
 
     def test_requires_diagonal_mass(self, small_system):
         _, _, pair = small_system
         mc = pair.b + 0.001 * pair.a / np.abs(pair.a).max()
         with pytest.raises(NonDiagonalMass):
-            scaling.polynomial_sms(pair.a, mc, 1.0)
+            scaling.apply_spec(ScalingSpec("polynomial_sms", c=1.0), None, None,
+                               MatrixPair(pair.a, mc))
 
 
 class TestGlobalDeflation:
@@ -179,7 +186,8 @@ class TestGlobalDeflation:
         _, _, pair = small_system
         r = 5
         lam = generalized_eigvalues(pair)
-        scaled = scaling.global_deflation(pair, r, mode="shave")
+        scaled = scaling.apply_spec(ScalingSpec("global_deflation", rank=r, mode="shave"), None,
+                                    None, pair)
         assert isinstance(scaled.mbar, LowRankUpdate)
         lam_bar = generalized_eigvalues(MatrixPair(scaled.kbar, scaled.mbar.dense()))
         n = pair.order
@@ -190,7 +198,8 @@ class TestGlobalDeflation:
         _, _, pair = small_system
         r, alpha = 3, 4.0
         lam = generalized_eigvalues(pair)
-        scaled = scaling.global_deflation(pair, r, mode="cutoff", alpha=alpha)
+        spec = ScalingSpec("global_deflation", rank=r, mode="cutoff", alpha=alpha)
+        scaled = scaling.apply_spec(spec, None, None, pair)
         lam_bar = generalized_eigvalues(MatrixPair(scaled.kbar, scaled.mbar.dense()))
         n = pair.order
         expect = np.sort(np.concatenate([lam[: n - r], lam[n - r :] / (1 + alpha)]))
@@ -200,27 +209,31 @@ class TestGlobalDeflation:
         _, _, pair = small_system
         r = 8
         lam = generalized_eigvalues(pair)
-        scaled = scaling.global_deflation(pair, r, mode="shave")
+        scaled = scaling.apply_spec(ScalingSpec("global_deflation", rank=r, mode="shave"), None,
+                                    None, pair)
         lam_bar = generalized_eigvalues(MatrixPair(scaled.kbar, scaled.mbar.dense()))
         gain = np.sqrt(lam[-1] / lam_bar[-1])
         assert gain == pytest.approx(np.sqrt(lam[-1] / lam[-1 - r]), rel=1e-8)
 
     def test_rank_zero_is_identity(self, small_system):
         _, _, pair = small_system
-        scaled = scaling.global_deflation(pair, 0, mode="shave")
+        scaled = scaling.apply_spec(ScalingSpec("global_deflation", rank=0, mode="shave"), None,
+                                    None, pair)
         assert np.allclose(scaled.mbar.dense(), pair.b)
 
     def test_rank_too_large(self, small_system):
         _, _, pair = small_system
         with pytest.raises(RankTooLarge):
-            scaling.global_deflation(pair, pair.order, mode="shave")
+            scaling.apply_spec(ScalingSpec("global_deflation", rank=pair.order, mode="shave"),
+                               None, None, pair)
 
 
 class TestCMS:
     def test_all_dofs_scales_everything(self, small_system):
         mesh, blocks, pair = small_system
         alpha = 4.0
-        scaled = scaling.cms(blocks, mesh.dof_count, range(24), alpha)
+        spec = ScalingSpec("cms", alpha=alpha, selector=range(24))
+        scaled = scaling.apply_spec(spec, blocks, mesh.dof_count)
         assert np.allclose(scaled.mbar, alpha * pair.b, rtol=1e-12)
         lam = generalized_eigvalues(pair)
         lam_bar = generalized_eigvalues(MatrixPair(scaled.kbar, scaled.mbar))
@@ -228,7 +241,8 @@ class TestCMS:
 
     def test_partial_selection_preserves_other_entries(self, small_system):
         mesh, blocks, pair = small_system
-        scaled = scaling.cms(blocks, mesh.dof_count, range(8), 10.0)
+        spec = ScalingSpec("cms", alpha=10.0, selector=range(8))
+        scaled = scaling.apply_spec(spec, blocks, mesh.dof_count)
         diag = np.diag(scaled.mbar)
         base = np.diag(pair.b)
         n = mesh.node_count
@@ -236,17 +250,17 @@ class TestCMS:
         assert np.allclose(diag[n:], base[n:])
         assert np.all(diag[:n] > base[:n])
 
-    def test_empty_selector(self, small_system):
-        mesh, blocks, _ = small_system
+    def test_empty_selector(self):
         with pytest.raises(EmptySelection):
-            scaling.cms(blocks, mesh.dof_count, [], 2.0)
+            ScalingSpec("cms", alpha=2.0, selector=[])
 
 
 class TestLocalDeflation:
     def test_s1_element_eigenvalue_map(self, small_system):
         mesh, blocks, _ = small_system
         r, alpha = 3, 4.0
-        scaled = scaling.local_deflation(blocks, mesh.dof_count, r, "s1", alpha)
+        spec = ScalingSpec("local_deflation_s1", rank=r, alpha=alpha)
+        scaled = scaling.apply_spec(spec, blocks, mesh.dof_count)
         block = blocks[0]
         pair_e = MatrixPair(block.stiffness, np.diag(block.lumped_mass))
         lam_e = generalized_eigvalues(pair_e)
@@ -263,7 +277,8 @@ class TestLocalDeflation:
     def test_s2_element_shave(self, small_system):
         mesh, blocks, _ = small_system
         r = 4
-        scaled = scaling.local_deflation(blocks, mesh.dof_count, r, "s2")
+        scaled = scaling.apply_spec(ScalingSpec("local_deflation_s2", rank=r), blocks,
+                                    mesh.dof_count)
         block = blocks[0]
         lam_e = generalized_eigvalues(
             MatrixPair(block.stiffness, np.diag(block.lumped_mass))
@@ -279,18 +294,21 @@ class TestLocalDeflation:
         mesh, blocks, pair = small_system
         lam = generalized_eigvalues(pair)
         for strategy, alpha in (("s1", 10.0), ("s2", None)):
-            scaled = scaling.local_deflation(blocks, mesh.dof_count, 5, strategy, alpha)
+            spec = ScalingSpec(f"local_deflation_{strategy}", rank=5, alpha=alpha)
+            scaled = scaling.apply_spec(spec, blocks, mesh.dof_count)
             lam_bar = generalized_eigvalues(MatrixPair(scaled.kbar, scaled.mbar))
             assert np.all(lam_bar <= lam * (1 + 1e-9) + 1e-9 * lam[-1])
 
     def test_rank_zero_unchanged(self, small_system):
         mesh, blocks, pair = small_system
-        scaled = scaling.local_deflation(blocks, mesh.dof_count, 0, "s2")
+        scaled = scaling.apply_spec(ScalingSpec("local_deflation_s2", rank=0), blocks,
+                                    mesh.dof_count)
         assert np.allclose(scaled.mbar, pair.b)
 
     def test_s1_rank_zero_unchanged(self, small_system):
         mesh, blocks, pair = small_system
-        scaled = scaling.local_deflation(blocks, mesh.dof_count, 0, "s1", 4.0)
+        scaled = scaling.apply_spec(ScalingSpec("local_deflation_s1", rank=0, alpha=4.0), blocks,
+                                    mesh.dof_count)
         assert np.array_equal(scaled.mbar, pair.b)
 
     @pytest.mark.parametrize(
@@ -326,8 +344,8 @@ class TestLocalDeflation:
             expected.append(symmetrize(np.diag(diag) + (v * g) @ v.T))
         if cutoff and counts == (3, 3, 3):
             assert widened == len(blocks)
-        scaled = scaling.local_deflation(blocks, mesh.dof_count, rank, strategy,
-                                         alpha if cutoff else None)
+        spec = ScalingSpec(f"local_deflation_{strategy}", rank=rank, alpha=alpha if cutoff else None)
+        scaled = scaling.apply_spec(spec, blocks, mesh.dof_count)
         scale = np.abs(scaled.element_mbar).max()
         assert np.abs(scaled.element_mbar - np.array(expected)).max() <= 1e-13 * scale
         loop = np.zeros_like(pair.b)
@@ -390,7 +408,7 @@ class TestOlovsson:
 
     def test_beta_zero_identity(self, small_system):
         mesh, blocks, pair = small_system
-        scaled = scaling.olovsson(blocks, mesh.dof_count, 0.0)
+        scaled = scaling.apply_spec(ScalingSpec("olovsson", beta=0.0), blocks, mesh.dof_count)
         assert np.allclose(scaled.mbar, pair.b)
 
 
@@ -422,7 +440,7 @@ class TestHoffmann:
 
     def test_beta_zero_identity(self, small_system):
         mesh, blocks, pair = small_system
-        scaled = scaling.hoffmann(blocks, mesh.dof_count, 0.0)
+        scaled = scaling.apply_spec(ScalingSpec("hoffmann", beta=0.0), blocks, mesh.dof_count)
         assert np.allclose(scaled.mbar, pair.b)
 
 
@@ -430,7 +448,8 @@ class TestEigStabilization:
     def test_adds_epsilon_floor(self, small_system):
         mesh, blocks, _ = small_system
         eps = 1e-3
-        scaled = scaling.eig_stabilization(blocks, mesh.dof_count, 2, eps)
+        spec = ScalingSpec("eig_stabilization", rank=2, epsilon=eps)
+        scaled = scaling.apply_spec(spec, blocks, mesh.dof_count)
         block = blocks[0]
         vals = sym_eig(scaled.element_mbar[0]).values
         base = np.sort(block.lumped_mass)
