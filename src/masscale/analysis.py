@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoBoundForKind, NonPositiveEigenvalue, NonUniformMesh
-from .linalg import MatrixPair, condition_number, generalized_eig
+from .linalg import MatrixPair, condition_number, generalized_eig, rigid_cutoff
 from .scaling import KINDS
 
 __all__ = [
@@ -37,8 +37,6 @@ __all__ = [
     "report_to_json",
     "write_curve_csv",
 ]
-
-RIGID_BODY_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -95,18 +93,19 @@ def frequencies(eigenvalues):
     return np.sqrt(np.maximum(np.asarray(eigenvalues, dtype=float), 0.0))
 
 
-def flexible_slice(eigenvalues, rtol=RIGID_BODY_RTOL):
-    """Index of the first flexible mode (rigid-body values excluded)."""
+def flexible_slice(eigenvalues):
+    """Index of the first flexible mode of ascending eigenvalues: the
+    rigid-body values are those at or below :func:`linalg.rigid_cutoff`,
+    n * eps * lambda_max, where the dense solve cannot tell them from 0."""
     vals = np.asarray(eigenvalues, dtype=float)
-    cutoff = rtol * vals[-1]
-    return int(np.searchsorted(vals, cutoff, side="right"))
+    return int(np.searchsorted(vals, rigid_cutoff(vals), side="right"))
 
 
-def frequency_ratio_curve(original, scaled, rtol=RIGID_BODY_RTOL):
+def frequency_ratio_curve(original, scaled):
     """Ratios omega_i / omegabar_i over the flexible modes, ascending index."""
     original = np.asarray(original, dtype=float)
     scaled = np.asarray(scaled, dtype=float)
-    start = max(flexible_slice(original, rtol), flexible_slice(scaled, rtol))
+    start = max(flexible_slice(original), flexible_slice(scaled))
     return frequencies(original[start:]) / frequencies(scaled[start:])
 
 
@@ -211,7 +210,7 @@ class ElementRayleighRow:
     scaled: float  # lambda_k / Q_e(u_k)
 
 
-def element_rayleigh_report(block, mbar_e, rigid_rtol=RIGID_BODY_RTOL):
+def element_rayleigh_report(block, mbar_e):
     """Rayleigh table Q_e(u_k) for the flexible modes of one element.
 
     Also reports whether the scaling permutes the eigenvalue ordering
@@ -220,7 +219,7 @@ def element_rayleigh_report(block, mbar_e, rigid_rtol=RIGID_BODY_RTOL):
     """
     me = np.diag(block.lumped_mass)
     dec = generalized_eig(MatrixPair(block.stiffness, me))
-    start = flexible_slice(dec.values, rigid_rtol)
+    start = flexible_slice(dec.values)
     rows = []
     for k in range(start, len(dec.values)):
         u = dec.vectors[:, k]

@@ -227,7 +227,10 @@ class _MeshSystem:
     kind's Kbar and Mbar are K and M, so it shares their entries. It keeps
     eigenvalues, and the scaled systems of global deflation, whose Mbar is
     M plus an n x r factor formed by a partial dense solve; others are
-    rebuilt on request, so that no n x n Mbar is held.
+    rebuilt on request, so that no n x n Mbar is held. The mesh's mirror
+    basis, built once, goes to every values-only solve of an assembled
+    pencil and to the extremes of each Mbar, so that what commutes with
+    the reflections is solved block by block.
     """
 
     def __init__(self, cfg):
@@ -241,6 +244,11 @@ class _MeshSystem:
         k = fem.assemble(blocks, "stiffness", mesh.dof_count)
         m = fem.assemble(blocks, "lumped", mesh.dof_count)
         return mesh, blocks, MatrixPair(k, m)
+
+    @functools.cached_property
+    def basis(self):
+        """The mesh's :class:`fem.MirrorBasis`, or None."""
+        return fem.mirror_basis(self.parts[0])
 
     def scale(self, spec):
         if spec in self._low_rank:
@@ -258,7 +266,8 @@ class _MeshSystem:
         return self._values[key, spec]
 
     def values_km(self):
-        return self._once("K,M", None, lambda: generalized_eigvalues(self.parts[2]))
+        return self._once("K,M", None, lambda: generalized_eigvalues(
+            self.parts[2], basis=self.basis))
 
     def values_m(self):
         """(lambda_min, lambda_max) of M."""
@@ -266,11 +275,12 @@ class _MeshSystem:
 
     def values_kmbar(self, scaled):
         return self._once("K,M", scaled, lambda: generalized_eigvalues(
-            MatrixPair(scaled.kbar, scaled.mbar_dense())))
+            MatrixPair(scaled.kbar, scaled.mbar_dense()), basis=self.basis))
 
     def values_mbar(self, scaled):
         """(lambda_min, lambda_max) of Mbar."""
-        return self._once("M", scaled, lambda: extreme_eigvalues(scaled.mbar_dense()))
+        return self._once("M", scaled, lambda: extreme_eigvalues(
+            scaled.mbar_dense(), basis=self.basis))
 
 
 def study_spectrum(cfg, emitter, system):
@@ -294,7 +304,8 @@ def study_bounds(cfg, emitter, system):
     for spec in cfg.scalings or [scaling.ScalingSpec("none")]:
         scaled = system.scale(spec)
         # Kbar is K for every kind, so (Kbar, Mbar) is the sandwich's (K, Mbar).
-        mass_values = generalized_eigvalues(MatrixPair(scaled.mbar_dense(), pair.b))
+        mass_values = generalized_eigvalues(MatrixPair(scaled.mbar_dense(), pair.b),
+                                            basis=system.basis)
         sandwich = analysis.sandwich_bounds(
             system.values_km(), system.values_kmbar(scaled), mass_values
         )

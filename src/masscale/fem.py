@@ -10,6 +10,13 @@ Elements are handled all at once. :func:`element_blocks` returns
 quadrature kernel over elements and Gauss points; ``blocks[e]`` is that
 element's :class:`ElementBlock`. :func:`assemble` scatters stacked
 element matrices into the dense global matrix in one ``bincount``.
+
+:func:`mirror_basis` finds the three mid-plane reflections of a mesh
+whose nodes mirror (every box mesh) and returns a :class:`MirrorBasis`:
+an orthonormal dof basis in eight blocks, one per character of the group
+the reflections generate. The matrices assembled on such a mesh commute
+with the reflections and are block diagonal in it. A reflection keeps the
+component-blocked order and flips the sign of its own component.
 """
 from __future__ import annotations
 
@@ -37,6 +44,8 @@ __all__ = [
     "build_structured_mesh",
     "element_blocks",
     "assemble",
+    "MirrorBasis",
+    "mirror_basis",
     "rigid_body_modes",
 ]
 
@@ -359,6 +368,88 @@ def assemble(blocks, which, ndof, element_matrices=None):
         index, data = dof[:, :, None] * ndof + dof[:, None, :], symmetrize(chosen[which])
     summed = np.bincount(index.ravel(), weights=data.ravel(), minlength=ndof * ndof)
     return summed.reshape(ndof, ndof)
+
+
+@dataclass(frozen=True)
+class MirrorBasis:
+    """Orthonormal dof basis adapted to the three mid-plane reflections.
+
+    The reflections generate a group of eight elements; element g, whose
+    bits (x, y, z) name the reflections it composes, maps dof d to
+    ``images[g, d]`` with sign ``signs[g, d]``. Block k is the image of
+    P_k = (1/8) sum_g chi_k(g) R_g, where ``characters[k, g]`` = chi_k(g)
+    is -1 on the reflections in k and +1 on the others. Its columns are
+    sqrt(s) P_k e_d, one for each representative d in ``reps[k]`` (the
+    smallest dof of an orbit of ``sizes[d]`` = s dofs that P_k does not
+    annihilate): s entries of +-1/sqrt(s). A matrix that commutes with
+    the reflections is block diagonal in this basis.
+    """
+
+    images: np.ndarray  # (8, n) dof index of g(d)
+    signs: np.ndarray  # (8, n) sign of g(d)
+    sizes: np.ndarray  # (n,) orbit size of each dof
+    reps: tuple  # 8 arrays of representative dofs, one per block
+    characters: np.ndarray  # (8, 8) chi_k(g), +-1
+
+    @property
+    def order(self):
+        return self.images.shape[1]
+
+    def expand(self, k, y):
+        """Q_k @ y for the (m_k, t) coefficients ``y`` of block k; (n, t)."""
+        reps = self.reps[k]
+        out = np.zeros((self.order, y.shape[1]))
+        # the images of an orbit's representative repeat with equal entries
+        coef = self.characters[k][:, None] * self.signs[:, reps] / np.sqrt(self.sizes[reps])
+        out[self.images[:, reps]] = coef[:, :, None] * y
+        return out
+
+
+def mirror_basis(mesh):
+    """The :class:`MirrorBasis` of a mesh whose nodes mirror, else None.
+
+    The reflection along an axis maps x to lo + hi - x, where lo and hi
+    are the ends of the nodes' range on that axis. Nodes are matched on a
+    grid of spacing 1e-9 of the largest extent: the reflected nodes must
+    round to the same grid points as the nodes. The match is a candidate
+    symmetry only: whether a matrix assembled on the mesh commutes with
+    the reflections is for its user to check.
+    """
+    coords = mesh.coords
+    lo, hi = coords.min(axis=0), coords.max(axis=0)
+    spacing = 1e-9 * (hi - lo).max()
+    if not spacing > 0:
+        return None
+    key = np.round((coords - lo) / spacing)
+    order = np.lexsort(key.T)
+    nodes = []
+    for axis in range(3):
+        mirrored = key.copy()
+        mirrored[:, axis] = np.round((hi[axis] - coords[:, axis]) / spacing)
+        mirrored_order = np.lexsort(mirrored.T)
+        if not np.array_equal(key[order], mirrored[mirrored_order]):
+            return None
+        image = np.empty(mesh.node_count, dtype=int)
+        image[mirrored_order] = order  # the node where each reflected node lands
+        nodes.append(image)
+    count = mesh.node_count
+    component = np.arange(3 * count) // count
+    images = np.empty((8, 3 * count), dtype=int)
+    images[0] = np.arange(3 * count)
+    for g in range(1, 8):  # g is h followed by the reflection along its top bit
+        axis = g.bit_length() - 1
+        images[g] = component * count + nodes[axis][images[g - (1 << axis)] % count]
+    # a reflection flips the sign of its own displacement component
+    signs = 1.0 - 2.0 * ((np.arange(8)[:, None] >> component) & 1)
+    bits = np.array([[bin(k & g).count("1") for g in range(8)] for k in range(8)])
+    characters = (-1.0) ** bits
+    fixed = images == images[0]
+    sizes = 8 // fixed.sum(axis=0)
+    # 8 ||P_k e_d||^2 = sum over the stabilizer of chi_k(g) sign_g(d): 8 / s or 0
+    norms = characters @ (fixed * signs)
+    first = images.min(axis=0) == images[0]
+    reps = tuple(np.flatnonzero(first & (row > 0)) for row in norms)
+    return MirrorBasis(images, signs, sizes, reps, characters)
 
 
 def rigid_body_modes(coords):

@@ -16,17 +16,23 @@ Each question has its own solver, so that a caller pays for what it reads:
 
 - all eigenpairs of a pencil: :func:`generalized_eig`, dense; with
   ``top``, only the largest pairs, by a partial dense solve;
-- all eigenvalues of a pencil: :func:`generalized_eigvalues`. From order
-  _SPARSE_ORDER on, for matrices with at most a _SPARSE_FILL share of
-  nonzero entries, it takes the dense values-only solve and recomputes
-  the low tail (below) from shift-invert Lanczos vectors through a sparse
-  LU, when the tail holds at most a _TAIL_SHARE share of the values and
-  the Lanczos tail agrees with the dense one to within the dense error;
-  otherwise it is :func:`generalized_eig` without the vectors;
+- all eigenvalues of a pencil: :func:`generalized_eigvalues`. With the
+  mesh's mirror basis (:func:`masscale.fem.mirror_basis`), when both
+  members commute with its reflections to within the dense error, eight
+  dense solves of the blocks Q_k^T A Q_k, Q_k^T B Q_k (order about n/8),
+  with the low tail (below) recomputed on the full pencil from the
+  blocks' vectors. Otherwise it takes the dense values-only solve and
+  recomputes the low tail: from shift-invert Lanczos vectors through a
+  sparse LU from order _SPARSE_ORDER on, for matrices with at most a
+  _SPARSE_FILL share of nonzero entries, when the tail holds at most a
+  _TAIL_SHARE share of the values and the Lanczos tail agrees with the
+  dense one to within the dense error; from :func:`generalized_eig`
+  elsewhere. A pencil without a tail forms no vectors;
 - lambda_min and lambda_max of a symmetric matrix:
   :func:`extreme_eigvalues`: the ends of the diagonal of a diagonal
-  matrix, Lanczos where sparse solves pay as above, the ends of the dense
-  values-only solve elsewhere.
+  matrix, the ends of the blocks' dense values where a mirror basis
+  applies, Lanczos where sparse solves pay as above, the ends of the
+  dense values-only solve elsewhere.
 
 Lanczos starts from a fixed vector, so every solver returns the same bits
 for the same input.
@@ -39,17 +45,21 @@ flexible mode of the benchmark plate is 3e-8 * lambda_max and keeps eight
 or nine digits, different ones for each matrix ordering and BLAS thread
 count. :func:`generalized_eig` and :func:`generalized_eigvalues` therefore
 recompute every value below 1e-4 * lambda_max by Rayleigh-Ritz, with A u
-formed in twice the working precision, on the dense eigenvectors or on
-the Lanczos ones. Every eigenvalue is then accurate to a few 1e-12
-relative to itself: the low tail by the recomputation (to about 1e-15,
-on either kind of vectors), the rest because the dense error
+formed in twice the working precision, on the dense, the Lanczos or the
+mirror blocks' eigenvectors. Every eigenvalue is then accurate to a few
+1e-12 relative to itself: the low tail by the recomputation (to about
+1e-15, on any of these vectors), the rest because the dense error
 eps * lambda_max is at most 2e-12 of a value above the cut. The
 values-only and the full dense solves use different LAPACK algorithms, so
-their values above the cut differ by up to that bound. A's null space
-(the rigid-body modes) is not factored out: its vectors, whose values lie
-within n * eps * lambda_max of zero, stay in the Rayleigh-Ritz block,
-which separates them from the flexible modes. The Lanczos extremes of a
-matrix agree with its dense values to about 1e-14 relative.
+their values above the cut differ by up to that bound; the smaller block
+solves err no more (on the benchmark plate's two stiffness pencils, at
+most 5.6e-15 * lambda_max, against 8.0e-15 for the full values-only
+solve, both measured from Rayleigh quotients). A's null space (the
+rigid-body modes) is not factored out: its vectors, whose values lie
+within :func:`rigid_cutoff` (n * eps * lambda_max) of zero, stay in the
+Rayleigh-Ritz block, which separates them from the flexible modes. The
+Lanczos extremes of a matrix agree with its dense values to about 1e-14
+relative.
 """
 from __future__ import annotations
 
@@ -73,6 +83,7 @@ __all__ = [
     "generalized_eig",
     "generalized_eigvalues",
     "extreme_eigvalues",
+    "rigid_cutoff",
     "woodbury_factor",
     "condition_number",
 ]
@@ -298,16 +309,22 @@ def _standard_form(pair):
     return c, lambda y: sla.solve_triangular(ell.T, y, lower=False)
 
 
+def rigid_cutoff(values):
+    """n * eps * lambda_max for n ascending eigenvalues of a pencil: the
+    dense solve's error. A value at or below it is indistinguishable from
+    zero, so it belongs to A's null space (a rigid-body mode of (K, M))."""
+    return len(values) * _EPS * values[-1]
+
+
 def _low_tail(values):
     """Number of leading eigenvalues to recompute, or 0 to keep them all.
 
     The tail is every value below _LOW_CUT * lambda_max. It is kept as it
-    is when it holds no value above the dense error n * eps * lambda_max
-    (a null space alone), and when the spectrum is not nonnegative (A
-    indefinite).
+    is when it holds no value above :func:`rigid_cutoff` (a null space
+    alone), and when the spectrum is not nonnegative (A indefinite).
     """
     top = values[-1]
-    noise = len(values) * _EPS * top
+    noise = rigid_cutoff(values)
     if not top > 0 or values[0] < -noise:
         return 0
     count = int(np.searchsorted(values, _LOW_CUT * top))
@@ -458,43 +475,127 @@ def _lanczos_tail(pair, values, count):
         tail = _ritz(pair, x)[0]
     except (spla.ArpackNoConvergence, np.linalg.LinAlgError):
         return None
-    if np.abs(tail - values[:count]).max() > n * _EPS * values[-1]:
+    if np.abs(tail - values[:count]).max() > rigid_cutoff(values):
         return None
     return tail
 
 
-def generalized_eigvalues(pair):
+def _mirror_blocks(a, basis):
+    """The blocks Q_k^T A Q_k of a symmetric ``a`` in the mirror basis
+    (:class:`masscale.fem.MirrorBasis`), or None when ``a`` does not
+    commute with the reflections to within the dense error.
+
+    The block entries use that commutation: the column of Q_k for
+    representative d is sqrt(s) P_k e_d, so Q_k^T A Q_k needs only the
+    rows of A at the orbit representatives, gathered at the eight images
+    of each representative. The commutation is checked on the same rows:
+    A commutes with every group element g exactly when D_g = R_g A R_g - A
+    vanishes on them. Each row of any D_g is the difference of two such
+    rows, and the coupling between blocks that the solve drops is
+    E = -(1/8) sum_g D_g, so with rho the largest absolute row sum over the
+    checked rows, ||E||_2 <= 2 rho; the gathered blocks differ from the
+    exact ones by at most sqrt(8) ||E||_2 more. Accepting
+    rho <= n * eps * max|A| / 8 therefore keeps every ignored term within
+    n * eps * ||A||_2, the backward error of the dense solve itself, which
+    :func:`rigid_cutoff` carries over to the eigenvalues as
+    n * eps * lambda_max. The hex8 meshes' matrices mirror to about
+    1e-14 of max|A| in row sum (their node coordinates mirror only to
+    rounding): the benchmark plate's K to 1.8e-14, against 6.7e-14 allowed.
+    """
+    n = a.shape[0]
+    reps = np.unique(np.concatenate(basis.reps))  # one dof of every orbit
+    rows = a[reps]
+    worst = 0.0
+    for g in range(1, 8):
+        mirrored = np.take(a[basis.images[g, reps]], basis.images[g], axis=1)
+        mirrored *= basis.signs[g]
+        mirrored *= basis.signs[g, reps][:, None]
+        mirrored -= rows
+        worst = max(worst, np.abs(mirrored).sum(axis=1).max())
+    if worst > n * _EPS * max(a.max(), -a.min()) / 8:
+        return None
+    # sum_h chi_k(h) sign_h(d_b) A[d_a, h(d_b)], for every block k at once
+    gathered = np.take(rows, basis.images[:, reps], axis=1) * basis.signs[:, reps]
+    projected = np.tensordot(basis.characters, gathered, axes=([1], [1]))
+    blocks = []
+    for k, block_reps in enumerate(basis.reps):
+        at = np.searchsorted(reps, block_reps)
+        root = np.sqrt(basis.sizes[block_reps])
+        blocks.append(symmetrize(projected[k][np.ix_(at, at)] * np.outer(root, root) / 8))
+    return blocks
+
+
+def _block_eigvalues(pair, basis):
+    """All eigenvalues of the pencil from its mirror blocks, or None when a
+    member does not commute with the reflections (see :func:`_mirror_blocks`).
+
+    Each block pair is solved for its values alone. A low tail that
+    :func:`_low_tail` marks on the merged values is recomputed by
+    :func:`_ritz` on the full pencil, from the vectors of each block's
+    share of the tail (a partial dense solve of the block), mapped back
+    through L_k^{-T} and Q_k.
+    """
+    blocks_a = _mirror_blocks(pair.a, basis)
+    blocks_b = None if blocks_a is None else _mirror_blocks(pair.b, basis)
+    if blocks_b is None:
+        return None
+    solved = [_standard_form(MatrixPair(a, b)) for a, b in zip(blocks_a, blocks_b)]
+    parts = [np.linalg.eigvalsh(c) for c, _ in solved]
+    owner = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
+    order = np.argsort(np.concatenate(parts), kind="stable")
+    values = np.concatenate(parts)[order]
+    count = _low_tail(values)
+    if count:
+        shares = np.bincount(owner[order[:count]], minlength=len(parts))
+        x = np.hstack([
+            basis.expand(k, back(sla.eigh(c, subset_by_index=[0, share - 1])[1]))
+            for k, ((c, back), share) in enumerate(zip(solved, shares)) if share
+        ])
+        values[:count] = _ritz(pair, x)[0]
+    return values
+
+
+def generalized_eigvalues(pair, basis=None):
     """Eigenvalues only of A u = lambda B u, as accurate as :func:`generalized_eig`.
 
-    Where sparse solves pay (see the module docstring), the values come
-    from the dense values-only solve of the standard form, and a low tail
-    that :func:`generalized_eig` would recompute is recomputed from sparse
-    shift-invert Lanczos vectors instead of dense ones when it holds at
-    most a _TAIL_SHARE share of the values (see :func:`_lanczos_tail`); the
-    two tails agree to a few 1e-15. A longer tail, one that Lanczos cannot
-    give, and every pencil elsewhere take :func:`generalized_eig`'s values.
+    With a mirror ``basis`` (:func:`masscale.fem.mirror_basis`) whose
+    reflections both members commute with, the pencil is solved block by
+    block (:func:`_block_eigvalues`): eight dense solves of order about
+    n/8. Otherwise, the values come from the dense values-only solve of
+    the standard form, and a low tail that :func:`generalized_eig` would
+    recompute is recomputed from sparse shift-invert Lanczos vectors
+    instead of dense ones where sparse solves pay (see the module
+    docstring) and the tail holds at most a _TAIL_SHARE share of the
+    values (see :func:`_lanczos_tail`); the two tails agree to a few
+    1e-15. A tail that Lanczos cannot give takes :func:`generalized_eig`'s
+    values; a pencil without a tail forms no vectors.
     """
     if not isinstance(pair, MatrixPair):
         pair = MatrixPair(*pair)
-    if _sparse_pays(pair.a, pair.b):
-        c, _ = _standard_form(pair)
-        values = np.linalg.eigvalsh(c)
-        count = _low_tail(values)
-        if not count:
+    if basis is not None:
+        values = _block_eigvalues(pair, basis)
+        if values is not None:
             return values
-        if count <= _TAIL_SHARE * pair.order:
-            tail = _lanczos_tail(pair, values, count)
-            if tail is not None:
-                values[:count] = tail
-                return values
+    c, _ = _standard_form(pair)
+    values = np.linalg.eigvalsh(c)
+    count = _low_tail(values)
+    if not count:
+        return values
+    if count <= _TAIL_SHARE * pair.order and _sparse_pays(pair.a, pair.b):
+        tail = _lanczos_tail(pair, values, count)
+        if tail is not None:
+            values[:count] = tail
+            return values
     return generalized_eig(pair).values
 
 
-def extreme_eigvalues(a):
+def extreme_eigvalues(a, basis=None):
     """(lambda_min, lambda_max) of a symmetric matrix, as a 2-array.
 
     A matrix that :func:`is_diagonal` accepts gives the ends of its
-    diagonal, exactly. Where sparse solves pay (see the module docstring),
+    diagonal, exactly. With a mirror ``basis`` that the matrix commutes
+    with (see :func:`_mirror_blocks`), the ends of the dense values of its
+    eight blocks. Where sparse solves pay (see the module docstring),
     Lanczos from a fixed start vector: shift-invert at 0, through a sparse
     LU, for lambda_min, and plain Lanczos to tolerance 1e-13 for
     lambda_max; both agree with the dense values to about 1e-14 relative.
@@ -506,6 +607,10 @@ def extreme_eigvalues(a):
     if is_diagonal(a):
         d = np.diag(a)
         return np.array([d.min(), d.max()])
+    blocks = None if basis is None else _mirror_blocks(a, basis)
+    if blocks is not None:
+        ends = np.array([np.linalg.eigvalsh(b)[[0, -1]] for b in blocks])
+        return np.array([ends[:, 0].min(), ends[:, 1].max()])
     if not _sparse_pays(a):
         return np.linalg.eigvalsh(a)[[0, -1]]
     from scipy import sparse  # deferred: its import would add to every CLI start

@@ -51,6 +51,21 @@ class TestFrequencies:
         vals = generalized_eigvalues(pair)
         assert analysis.flexible_slice(vals) == 6
 
+    def test_slender_beam_keeps_its_first_bending_mode(self, material):
+        # a 30 cm free-free beam of 10 x 0.5 mm section (n = 1008): its
+        # first bending value lies far below 1e-8 of the largest, where a
+        # cutoff relative to lambda_max alone would count it as rigid
+        mesh = fem.build_structured_mesh((84, 2, 2), (0.3, 0.01, 0.0005))
+        blocks = fem.element_blocks(mesh, material)
+        n = mesh.dof_count
+        pair = MatrixPair(fem.assemble(blocks, "stiffness", n), fem.assemble(blocks, "lumped", n))
+        vals = generalized_eigvalues(pair, basis=fem.mirror_basis(mesh))
+        assert vals[6] < 1e-8 * vals[-1]
+        assert analysis.flexible_slice(vals) == 6
+        scaled = scaling.apply_spec(ScalingSpec("olovsson", beta=10.0), blocks, n, pair=pair)
+        vals_bar = generalized_eigvalues(MatrixPair(scaled.kbar, scaled.mbar_dense()))
+        assert len(analysis.frequency_ratio_curve(vals, vals_bar)) == n - 6
+
     def test_ratio_curve_uniform(self, small_system):
         _, _, pair = small_system
         mu = 4.0

@@ -305,14 +305,14 @@ def test_each_assembled_pencil_solved_once_per_execute(tmp_path, monkeypatch):
     depth = [0]
 
     def counting(name, fn):
-        def wrapper(arg):
+        def wrapper(arg, *args, **kwargs):
             if depth[0] == 0:
                 mats = (arg.a, arg.b) if name == "generalized_eigvalues" else (arg,)
                 digests = tuple(hashlib.sha256(np.ascontiguousarray(m)).hexdigest() for m in mats)
                 solves[name, mats[0].shape[0], digests] += 1
             depth[0] += 1
             try:
-                return fn(arg)
+                return fn(arg, *args, **kwargs)
             finally:
                 depth[0] -= 1
 

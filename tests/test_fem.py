@@ -349,3 +349,55 @@ class TestMeshShapes:
         mesh, _ = distorted
         assert not mesh.is_uniform()
         assert fem.build_structured_mesh((5, 3, 2), (0.4, 0.2, 0.1)).is_uniform()
+
+
+def dense_blocks(basis):
+    """Q_1 ... Q_8 of a mirror basis as dense (n, m_k) arrays."""
+    return [basis.expand(k, np.eye(len(reps))) for k, reps in enumerate(basis.reps)]
+
+
+class TestMirrorBasis:
+    # odd node counts put a mirror plane through a layer of nodes, even
+    # ones between two layers; both occur on every axis across the cases
+    @pytest.mark.parametrize("counts", [(4, 3, 3), (3, 4, 2), (5, 5, 3), (2, 2, 2)])
+    def test_orthonormal_blocks(self, counts):
+        mesh = fem.build_structured_mesh(counts, (0.04, 0.02, 0.01))
+        basis = fem.mirror_basis(mesh)
+        n = mesh.dof_count
+        q = np.hstack(dense_blocks(basis))
+        assert sum(len(r) for r in basis.reps) == q.shape[1] == n
+        assert np.abs(q.T @ q - np.eye(n)).max() <= 1e-15
+        assert np.count_nonzero(q, axis=0).max() <= 8
+        orbit_sizes = np.abs(q[q != 0]) ** -2  # entries are +-1/sqrt(s)
+        assert np.allclose(orbit_sizes, np.round(orbit_sizes), rtol=1e-14)
+        assert set(np.round(orbit_sizes)) <= {1, 2, 4, 8}
+
+    def test_block_k_has_its_character(self):
+        # R_g Q_k = chi_k(g) Q_k: each block is an eigenspace of every reflection
+        mesh = fem.build_structured_mesh((4, 3, 3), (0.04, 0.02, 0.01))
+        basis = fem.mirror_basis(mesh)
+        for k, q in enumerate(dense_blocks(basis)):
+            for g in range(8):
+                moved = np.zeros_like(q)
+                moved[basis.images[g]] = basis.signs[g][:, None] * q
+                assert np.array_equal(moved, basis.characters[k, g] * q)
+
+    def test_symmetric_matrices_are_block_diagonal(self, small_system):
+        mesh, _, pair = small_system
+        basis = fem.mirror_basis(mesh)
+        q = np.hstack(dense_blocks(basis))
+        edges = np.cumsum([0] + [len(r) for r in basis.reps])
+        for a in (pair.a, pair.b):
+            t = q.T @ a @ q
+            for k in range(8):
+                t[edges[k]:edges[k + 1], edges[k]:edges[k + 1]] = 0.0
+            assert np.abs(t).max() <= 1e-14 * np.abs(a).max()
+
+    def test_perturbed_nodes_get_no_basis(self, distorted):
+        mesh, _ = distorted
+        assert fem.mirror_basis(mesh) is None
+        box = fem.build_structured_mesh((4, 3, 3), (0.04, 0.02, 0.01))
+        coords = box.coords.copy()
+        coords[5, 1] += 1e-6 * 0.04
+        assert fem.mirror_basis(fem.Mesh(coords, box.connectivity)) is None
+        assert fem.mirror_basis(box) is not None

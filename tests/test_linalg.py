@@ -372,6 +372,106 @@ class TestMassPencilTail:
         assert np.allclose(generalized_eigvalues(mass_pair), full, rtol=1e-12, atol=0.0)
 
 
+@pytest.fixture(scope="module")
+def kinds_mesh(material):
+    """The 10 x 4 x 3-node mesh of the kinds_small benchmark (n = 360): its
+    mirror planes fall between nodes along x and y and through them along z."""
+    mesh = fem.build_structured_mesh((10, 4, 3), (0.05, 0.015, 0.002))
+    blocks = fem.element_blocks(mesh, material)
+    n = mesh.dof_count
+    pair = MatrixPair(fem.assemble(blocks, "stiffness", n), fem.assemble(blocks, "lumped", n))
+    return mesh, blocks, pair
+
+
+def perturbed(mesh):
+    """The mesh with one interior node moved by 1e-6 of the largest extent."""
+    coords = mesh.coords.copy()
+    node = mesh.node_count // 2
+    coords[node] += 1e-6 * np.ptp(coords, axis=0).max()
+    return fem.Mesh(coords, mesh.connectivity)
+
+
+def three_pencils(system, kind):
+    """(K, M), (Kbar, Mbar) and (Mbar, M) of one kind in KIND_DOCS."""
+    _, _, pair = system
+    scaled = scaled_mass(system, kind)
+    mbar = scaled.mbar_dense()
+    return [pair, MatrixPair(scaled.kbar, mbar), MatrixPair(mbar, pair.b)]
+
+
+class TestMirrorBlocks:
+    """Block solves in the mirror basis against the solves without it."""
+
+    @pytest.mark.parametrize("kind", ["olovsson", "local_deflation_s2", "global_deflation"])
+    @pytest.mark.parametrize("system", ["kinds_mesh", "small_system"])
+    def test_values_and_tails_match(self, request, system, kind):
+        with_tails = system == "kinds_mesh"
+        system = request.getfixturevalue(system)
+        basis = fem.mirror_basis(system[0])
+        for index, pencil in enumerate(three_pencils(system, kind)):
+            assert linalg._mirror_blocks(pencil.a, basis) is not None
+            assert linalg._mirror_blocks(pencil.b, basis) is not None
+            full = generalized_eigvalues(pencil)
+            blocked = generalized_eigvalues(pencil, basis=basis)
+            assert np.abs(blocked - full).max() <= linalg.rigid_cutoff(full)
+            start, count = analysis.flexible_slice(full), linalg._low_tail(full)
+            if with_tails and index < 2:  # the stiffness pencils have a low tail
+                assert count > start == 6
+            assert np.allclose(blocked[start:count], full[start:count], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("kind", sorted(KIND_DOCS))
+    def test_extremes_match_dense_values(self, kinds_mesh, kind):
+        basis = fem.mirror_basis(kinds_mesh[0])
+        mbar = scaled_mass(kinds_mesh, kind).mbar_dense()
+        dense = np.linalg.eigvalsh(mbar)[[0, -1]]
+        assert np.allclose(extreme_eigvalues(mbar, basis=basis), dense, rtol=1e-12, atol=0.0)
+
+    def test_cms_on_some_dofs_fails_the_coupling_check(self, kinds_mesh):
+        mesh, blocks, pair = kinds_mesh
+        basis = fem.mirror_basis(mesh)
+        spec = scaling.ScalingSpec("cms", alpha=4.0, selector=[0, 1, 2])
+        mbar = scaling.apply_spec(spec, blocks, mesh.dof_count, pair=pair).mbar_dense()
+        assert linalg._mirror_blocks(mbar, basis) is None
+        for pencil in (MatrixPair(pair.a, mbar), MatrixPair(mbar, pair.b)):
+            assert np.array_equal(generalized_eigvalues(pencil, basis=basis),
+                                  generalized_eigvalues(pencil))
+
+    def test_perturbed_mesh_gets_the_full_path(self, kinds_mesh, material):
+        mesh = perturbed(kinds_mesh[0])
+        assert fem.mirror_basis(mesh) is None
+        blocks = fem.element_blocks(mesh, material)
+        n = mesh.dof_count
+        pair = MatrixPair(fem.assemble(blocks, "stiffness", n), fem.assemble(blocks, "lumped", n))
+        # the unperturbed mesh's reflections do not commute with this K
+        basis = fem.mirror_basis(kinds_mesh[0])
+        assert linalg._mirror_blocks(pair.a, basis) is None
+        assert np.array_equal(generalized_eigvalues(pair, basis=basis), generalized_eigvalues(pair))
+
+
+class TestVectorsOnlyForATail:
+    def test_counts_dense_vector_solves(self, kinds_mesh, material, monkeypatch):
+        # a non-mirrored mesh below the sparse-path order: the mass pencil of
+        # global deflation (a full Mbar) has no low tail and forms no vectors
+        mesh = perturbed(kinds_mesh[0])
+        blocks = fem.element_blocks(mesh, material)
+        n = mesh.dof_count
+        pair = MatrixPair(fem.assemble(blocks, "stiffness", n), fem.assemble(blocks, "lumped", n))
+        spec = scaling.ScalingSpec("global_deflation", rank=10)
+        mbar = scaling.apply_spec(spec, blocks, n, pair=pair, k_global=pair.a).mbar_dense()
+        calls = []
+        original = linalg.generalized_eig
+
+        def counting(pencil, top=None):
+            calls.append(pencil.order)
+            return original(pencil, top=top)
+
+        monkeypatch.setattr(linalg, "generalized_eig", counting)
+        mass = generalized_eigvalues(MatrixPair(mbar, pair.b))
+        assert linalg._low_tail(mass) == 0 and calls == []
+        values = generalized_eigvalues(pair)
+        assert linalg._low_tail(values) > 6 and calls == [n]
+
+
 class TestWoodbury:
     def test_rank_zero_is_plain_solve(self):
         base = np.diag([2.0, 4.0])
