@@ -25,6 +25,8 @@ from .linalg import (
     extreme_eigvalues,
     generalized_eig,
     generalized_eigvalues,
+    mirror_split,
+    require_symmetric,
 )
 
 DEFAULT_SEED = 42
@@ -70,8 +72,18 @@ def _object(value, name):
     return value
 
 
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_number(value, scale=1.0):
+    """True for a JSON number (not a bool) that stays finite times ``scale``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return bool(np.isfinite(value * scale))
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _is_integer(value):
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _length_triplet(obj, key):
@@ -79,19 +91,20 @@ def _length_triplet(obj, key):
     name = next((key + unit for unit in ("_m", "_mm") if key + unit in obj), None)
     if name is None:
         raise ConfigError(f"{key}: expected '{key}_m' or '{key}_mm'")
-    vals = obj[name]
-    if not (isinstance(vals, list) and len(vals) == 3 and all(map(_is_number, vals))):
-        raise ConfigError(f"{name}: expected 3 numbers, got {vals!r}")
-    return tuple(float(v) * (1e-3 if name.endswith("_mm") else 1.0) for v in vals)
+    vals, scale = obj[name], 1e-3 if name.endswith("_mm") else 1.0
+    if not (isinstance(vals, list) and len(vals) == 3
+            and all(_is_number(v, scale) and v > 0 for v in vals)):
+        raise ConfigError(f"{name}: expected 3 positive numbers, got {vals!r}")
+    return tuple(float(v) * scale for v in vals)
 
 
 def _parse_material(obj):
     obj = _object(obj, "material")
     gpa = "young_modulus_gpa" in obj
     keys = ("young_modulus_gpa" if gpa else "young_modulus", "poisson_ratio", "density")
-    for key in keys:
-        if not _is_number(obj.get(key)):
-            raise ConfigError(f"material.{key}: expected a number, got {obj.get(key)!r}")
+    for key, scale in zip(keys, (1e9 if gpa else 1.0, 1.0, 1.0)):
+        if not _is_number(obj.get(key), scale):
+            raise ConfigError(f"material.{key}: expected a finite number, got {obj.get(key)!r}")
     e, nu, rho = (float(obj[key]) for key in keys)
     try:
         return fem.Material(e * 1e9 if gpa else e, nu, rho)
@@ -108,7 +121,7 @@ def parse_scaling(obj):
     kwargs = {aliases.get(key, key): value for key, value in obj.items() if key != "kind"}
     try:
         return scaling.ScalingSpec(kind, **kwargs)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"scaling[{kind}]: {exc}") from exc
 
 
@@ -128,22 +141,20 @@ def load_config(path):
         raise ConfigError("geometry: exactly one of 'mesh' or 'element' is required")
 
     cfg = ExperimentConfig(material=_parse_material(raw.get("material", {})))
-    try:
-        cfg.seed = int(raw.get("seed", DEFAULT_SEED))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"seed: {exc}") from exc
+    cfg.seed = raw.get("seed", DEFAULT_SEED)
+    if not _is_integer(cfg.seed):
+        raise ConfigError(f"seed: expected an integer, got {cfg.seed!r}")
     cfg.output_dir = raw.get("output_dir", "out")
     if not isinstance(cfg.output_dir, str):
         raise ConfigError(f"output_dir: expected a string, got {cfg.output_dir!r}")
     if has_mesh:
         mesh_obj = _object(geometry["mesh"], "geometry.mesh")
         counts = mesh_obj.get("node_counts")
-        if not isinstance(counts, list) or len(counts) != 3:
-            raise ConfigError("geometry.mesh.node_counts: expected 3 values")
-        try:
-            cfg.mesh_counts = tuple(int(c) for c in counts)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"geometry.mesh.node_counts: {exc}") from exc
+        if not (isinstance(counts, list) and len(counts) == 3 and all(map(_is_integer, counts))):
+            raise ConfigError(f"geometry.mesh.node_counts: expected 3 integers, got {counts!r}")
+        if min(counts) < 2:
+            raise ConfigError(f"geometry.mesh: node counts must be >= 2, got {counts}")
+        cfg.mesh_counts = tuple(counts)
         cfg.mesh_extents = _length_triplet(mesh_obj, "extents")
     else:
         element = _object(geometry["element"], "geometry.element")
@@ -161,7 +172,11 @@ def load_config(path):
         if "kind" not in cfg.sweep or "parameter" not in cfg.sweep:
             raise ConfigError("sweep: requires 'kind' and 'parameter'")
     studies = _object(raw.get("studies", {}), "studies")
-    cfg.studies = {name: bool(studies.get(name, False)) for name in STUDY_NAMES}
+    for name, enabled in studies.items():
+        if name not in STUDY_NAMES or not isinstance(enabled, bool):
+            raise ConfigError(f"studies: expected true or false for each of {STUDY_NAMES}, "
+                              f"got {name!r}: {enabled!r}")
+    cfg.studies = {name: studies.get(name, False) for name in STUDY_NAMES}
     cfg.echo = raw
     return cfg
 
@@ -223,14 +238,19 @@ class _MeshSystem:
     """The configured mesh, its element blocks and (K, M), built on first
     use, and what the studies read of the assembled pencils, each solved
     on first request: all eigenvalues of (K, M) and the extremes of M once,
-    and the same of (Kbar, Mbar) and Mbar once per scaling spec. The none
-    kind's Kbar and Mbar are K and M, so it shares their entries. It keeps
-    eigenvalues, and the scaled systems of global deflation, whose Mbar is
-    M plus an n x r factor formed by a partial dense solve; others are
-    rebuilt on request, so that no n x n Mbar is held. The mesh's mirror
-    basis, built once, goes to every values-only solve of an assembled
-    pencil and to the extremes of each Mbar, so that what commutes with
-    the reflections is solved block by block.
+    and the same of (Kbar, Mbar), (Mbar, M) and Mbar once per scaling spec.
+    The none kind's Kbar and Mbar are K and M, so it shares their entries.
+    It keeps eigenvalues, and the scaled systems of global deflation, whose
+    Mbar is M plus an n x r factor formed by a partial dense solve; others
+    are rebuilt on request, so that no n x n Mbar is held.
+
+    Each assembled matrix is read once: K and M are checked for symmetry
+    when their pair is built, and each Mbar when it is split. The split of
+    each matrix in the mesh's mirror basis (:func:`linalg.mirror_split`,
+    about n^2/8 entries, or None when the matrix does not mirror) is kept
+    and goes to every solve that reads the matrix, so that what commutes
+    with the reflections is solved block by block; Kbar is K for every
+    kind, so all pencils share K's split.
     """
 
     def __init__(self, cfg):
@@ -259,28 +279,54 @@ class _MeshSystem:
             self._low_rank[spec] = scaled
         return scaled
 
+    @staticmethod
+    def _spec(scaled):
+        """The key of a scaled system: None for the unscaled pair and for none."""
+        return None if scaled is None or scaled.spec.kind == "none" else scaled.spec
+
     def _once(self, key, scaled, solve):
-        spec = None if scaled is None or scaled.spec.kind == "none" else scaled.spec
+        spec = self._spec(scaled)
         if (key, spec) not in self._values:
             self._values[key, spec] = solve()
         return self._values[key, spec]
 
+    def _split(self, a):
+        return None if self.basis is None else mirror_split(a, self.basis)
+
+    def split_k(self):
+        return self._once("split K", None, lambda: self._split(self.parts[2].a))
+
+    def split_mass(self, scaled=None):
+        """The split of Mbar, or of M for no spec and for none; an Mbar is
+        checked for symmetry here, once."""
+        if self._spec(scaled) is None:
+            return self._once("split M", None, lambda: self._split(self.parts[2].b))
+        return self._once("split M", scaled, lambda: self._split(
+            require_symmetric(scaled.mbar_dense(), "Mbar")))
+
     def values_km(self):
         return self._once("K,M", None, lambda: generalized_eigvalues(
-            self.parts[2], basis=self.basis))
+            self.parts[2], split=(self.split_k(), self.split_mass())))
 
     def values_m(self):
         """(lambda_min, lambda_max) of M."""
-        return self._once("M", None, lambda: extreme_eigvalues(self.parts[2].b))
+        return self._once("M", None, lambda: extreme_eigvalues(
+            self.parts[2].b, split=self.split_mass()))
 
     def values_kmbar(self, scaled):
         return self._once("K,M", scaled, lambda: generalized_eigvalues(
-            MatrixPair(scaled.kbar, scaled.mbar_dense()), basis=self.basis))
+            (scaled.kbar, scaled.mbar_dense()),
+            split=(self.split_k(), self.split_mass(scaled))))
 
     def values_mbar(self, scaled):
         """(lambda_min, lambda_max) of Mbar."""
         return self._once("M", scaled, lambda: extreme_eigvalues(
-            scaled.mbar_dense(), basis=self.basis))
+            scaled.mbar_dense(), split=self.split_mass(scaled)))
+
+    def values_mbarm(self, scaled):
+        return self._once("Mbar,M", scaled, lambda: generalized_eigvalues(
+            (scaled.mbar_dense(), self.parts[2].b),
+            split=(self.split_mass(scaled), self.split_mass())))
 
 
 def study_spectrum(cfg, emitter, system):
@@ -300,12 +346,11 @@ def study_spectrum(cfg, emitter, system):
 
 def study_bounds(cfg, emitter, system):
     """Sandwich and condition bounds for each configured scaling."""
-    mesh, blocks, pair = system.parts
+    mesh, blocks, _ = system.parts
     for spec in cfg.scalings or [scaling.ScalingSpec("none")]:
         scaled = system.scale(spec)
         # Kbar is K for every kind, so (Kbar, Mbar) is the sandwich's (K, Mbar).
-        mass_values = generalized_eigvalues(MatrixPair(scaled.mbar_dense(), pair.b),
-                                            basis=system.basis)
+        mass_values = system.values_mbarm(scaled)
         sandwich = analysis.sandwich_bounds(
             system.values_km(), system.values_kmbar(scaled), mass_values
         )

@@ -4,7 +4,10 @@ Factorizations, standard and generalized eigensolvers, low-rank-update
 (Woodbury) solves, and condition numbers of computed eigenvalues.
 Everything takes plain numpy arrays; symmetry is enforced at
 construction points with :func:`symmetrize` and checked with
-:func:`require_symmetric`. :func:`factor_spd` factors a general SPD matrix
+:func:`require_symmetric`. A matrix's mirror split (:func:`mirror_split`)
+stands for a checked matrix: the solvers that take one do not check it
+again, so a caller that reads a matrix in several solves checks and
+splits it once. :func:`factor_spd` factors a general SPD matrix
 once as a sparse LU, so that each later solve costs the factor's fill.
 
 Dense factorizations and the standard symmetric eigensolver are delegated
@@ -16,23 +19,25 @@ Each question has its own solver, so that a caller pays for what it reads:
 
 - all eigenpairs of a pencil: :func:`generalized_eig`, dense; with
   ``top``, only the largest pairs, by a partial dense solve;
+- the blocks Q_k^T A Q_k of a matrix in the mesh's mirror basis
+  (:func:`masscale.fem.mirror_basis`), or None when it does not commute
+  with the reflections to within the dense error: :func:`mirror_split`;
 - all eigenvalues of a pencil: :func:`generalized_eigvalues`. With the
-  mesh's mirror basis (:func:`masscale.fem.mirror_basis`), when both
-  members commute with its reflections to within the dense error, eight
-  dense solves of the blocks Q_k^T A Q_k, Q_k^T B Q_k (order about n/8),
-  with the low tail (below) recomputed on the full pencil from the
-  blocks' vectors. Otherwise it takes the dense values-only solve and
-  recomputes the low tail: from shift-invert Lanczos vectors through a
-  sparse LU from order _SPARSE_ORDER on, for matrices with at most a
-  _SPARSE_FILL share of nonzero entries, when the tail holds at most a
-  _TAIL_SHARE share of the values and the Lanczos tail agrees with the
-  dense one to within the dense error; from :func:`generalized_eig`
-  elsewhere. A pencil without a tail forms no vectors;
+  splits of both members, eight dense solves of the block pairs (order
+  about n/8), with the low tail (below) recomputed on the full pencil
+  from the blocks' vectors. Otherwise it takes the dense values-only
+  solve and recomputes the low tail: from shift-invert Lanczos vectors
+  through a sparse LU from order _SPARSE_ORDER on, for matrices with at
+  most a _SPARSE_FILL share of nonzero entries, when the tail holds at
+  most a _TAIL_SHARE share of the values and the Lanczos tail agrees
+  with the dense one to within the dense error; from
+  :func:`generalized_eig` elsewhere. A pencil without a tail forms no
+  vectors;
 - lambda_min and lambda_max of a symmetric matrix:
   :func:`extreme_eigvalues`: the ends of the diagonal of a diagonal
-  matrix, the ends of the blocks' dense values where a mirror basis
-  applies, Lanczos where sparse solves pay as above, the ends of the
-  dense values-only solve elsewhere.
+  matrix, the ends of the blocks' dense values with a mirror split,
+  Lanczos where sparse solves pay as above, the ends of the dense
+  values-only solve elsewhere.
 
 Lanczos starts from a fixed vector, so every solver returns the same bits
 for the same input.
@@ -83,6 +88,7 @@ __all__ = [
     "generalized_eig",
     "generalized_eigvalues",
     "extreme_eigvalues",
+    "mirror_split",
     "rigid_cutoff",
     "woodbury_factor",
     "condition_number",
@@ -217,11 +223,22 @@ def sym_eig(m):
 
 
 def is_diagonal(a, rtol=1e-14):
-    """True when no off-diagonal entry of the square matrix ``a`` exceeds
-    ``rtol`` times its largest entry in magnitude."""
-    off = a - np.diag(np.diag(a))
-    scale = np.abs(a).max() or 1.0
-    return np.abs(off).max() <= rtol * scale
+    """True when every entry of the square matrix ``a`` is finite and no
+    off-diagonal one exceeds ``rtol`` times its largest entry in magnitude.
+
+    The off-diagonal entries are read in place: in the flat C order, the
+    n - 1 runs of n entries between consecutive diagonal entries. A
+    transposed C-contiguous matrix is read through its transpose, which
+    has the same off-diagonal entries; no n x n temporary is formed.
+    """
+    a = np.asarray(a, dtype=float)
+    if not a.flags.c_contiguous and a.T.flags.c_contiguous:
+        a = a.T
+    n = a.shape[0]
+    off = np.ascontiguousarray(a).reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
+    high, low = (off.max(), off.min()) if off.size else (0.0, 0.0)
+    top = np.max([high, -low, np.abs(np.diagonal(a)).max()])  # NaN propagates
+    return bool(np.isfinite(top)) and max(high, -low) <= rtol * (top or 1.0)
 
 
 def _factor_sparse(s):
@@ -480,10 +497,13 @@ def _lanczos_tail(pair, values, count):
     return tail
 
 
-def _mirror_blocks(a, basis):
+def mirror_split(a, basis):
     """The blocks Q_k^T A Q_k of a symmetric ``a`` in the mirror basis
-    (:class:`masscale.fem.MirrorBasis`), or None when ``a`` does not
-    commute with the reflections to within the dense error.
+    (:class:`masscale.fem.MirrorBasis`), as the pair (blocks, basis), or
+    None when ``a`` does not commute with the reflections to within the
+    dense error. :func:`generalized_eigvalues` and
+    :func:`extreme_eigvalues` take the split in place of splitting ``a``
+    anew; ``a`` itself is not checked for symmetry here.
 
     The block entries use that commutation: the column of Q_k for
     representative d is sqrt(s) P_k e_d, so Q_k^T A Q_k needs only the
@@ -522,23 +542,19 @@ def _mirror_blocks(a, basis):
         at = np.searchsorted(reps, block_reps)
         root = np.sqrt(basis.sizes[block_reps])
         blocks.append(symmetrize(projected[k][np.ix_(at, at)] * np.outer(root, root) / 8))
-    return blocks
+    return blocks, basis
 
 
-def _block_eigvalues(pair, basis):
-    """All eigenvalues of the pencil from its mirror blocks, or None when a
-    member does not commute with the reflections (see :func:`_mirror_blocks`).
+def _block_eigvalues(pair, split_a, split_b):
+    """All eigenvalues of the pencil from the mirror splits of its members.
 
     Each block pair is solved for its values alone. A low tail that
     :func:`_low_tail` marks on the merged values is recomputed by
     :func:`_ritz` on the full pencil, from the vectors of each block's
     share of the tail (a partial dense solve of the block), mapped back
-    through L_k^{-T} and Q_k.
+    through L_k^{-T} and Q_k; only then is the full pencil formed.
     """
-    blocks_a = _mirror_blocks(pair.a, basis)
-    blocks_b = None if blocks_a is None else _mirror_blocks(pair.b, basis)
-    if blocks_b is None:
-        return None
+    (blocks_a, basis), (blocks_b, _) = split_a, split_b
     solved = [_standard_form(MatrixPair(a, b)) for a, b in zip(blocks_a, blocks_b)]
     parts = [np.linalg.eigvalsh(c) for c, _ in solved]
     owner = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
@@ -551,31 +567,35 @@ def _block_eigvalues(pair, basis):
             basis.expand(k, back(sla.eigh(c, subset_by_index=[0, share - 1])[1]))
             for k, ((c, back), share) in enumerate(zip(solved, shares)) if share
         ])
+        if not isinstance(pair, MatrixPair):
+            pair = MatrixPair(*pair)
         values[:count] = _ritz(pair, x)[0]
     return values
 
 
-def generalized_eigvalues(pair, basis=None):
+def generalized_eigvalues(pair, split=None):
     """Eigenvalues only of A u = lambda B u, as accurate as :func:`generalized_eig`.
 
-    With a mirror ``basis`` (:func:`masscale.fem.mirror_basis`) whose
-    reflections both members commute with, the pencil is solved block by
-    block (:func:`_block_eigvalues`): eight dense solves of order about
-    n/8. Otherwise, the values come from the dense values-only solve of
-    the standard form, and a low tail that :func:`generalized_eig` would
-    recompute is recomputed from sparse shift-invert Lanczos vectors
-    instead of dense ones where sparse solves pay (see the module
-    docstring) and the tail holds at most a _TAIL_SHARE share of the
-    values (see :func:`_lanczos_tail`); the two tails agree to a few
-    1e-15. A tail that Lanczos cannot give takes :func:`generalized_eig`'s
-    values; a pencil without a tail forms no vectors.
+    ``pair`` is a :class:`MatrixPair` or the two matrices (A, B). With
+    ``split``, the mirror splits (:func:`mirror_split`) of A and B, whose
+    members were checked for symmetry when they were split, the pencil is
+    solved block by block (:func:`_block_eigvalues`): eight dense solves
+    of order about n/8, with no check of the full pencil unless a low tail
+    needs it. When there is no split, or a member's is None (it does not
+    commute with the reflections), the values come from the dense
+    values-only solve of the standard form, and a low tail that
+    :func:`generalized_eig` would recompute is recomputed from sparse
+    shift-invert Lanczos vectors instead of dense ones where sparse solves
+    pay (see the module docstring) and the tail holds at most a
+    _TAIL_SHARE share of the values (see :func:`_lanczos_tail`); the two
+    tails agree to a few 1e-15. A tail that Lanczos cannot give takes
+    :func:`generalized_eig`'s values; a pencil without a tail forms no
+    vectors.
     """
+    if split is not None and all(s is not None for s in split):
+        return _block_eigvalues(pair, *split)
     if not isinstance(pair, MatrixPair):
         pair = MatrixPair(*pair)
-    if basis is not None:
-        values = _block_eigvalues(pair, basis)
-        if values is not None:
-            return values
     c, _ = _standard_form(pair)
     values = np.linalg.eigvalsh(c)
     count = _low_tail(values)
@@ -589,27 +609,27 @@ def generalized_eigvalues(pair, basis=None):
     return generalized_eig(pair).values
 
 
-def extreme_eigvalues(a, basis=None):
+def extreme_eigvalues(a, split=None):
     """(lambda_min, lambda_max) of a symmetric matrix, as a 2-array.
 
     A matrix that :func:`is_diagonal` accepts gives the ends of its
-    diagonal, exactly. With a mirror ``basis`` that the matrix commutes
-    with (see :func:`_mirror_blocks`), the ends of the dense values of its
-    eight blocks. Where sparse solves pay (see the module docstring),
-    Lanczos from a fixed start vector: shift-invert at 0, through a sparse
-    LU, for lambda_min, and plain Lanczos to tolerance 1e-13 for
-    lambda_max; both agree with the dense values to about 1e-14 relative.
-    That path needs ``a`` positive definite and raises
-    :class:`NotPositiveDefinite` otherwise. Elsewhere, the two ends of the
-    dense values-only solve.
+    diagonal, exactly. With the ``split`` of ``a`` (:func:`mirror_split`),
+    which implies that ``a`` was checked for symmetry, the ends of the
+    dense values of its eight blocks. Without one, ``a`` is checked, and
+    where sparse solves pay (see the module docstring), Lanczos from a
+    fixed start vector: shift-invert at 0, through a sparse LU, for
+    lambda_min, and plain Lanczos to tolerance 1e-13 for lambda_max; both
+    agree with the dense values to about 1e-14 relative. That path needs
+    ``a`` positive definite and raises :class:`NotPositiveDefinite`
+    otherwise. Elsewhere, the two ends of the dense values-only solve.
     """
-    a = require_symmetric(a, "a")
+    if split is None:
+        a = require_symmetric(a, "a")
     if is_diagonal(a):
         d = np.diag(a)
         return np.array([d.min(), d.max()])
-    blocks = None if basis is None else _mirror_blocks(a, basis)
-    if blocks is not None:
-        ends = np.array([np.linalg.eigvalsh(b)[[0, -1]] for b in blocks])
+    if split is not None:
+        ends = np.array([np.linalg.eigvalsh(b)[[0, -1]] for b in split[0]])
         return np.array([ends[:, 0].min(), ends[:, 1].max()])
     if not _sparse_pays(a):
         return np.linalg.eigvalsh(a)[[0, -1]]

@@ -1,11 +1,14 @@
 import hashlib
 import json
+import math
 import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from masscale import cli, linalg
 from masscale.errors import ConfigError
@@ -257,6 +260,15 @@ PROBES = {
     "scalings_number": ({"scalings": 5}, 1, "config error: scalings: "),
     "sweep_values_number": ({"sweep": {"kind": "olovsson", "parameter": "beta", "values": 5}}, 1,
                             "config error: sweep.values: "),
+    "extents_zero": (_mesh_probe(extents_mm=[0, 20.0, 10.0]), 1, "config error: extents_mm: "),
+    "young_modulus_overflow": ({"material": {"young_modulus_gpa": 1e300, "poisson_ratio": 0.3,
+                                             "density": 7800.0}}, 1,
+                               "config error: material.young_modulus_gpa: "),
+    "node_counts_float": (_mesh_probe(node_counts=[3.5, 2, 2], extents_mm=[30.0, 20.0, 10.0]), 1,
+                          "config error: geometry.mesh.node_counts: "),
+    "seed_float": ({"seed": 4.5}, 1, "config error: seed: "),
+    "study_text": ({"studies": {"bounds": "no"}}, 1, "config error: studies: "),
+    "study_unknown": ({"studies": {"bound": True}}, 1, "config error: studies: "),
 }
 
 
@@ -291,6 +303,13 @@ def test_mesh_system_built_once_per_execute(tmp_path, monkeypatch):
         assert len(calls) == expected
 
 
+def _members(arg):
+    """The matrices a linalg function reads: a pair's two, a tuple's, or the array."""
+    if hasattr(arg, "a"):
+        return arg.a, arg.b
+    return (arg,) if hasattr(arg, "shape") else tuple(arg)
+
+
 def test_each_assembled_pencil_solved_once_per_execute(tmp_path, monkeypatch):
     cfg_path = tmp_path / "cfg.json"
     write_config(
@@ -307,7 +326,7 @@ def test_each_assembled_pencil_solved_once_per_execute(tmp_path, monkeypatch):
     def counting(name, fn):
         def wrapper(arg, *args, **kwargs):
             if depth[0] == 0:
-                mats = (arg.a, arg.b) if name == "generalized_eigvalues" else (arg,)
+                mats = _members(arg)
                 digests = tuple(hashlib.sha256(np.ascontiguousarray(m)).hexdigest() for m in mats)
                 solves[name, mats[0].shape[0], digests] += 1
             depth[0] += 1
@@ -343,3 +362,141 @@ def test_each_assembled_pencil_solved_once_per_execute(tmp_path, monkeypatch):
         assert set(assembled.values()) == {expected}
         # global deflation rank 4 takes its top 5 pairs of (K, M) once
         assert tops == {(5, 108): expected}
+
+
+def test_each_matrix_split_and_checked_once_per_execute(tmp_path, monkeypatch):
+    # the kinds_small mesh (n = 360): its stiffness pencils have a low tail
+    cfg_path = tmp_path / "cfg.json"
+    write_config(
+        cfg_path,
+        geometry={"mesh": {"node_counts": [10, 4, 3], "extents_mm": [50.0, 15.0, 2.0]}},
+        scalings=[{"kind": "olovsson", "beta": 10.0}, {"kind": "cms", "alpha": 4.0},
+                  {"kind": "none"}, {"kind": "eig_stabilization", "rank": 3, "epsilon": 1e-6}],
+        sweep={"kind": "olovsson", "parameter": "beta", "values": [1.0, 10.0]},
+    )
+    cfg = cli.load_config(cfg_path)
+    cfg.output_dir = str(tmp_path / "out")
+    n = 360
+    calls = Counter()  # (function, digests of its order-n matrices, extremes without a split)
+    splits = {}  # digest -> whether the matrix mirrors
+
+    def counting(name, fn):
+        def wrapper(arg, *args, **kwargs):
+            result = fn(arg, *args, **kwargs)
+            mats = _members(arg)
+            if mats[0].shape[0] == n:
+                key = tuple(hashlib.sha256(np.ascontiguousarray(m)).hexdigest() for m in mats)
+                bare = name == "extreme_eigvalues" and kwargs.get("split") is None
+                calls[name, key, bare] += 1
+                if name == "mirror_split":
+                    splits[key[0]] = result is not None
+            return result
+
+        return wrapper
+
+    names = ("mirror_split", "require_symmetric", "_standard_form", "_ritz", "extreme_eigvalues")
+    for name in names:
+        original = getattr(linalg, name)
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "masscale" and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting(name, original))
+    cli.execute(cfg, ["spectrum", "bounds", "sweep"])
+
+    def count(name, matrix=None, bare=False):
+        return sum(c for (f, key, b), c in calls.items() if f == name
+                   and (matrix is None or matrix in key) and b == bare)
+
+    # K, M and the Mbar of olovsson (beta 1 and 10), cms and eig_stabilization;
+    # none shares M's split, and a split that finds no mirror is kept too
+    assert len(splits) == 6 and count("mirror_split") == 6
+    assert list(splits.values()).count(False) == 1  # eig_stabilization's Mbar
+    # full pencils: those whose low tail _ritz recomputes, and those solved
+    # without a split because a member does not mirror
+    full = {key for f, key, _ in calls if f in ("_standard_form", "_ritz")}
+    assert any(f == "_ritz" and key not in {k for g, k, _ in calls if g == "_standard_form"}
+               for f, key, _ in calls)  # a block solve needed the full pencil for its tail
+    for matrix in splits:
+        allowed = 1 + sum(key.count(matrix) for key in full)
+        allowed += count("extreme_eigvalues", matrix, bare=True)
+        assert count("require_symmetric", matrix) <= allowed
+
+
+# The config fuzzer: one field of a valid document replaced by a drawn JSON
+# value. FUZZ_FIELDS maps each field's path to a test of the values that
+# are well formed there, or to the container type it must have.
+FUZZ_BASE = {
+    "material": {"young_modulus_gpa": 207.0, "poisson_ratio": 0.3, "density": 7800.0},
+    "geometry": {"mesh": {"node_counts": [2, 2, 2], "extents_mm": [10.0, 10.0, 10.0]}},
+    "scalings": [{"kind": "olovsson", "beta": 10.0}],
+    "seed": 42,
+    "output_dir": "out",
+    "studies": {"element_spectrum": True},
+}
+
+
+def _finite(value, scale=1.0):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value * scale)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _triple(test):
+    return lambda v: isinstance(v, list) and len(v) == 3 and all(map(test, v))
+
+
+FUZZ_FIELDS = {
+    ("material",): dict,
+    ("material", "young_modulus_gpa"): lambda v: _finite(v, 1e9) and v > 0,
+    ("material", "poisson_ratio"): lambda v: _finite(v) and 0 <= v < 0.5,
+    ("material", "density"): lambda v: _finite(v) and v > 0,
+    ("geometry",): dict,
+    ("geometry", "mesh"): dict,
+    ("geometry", "mesh", "node_counts"): _triple(
+        lambda c: isinstance(c, int) and not isinstance(c, bool) and c >= 2),
+    ("geometry", "mesh", "extents_mm"): _triple(lambda x: _finite(x, 1e-3) and x > 0),
+    ("scalings",): list,
+    ("scalings", 0): dict,
+    ("scalings", 0, "beta"): lambda v: _finite(v) and v >= 0,
+    ("seed",): lambda v: isinstance(v, int) and not isinstance(v, bool),
+    ("output_dir",): lambda v: isinstance(v, str),
+    ("studies",): dict,
+    ("studies", "element_spectrum"): lambda v: v is True,
+    ("sweep",): dict,
+}
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=4),
+    max_leaves=8,
+)
+_near_triples = st.lists(st.integers(-2, 4) | st.floats(-1e3, 1e3), min_size=3, max_size=3)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(path=st.sampled_from(sorted(FUZZ_FIELDS, key=str)), value=_json_values | _near_triples)
+def test_config_fuzz_exits_with_one_line(tmp_path, path, value):
+    doc = json.loads(json.dumps(FUZZ_BASE))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    res = CliRunner().invoke(cli.main, ["run", "--config", str(cfg), "--out",
+                                        str(tmp_path / "out")])
+    assert res.exit_code in (0, 1, 2), res.output
+    assert "Traceback" not in res.stderr
+    assert len(res.stderr.splitlines()) == (res.exit_code != 0), res.stderr
+    expected = FUZZ_FIELDS[path]
+    if isinstance(expected, type):
+        if not isinstance(value, expected):
+            assert res.exit_code == 1, res.stderr
+    elif expected(value):
+        assert res.exit_code != 1, res.stderr
+    else:
+        assert res.exit_code == 1, res.stderr

@@ -243,6 +243,59 @@ def scaled_mass(system, kind):
     return scaling.apply_spec(spec, blocks, mesh.dof_count, pair=pair, k_global=pair.a)
 
 
+def two_pass_is_diagonal(a, rtol=1e-14):
+    """The n x n test that :func:`linalg.is_diagonal` replaces, as an oracle."""
+    off = a - np.diag(np.diag(a))
+    return np.abs(off).max() <= rtol * (np.abs(a).max() or 1.0)
+
+
+class TestIsDiagonal:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    def test_agrees_with_the_two_pass_test(self, n):
+        rng = np.random.default_rng(n)
+        for scale in (0.0, 1e-16, 1e-14, 1e-13, 1.0):
+            a = np.diag(rng.uniform(0.5, 2.0, n)) + scale * rng.standard_normal((n, n))
+            for view in (a, a.T, -a):
+                assert linalg.is_diagonal(view) == two_pass_is_diagonal(view)
+
+    def test_one_and_two(self):
+        assert linalg.is_diagonal(np.array([[3.0]]))
+        assert linalg.is_diagonal(np.array([[0.0]]))
+        assert linalg.is_diagonal(np.diag([1.0, 2.0]))
+        assert not linalg.is_diagonal(np.array([[1.0, 0.0], [1e-3, 2.0]]))
+        assert not linalg.is_diagonal(np.array([[1.0, -1e-3], [0.0, 2.0]]))
+
+    def test_transposed_view(self):
+        a = np.diag([1.0, 2.0, 3.0])
+        a[2, 0] = 0.5
+        assert not a.T.flags.c_contiguous
+        assert not linalg.is_diagonal(a.T)
+        assert linalg.is_diagonal(np.diag([1.0, 2.0, 3.0]).T)
+        strided = np.diag(np.arange(1.0, 7.0))[::2, ::2]  # neither it nor its transpose contiguous
+        assert linalg.is_diagonal(strided)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_off_diagonal_is_not_diagonal(self, bad):
+        a = np.diag([1.0, 2.0, 3.0])
+        a[0, 2] = bad
+        assert not linalg.is_diagonal(a)
+        assert not linalg.is_diagonal(a.T)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_diagonal_is_not_diagonal(self, bad):
+        assert not linalg.is_diagonal(np.array([[bad]]))
+        assert not linalg.is_diagonal(np.diag([1.0, bad]))
+
+    def test_tolerance_edge(self):
+        a = np.diag([2.0, 1.0])
+        a[1, 0] = 2e-14  # exactly rtol * max|a|
+        assert linalg.is_diagonal(a) and two_pass_is_diagonal(a)
+        a[1, 0] = np.nextafter(2e-14, 1.0)
+        assert not linalg.is_diagonal(a) and not two_pass_is_diagonal(a)
+        a[1, 0] = -np.nextafter(2e-14, 1.0)
+        assert not linalg.is_diagonal(a)
+
+
 class TestExtremeEigvalues:
     @pytest.mark.parametrize("kind", sorted(KIND_DOCS))
     @pytest.mark.parametrize("system", ["small_system", "wide_system"])
@@ -399,6 +452,11 @@ def three_pencils(system, kind):
     return [pair, MatrixPair(scaled.kbar, mbar), MatrixPair(mbar, pair.b)]
 
 
+def pencil_split(pencil, basis):
+    """The mirror splits of a pencil's two members."""
+    return linalg.mirror_split(pencil.a, basis), linalg.mirror_split(pencil.b, basis)
+
+
 class TestMirrorBlocks:
     """Block solves in the mirror basis against the solves without it."""
 
@@ -409,10 +467,10 @@ class TestMirrorBlocks:
         system = request.getfixturevalue(system)
         basis = fem.mirror_basis(system[0])
         for index, pencil in enumerate(three_pencils(system, kind)):
-            assert linalg._mirror_blocks(pencil.a, basis) is not None
-            assert linalg._mirror_blocks(pencil.b, basis) is not None
+            assert linalg.mirror_split(pencil.a, basis) is not None
+            assert linalg.mirror_split(pencil.b, basis) is not None
             full = generalized_eigvalues(pencil)
-            blocked = generalized_eigvalues(pencil, basis=basis)
+            blocked = generalized_eigvalues(pencil, split=pencil_split(pencil, basis))
             assert np.abs(blocked - full).max() <= linalg.rigid_cutoff(full)
             start, count = analysis.flexible_slice(full), linalg._low_tail(full)
             if with_tails and index < 2:  # the stiffness pencils have a low tail
@@ -424,16 +482,17 @@ class TestMirrorBlocks:
         basis = fem.mirror_basis(kinds_mesh[0])
         mbar = scaled_mass(kinds_mesh, kind).mbar_dense()
         dense = np.linalg.eigvalsh(mbar)[[0, -1]]
-        assert np.allclose(extreme_eigvalues(mbar, basis=basis), dense, rtol=1e-12, atol=0.0)
+        split = linalg.mirror_split(mbar, basis)
+        assert np.allclose(extreme_eigvalues(mbar, split=split), dense, rtol=1e-12, atol=0.0)
 
     def test_cms_on_some_dofs_fails_the_coupling_check(self, kinds_mesh):
         mesh, blocks, pair = kinds_mesh
         basis = fem.mirror_basis(mesh)
         spec = scaling.ScalingSpec("cms", alpha=4.0, selector=[0, 1, 2])
         mbar = scaling.apply_spec(spec, blocks, mesh.dof_count, pair=pair).mbar_dense()
-        assert linalg._mirror_blocks(mbar, basis) is None
+        assert linalg.mirror_split(mbar, basis) is None
         for pencil in (MatrixPair(pair.a, mbar), MatrixPair(mbar, pair.b)):
-            assert np.array_equal(generalized_eigvalues(pencil, basis=basis),
+            assert np.array_equal(generalized_eigvalues(pencil, split=pencil_split(pencil, basis)),
                                   generalized_eigvalues(pencil))
 
     def test_perturbed_mesh_gets_the_full_path(self, kinds_mesh, material):
@@ -444,8 +503,9 @@ class TestMirrorBlocks:
         pair = MatrixPair(fem.assemble(blocks, "stiffness", n), fem.assemble(blocks, "lumped", n))
         # the unperturbed mesh's reflections do not commute with this K
         basis = fem.mirror_basis(kinds_mesh[0])
-        assert linalg._mirror_blocks(pair.a, basis) is None
-        assert np.array_equal(generalized_eigvalues(pair, basis=basis), generalized_eigvalues(pair))
+        assert linalg.mirror_split(pair.a, basis) is None
+        assert np.array_equal(generalized_eigvalues(pair, split=pencil_split(pair, basis)),
+                              generalized_eigvalues(pair))
 
 
 class TestVectorsOnlyForATail:
