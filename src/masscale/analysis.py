@@ -182,19 +182,20 @@ def condition_report(m_values, mbar_values, mass_values, p_max, element_masses, 
     return out
 
 
-def asymptotic_cond_rate(mesh, dofs_per_element=24):
-    """Refined large-beta rate 8 n / (7 m N) for the Olovsson condition growth."""
+def asymptotic_cond_rate(mesh):
+    """Refined large-beta rate 8 n / (7 m N) for the Olovsson condition
+    growth, with m = 24 dofs per hex8 element."""
     if not mesh.is_uniform():
         raise NonUniformMesh("rate is only claimed for uniform structured meshes")
-    n = mesh.dof_count
-    return 8.0 * n / (7.0 * dofs_per_element * mesh.element_count)
+    return 8.0 * mesh.dof_count / (7.0 * 24 * mesh.element_count)
 
 
-def fit_cond_slope(betas, kappa_ratios, samples=5):
-    """Least-squares slope of kappa(Mbar)/kappa(M) vs beta, largest samples."""
+def fit_cond_slope(betas, kappa_ratios):
+    """Least-squares slope of kappa(Mbar)/kappa(M) vs beta, over the five
+    largest betas."""
     betas = np.asarray(betas, dtype=float)
     ratios = np.asarray(kappa_ratios, dtype=float)
-    order = np.argsort(betas)[-samples:]
+    order = np.argsort(betas)[-5:]
     a = np.vstack([betas[order], np.ones(order.size)]).T
     slope, _ = np.linalg.lstsq(a, ratios[order], rcond=None)[0]
     return float(slope)

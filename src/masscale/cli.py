@@ -6,11 +6,11 @@ to SI on load. Exit codes: 0 ok, 1 config error, 2 internal error.
 """
 from __future__ import annotations
 
-import functools
 import json
 import os
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field
 
 import click
@@ -18,16 +18,8 @@ import numpy as np
 
 from . import __version__, analysis, fem, integrator, scaling
 from .errors import ConfigError, InvalidCounts, MasscaleError
-from .linalg import (
-    LowRankUpdate,
-    MatrixPair,
-    condition_number,
-    extreme_eigvalues,
-    generalized_eig,
-    generalized_eigvalues,
-    mirror_split,
-    require_symmetric,
-)
+from .linalg import MatrixPair, condition_number, generalized_eig
+from .system import MeshSystem
 
 DEFAULT_SEED = 42
 
@@ -171,6 +163,9 @@ def load_config(path):
             raise ConfigError(f"sweep.values: expected a non-empty list, got {values!r}")
         if "kind" not in cfg.sweep or "parameter" not in cfg.sweep:
             raise ConfigError("sweep: requires 'kind' and 'parameter'")
+        for key in ("kind", "parameter"):
+            if not isinstance(cfg.sweep[key], str):
+                raise ConfigError(f"sweep.{key}: expected a string, got {cfg.sweep[key]!r}")
     studies = _object(raw.get("studies", {}), "studies")
     for name, enabled in studies.items():
         if name not in STUDY_NAMES or not isinstance(enabled, bool):
@@ -205,18 +200,14 @@ class Emitter:
 
 def study_element_spectrum(cfg, emitter, system):
     """Per-element spectra and Rayleigh tables for each configured scaling."""
-    mesh = fem.build_structured_mesh((2, 2, 2), cfg.element_geometry_size())
-    blocks = fem.element_blocks(mesh, cfg.material)
-    block = blocks[0]
-    pair = MatrixPair(
-        fem.assemble(blocks, "stiffness", mesh.dof_count),
-        fem.assemble(blocks, "lumped", mesh.dof_count),
-    )
+    element = MeshSystem(fem.build_structured_mesh((2, 2, 2), cfg.element_geometry_size()),
+                         cfg.material)
+    block = element.blocks[0]
     for spec in cfg.scalings or [scaling.ScalingSpec("none")]:
         if spec.kind == "none":
             mbar_e = np.diag(block.lumped_mass)
         else:
-            scaled = scaling.apply_spec(spec, blocks, mesh.dof_count, pair=pair)
+            scaled = element.scale(spec)
             mbar_e = scaled.mbar_dense() if scaled.element_mbar is None else scaled.element_mbar[0]
         rows, ordering = analysis.element_rayleigh_report(block, mbar_e)
         emitter.write_csv(
@@ -234,108 +225,12 @@ def study_element_spectrum(cfg, emitter, system):
         )
 
 
-class _MeshSystem:
-    """The configured mesh, its element blocks and (K, M), built on first
-    use, and what the studies read of the assembled pencils, each solved
-    on first request: all eigenvalues of (K, M) and the extremes of M once,
-    and the same of (Kbar, Mbar), (Mbar, M) and Mbar once per scaling spec.
-    The none kind's Kbar and Mbar are K and M, so it shares their entries.
-    It keeps eigenvalues, and the scaled systems of global deflation, whose
-    Mbar is M plus an n x r factor formed by a partial dense solve; others
-    are rebuilt on request, so that no n x n Mbar is held.
-
-    Each assembled matrix is read once: K and M are checked for symmetry
-    when their pair is built, and each Mbar when it is split. The split of
-    each matrix in the mesh's mirror basis (:func:`linalg.mirror_split`,
-    about n^2/8 entries, or None when the matrix does not mirror) is kept
-    and goes to every solve that reads the matrix, so that what commutes
-    with the reflections is solved block by block; Kbar is K for every
-    kind, so all pencils share K's split.
-    """
-
-    def __init__(self, cfg):
-        self.cfg, self._values, self._low_rank = cfg, {}, {}
-
-    @functools.cached_property
-    def parts(self):
-        """(mesh, blocks, MatrixPair(K, M))."""
-        mesh = self.cfg.mesh()
-        blocks = fem.element_blocks(mesh, self.cfg.material)
-        k = fem.assemble(blocks, "stiffness", mesh.dof_count)
-        m = fem.assemble(blocks, "lumped", mesh.dof_count)
-        return mesh, blocks, MatrixPair(k, m)
-
-    @functools.cached_property
-    def basis(self):
-        """The mesh's :class:`fem.MirrorBasis`, or None."""
-        return fem.mirror_basis(self.parts[0])
-
-    def scale(self, spec):
-        if spec in self._low_rank:
-            return self._low_rank[spec]
-        mesh, blocks, pair = self.parts
-        scaled = scaling.apply_spec(spec, blocks, mesh.dof_count, pair=pair, k_global=pair.a)
-        if isinstance(scaled.mbar, LowRankUpdate):
-            self._low_rank[spec] = scaled
-        return scaled
-
-    @staticmethod
-    def _spec(scaled):
-        """The key of a scaled system: None for the unscaled pair and for none."""
-        return None if scaled is None or scaled.spec.kind == "none" else scaled.spec
-
-    def _once(self, key, scaled, solve):
-        spec = self._spec(scaled)
-        if (key, spec) not in self._values:
-            self._values[key, spec] = solve()
-        return self._values[key, spec]
-
-    def _split(self, a):
-        return None if self.basis is None else mirror_split(a, self.basis)
-
-    def split_k(self):
-        return self._once("split K", None, lambda: self._split(self.parts[2].a))
-
-    def split_mass(self, scaled=None):
-        """The split of Mbar, or of M for no spec and for none; an Mbar is
-        checked for symmetry here, once."""
-        if self._spec(scaled) is None:
-            return self._once("split M", None, lambda: self._split(self.parts[2].b))
-        return self._once("split M", scaled, lambda: self._split(
-            require_symmetric(scaled.mbar_dense(), "Mbar")))
-
-    def values_km(self):
-        return self._once("K,M", None, lambda: generalized_eigvalues(
-            self.parts[2], split=(self.split_k(), self.split_mass())))
-
-    def values_m(self):
-        """(lambda_min, lambda_max) of M."""
-        return self._once("M", None, lambda: extreme_eigvalues(
-            self.parts[2].b, split=self.split_mass()))
-
-    def values_kmbar(self, scaled):
-        return self._once("K,M", scaled, lambda: generalized_eigvalues(
-            (scaled.kbar, scaled.mbar_dense()),
-            split=(self.split_k(), self.split_mass(scaled))))
-
-    def values_mbar(self, scaled):
-        """(lambda_min, lambda_max) of Mbar."""
-        return self._once("M", scaled, lambda: extreme_eigvalues(
-            scaled.mbar_dense(), split=self.split_mass(scaled)))
-
-    def values_mbarm(self, scaled):
-        return self._once("Mbar,M", scaled, lambda: generalized_eigvalues(
-            (scaled.mbar_dense(), self.parts[2].b),
-            split=(self.split_mass(scaled), self.split_mass())))
-
-
 def study_spectrum(cfg, emitter, system):
     """Full spectral reports (original vs scaled) on the configured mesh."""
-    _, blocks, _ = system.parts
     for spec in cfg.scalings or [scaling.ScalingSpec("none")]:
         scaled = system.scale(spec)
         report = analysis.spectral_report(
-            system.values_km(), system.values_kmbar(scaled), spec, blocks=blocks
+            system.values_km(), system.values_kmbar(scaled), spec, blocks=system.blocks
         )
         label = spec.label
         analysis.report_to_json(report, emitter.path(f"spectrum_{label}.json"))
@@ -346,7 +241,6 @@ def study_spectrum(cfg, emitter, system):
 
 def study_bounds(cfg, emitter, system):
     """Sandwich and condition bounds for each configured scaling."""
-    mesh, blocks, _ = system.parts
     for spec in cfg.scalings or [scaling.ScalingSpec("none")]:
         scaled = system.scale(spec)
         # Kbar is K for every kind, so (Kbar, Mbar) is the sandwich's (K, Mbar).
@@ -356,7 +250,8 @@ def study_bounds(cfg, emitter, system):
         )
         cond = analysis.condition_report(
             system.values_m(), system.values_mbar(scaled), mass_values,
-            mesh.p_max, blocks.element_mass, spec=spec, element_mbar=scaled.element_mbar,
+            system.mesh.p_max, system.blocks.element_mass, spec=spec,
+            element_mbar=scaled.element_mbar,
         )
         payload = {
             name: {"value": r.value, "lower": r.lower, "upper": r.upper, "holds": r.holds(),
@@ -370,7 +265,6 @@ def study_sweep(cfg, emitter, system):
     """Parameter sweep: step ratio, corollary bound, condition ratio per point."""
     if cfg.sweep is None:
         raise ConfigError("sweep: section missing")
-    _, blocks, _ = system.parts
     dt0 = analysis.critical_dt(system.values_km()[-1])
     kappa_m = condition_number(system.values_m())
 
@@ -383,7 +277,7 @@ def study_sweep(cfg, emitter, system):
         scaled = system.scale(spec)
         dt_ratio = analysis.critical_dt(system.values_kmbar(scaled)[-1]) / dt0
         try:
-            bound = analysis.corollary_bound(spec, blocks)
+            bound = analysis.corollary_bound(spec, system.blocks)
         except MasscaleError:
             bound = float("nan")
         kappa_ratio = condition_number(system.values_mbar(scaled)) / kappa_m
@@ -420,10 +314,10 @@ _STUDIES = {
 
 def execute(cfg, studies):
     """Run ``studies`` in order and write the manifest. The mesh studies
-    share one :class:`_MeshSystem`, so each assembled pencil is solved
-    once per call."""
+    share one :class:`masscale.system.MeshSystem` of the configured mesh,
+    so each assembled pencil is solved once per call."""
     emitter = Emitter(cfg.output_dir)
-    system = _MeshSystem(cfg)
+    system = MeshSystem(cfg.mesh(), cfg.material) if set(studies) - {"element_spectrum"} else None
     timings = {}
     for name in studies:
         start = time.perf_counter()
@@ -444,16 +338,18 @@ def execute(cfg, studies):
 
 def _run(config, out, seed, studies):
     try:
-        cfg = load_config(config)
-        if out is not None:
-            cfg.output_dir = out
-        if seed is not None:
-            cfg.seed = int(seed)
-        if studies is None:
-            studies = [n for n in STUDY_NAMES if cfg.studies.get(n)]
-            if not studies:
-                raise ConfigError("studies: no study enabled")
-        execute(cfg, studies)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # a numpy overflow ends as one line
+            cfg = load_config(config)
+            if out is not None:
+                cfg.output_dir = out
+            if seed is not None:
+                cfg.seed = int(seed)
+            if studies is None:
+                studies = [n for n in STUDY_NAMES if cfg.studies.get(n)]
+                if not studies:
+                    raise ConfigError("studies: no study enabled")
+            execute(cfg, studies)
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(1)

@@ -1,4 +1,4 @@
-"""Symmetric linear algebra: dense solvers, and sparse Lanczos where it pays.
+"""Symmetric linear algebra: dense solvers, by mirror-symmetry blocks where they apply.
 
 Factorizations, standard and generalized eigensolvers, low-rank-update
 (Woodbury) solves, and condition numbers of computed eigenvalues.
@@ -25,22 +25,13 @@ Each question has its own solver, so that a caller pays for what it reads:
 - all eigenvalues of a pencil: :func:`generalized_eigvalues`. With the
   splits of both members, eight dense solves of the block pairs (order
   about n/8), with the low tail (below) recomputed on the full pencil
-  from the blocks' vectors. Otherwise it takes the dense values-only
-  solve and recomputes the low tail: from shift-invert Lanczos vectors
-  through a sparse LU from order _SPARSE_ORDER on, for matrices with at
-  most a _SPARSE_FILL share of nonzero entries, when the tail holds at
-  most a _TAIL_SHARE share of the values and the Lanczos tail agrees
-  with the dense one to within the dense error; from
-  :func:`generalized_eig` elsewhere. A pencil without a tail forms no
-  vectors;
+  from the blocks' vectors. Otherwise the dense values-only solve, and a
+  pencil with a low tail takes :func:`generalized_eig`'s values instead;
+  a pencil without one forms no vectors;
 - lambda_min and lambda_max of a symmetric matrix:
   :func:`extreme_eigvalues`: the ends of the diagonal of a diagonal
-  matrix, the ends of the blocks' dense values with a mirror split,
-  Lanczos where sparse solves pay as above, the ends of the dense
-  values-only solve elsewhere.
-
-Lanczos starts from a fixed vector, so every solver returns the same bits
-for the same input.
+  matrix, the ends of the blocks' dense values with a mirror split, the
+  ends of the dense values-only solve elsewhere.
 
 Accuracy of the generalized eigenvalues. The dense solve errs by about
 eps * lambda_max in absolute terms on every eigenvalue, so it is accurate
@@ -50,21 +41,19 @@ flexible mode of the benchmark plate is 3e-8 * lambda_max and keeps eight
 or nine digits, different ones for each matrix ordering and BLAS thread
 count. :func:`generalized_eig` and :func:`generalized_eigvalues` therefore
 recompute every value below 1e-4 * lambda_max by Rayleigh-Ritz, with A u
-formed in twice the working precision, on the dense, the Lanczos or the
-mirror blocks' eigenvectors. Every eigenvalue is then accurate to a few
-1e-12 relative to itself: the low tail by the recomputation (to about
-1e-15, on any of these vectors), the rest because the dense error
-eps * lambda_max is at most 2e-12 of a value above the cut. The
-values-only and the full dense solves use different LAPACK algorithms, so
-their values above the cut differ by up to that bound; the smaller block
-solves err no more (on the benchmark plate's two stiffness pencils, at
-most 5.6e-15 * lambda_max, against 8.0e-15 for the full values-only
-solve, both measured from Rayleigh quotients). A's null space (the
-rigid-body modes) is not factored out: its vectors, whose values lie
-within :func:`rigid_cutoff` (n * eps * lambda_max) of zero, stay in the
-Rayleigh-Ritz block, which separates them from the flexible modes. The
-Lanczos extremes of a matrix agree with its dense values to about 1e-14
-relative.
+formed in twice the working precision, on the dense or the mirror blocks'
+eigenvectors. Every eigenvalue is then accurate to a few 1e-12 relative
+to itself: the low tail by the recomputation (to about 1e-15, on either
+of these vectors), the rest because the dense error eps * lambda_max is
+at most 2e-12 of a value above the cut. The values-only and the full
+dense solves use different LAPACK algorithms, so their values above the
+cut differ by up to that bound; the smaller block solves err no more (on
+the benchmark plate's two stiffness pencils, at most 5.6e-15 *
+lambda_max, against 8.0e-15 for the full values-only solve, both
+measured from Rayleigh quotients). A's null space (the rigid-body modes)
+is not factored out: its vectors, whose values lie within
+:func:`rigid_cutoff` (n * eps * lambda_max) of zero, stay in the
+Rayleigh-Ritz block, which separates them from the flexible modes.
 """
 from __future__ import annotations
 
@@ -241,24 +230,6 @@ def is_diagonal(a, rtol=1e-14):
     return bool(np.isfinite(top)) and max(high, -low) <= rtol * (top or 1.0)
 
 
-def _factor_sparse(s):
-    """Sparse LU of a symmetric sparse matrix with a minimum-degree ordering
-    applied symmetrically and diagonal pivots only. Without row
-    interchanges the pivots of a symmetric matrix are all positive exactly
-    when it is positive definite, so that is the SPD test:
-    :class:`NotPositiveDefinite` names the first failing pivot in
-    elimination order.
-    """
-    from scipy.sparse import linalg as spla  # deferred: its import would add to every CLI start
-
-    lu = spla.splu(s.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                   options={"SymmetricMode": True})
-    bad = np.flatnonzero(~(lu.U.diagonal() > 0) | (lu.perm_r != lu.perm_c))
-    if bad.size:
-        raise NotPositiveDefinite(int(bad[0]))
-    return lu
-
-
 def factor_spd(b):
     """Factor an SPD matrix once for repeated solves.
 
@@ -266,8 +237,11 @@ def factor_spd(b):
     vector or a matrix of columns. A 1-D ``b`` is a diagonal, and a 2-D
     ``b`` that :func:`is_diagonal` accepts is reduced to its diagonal:
     ``diag`` is then that 1-D diagonal and ``solve`` divides. Any other
-    ``b`` is factored as a sparse LU (``diag`` is None), which is also the
-    SPD test (see :func:`_factor_sparse`).
+    ``b`` is factored as a sparse LU (``diag`` is None) with a
+    minimum-degree ordering applied symmetrically and diagonal pivots
+    only. Without row interchanges the pivots of a symmetric matrix are
+    all positive exactly when it is positive definite, so that is the SPD
+    test.
 
     Raises :class:`NotPositiveDefinite` (with the first failing pivot in
     elimination order) when ``b`` is not SPD.
@@ -280,9 +254,14 @@ def factor_spd(b):
             raise NotPositiveDefinite(int(bad[0]))
         return d, lambda rhs: (rhs.T / d).T
     from scipy import sparse  # deferred: its import would add to every CLI start
+    from scipy.sparse import linalg as spla
 
-    b = require_symmetric(b, "b")
-    return None, _factor_sparse(sparse.csc_array(b)).solve
+    lu = spla.splu(sparse.csc_array(require_symmetric(b, "b")), permc_spec="MMD_AT_PLUS_A",
+                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    bad = np.flatnonzero(~(lu.U.diagonal() > 0) | (lu.perm_r != lu.perm_c))
+    if bad.size:
+        raise NotPositiveDefinite(int(bad[0]))
+    return None, lu.solve
 
 
 _EPS = np.finfo(float).eps
@@ -290,19 +269,6 @@ _EPS = np.finfo(float).eps
 # there the dense error eps * lambda_max exceeds 2e-12 of the value. Above
 # it lie all flexible values of the benchmark meshes' element pairs.
 _LOW_CUT = 1e-4
-# Lanczos recomputes a low tail of at most this share of the spectrum.
-# Timed against the dense vectors on hex8 meshes: at n = 2400, tails of
-# 1 and 3 % take 0.6 of their time; at n = 1008, tails of 6 to 12 % take
-# as long, 15 % 1.5 times and 26 % 2.7 times as long.
-_TAIL_SHARE = 0.1
-# Lanczos through a sparse LU replaces dense solves from this order on,
-# for matrices with at most this share of nonzero entries. Timed with one
-# BLAS thread on hex8 meshes: dense solves win at n = 360; Lanczos wins at
-# 720 on the pencils and on the Olovsson and Hoffmann masses, and at 1500
-# and 2400 on every kind at most 13 % full. A sparse LU of a full matrix
-# (a global-deflation mass) takes seconds.
-_SPARSE_ORDER = 500
-_SPARSE_FILL = 0.1
 
 
 def _standard_form(pair):
@@ -450,53 +416,6 @@ def generalized_eig(pair, top=None):
     return EigDecomposition(values, _fix_signs(vectors), "b-orthonormal")
 
 
-def _sparse_pays(*mats):
-    """True when Lanczos through a sparse LU beats the dense solvers on
-    these matrices: from order _SPARSE_ORDER on, when each has at most a
-    _SPARSE_FILL share of its entries nonzero."""
-    n = mats[0].shape[0]
-    return n >= _SPARSE_ORDER and all(np.count_nonzero(m) <= _SPARSE_FILL * n * n for m in mats)
-
-
-def _start_vector(n):
-    """The Lanczos start vector: fixed, so that repeated solves agree to the bit."""
-    return np.random.default_rng(0).standard_normal(n)
-
-
-def _lanczos_tail(pair, values, count):
-    """The ``count`` smallest eigenvalues of a PSD pencil, recomputed from
-    its dense ascending ``values``, or None where Lanczos fails.
-
-    Shift-invert Lanczos (Ericsson and Ruhe, 1980) at
-    sigma = -1e-8 * lambda_max, where A - sigma B is SPD and is factored
-    once as a sparse LU, finds the lowest ``count`` vectors, and
-    :func:`_ritz` makes each value accurate relative to itself. From one
-    start vector Lanczos finds one vector per distinct eigenvalue, so a
-    tail with a multiple eigenvalue may come back short of it and padded
-    with higher ones: the mass pencil (Mbar, M) has an exact cluster at 1
-    wherever Mbar - M has a null space. The dense values are accurate to
-    n * eps * lambda_max, so a tail farther from them than that, or one
-    whose Lanczos or Rayleigh-Ritz step fails, is rejected.
-    """
-    from scipy import sparse  # deferred: its import would add to every CLI start
-    from scipy.sparse import linalg as spla
-
-    n = pair.order
-    sigma = -1e-8 * values[-1]
-    a, b = sparse.csr_array(pair.a), sparse.csr_array(pair.b)
-    shift_invert = spla.LinearOperator(
-        (n, n), matvec=_factor_sparse(a - sigma * b).solve, dtype=float)
-    try:
-        _, x = spla.eigsh(a, k=count, M=b, sigma=sigma, OPinv=shift_invert,
-                          v0=_start_vector(n))
-        tail = _ritz(pair, x)[0]
-    except (spla.ArpackNoConvergence, np.linalg.LinAlgError):
-        return None
-    if np.abs(tail - values[:count]).max() > rigid_cutoff(values):
-        return None
-    return tail
-
-
 def mirror_split(a, basis):
     """The blocks Q_k^T A Q_k of a symmetric ``a`` in the mirror basis
     (:class:`masscale.fem.MirrorBasis`), as the pair (blocks, basis), or
@@ -583,30 +502,16 @@ def generalized_eigvalues(pair, split=None):
     of order about n/8, with no check of the full pencil unless a low tail
     needs it. When there is no split, or a member's is None (it does not
     commute with the reflections), the values come from the dense
-    values-only solve of the standard form, and a low tail that
-    :func:`generalized_eig` would recompute is recomputed from sparse
-    shift-invert Lanczos vectors instead of dense ones where sparse solves
-    pay (see the module docstring) and the tail holds at most a
-    _TAIL_SHARE share of the values (see :func:`_lanczos_tail`); the two
-    tails agree to a few 1e-15. A tail that Lanczos cannot give takes
-    :func:`generalized_eig`'s values; a pencil without a tail forms no
-    vectors.
+    values-only solve of the standard form; a pencil with a low tail that
+    :func:`generalized_eig` would recompute takes its values instead, and
+    a pencil without one forms no vectors.
     """
     if split is not None and all(s is not None for s in split):
         return _block_eigvalues(pair, *split)
     if not isinstance(pair, MatrixPair):
         pair = MatrixPair(*pair)
-    c, _ = _standard_form(pair)
-    values = np.linalg.eigvalsh(c)
-    count = _low_tail(values)
-    if not count:
-        return values
-    if count <= _TAIL_SHARE * pair.order and _sparse_pays(pair.a, pair.b):
-        tail = _lanczos_tail(pair, values, count)
-        if tail is not None:
-            values[:count] = tail
-            return values
-    return generalized_eig(pair).values
+    values = np.linalg.eigvalsh(_standard_form(pair)[0])
+    return generalized_eig(pair).values if _low_tail(values) else values
 
 
 def extreme_eigvalues(a, split=None):
@@ -616,12 +521,7 @@ def extreme_eigvalues(a, split=None):
     diagonal, exactly. With the ``split`` of ``a`` (:func:`mirror_split`),
     which implies that ``a`` was checked for symmetry, the ends of the
     dense values of its eight blocks. Without one, ``a`` is checked, and
-    where sparse solves pay (see the module docstring), Lanczos from a
-    fixed start vector: shift-invert at 0, through a sparse LU, for
-    lambda_min, and plain Lanczos to tolerance 1e-13 for lambda_max; both
-    agree with the dense values to about 1e-14 relative. That path needs
-    ``a`` positive definite and raises :class:`NotPositiveDefinite`
-    otherwise. Elsewhere, the two ends of the dense values-only solve.
+    the two ends of its dense values-only solve are returned.
     """
     if split is None:
         a = require_symmetric(a, "a")
@@ -631,17 +531,7 @@ def extreme_eigvalues(a, split=None):
     if split is not None:
         ends = np.array([np.linalg.eigvalsh(b)[[0, -1]] for b in split[0]])
         return np.array([ends[:, 0].min(), ends[:, 1].max()])
-    if not _sparse_pays(a):
-        return np.linalg.eigvalsh(a)[[0, -1]]
-    from scipy import sparse  # deferred: its import would add to every CLI start
-    from scipy.sparse import linalg as spla
-
-    s = sparse.csr_array(a)
-    inverse = spla.LinearOperator(s.shape, matvec=_factor_sparse(s).solve, dtype=float)
-    v0 = _start_vector(s.shape[0])
-    low = spla.eigsh(s, k=1, sigma=0.0, OPinv=inverse, v0=v0, return_eigenvectors=False)
-    high = spla.eigsh(s, k=1, which="LA", tol=1e-13, v0=v0, return_eigenvectors=False)
-    return np.concatenate([low, high])
+    return np.linalg.eigvalsh(a)[[0, -1]]
 
 
 def woodbury_factor(update, base_solve=None):

@@ -4,7 +4,8 @@ import pytest
 from masscale import fem
 from masscale.linalg import MatrixPair, generalized_eig
 
-# Filled by tests/test_acceptance.py; printed as one line per criterion.
+# Filled by tests/test_acceptance.py: criterion -> (description, verdict,
+# wall time in seconds); printed as one line per criterion.
 ACCEPTANCE = {}
 
 
@@ -13,9 +14,9 @@ def pytest_terminal_summary(terminalreporter):
         return
     terminalreporter.section("acceptance criteria")
     for num in sorted(ACCEPTANCE):
-        desc, ok = ACCEPTANCE[num]
+        desc, ok, seconds = ACCEPTANCE[num]
         verdict = "PASS" if ok else "FAIL"
-        terminalreporter.write_line(f"criterion {num:2d} [{verdict}] {desc}")
+        terminalreporter.write_line(f"criterion {num:2d} [{verdict}] {seconds:7.2f} s  {desc}")
 
 BENCH_E = 207e9
 BENCH_NU = 0.3

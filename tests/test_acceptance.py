@@ -1,8 +1,10 @@
 """End-to-end acceptance suite on the benchmark plate and thin element.
 
-Each criterion is one test; its verdict is printed as a single PASS/FAIL
-line by the terminal summary hook in conftest. Plate-scale eigensolves
-are cached at module scope because several criteria share sweeps.
+Each criterion is one test; its verdict and wall time are printed as a
+single PASS/FAIL line by the terminal summary hook in conftest. Every
+plate spectrum and extreme is read through one module-scoped
+:class:`masscale.system.MeshSystem`, the object the CLI writes its
+spectrum and bounds files from, which solves each pencil once.
 """
 import time
 from contextlib import contextmanager
@@ -10,17 +12,19 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
 
 import conftest as shared
 from conftest import random_spsd
-from masscale import analysis, fem, scaling
+from masscale import analysis, fem, linalg, scaling
 from masscale.integrator import stability_bracket
 from masscale.linalg import (
     MatrixPair,
+    condition_number,
+    generalized_eig,
     generalized_eigvalues,
 )
 from masscale.scaling import ScalingSpec
+from masscale.system import MeshSystem
 
 REL = 1e-9
 
@@ -34,54 +38,49 @@ SLOPE_BETAS = (100.0, 200.0, 300.0, 400.0, 500.0)
 
 @contextmanager
 def criterion(num, desc):
-    shared.ACCEPTANCE[num] = (desc, False)
+    shared.ACCEPTANCE[num] = (desc, False, 0.0)
     checks = []
+    start = time.perf_counter()
     yield checks
     failed = [label for label, ok in checks if not ok]
-    shared.ACCEPTANCE[num] = (desc, not failed)
+    shared.ACCEPTANCE[num] = (desc, not failed, time.perf_counter() - start)
     assert not failed, f"criterion {num} ({desc}): failed {failed}"
 
 
 @pytest.fixture(scope="module")
-def plate(plate_system, plate_eig):
-    mesh, blocks, pair = plate_system
+def system(material):
+    """The benchmark plate as the CLI builds it."""
+    return MeshSystem(fem.build_structured_mesh(shared.PLATE_COUNTS, shared.PLATE_EXTENTS),
+                      material)
+
+
+@pytest.fixture(scope="module")
+def plate(system, plate_eig):
+    """The plate's (K, M) values from ``system``; the vectors from the
+    dense oracle ``plate_eig``."""
     return SimpleNamespace(
-        mesh=mesh,
-        blocks=blocks,
-        pair=pair,
-        values=plate_eig.values,
+        mesh=system.mesh,
+        blocks=system.blocks,
+        pair=system.pair,
+        values=system.values_km(),
         vectors=plate_eig.vectors,
     )
 
 
-_SCALED = {}
-_KAPPA = {}
-
-
 @pytest.fixture(scope="module")
-def scaled_plate(plate):
-    """Cached (ScaledSystem, scaled eigenvalues) per scaling spec."""
+def scaled_plate(system):
+    """(ScaledSystem, eigenvalues of (Kbar, Mbar)) per scaling spec."""
 
     def get(spec):
-        if spec not in _SCALED:
-            scaled = scaling.apply_spec(
-                spec, plate.blocks, plate.mesh.dof_count,
-                pair=plate.pair, k_global=plate.pair.a,
-            )
-            vals = generalized_eigvalues(
-                MatrixPair(scaled.kbar, scaled.mbar_dense())
-            )
-            _SCALED[spec] = (scaled, vals)
-        return _SCALED[spec]
+        scaled = system.scale(spec)
+        return scaled, system.values_kmbar(scaled)
 
     return get
 
 
-def kappa_of(mat, key):
-    if key not in _KAPPA:
-        vals = np.linalg.eigvalsh(mat)
-        _KAPPA[key] = float(vals[-1] / vals[0])
-    return _KAPPA[key]
+def kappa(system, scaled=None):
+    """kappa(M), or kappa(Mbar) of ``scaled``, from the extremes ``system`` solves."""
+    return condition_number(system.values_m() if scaled is None else system.values_mbar(scaled))
 
 
 def dt_ratio(values, scaled_values):
@@ -89,10 +88,10 @@ def dt_ratio(values, scaled_values):
 
 
 def top_pair(kbar, mbar):
-    """Largest generalized eigenvalue and its eigenvector."""
-    n = kbar.shape[0]
-    w, v = sla.eigh(kbar, mbar, subset_by_index=[n - 1, n - 1])
-    return float(w[-1]), v[:, -1]
+    """Largest generalized eigenvalue and its eigenvector, as the CLI's
+    integrate study takes them."""
+    dec = generalized_eig(MatrixPair(kbar, mbar), top=1)
+    return float(dec.values[-1]), dec.vectors[:, -1]
 
 
 def test_criterion_01_olovsson_element_spectrum(thin_element):
@@ -126,15 +125,12 @@ def test_criterion_02_hoffmann_element_spectrum(thin_element):
 
 
 @pytest.fixture(scope="module")
-def lft_plate(plate):
+def lft_plate(plate, scaled_plate):
     mu = 10.0 / plate.values[-1]
-    spec = ScalingSpec("stiffness_proportional_lft", mu=mu)
-    scaled = scaling.apply_spec(spec, None, None, plate.pair)
-    vals = generalized_eigvalues(MatrixPair(scaled.kbar, scaled.mbar))
-    return mu, scaled, vals
+    return (mu, *scaled_plate(ScalingSpec("stiffness_proportional_lft", mu=mu)))
 
 
-def test_criterion_03_lft_exactness(plate, lft_plate):
+def test_criterion_03_lft_exactness(plate, system, lft_plate):
     with criterion(3, "stiffness-proportional transform law exact on plate") as chk:
         start = time.perf_counter()
         mu, scaled, vals_bar = lft_plate
@@ -146,7 +142,7 @@ def test_criterion_03_lft_exactness(plate, lft_plate):
         ))
         # eigenvectors are preserved: residual of the original vectors in
         # the transformed pencil, normalized by ||Kbar||_2 and ||u||_2
-        norm_k = float(np.linalg.eigvalsh(scaled.kbar)[-1])
+        norm_k = float(linalg.extreme_eigvalues(scaled.kbar, split=system.split_k())[-1])
         lam_pred = lam / (mu * lam + 1.0)
         resid = scaled.kbar @ plate.vectors - (scaled.mbar @ plate.vectors) * lam_pred
         rel = np.linalg.norm(resid, axis=0) / (
@@ -157,13 +153,8 @@ def test_criterion_03_lft_exactness(plate, lft_plate):
 
 
 @pytest.fixture(scope="module")
-def deflated_plate(plate):
-    spec = ScalingSpec("global_deflation", rank=20, mode="shave")
-    scaled = scaling.apply_spec(spec, None, None, plate.pair)
-    vals = generalized_eigvalues(
-        MatrixPair(scaled.kbar, scaled.mbar.dense())
-    )
-    return scaled, vals
+def deflated_plate(scaled_plate):
+    return scaled_plate(ScalingSpec("global_deflation", rank=20, mode="shave"))
 
 
 def test_criterion_04_global_deflation(plate, deflated_plate):
@@ -200,6 +191,18 @@ def _sweep_specs():
     for rank in S2_RANKS:
         specs.append(ScalingSpec("local_deflation_s2", rank=rank))
     return specs
+
+
+def test_plate_system_takes_the_block_path(system, plate, plate_eig):
+    # what the gate reads of the plate comes from the mirror blocks: a
+    # silent fall back to the dense path fails here
+    assert system.split_k() is not None and system.split_mass() is not None
+    for spec in _sweep_specs():
+        if spec.kind in ("olovsson", "hoffmann"):
+            assert system.split_mass(system.scale(spec)) is not None, spec
+    oracle = plate_eig.values
+    above = oracle > linalg.rigid_cutoff(oracle)
+    assert np.allclose(plate.values[above], oracle[above], rtol=1e-12, atol=0.0)
 
 
 def test_criterion_05_corollary_bound_suite(plate, scaled_plate):
@@ -252,37 +255,28 @@ def test_criterion_08_s2_tightness(plate, scaled_plate):
             ))
 
 
-def test_criterion_09_condition_numbers(plate, scaled_plate):
+def test_criterion_09_condition_numbers(plate, system):
     with criterion(9, "mass condition numbers, ratio bounds, large-beta slope") as chk:
-        kappa_m = kappa_of(plate.pair.b, "plate_m")
+        kappa_m = kappa(system)
         chk.append((
             "kappa(M) = p_max = 8",
             abs(kappa_m - plate.mesh.p_max) <= 1e-10 * kappa_m
             and plate.mesh.p_max == 8,
         ))
         for beta in OLOVSSON_BETAS:
-            spec = ScalingSpec("olovsson", beta=beta)
-            scaled, _ = scaled_plate(spec)
-            km = kappa_of(scaled.mbar_dense(), spec)
+            km = kappa(system, system.scale(ScalingSpec("olovsson", beta=beta)))
             chk.append((
                 f"olovsson kappa ratio b={beta:g}",
                 km / kappa_m <= (1.0 + 8.0 * beta / 7.0) * (1 + REL),
             ))
         for beta in HOFFMANN_BETAS:
-            spec = ScalingSpec("hoffmann", beta=beta)
-            scaled, _ = scaled_plate(spec)
-            km = kappa_of(scaled.mbar_dense(), spec)
+            km = kappa(system, system.scale(ScalingSpec("hoffmann", beta=beta)))
             chk.append((
                 f"hoffmann kappa ratio b={beta:g}",
                 km / kappa_m <= (1.0 + 9.0 * beta / 2.0) * (1 + REL),
             ))
-        ratios = []
-        for beta in SLOPE_BETAS:
-            spec = ScalingSpec("olovsson", beta=beta)
-            mbar = scaling.apply_spec(
-                spec, plate.blocks, plate.mesh.dof_count, k_global=plate.pair.a
-            ).mbar
-            ratios.append(kappa_of(mbar, ("slope", beta)) / kappa_m)
+        ratios = [kappa(system, system.scale(ScalingSpec("olovsson", beta=beta))) / kappa_m
+                  for beta in SLOPE_BETAS]
         slope = analysis.fit_cond_slope(SLOPE_BETAS, ratios)
         rate = analysis.asymptotic_cond_rate(plate.mesh)
         chk.append(("rate formula", abs(rate - 8 * 2400 / (7 * 24 * 468)) < 1e-14))
@@ -429,7 +423,7 @@ def _check_invariants_random(rng, chk, tag):
     return ok
 
 
-def test_criterion_12_invariant_suites(plate, scaled_plate):
+def test_criterion_12_invariant_suites(plate, system, scaled_plate):
     with criterion(12, "spectral/conditioning invariants on random + plate runs") as chk:
         all_random_ok = True
         for i in range(100):
@@ -462,7 +456,7 @@ def test_criterion_12_invariant_suites(plate, scaled_plate):
             and min_e <= diag.min() * (1 + REL),
         ))
 
-        kappa_m = kappa_of(plate.pair.b, "plate_m")
+        kappa_m = kappa(system)
         for spec in (
             ScalingSpec("olovsson", beta=10.0),
             ScalingSpec("hoffmann", beta=10.0),
@@ -470,20 +464,19 @@ def test_criterion_12_invariant_suites(plate, scaled_plate):
             ScalingSpec("local_deflation_s2", rank=6),
         ):
             scaled, vals_bar = scaled_plate(spec)
-            mbar = scaled.mbar_dense()
             label = spec.kind
             chk.append((
                 f"{label} monotone",
                 bool(np.all(vals_bar <= lam * (1 + REL) + REL * lam[-1])),
             ))
-            mm = generalized_eigvalues(MatrixPair(mbar, plate.pair.b))
+            mm = system.values_mbarm(scaled)
             ratios = lam[start:] / vals_bar[start:]
             chk.append((
                 f"{label} sandwich",
                 ratios.min() >= mm[0] * (1 - REL)
                 and ratios.max() <= mm[-1] * (1 + REL),
             ))
-            km = kappa_of(mbar, spec)
+            km = kappa(system, scaled)
             chk.append((
                 f"{label} conditioning",
                 km / kappa_m <= (mm[-1] / mm[0]) * (1 + REL),

@@ -239,7 +239,7 @@ class TestSlopeFit:
         betas = np.array([1.0, 2.0, 100.0, 200.0, 300.0, 400.0, 500.0])
         ratios = 0.5 * betas
         ratios[:2] += 100.0  # pollute the small-beta samples only
-        assert analysis.fit_cond_slope(betas, ratios, samples=5) == pytest.approx(0.5)
+        assert analysis.fit_cond_slope(betas, ratios) == pytest.approx(0.5)
 
 
 class TestElementRayleigh:

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from masscale import cli, linalg
+from masscale import cli, linalg, system
 from masscale.errors import ConfigError
 
 
@@ -269,6 +269,15 @@ PROBES = {
     "seed_float": ({"seed": 4.5}, 1, "config error: seed: "),
     "study_text": ({"studies": {"bounds": "no"}}, 1, "config error: studies: "),
     "study_unknown": ({"studies": {"bound": True}}, 1, "config error: studies: "),
+    "sweep_parameter_list": ({"sweep": {"kind": "olovsson", "parameter": ["beta"],
+                                        "values": [1.0]}}, 1, "config error: sweep.parameter: "),
+    "sweep_kind_list": ({"sweep": {"kind": ["olovsson"], "parameter": "beta", "values": [1.0]}},
+                        1, "config error: sweep.kind: "),
+    # numpy overflows past a well-formed config: one line, not its RuntimeWarnings
+    "extents_tiny": (_mesh_probe(extents_mm=[1e-300, 10.0, 10.0]), 2,
+                     "internal error: RuntimeWarning: "),
+    "beta_overflow": (_probe({"kind": "olovsson", "beta": 1e308}), 2,
+                      "internal error: RuntimeWarning: "),
 }
 
 
@@ -296,8 +305,8 @@ def test_mesh_system_built_once_per_execute(tmp_path, monkeypatch):
     cfg = cli.load_config(cfg_path)
     cfg.output_dir = str(tmp_path / "out")
     calls = []
-    build = cli.fem.element_blocks
-    monkeypatch.setattr(cli.fem, "element_blocks", lambda *a: calls.append(a) or build(*a))
+    build = system.fem.element_blocks
+    monkeypatch.setattr(system.fem, "element_blocks", lambda *a: calls.append(a) or build(*a))
     for expected in (1, 2):
         cli.execute(cfg, ["spectrum", "bounds", "sweep", "integrate"])
         assert len(calls) == expected

@@ -182,6 +182,22 @@ def slender_beam(material):
     return blocks, pair
 
 
+@pytest.fixture(scope="module")
+def long_beam(material):
+    """A 30 cm beam of the slender beam's cross-section, 83 elements long (n = 1008).
+
+    Its first flexible eigenvalue is 1.3e-9 of the largest, and its K does
+    not pass the mirror check, so every solve of it is dense.
+    """
+    mesh = fem.build_structured_mesh((84, 2, 2), (0.3, 0.01, 0.0005))
+    blocks = fem.element_blocks(mesh, material)
+    n = mesh.dof_count
+    pair = MatrixPair(
+        fem.assemble(blocks, "stiffness", n), fem.assemble(blocks, "lumped", n)
+    )
+    return blocks, pair
+
+
 LOW_SPECTRUM_SOLVERS = {
     "values_only": generalized_eigvalues,
     "full": lambda pair: generalized_eig(pair).values,
@@ -189,12 +205,16 @@ LOW_SPECTRUM_SOLVERS = {
 
 
 class TestLowSpectrumAccuracy:
+    @pytest.fixture
+    def beam(self, slender_beam):
+        return slender_beam
+
     @pytest.mark.parametrize("solver", sorted(LOW_SPECTRUM_SOLVERS))
-    def test_first_flexible_values_survive_dof_permutation(self, slender_beam, solver):
+    def test_first_flexible_values_survive_dof_permutation(self, beam, solver):
         # a symmetric permutation leaves the spectrum exactly as it is, so
         # any spread is the solver's own error on the low modes
         solve = LOW_SPECTRUM_SOLVERS[solver]
-        _, pair = slender_beam
+        _, pair = beam
         lam = solve(pair)
         assert lam[6] < 2e-8 * lam[-1]
         rng = np.random.default_rng(2)
@@ -204,9 +224,9 @@ class TestLowSpectrumAccuracy:
             assert np.allclose(lam_p[6:9], lam[6:9], rtol=1e-11, atol=0.0)
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
-    def test_spsd_mass_term_never_raises_a_frequency(self, slender_beam, rank):
+    def test_spsd_mass_term_never_raises_a_frequency(self, beam, rank):
         # Courant-Fischer: Mbar = M + E with E SPSD gives omega_i >= omegabar_i
-        blocks, pair = slender_beam
+        blocks, pair = beam
         spec = scaling.ScalingSpec("local_deflation_s2", rank=rank)
         scaled = scaling.apply_spec(spec, blocks, pair.order, pair=pair, k_global=pair.a)
         lam = generalized_eig(pair).values
@@ -214,8 +234,8 @@ class TestLowSpectrumAccuracy:
         ratios = analysis.frequency_ratio_curve(lam, lam_bar)
         assert ratios.min() >= 1.0 - 1e-12
 
-    def test_recomputed_tail_keeps_pairs_consistent(self, slender_beam):
-        _, pair = slender_beam
+    def test_recomputed_tail_keeps_pairs_consistent(self, beam):
+        _, pair = beam
         dec = generalized_eig(pair)
         u = dec.vectors
         assert np.allclose(u.T @ pair.b @ u, np.eye(pair.order), atol=1e-12)
@@ -224,13 +244,22 @@ class TestLowSpectrumAccuracy:
         assert np.all(np.diff(dec.values) >= 0)
 
 
+class TestLongBeam(TestLowSpectrumAccuracy):
+    """The same checks on the long beam, whose first flexible value is
+    1.3e-9 of the largest."""
+
+    @pytest.fixture
+    def beam(self, long_beam):
+        return long_beam
+
+
 @pytest.fixture(scope="module")
 def wide_system(material):
-    """A 15 x 4 x 6-node mesh (n = 1080), above linalg's sparse-path order."""
+    """A 15 x 4 x 6-node mesh (n = 1080): its mirror planes pass through
+    the nodes along x and between them along y and z."""
     mesh = fem.build_structured_mesh((15, 4, 6), (0.075, 0.015, 0.005))
     blocks = fem.element_blocks(mesh, material)
     n = mesh.dof_count
-    assert n >= linalg._SPARSE_ORDER
     pair = MatrixPair(
         fem.assemble(blocks, "stiffness", n), fem.assemble(blocks, "lumped", n)
     )
@@ -300,9 +329,13 @@ class TestExtremeEigvalues:
     @pytest.mark.parametrize("kind", sorted(KIND_DOCS))
     @pytest.mark.parametrize("system", ["small_system", "wide_system"])
     def test_matches_dense_values(self, request, system, kind):
-        mbar = scaled_mass(request.getfixturevalue(system), kind).mbar_dense()
+        # with the mirror split, where the matrix has one, and without it
+        system = request.getfixturevalue(system)
+        mbar = scaled_mass(system, kind).mbar_dense()
         dense = np.linalg.eigvalsh(mbar)[[0, -1]]
-        assert np.allclose(extreme_eigvalues(mbar), dense, rtol=1e-12, atol=0.0)
+        split = linalg.mirror_split(mbar, fem.mirror_basis(system[0]))
+        for ends in (extreme_eigvalues(mbar), extreme_eigvalues(mbar, split=split)):
+            assert np.allclose(ends, dense, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("system", ["small_system", "wide_system"])
     def test_diagonal_path_is_exact(self, request, system):
@@ -312,117 +345,6 @@ class TestExtremeEigvalues:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             extreme_eigvalues(np.array([[2.0, 1.0], [0.0, 2.0]]))
-
-
-class TestRepeatable:
-    # the Lanczos start vector is fixed, so repeated solves agree to the bit
-    def test_generalized_eigvalues(self, wide_system):
-        _, _, pair = wide_system
-        scaled = scaled_mass(wide_system, "olovsson")
-        for p in (pair, MatrixPair(scaled.kbar, scaled.mbar_dense())):
-            assert linalg._low_tail(generalized_eigvalues(p)) > 0
-            assert np.array_equal(generalized_eigvalues(p), generalized_eigvalues(p))
-
-    def test_extreme_eigvalues(self, wide_system):
-        mbar = scaled_mass(wide_system, "olovsson").mbar_dense()
-        assert np.array_equal(extreme_eigvalues(mbar), extreme_eigvalues(mbar))
-
-
-@pytest.fixture(scope="module")
-def long_beam(material):
-    """A 30 cm beam of the slender beam's cross-section, 83 elements long (n = 1008).
-
-    Its first flexible eigenvalue is 1.3e-9 of the largest, and its low
-    tail (80 values) takes generalized_eigvalues' sparse Lanczos path.
-    """
-    mesh = fem.build_structured_mesh((84, 2, 2), (0.3, 0.01, 0.0005))
-    blocks = fem.element_blocks(mesh, material)
-    n = mesh.dof_count
-    assert n >= linalg._SPARSE_ORDER
-    pair = MatrixPair(
-        fem.assemble(blocks, "stiffness", n), fem.assemble(blocks, "lumped", n)
-    )
-    return blocks, pair
-
-
-@pytest.fixture
-def lanczos_only(monkeypatch):
-    """Make generalized_eigvalues fail if it falls back to the dense vectors.
-
-    This module's own ``generalized_eig`` name still gives the dense oracle.
-    """
-
-    def refuse(pair, top=None):
-        raise AssertionError("generalized_eigvalues fell back to generalized_eig")
-
-    monkeypatch.setattr(linalg, "generalized_eig", refuse)
-
-
-class TestLanczosTail:
-    """TestLowSpectrumAccuracy's values-only checks where the low tail comes
-    from Lanczos, and the tail against the dense recomputation."""
-
-    def test_first_flexible_values_survive_dof_permutation(self, long_beam, lanczos_only):
-        _, pair = long_beam
-        lam = generalized_eigvalues(pair)
-        assert lam[6] < 2e-9 * lam[-1]
-        rng = np.random.default_rng(2)
-        for _ in range(3):
-            p = rng.permutation(pair.order)
-            lam_p = generalized_eigvalues(MatrixPair(pair.a[np.ix_(p, p)], pair.b[np.ix_(p, p)]))
-            assert np.allclose(lam_p[6:9], lam[6:9], rtol=1e-11, atol=0.0)
-
-    @pytest.mark.parametrize("rank", [1, 2, 3])
-    def test_spsd_mass_term_never_raises_a_frequency(self, long_beam, lanczos_only, rank):
-        blocks, pair = long_beam
-        spec = scaling.ScalingSpec("local_deflation_s2", rank=rank)
-        scaled = scaling.apply_spec(spec, blocks, pair.order, pair=pair, k_global=pair.a)
-        lam = generalized_eigvalues(pair)
-        lam_bar = generalized_eigvalues(MatrixPair(scaled.kbar, scaled.mbar_dense()))
-        ratios = analysis.frequency_ratio_curve(lam, lam_bar)
-        assert ratios.min() >= 1.0 - 1e-12
-
-    def test_tail_matches_dense_recomputation(self, long_beam, lanczos_only):
-        _, pair = long_beam
-        lam = generalized_eigvalues(pair)
-        count = linalg._low_tail(lam)
-        assert 6 < count <= linalg._TAIL_SHARE * pair.order
-        full = generalized_eig(pair).values
-        assert np.allclose(lam[6:count], full[6:count], rtol=1e-12, atol=0.0)
-
-    def test_forced_on_polynomial_sms(self, material, monkeypatch, lanczos_only):
-        # the kinds_small mesh and its polynomial SMS (Kbar, Mbar), a pencil
-        # that the size cut and the fill guard otherwise keep dense
-        mesh = fem.build_structured_mesh((10, 4, 3), (0.05, 0.015, 0.002))
-        blocks = fem.element_blocks(mesh, material)
-        n = mesh.dof_count
-        pair = MatrixPair(fem.assemble(blocks, "stiffness", n), fem.assemble(blocks, "lumped", n))
-        spec = scaling.ScalingSpec(**KIND_DOCS["polynomial_sms"][0])
-        scaled = scaling.apply_spec(spec, blocks, n, pair=pair, k_global=pair.a)
-        pencil = MatrixPair(scaled.kbar, scaled.mbar_dense())
-        full = generalized_eig(pencil).values
-        monkeypatch.setattr(linalg, "_SPARSE_ORDER", 0)
-        monkeypatch.setattr(linalg, "_SPARSE_FILL", 1.0)
-        lam = generalized_eigvalues(pencil)
-        count = linalg._low_tail(lam)
-        assert count > 6
-        assert np.allclose(lam[6:count], full[6:count], rtol=1e-12, atol=0.0)
-
-
-class TestMassPencilTail:
-    # With alpha = 1e5, lambda_max(Mbar, M) is 1e5 and the low tail is the
-    # exact cluster at 1: 870 of 1080 values with selector [0] (beyond the
-    # Lanczos share), 18 with selector 0..20 (where Lanczos from one start
-    # vector comes back with values 2.5e4 times too large).
-    @pytest.mark.parametrize("selector", [[0], list(range(21))], ids=["one_dof", "21_dofs"])
-    def test_clustered_tail_matches_dense(self, wide_system, selector):
-        mesh, blocks, pair = wide_system
-        spec = scaling.ScalingSpec("cms", alpha=1e5, selector=selector)
-        scaled = scaling.apply_spec(spec, blocks, mesh.dof_count, pair=pair, k_global=pair.a)
-        mass_pair = MatrixPair(scaled.mbar_dense(), pair.b)
-        full = generalized_eig(mass_pair).values
-        assert linalg._low_tail(full) > 10
-        assert np.allclose(generalized_eigvalues(mass_pair), full, rtol=1e-12, atol=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -510,8 +432,8 @@ class TestMirrorBlocks:
 
 class TestVectorsOnlyForATail:
     def test_counts_dense_vector_solves(self, kinds_mesh, material, monkeypatch):
-        # a non-mirrored mesh below the sparse-path order: the mass pencil of
-        # global deflation (a full Mbar) has no low tail and forms no vectors
+        # a non-mirrored mesh: the mass pencil of global deflation (a full
+        # Mbar) has no low tail and forms no vectors
         mesh = perturbed(kinds_mesh[0])
         blocks = fem.element_blocks(mesh, material)
         n = mesh.dof_count
