@@ -78,6 +78,13 @@ def _is_integer(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _seed(value):
+    """A seed for numpy's generator: a non-negative integer."""
+    if not _is_integer(value) or value < 0:
+        raise ConfigError(f"seed: expected a non-negative integer, got {value!r}")
+    return value
+
+
 def _length_triplet(obj, key):
     """Read a 3-vector with unit suffix _m or _mm; returns meters."""
     name = next((key + unit for unit in ("_m", "_mm") if key + unit in obj), None)
@@ -133,9 +140,7 @@ def load_config(path):
         raise ConfigError("geometry: exactly one of 'mesh' or 'element' is required")
 
     cfg = ExperimentConfig(material=_parse_material(raw.get("material", {})))
-    cfg.seed = raw.get("seed", DEFAULT_SEED)
-    if not _is_integer(cfg.seed):
-        raise ConfigError(f"seed: expected an integer, got {cfg.seed!r}")
+    cfg.seed = _seed(raw.get("seed", DEFAULT_SEED))
     cfg.output_dir = raw.get("output_dir", "out")
     if not isinstance(cfg.output_dir, str):
         raise ConfigError(f"output_dir: expected a string, got {cfg.output_dir!r}")
@@ -344,7 +349,7 @@ def _run(config, out, seed, studies):
             if out is not None:
                 cfg.output_dir = out
             if seed is not None:
-                cfg.seed = int(seed)
+                cfg.seed = _seed(seed)
             if studies is None:
                 studies = [n for n in STUDY_NAMES if cfg.studies.get(n)]
                 if not studies:

@@ -2,7 +2,7 @@
 
 Factorizations, standard and generalized eigensolvers, low-rank-update
 (Woodbury) solves, and condition numbers of computed eigenvalues.
-Everything takes plain numpy arrays; symmetry is enforced at
+Everything takes plain numpy arrays; symmetry is imposed at
 construction points with :func:`symmetrize` and checked with
 :func:`require_symmetric`. A matrix's mirror split (:func:`mirror_split`)
 stands for a checked matrix: the solvers that take one do not check it
@@ -364,7 +364,7 @@ def _accurate_matmul(a, x):
     return total + comp
 
 
-def _ritz(pair, x):
+def _ritz(a, b, x):
     """Rayleigh-Ritz of (A, B) on span(x), with A x from :func:`_accurate_matmul`.
 
     x holds B-orthonormal approximate eigenvectors. Returns the Ritz values
@@ -372,8 +372,8 @@ def _ritz(pair, x):
     relative to the value, where the small eigensolve is accurate only
     relative to the largest), and the B-orthonormal Ritz vectors.
     """
-    h = symmetrize(x.T @ _accurate_matmul(pair.a, x))
-    g = symmetrize(x.T @ (pair.b @ x))
+    h = symmetrize(x.T @ _accurate_matmul(a, x))
+    g = symmetrize(x.T @ (b @ x))
     _, q = sla.eigh(h, g)
     values = np.einsum("ij,ij->j", q, h @ q)
     order = np.argsort(values)
@@ -412,7 +412,7 @@ def generalized_eig(pair, top=None):
     values, vectors = std.values, back(std.vectors)
     count = _low_tail(values)
     if count:
-        values[:count], vectors[:, :count] = _ritz(pair, vectors[:, :count])
+        values[:count], vectors[:, :count] = _ritz(pair.a, pair.b, vectors[:, :count])
     return EigDecomposition(values, _fix_signs(vectors), "b-orthonormal")
 
 
@@ -471,7 +471,8 @@ def _block_eigvalues(pair, split_a, split_b):
     :func:`_low_tail` marks on the merged values is recomputed by
     :func:`_ritz` on the full pencil, from the vectors of each block's
     share of the tail (a partial dense solve of the block), mapped back
-    through L_k^{-T} and Q_k; only then is the full pencil formed.
+    through L_k^{-T} and Q_k; only then are the full matrices read, and
+    they are not checked again.
     """
     (blocks_a, basis), (blocks_b, _) = split_a, split_b
     solved = [_standard_form(MatrixPair(a, b)) for a, b in zip(blocks_a, blocks_b)]
@@ -486,9 +487,8 @@ def _block_eigvalues(pair, split_a, split_b):
             basis.expand(k, back(sla.eigh(c, subset_by_index=[0, share - 1])[1]))
             for k, ((c, back), share) in enumerate(zip(solved, shares)) if share
         ])
-        if not isinstance(pair, MatrixPair):
-            pair = MatrixPair(*pair)
-        values[:count] = _ritz(pair, x)[0]
+        a, b = (pair.a, pair.b) if isinstance(pair, MatrixPair) else pair
+        values[:count] = _ritz(a, b, x)[0]
     return values
 
 
@@ -499,12 +499,12 @@ def generalized_eigvalues(pair, split=None):
     ``split``, the mirror splits (:func:`mirror_split`) of A and B, whose
     members were checked for symmetry when they were split, the pencil is
     solved block by block (:func:`_block_eigvalues`): eight dense solves
-    of order about n/8, with no check of the full pencil unless a low tail
-    needs it. When there is no split, or a member's is None (it does not
-    commute with the reflections), the values come from the dense
-    values-only solve of the standard form; a pencil with a low tail that
-    :func:`generalized_eig` would recompute takes its values instead, and
-    a pencil without one forms no vectors.
+    of order about n/8, with no check of the full pencil. When there is no
+    split, or a member's is None (it does not commute with the
+    reflections), the values come from the dense values-only solve of the
+    standard form; a pencil with a low tail that :func:`generalized_eig`
+    would recompute takes its values instead, and a pencil without one
+    forms no vectors.
     """
     if split is not None and all(s is not None for s in split):
         return _block_eigvalues(pair, *split)
@@ -534,23 +534,22 @@ def extreme_eigvalues(a, split=None):
     return np.linalg.eigvalsh(a)[[0, -1]]
 
 
-def woodbury_factor(update, base_solve=None):
+def woodbury_factor(update):
     """Precompute solves with base + V S V^T through the Woodbury identity.
 
-    Returns ``solve(rhs)`` for a vector or a matrix of columns.
-    ``base_solve`` solves with the SPD base; by default the base is
-    factored once with :func:`factor_spd`. Zero core entries are dropped
-    (they contribute nothing). The r x r inner system S^{-1} + V^T B^{-1} V
-    is solved here once for all of V^T, so each later solve costs one base
-    solve and two n x r products.
+    Returns ``solve(rhs)`` for a vector or a matrix of columns. The SPD
+    base is factored once with :func:`factor_spd` (a diagonal base, 1-D or
+    2-D, divides). Zero core entries are dropped (they contribute
+    nothing). The r x r inner system S^{-1} + V^T B^{-1} V is solved here
+    once for all of V^T, so each later solve costs one base solve and two
+    n x r products.
     """
-    if base_solve is None:
-        _, base_solve = factor_spd(update.base)
+    _, solve_base = factor_spd(update.base)
     keep = np.flatnonzero(update.core != 0.0)
     if keep.size == 0:
-        return base_solve
+        return solve_base
     v = update.factors[:, keep]
-    bv = base_solve(v)
+    bv = solve_base(v)
     inner = np.diag(1.0 / update.core[keep]) + v.T @ bv
     try:
         coef = sla.solve(inner, v.T, assume_a="sym")
@@ -560,7 +559,7 @@ def woodbury_factor(update, base_solve=None):
         raise SingularCore("inner system produced non-finite solution")
 
     def solve(rhs):
-        y = base_solve(rhs)
+        y = solve_base(rhs)
         return y - bv @ (coef @ y)
 
     return solve

@@ -207,6 +207,15 @@ class TestCommands:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 7
 
+    def test_negative_seed_flag_is_a_config_error(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, studies={"integrate": True})
+        res = self.run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                            "--seed", "-1"])
+        assert res.exit_code == 1, res.output
+        assert res.stderr.splitlines() == ["config error: seed: expected a non-negative "
+                                           "integer, got -1"]
+
 
 def _probe(scaling):
     return {"scalings": [scaling]}
@@ -267,6 +276,7 @@ PROBES = {
     "node_counts_float": (_mesh_probe(node_counts=[3.5, 2, 2], extents_mm=[30.0, 20.0, 10.0]), 1,
                           "config error: geometry.mesh.node_counts: "),
     "seed_float": ({"seed": 4.5}, 1, "config error: seed: "),
+    "seed_negative": ({"seed": -1}, 1, "config error: seed: "),
     "study_text": ({"studies": {"bounds": "no"}}, 1, "config error: studies: "),
     "study_unknown": ({"studies": {"bound": True}}, 1, "config error: studies: "),
     "sweep_parameter_list": ({"sweep": {"kind": "olovsson", "parameter": ["beta"],
@@ -392,7 +402,7 @@ def test_each_matrix_split_and_checked_once_per_execute(tmp_path, monkeypatch):
     def counting(name, fn):
         def wrapper(arg, *args, **kwargs):
             result = fn(arg, *args, **kwargs)
-            mats = _members(arg)
+            mats = (arg, args[0]) if name == "_ritz" else _members(arg)
             if mats[0].shape[0] == n:
                 key = tuple(hashlib.sha256(np.ascontiguousarray(m)).hexdigest() for m in mats)
                 bare = name == "extreme_eigvalues" and kwargs.get("split") is None
@@ -419,10 +429,10 @@ def test_each_matrix_split_and_checked_once_per_execute(tmp_path, monkeypatch):
     # none shares M's split, and a split that finds no mirror is kept too
     assert len(splits) == 6 and count("mirror_split") == 6
     assert list(splits.values()).count(False) == 1  # eig_stabilization's Mbar
-    # full pencils: those whose low tail _ritz recomputes, and those solved
-    # without a split because a member does not mirror
-    full = {key for f, key, _ in calls if f in ("_standard_form", "_ritz")}
-    assert any(f == "_ritz" and key not in {k for g, k, _ in calls if g == "_standard_form"}
+    # full pencils solved without a split because a member does not mirror;
+    # a low tail that _ritz recomputes from the blocks checks nothing again
+    full = {key for f, key, _ in calls if f == "_standard_form"}
+    assert any(f == "_ritz" and key not in full
                for f, key, _ in calls)  # a block solve needed the full pencil for its tail
     for matrix in splits:
         allowed = 1 + sum(key.count(matrix) for key in full)
@@ -469,7 +479,7 @@ FUZZ_FIELDS = {
     ("scalings",): list,
     ("scalings", 0): dict,
     ("scalings", 0, "beta"): lambda v: _finite(v) and v >= 0,
-    ("seed",): lambda v: isinstance(v, int) and not isinstance(v, bool),
+    ("seed",): lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0,
     ("output_dir",): lambda v: isinstance(v, str),
     ("studies",): dict,
     ("studies", "element_spectrum"): lambda v: v is True,

@@ -13,7 +13,6 @@ class TestMassSolver:
         solver = MassSolver(np.array([2.0, 4.0]))
         assert solver.mode == "diagonal"
         assert np.allclose(solver.solve(np.array([2.0, 4.0])), [1.0, 1.0])
-        assert np.allclose(solver.dot(np.array([1.0, 1.0])), [2.0, 4.0])
 
     def test_dense_diagonal_is_detected(self):
         solver = MassSolver(np.diag([3.0, 5.0]))
@@ -26,8 +25,6 @@ class TestMassSolver:
         assert solver.mode == "dense"
         rhs = rng.standard_normal(6)
         assert np.allclose(solver.solve(rhs), np.linalg.solve(m, rhs))
-        x = rng.standard_normal(6)
-        assert np.allclose(solver.dot(x), m @ x)
 
     def test_woodbury_mode(self):
         rng = np.random.default_rng(3)
@@ -40,7 +37,6 @@ class TestMassSolver:
         dense = upd.dense()
         rhs = rng.standard_normal(8)
         assert np.allclose(solver.solve(rhs), np.linalg.solve(dense, rhs))
-        assert np.allclose(solver.dot(rhs), dense @ rhs)
 
     def test_rejects_indefinite(self):
         with pytest.raises(SolveFailure):
@@ -50,6 +46,14 @@ class TestMassSolver:
         with pytest.raises(SolveFailure):
             MassSolver(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    @pytest.mark.parametrize("base", [np.array([1.0, -1.0, 2.0]),
+                                      np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0],
+                                                [0.0, 0.0, 1.0]])])
+    def test_rejects_indefinite_woodbury_base(self, base):
+        upd = LowRankUpdate(base, np.ones((3, 1)), np.array([1.0]))
+        with pytest.raises(SolveFailure):
+            MassSolver(upd)
+
     def test_woodbury_diagonal_2d_base_divides(self):
         rng = np.random.default_rng(5)
         d = rng.uniform(1.0, 2.0, 8)
@@ -57,7 +61,6 @@ class TestMassSolver:
         s = np.array([0.5, 1.5])
         solver = MassSolver(LowRankUpdate(np.diag(d), v, s))
         assert solver.mode == "woodbury"
-        assert solver.base.mode == "diagonal"
         rhs = rng.standard_normal(8)
         flat = MassSolver(LowRankUpdate(d, v, s))
         np.testing.assert_array_equal(solver.solve(rhs), flat.solve(rhs))
@@ -68,7 +71,6 @@ class TestMassSolver:
         base = random_spd(10, rng) if dense_base else rng.uniform(1.0, 2.0, 10)
         upd = LowRankUpdate(base, rng.standard_normal((10, 3)), np.array([2.0, 0.0, 0.5]))
         solver = MassSolver(upd)
-        assert solver.base.mode == ("dense" if dense_base else "diagonal")
         rhs = rng.standard_normal(10)
         np.testing.assert_array_equal(solver.solve(rhs), woodbury_factor(upd)(rhs))
         assert np.allclose(solver.solve(rhs), np.linalg.solve(upd.dense(), rhs))
@@ -81,65 +83,34 @@ class TestCentralDifference:
         m = np.array([1.0])
         dt = 1e-3
         steps = int(round(2 * np.pi / 2.0 / dt))  # one period
-        res = central_difference_run(k, m, np.array([1.0]), np.array([0.0]), dt, steps)
+        res = central_difference_run(k, m, np.array([1.0]), dt, steps)
         assert not res.diverged
+        assert res.final.step == steps
         assert res.final.displacement[0] == pytest.approx(1.0, abs=1e-4)
-
-    def test_energy_conservation(self):
-        rng = np.random.default_rng(4)
-        k = random_spd(10, rng)
-        m = rng.uniform(1.0, 2.0, 10)
-        lam = generalized_eigvalues(MatrixPair(k, np.diag(m)))
-        dt = 0.1 * analysis.critical_dt(lam[-1])
-        u0 = rng.standard_normal(10)
-        res = central_difference_run(k, m, u0, np.zeros(10), dt, 2000)
-        assert not res.diverged
-        e = res.energies
-        assert np.abs(e - e[0]).max() <= 0.05 * abs(e[0])
-
-    def test_static_equilibrium(self):
-        k = np.diag([2.0, 3.0])
-        m = np.array([1.0, 1.0])
-        f = np.array([4.0, 9.0])
-        u_star = f / np.diag(k)
-        res = central_difference_run(k, m, u_star, np.zeros(2), 0.01, 100, force=f)
-        assert np.allclose(res.final.displacement, u_star, rtol=1e-10)
 
     def test_stop_growth_aborts(self):
         k = np.array([[4.0]])
         m = np.array([1.0])
         dt = 1.5 * analysis.critical_dt(4.0)
-        res = central_difference_run(
-            k, m, np.array([1.0]), np.array([0.0]), dt, 10_000, stop_growth=1e6
-        )
+        res = central_difference_run(k, m, np.array([1.0]), dt, 10_000)
         assert res.diverged
         assert res.final.step < 10_000
-
-    def test_trace_csv(self, tmp_path):
-        k = np.array([[4.0]])
-        m = np.array([1.0])
-        path = tmp_path / "trace.csv"
-        central_difference_run(
-            k, m, np.array([1.0]), np.array([0.0]), 0.01, 10, trace_path=path
-        )
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "time,energy,norm"
-        assert len(lines) == 12
+        assert res.response_norms[-1] > integrator.UNSTABLE_FACTOR
+        assert np.all(res.response_norms[:-1] <= integrator.UNSTABLE_FACTOR)
 
 
 def _dense_reference(k, mbar, u0, dt, steps):
-    """Central difference with M^{-1} K formed explicitly; v0 = 0, no force."""
+    """Central difference from rest with M^{-1} K formed explicitly: the
+    response norms and the final displacement."""
     amat = np.linalg.solve(mbar, k)
     u_old = u0 - 0.5 * dt * dt * (amat @ u0)
     u = u0
-    norms, energies = [np.linalg.norm(u0)], [0.5 * u0 @ (k @ u0)]
+    norms = [np.linalg.norm(u0)]
     for _ in range(steps):
         u_new = 2.0 * u - u_old - dt * dt * (amat @ u)
-        v = (u_new - u_old) / (2.0 * dt)
         norms.append(np.linalg.norm(u_new))
-        energies.append(0.5 * v @ (mbar @ v) + 0.5 * u @ (k @ u))
         u_old, u = u, u_new
-    return np.array(norms), np.array(energies)
+    return np.array(norms), u
 
 
 class TestOperatorLoop:
@@ -170,11 +141,13 @@ class TestOperatorLoop:
         lam = generalized_eigvalues(MatrixPair(kbar, mbar_dense))
         dt = 0.9 * analysis.critical_dt(lam[-1])
         u0 = np.random.default_rng(11).standard_normal(mesh.dof_count)
-        res = central_difference_run(kbar, solver, u0, np.zeros_like(u0), dt, 500)
-        norms, energies = _dense_reference(kbar, mbar_dense, u0, dt, 500)
+        res = central_difference_run(kbar, solver, u0, dt, 500)
+        norms, final = _dense_reference(kbar, mbar_dense, u0, dt, 500)
         assert not res.diverged
         assert np.all(np.abs(res.response_norms - norms) <= 1e-10 * norms)
-        assert np.all(np.abs(res.energies - energies) <= 1e-10 * energies)
+        assert res.final.step == 500
+        error = np.linalg.norm(res.final.displacement - final)
+        assert error <= 1e-10 * np.linalg.norm(final)
 
     def test_sparse_stiffness_accepted(self):
         from scipy import sparse
@@ -182,10 +155,10 @@ class TestOperatorLoop:
         k = np.array([[2.0, -1.0], [-1.0, 2.0]])
         m = np.array([1.0, 1.0])
         u0 = np.array([1.0, 0.0])
-        dense = central_difference_run(k, m, u0, np.zeros(2), 0.1, 50)
-        csr = central_difference_run(sparse.csr_array(k), m, u0, np.zeros(2), 0.1, 50)
+        dense = central_difference_run(k, m, u0, 0.1, 50)
+        csr = central_difference_run(sparse.csr_array(k), m, u0, 0.1, 50)
         np.testing.assert_array_equal(dense.response_norms, csr.response_norms)
-        np.testing.assert_array_equal(dense.energies, csr.energies)
+        np.testing.assert_array_equal(dense.final.displacement, csr.final.displacement)
 
 
 class TestStabilityBracket:
@@ -219,9 +192,7 @@ class TestStabilityBracket:
             MatrixPair(scaled.kbar, scaled.mbar.dense())
         )
         dt_c = analysis.critical_dt(lam_bar[-1])
-        below, above = stability_bracket(
-            scaled.kbar, scaled.mbar, dt_c, steps=2000
-        )
+        below, above = stability_bracket(scaled.kbar, scaled.mbar, dt_c)
         assert below.classification == "stable"
         assert above.classification == "unstable"
 
@@ -240,3 +211,13 @@ class TestStabilityBracket:
         assert 0 < above.stable_crossing < above.unstable_crossing
         # the run stops on the step that reaches the unstable factor
         assert above.unstable_crossing == above.steps_run
+
+
+def test_names_the_benchmark_tracer_reads():
+    # perfbench/tracer.py wraps MassSolver.__init__ and MassSolver.solve
+    # through the class __dict__, reads the mode of each new solver and the
+    # final step of each run; a rename here silently breaks traced runs.
+    assert {"__init__", "solve"} <= set(MassSolver.__dict__)
+    assert MassSolver(np.array([1.0, 2.0])).mode == "diagonal"
+    res = central_difference_run(np.array([[4.0]]), np.array([1.0]), np.array([1.0]), 0.1, 3)
+    assert res.final.step == 3
