@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__, analysis, fem, integrator, scaling
 from .errors import ConfigError, InvalidCounts, MasscaleError
-from .linalg import MatrixPair, condition_number, generalized_eig
+from .linalg import condition_number
 from .system import MeshSystem
 
 DEFAULT_SEED = 42
@@ -86,7 +86,8 @@ def _seed(value):
 
 
 def _length_triplet(obj, key):
-    """Read a 3-vector with unit suffix _m or _mm; returns meters."""
+    """Read a 3-vector with unit suffix _m or _mm; returns the key read
+    and the vector in meters."""
     name = next((key + unit for unit in ("_m", "_mm") if key + unit in obj), None)
     if name is None:
         raise ConfigError(f"{key}: expected '{key}_m' or '{key}_mm'")
@@ -94,7 +95,19 @@ def _length_triplet(obj, key):
     if not (isinstance(vals, list) and len(vals) == 3
             and all(_is_number(v, scale) and v > 0 for v in vals)):
         raise ConfigError(f"{name}: expected 3 positive numbers, got {vals!r}")
-    return tuple(float(v) * scale for v in vals)
+    return name, tuple(float(v) * scale for v in vals)
+
+
+def _element_edges(edges, material, field):
+    """Check that the hex8 kernel can integrate an element with these edge
+    lengths (meters) in double precision: its volume is a normal float,
+    not subnormal, and E / h^2 stays finite for its shortest edge h, since
+    the stiffness kernel forms E times the squared shape gradients."""
+    h = min(edges)
+    if not (edges[0] * edges[1] * edges[2] >= np.finfo(float).tiny
+            and material.young_modulus < np.finfo(float).max * h * h):
+        raise ConfigError(f"{field}: element edges {edges} m are too small for the hex8 kernel "
+                          f"in double precision with E = {material.young_modulus:g} Pa")
 
 
 def _parse_material(obj):
@@ -152,10 +165,13 @@ def load_config(path):
         if min(counts) < 2:
             raise ConfigError(f"geometry.mesh: node counts must be >= 2, got {counts}")
         cfg.mesh_counts = tuple(counts)
-        cfg.mesh_extents = _length_triplet(mesh_obj, "extents")
+        name, cfg.mesh_extents = _length_triplet(mesh_obj, "extents")
+        edges = tuple(e / (c - 1) for e, c in zip(cfg.mesh_extents, counts))
+        _element_edges(edges, cfg.material, f"geometry.mesh.{name}")
     else:
         element = _object(geometry["element"], "geometry.element")
-        cfg.element_size = _length_triplet(element, "size")
+        name, cfg.element_size = _length_triplet(element, "size")
+        _element_edges(cfg.element_size, cfg.material, f"geometry.element.{name}")
 
     scalings = raw.get("scalings", [])
     if not isinstance(scalings, list):
@@ -297,7 +313,7 @@ def study_integrate(cfg, emitter, system):
     for spec in cfg.scalings or [scaling.ScalingSpec("none")]:
         scaled = system.scale(spec)
         # Only the top pair: lambda_max and the vector the start is seeded on.
-        dec_s = generalized_eig(MatrixPair(scaled.kbar, scaled.mbar_dense()), top=1)
+        dec_s = system.top_kmbar(scaled)
         verdicts = integrator.stability_bracket(
             scaled.kbar, scaled.mbar, analysis.critical_dt(dec_s.values[-1]), seed=cfg.seed,
             highest_mode=dec_s.vectors[:, -1],

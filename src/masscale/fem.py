@@ -8,18 +8,24 @@ structures of the form I_3 (x) A stay block-diagonal per component.
 Elements are handled all at once. :func:`element_blocks` returns
 :class:`ElementBlocks`, stacked arrays with element e in row e, from one
 quadrature kernel over elements and Gauss points; ``blocks[e]`` is that
-element's :class:`ElementBlock`. :func:`assemble` scatters stacked
-element matrices into the dense global matrix in one ``bincount``.
+element's :class:`ElementBlock`. :func:`assemble_sparse` scatters stacked
+element matrices into the global matrix as a CSR array, with one
+``bincount`` into the slots of the blocks' sparsity pattern, which
+:class:`ElementBlocks` computes once; :func:`assemble` returns the same
+matrix as a dense array.
 
 :func:`mirror_basis` finds the three mid-plane reflections of a mesh
 whose nodes mirror (every box mesh) and returns a :class:`MirrorBasis`:
 an orthonormal dof basis in eight blocks, one per character of the group
-the reflections generate. The matrices assembled on such a mesh commute
-with the reflections and are block diagonal in it. A reflection keeps the
-component-blocked order and flips the sign of its own component.
+the reflections generate, each block's columns a sparse array (each dof
+lies in one orbit, so each row of a block holds one entry at most). The
+matrices assembled on such a mesh commute with the reflections and are
+block diagonal in it. A reflection keeps the component-blocked order and
+flips the sign of its own component.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +50,7 @@ __all__ = [
     "build_structured_mesh",
     "element_blocks",
     "assemble",
+    "assemble_sparse",
     "MirrorBasis",
     "mirror_basis",
     "rigid_body_modes",
@@ -332,6 +339,27 @@ class ElementBlocks:
         return ElementBlock(self.stiffness[e], self.consistent_mass[e], self.lumped_mass[e],
                             float(self.element_mass[e]), self.dof_map[e])
 
+    @functools.cached_property
+    def pattern(self):
+        """The sparsity pattern of an assembled matrix, computed once:
+        ``(slots, rows, cols)``, where entry (i, j) of element e's matrix
+        adds into slot ``slots[e, i, j]``, and slot s is entry
+        (``rows[s]``, ``cols[s]``) of the global matrix. The slots run in
+        CSR order, by row and then by column."""
+        dof = self.dof_map
+        size = int(dof.max(initial=-1)) + 1
+        keys = dof[:, :, None] * size + dof[:, None, :]
+        unique, slots = np.unique(keys, return_inverse=True)
+        rows, cols = np.divmod(unique, size)
+        index = _index_type(max(len(unique), size))
+        return slots.reshape(keys.shape).astype(index), rows.astype(index), cols.astype(index)
+
+
+def _index_type(size):
+    """The integer type of sparse indices up to ``size``: 32-bit where they
+    fit, which halves their memory and the bandwidth of each product."""
+    return np.int32 if size < 2**31 else np.int64
+
 
 def element_blocks(mesh, material):
     """Stiffness, consistent and row-sum lumped mass of every element of
@@ -342,32 +370,46 @@ def element_blocks(mesh, material):
     return ElementBlocks(stiffness, consistent, diag, masses, mesh.dof_map(slice(None)))
 
 
-def assemble(blocks, which, ndof, element_matrices=None):
-    """Global matrix A = sum_e L_e^T A_e L_e as a dense symmetric array.
+def assemble_sparse(blocks, which, ndof, element_matrices=None):
+    """Global matrix A = sum_e L_e^T A_e L_e as a symmetric CSR array.
 
     ``which`` selects stiffness | consistent | lumped from the
     :class:`ElementBlocks`; pass ``which="custom"`` with explicit
     ``element_matrices`` ((E, 24, 24), one per element, e.g. scaled
     masses) to assemble arbitrary contributions. Each A_e is symmetrized,
-    and one ``bincount`` scatter adds the entries into the dense array in
-    element order, so that A_ij and A_ji receive the same terms in the
-    same order: the result is exactly symmetric, and each entry is summed
-    as an element-by-element loop would sum it.
+    and one ``bincount`` adds the entries into the slots of
+    ``blocks.pattern`` (the diagonal alone for the lumped mass) in element
+    order, so that A_ij and A_ji receive the same terms in the same order:
+    the result is exactly symmetric, and each entry is summed as an
+    element-by-element loop would sum it. Entries that sum to zero are
+    not stored.
     """
+    from scipy import sparse  # deferred: its import would add to every CLI start
+
     dof = blocks.dof_map
     bad = np.flatnonzero((dof < 0).any(axis=1) | (dof >= ndof).any(axis=1))
     if bad.size:
         raise IndexOutOfRange(f"dof map of element {bad[0]} exceeds range {ndof}")
     if which == "lumped":
-        index, data = dof * (ndof + 1), blocks.lumped_mass
+        data = np.bincount(dof.ravel(), weights=blocks.lumped_mass.ravel(), minlength=ndof)
+        rows = cols = np.arange(ndof, dtype=_index_type(ndof))
     else:
         chosen = {"stiffness": blocks.stiffness, "consistent": blocks.consistent_mass,
                   "custom": element_matrices}
         if which not in chosen:
             raise ValueError(f"unknown matrix kind {which!r}")
-        index, data = dof[:, :, None] * ndof + dof[:, None, :], symmetrize(chosen[which])
-    summed = np.bincount(index.ravel(), weights=data.ravel(), minlength=ndof * ndof)
-    return summed.reshape(ndof, ndof)
+        slots, rows, cols = blocks.pattern
+        data = np.bincount(slots.ravel(), weights=symmetrize(chosen[which]).ravel(),
+                           minlength=len(rows))
+    keep = data != 0
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[keep], minlength=ndof))))
+    return sparse.csr_array((data[keep], cols[keep], indptr.astype(cols.dtype)),
+                            shape=(ndof, ndof))
+
+
+def assemble(blocks, which, ndof, element_matrices=None):
+    """:func:`assemble_sparse` as a dense array: the same entries, bit for bit."""
+    return assemble_sparse(blocks, which, ndof, element_matrices).toarray()
 
 
 @dataclass(frozen=True)
@@ -395,14 +437,27 @@ class MirrorBasis:
     def order(self):
         return self.images.shape[1]
 
+    @functools.cached_property
+    def columns(self):
+        """Q_k of each block k, as eight CSR arrays of shape (n, m_k). Each
+        row holds one entry at most: for d = g(r), with r the
+        representative of d's orbit, chi_k(g) sign_g(r) / sqrt(s) in the
+        column of r."""
+        from scipy import sparse  # deferred: its import would add to every CLI start
+
+        out = []
+        for chi, reps in zip(self.characters, self.reps):
+            # the images of an orbit's representative repeat with equal entries
+            dofs, first = np.unique(self.images[:, reps], return_index=True)
+            coef = chi[:, None] * self.signs[:, reps] / np.sqrt(self.sizes[reps])
+            cols = np.broadcast_to(np.arange(len(reps)), coef.shape)
+            out.append(sparse.csr_array((coef.ravel()[first], (dofs, cols.ravel()[first])),
+                                        shape=(self.order, len(reps))))
+        return out
+
     def expand(self, k, y):
         """Q_k @ y for the (m_k, t) coefficients ``y`` of block k; (n, t)."""
-        reps = self.reps[k]
-        out = np.zeros((self.order, y.shape[1]))
-        # the images of an orbit's representative repeat with equal entries
-        coef = self.characters[k][:, None] * self.signs[:, reps] / np.sqrt(self.sizes[reps])
-        out[self.images[:, reps]] = coef[:, :, None] * y
-        return out
+        return self.columns[k] @ y
 
 
 def mirror_basis(mesh):

@@ -3,10 +3,10 @@
 Used to empirically bracket the critical time step: a run starts from
 rest at a displacement and records only the response norm at each step;
 no velocity or energy is formed.
-K and the mass are kept as operators: K is applied as a sparse (CSR)
-product and the mass is factored once by :class:`MassSolver`, so each
-step costs one sparse K u, one mass solve and one norm; no dense n x n
-product or solve, and no dense M^{-1} K, is formed.
+K and the mass are kept as operators: K is applied as it arrives, a
+sparse (CSR) product for an assembled K, and the mass is factored once by
+:class:`MassSolver`, so each step costs one K u, one mass solve and one
+norm; no dense M^{-1} K is formed.
 """
 from __future__ import annotations
 
@@ -34,13 +34,6 @@ PROBE_FACTORS = (0.99, 1.05)
 MIN_COMPONENT = 1e-12
 
 
-def _csr(a):
-    """``a`` as a CSR array (dense input is converted once)."""
-    from scipy import sparse  # deferred: its import would add to every CLI start
-
-    return a if sparse.issparse(a) else sparse.csr_array(np.asarray(a, dtype=float))
-
-
 class MassSolver:
     """Repeated solves with a (scaled) mass matrix, factored once.
 
@@ -48,8 +41,9 @@ class MassSolver:
 
     - ``"diagonal"``: a 1-D diagonal, or a 2-D matrix that
       :func:`~masscale.linalg.is_diagonal` accepts; solves divide.
-    - ``"dense"``: any other SPD matrix, factored once as a sparse LU
-      (:func:`~masscale.linalg.factor_spd`); each solve costs the LU's fill.
+    - ``"dense"``: any other SPD matrix, sparse or dense, factored once as
+      a sparse LU (:func:`~masscale.linalg.factor_spd`); each solve costs
+      the LU's fill.
     - ``"woodbury"``: a :class:`LowRankUpdate`, solved through
       :func:`~masscale.linalg.woodbury_factor`: its base is factored by
       ``factor_spd`` (a diagonal base, 1-D or 2-D, divides), and the r x r
@@ -113,14 +107,13 @@ def central_difference_run(kbar, mbar, u0, dt, steps):
     u_{-1} = u_0 + dt^2/2 a_0, then u_{k+1} = 2 u_k - u_{k-1} + dt^2 a_k,
     with a_k = -M^{-1} K u_k.
 
-    ``kbar`` may be dense or scipy.sparse; it is applied as a CSR product.
+    ``kbar`` may be dense or scipy.sparse; ``kbar @ u`` is formed as it is.
     ``mbar`` is anything :class:`MassSolver` accepts, or a MassSolver.
     The run stops early, flagged diverged, once the response norm is not
     finite or exceeds ``UNSTABLE_FACTOR`` times the initial norm.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    kbar = _csr(kbar)
     solver = mbar if isinstance(mbar, MassSolver) else MassSolver(mbar)
     u = np.asarray(u0, dtype=float).copy()
     u_old = u + 0.5 * dt * dt * solver.solve(-(kbar @ u))
@@ -165,11 +158,10 @@ def stability_bracket(kbar, mbar, dt_estimate, seed=42, highest_mode=None):
     times ``dt_estimate``, from a seeded random unit-norm displacement. A
     run is stable iff the response norm never exceeds 10x the initial norm
     over all steps, unstable iff it exceeds 1e6x, and inconclusive
-    otherwise. K is converted to CSR and the mass factored once for both
-    runs. Returns one :class:`StabilityVerdict` per factor, with the first
-    steps at which the growth crossed 10x and 1e6x.
+    otherwise. The mass is factored once for both runs. Returns one
+    :class:`StabilityVerdict` per factor, with the first steps at which
+    the growth crossed 10x and 1e6x.
     """
-    kbar = _csr(kbar)
     solver = mbar if isinstance(mbar, MassSolver) else MassSolver(mbar)
     u0 = _seeded_initial(kbar, seed, highest_mode)
 

@@ -2,13 +2,21 @@
 
 Factorizations, standard and generalized eigensolvers, low-rank-update
 (Woodbury) solves, and condition numbers of computed eigenvalues.
-Everything takes plain numpy arrays; symmetry is imposed at
+An assembled matrix arrives as a scipy.sparse CSR array, and every
+function that reads a whole matrix (:func:`require_symmetric`,
+:func:`is_diagonal`, :func:`factor_spd`, :func:`mirror_split`,
+:func:`extreme_eigvalues` and the low-tail recomputation) reads its
+nonzeros alone; each also takes a dense numpy array. Dense arrays are
+formed only for the dense solves: the mirror blocks, a pencil that does
+not mirror, and a partial solve with ``top``. Symmetry is imposed at
 construction points with :func:`symmetrize` and checked with
-:func:`require_symmetric`. A matrix's mirror split (:func:`mirror_split`)
-stands for a checked matrix: the solvers that take one do not check it
-again, so a caller that reads a matrix in several solves checks and
-splits it once. :func:`factor_spd` factors a general SPD matrix
-once as a sparse LU, so that each later solve costs the factor's fill.
+:func:`require_symmetric`. A checked pencil is a :class:`MatrixPair`, or
+a tuple (A, B) whose members the caller has checked; a matrix's mirror
+split (:func:`mirror_split`) stands for a checked matrix too. The solvers
+check neither again, so a caller that reads a matrix in several solves
+checks and splits it once. :func:`factor_spd` factors a general SPD
+matrix once as a sparse LU, so that each later solve costs the factor's
+fill.
 
 Dense factorizations and the standard symmetric eigensolver are delegated
 to LAPACK (through numpy/scipy); the generalized solver performs the
@@ -86,6 +94,34 @@ __all__ = [
 _TILE = 256  # rows per block of the symmetry check
 
 
+def _is_sparse(a):
+    """True for a scipy.sparse array, told apart without importing scipy.sparse."""
+    return hasattr(a, "tocsr")
+
+
+def _dense(a):
+    """``a`` as a dense float array; a sparse one is converted."""
+    return a.toarray() if _is_sparse(a) else np.asarray(a, dtype=float)
+
+
+def _csr(a):
+    """``a`` as a float CSR array with sorted indices and no duplicates;
+    one already in that form is returned as it is."""
+    from scipy import sparse  # deferred: its import would add to every CLI start
+
+    if not (sparse.issparse(a) and a.format == "csr" and a.dtype == float
+            and a.has_canonical_format):
+        a = sparse.csr_array(a if sparse.issparse(a) else np.asarray(a, dtype=float),
+                             dtype=float, copy=True)
+        a.sum_duplicates()
+    return a
+
+
+def _rows_of(a):
+    """The row index of each stored entry of the CSR array ``a``."""
+    return np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+
+
 def symmetrize(a):
     """Return the exactly symmetric part 0.5 * (A + A^T), of each matrix of
     a stack (..., n, n)."""
@@ -95,21 +131,28 @@ def symmetrize(a):
 
 def require_symmetric(a, name="matrix", rtol=1e-10):
     """Validate that ``a`` is square, finite and symmetric to ``rtol``:
-    max |a - a^T| <= rtol * max |a|, evaluated over tile pairs a_ij
-    against a_ji^T so that no n x n temporary is formed."""
-    a = np.asarray(a, dtype=float)
+    max |a - a^T| <= rtol * max |a|. A sparse ``a`` is compared with its
+    transpose entry by entry and returned as :func:`_csr` gives it; a dense
+    one is compared over tile pairs a_ij against a_ji^T, so that no n x n
+    temporary is formed."""
+    a = _csr(a) if _is_sparse(a) else np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-    n = a.shape[0]
-    scale = asymmetry = 0.0
-    for i in range(0, n, _TILE):
-        top = np.abs(a[i:i + _TILE]).max()  # NaN and inf propagate through max
-        if not np.isfinite(top):
+    if _is_sparse(a):
+        scale = np.abs(a.data).max(initial=0.0)
+        if not np.isfinite(scale):
             raise ValueError(f"{name} contains non-finite entries")
-        scale = max(scale, top)
-        for j in range(0, i + 1, _TILE):
-            tile = a[i:i + _TILE, j:j + _TILE] - a[j:j + _TILE, i:i + _TILE].T
-            asymmetry = max(asymmetry, np.abs(tile).max())
+        asymmetry = np.abs((a - a.T).data).max(initial=0.0)
+    else:
+        scale = asymmetry = 0.0
+        for i in range(0, a.shape[0], _TILE):
+            top = np.abs(a[i:i + _TILE]).max()  # NaN and inf propagate through max
+            if not np.isfinite(top):
+                raise ValueError(f"{name} contains non-finite entries")
+            scale = max(scale, top)
+            for j in range(0, i + 1, _TILE):
+                tile = a[i:i + _TILE, j:j + _TILE] - a[j:j + _TILE, i:i + _TILE].T
+                asymmetry = max(asymmetry, np.abs(tile).max())
     if asymmetry > rtol * (scale or 1.0):
         raise ValueError(f"{name} is not symmetric")
     return a
@@ -156,7 +199,7 @@ class EigDecomposition:
 class LowRankUpdate:
     """Implicit representation of base + V S V^T with diagonal core S."""
 
-    base: np.ndarray  # SPD, dense (n, n) or diagonal as 1-D (n,)
+    base: object  # SPD: CSR or dense (n, n), or a diagonal as 1-D (n,)
     factors: np.ndarray  # (n, r)
     core: np.ndarray  # (r,) diagonal entries of S
 
@@ -169,7 +212,7 @@ class LowRankUpdate:
         return self.factors.shape[1]
 
     def base_dense(self):
-        b = np.asarray(self.base, dtype=float)
+        b = _dense(self.base)
         return np.diag(b) if b.ndim == 1 else b
 
     def dense(self):
@@ -187,12 +230,17 @@ def _fix_signs(vectors):
 
 
 def cholesky(m):
-    """Lower-triangular Cholesky factor of an SPD matrix.
+    """Lower-triangular Cholesky factor of a dense SPD matrix, checked for
+    symmetry here.
 
     Raises :class:`NotPositiveDefinite` (with the first failing pivot index,
     0-based) if the matrix is not SPD within the pivot tolerance of LAPACK.
     """
-    m = require_symmetric(m, "m")
+    return _cholesky(require_symmetric(m, "m"))
+
+
+def _cholesky(m):
+    """:func:`cholesky` of a matrix the caller has checked."""
     c, info = sla.lapack.dpotrf(m, lower=1, overwrite_a=0)
     if info > 0:
         raise NotPositiveDefinite(info - 1)
@@ -215,18 +263,25 @@ def is_diagonal(a, rtol=1e-14):
     """True when every entry of the square matrix ``a`` is finite and no
     off-diagonal one exceeds ``rtol`` times its largest entry in magnitude.
 
-    The off-diagonal entries are read in place: in the flat C order, the
-    n - 1 runs of n entries between consecutive diagonal entries. A
-    transposed C-contiguous matrix is read through its transpose, which
-    has the same off-diagonal entries; no n x n temporary is formed.
+    A sparse ``a`` is read through its stored entries. A dense one is read
+    in place: in the flat C order, the off-diagonal entries are the n - 1
+    runs of n entries between consecutive diagonal entries. A transposed
+    C-contiguous matrix is read through its transpose, which has the same
+    off-diagonal entries; no n x n temporary is formed.
     """
-    a = np.asarray(a, dtype=float)
-    if not a.flags.c_contiguous and a.T.flags.c_contiguous:
-        a = a.T
-    n = a.shape[0]
-    off = np.ascontiguousarray(a).reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
+    if _is_sparse(a):
+        a = _csr(a)
+        on = _rows_of(a) == a.indices
+        off, diagonal = a.data[~on], a.data[on]
+    else:
+        a = np.asarray(a, dtype=float)
+        if not a.flags.c_contiguous and a.T.flags.c_contiguous:
+            a = a.T
+        n = a.shape[0]
+        off = np.ascontiguousarray(a).reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
+        diagonal = np.diagonal(a)
     high, low = (off.max(), off.min()) if off.size else (0.0, 0.0)
-    top = np.max([high, -low, np.abs(np.diagonal(a)).max()])  # NaN propagates
+    top = np.max([high, -low, np.abs(diagonal).max(initial=0.0)])  # NaN propagates
     return bool(np.isfinite(top)) and max(high, -low) <= rtol * (top or 1.0)
 
 
@@ -237,18 +292,18 @@ def factor_spd(b):
     vector or a matrix of columns. A 1-D ``b`` is a diagonal, and a 2-D
     ``b`` that :func:`is_diagonal` accepts is reduced to its diagonal:
     ``diag`` is then that 1-D diagonal and ``solve`` divides. Any other
-    ``b`` is factored as a sparse LU (``diag`` is None) with a
-    minimum-degree ordering applied symmetrically and diagonal pivots
-    only. Without row interchanges the pivots of a symmetric matrix are
+    ``b``, dense or sparse, is factored as a sparse LU (``diag`` is None)
+    with a minimum-degree ordering applied symmetrically and diagonal
+    pivots only. Without row interchanges the pivots of a symmetric matrix are
     all positive exactly when it is positive definite, so that is the SPD
     test.
 
     Raises :class:`NotPositiveDefinite` (with the first failing pivot in
     elimination order) when ``b`` is not SPD.
     """
-    b = np.asarray(b, dtype=float)
+    b = b if _is_sparse(b) else np.asarray(b, dtype=float)
     if b.ndim == 1 or is_diagonal(b):
-        d = b if b.ndim == 1 else np.diag(b).copy()
+        d = b if b.ndim == 1 else b.diagonal().copy()
         bad = np.flatnonzero(~(d > 0))
         if bad.size:
             raise NotPositiveDefinite(int(bad[0]))
@@ -271,12 +326,18 @@ _EPS = np.finfo(float).eps
 _LOW_CUT = 1e-4
 
 
+def _members(pair):
+    """(A, B) of a :class:`MatrixPair` or of a tuple."""
+    return (pair.a, pair.b) if isinstance(pair, MatrixPair) else tuple(pair)
+
+
 def _standard_form(pair):
-    """C = L^{-1} A L^{-T} for B = L L^T, and the map y -> L^{-T} y back.
+    """C = L^{-1} A L^{-T} for B = L L^T, and the map y -> L^{-T} y back,
+    formed dense from a checked pencil (a sparse member is converted).
 
     A diagonal B takes a scaling path instead of the Cholesky reduction.
     """
-    a, b = pair.a, pair.b
+    a, b = (_dense(m) for m in _members(pair))
     if is_diagonal(b):
         d = np.diag(b).copy()
         bad = np.flatnonzero(d <= 0)
@@ -284,7 +345,7 @@ def _standard_form(pair):
             raise NotPositiveDefinite(int(bad[0]))
         s = 1.0 / np.sqrt(d)
         return symmetrize(a * s[:, None] * s[None, :]), lambda y: y * s[:, None]
-    ell = cholesky(b)
+    ell = _cholesky(b)
     c, info = sla.lapack.dsygst(a, ell, itype=1, lower=1)
     if info != 0:  # pragma: no cover - LAPACK reports illegal arguments only
         raise ValueError(f"illegal argument {-info} to dsygst")
@@ -334,29 +395,29 @@ def _accurate_matmul(a, x):
     slice-by-slice product is exact in double whatever the summation
     order; the leftovers add terms 2**(-2 bits) smaller. The exact partial
     products are summed with error-free transformations (Sum2 of Ogita,
-    Rump and Oishi, 2005). A is used through its nonzeros.
+    Rump and Oishi, 2005). A is read through its CSR arrays (a dense ``a``
+    is converted), so only its stored entries are split and multiplied.
     """
     from scipy import sparse  # deferred: its import would add to every CLI start
 
-    rows, cols = np.divmod(np.flatnonzero(a), a.shape[1])
-    row_len = np.bincount(rows, minlength=a.shape[0])
-    indptr = np.concatenate(([0], np.cumsum(row_len)))
-    bits = (53 - int(np.ceil(np.log2(max(row_len.max(initial=1), 2))))) // 2
-    row_exp = np.frexp(np.maximum(a.max(axis=1), -a.min(axis=1)))[1][rows]
-    a1, rest = _split_on_grid(a[rows, cols], row_exp, bits)
-    a2, a3 = _split_on_grid(rest, row_exp - bits, bits)
+    a = _csr(a)
+    lengths = np.diff(a.indptr)
+    row_top = np.zeros(a.shape[0])
+    np.maximum.at(row_top, _rows_of(a), np.abs(a.data))
+    bits = (53 - int(np.ceil(np.log2(max(lengths.max(initial=1), 2))))) // 2
+    row_exp = np.repeat(np.frexp(row_top)[1], lengths)
+    a1, a2 = _split_on_grid(a.data, row_exp, bits)
+    a2, a3 = _split_on_grid(a2, row_exp - bits, bits)
     col_exp = np.frexp(np.abs(x).max(axis=0))[1]
-    x1, rest = _split_on_grid(x, col_exp, bits)
-    x2, x3 = _split_on_grid(rest, col_exp - bits, bits)
+    x1, x2 = _split_on_grid(x, col_exp, bits)
+    x2, x3 = _split_on_grid(x2, col_exp - bits, bits)
 
     def times(data, rhs):
-        return sparse.csr_array((data, cols, indptr), shape=a.shape) @ rhs
+        return sparse.csr_array((data, a.indices, a.indptr), shape=a.shape) @ rhs
 
-    k = x.shape[1]
-    p1, p2 = (times(part, np.hstack([x1, x2, x3])) for part in (a1, a2))
-    total, comp = p1[:, :k], np.zeros_like(x)
-    small = p1[:, 2 * k:] + p2[:, 2 * k:] + times(a3, x)
-    for term in (p1[:, k:2 * k], p2[:, :k], p2[:, k:2 * k], small):
+    total, comp = times(a1, x1), np.zeros_like(x)
+    small = times(a1, x3) + times(a2, x3) + times(a3, x)
+    for term in (times(a1, x2), times(a2, x1), times(a2, x2), small):
         s = total + term
         z = s - total
         comp += (total - (s - z)) + (term - z)
@@ -367,7 +428,8 @@ def _accurate_matmul(a, x):
 def _ritz(a, b, x):
     """Rayleigh-Ritz of (A, B) on span(x), with A x from :func:`_accurate_matmul`.
 
-    x holds B-orthonormal approximate eigenvectors. Returns the Ritz values
+    A and B are checked matrices, sparse or dense, and x holds
+    B-orthonormal approximate eigenvectors. Returns the Ritz values
     ascending, each as the Rayleigh quotient of its Ritz vector (accurate
     relative to the value, where the small eigensolve is accurate only
     relative to the largest), and the B-orthonormal Ritz vectors.
@@ -400,19 +462,20 @@ def generalized_eig(pair, top=None):
     With ``top``, only the ``top`` largest pairs are formed, by a partial
     dense solve; their values are the dense solve's, with no
     recomputation.
+
+    ``pair`` is a :class:`MatrixPair` or two checked matrices (A, B),
+    sparse or dense; the dense solve converts them once.
     """
-    if not isinstance(pair, MatrixPair):
-        pair = MatrixPair(*pair)
     c, back = _standard_form(pair)
     if top is not None:
-        n = pair.order
+        n = c.shape[0]
         values, y = sla.eigh(c, subset_by_index=[n - top, n - 1])
         return EigDecomposition(values, _fix_signs(back(y)), "b-orthonormal")
     std = sym_eig(c)
     values, vectors = std.values, back(std.vectors)
     count = _low_tail(values)
     if count:
-        values[:count], vectors[:, :count] = _ritz(pair.a, pair.b, vectors[:, :count])
+        values[:count], vectors[:, :count] = _ritz(*_members(pair), vectors[:, :count])
     return EigDecomposition(values, _fix_signs(vectors), "b-orthonormal")
 
 
@@ -424,43 +487,59 @@ def mirror_split(a, basis):
     :func:`extreme_eigvalues` take the split in place of splitting ``a``
     anew; ``a`` itself is not checked for symmetry here.
 
-    The block entries use that commutation: the column of Q_k for
-    representative d is sqrt(s) P_k e_d, so Q_k^T A Q_k needs only the
-    rows of A at the orbit representatives, gathered at the eight images
-    of each representative. The commutation is checked on the same rows:
-    A commutes with every group element g exactly when D_g = R_g A R_g - A
-    vanishes on them. Each row of any D_g is the difference of two such
-    rows, and the coupling between blocks that the solve drops is
-    E = -(1/8) sum_g D_g, so with rho the largest absolute row sum over the
-    checked rows, ||E||_2 <= 2 rho; the gathered blocks differ from the
-    exact ones by at most sqrt(8) ||E||_2 more. Accepting
-    rho <= n * eps * max|A| / 8 therefore keeps every ignored term within
-    n * eps * ||A||_2, the backward error of the dense solve itself, which
-    :func:`rigid_cutoff` carries over to the eigenvalues as
-    n * eps * lambda_max. The hex8 meshes' matrices mirror to about
-    1e-14 of max|A| in row sum (their node coordinates mirror only to
-    rounding): the benchmark plate's K to 1.8e-14, against 6.7e-14 allowed.
+    The block entries use the commutation: the column of Q_k for
+    representative d is sqrt(s) P_k e_d, so Q_k^T A Q_k is sqrt(s) times
+    the representatives' rows of A Q_k, with Q_k sparse
+    (``basis.columns``). The commutation is checked on the same rows: A
+    commutes with every group element g exactly when D_g = R_g A R_g - A
+    vanishes on them, and each of those rows of D_g is a representative's
+    row of A subtracted from its image's row, permuted and signed. A
+    sparse ``a`` (CSR) is read through the stored entries of those rows,
+    as one sparse difference for all seven D_g; a dense one, such as
+    global deflation's M + V S V^T, through those rows gathered dense,
+    which for a full matrix is cheaper than a CSR copy and its index
+    arrays. Each row of any
+    D_g is the difference of two such rows, and the coupling between
+    blocks that the solve drops is E = -(1/8) sum_g D_g, so with rho the
+    largest absolute row sum over the checked rows, ||E||_2 <= 2 rho; the
+    blocks formed from the rows differ from the exact ones by at most
+    sqrt(8) ||E||_2 more. Accepting rho <= n * eps * max|A| / 8 therefore
+    keeps every ignored term within n * eps * ||A||_2, the backward error
+    of the dense solve itself, which :func:`rigid_cutoff` carries over to
+    the eigenvalues as n * eps * lambda_max. The hex8 meshes' matrices
+    mirror to about 1e-14 of max|A| in row sum (their node coordinates
+    mirror only to rounding): the benchmark plate's K to 1.8e-14, against
+    6.7e-14 allowed.
     """
+    from scipy import sparse  # deferred: its import would add to every CLI start
+
     n = a.shape[0]
     reps = np.unique(np.concatenate(basis.reps))  # one dof of every orbit
-    rows = a[reps]
-    worst = 0.0
-    for g in range(1, 8):
-        mirrored = np.take(a[basis.images[g, reps]], basis.images[g], axis=1)
-        mirrored *= basis.signs[g]
-        mirrored *= basis.signs[g, reps][:, None]
-        mirrored -= rows
-        worst = max(worst, np.abs(mirrored).sum(axis=1).max())
-    if worst > n * _EPS * max(a.max(), -a.min()) / 8:
+    m = len(reps)
+    if _is_sparse(a):
+        a = _csr(a)
+        # row (g - 1) * m + i: row reps[i] of R_g A R_g - A, for g = 1..7
+        images = a[basis.images[1:, reps].ravel()]
+        lengths = np.diff(images.indptr)
+        flat = np.repeat(np.repeat(np.arange(1, 8), m) * n, lengths) + images.indices
+        signs = basis.signs.ravel()[flat] * np.repeat(basis.signs[1:, reps].ravel(), lengths)
+        mirrored = sparse.csr_array((images.data * signs, basis.images.ravel()[flat],
+                                     images.indptr), shape=(7 * m, n))
+        mirrored.sort_indices()
+        diff = mirrored - a[np.tile(reps, 7)]
+        sums = np.bincount(_rows_of(diff), np.abs(diff.data), minlength=7 * m)
+        scale = np.abs(a.data).max(initial=0.0)
+    else:
+        a = np.asarray(a, dtype=float)
+        rows = a[reps]
+        sums = np.concatenate([np.abs(
+            np.take(a[basis.images[g, reps]], basis.images[g], axis=1) * basis.signs[g]
+            * basis.signs[g, reps][:, None] - rows).sum(axis=1) for g in range(1, 8)])
+        scale = max(a.max(), -a.min())
+    if not sums.max(initial=0.0) <= n * _EPS * scale / 8:
         return None
-    # sum_h chi_k(h) sign_h(d_b) A[d_a, h(d_b)], for every block k at once
-    gathered = np.take(rows, basis.images[:, reps], axis=1) * basis.signs[:, reps]
-    projected = np.tensordot(basis.characters, gathered, axes=([1], [1]))
-    blocks = []
-    for k, block_reps in enumerate(basis.reps):
-        at = np.searchsorted(reps, block_reps)
-        root = np.sqrt(basis.sizes[block_reps])
-        blocks.append(symmetrize(projected[k][np.ix_(at, at)] * np.outer(root, root) / 8))
+    blocks = [symmetrize(_dense(a[r] @ q) * np.sqrt(basis.sizes[r])[:, None])
+              for r, q in zip(basis.reps, basis.columns)]
     return blocks, basis
 
 
@@ -475,7 +554,7 @@ def _block_eigvalues(pair, split_a, split_b):
     they are not checked again.
     """
     (blocks_a, basis), (blocks_b, _) = split_a, split_b
-    solved = [_standard_form(MatrixPair(a, b)) for a, b in zip(blocks_a, blocks_b)]
+    solved = [_standard_form((a, b)) for a, b in zip(blocks_a, blocks_b)]
     parts = [np.linalg.eigvalsh(c) for c, _ in solved]
     owner = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
     order = np.argsort(np.concatenate(parts), kind="stable")
@@ -487,35 +566,32 @@ def _block_eigvalues(pair, split_a, split_b):
             basis.expand(k, back(sla.eigh(c, subset_by_index=[0, share - 1])[1]))
             for k, ((c, back), share) in enumerate(zip(solved, shares)) if share
         ])
-        a, b = (pair.a, pair.b) if isinstance(pair, MatrixPair) else pair
-        values[:count] = _ritz(a, b, x)[0]
+        del solved  # the blocks' forms, n^2 / 8 entries in all, are freed before the Ritz step
+        values[:count] = _ritz(*_members(pair), x)[0]
     return values
 
 
 def generalized_eigvalues(pair, split=None):
     """Eigenvalues only of A u = lambda B u, as accurate as :func:`generalized_eig`.
 
-    ``pair`` is a :class:`MatrixPair` or the two matrices (A, B). With
-    ``split``, the mirror splits (:func:`mirror_split`) of A and B, whose
-    members were checked for symmetry when they were split, the pencil is
-    solved block by block (:func:`_block_eigvalues`): eight dense solves
-    of order about n/8, with no check of the full pencil. When there is no
-    split, or a member's is None (it does not commute with the
-    reflections), the values come from the dense values-only solve of the
-    standard form; a pencil with a low tail that :func:`generalized_eig`
-    would recompute takes its values instead, and a pencil without one
-    forms no vectors.
+    ``pair`` is a :class:`MatrixPair` or two checked matrices (A, B),
+    sparse or dense. With ``split``, the mirror splits
+    (:func:`mirror_split`) of A and B, the pencil is solved block by block
+    (:func:`_block_eigvalues`): eight dense solves of order about n/8.
+    When there is no split, or a member's is None (it does not commute
+    with the reflections), the values come from the dense values-only
+    solve of the standard form; a pencil with a low tail that
+    :func:`generalized_eig` would recompute takes its values instead, and
+    a pencil without one forms no vectors.
     """
     if split is not None and all(s is not None for s in split):
         return _block_eigvalues(pair, *split)
-    if not isinstance(pair, MatrixPair):
-        pair = MatrixPair(*pair)
     values = np.linalg.eigvalsh(_standard_form(pair)[0])
     return generalized_eig(pair).values if _low_tail(values) else values
 
 
 def extreme_eigvalues(a, split=None):
-    """(lambda_min, lambda_max) of a symmetric matrix, as a 2-array.
+    """(lambda_min, lambda_max) of a symmetric matrix, sparse or dense.
 
     A matrix that :func:`is_diagonal` accepts gives the ends of its
     diagonal, exactly. With the ``split`` of ``a`` (:func:`mirror_split`),
@@ -526,12 +602,12 @@ def extreme_eigvalues(a, split=None):
     if split is None:
         a = require_symmetric(a, "a")
     if is_diagonal(a):
-        d = np.diag(a)
+        d = a.diagonal()
         return np.array([d.min(), d.max()])
     if split is not None:
         ends = np.array([np.linalg.eigvalsh(b)[[0, -1]] for b in split[0]])
         return np.array([ends[:, 0].min(), ends[:, 1].max()])
-    return np.linalg.eigvalsh(a)[[0, -1]]
+    return np.linalg.eigvalsh(_dense(a))[[0, -1]]
 
 
 def woodbury_factor(update):

@@ -27,6 +27,7 @@ from . import fem
 from .errors import DefectiveElementPair, EmptySelection, NonDiagonalMass, RankTooLarge
 from .linalg import (
     LowRankUpdate,
+    _dense,
     _low_tail,
     MatrixPair,
     generalized_eig,
@@ -141,22 +142,22 @@ class ScalingSpec:
 class ScaledSystem:
     """Scaled pair (kbar, mbar) and the :class:`ScalingSpec` that made it.
 
-    ``kbar`` is K for every kind. ``mbar`` is a dense array except for
-    global deflation, where it stays an implicit :class:`LowRankUpdate`
-    so Woodbury solves remain available. For local strategies
+    ``kbar`` is K for every kind. ``mbar`` is a CSR array for a local kind
+    and, for the other global kinds, of the type of the pair's members;
+    global deflation keeps it an implicit :class:`LowRankUpdate` so
+    Woodbury solves remain available. For local strategies
     ``element_mbar`` is the (E, 24, 24) array of the scaled element
     masses, element e in row e as in the blocks.
     """
 
-    kbar: np.ndarray
-    mbar: object  # np.ndarray | LowRankUpdate
+    kbar: object  # CSR or dense
+    mbar: object  # CSR, dense or LowRankUpdate
     spec: ScalingSpec
     element_mbar: np.ndarray | None = None
 
     def mbar_dense(self):
-        if isinstance(self.mbar, LowRankUpdate):
-            return self.mbar.dense()
-        return self.mbar
+        """Mbar as a dense array."""
+        return self.mbar.dense() if isinstance(self.mbar, LowRankUpdate) else _dense(self.mbar)
 
 
 def _number(low, high=None, strict=False, integer=False):
@@ -249,15 +250,16 @@ def _polynomial_sms(pair, spec):
 
     Transformed eigenvalues obey lambda -> lambda / (1 + c lambda^2) with
     eigenvectors preserved. Requires a diagonal (lumped) mass with a
-    positive diagonal, else raises :class:`NonDiagonalMass`.
+    positive diagonal, else raises :class:`NonDiagonalMass`. On a sparse
+    pair, K M^{-1} K is a sparse product.
     """
     if not is_diagonal(pair.b):
         raise NonDiagonalMass("polynomial SMS requires a diagonal mass matrix")
-    m_diag = np.diag(pair.b)
+    m_diag = pair.b.diagonal()
     if np.any(m_diag <= 0):
         raise NonDiagonalMass("mass diagonal must be strictly positive")
-    mbar = symmetrize(np.diag(m_diag) + spec.c * (pair.a @ (pair.a / m_diag[:, None])))
-    return ScaledSystem(pair.a, mbar, spec)
+    mbar = pair.b + spec.c * (pair.a @ (pair.a / m_diag[:, None]))
+    return ScaledSystem(pair.a, 0.5 * (mbar + mbar.T), spec)
 
 
 def _global_deflation(pair, spec):
@@ -353,7 +355,8 @@ def apply_spec(spec, blocks, ndof, pair=None, k_global=None):
 
     Global kinds transform the assembled ``pair`` (K, M). Local kinds
     scale all elements of the stacked ``blocks`` at once and assemble the
-    result; K is ``k_global`` when given, else assembled from ``blocks``.
+    result as a CSR array; K is ``k_global`` when given, else assembled
+    from ``blocks``, also as CSR.
     """
     entry = KINDS[spec.kind]
     if entry.transform is not None:
@@ -361,8 +364,8 @@ def apply_spec(spec, blocks, ndof, pair=None, k_global=None):
             raise ValueError(f"{spec.kind} requires the assembled pair")
         return entry.transform(pair if isinstance(pair, MatrixPair) else MatrixPair(*pair), spec)
     element_mbar = entry.element_term(blocks, spec)
-    kbar = fem.assemble(blocks, "stiffness", ndof) if k_global is None else k_global
-    mbar = fem.assemble(blocks, "custom", ndof, element_matrices=element_mbar)
+    kbar = fem.assemble_sparse(blocks, "stiffness", ndof) if k_global is None else k_global
+    mbar = fem.assemble_sparse(blocks, "custom", ndof, element_matrices=element_mbar)
     return ScaledSystem(kbar, mbar, spec, element_mbar)
 
 

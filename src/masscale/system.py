@@ -13,6 +13,7 @@ from .linalg import (
     LowRankUpdate,
     MatrixPair,
     extreme_eigvalues,
+    generalized_eig,
     generalized_eigvalues,
     mirror_split,
     require_symmetric,
@@ -27,17 +28,20 @@ class MeshSystem:
     first request: all eigenvalues of (K, M) and the extremes of M once,
     and the same of (Kbar, Mbar), (Mbar, M) and Mbar once per scaling spec.
     The none kind's Kbar and Mbar are K and M, so it shares their entries.
-    It keeps eigenvalues, and the scaled systems of global deflation, whose
-    Mbar is M plus an n x r factor formed by a partial dense solve; others
-    are rebuilt on request, so that no n x n Mbar is held.
+    It keeps eigenvalues, each checked Mbar, and the scaled systems of
+    global deflation, whose Mbar is M plus an n x r factor formed by a
+    partial dense solve; other scaled systems are rebuilt on request.
 
-    Each assembled matrix is read once: K and M are checked for symmetry
-    when their pair is built, and each Mbar when it is split. The split of
-    each matrix in the mesh's mirror basis (:func:`linalg.mirror_split`,
-    about n^2/8 entries, or None when the matrix does not mirror) is kept
-    and goes to every solve that reads the matrix, so that what commutes
-    with the reflections is solved block by block; Kbar is K for every
-    kind, so all pencils share K's split.
+    K, M and every Mbar of a local kind are CSR arrays, and so are the
+    other global kinds' Mbar; global deflation's M + V S V^T is dense, as
+    its entries are. Each assembled matrix is read once: K and M are
+    checked for symmetry when their pair is built, and each Mbar on first
+    use (:meth:`mass`). The split of each matrix in the mesh's mirror
+    basis (:func:`linalg.mirror_split`: eight dense blocks of order about
+    n/8, or None when the matrix does not mirror) is kept and goes to
+    every solve that reads the matrix, so that what commutes with the
+    reflections is solved block by block; Kbar is K for every kind, so
+    all pencils share K's split.
     """
 
     def __init__(self, mesh, material):
@@ -51,10 +55,10 @@ class MeshSystem:
 
     @functools.cached_property
     def pair(self):
-        """MatrixPair(K, M), with the lumped M."""
+        """MatrixPair(K, M) of CSR arrays, with the lumped M."""
         n = self.mesh.dof_count
-        return MatrixPair(fem.assemble(self.blocks, "stiffness", n),
-                          fem.assemble(self.blocks, "lumped", n))
+        return MatrixPair(fem.assemble_sparse(self.blocks, "stiffness", n),
+                          fem.assemble_sparse(self.blocks, "lumped", n))
 
     @functools.cached_property
     def basis(self):
@@ -82,6 +86,19 @@ class MeshSystem:
             self._values[key, spec] = solve()
         return self._values[key, spec]
 
+    def mass(self, scaled=None):
+        """M for no spec and for none, else the Mbar of ``scaled`` as one
+        matrix, checked for symmetry here, once."""
+        if self._spec(scaled) is None:
+            return self.pair.b
+
+        def check():
+            mbar = scaled.mbar
+            return require_symmetric(
+                mbar.dense() if isinstance(mbar, LowRankUpdate) else mbar, "Mbar")
+
+        return self._once("Mbar", scaled, check)
+
     def _split(self, a):
         return None if self.basis is None else mirror_split(a, self.basis)
 
@@ -89,12 +106,8 @@ class MeshSystem:
         return self._once("split K", None, lambda: self._split(self.pair.a))
 
     def split_mass(self, scaled=None):
-        """The split of Mbar, or of M for no spec and for none; an Mbar is
-        checked for symmetry here, once."""
-        if self._spec(scaled) is None:
-            return self._once("split M", None, lambda: self._split(self.pair.b))
-        return self._once("split M", scaled, lambda: self._split(
-            require_symmetric(scaled.mbar_dense(), "Mbar")))
+        """The split of :meth:`mass`."""
+        return self._once("split M", scaled, lambda: self._split(self.mass(scaled)))
 
     def values_km(self):
         return self._once("K,M", None, lambda: generalized_eigvalues(
@@ -107,15 +120,18 @@ class MeshSystem:
 
     def values_kmbar(self, scaled):
         return self._once("K,M", scaled, lambda: generalized_eigvalues(
-            (scaled.kbar, scaled.mbar_dense()),
-            split=(self.split_k(), self.split_mass(scaled))))
+            (scaled.kbar, self.mass(scaled)), split=(self.split_k(), self.split_mass(scaled))))
 
     def values_mbar(self, scaled):
         """(lambda_min, lambda_max) of Mbar."""
         return self._once("M", scaled, lambda: extreme_eigvalues(
-            scaled.mbar_dense(), split=self.split_mass(scaled)))
+            self.mass(scaled), split=self.split_mass(scaled)))
 
     def values_mbarm(self, scaled):
         return self._once("Mbar,M", scaled, lambda: generalized_eigvalues(
-            (scaled.mbar_dense(), self.pair.b),
-            split=(self.split_mass(scaled), self.split_mass())))
+            (self.mass(scaled), self.pair.b), split=(self.split_mass(scaled), self.split_mass())))
+
+    def top_kmbar(self, scaled):
+        """The largest eigenpair of (Kbar, Mbar), by a partial dense solve
+        of the checked matrices (:func:`linalg.generalized_eig` with top=1)."""
+        return generalized_eig((scaled.kbar, self.mass(scaled)), top=1)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from conftest import KIND_DOCS, random_spd, random_spsd
 from masscale import analysis, fem, linalg, scaling
@@ -406,6 +407,18 @@ class TestMirrorBlocks:
         dense = np.linalg.eigvalsh(mbar)[[0, -1]]
         split = linalg.mirror_split(mbar, basis)
         assert np.allclose(extreme_eigvalues(mbar, split=split), dense, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("kind", sorted(KIND_DOCS))
+    def test_sparse_and_dense_input_split_alike(self, kinds_mesh, kind):
+        # a CSR matrix is read through the stored entries of its rows, a
+        # dense one through its rows gathered: one verdict and one set of
+        # blocks, up to the order of the sums
+        basis = fem.mirror_basis(kinds_mesh[0])
+        for a in (kinds_mesh[2].a, scaled_mass(kinds_mesh, kind).mbar_dense()):
+            dense, csr = (linalg.mirror_split(m, basis) for m in (a, sparse.csr_array(a)))
+            assert (dense is None) == (csr is None)
+            for x, y in zip(*(split[0] if split else [] for split in (dense, csr))):
+                assert np.abs(x - y).max() <= 1e-15 * np.abs(a).max()
 
     def test_cms_on_some_dofs_fails_the_coupling_check(self, kinds_mesh):
         mesh, blocks, pair = kinds_mesh
