@@ -101,13 +101,19 @@ def _length_triplet(obj, key):
 def _element_edges(edges, material, field):
     """Check that the hex8 kernel can integrate an element with these edge
     lengths (meters) in double precision: its volume is a normal float,
-    not subnormal, and E / h^2 stays finite for its shortest edge h, since
-    the stiffness kernel forms E times the squared shape gradients."""
-    h = min(edges)
-    if not (edges[0] * edges[1] * edges[2] >= np.finfo(float).tiny
-            and material.young_modulus < np.finfo(float).max * h * h):
+    not subnormal, and its stiffness terms stay finite. The kernel forms
+    the elasticity matrix, whose largest entry is lambda + 2 mu, times the
+    squared shape gradients (up to 1 / h^2 for the shortest edge h) and
+    the volume, so (lambda + 2 mu) / h^2, times the volume where it
+    exceeds one, must be finite. Python floats overflow to inf here
+    without a warning."""
+    h, volume = min(edges), edges[0] * edges[1] * edges[2]
+    lam, mu = material.lame()
+    if not (volume >= sys.float_info.min
+            and (lam + 2 * mu) * max(volume, 1.0) < sys.float_info.max * h * h):
         raise ConfigError(f"{field}: element edges {edges} m are too small for the hex8 kernel "
-                          f"in double precision with E = {material.young_modulus:g} Pa")
+                          f"in double precision with E = {material.young_modulus:g} Pa and "
+                          f"nu = {material.poisson_ratio!r}")
 
 
 def _parse_material(obj):

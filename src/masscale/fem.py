@@ -12,7 +12,7 @@ element's :class:`ElementBlock`. :func:`assemble_sparse` scatters stacked
 element matrices into the global matrix as a CSR array, with one
 ``bincount`` into the slots of the blocks' sparsity pattern, which
 :class:`ElementBlocks` computes once; :func:`assemble` returns the same
-matrix as a dense array.
+matrix as a dense array, or with ``sparse=True`` as that CSR array.
 
 :func:`mirror_basis` finds the three mid-plane reflections of a mesh
 whose nodes mirror (every box mesh) and returns a :class:`MirrorBasis`:
@@ -407,9 +407,12 @@ def assemble_sparse(blocks, which, ndof, element_matrices=None):
                             shape=(ndof, ndof))
 
 
-def assemble(blocks, which, ndof, element_matrices=None):
-    """:func:`assemble_sparse` as a dense array: the same entries, bit for bit."""
-    return assemble_sparse(blocks, which, ndof, element_matrices).toarray()
+def assemble(blocks, which, ndof, element_matrices=None, sparse=False):
+    """:func:`assemble_sparse` as a dense array, the same entries bit for
+    bit, or with ``sparse`` the CSR array itself. Every assembly of the
+    package passes through here, so one entry point sees them all."""
+    a = assemble_sparse(blocks, which, ndof, element_matrices)
+    return a if sparse else a.toarray()
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,15 @@ nonzeros alone; each also takes a dense numpy array. Dense arrays are
 formed only for the dense solves: the mirror blocks, a pencil that does
 not mirror, and a partial solve with ``top``. Symmetry is imposed at
 construction points with :func:`symmetrize` and checked with
-:func:`require_symmetric`. A checked pencil is a :class:`MatrixPair`, or
-a tuple (A, B) whose members the caller has checked; a matrix's mirror
-split (:func:`mirror_split`) stands for a checked matrix too. The solvers
-check neither again, so a caller that reads a matrix in several solves
-checks and splits it once. :func:`factor_spd` factors a general SPD
-matrix once as a sparse LU, so that each later solve costs the factor's
-fill.
+:func:`require_symmetric`. The pencil solvers check a tuple (A, B) as a
+:class:`MatrixPair`; a :class:`MatrixPair`, and a matrix's mirror split
+(:func:`mirror_split`), stand for checked matrices and are not checked
+again. Within the package, a caller that has checked a pencil's members
+itself (:class:`masscale.system.MeshSystem`, which reads each matrix in
+several solves) passes them to the private ``_eig`` and ``_eigvalues``,
+so that each matrix is checked and split once. :func:`factor_spd`
+factors a general SPD matrix once as a sparse LU, so that each later
+solve costs the factor's fill.
 
 Dense factorizations and the standard symmetric eigensolver are delegated
 to LAPACK (through numpy/scipy); the generalized solver performs the
@@ -331,6 +333,11 @@ def _members(pair):
     return (pair.a, pair.b) if isinstance(pair, MatrixPair) else tuple(pair)
 
 
+def _checked(pair):
+    """``pair`` as a :class:`MatrixPair`: a tuple (A, B) is checked here."""
+    return pair if isinstance(pair, MatrixPair) else MatrixPair(*pair)
+
+
 def _standard_form(pair):
     """C = L^{-1} A L^{-T} for B = L L^T, and the map y -> L^{-T} y back,
     formed dense from a checked pencil (a sparse member is converted).
@@ -463,9 +470,16 @@ def generalized_eig(pair, top=None):
     dense solve; their values are the dense solve's, with no
     recomputation.
 
-    ``pair`` is a :class:`MatrixPair` or two checked matrices (A, B),
-    sparse or dense; the dense solve converts them once.
+    ``pair`` is a :class:`MatrixPair`, or a tuple (A, B) that is checked
+    here as one; its members are sparse or dense, and the dense solve
+    converts them once.
     """
+    return _eig(_checked(pair), top)
+
+
+def _eig(pair, top=None):
+    """:func:`generalized_eig` of a pencil whose members the caller has
+    checked: a :class:`MatrixPair`, or a tuple (A, B) of checked matrices."""
     c, back = _standard_form(pair)
     if top is not None:
         n = c.shape[0]
@@ -574,20 +588,32 @@ def _block_eigvalues(pair, split_a, split_b):
 def generalized_eigvalues(pair, split=None):
     """Eigenvalues only of A u = lambda B u, as accurate as :func:`generalized_eig`.
 
-    ``pair`` is a :class:`MatrixPair` or two checked matrices (A, B),
-    sparse or dense. With ``split``, the mirror splits
-    (:func:`mirror_split`) of A and B, the pencil is solved block by block
+    ``pair`` is a :class:`MatrixPair` or a tuple (A, B), sparse or dense.
+    With ``split``, the mirror splits (:func:`mirror_split`) of A and B,
+    which stand for checked members, the pencil is solved block by block
     (:func:`_block_eigvalues`): eight dense solves of order about n/8.
     When there is no split, or a member's is None (it does not commute
-    with the reflections), the values come from the dense values-only
+    with the reflections), a tuple is checked here as a
+    :class:`MatrixPair`, and the values come from the dense values-only
     solve of the standard form; a pencil with a low tail that
     :func:`generalized_eig` would recompute takes its values instead, and
     a pencil without one forms no vectors.
     """
-    if split is not None and all(s is not None for s in split):
+    return _eigvalues(pair if _blockwise(split) else _checked(pair), split)
+
+
+def _blockwise(split):
+    return split is not None and all(s is not None for s in split)
+
+
+def _eigvalues(pair, split=None):
+    """:func:`generalized_eigvalues` of a pencil whose members the caller
+    has checked: a :class:`MatrixPair`, or a tuple (A, B) of checked
+    matrices."""
+    if _blockwise(split):
         return _block_eigvalues(pair, *split)
     values = np.linalg.eigvalsh(_standard_form(pair)[0])
-    return generalized_eig(pair).values if _low_tail(values) else values
+    return _eig(pair).values if _low_tail(values) else values
 
 
 def extreme_eigvalues(a, split=None):

@@ -28,6 +28,7 @@ from .errors import DefectiveElementPair, EmptySelection, NonDiagonalMass, RankT
 from .linalg import (
     LowRankUpdate,
     _dense,
+    _eig,
     _low_tail,
     MatrixPair,
     generalized_eig,
@@ -265,12 +266,14 @@ def _polynomial_sms(pair, spec):
 def _global_deflation(pair, spec):
     """Deflate the top r eigenvalues of the assembled pair: ``shave`` (the
     default) flattens them to lambda_{n-r}, ordering preserved; ``cutoff``
-    divides them by 1 + alpha. Mbar stays a :class:`LowRankUpdate`."""
+    divides them by 1 + alpha. Mbar stays a :class:`LowRankUpdate`. The
+    pair is a checked :class:`MatrixPair` of sparse or dense members; the
+    partial solve converts them once."""
     n = pair.order
     r = spec.rank
     if r >= n:
         raise RankTooLarge(f"rank {r} out of range for order {n}")
-    dec = generalized_eig(pair, top=r + 1)
+    dec = _eig(pair, top=r + 1)
     u2 = dec.vectors[:, 1:]
     d2 = dec.values[1:]
     v = pair.b @ u2
@@ -364,8 +367,9 @@ def apply_spec(spec, blocks, ndof, pair=None, k_global=None):
             raise ValueError(f"{spec.kind} requires the assembled pair")
         return entry.transform(pair if isinstance(pair, MatrixPair) else MatrixPair(*pair), spec)
     element_mbar = entry.element_term(blocks, spec)
-    kbar = fem.assemble_sparse(blocks, "stiffness", ndof) if k_global is None else k_global
-    mbar = fem.assemble_sparse(blocks, "custom", ndof, element_matrices=element_mbar)
+    kbar = fem.assemble(blocks, "stiffness", ndof, sparse=True) if k_global is None else k_global
+    mbar = fem.assemble(blocks, "custom", ndof, element_matrices=element_mbar,
+                         sparse=True)
     return ScaledSystem(kbar, mbar, spec, element_mbar)
 
 

@@ -12,9 +12,9 @@ from . import fem, scaling
 from .linalg import (
     LowRankUpdate,
     MatrixPair,
+    _eig,
+    _eigvalues,
     extreme_eigvalues,
-    generalized_eig,
-    generalized_eigvalues,
     mirror_split,
     require_symmetric,
 )
@@ -28,18 +28,21 @@ class MeshSystem:
     first request: all eigenvalues of (K, M) and the extremes of M once,
     and the same of (Kbar, Mbar), (Mbar, M) and Mbar once per scaling spec.
     The none kind's Kbar and Mbar are K and M, so it shares their entries.
-    It keeps eigenvalues, each checked Mbar, and the scaled systems of
-    global deflation, whose Mbar is M plus an n x r factor formed by a
+    It keeps eigenvalues, each checked sparse Mbar, and the scaled systems
+    of global deflation, whose Mbar is M plus an n x r factor formed by a
     partial dense solve; other scaled systems are rebuilt on request.
 
     K, M and every Mbar of a local kind are CSR arrays, and so are the
     other global kinds' Mbar; global deflation's M + V S V^T is dense, as
-    its entries are. Each assembled matrix is read once: K and M are
-    checked for symmetry when their pair is built, and each Mbar on first
-    use (:meth:`mass`). The split of each matrix in the mesh's mirror
-    basis (:func:`linalg.mirror_split`: eight dense blocks of order about
-    n/8, or None when the matrix does not mirror) is kept and goes to
-    every solve that reads the matrix, so that what commutes with the
+    its entries are, and is formed for each solve that reads it, not
+    kept. Each assembled matrix is read once: K and M are checked for
+    symmetry when their pair is built, and each Mbar on first use
+    (:meth:`mass`); the pencils of checked matrices go to the solvers that
+    do not check them again (``linalg._eig`` and ``linalg._eigvalues``).
+    The split of each matrix in the mesh's mirror basis
+    (:func:`linalg.mirror_split`: eight dense blocks of order about n/8,
+    or None when the matrix does not mirror) is kept and goes to every
+    solve that reads the matrix, so that what commutes with the
     reflections is solved block by block; Kbar is K for every kind, so
     all pencils share K's split.
     """
@@ -57,8 +60,8 @@ class MeshSystem:
     def pair(self):
         """MatrixPair(K, M) of CSR arrays, with the lumped M."""
         n = self.mesh.dof_count
-        return MatrixPair(fem.assemble_sparse(self.blocks, "stiffness", n),
-                          fem.assemble_sparse(self.blocks, "lumped", n))
+        return MatrixPair(fem.assemble(self.blocks, "stiffness", n, sparse=True),
+                          fem.assemble(self.blocks, "lumped", n, sparse=True))
 
     @functools.cached_property
     def basis(self):
@@ -88,16 +91,17 @@ class MeshSystem:
 
     def mass(self, scaled=None):
         """M for no spec and for none, else the Mbar of ``scaled`` as one
-        matrix, checked for symmetry here, once."""
+        matrix, checked for symmetry on first request, once. A sparse Mbar
+        is kept; global deflation's dense M + V S V^T is formed anew on
+        each request."""
         if self._spec(scaled) is None:
             return self.pair.b
-
-        def check():
-            mbar = scaled.mbar
-            return require_symmetric(
-                mbar.dense() if isinstance(mbar, LowRankUpdate) else mbar, "Mbar")
-
-        return self._once("Mbar", scaled, check)
+        mbar = scaled.mbar
+        if isinstance(mbar, LowRankUpdate):  # only that it was checked is kept
+            mbar = mbar.dense()
+            self._once("Mbar", scaled, lambda: require_symmetric(mbar, "Mbar") is mbar)
+            return mbar
+        return self._once("Mbar", scaled, lambda: require_symmetric(mbar, "Mbar"))
 
     def _split(self, a):
         return None if self.basis is None else mirror_split(a, self.basis)
@@ -110,7 +114,7 @@ class MeshSystem:
         return self._once("split M", scaled, lambda: self._split(self.mass(scaled)))
 
     def values_km(self):
-        return self._once("K,M", None, lambda: generalized_eigvalues(
+        return self._once("K,M", None, lambda: _eigvalues(
             self.pair, split=(self.split_k(), self.split_mass())))
 
     def values_m(self):
@@ -118,20 +122,32 @@ class MeshSystem:
         return self._once("M", None, lambda: extreme_eigvalues(
             self.pair.b, split=self.split_mass()))
 
+    # The solves of Mbar take its split before Mbar itself, so that global
+    # deflation's dense Mbar, formed on each request, exists once at a time.
+
     def values_kmbar(self, scaled):
-        return self._once("K,M", scaled, lambda: generalized_eigvalues(
-            (scaled.kbar, self.mass(scaled)), split=(self.split_k(), self.split_mass(scaled))))
+        def solve():
+            split = self.split_k(), self.split_mass(scaled)
+            return _eigvalues((scaled.kbar, self.mass(scaled)), split=split)
+
+        return self._once("K,M", scaled, solve)
 
     def values_mbar(self, scaled):
         """(lambda_min, lambda_max) of Mbar."""
-        return self._once("M", scaled, lambda: extreme_eigvalues(
-            self.mass(scaled), split=self.split_mass(scaled)))
+        def solve():
+            split = self.split_mass(scaled)
+            return extreme_eigvalues(self.mass(scaled), split=split)
+
+        return self._once("M", scaled, solve)
 
     def values_mbarm(self, scaled):
-        return self._once("Mbar,M", scaled, lambda: generalized_eigvalues(
-            (self.mass(scaled), self.pair.b), split=(self.split_mass(scaled), self.split_mass())))
+        def solve():
+            split = self.split_mass(scaled), self.split_mass()
+            return _eigvalues((self.mass(scaled), self.pair.b), split=split)
+
+        return self._once("Mbar,M", scaled, solve)
 
     def top_kmbar(self, scaled):
         """The largest eigenpair of (Kbar, Mbar), by a partial dense solve
         of the checked matrices (:func:`linalg.generalized_eig` with top=1)."""
-        return generalized_eig((scaled.kbar, self.mass(scaled)), top=1)
+        return _eig((scaled.kbar, self.mass(scaled)), top=1)

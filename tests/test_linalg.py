@@ -154,6 +154,19 @@ class TestGeneralizedEig:
         with pytest.raises(NotPositiveDefinite):
             generalized_eig(MatrixPair(np.eye(2), np.diag([1.0, -1.0])))
 
+    @pytest.mark.parametrize("form", [np.asarray, sparse.csr_array])
+    @pytest.mark.parametrize("solver", [generalized_eig, generalized_eigvalues])
+    @pytest.mark.parametrize("bad, match", [
+        (np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]]), "not symmetric"),
+        (np.diag([2.0, np.inf, 2.0]), "non-finite"),
+    ])
+    def test_checks_a_tuple(self, solver, form, bad, match):
+        # LAPACK reads one triangle, so an unchecked member would give wrong values
+        good = np.diag([1.0, 2.0, 3.0])
+        for pencil in ((bad, good), (good, bad)):
+            with pytest.raises(ValueError, match=match):
+                solver(tuple(form(m) for m in pencil))
+
     def test_monotonicity_under_spsd_perturbation(self):
         # SPSD E added to B can only decrease every generalized eigenvalue
         rng = np.random.default_rng(17)
@@ -454,13 +467,13 @@ class TestVectorsOnlyForATail:
         spec = scaling.ScalingSpec("global_deflation", rank=10)
         mbar = scaling.apply_spec(spec, blocks, n, pair=pair, k_global=pair.a).mbar_dense()
         calls = []
-        original = linalg.generalized_eig
+        original = linalg._eig
 
         def counting(pencil, top=None):
             calls.append(pencil.order)
             return original(pencil, top=top)
 
-        monkeypatch.setattr(linalg, "generalized_eig", counting)
+        monkeypatch.setattr(linalg, "_eig", counting)
         mass = generalized_eigvalues(MatrixPair(mbar, pair.b))
         assert linalg._low_tail(mass) == 0 and calls == []
         values = generalized_eigvalues(pair)
