@@ -143,6 +143,11 @@ def parse_scaling(obj):
         raise ConfigError(f"scaling[{kind}]: {exc}") from exc
 
 
+def _require_sweep(cfg, enabled):
+    if enabled and cfg.sweep is None:
+        raise ConfigError("sweep: the sweep study needs a 'sweep' section")
+
+
 def load_config(path):
     """Read and check a config document; every malformed field raises a
     ConfigError that names it."""
@@ -184,7 +189,7 @@ def load_config(path):
         raise ConfigError(f"scalings: expected a list, got {scalings!r}")
     cfg.scalings = [parse_scaling(s) for s in scalings]
     cfg.sweep = raw.get("sweep")
-    if cfg.sweep is not None:
+    if "sweep" in raw:
         values = _object(cfg.sweep, "sweep").get("values")
         if not (isinstance(values, list) and values):
             raise ConfigError(f"sweep.values: expected a non-empty list, got {values!r}")
@@ -199,6 +204,7 @@ def load_config(path):
             raise ConfigError(f"studies: expected true or false for each of {STUDY_NAMES}, "
                               f"got {name!r}: {enabled!r}")
     cfg.studies = {name: studies.get(name, False) for name in STUDY_NAMES}
+    _require_sweep(cfg, cfg.studies["sweep"])
     cfg.echo = raw
     return cfg
 
@@ -290,8 +296,6 @@ def study_bounds(cfg, emitter, system):
 
 def study_sweep(cfg, emitter, system):
     """Parameter sweep: step ratio, corollary bound, condition ratio per point."""
-    if cfg.sweep is None:
-        raise ConfigError("sweep: section missing")
     dt0 = analysis.critical_dt(system.values_km()[-1])
     kappa_m = condition_number(system.values_m())
 
@@ -322,10 +326,10 @@ def study_integrate(cfg, emitter, system):
         dec_s = system.top_kmbar(scaled)
         verdicts = integrator.stability_bracket(
             scaled.kbar, scaled.mbar, analysis.critical_dt(dec_s.values[-1]), seed=cfg.seed,
-            highest_mode=dec_s.vectors[:, -1],
+            highest_mode=dec_s.vectors[:, -1], split=(system.split_k(), system.split_mass(scaled)),
         )
         keys = ("classification", "growth_factor", "steps_run", "dt", "stable_crossing",
-                "unstable_crossing")
+                "unstable_crossing", "path")
         results[spec.label] = [{k: getattr(v, k) for k in keys} for v in verdicts]
     emitter.write_json("stability_brackets.json", results)
 
@@ -342,9 +346,11 @@ _STUDIES = {
 def execute(cfg, studies):
     """Run ``studies`` in order and write the manifest. The mesh studies
     share one :class:`masscale.system.MeshSystem` of the configured mesh,
-    so each assembled pencil is solved once per call."""
-    emitter = Emitter(cfg.output_dir)
+    so each assembled pencil is solved once per call. The sweep section
+    and the mesh are checked before any output is written."""
+    _require_sweep(cfg, "sweep" in studies)
     system = MeshSystem(cfg.mesh(), cfg.material) if set(studies) - {"element_spectrum"} else None
+    emitter = Emitter(cfg.output_dir)
     timings = {}
     for name in studies:
         start = time.perf_counter()

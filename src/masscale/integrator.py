@@ -2,20 +2,45 @@
 
 Used to empirically bracket the critical time step: a run starts from
 rest at a displacement and records only the response norm at each step;
-no velocity or energy is formed.
-K and the mass are kept as operators: K is applied as it arrives, a
-sparse (CSR) product for an assembled K, and the mass is factored once by
-:class:`MassSolver`, so each step costs one K u, one mass solve and one
-norm; no dense M^{-1} K is formed.
+no velocity or energy is formed. A run steps on one of two paths:
+
+- sparse: K is applied as it arrives, a CSR product for an assembled K,
+  and the mass is factored once by :class:`MassSolver`, so each step
+  costs one K u, one mass solve and one norm;
+- blocks: given the mirror splits of K and M
+  (:func:`masscale.linalg.mirror_split`, eight dense blocks of order
+  about n/8), A_k = M_k^{-1} K_k is formed once per bracket from a
+  Cholesky factor of each M_k and stacked, zero-padded to the largest
+  order m, as one (8, m, m) array. The run steps the coordinates
+  x = Q^T u with one batched matmul per step; Q is orthonormal, so the
+  response norm is ||x||, and the final displacement is mapped back once.
+
+The block path is taken when one of its steps reads fewer entries:
+sum_k m_k^2 <= 2 (nnz(K) + s), with s the entries one mass solve reads
+(n for a diagonal mass, nnz(L) + nnz(U) for the LU, the base's plus
+2 n r for Woodbury). The factor 2 is the speed per entry of the batched
+dense matmul over a CSR product and a SuperLU solve: 2.5 to 5.8 times in
+this table of the cost per step, in microseconds, on the hex8 beam and
+plate meshes (Olovsson beta = 10 mass, one BLAS thread, one core of a
+shared 2-core machine):
+
+    n       sparse: K u + LU solve    blocks
+    720     27 + 42                   13
+    2400    92 + 186                  285
+    5040    215 + 518                 1201
+
+So every mass of the 720-dof beam steps on the blocks; from n = 2400 a
+diagonal mass stays on the sparse path, and from n = 5040 every mass does.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
 from .errors import NotPositiveDefinite, SolveFailure
-from .linalg import LowRankUpdate, factor_spd, woodbury_factor
+from .linalg import LowRankUpdate, _blockwise, _cholesky, _factor_spd, _is_sparse, _woodbury_factor
 
 __all__ = [
     "MassSolver",
@@ -49,15 +74,21 @@ class MassSolver:
       ``factor_spd`` (a diagonal base, 1-D or 2-D, divides), and the r x r
       inner system is solved once at construction.
 
+    ``entries`` is what one solve reads: n for a diagonal, nnz(L) + nnz(U)
+    for the LU, and for Woodbury the base's plus the 2 n r of its factors.
+    A ``checked`` mass (its caller checked it for symmetry) is not checked
+    again.
+
     Raises :class:`SolveFailure` when the mass, or a Woodbury base, is not SPD.
     """
 
-    def __init__(self, mass):
+    def __init__(self, mass, checked=False):
         try:
             if isinstance(mass, LowRankUpdate):
-                self.mode, self._solve = "woodbury", woodbury_factor(mass)
+                self.mode = "woodbury"
+                self._solve, self.entries = _woodbury_factor(mass, checked)
             else:
-                diag, self._solve = factor_spd(mass)
+                diag, self._solve, self.entries = _factor_spd(mass, checked)
                 self.mode = "diagonal" if diag is not None else "dense"
         except NotPositiveDefinite as exc:
             raise SolveFailure(f"mass matrix is not SPD: {exc}") from exc
@@ -65,6 +96,55 @@ class MassSolver:
     def solve(self, rhs):
         """Solve M x = rhs; rhs may be a vector or a matrix of columns."""
         return self._solve(rhs)
+
+
+class _MirrorBlocks:
+    """The step operator of the block path: A_k = M_k^{-1} K_k for the
+    mirror splits (K's, M's), stacked zero-padded as ``a`` (8, m, m).
+
+    Raises :class:`SolveFailure` when a mass block is not SPD.
+    """
+
+    mode = "blocks"
+
+    def __init__(self, split):
+        (blocks_k, self.basis), (blocks_m, _) = split
+        self.a = np.zeros((len(blocks_k),) + (max(map(len, blocks_k)),) * 2)
+        for a, k, m in zip(self.a, blocks_k, blocks_m):
+            try:
+                a[:len(k), :len(k)] = sla.cho_solve((_cholesky(m), True), k)
+            except NotPositiveDefinite as exc:
+                raise SolveFailure(f"mass matrix is not SPD: {exc}") from exc
+
+    def coords(self, u):
+        """x = Q^T u as an (8, m, 1) stack, zero in the padding."""
+        x = np.zeros(self.a.shape[:2] + (1,))
+        for xk, q in zip(x, self.basis.columns):
+            xk[:q.shape[1], 0] = q.T @ u
+        return x
+
+    def displacement(self, x):
+        """u = Q x."""
+        return sum(q @ xk[:q.shape[1], 0] for xk, q in zip(x, self.basis.columns))
+
+
+def _operator(kbar, mbar, split):
+    """What a run steps with: ``mbar`` itself when it is a MassSolver or
+    a _MirrorBlocks; else the blocks of ``split`` when both members split
+    and a block step reads fewer entries (see the module docstring), and
+    a MassSolver of ``mbar`` otherwise. With both splits, the mass is not
+    checked for symmetry again: a mirror split stands for a checked matrix."""
+    if isinstance(mbar, _MirrorBlocks):
+        return mbar
+    blockwise = _blockwise(split)
+    solver = mbar if isinstance(mbar, MassSolver) else MassSolver(mbar, checked=blockwise)
+    if not blockwise:
+        return solver
+    block_entries = sum(len(k) ** 2 for k in split[0][0])
+    k_entries = kbar.nnz if _is_sparse(kbar) else np.size(kbar)
+    if block_entries <= 2 * (k_entries + solver.entries):
+        return _MirrorBlocks(split)
+    return solver
 
 
 @dataclass
@@ -91,6 +171,8 @@ class StabilityVerdict:
     ``stable_crossing`` and ``unstable_crossing`` are the first steps at
     which the growth exceeded ``STABLE_FACTOR`` and reached
     ``UNSTABLE_FACTOR`` (or stopped being finite); None if it never did.
+    ``path`` is the operator the run stepped with: ``"blocks"``, or the
+    :class:`MassSolver` mode of the sparse path.
     """
 
     classification: str  # "stable" | "unstable" | "inconclusive"
@@ -99,9 +181,10 @@ class StabilityVerdict:
     dt: float
     stable_crossing: int | None
     unstable_crossing: int | None
+    path: str
 
 
-def central_difference_run(kbar, mbar, u0, dt, steps):
+def central_difference_run(kbar, mbar, u0, dt, steps, split=None):
     """Central difference from rest at displacement ``u0``, for ``steps`` steps.
 
     u_{-1} = u_0 + dt^2/2 a_0, then u_{k+1} = 2 u_k - u_{k-1} + dt^2 a_k,
@@ -109,27 +192,47 @@ def central_difference_run(kbar, mbar, u0, dt, steps):
 
     ``kbar`` may be dense or scipy.sparse; ``kbar @ u`` is formed as it is.
     ``mbar`` is anything :class:`MassSolver` accepts, or a MassSolver.
+    ``split``, the mirror splits (K's, M's) of
+    :func:`masscale.linalg.mirror_split`, lets the run step on the blocks
+    where that reads fewer entries (see the module docstring); the
+    recurrence is the same in the coordinates x = Q^T u.
     The run stops early, flagged diverged, once the response norm is not
     finite or exceeds ``UNSTABLE_FACTOR`` times the initial norm.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    solver = mbar if isinstance(mbar, MassSolver) else MassSolver(mbar)
-    u = np.asarray(u0, dtype=float).copy()
-    u_old = u + 0.5 * dt * dt * solver.solve(-(kbar @ u))
+    op = _operator(kbar, mbar, split)
+    h = dt * dt
+    # advance(x) is dt^2 a(x) on either path; the block path's reuses one buffer
+    if isinstance(op, MassSolver):
+        x, back = np.asarray(u0, dtype=float).copy(), None
+
+        def advance(u):
+            return h * op.solve(-(kbar @ u))
+    else:
+        x, back, b = op.coords(u0), op.displacement, -h * op.a
+        out = np.empty_like(x)
+
+        def advance(x):
+            return np.matmul(b, x, out=out)
+    x_old, x_new = x + 0.5 * advance(x), np.empty_like(x)
 
     norms = np.empty(steps + 1)
-    norms[0] = np.linalg.norm(u)
+    norms[0] = np.linalg.norm(x)
     limit = UNSTABLE_FACTOR * (float(norms[0]) or 1.0)
     diverged = False
     k = 0
     for k in range(1, steps + 1):
-        u_new = 2.0 * u - u_old + dt * dt * solver.solve(-(kbar @ u))
-        norms[k] = np.linalg.norm(u_new)
-        u_old, u = u, u_new
+        # x_new = 2 x - x_old + dt^2 a(x), in place in the three buffers
+        np.multiply(x, 2.0, out=x_new)
+        x_new -= x_old
+        x_new += advance(x)
+        norms[k] = np.linalg.norm(x_new)
+        x_old, x, x_new = x, x_new, x_old
         if not np.isfinite(norms[k]) or norms[k] > limit:
             diverged = True
             break
+    u = x if back is None else back(x)
     return TransientResult(norms[: k + 1], TransientState(u, k), diverged)
 
 
@@ -151,24 +254,26 @@ def _seeded_initial(kbar, seed, highest_mode):
     raise SolveFailure("could not seed a component on the highest mode")
 
 
-def stability_bracket(kbar, mbar, dt_estimate, seed=42, highest_mode=None):
+def stability_bracket(kbar, mbar, dt_estimate, seed=42, highest_mode=None, split=None):
     """Probe stability just below and just above the estimated critical step.
 
     Runs ``PROBE_STEPS`` steps at each of ``PROBE_FACTORS`` (0.99 and 1.05)
     times ``dt_estimate``, from a seeded random unit-norm displacement. A
     run is stable iff the response norm never exceeds 10x the initial norm
     over all steps, unstable iff it exceeds 1e6x, and inconclusive
-    otherwise. The mass is factored once for both runs. Returns one
+    otherwise. The mass is factored once for both runs, and with
+    ``split`` (as in :func:`central_difference_run`) the block operator,
+    where it is taken, is formed once. Returns one
     :class:`StabilityVerdict` per factor, with the first steps at which
-    the growth crossed 10x and 1e6x.
+    the growth crossed 10x and 1e6x and the path the runs took.
     """
-    solver = mbar if isinstance(mbar, MassSolver) else MassSolver(mbar)
+    op = _operator(kbar, mbar, split)
     u0 = _seeded_initial(kbar, seed, highest_mode)
 
     verdicts = []
     for factor in PROBE_FACTORS:
         dt = factor * dt_estimate
-        result = central_difference_run(kbar, solver, u0, dt, PROBE_STEPS)
+        result = central_difference_run(kbar, op, u0, dt, PROBE_STEPS)
         growths = result.response_norms / result.response_norms[0]
         growth = float(np.nanmax(growths))
         if result.diverged or growth >= UNSTABLE_FACTOR or not np.isfinite(growth):
@@ -180,7 +285,7 @@ def stability_bracket(kbar, mbar, dt_estimate, seed=42, highest_mode=None):
             classification = "inconclusive"
         verdicts.append(StabilityVerdict(
             classification, growth, result.final.step, dt,
-            _first(~(growths <= STABLE_FACTOR)), _first(~(growths < UNSTABLE_FACTOR)),
+            _first(~(growths <= STABLE_FACTOR)), _first(~(growths < UNSTABLE_FACTOR)), op.mode,
         ))
     return tuple(verdicts)
 

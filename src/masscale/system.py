@@ -44,7 +44,8 @@ class MeshSystem:
     or None when the matrix does not mirror) is kept and goes to every
     solve that reads the matrix, so that what commutes with the
     reflections is solved block by block; Kbar is K for every kind, so
-    all pencils share K's split.
+    all pencils share K's split. The stability probe reads its top pair
+    (:meth:`top_kmbar`) and steps on the splits of K and Mbar here too.
     """
 
     def __init__(self, mesh, material):
@@ -147,7 +148,11 @@ class MeshSystem:
 
         return self._once("Mbar,M", scaled, solve)
 
-    def top_kmbar(self, scaled):
-        """The largest eigenpair of (Kbar, Mbar), by a partial dense solve
-        of the checked matrices (:func:`linalg.generalized_eig` with top=1)."""
-        return _eig((scaled.kbar, self.mass(scaled)), top=1)
+    def top_kmbar(self, scaled=None):
+        """The largest eigenpair of (Kbar, Mbar), or of (K, M) for no spec.
+        When K and Mbar both split, it is read from the blocks
+        (``linalg._eig`` with top=1 and the splits): the top pair of the
+        block with the largest top value, its vector mapped through Q_k.
+        Otherwise it is a partial dense solve of the checked matrices."""
+        split = self.split_k(), self.split_mass(scaled)
+        return _eig((self.pair.a, self.mass(scaled)), top=1, split=split)

@@ -21,7 +21,6 @@ from masscale.integrator import stability_bracket
 from masscale.linalg import (
     MatrixPair,
     condition_number,
-    generalized_eig,
     generalized_eigvalues,
 )
 from masscale.scaling import ScalingSpec
@@ -86,13 +85,6 @@ def kappa(system, scaled=None):
 
 def dt_ratio(values, scaled_values):
     return float(np.sqrt(values[-1] / scaled_values[-1]))
-
-
-def top_pair(kbar, mbar):
-    """Largest generalized eigenvalue and its eigenvector, as the CLI's
-    integrate study takes them."""
-    dec = generalized_eig(MatrixPair(kbar, mbar), top=1)
-    return float(dec.values[-1]), dec.vectors[:, -1]
 
 
 def test_criterion_01_olovsson_element_spectrum(thin_element):
@@ -340,40 +332,32 @@ def test_criterion_10_ordering_threshold(thin_element):
             chk.append((f"ordering flag ({tag})", preserved == expect_preserved))
 
 
-def test_criterion_11_stability_brackets(plate, scaled_plate, lft_plate, deflated_plate):
+def test_criterion_11_stability_brackets(system, plate_eig, scaled_plate, lft_plate,
+                                        deflated_plate):
     with criterion(11, "0.99 dt stable / 1.05 dt unstable for every system") as chk:
-        lam = plate.values
-        systems = []
-        # unscaled
-        systems.append(("none", plate.pair.a, plate.pair.b,
-                        lam[-1], plate.vectors[:, -1]))
-        # uniform conventional scaling keeps the eigenvectors
-        spec = ScalingSpec("cms", alpha=4.0)
-        scaled, vals = scaled_plate(spec)
-        systems.append(("cms", scaled.kbar, scaled.mbar, vals[-1],
-                        plate.vectors[:, -1]))
+        # each top pair and bracket as the CLI's integrate study reads them
+        top = system.top_kmbar()
+        chk.append(("unscaled top value",
+                    abs(top.values[-1] - plate_eig.values[-1]) <= 1e-12 * plate_eig.values[-1]))
+        scaled_systems = [("none", None), ("cms", scaled_plate(ScalingSpec("cms", alpha=4.0))[0])]
         for spec in (
             ScalingSpec("olovsson", beta=10.0),
             ScalingSpec("hoffmann", beta=10.0),
             ScalingSpec("local_deflation_s2", rank=6),
         ):
-            scaled, _ = scaled_plate(spec)
-            top, vec = top_pair(scaled.kbar, scaled.mbar_dense())
-            systems.append((spec.kind, scaled.kbar, scaled.mbar, top, vec))
-        # stiffness-proportional transform keeps the eigenvectors
-        _, scaled, vals = lft_plate
-        systems.append(("lft", scaled.kbar, scaled.mbar, vals[-1],
-                        plate.vectors[:, -1]))
-        # deflated system solved through the low-rank update path
-        scaled, vals = deflated_plate
-        systems.append(("deflated", scaled.kbar, scaled.mbar, vals[-1],
-                        plate.vectors[:, -1]))
+            scaled_systems.append((spec.kind, scaled_plate(spec)[0]))
+        # stiffness-proportional transform, and the deflated system solved
+        # through the low-rank update path
+        scaled_systems += [("lft", lft_plate[1]), ("deflated", deflated_plate[0])]
 
-        for name, kbar, mbar, lam_max, highest in systems:
+        for name, scaled in scaled_systems:
             start = time.perf_counter()
-            dt_c = analysis.critical_dt(lam_max)
+            mbar = system.pair.b if scaled is None else scaled.mbar
+            dec = system.top_kmbar(scaled)
             below, above = stability_bracket(
-                kbar, mbar, dt_c, highest_mode=highest
+                system.pair.a, mbar, analysis.critical_dt(dec.values[-1]),
+                highest_mode=dec.vectors[:, -1],
+                split=(system.split_k(), system.split_mass(scaled)),
             )
             elapsed = time.perf_counter() - start
             chk.append((f"{name} stable", below.classification == "stable"))

@@ -162,6 +162,15 @@ class TestCommands:
         assert lines[0] == "value,dt_ratio,bound,kappa_ratio"
         assert len(lines) == 3
 
+    def test_sweep_study_without_section_writes_nothing(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg)
+        out = tmp_path / "out"
+        res = self.run_cli(["sweep", "--config", str(cfg), "--out", str(out)])
+        assert res.exit_code == 1
+        assert "config error: sweep: " in res.output
+        assert not out.exists()
+
     def test_integrate_outputs(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         write_config(cfg, scalings=[{"kind": "none"}, {"kind": "global_deflation", "rank": 4}])
@@ -172,6 +181,8 @@ class TestCommands:
         assert set(data) == {"none", "global_deflation_rank4"}
         for below, above in data.values():
             assert (below["classification"], above["classification"]) == ("stable", "unstable")
+            # n = 108: a block step reads fewer entries than K u and a mass solve
+            assert below["path"] == above["path"] == "blocks"
             assert below["stable_crossing"] is None and below["unstable_crossing"] is None
             assert 0 < above["stable_crossing"] < above["unstable_crossing"] == above["steps_run"]
 
@@ -266,6 +277,8 @@ PROBES = {
                         "config error: geometry.mesh: "),
     "sweep_not_an_object": ({"sweep": [1, 2]}, 1, "config error: sweep: "),
     "sweep_one_item": ({"sweep": [1]}, 1, "config error: sweep: "),
+    "sweep_null": ({"sweep": None}, 1, "config error: sweep: "),
+    "sweep_study_without_section": ({"studies": {"sweep": True}}, 1, "config error: sweep: "),
     "scalings_number": ({"scalings": 5}, 1, "config error: scalings: "),
     "sweep_values_number": ({"sweep": {"kind": "olovsson", "parameter": "beta", "values": 5}}, 1,
                             "config error: sweep.values: "),

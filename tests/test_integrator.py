@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
 
+import conftest as shared
 from conftest import random_spd
-from masscale import analysis, integrator, scaling
+from masscale import analysis, fem, integrator, linalg, scaling
 from masscale.errors import SolveFailure
-from masscale.linalg import LowRankUpdate, MatrixPair, generalized_eigvalues, woodbury_factor
+from masscale.linalg import (
+    LowRankUpdate,
+    MatrixPair,
+    generalized_eig,
+    generalized_eigvalues,
+    woodbury_factor,
+)
 from masscale.integrator import MassSolver, central_difference_run, stability_bracket
+from masscale.system import MeshSystem
 
 
 class TestMassSolver:
@@ -211,6 +219,83 @@ class TestStabilityBracket:
         assert 0 < above.stable_crossing < above.unstable_crossing
         # the run stops on the step that reaches the unstable factor
         assert above.unstable_crossing == above.steps_run
+
+
+# The beam_dynamics benchmark mesh (n = 720) and the mass of each sparse path.
+BEAM_SPECS = {"diagonal": None, "dense": scaling.ScalingSpec("olovsson", beta=10.0),
+              "woodbury": scaling.ScalingSpec("global_deflation", rank=20, mode="shave")}
+
+
+@pytest.fixture(scope="module")
+def beam(material):
+    return MeshSystem(fem.build_structured_mesh((20, 4, 3), (0.1, 0.015, 0.002)), material)
+
+
+def _beam_case(beam, path):
+    """(K, Mbar as the CLI passes it, the splits of K and Mbar, the checked Mbar)."""
+    scaled = None if BEAM_SPECS[path] is None else beam.scale(BEAM_SPECS[path])
+    mbar = beam.pair.b if scaled is None else scaled.mbar
+    return beam.pair.a, mbar, (beam.split_k(), beam.split_mass(scaled)), beam.mass(scaled)
+
+
+class TestBlockPath:
+    """Stepping in the mirror blocks against the sparse operator path."""
+
+    @pytest.mark.parametrize("path", list(BEAM_SPECS))
+    def test_rule_takes_blocks_on_the_beam(self, beam, path):
+        k, mbar, split, _ = _beam_case(beam, path)
+        assert MassSolver(mbar).mode == path
+        assert integrator._operator(k, mbar, split).mode == "blocks"
+        assert integrator._operator(k, mbar, None).mode == path
+
+    def test_rule_keeps_the_plate_lumped_mass_sparse(self, material):
+        plate = MeshSystem(fem.build_structured_mesh(shared.PLATE_COUNTS, shared.PLATE_EXTENTS),
+                           material)
+        split = plate.split_k(), plate.split_mass()
+        assert all(s is not None for s in split)
+        assert integrator._operator(plate.pair.a, plate.pair.b, split).mode == "diagonal"
+
+    @pytest.mark.parametrize("path", list(BEAM_SPECS))
+    def test_blocks_match_the_sparse_path(self, beam, path):
+        k, mbar, split, mass = _beam_case(beam, path)
+        top = linalg._eig((k, mass), top=1, split=split)
+        dt_c = analysis.critical_dt(top.values[-1])
+        sparse_v = stability_bracket(k, mbar, dt_c, highest_mode=top.vectors[:, -1])
+        block_v = stability_bracket(k, mbar, dt_c, highest_mode=top.vectors[:, -1], split=split)
+        assert [v.path for v in sparse_v] == [path, path]
+        assert [v.path for v in block_v] == ["blocks", "blocks"]
+        for a, b in zip(sparse_v, block_v):
+            assert (a.classification, a.steps_run, a.stable_crossing, a.unstable_crossing) == (
+                b.classification, b.steps_run, b.stable_crossing, b.unstable_crossing)
+        assert [v.classification for v in block_v] == ["stable", "unstable"]
+        # the stable run: every response norm of 10 000 steps
+        u0 = np.random.default_rng(3).standard_normal(k.shape[0])
+        sparse_run = central_difference_run(k, mbar, u0, 0.99 * dt_c, integrator.PROBE_STEPS)
+        block_run = central_difference_run(k, mbar, u0, 0.99 * dt_c, integrator.PROBE_STEPS,
+                                           split=split)
+        assert sparse_run.final.step == block_run.final.step == integrator.PROBE_STEPS
+        diff = np.abs(block_run.response_norms - sparse_run.response_norms)
+        assert np.all(diff <= 1e-8 * sparse_run.response_norms)
+        final = sparse_run.final.displacement
+        assert np.linalg.norm(block_run.final.displacement - final) <= 1e-8 * np.linalg.norm(final)
+
+    def test_non_spd_block_mass_raises(self, beam):
+        k, mbar, (split_k, (blocks, basis)), _ = _beam_case(beam, "diagonal")
+        bad = [b.copy() for b in blocks]
+        bad[3][0, 0] = -bad[3][0, 0]
+        with pytest.raises(SolveFailure, match="mass matrix is not SPD"):
+            stability_bracket(k, mbar, 1e-7, split=(split_k, (bad, basis)))
+
+    @pytest.mark.parametrize("path", list(BEAM_SPECS))
+    def test_block_top_pair_matches_dense(self, beam, path):
+        k, _, split, mass = _beam_case(beam, path)
+        dense = generalized_eig(MatrixPair(k, mass), top=1)
+        top = linalg._eig((k, mass), top=1, split=split)
+        value, vector = top.values[-1], top.vectors[:, -1]
+        assert abs(value - dense.values[-1]) <= 1e-12 * dense.values[-1]
+        assert vector @ (mass @ vector) == pytest.approx(1.0, rel=1e-12)
+        residual = np.linalg.norm(k @ vector - value * (mass @ vector))
+        assert residual <= 1e-12 * value * np.linalg.norm(mass @ vector)
 
 
 def test_names_the_benchmark_tracer_reads():
