@@ -324,9 +324,9 @@ def study_integrate(cfg, emitter, system):
         scaled = system.scale(spec)
         # Only the top pair: lambda_max and the vector the start is seeded on.
         dec_s = system.top_kmbar(scaled)
-        verdicts = integrator.stability_bracket(
-            scaled.kbar, scaled.mbar, analysis.critical_dt(dec_s.values[-1]), seed=cfg.seed,
-            highest_mode=dec_s.vectors[:, -1], split=(system.split_k(), system.split_mass(scaled)),
+        verdicts = integrator._stability_bracket(
+            scaled.kbar, scaled.mbar, analysis.critical_dt(dec_s.values[-1]), cfg.seed,
+            dec_s.vectors[:, -1], (system.split_k(), system.split_mass(scaled)),
         )
         keys = ("classification", "growth_factor", "steps_run", "dt", "stable_crossing",
                 "unstable_crossing", "path")

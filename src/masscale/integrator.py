@@ -7,30 +7,31 @@ no velocity or energy is formed. A run steps on one of two paths:
 - sparse: K is applied as it arrives, a CSR product for an assembled K,
   and the mass is factored once by :class:`MassSolver`, so each step
   costs one K u, one mass solve and one norm;
-- blocks: given the mirror splits of K and M
+- blocks: for a caller that holds the mirror splits of K and M
   (:func:`masscale.linalg.mirror_split`, eight dense blocks of order
-  about n/8), A_k = M_k^{-1} K_k is formed once per bracket from a
-  Cholesky factor of each M_k and stacked, zero-padded to the largest
-  order m, as one (8, m, m) array. The run steps the coordinates
-  x = Q^T u with one batched matmul per step; Q is orthonormal, so the
-  response norm is ||x||, and the final displacement is mapped back once.
+  about n/8; ``_stability_bracket``, which the CLI calls with the splits
+  :class:`masscale.system.MeshSystem` keeps), A_k = M_k^{-1} K_k is
+  formed once per bracket from a Cholesky factor of each M_k and
+  stacked, zero-padded to the largest order m, as one (8, m, m) array.
+  The run steps the coordinates x = Q^T u with one batched matmul per
+  step, which reads 8 m^2 entries; Q is orthonormal, so the response
+  norm is ||x||, and the final displacement is mapped back once.
 
-The block path is taken when one of its steps reads fewer entries:
-sum_k m_k^2 <= 2 (nnz(K) + s), with s the entries one mass solve reads
-(n for a diagonal mass, nnz(L) + nnz(U) for the LU, the base's plus
-2 n r for Woodbury). The factor 2 is the speed per entry of the batched
-dense matmul over a CSR product and a SuperLU solve: 2.5 to 5.8 times in
-this table of the cost per step, in microseconds, on the hex8 beam and
-plate meshes (Olovsson beta = 10 mass, one BLAS thread, one core of a
-shared 2-core machine):
+The blocks are taken whenever both splits are given. Their cost per
+step grows as n^2 and the sparse path's about as n, as this table of
+the parts of one step shows, in microseconds, on the hex8 beam and plate
+meshes (Olovsson beta = 10 mass, one BLAS thread, one core of a shared
+2-core machine):
 
-    n       sparse: K u + LU solve    blocks
+    n       sparse: K u + LU solve    blocks: batched matmul
     720     27 + 42                   13
     2400    92 + 186                  285
     5040    215 + 518                 1201
 
-So every mass of the 720-dof beam steps on the blocks; from n = 2400 a
-diagonal mass stays on the sparse path, and from n = 5040 every mass does.
+On the 720-dof beam every mass steps faster on the blocks, about five
+times for the LU mass. From n = 2400 a diagonal mass steps faster on
+the sparse path, and at n = 5040 every mass does. No benchmark workload
+runs the probe at those sizes, so no rule on n picks the path yet.
 """
 from __future__ import annotations
 
@@ -40,7 +41,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import NotPositiveDefinite, SolveFailure
-from .linalg import LowRankUpdate, _blockwise, _cholesky, _factor_spd, _is_sparse, _woodbury_factor
+from .linalg import LowRankUpdate, _blockwise, _cholesky, factor_spd, woodbury_factor
 
 __all__ = [
     "MassSolver",
@@ -74,21 +75,15 @@ class MassSolver:
       ``factor_spd`` (a diagonal base, 1-D or 2-D, divides), and the r x r
       inner system is solved once at construction.
 
-    ``entries`` is what one solve reads: n for a diagonal, nnz(L) + nnz(U)
-    for the LU, and for Woodbury the base's plus the 2 n r of its factors.
-    A ``checked`` mass (its caller checked it for symmetry) is not checked
-    again.
-
     Raises :class:`SolveFailure` when the mass, or a Woodbury base, is not SPD.
     """
 
-    def __init__(self, mass, checked=False):
+    def __init__(self, mass):
         try:
             if isinstance(mass, LowRankUpdate):
-                self.mode = "woodbury"
-                self._solve, self.entries = _woodbury_factor(mass, checked)
+                self.mode, self._solve = "woodbury", woodbury_factor(mass)
             else:
-                diag, self._solve, self.entries = _factor_spd(mass, checked)
+                diag, self._solve = factor_spd(mass)
                 self.mode = "diagonal" if diag is not None else "dense"
         except NotPositiveDefinite as exc:
             raise SolveFailure(f"mass matrix is not SPD: {exc}") from exc
@@ -128,23 +123,10 @@ class _MirrorBlocks:
         return sum(q @ xk[:q.shape[1], 0] for xk, q in zip(x, self.basis.columns))
 
 
-def _operator(kbar, mbar, split):
+def _operator(mbar):
     """What a run steps with: ``mbar`` itself when it is a MassSolver or
-    a _MirrorBlocks; else the blocks of ``split`` when both members split
-    and a block step reads fewer entries (see the module docstring), and
-    a MassSolver of ``mbar`` otherwise. With both splits, the mass is not
-    checked for symmetry again: a mirror split stands for a checked matrix."""
-    if isinstance(mbar, _MirrorBlocks):
-        return mbar
-    blockwise = _blockwise(split)
-    solver = mbar if isinstance(mbar, MassSolver) else MassSolver(mbar, checked=blockwise)
-    if not blockwise:
-        return solver
-    block_entries = sum(len(k) ** 2 for k in split[0][0])
-    k_entries = kbar.nnz if _is_sparse(kbar) else np.size(kbar)
-    if block_entries <= 2 * (k_entries + solver.entries):
-        return _MirrorBlocks(split)
-    return solver
+    a _MirrorBlocks, else a MassSolver of it."""
+    return mbar if isinstance(mbar, (MassSolver, _MirrorBlocks)) else MassSolver(mbar)
 
 
 @dataclass
@@ -184,24 +166,22 @@ class StabilityVerdict:
     path: str
 
 
-def central_difference_run(kbar, mbar, u0, dt, steps, split=None):
+def central_difference_run(kbar, mbar, u0, dt, steps):
     """Central difference from rest at displacement ``u0``, for ``steps`` steps.
 
     u_{-1} = u_0 + dt^2/2 a_0, then u_{k+1} = 2 u_k - u_{k-1} + dt^2 a_k,
     with a_k = -M^{-1} K u_k.
 
     ``kbar`` may be dense or scipy.sparse; ``kbar @ u`` is formed as it is.
-    ``mbar`` is anything :class:`MassSolver` accepts, or a MassSolver.
-    ``split``, the mirror splits (K's, M's) of
-    :func:`masscale.linalg.mirror_split`, lets the run step on the blocks
-    where that reads fewer entries (see the module docstring); the
-    recurrence is the same in the coordinates x = Q^T u.
+    ``mbar`` is anything :class:`MassSolver` accepts, or a MassSolver;
+    within the package also the block operator of ``_stability_bracket``,
+    with which the recurrence runs in the coordinates x = Q^T u.
     The run stops early, flagged diverged, once the response norm is not
     finite or exceeds ``UNSTABLE_FACTOR`` times the initial norm.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    op = _operator(kbar, mbar, split)
+    op = _operator(mbar)
     h = dt * dt
     # advance(x) is dt^2 a(x) on either path; the block path's reuses one buffer
     if isinstance(op, MassSolver):
@@ -254,20 +234,18 @@ def _seeded_initial(kbar, seed, highest_mode):
     raise SolveFailure("could not seed a component on the highest mode")
 
 
-def stability_bracket(kbar, mbar, dt_estimate, seed=42, highest_mode=None, split=None):
+def stability_bracket(kbar, mbar, dt_estimate, seed=42, highest_mode=None):
     """Probe stability just below and just above the estimated critical step.
 
     Runs ``PROBE_STEPS`` steps at each of ``PROBE_FACTORS`` (0.99 and 1.05)
     times ``dt_estimate``, from a seeded random unit-norm displacement. A
     run is stable iff the response norm never exceeds 10x the initial norm
     over all steps, unstable iff it exceeds 1e6x, and inconclusive
-    otherwise. The mass is factored once for both runs, and with
-    ``split`` (as in :func:`central_difference_run`) the block operator,
-    where it is taken, is formed once. Returns one
+    otherwise. The mass is factored once for both runs. Returns one
     :class:`StabilityVerdict` per factor, with the first steps at which
     the growth crossed 10x and 1e6x and the path the runs took.
     """
-    op = _operator(kbar, mbar, split)
+    op = _operator(mbar)
     u0 = _seeded_initial(kbar, seed, highest_mode)
 
     verdicts = []
@@ -288,6 +266,19 @@ def stability_bracket(kbar, mbar, dt_estimate, seed=42, highest_mode=None, split
             _first(~(growths <= STABLE_FACTOR)), _first(~(growths < UNSTABLE_FACTOR)), op.mode,
         ))
     return tuple(verdicts)
+
+
+def _stability_bracket(kbar, mbar, dt_estimate, seed, highest_mode, split):
+    """:func:`stability_bracket` for a caller that holds the mirror splits
+    (K's, Mbar's) of its checked K and Mbar: with both, the runs step on
+    the blocks, formed once for both (see the module docstring), and
+    ``mbar`` is not read; otherwise on the sparse path.
+
+    Raises :class:`SolveFailure` when a mass block is not SPD.
+    """
+    if _blockwise(split):
+        mbar = _MirrorBlocks(split)
+    return stability_bracket(kbar, mbar, dt_estimate, seed, highest_mode)
 
 
 def _first(mask):

@@ -29,10 +29,9 @@ Each question has its own solver, so that a caller pays for what it reads:
 
 - all eigenpairs of a pencil: :func:`generalized_eig`, dense; with
   ``top``, only the largest pairs, by a partial dense solve. Within the
-  package, ``_eig`` with ``top`` and the mirror splits of both members
-  reads them from the blocks instead: the top pairs of each block pair,
-  the largest kept, their vectors mapped back through Q_k
-  (:func:`_block_top`; the stability probe's top pair);
+  package, :func:`_block_top` reads them from the mirror splits of both
+  members instead: the top pairs of each block pair, the largest kept,
+  their vectors mapped back through Q_k (the stability probe's top pair);
 - the blocks Q_k^T A Q_k of a matrix in the mesh's mirror basis
   (:func:`masscale.fem.mirror_basis`), or None when it does not commute
   with the reflections to within the dense error: :func:`mirror_split`;
@@ -307,30 +306,22 @@ def factor_spd(b):
     Raises :class:`NotPositiveDefinite` (with the first failing pivot in
     elimination order) when ``b`` is not SPD.
     """
-    return _factor_spd(b)[:2]
-
-
-def _factor_spd(b, checked=False):
-    """:func:`factor_spd`, and the entries one solve reads: n for a
-    diagonal, nnz(L) + nnz(U) for the LU. A ``checked`` ``b`` is not
-    checked for symmetry again."""
     b = b if _is_sparse(b) else np.asarray(b, dtype=float)
     if b.ndim == 1 or is_diagonal(b):
         d = b if b.ndim == 1 else b.diagonal().copy()
         bad = np.flatnonzero(~(d > 0))
         if bad.size:
             raise NotPositiveDefinite(int(bad[0]))
-        return d, lambda rhs: (rhs.T / d).T, len(d)
+        return d, lambda rhs: (rhs.T / d).T
     from scipy import sparse  # deferred: its import would add to every CLI start
     from scipy.sparse import linalg as spla
 
-    lu = spla.splu(sparse.csc_array(b if checked else require_symmetric(b, "b")),
-                   permc_spec="MMD_AT_PLUS_A",
+    lu = spla.splu(sparse.csc_array(require_symmetric(b, "b")), permc_spec="MMD_AT_PLUS_A",
                    diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     bad = np.flatnonzero(~(lu.U.diagonal() > 0) | (lu.perm_r != lu.perm_c))
     if bad.size:
         raise NotPositiveDefinite(int(bad[0]))
-    return None, lu.solve, lu.L.nnz + lu.U.nnz
+    return None, lu.solve
 
 
 _EPS = np.finfo(float).eps
@@ -489,13 +480,9 @@ def generalized_eig(pair, top=None):
     return _eig(_checked(pair), top)
 
 
-def _eig(pair, top=None, split=None):
+def _eig(pair, top=None):
     """:func:`generalized_eig` of a pencil whose members the caller has
-    checked: a :class:`MatrixPair`, or a tuple (A, B) of checked matrices.
-    With ``top`` and the mirror splits of both members, the top pairs come
-    from the blocks (:func:`_block_top`) and ``pair`` is not read."""
-    if top is not None and _blockwise(split):
-        return _block_top(*split, top)
+    checked: a :class:`MatrixPair`, or a tuple (A, B) of checked matrices."""
     c, back = _standard_form(pair)
     if top is not None:
         n = c.shape[0]
@@ -681,17 +668,10 @@ def woodbury_factor(update):
     once for all of V^T, so each later solve costs one base solve and two
     n x r products.
     """
-    return _woodbury_factor(update)[0]
-
-
-def _woodbury_factor(update, checked=False):
-    """:func:`woodbury_factor`, and the entries one solve reads: the base
-    solve's and the two n x r factors'. A ``checked`` base is not checked
-    again."""
-    _, solve_base, entries = _factor_spd(update.base, checked)
+    _, solve_base = factor_spd(update.base)
     keep = np.flatnonzero(update.core != 0.0)
     if keep.size == 0:
-        return solve_base, entries
+        return solve_base
     v = update.factors[:, keep]
     bv = solve_base(v)
     inner = np.diag(1.0 / update.core[keep]) + v.T @ bv
@@ -706,7 +686,7 @@ def _woodbury_factor(update, checked=False):
         y = solve_base(rhs)
         return y - bv @ (coef @ y)
 
-    return solve, entries + 2 * v.size
+    return solve
 
 
 def condition_number(values):

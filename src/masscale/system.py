@@ -12,6 +12,8 @@ from . import fem, scaling
 from .linalg import (
     LowRankUpdate,
     MatrixPair,
+    _block_top,
+    _blockwise,
     _eig,
     _eigvalues,
     extreme_eigvalues,
@@ -151,8 +153,10 @@ class MeshSystem:
     def top_kmbar(self, scaled=None):
         """The largest eigenpair of (Kbar, Mbar), or of (K, M) for no spec.
         When K and Mbar both split, it is read from the blocks
-        (``linalg._eig`` with top=1 and the splits): the top pair of the
-        block with the largest top value, its vector mapped through Q_k.
+        (``linalg._block_top``): the top pair of the block with the largest
+        top value, its vector mapped through Q_k; no n-order Mbar is formed.
         Otherwise it is a partial dense solve of the checked matrices."""
         split = self.split_k(), self.split_mass(scaled)
-        return _eig((self.pair.a, self.mass(scaled)), top=1, split=split)
+        if _blockwise(split):
+            return _block_top(*split, 1)
+        return _eig((self.pair.a, self.mass(scaled)), top=1)

@@ -16,8 +16,7 @@ import pytest
 
 import conftest as shared
 from conftest import random_spsd
-from masscale import analysis, fem, linalg, scaling
-from masscale.integrator import stability_bracket
+from masscale import analysis, fem, integrator, linalg, scaling
 from masscale.linalg import (
     MatrixPair,
     condition_number,
@@ -354,10 +353,9 @@ def test_criterion_11_stability_brackets(system, plate_eig, scaled_plate, lft_pl
             start = time.perf_counter()
             mbar = system.pair.b if scaled is None else scaled.mbar
             dec = system.top_kmbar(scaled)
-            below, above = stability_bracket(
-                system.pair.a, mbar, analysis.critical_dt(dec.values[-1]),
-                highest_mode=dec.vectors[:, -1],
-                split=(system.split_k(), system.split_mass(scaled)),
+            below, above = integrator._stability_bracket(
+                system.pair.a, mbar, analysis.critical_dt(dec.values[-1]), 42,
+                dec.vectors[:, -1], (system.split_k(), system.split_mass(scaled)),
             )
             elapsed = time.perf_counter() - start
             chk.append((f"{name} stable", below.classification == "stable"))

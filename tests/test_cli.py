@@ -181,7 +181,7 @@ class TestCommands:
         assert set(data) == {"none", "global_deflation_rank4"}
         for below, above in data.values():
             assert (below["classification"], above["classification"]) == ("stable", "unstable")
-            # n = 108: a block step reads fewer entries than K u and a mass solve
+            # K and both masses split on this mesh, so the probe steps on the blocks
             assert below["path"] == above["path"] == "blocks"
             assert below["stable_crossing"] is None and below["unstable_crossing"] is None
             assert 0 < above["stable_crossing"] < above["unstable_crossing"] == above["steps_run"]

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-import conftest as shared
 from conftest import random_spd
-from masscale import analysis, fem, integrator, linalg, scaling
+from masscale import analysis, fem, integrator, scaling
 from masscale.errors import SolveFailure
 from masscale.linalg import (
     LowRankUpdate,
@@ -232,36 +231,34 @@ def beam(material):
 
 
 def _beam_case(beam, path):
-    """(K, Mbar as the CLI passes it, the splits of K and Mbar, the checked Mbar)."""
+    """(K, Mbar as the CLI passes it, the splits of K and Mbar, the checked
+    Mbar, the scaled system or None)."""
     scaled = None if BEAM_SPECS[path] is None else beam.scale(BEAM_SPECS[path])
     mbar = beam.pair.b if scaled is None else scaled.mbar
-    return beam.pair.a, mbar, (beam.split_k(), beam.split_mass(scaled)), beam.mass(scaled)
+    split = beam.split_k(), beam.split_mass(scaled)
+    return beam.pair.a, mbar, split, beam.mass(scaled), scaled
 
 
 class TestBlockPath:
     """Stepping in the mirror blocks against the sparse operator path."""
 
     @pytest.mark.parametrize("path", list(BEAM_SPECS))
-    def test_rule_takes_blocks_on_the_beam(self, beam, path):
-        k, mbar, split, _ = _beam_case(beam, path)
-        assert MassSolver(mbar).mode == path
-        assert integrator._operator(k, mbar, split).mode == "blocks"
-        assert integrator._operator(k, mbar, None).mode == path
-
-    def test_rule_keeps_the_plate_lumped_mass_sparse(self, material):
-        plate = MeshSystem(fem.build_structured_mesh(shared.PLATE_COUNTS, shared.PLATE_EXTENTS),
-                           material)
-        split = plate.split_k(), plate.split_mass()
-        assert all(s is not None for s in split)
-        assert integrator._operator(plate.pair.a, plate.pair.b, split).mode == "diagonal"
+    def test_blocks_only_when_both_members_split(self, beam, path, monkeypatch):
+        monkeypatch.setattr(integrator, "PROBE_STEPS", 20)
+        k, mbar, (split_k, split_m), _, _ = _beam_case(beam, path)
+        assert split_k is not None and split_m is not None
+        for split, expect in (((split_k, split_m), "blocks"), ((split_k, None), path),
+                              ((None, split_m), path), (None, path)):
+            verdicts = integrator._stability_bracket(k, mbar, 1e-7, 42, None, split)
+            assert [v.path for v in verdicts] == [expect, expect]
 
     @pytest.mark.parametrize("path", list(BEAM_SPECS))
     def test_blocks_match_the_sparse_path(self, beam, path):
-        k, mbar, split, mass = _beam_case(beam, path)
-        top = linalg._eig((k, mass), top=1, split=split)
+        k, mbar, split, _, scaled = _beam_case(beam, path)
+        top = beam.top_kmbar(scaled)
         dt_c = analysis.critical_dt(top.values[-1])
         sparse_v = stability_bracket(k, mbar, dt_c, highest_mode=top.vectors[:, -1])
-        block_v = stability_bracket(k, mbar, dt_c, highest_mode=top.vectors[:, -1], split=split)
+        block_v = integrator._stability_bracket(k, mbar, dt_c, 42, top.vectors[:, -1], split)
         assert [v.path for v in sparse_v] == [path, path]
         assert [v.path for v in block_v] == ["blocks", "blocks"]
         for a, b in zip(sparse_v, block_v):
@@ -271,8 +268,8 @@ class TestBlockPath:
         # the stable run: every response norm of 10 000 steps
         u0 = np.random.default_rng(3).standard_normal(k.shape[0])
         sparse_run = central_difference_run(k, mbar, u0, 0.99 * dt_c, integrator.PROBE_STEPS)
-        block_run = central_difference_run(k, mbar, u0, 0.99 * dt_c, integrator.PROBE_STEPS,
-                                           split=split)
+        block_run = central_difference_run(k, integrator._MirrorBlocks(split), u0, 0.99 * dt_c,
+                                           integrator.PROBE_STEPS)
         assert sparse_run.final.step == block_run.final.step == integrator.PROBE_STEPS
         diff = np.abs(block_run.response_norms - sparse_run.response_norms)
         assert np.all(diff <= 1e-8 * sparse_run.response_norms)
@@ -280,17 +277,29 @@ class TestBlockPath:
         assert np.linalg.norm(block_run.final.displacement - final) <= 1e-8 * np.linalg.norm(final)
 
     def test_non_spd_block_mass_raises(self, beam):
-        k, mbar, (split_k, (blocks, basis)), _ = _beam_case(beam, "diagonal")
+        k, mbar, (split_k, (blocks, basis)), _, _ = _beam_case(beam, "diagonal")
         bad = [b.copy() for b in blocks]
         bad[3][0, 0] = -bad[3][0, 0]
         with pytest.raises(SolveFailure, match="mass matrix is not SPD"):
-            stability_bracket(k, mbar, 1e-7, split=(split_k, (bad, basis)))
+            integrator._stability_bracket(k, mbar, 1e-7, 42, None, (split_k, (bad, basis)))
+
+    def test_public_bracket_checks_the_mass(self, beam):
+        # the public entry takes no split, so it checks what it is given
+        k = beam.pair.a
+        mbar = beam.pair.b.toarray() + np.diag(np.full(k.shape[0] - 1, 1e-9), 1)
+        with pytest.raises(ValueError, match="not symmetric"):
+            stability_bracket(k, mbar, 1e-7)
 
     @pytest.mark.parametrize("path", list(BEAM_SPECS))
-    def test_block_top_pair_matches_dense(self, beam, path):
-        k, _, split, mass = _beam_case(beam, path)
+    def test_block_top_pair_matches_dense(self, beam, path, monkeypatch):
+        k, _, _, mass, scaled = _beam_case(beam, path)
         dense = generalized_eig(MatrixPair(k, mass), top=1)
-        top = linalg._eig((k, mass), top=1, split=split)
+
+        def no_dense_mass(*_):
+            raise AssertionError("top_kmbar formed an n-order Mbar")
+
+        monkeypatch.setattr(beam, "mass", no_dense_mass)
+        top = beam.top_kmbar(scaled)
         value, vector = top.values[-1], top.vectors[:, -1]
         assert abs(value - dense.values[-1]) <= 1e-12 * dense.values[-1]
         assert vector @ (mass @ vector) == pytest.approx(1.0, rel=1e-12)
