@@ -36,6 +36,7 @@ class ExperimentConfig:
     element_size: tuple | None = None  # meters
     scalings: list = field(default_factory=list)
     sweep: dict | None = None
+    sweep_points: list = field(default_factory=list)  # (value, ScalingSpec) per sweep value
     studies: dict = field(default_factory=dict)
     echo: dict = field(default_factory=dict)  # resolved config for the manifest
 
@@ -148,6 +149,21 @@ def _require_sweep(cfg, enabled):
         raise ConfigError("sweep: the sweep study needs a 'sweep' section")
 
 
+def _sweep_points(sweep):
+    """(value, ScalingSpec) for each value of a checked sweep section."""
+    kind, parameter = sweep["kind"], sweep["parameter"]
+    base = {k: v for k, v in sweep.items() if k not in ("kind", "parameter", "values")}
+    points = []
+    for value in sweep["values"]:
+        if not _is_number(value):
+            raise ConfigError(f"sweep.values: expected numbers, got {value!r}")
+        try:
+            points.append((float(value), parse_scaling({"kind": kind, parameter: value, **base})))
+        except ConfigError as exc:
+            raise ConfigError(f"sweep: {exc}") from exc
+    return points
+
+
 def load_config(path):
     """Read and check a config document; every malformed field raises a
     ConfigError that names it."""
@@ -198,6 +214,7 @@ def load_config(path):
         for key in ("kind", "parameter"):
             if not isinstance(cfg.sweep[key], str):
                 raise ConfigError(f"sweep.{key}: expected a string, got {cfg.sweep[key]!r}")
+        cfg.sweep_points = _sweep_points(cfg.sweep)
     studies = _object(raw.get("studies", {}), "studies")
     for name, enabled in studies.items():
         if name not in STUDY_NAMES or not isinstance(enabled, bool):
@@ -299,12 +316,8 @@ def study_sweep(cfg, emitter, system):
     dt0 = analysis.critical_dt(system.values_km()[-1])
     kappa_m = condition_number(system.values_m())
 
-    kind = cfg.sweep["kind"]
-    parameter = cfg.sweep["parameter"]
-    base = {k: v for k, v in cfg.sweep.items() if k not in ("kind", "parameter", "values")}
     rows = {"value": [], "dt_ratio": [], "bound": [], "kappa_ratio": []}
-    for value in cfg.sweep["values"]:
-        spec = parse_scaling({"kind": kind, parameter: value, **base})
+    for value, spec in cfg.sweep_points:
         scaled = system.scale(spec)
         dt_ratio = analysis.critical_dt(system.values_kmbar(scaled)[-1]) / dt0
         try:
@@ -314,7 +327,7 @@ def study_sweep(cfg, emitter, system):
         kappa_ratio = condition_number(system.values_mbar(scaled)) / kappa_m
         for column, v in zip(rows.values(), (value, dt_ratio, bound, kappa_ratio)):
             column.append(float(v))
-    emitter.write_csv(f"sweep_{kind}_{parameter}.csv", rows)
+    emitter.write_csv(f"sweep_{cfg.sweep['kind']}_{cfg.sweep['parameter']}.csv", rows)
 
 
 def study_integrate(cfg, emitter, system):

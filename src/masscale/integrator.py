@@ -2,40 +2,54 @@
 
 Used to empirically bracket the critical time step: a run starts from
 rest at a displacement and records only the response norm at each step;
-no velocity or energy is formed. A run steps on one of two paths:
+no velocity or energy is formed. With the step operator
+C = I - dt^2/2 M^{-1} K the iterates are u_k = T_k(C) u_0 for the
+Chebyshev polynomials T_k (Golub and Varga, Chebyshev semi-iterative
+methods, 1961), so T_{j+s} + T_{j-s} = 2 T_s T_j advances a panel of s
+iterates with one product by 2 T_s(C) (see :func:`central_difference_run`).
+No eigen-information enters, so the probe stays an independent check of
+lambda_max. A run steps on one of two paths:
 
 - sparse: K is applied as it arrives, a CSR product for an assembled K,
-  and the mass is factored once by :class:`MassSolver`, so each step
-  costs one K u, one mass solve and one norm;
+  and the mass is factored once by :class:`MassSolver`. M^{-1} cannot be
+  raised to a power without fill, so s = 1: each step costs one K u,
+  one mass solve and one norm;
 - blocks: for a caller that holds the mirror splits of K and M
   (:func:`masscale.linalg.mirror_split`, eight dense blocks of order
   about n/8; ``_stability_bracket``, which the CLI calls with the splits
   :class:`masscale.system.MeshSystem` keeps), A_k = M_k^{-1} K_k is
   formed once per bracket from a Cholesky factor of each M_k and
   stacked, zero-padded to the largest order m, as one (8, m, m) array.
-  The run steps the coordinates x = Q^T u with one batched matmul per
-  step, which reads 8 m^2 entries; Q is orthonormal, so the response
-  norm is ||x||, and the final displacement is mapped back once.
+  The run steps the coordinates x = Q^T u in panels of
+  s = ``PANEL_STEPS`` = 8: the panel operator is formed once per run by
+  three batched (8, m, m) products, and each panel is one batched matmul
+  of (8, m, m) by (8, m, 8), which reads the 8 m^2 entries once for
+  eight steps. Q is orthonormal, so the response norm is ||x||, and the
+  final displacement is mapped back once.
 
-The blocks are taken whenever both splits are given. Their cost per
-step grows as n^2 and the sparse path's about as n, as this table of
-the parts of one step shows, in microseconds, on the hex8 beam and plate
-meshes (Olovsson beta = 10 mass, one BLAS thread, one core of a shared
-2-core machine):
+The blocks are taken whenever both splits are given. Whole steps through
+:func:`central_difference_run`, in microseconds, in 2000-step runs at 0.99
+times the critical step on the hex8 beam and plate meshes (one BLAS
+thread, one core of a shared 2-core machine), for the Olovsson beta = 10
+mass (sparse: an LU solve) and the lumped mass (sparse: a division):
 
-    n       sparse: K u + LU solve    blocks: batched matmul
-    720     27 + 42                   13
-    2400    92 + 186                  285
-    5040    215 + 518                 1201
+    n       panels of 8    one step per matmul    sparse, LU    sparse, lumped
+    720     7              15                     73            37
+    2400    85             293                    318           120
+    5040    803            1230                   751           235
 
-On the 720-dof beam every mass steps faster on the blocks, about five
-times for the LU mass. From n = 2400 a diagonal mass steps faster on
-the sparse path, and at n = 5040 every mass does. No benchmark workload
-runs the probe at those sizes, so no rule on n picks the path yet.
+The panels step the 720-dof beam five to ten times faster than the
+sparse path, and the 2400-dof plate 1.4 times as fast as a lumped mass
+and nearly four times as fast as an LU mass. At n = 5040 an LU mass
+steps about as fast on either path, and a lumped mass over three times
+faster on the sparse one. No benchmark workload runs the probe at that
+size, so no rule on n picks the path.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.linalg as sla
@@ -58,6 +72,8 @@ PROBE_STEPS = 10_000
 PROBE_FACTORS = (0.99, 1.05)
 # The seeded start must hold at least this share of the highest mode.
 MIN_COMPONENT = 1e-12
+# Steps per application of the block path's D = 2 T_s(C): a power of two.
+PANEL_STEPS = 8
 
 
 class MassSolver:
@@ -119,8 +135,8 @@ class _MirrorBlocks:
         return x
 
     def displacement(self, x):
-        """u = Q x."""
-        return sum(q @ xk[:q.shape[1], 0] for xk, q in zip(x, self.basis.columns))
+        """u = Q x for coordinates x, (8, m)."""
+        return sum(q @ xk[:q.shape[1]] for xk, q in zip(x, self.basis.columns))
 
 
 def _operator(mbar):
@@ -170,50 +186,77 @@ def central_difference_run(kbar, mbar, u0, dt, steps):
     """Central difference from rest at displacement ``u0``, for ``steps`` steps.
 
     u_{-1} = u_0 + dt^2/2 a_0, then u_{k+1} = 2 u_k - u_{k-1} + dt^2 a_k,
-    with a_k = -M^{-1} K u_k.
+    with a_k = -M^{-1} K u_k. With C = I - dt^2/2 M^{-1} K that reads
+    u_1 = C u_0, u_{k+1} = 2 C u_k - u_{k-1}, so u_k = T_k(C) u_0 for the
+    Chebyshev polynomials T_k, and T_{j+s} + T_{j-s} = 2 T_s T_j gives
+    u_{j+s} = 2 T_s(C) u_j - u_{j-s}. The run steps u_1 ... u_{2s-1} one
+    at a time, then advances the panels U_b = [u_{bs}, ..., u_{bs+s-1}]
+    as U_{b+1} = 2 T_s(C) U_b - U_{b-1}: s steps per product. On the
+    block path s = ``PANEL_STEPS``, and T_s(C) is formed once per run by
+    log2(s) doublings T_{2j} = 2 T_j^2 - I. The sparse path applies
+    M^{-1} by a solve and cannot raise it to a power without fill: s = 1.
 
     ``kbar`` may be dense or scipy.sparse; ``kbar @ u`` is formed as it is.
     ``mbar`` is anything :class:`MassSolver` accepts, or a MassSolver;
     within the package also the block operator of ``_stability_bracket``,
     with which the recurrence runs in the coordinates x = Q^T u.
-    The run stops early, flagged diverged, once the response norm is not
-    finite or exceeds ``UNSTABLE_FACTOR`` times the initial norm.
+    The norm of every step is recorded. The run stops early, flagged
+    diverged, at the first step whose response norm is not finite or
+    exceeds ``UNSTABLE_FACTOR`` times the initial norm; the rest of that
+    panel, and any steps past ``steps``, are discarded.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     op = _operator(mbar)
     h = dt * dt
-    # advance(x) is dt^2 a(x) on either path; the block path's reuses one buffer
-    if isinstance(op, MassSolver):
-        x, back = np.asarray(u0, dtype=float).copy(), None
+    # The overshoot past a divergence may overflow; it is discarded.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # g1(x) = 2 (I - C) x = dt^2 M^{-1} K x; d(p, out) = 2 T_s(C) p
+        if isinstance(op, MassSolver):
+            s, x, back = 1, np.asarray(u0, dtype=float).reshape(-1, 1), None
 
-        def advance(u):
-            return h * op.solve(-(kbar @ u))
-    else:
-        x, back, b = op.coords(u0), op.displacement, -h * op.a
-        out = np.empty_like(x)
+            def g1(x):
+                return h * op.solve(kbar @ x)
 
-        def advance(x):
-            return np.matmul(b, x, out=out)
-    x_old, x_new = x + 0.5 * advance(x), np.empty_like(x)
-
-    norms = np.empty(steps + 1)
-    norms[0] = np.linalg.norm(x)
-    limit = UNSTABLE_FACTOR * (float(norms[0]) or 1.0)
-    diverged = False
-    k = 0
-    for k in range(1, steps + 1):
-        # x_new = 2 x - x_old + dt^2 a(x), in place in the three buffers
-        np.multiply(x, 2.0, out=x_new)
-        x_new -= x_old
-        x_new += advance(x)
-        norms[k] = np.linalg.norm(x_new)
-        x_old, x, x_new = x, x_new, x_old
-        if not np.isfinite(norms[k]) or norms[k] > limit:
-            diverged = True
-            break
+            def d(p, out):
+                return np.subtract(2.0 * p, g1(p), out=out)
+        else:
+            s, x, back = PANEL_STEPS, op.coords(u0), op.displacement
+            g1_mat, eye = h * op.a, np.eye(op.a.shape[1])
+            t = eye - 0.5 * g1_mat
+            for _ in range(s.bit_length() - 1):
+                t = 2.0 * (t @ t) - eye
+            g1, d = partial(np.matmul, g1_mat), partial(np.matmul, 2.0 * t)
+        xs = [x, x - 0.5 * g1(x)]
+        while len(xs) < 2 * s:
+            xs.append(2.0 * xs[-1] - xs[-2] - g1(xs[-1]))
+        prev, cur = np.concatenate(xs[:s], axis=-1), np.concatenate(xs[s:], axis=-1)
+        nxt = np.empty_like(cur)
+        norms = np.empty((steps // s + 2) * s)
+        _panel_norms(prev, norms[:s])
+        _panel_norms(cur, norms[s:2 * s])
+        # finite, so that an infinite norm is caught by the comparison too
+        limit = min(UNSTABLE_FACTOR * (float(norms[0]) or 1.0), sys.float_info.max)
+        # prev and cur hold the iterates [k - 2s, k); the norms from
+        # `checked` on are not checked yet
+        k, checked = 2 * s, 1
+        while norms[checked:min(k, steps + 1)].max(initial=0.0) <= limit and k <= steps:
+            d(cur, out=nxt)
+            nxt -= prev
+            prev, cur, nxt = cur, nxt, prev
+            _panel_norms(cur, norms[k:k + s])
+            checked, k = k, k + s
+    bad = np.flatnonzero(~(norms[checked:min(k, steps + 1)] <= limit))
+    last = checked + int(bad[0]) if bad.size else steps
+    x = xs[last][..., 0] if last < 2 * s else cur[..., last - k + s]
     u = x if back is None else back(x)
-    return TransientResult(norms[: k + 1], TransientState(u, k), diverged)
+    return TransientResult(norms[:last + 1], TransientState(u, last), bool(bad.size))
+
+
+def _panel_norms(panel, out):
+    """The norm of each column of a C-contiguous panel, (n, s) or (8, m, s), into ``out``."""
+    flat = panel.reshape(-1, panel.shape[-1])
+    np.sqrt(np.einsum("ij,ij->j", flat, flat), out=out)
 
 
 def _seeded_initial(kbar, seed, highest_mode):
@@ -241,9 +284,13 @@ def stability_bracket(kbar, mbar, dt_estimate, seed=42, highest_mode=None):
     times ``dt_estimate``, from a seeded random unit-norm displacement. A
     run is stable iff the response norm never exceeds 10x the initial norm
     over all steps, unstable iff it exceeds 1e6x, and inconclusive
-    otherwise. The mass is factored once for both runs. Returns one
-    :class:`StabilityVerdict` per factor, with the first steps at which
-    the growth crossed 10x and 1e6x and the path the runs took.
+    otherwise. The mass is factored once for both runs. Each run steps
+    the Chebyshev panel recurrence of :func:`central_difference_run`:
+    ``PANEL_STEPS`` steps per batched matmul on the blocks, one step per
+    mass solve on the sparse path. The norm of every step is checked, so
+    the step counts and crossings are those of stepping one at a time.
+    Returns one :class:`StabilityVerdict` per factor, with the first steps
+    at which the growth crossed 10x and 1e6x and the path the runs took.
     """
     op = _operator(mbar)
     u0 = _seeded_initial(kbar, seed, highest_mode)

@@ -363,11 +363,13 @@ def _standard_form(pair):
     return c, lambda y: sla.solve_triangular(ell.T, y, lower=False)
 
 
-def rigid_cutoff(values):
-    """n * eps * lambda_max for n ascending eigenvalues of a pencil: the
-    dense solve's error. A value at or below it is indistinguishable from
-    zero, so it belongs to A's null space (a rigid-body mode of (K, M))."""
-    return len(values) * _EPS * values[-1]
+def rigid_cutoff(values, order=None):
+    """n * eps * lambda_max for ascending eigenvalues of a pencil of order
+    n: the dense solve's error. ``values`` ends with lambda_max and holds
+    all n values unless ``order`` gives n. A value at or below it is
+    indistinguishable from zero, so it belongs to A's null space (a
+    rigid-body mode of (K, M))."""
+    return (order or len(values)) * _EPS * values[-1]
 
 
 def _low_tail(values):

@@ -33,6 +33,7 @@ from .linalg import (
     MatrixPair,
     generalized_eig,
     is_diagonal,
+    rigid_cutoff,
     symmetrize,
 )
 
@@ -265,7 +266,9 @@ def _polynomial_sms(pair, spec):
 
 def _global_deflation(pair, spec):
     """Deflate the top r eigenvalues of the assembled pair: ``shave`` (the
-    default) flattens them to lambda_{n-r}, ordering preserved; ``cutoff``
+    default) flattens them to lambda_{n-r}, ordering preserved, and raises
+    :class:`RankTooLarge` when that anchor is a rigid-body value (at or
+    below :func:`~masscale.linalg.rigid_cutoff`); ``cutoff``
     divides them by 1 + alpha. Mbar stays a :class:`LowRankUpdate`. The
     pair is a checked :class:`MatrixPair` of sparse or dense members; the
     partial solve converts them once."""
@@ -279,6 +282,9 @@ def _global_deflation(pair, spec):
     v = pair.b @ u2
     if spec.mode == "cutoff":
         g = np.full(r, spec.alpha)
+    elif not dec.values[0] > rigid_cutoff(dec.values, n):
+        raise RankTooLarge(f"rank {r} shaves to lambda_{n - r} = {dec.values[0]:g}, "
+                           f"a rigid-body value, for order {n}")
     else:
         g = d2 / dec.values[0] - 1.0
     mbar = LowRankUpdate(pair.b, v, np.asarray(g, dtype=float))

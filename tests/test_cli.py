@@ -171,6 +171,22 @@ class TestCommands:
         assert "config error: sweep: " in res.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("sweep", [
+        {"kind": "olovsson", "parameter": "beta", "values": ["x"]},
+        {"kind": "olovsson", "parameter": "beta", "values": [10.0, -1.0]},
+        {"kind": "no_such_kind", "parameter": "beta", "values": [1.0]},
+        {"kind": "olovsson", "parameter": "no_such_parameter", "values": [1.0]},
+    ])
+    def test_bad_sweep_point_writes_nothing(self, tmp_path, sweep):
+        # the points are parsed with the config, before the spectrum study writes
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, sweep=sweep, studies={"spectrum": True, "sweep": True})
+        out = tmp_path / "out"
+        res = self.run_cli(["run", "--config", str(cfg), "--out", str(out)])
+        assert res.exit_code == 1, res.output
+        assert "config error: sweep" in res.output
+        assert not out.exists()
+
     def test_integrate_outputs(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         write_config(cfg, scalings=[{"kind": "none"}, {"kind": "global_deflation", "rank": 4}])

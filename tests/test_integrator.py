@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -305,6 +307,79 @@ class TestBlockPath:
         assert vector @ (mass @ vector) == pytest.approx(1.0, rel=1e-12)
         residual = np.linalg.norm(k @ vector - value * (mass @ vector))
         assert residual <= 1e-12 * value * np.linalg.norm(mass @ vector)
+
+
+def _panel_and_single(monkeypatch, run):
+    """``run()`` with the block path's panels of ``PANEL_STEPS`` steps, then
+    with one step per matmul."""
+    panel = run()
+    with monkeypatch.context() as m:
+        m.setattr(integrator, "PANEL_STEPS", 1)
+        return panel, run()
+
+
+def _assert_same_run(a, b, rtol, rtol_final=None):
+    assert (a.final.step, a.diverged) == (b.final.step, b.diverged)
+    assert np.all(np.abs(a.response_norms - b.response_norms) <= rtol * b.response_norms)
+    final = b.final.displacement
+    error = np.linalg.norm(a.final.displacement - final)
+    assert error <= (rtol_final or rtol) * np.linalg.norm(final)
+
+
+class TestPanelLoop:
+    """The Chebyshev panel recurrence on the blocks against one step per matmul."""
+
+    @pytest.fixture(scope="class", params=list(BEAM_SPECS))
+    def case(self, request, beam):
+        k, mbar, split, _, scaled = _beam_case(beam, request.param)
+        top = beam.top_kmbar(scaled)
+        return k, mbar, split, analysis.critical_dt(top.values[-1]), top.vectors[:, -1]
+
+    def test_bracket_matches_single_steps(self, case, monkeypatch):
+        k, mbar, split, dt_c, mode = case
+        panel, single = _panel_and_single(
+            monkeypatch, lambda: integrator._stability_bracket(k, mbar, dt_c, 42, mode, split))
+        keys = ("classification", "steps_run", "stable_crossing", "unstable_crossing", "path")
+        assert [[getattr(v, key) for key in keys] for v in panel] == [
+            [getattr(v, key) for key in keys] for v in single]
+        assert [v.classification for v in panel] == ["stable", "unstable"]
+        # the stable run from the probe's start: every response norm of 10 000
+        # steps. The final displacements differ by 2e-10 to 5e-10 relative;
+        # from a random start, the one-step loop is itself up to 7e-10 off
+        # an extended-precision run of the same operator, so 1e-9 bounds them.
+        u0 = integrator._seeded_initial(k, 42, mode)
+        blocks = integrator._MirrorBlocks(split)
+        a, b = _panel_and_single(monkeypatch, lambda: central_difference_run(
+            k, blocks, u0, 0.99 * dt_c, integrator.PROBE_STEPS))
+        assert a.final.step == integrator.PROBE_STEPS
+        _assert_same_run(a, b, 1e-10, 1e-9)
+
+    @pytest.mark.parametrize("factor, steps", [(1.05, integrator.PROBE_STEPS), (0.99, 8 * 125 + 3)])
+    def test_divergence_and_ragged_end(self, case, monkeypatch, factor, steps):
+        k, _, split, dt_c, mode = case
+        u0 = integrator._seeded_initial(k, 42, mode)
+        blocks = integrator._MirrorBlocks(split)
+        a, b = _panel_and_single(monkeypatch, lambda: central_difference_run(
+            k, blocks, u0, factor * dt_c, steps))
+        _assert_same_run(a, b, 1e-10)
+        if factor > 1:  # stopped inside the panel loop, not on a panel's first step
+            assert a.diverged and a.final.step > 2 * integrator.PANEL_STEPS
+            assert a.final.step % integrator.PANEL_STEPS
+        else:
+            assert not a.diverged and a.final.step == steps
+
+    @pytest.mark.parametrize("factor", [20.0, 1e12])
+    def test_far_above_critical_raises_no_warning(self, case, monkeypatch, factor):
+        # 1e12 overflows within the first 2s iterates; the overshoot is discarded
+        k, _, split, dt_c, mode = case
+        u0 = integrator._seeded_initial(k, 42, mode)
+        blocks = integrator._MirrorBlocks(split)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a, b = _panel_and_single(monkeypatch, lambda: central_difference_run(
+                k, blocks, u0, factor * dt_c, integrator.PROBE_STEPS))
+        assert a.diverged and a.final.step < integrator.PANEL_STEPS
+        _assert_same_run(a, b, 1e-10)
 
 
 def test_names_the_benchmark_tracer_reads():

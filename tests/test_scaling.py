@@ -22,6 +22,7 @@ from masscale.linalg import (
     symmetrize,
 )
 from masscale.scaling import ScalingSpec
+from masscale.system import MeshSystem
 
 
 def flexible(values, count=6):
@@ -193,6 +194,15 @@ class TestGlobalDeflation:
         n = pair.order
         assert np.allclose(lam_bar[n - r :], lam[n - r - 1], rtol=1e-9)
         assert np.allclose(lam_bar[: n - r], lam[: n - r], rtol=1e-8, atol=1e-9 * lam[-1])
+
+    def test_shave_into_the_rigid_modes_raises(self, material):
+        # n = 48 with six rigid-body modes: rank 42 would shave to a zero lambda_{n-r}
+        system = MeshSystem(fem.build_structured_mesh((4, 2, 2), (0.04, 0.02, 0.01)), material)
+        with pytest.raises(RankTooLarge, match="rank 42"):
+            system.scale(ScalingSpec("global_deflation", rank=42))
+        lam = system.values_km()
+        lam_bar = system.values_kmbar(system.scale(ScalingSpec("global_deflation", rank=41)))
+        assert np.allclose(lam_bar[6:], lam[6], rtol=1e-9)
 
     def test_cutoff_divides_top(self, small_system):
         _, _, pair = small_system
