@@ -77,9 +77,6 @@ class BoundSet:
     def __getitem__(self, source):
         return self.records[source]
 
-    def all_hold(self, rtol=1e-9):
-        return all(rec.holds(rtol) for rec in self.records.values())
-
 
 def critical_dt(lambda_max):
     """Critical step of the central difference method: 2 / sqrt(lambda_max)."""

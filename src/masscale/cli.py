@@ -17,7 +17,7 @@ import click
 import numpy as np
 
 from . import __version__, analysis, fem, integrator, scaling
-from .errors import ConfigError, InvalidCounts, MasscaleError
+from .errors import ConfigError, InvalidCounts, MasscaleError, RankTooLarge
 from .linalg import condition_number
 from .system import MeshSystem
 
@@ -47,6 +47,10 @@ class ExperimentConfig:
             return fem.build_structured_mesh(self.mesh_counts, self.mesh_extents)
         except InvalidCounts as exc:
             raise ConfigError(f"geometry.mesh: {exc}") from exc
+
+    def specs(self):
+        """The configured scalings, or none alone when there are none."""
+        return self.scalings or [scaling.ScalingSpec("none")]
 
     def element_geometry_size(self):
         if self.element_size is not None:
@@ -248,12 +252,11 @@ class Emitter:
         analysis.write_curve_csv(self.path(name), columns)
 
 
-def study_element_spectrum(cfg, emitter, system):
-    """Per-element spectra and Rayleigh tables for each configured scaling."""
-    element = MeshSystem(fem.build_structured_mesh((2, 2, 2), cfg.element_geometry_size()),
-                         cfg.material)
+def study_element_spectrum(cfg, emitter, element):
+    """Per-element spectra and Rayleigh tables for each configured scaling,
+    on the one-element system ``element``."""
     block = element.blocks[0]
-    for spec in cfg.scalings or [scaling.ScalingSpec("none")]:
+    for spec in cfg.specs():
         if spec.kind == "none":
             mbar_e = np.diag(block.lumped_mass)
         else:
@@ -277,7 +280,7 @@ def study_element_spectrum(cfg, emitter, system):
 
 def study_spectrum(cfg, emitter, system):
     """Full spectral reports (original vs scaled) on the configured mesh."""
-    for spec in cfg.scalings or [scaling.ScalingSpec("none")]:
+    for spec in cfg.specs():
         scaled = system.scale(spec)
         report = analysis.spectral_report(
             system.values_km(), system.values_kmbar(scaled), spec, blocks=system.blocks
@@ -291,7 +294,7 @@ def study_spectrum(cfg, emitter, system):
 
 def study_bounds(cfg, emitter, system):
     """Sandwich and condition bounds for each configured scaling."""
-    for spec in cfg.scalings or [scaling.ScalingSpec("none")]:
+    for spec in cfg.specs():
         scaled = system.scale(spec)
         # Kbar is K for every kind, so (Kbar, Mbar) is the sandwich's (K, Mbar).
         mass_values = system.values_mbarm(scaled)
@@ -333,13 +336,14 @@ def study_sweep(cfg, emitter, system):
 def study_integrate(cfg, emitter, system):
     """Stability brackets around the computed critical step for each scaling."""
     results = {}
-    for spec in cfg.scalings or [scaling.ScalingSpec("none")]:
+    for spec in cfg.specs():
         scaled = system.scale(spec)
         # Only the top pair: lambda_max and the vector the start is seeded on.
         dec_s = system.top_kmbar(scaled)
-        verdicts = integrator._stability_bracket(
-            scaled.kbar, scaled.mbar, analysis.critical_dt(dec_s.values[-1]), cfg.seed,
-            dec_s.vectors[:, -1], (system.split_k(), system.split_mass(scaled)),
+        # Kbar is K for every kind
+        verdicts = integrator.stability_bracket(
+            system.pair.a, system.mass(scaled), analysis.critical_dt(dec_s.values[-1]),
+            cfg.seed, dec_s.vectors[:, -1],
         )
         keys = ("classification", "growth_factor", "steps_run", "dt", "stable_crossing",
                 "unstable_crossing", "path")
@@ -359,15 +363,27 @@ _STUDIES = {
 def execute(cfg, studies):
     """Run ``studies`` in order and write the manifest. The mesh studies
     share one :class:`masscale.system.MeshSystem` of the configured mesh,
-    so each assembled pencil is solved once per call. The sweep section
-    and the mesh are checked before any output is written."""
+    so each assembled pencil is solved once per call; the element study
+    has one of a single element. The sweep section, the mesh and every
+    scaling a study applies, sweep points included, are checked before
+    any output is written: a rank that global deflation cannot take is a
+    config error. Each system keeps the scalings applied here."""
     _require_sweep(cfg, "sweep" in studies)
-    system = MeshSystem(cfg.mesh(), cfg.material) if set(studies) - {"element_spectrum"} else None
+    mesh = MeshSystem(cfg.mesh(), cfg.material) if set(studies) - {"element_spectrum"} else None
+    element = MeshSystem(fem.build_structured_mesh((2, 2, 2), cfg.element_geometry_size()),
+                         cfg.material) if "element_spectrum" in studies else None
+    systems = {name: element if name == "element_spectrum" else mesh for name in studies}
+    for name, system in systems.items():
+        for spec in [s for _, s in cfg.sweep_points] if name == "sweep" else cfg.specs():
+            try:
+                system.scale(spec)
+            except RankTooLarge as exc:
+                raise ConfigError(f"scaling[{spec.label}]: {exc}") from exc
     emitter = Emitter(cfg.output_dir)
     timings = {}
     for name in studies:
         start = time.perf_counter()
-        _STUDIES[name](cfg, emitter, system)
+        _STUDIES[name](cfg, emitter, systems[name])
         timings[name] = time.perf_counter() - start
     manifest = {
         "config": cfg.echo,

@@ -40,12 +40,9 @@ from .linalg import symmetrize
 
 __all__ = [
     "Material",
-    "Hex8Geometry",
     "Mesh",
     "ElementBlock",
     "ElementBlocks",
-    "hex8_stiffness",
-    "hex8_consistent_mass",
     "lump_row_sum",
     "build_structured_mesh",
     "element_blocks",
@@ -109,25 +106,6 @@ class Material:
         return d
 
 
-@dataclass(frozen=True)
-class Hex8Geometry:
-    """Eight corner coordinates (right-handed vertex ordering), meters."""
-
-    corners: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.corners, dtype=float)
-        if c.shape != (8, 3):
-            raise ValueError("corners must have shape (8, 3)")
-        object.__setattr__(self, "corners", c)
-
-    @classmethod
-    def box(cls, lx, ly, lz, origin=(0.0, 0.0, 0.0)):
-        half = 0.5 * np.array([lx, ly, lz])
-        center = np.asarray(origin, dtype=float) + half
-        return cls(center + _CORNER_SIGNS * half)
-
-
 def shape_functions(xi):
     """Trilinear shape values (8,) at reference point xi in [-1, 1]^3."""
     t = 1.0 + _CORNER_SIGNS * np.asarray(xi, dtype=float)
@@ -186,16 +164,6 @@ def _hex8_matrices(corners, material):
     for c in range(3):
         mass[:, c * 8:(c + 1) * 8, c * 8:(c + 1) * 8] = m8
     return symmetrize(stiffness), mass
-
-
-def hex8_stiffness(geometry, material):
-    """24x24 element stiffness, component-blocked, 2x2x2 Gauss."""
-    return _hex8_matrices(geometry.corners[None], material)[0][0]
-
-
-def hex8_consistent_mass(geometry, material):
-    """24x24 consistent mass I_3 (x) M8 with M8[a,b] = int rho N_a N_b."""
-    return _hex8_matrices(geometry.corners[None], material)[1][0]
 
 
 def lump_row_sum(consistent):

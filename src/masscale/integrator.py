@@ -14,9 +14,9 @@ lambda_max. A run steps on one of two paths:
   and the mass is factored once by :class:`MassSolver`. M^{-1} cannot be
   raised to a power without fill, so s = 1: each step costs one K u,
   one mass solve and one norm;
-- blocks: for a caller that holds the mirror splits of K and M
-  (:func:`masscale.linalg.mirror_split`, eight dense blocks of order
-  about n/8; ``_stability_bracket``, which the CLI calls with the splits
+- blocks: when K and M are checked matrices that both split
+  (:class:`masscale.linalg.CheckedMatrix`, whose split is eight dense
+  blocks of order about n/8; the CLI passes those that
   :class:`masscale.system.MeshSystem` keeps), A_k = M_k^{-1} K_k is
   formed once per bracket from a Cholesky factor of each M_k and
   stacked, zero-padded to the largest order m, as one (8, m, m) array.
@@ -27,7 +27,7 @@ lambda_max. A run steps on one of two paths:
   eight steps. Q is orthonormal, so the response norm is ||x||, and the
   final displacement is mapped back once.
 
-The blocks are taken whenever both splits are given. Whole steps through
+The blocks are taken whenever both members split. Whole steps through
 :func:`central_difference_run`, in microseconds, in 2000-step runs at 0.99
 times the critical step on the hex8 beam and plate meshes (one BLAS
 thread, one core of a shared 2-core machine), for the Olovsson beta = 10
@@ -55,7 +55,14 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import NotPositiveDefinite, SolveFailure
-from .linalg import LowRankUpdate, _blockwise, _cholesky, factor_spd, woodbury_factor
+from .linalg import (
+    CheckedMatrix,
+    LowRankUpdate,
+    cholesky,
+    factor_spd,
+    mirror_splits,
+    woodbury_factor,
+)
 
 __all__ = [
     "MassSolver",
@@ -123,7 +130,7 @@ class _MirrorBlocks:
         self.a = np.zeros((len(blocks_k),) + (max(map(len, blocks_k)),) * 2)
         for a, k, m in zip(self.a, blocks_k, blocks_m):
             try:
-                a[:len(k), :len(k)] = sla.cho_solve((_cholesky(m), True), k)
+                a[:len(k), :len(k)] = sla.cho_solve((cholesky(m), True), k)
             except NotPositiveDefinite as exc:
                 raise SolveFailure(f"mass matrix is not SPD: {exc}") from exc
 
@@ -198,7 +205,7 @@ def central_difference_run(kbar, mbar, u0, dt, steps):
 
     ``kbar`` may be dense or scipy.sparse; ``kbar @ u`` is formed as it is.
     ``mbar`` is anything :class:`MassSolver` accepts, or a MassSolver;
-    within the package also the block operator of ``_stability_bracket``,
+    within the package also the block operator of :func:`stability_bracket`,
     with which the recurrence runs in the coordinates x = Q^T u.
     The norm of every step is recorded. The run stops early, flagged
     diverged, at the first step whose response norm is not finite or
@@ -291,8 +298,17 @@ def stability_bracket(kbar, mbar, dt_estimate, seed=42, highest_mode=None):
     the step counts and crossings are those of stepping one at a time.
     Returns one :class:`StabilityVerdict` per factor, with the first steps
     at which the growth crossed 10x and 1e6x and the path the runs took.
+
+    ``kbar`` and ``mbar`` are raw matrices, or checked matrices
+    (:class:`~masscale.linalg.CheckedMatrix`). When both are checked and
+    split, the runs step on the blocks (see the module docstring);
+    otherwise on the sparse path, where :class:`MassSolver` checks a mass
+    it factors. Raises :class:`SolveFailure` when the mass, or a mass
+    block, is not SPD.
     """
-    op = _operator(mbar)
+    split = mirror_splits(kbar, mbar)
+    kbar, mbar = (m.matrix if isinstance(m, CheckedMatrix) else m for m in (kbar, mbar))
+    op = _MirrorBlocks(split) if split else _operator(mbar)
     u0 = _seeded_initial(kbar, seed, highest_mode)
 
     verdicts = []
@@ -313,19 +329,6 @@ def stability_bracket(kbar, mbar, dt_estimate, seed=42, highest_mode=None):
             _first(~(growths <= STABLE_FACTOR)), _first(~(growths < UNSTABLE_FACTOR)), op.mode,
         ))
     return tuple(verdicts)
-
-
-def _stability_bracket(kbar, mbar, dt_estimate, seed, highest_mode, split):
-    """:func:`stability_bracket` for a caller that holds the mirror splits
-    (K's, Mbar's) of its checked K and Mbar: with both, the runs step on
-    the blocks, formed once for both (see the module docstring), and
-    ``mbar`` is not read; otherwise on the sparse path.
-
-    Raises :class:`SolveFailure` when a mass block is not SPD.
-    """
-    if _blockwise(split):
-        mbar = _MirrorBlocks(split)
-    return stability_bracket(kbar, mbar, dt_estimate, seed, highest_mode)
 
 
 def _first(mask):

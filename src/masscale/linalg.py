@@ -10,15 +10,14 @@ nonzeros alone; each also takes a dense numpy array. Dense arrays are
 formed only for the dense solves: the mirror blocks, a pencil that does
 not mirror, and a partial solve with ``top``. Symmetry is imposed at
 construction points with :func:`symmetrize` and checked with
-:func:`require_symmetric`. The pencil solvers check a tuple (A, B) as a
-:class:`MatrixPair`; a :class:`MatrixPair`, and a matrix's mirror split
-(:func:`mirror_split`), stand for checked matrices and are not checked
-again. Within the package, a caller that has checked a pencil's members
-itself (:class:`masscale.system.MeshSystem`, which reads each matrix in
-several solves) passes them to the private ``_eig`` and ``_eigvalues``,
-so that each matrix is checked and split once. :func:`factor_spd`
-factors a general SPD matrix once as a sparse LU, so that each later
-solve costs the factor's fill.
+:func:`require_symmetric`.
+
+A :class:`CheckedMatrix` is a symmetric matrix checked once, when it is
+built, with the mesh's mirror basis or None. The solvers trust it and
+take the block path when both members of a pencil split
+(:func:`mirror_splits`); a raw matrix is checked, and a tuple (A, B) as
+a :class:`MatrixPair`. :func:`factor_spd` factors a general SPD matrix
+once as a sparse LU, so that each later solve costs the factor's fill.
 
 Dense factorizations and the standard symmetric eigensolver are delegated
 to LAPACK (through numpy/scipy); the generalized solver performs the
@@ -28,23 +27,19 @@ B-orthonormal.
 Each question has its own solver, so that a caller pays for what it reads:
 
 - all eigenpairs of a pencil: :func:`generalized_eig`, dense; with
-  ``top``, only the largest pairs, by a partial dense solve. Within the
-  package, :func:`_block_top` reads them from the mirror splits of both
-  members instead: the top pairs of each block pair, the largest kept,
-  their vectors mapped back through Q_k (the stability probe's top pair);
+  ``top``, only the largest pairs, by a partial dense solve, or from the
+  top pairs of each block pair (the stability probe's top pair);
 - the blocks Q_k^T A Q_k of a matrix in the mesh's mirror basis
   (:func:`masscale.fem.mirror_basis`), or None when it does not commute
   with the reflections to within the dense error: :func:`mirror_split`;
-- all eigenvalues of a pencil: :func:`generalized_eigvalues`. With the
-  splits of both members, eight dense solves of the block pairs (order
-  about n/8), with the low tail (below) recomputed on the full pencil
-  from the blocks' vectors. Otherwise the dense values-only solve, and a
-  pencil with a low tail takes :func:`generalized_eig`'s values instead;
-  a pencil without one forms no vectors;
+- all eigenvalues of a pencil: :func:`generalized_eigvalues`: eight
+  dense solves of the block pairs (order about n/8), with the low tail
+  (below) recomputed on the full pencil from the blocks' vectors, or the
+  dense values-only solve, where a pencil with a low tail takes
+  :func:`generalized_eig`'s values instead;
 - lambda_min and lambda_max of a symmetric matrix:
   :func:`extreme_eigvalues`: the ends of the diagonal of a diagonal
-  matrix, the ends of the blocks' dense values with a mirror split, the
-  ends of the dense values-only solve elsewhere.
+  matrix, of the blocks' dense values, or of the dense values-only solve.
 
 Accuracy of the generalized eigenvalues. The dense solve errs by about
 eps * lambda_max in absolute terms on every eigenvalue, so it is accurate
@@ -70,7 +65,8 @@ Rayleigh-Ritz block, which separates them from the flexible modes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
@@ -81,8 +77,10 @@ __all__ = [
     "symmetrize",
     "require_symmetric",
     "MatrixPair",
+    "CheckedMatrix",
     "EigDecomposition",
     "LowRankUpdate",
+    "dense",
     "cholesky",
     "is_diagonal",
     "factor_spd",
@@ -91,7 +89,9 @@ __all__ = [
     "generalized_eigvalues",
     "extreme_eigvalues",
     "mirror_split",
+    "mirror_splits",
     "rigid_cutoff",
+    "low_tail",
     "woodbury_factor",
     "condition_number",
 ]
@@ -104,8 +104,14 @@ def _is_sparse(a):
     return hasattr(a, "tocsr")
 
 
-def _dense(a):
-    """``a`` as a dense float array; a sparse one is converted."""
+def dense(a):
+    """``a`` as a dense float array: a sparse one converted, a
+    :class:`LowRankUpdate` formed, a :class:`CheckedMatrix` as its matrix
+    is; a dense one is returned as it is, not copied."""
+    if isinstance(a, CheckedMatrix):
+        a = a.matrix
+    if isinstance(a, LowRankUpdate):
+        return a.dense()
     return a.toarray() if _is_sparse(a) else np.asarray(a, dtype=float)
 
 
@@ -165,14 +171,15 @@ def require_symmetric(a, name="matrix", rtol=1e-10):
 
 @dataclass(frozen=True)
 class MatrixPair:
-    """Symmetric pair (A, B) with B positive definite."""
+    """Symmetric pair (A, B) with B positive definite. A raw member is
+    checked here, a :class:`CheckedMatrix` kept as it is."""
 
     a: np.ndarray
     b: np.ndarray
 
     def __post_init__(self):
-        a = require_symmetric(self.a, "a")
-        b = require_symmetric(self.b, "b")
+        a, b = (m if isinstance(m, CheckedMatrix) else require_symmetric(m, name)
+                for m, name in ((self.a, "a"), (self.b, "b")))
         if a.shape != b.shape:
             raise ValueError("pair members must have the same order")
         object.__setattr__(self, "a", a)
@@ -195,10 +202,6 @@ class EigDecomposition:
     vectors: np.ndarray
     normalization: str = "unit"
 
-    @property
-    def order(self):
-        return len(self.values)
-
 
 @dataclass(frozen=True)
 class LowRankUpdate:
@@ -209,21 +212,65 @@ class LowRankUpdate:
     core: np.ndarray  # (r,) diagonal entries of S
 
     @property
-    def order(self):
-        return self.factors.shape[0]
-
-    @property
-    def rank(self):
-        return self.factors.shape[1]
-
-    def base_dense(self):
-        b = _dense(self.base)
-        return np.diag(b) if b.ndim == 1 else b
+    def shape(self):
+        return (self.factors.shape[0],) * 2
 
     def dense(self):
         """Materialize base + V S V^T as a dense symmetric matrix."""
-        v = self.factors
-        return symmetrize(self.base_dense() + (v * self.core) @ v.T)
+        b, v = dense(self.base), self.factors
+        return symmetrize((np.diag(b) if b.ndim == 1 else b) + (v * self.core) @ v.T)
+
+
+@dataclass(frozen=True, eq=False)
+class CheckedMatrix:
+    """A symmetric matrix checked once, when it is built, with the mesh's
+    :class:`masscale.fem.MirrorBasis` or None; its split and diagonal test
+    are computed on first read and kept.
+
+    ``matrix`` is a CSR or dense array, kept as :func:`require_symmetric`
+    returns it, or a :class:`LowRankUpdate`, formed dense for the check and
+    for each read that needs it, and not kept. Numpy converts it to a dense
+    copy (``__array__``) for a reader outside the package; it is not an
+    operand: ``checked @ x`` and numpy's operators raise.
+    """
+
+    matrix: object
+    basis: object = None
+    name: str = field(default="matrix", repr=False)
+
+    __array_ufunc__ = None
+
+    def __post_init__(self):
+        if isinstance(self.matrix, LowRankUpdate):
+            require_symmetric(self.matrix.dense(), self.name)
+        else:
+            object.__setattr__(self, "matrix", require_symmetric(self.matrix, self.name))
+
+    @property
+    def shape(self):
+        return self.matrix.shape
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(dense(self), dtype=dtype)
+
+    @functools.cached_property
+    def split(self):
+        """The matrix's :func:`mirror_split` in ``basis``: None without a
+        basis or when it does not mirror."""
+        return None if self.basis is None else mirror_split(_operand(self), self.basis)
+
+    @functools.cached_property
+    def is_diagonal(self):
+        """:func:`is_diagonal` of the matrix."""
+        return is_diagonal(_operand(self))
+
+
+def _operand(m):
+    """What a solver reads of ``m``: a checked matrix's array, a low-rank
+    update in it formed dense; any other ``m`` itself."""
+    if isinstance(m, CheckedMatrix):
+        return dense(m) if isinstance(m.matrix, LowRankUpdate) else m.matrix
+    return m
 
 
 def _fix_signs(vectors):
@@ -235,17 +282,14 @@ def _fix_signs(vectors):
 
 
 def cholesky(m):
-    """Lower-triangular Cholesky factor of a dense SPD matrix, checked for
-    symmetry here.
+    """Lower-triangular Cholesky factor of an SPD matrix, formed dense: a
+    :class:`CheckedMatrix` is factored as it is, a sparse or dense array is
+    checked for symmetry here first.
 
     Raises :class:`NotPositiveDefinite` (with the first failing pivot index,
     0-based) if the matrix is not SPD within the pivot tolerance of LAPACK.
     """
-    return _cholesky(require_symmetric(m, "m"))
-
-
-def _cholesky(m):
-    """:func:`cholesky` of a matrix the caller has checked."""
+    m = dense(m if isinstance(m, CheckedMatrix) else require_symmetric(m, "m"))
     c, info = sla.lapack.dpotrf(m, lower=1, overwrite_a=0)
     if info > 0:
         raise NotPositiveDefinite(info - 1)
@@ -331,32 +375,39 @@ _EPS = np.finfo(float).eps
 _LOW_CUT = 1e-4
 
 
-def _members(pair):
-    """(A, B) of a :class:`MatrixPair` or of a tuple."""
-    return (pair.a, pair.b) if isinstance(pair, MatrixPair) else tuple(pair)
-
-
 def _checked(pair):
     """``pair`` as a :class:`MatrixPair`: a tuple (A, B) is checked here."""
     return pair if isinstance(pair, MatrixPair) else MatrixPair(*pair)
 
 
+def mirror_splits(a, b):
+    """The mirror splits (:attr:`CheckedMatrix.split`) of ``a`` and ``b``
+    when both are checked matrices that split, else None: the solvers
+    take the block path exactly when this is not None."""
+    if isinstance(a, CheckedMatrix) and isinstance(b, CheckedMatrix):
+        if a.split is not None and b.split is not None:
+            return a.split, b.split
+    return None
+
+
 def _standard_form(pair):
     """C = L^{-1} A L^{-T} for B = L L^T, and the map y -> L^{-T} y back,
-    formed dense from a checked pencil (a sparse member is converted).
+    formed dense from a checked pencil, a :class:`MatrixPair` or a tuple
+    (a sparse member is converted).
 
     A diagonal B takes a scaling path instead of the Cholesky reduction.
     """
-    a, b = (_dense(m) for m in _members(pair))
-    if is_diagonal(b):
-        d = np.diag(b).copy()
+    a, b = (pair.a, pair.b) if isinstance(pair, MatrixPair) else pair
+    diagonal = b.is_diagonal if isinstance(b, CheckedMatrix) else is_diagonal(b)
+    if diagonal:
+        d = _operand(b).diagonal().copy()
         bad = np.flatnonzero(d <= 0)
         if bad.size:
             raise NotPositiveDefinite(int(bad[0]))
         s = 1.0 / np.sqrt(d)
-        return symmetrize(a * s[:, None] * s[None, :]), lambda y: y * s[:, None]
-    ell = _cholesky(b)
-    c, info = sla.lapack.dsygst(a, ell, itype=1, lower=1)
+        return symmetrize(dense(a) * s[:, None] * s[None, :]), lambda y: y * s[:, None]
+    ell = cholesky(b)
+    c, info = sla.lapack.dsygst(dense(a), ell, itype=1, lower=1)
     if info != 0:  # pragma: no cover - LAPACK reports illegal arguments only
         raise ValueError(f"illegal argument {-info} to dsygst")
     c = np.tril(c) + np.tril(c, -1).T
@@ -372,7 +423,7 @@ def rigid_cutoff(values, order=None):
     return (order or len(values)) * _EPS * values[-1]
 
 
-def _low_tail(values):
+def low_tail(values):
     """Number of leading eigenvalues to recompute, or 0 to keep them all.
 
     The tail is every value below _LOW_CUT * lambda_max. It is kept as it
@@ -438,14 +489,16 @@ def _accurate_matmul(a, x):
 
 
 def _ritz(a, b, x):
-    """Rayleigh-Ritz of (A, B) on span(x), with A x from :func:`_accurate_matmul`.
+    """Rayleigh-Ritz of the checked pencil (A, B) on span(x), with A x from
+    :func:`_accurate_matmul`.
 
-    A and B are checked matrices, sparse or dense, and x holds
+    A and B are raw or checked matrices, sparse or dense, and x holds
     B-orthonormal approximate eigenvectors. Returns the Ritz values
     ascending, each as the Rayleigh quotient of its Ritz vector (accurate
     relative to the value, where the small eigensolve is accurate only
     relative to the largest), and the B-orthonormal Ritz vectors.
     """
+    a, b = _operand(a), _operand(b)
     h = symmetrize(x.T @ _accurate_matmul(a, x))
     g = symmetrize(x.T @ (b @ x))
     _, q = sla.eigh(h, g)
@@ -472,19 +525,18 @@ def generalized_eig(pair, top=None):
     docstring.
 
     With ``top``, only the ``top`` largest pairs are formed, by a partial
-    dense solve; their values are the dense solve's, with no
+    dense solve, or from the blocks when both members split
+    (:func:`_block_top`); their values are the dense solves', with no
     recomputation.
 
     ``pair`` is a :class:`MatrixPair`, or a tuple (A, B) that is checked
-    here as one; its members are sparse or dense, and the dense solve
-    converts them once.
+    here as one; its members are raw or checked matrices, sparse or
+    dense, and the dense solve converts them once.
     """
-    return _eig(_checked(pair), top)
-
-
-def _eig(pair, top=None):
-    """:func:`generalized_eig` of a pencil whose members the caller has
-    checked: a :class:`MatrixPair`, or a tuple (A, B) of checked matrices."""
+    pair = _checked(pair)
+    split = mirror_splits(pair.a, pair.b) if top is not None else None
+    if split:
+        return _block_top(*split, top)
     c, back = _standard_form(pair)
     if top is not None:
         n = c.shape[0]
@@ -492,9 +544,9 @@ def _eig(pair, top=None):
         return EigDecomposition(values, _fix_signs(back(y)), "b-orthonormal")
     std = sym_eig(c)
     values, vectors = std.values, back(std.vectors)
-    count = _low_tail(values)
+    count = low_tail(values)
     if count:
-        values[:count], vectors[:, :count] = _ritz(*_members(pair), vectors[:, :count])
+        values[:count], vectors[:, :count] = _ritz(pair.a, pair.b, vectors[:, :count])
     return EigDecomposition(values, _fix_signs(vectors), "b-orthonormal")
 
 
@@ -502,9 +554,8 @@ def mirror_split(a, basis):
     """The blocks Q_k^T A Q_k of a symmetric ``a`` in the mirror basis
     (:class:`masscale.fem.MirrorBasis`), as the pair (blocks, basis), or
     None when ``a`` does not commute with the reflections to within the
-    dense error. :func:`generalized_eigvalues` and
-    :func:`extreme_eigvalues` take the split in place of splitting ``a``
-    anew; ``a`` itself is not checked for symmetry here.
+    dense error. A :class:`CheckedMatrix` calls it once and keeps the
+    result as its ``split``; ``a`` itself is not checked for symmetry here.
 
     The block entries use the commutation: the column of Q_k for
     representative d is sqrt(s) P_k e_d, so Q_k^T A Q_k is sqrt(s) times
@@ -557,7 +608,7 @@ def mirror_split(a, basis):
         scale = max(a.max(), -a.min())
     if not sums.max(initial=0.0) <= n * _EPS * scale / 8:
         return None
-    blocks = [symmetrize(_dense(a[r] @ q) * np.sqrt(basis.sizes[r])[:, None])
+    blocks = [symmetrize(dense(a[r] @ q) * np.sqrt(basis.sizes[r])[:, None])
               for r, q in zip(basis.reps, basis.columns)]
     return blocks, basis
 
@@ -566,7 +617,7 @@ def _block_eigvalues(pair, split_a, split_b):
     """All eigenvalues of the pencil from the mirror splits of its members.
 
     Each block pair is solved for its values alone. A low tail that
-    :func:`_low_tail` marks on the merged values is recomputed by
+    :func:`low_tail` marks on the merged values is recomputed by
     :func:`_ritz` on the full pencil, from the vectors of each block's
     share of the tail (a partial dense solve of the block), mapped back
     through L_k^{-T} and Q_k; only then are the full matrices read, and
@@ -578,7 +629,7 @@ def _block_eigvalues(pair, split_a, split_b):
     owner = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
     order = np.argsort(np.concatenate(parts), kind="stable")
     values = np.concatenate(parts)[order]
-    count = _low_tail(values)
+    count = low_tail(values)
     if count:
         shares = np.bincount(owner[order[:count]], minlength=len(parts))
         x = np.hstack([
@@ -586,7 +637,7 @@ def _block_eigvalues(pair, split_a, split_b):
             for k, ((c, back), share) in enumerate(zip(solved, shares)) if share
         ])
         del solved  # the blocks' forms, n^2 / 8 entries in all, are freed before the Ritz step
-        values[:count] = _ritz(*_members(pair), x)[0]
+        values[:count] = _ritz(pair.a, pair.b, x)[0]
     return values
 
 
@@ -609,55 +660,45 @@ def _block_top(split_a, split_b, top):
                             _fix_signs(np.hstack(vectors)[:, order]), "b-orthonormal")
 
 
-def generalized_eigvalues(pair, split=None):
+def generalized_eigvalues(pair):
     """Eigenvalues only of A u = lambda B u, as accurate as :func:`generalized_eig`.
 
-    ``pair`` is a :class:`MatrixPair` or a tuple (A, B), sparse or dense.
-    With ``split``, the mirror splits (:func:`mirror_split`) of A and B,
-    which stand for checked members, the pencil is solved block by block
-    (:func:`_block_eigvalues`): eight dense solves of order about n/8.
-    When there is no split, or a member's is None (it does not commute
-    with the reflections), a tuple is checked here as a
-    :class:`MatrixPair`, and the values come from the dense values-only
-    solve of the standard form; a pencil with a low tail that
-    :func:`generalized_eig` would recompute takes its values instead, and
-    a pencil without one forms no vectors.
+    ``pair`` is a :class:`MatrixPair` or a tuple (A, B), checked here as
+    one; its members are raw or checked matrices, sparse or dense. When
+    both members split (:func:`mirror_splits`), the pencil is solved block
+    by block (:func:`_block_eigvalues`): eight dense solves of order about
+    n/8. Otherwise the values come from the dense values-only solve of the
+    standard form; a pencil with a low tail that :func:`generalized_eig`
+    would recompute takes its values instead, and a pencil without one
+    forms no vectors.
     """
-    return _eigvalues(pair if _blockwise(split) else _checked(pair), split)
-
-
-def _blockwise(split):
-    return split is not None and all(s is not None for s in split)
-
-
-def _eigvalues(pair, split=None):
-    """:func:`generalized_eigvalues` of a pencil whose members the caller
-    has checked: a :class:`MatrixPair`, or a tuple (A, B) of checked
-    matrices."""
-    if _blockwise(split):
+    pair = _checked(pair)
+    split = mirror_splits(pair.a, pair.b)
+    if split:
         return _block_eigvalues(pair, *split)
     values = np.linalg.eigvalsh(_standard_form(pair)[0])
-    return _eig(pair).values if _low_tail(values) else values
+    return generalized_eig(pair).values if low_tail(values) else values
 
 
-def extreme_eigvalues(a, split=None):
-    """(lambda_min, lambda_max) of a symmetric matrix, sparse or dense.
+def extreme_eigvalues(a):
+    """(lambda_min, lambda_max) of a symmetric matrix: a
+    :class:`CheckedMatrix`, or a sparse or dense array that is checked here
+    as one, with no basis.
 
     A matrix that :func:`is_diagonal` accepts gives the ends of its
-    diagonal, exactly. With the ``split`` of ``a`` (:func:`mirror_split`),
-    which implies that ``a`` was checked for symmetry, the ends of the
-    dense values of its eight blocks. Without one, ``a`` is checked, and
-    the two ends of its dense values-only solve are returned.
+    diagonal, exactly; one that splits, the ends of the dense values of
+    its eight blocks; any other, the two ends of its dense values-only
+    solve.
     """
-    if split is None:
-        a = require_symmetric(a, "a")
-    if is_diagonal(a):
-        d = a.diagonal()
+    if not isinstance(a, CheckedMatrix):
+        a = CheckedMatrix(a, name="a")
+    if a.is_diagonal:
+        d = _operand(a).diagonal()
         return np.array([d.min(), d.max()])
-    if split is not None:
-        ends = np.array([np.linalg.eigvalsh(b)[[0, -1]] for b in split[0]])
+    if a.split is not None:
+        ends = np.array([np.linalg.eigvalsh(b)[[0, -1]] for b in a.split[0]])
         return np.array([ends[:, 0].min(), ends[:, 1].max()])
-    return np.linalg.eigvalsh(_dense(a))[[0, -1]]
+    return np.linalg.eigvalsh(dense(a))[[0, -1]]
 
 
 def woodbury_factor(update):

@@ -26,13 +26,13 @@ import numpy as np
 from . import fem
 from .errors import DefectiveElementPair, EmptySelection, NonDiagonalMass, RankTooLarge
 from .linalg import (
+    CheckedMatrix,
     LowRankUpdate,
-    _dense,
-    _eig,
-    _low_tail,
     MatrixPair,
+    dense,
     generalized_eig,
     is_diagonal,
+    low_tail,
     rigid_cutoff,
     symmetrize,
 )
@@ -63,7 +63,8 @@ class Kind:
     local kind sets ``element_term(blocks, spec)``, which maps the stacked
     :class:`fem.ElementBlocks` to the scaled element masses Mbar_e of all
     elements at once, (E, 24, 24); a global kind sets
-    ``transform(pair, spec) -> ScaledSystem``. ``growth(spec)`` is g, the
+    ``transform(k, m, spec) -> ScaledSystem`` on the matrices of the
+    assembled pair. ``growth(spec)`` is g, the
     largest eigenvalue of every element pair (Mbar_e, M_e), whose smallest
     is 1: omega_i / omegabar_i <= sqrt(g) and kappa(Mbar) / kappa(M) <= g.
     ``corollary(spec, blocks)`` gives the first bound in another form.
@@ -159,7 +160,7 @@ class ScaledSystem:
 
     def mbar_dense(self):
         """Mbar as a dense array."""
-        return self.mbar.dense() if isinstance(self.mbar, LowRankUpdate) else _dense(self.mbar)
+        return dense(self.mbar)
 
 
 def _number(low, high=None, strict=False, integer=False):
@@ -234,7 +235,7 @@ def _element_eigh(blocks):
     s = 1.0 / np.sqrt(diag)
     values, vectors = np.linalg.eigh(symmetrize(blocks.stiffness * s[:, :, None] * s[:, None, :]))
     vectors *= s[:, :, None]
-    for e in np.flatnonzero([_low_tail(v) for v in values]):
+    for e in np.flatnonzero([low_tail(v) for v in values]):
         dec = generalized_eig(MatrixPair(blocks.stiffness[e], np.diag(diag[e])))
         values[e], vectors[e] = dec.values, dec.vectors
     return values, vectors
@@ -247,7 +248,7 @@ def _cms_term(blocks, spec):
     return _diagonal(diag)
 
 
-def _polynomial_sms(pair, spec):
+def _polynomial_sms(k, m, spec):
     """Second-degree polynomial SMS: Mbar = M + c K M^{-1} K.
 
     Transformed eigenvalues obey lambda -> lambda / (1 + c lambda^2) with
@@ -255,31 +256,35 @@ def _polynomial_sms(pair, spec):
     positive diagonal, else raises :class:`NonDiagonalMass`. On a sparse
     pair, K M^{-1} K is a sparse product.
     """
-    if not is_diagonal(pair.b):
+    if not is_diagonal(m):
         raise NonDiagonalMass("polynomial SMS requires a diagonal mass matrix")
-    m_diag = pair.b.diagonal()
+    m_diag = m.diagonal()
     if np.any(m_diag <= 0):
         raise NonDiagonalMass("mass diagonal must be strictly positive")
-    mbar = pair.b + spec.c * (pair.a @ (pair.a / m_diag[:, None]))
-    return ScaledSystem(pair.a, 0.5 * (mbar + mbar.T), spec)
+    mbar = m + spec.c * (k @ (k / m_diag[:, None]))
+    return ScaledSystem(k, 0.5 * (mbar + mbar.T), spec)
 
 
-def _global_deflation(pair, spec):
+def _global_deflation(k, m, spec):
     """Deflate the top r eigenvalues of the assembled pair: ``shave`` (the
     default) flattens them to lambda_{n-r}, ordering preserved, and raises
     :class:`RankTooLarge` when that anchor is a rigid-body value (at or
     below :func:`~masscale.linalg.rigid_cutoff`); ``cutoff``
-    divides them by 1 + alpha. Mbar stays a :class:`LowRankUpdate`. The
-    pair is a checked :class:`MatrixPair` of sparse or dense members; the
-    partial solve converts them once."""
-    n = pair.order
+    divides them by 1 + alpha. Mbar stays a :class:`LowRankUpdate`.
+
+    The top r + 1 pairs come from a partial dense solve of K and M,
+    checked again with no mirror basis: V is then built from LAPACK's
+    vectors in any degenerate group, not from vectors aligned with the
+    blocks."""
+    n = m.shape[0]
     r = spec.rank
     if r >= n:
         raise RankTooLarge(f"rank {r} out of range for order {n}")
-    dec = _eig(pair, top=r + 1)
+    dec = generalized_eig(MatrixPair(CheckedMatrix(k, name="K"), CheckedMatrix(m, name="M")),
+                          top=r + 1)
     u2 = dec.vectors[:, 1:]
     d2 = dec.values[1:]
-    v = pair.b @ u2
+    v = m @ u2
     if spec.mode == "cutoff":
         g = np.full(r, spec.alpha)
     elif not dec.values[0] > rigid_cutoff(dec.values, n):
@@ -287,8 +292,8 @@ def _global_deflation(pair, spec):
                            f"a rigid-body value, for order {n}")
     else:
         g = d2 / dec.values[0] - 1.0
-    mbar = LowRankUpdate(pair.b, v, np.asarray(g, dtype=float))
-    return ScaledSystem(pair.a, mbar, spec)
+    mbar = LowRankUpdate(m, v, np.asarray(g, dtype=float))
+    return ScaledSystem(k, mbar, spec)
 
 
 def _deflation_rank(values, r, expand_ties, rtol=1e-9):
@@ -362,7 +367,9 @@ def _stabilized_term(blocks, spec):
 def apply_spec(spec, blocks, ndof, pair=None, k_global=None):
     """Apply the strategy that :data:`KINDS` holds for ``spec.kind``.
 
-    Global kinds transform the assembled ``pair`` (K, M). Local kinds
+    Global kinds transform the assembled ``pair`` (K, M): a
+    :class:`MatrixPair`, or a tuple checked here as one; the transform
+    reads the matrix a :class:`CheckedMatrix` member holds. Local kinds
     scale all elements of the stacked ``blocks`` at once and assemble the
     result as a CSR array; K is ``k_global`` when given, else assembled
     from ``blocks``, also as CSR.
@@ -371,7 +378,9 @@ def apply_spec(spec, blocks, ndof, pair=None, k_global=None):
     if entry.transform is not None:
         if pair is None:
             raise ValueError(f"{spec.kind} requires the assembled pair")
-        return entry.transform(pair if isinstance(pair, MatrixPair) else MatrixPair(*pair), spec)
+        pair = pair if isinstance(pair, MatrixPair) else MatrixPair(*pair)
+        return entry.transform(*(x.matrix if isinstance(x, CheckedMatrix) else x
+                                 for x in (pair.a, pair.b)), spec)
     element_mbar = entry.element_term(blocks, spec)
     kbar = fem.assemble(blocks, "stiffness", ndof, sparse=True) if k_global is None else k_global
     mbar = fem.assemble(blocks, "custom", ndof, element_matrices=element_mbar,
@@ -381,7 +390,7 @@ def apply_spec(spec, blocks, ndof, pair=None, k_global=None):
 
 KINDS = {
     "none": Kind(
-        transform=lambda pair, spec: ScaledSystem(pair.a, pair.b, spec),
+        transform=lambda k, m, spec: ScaledSystem(k, m, spec),
         corollary=lambda spec, blocks: 1.0,
     ),
     "cms": Kind(
@@ -392,11 +401,11 @@ KINDS = {
     ),
     "uniform_lft": Kind(  # lambda -> lambda / mu
         params={"mu": _number(0, strict=True)},
-        transform=lambda pair, spec: ScaledSystem(pair.a, spec.mu * pair.b, spec),
+        transform=lambda k, m, spec: ScaledSystem(k, spec.mu * m, spec),
     ),
     "stiffness_proportional_lft": Kind(  # lambda -> lambda / (mu lambda + 1)
         params={"mu": _number(0, strict=True)},
-        transform=lambda pair, spec: ScaledSystem(pair.a, pair.b + spec.mu * pair.a, spec),
+        transform=lambda k, m, spec: ScaledSystem(k, m + spec.mu * k, spec),
     ),
     "polynomial_sms": Kind(
         params={"c": _number(0)},

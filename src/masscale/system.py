@@ -10,15 +10,11 @@ import functools
 
 from . import fem, scaling
 from .linalg import (
-    LowRankUpdate,
+    CheckedMatrix,
     MatrixPair,
-    _block_top,
-    _blockwise,
-    _eig,
-    _eigvalues,
     extreme_eigvalues,
-    mirror_split,
-    require_symmetric,
+    generalized_eig,
+    generalized_eigvalues,
 )
 
 __all__ = ["MeshSystem"]
@@ -29,30 +25,27 @@ class MeshSystem:
     first use, and what is read of the assembled pencils, each solved on
     first request: all eigenvalues of (K, M) and the extremes of M once,
     and the same of (Kbar, Mbar), (Mbar, M) and Mbar once per scaling spec.
-    The none kind's Kbar and Mbar are K and M, so it shares their entries.
-    It keeps eigenvalues, each checked sparse Mbar, and the scaled systems
-    of global deflation, whose Mbar is M plus an n x r factor formed by a
-    partial dense solve; other scaled systems are rebuilt on request.
+    Kbar is K for every kind, and the none kind's Mbar is M, so it shares
+    their entries. It keeps eigenvalues, the scaled system of each spec
+    and each checked Mbar.
 
-    K, M and every Mbar of a local kind are CSR arrays, and so are the
-    other global kinds' Mbar; global deflation's M + V S V^T is dense, as
-    its entries are, and is formed for each solve that reads it, not
-    kept. Each assembled matrix is read once: K and M are checked for
-    symmetry when their pair is built, and each Mbar on first use
-    (:meth:`mass`); the pencils of checked matrices go to the solvers that
-    do not check them again (``linalg._eig`` and ``linalg._eigvalues``).
-    The split of each matrix in the mesh's mirror basis
-    (:func:`linalg.mirror_split`: eight dense blocks of order about n/8,
-    or None when the matrix does not mirror) is kept and goes to every
-    solve that reads the matrix, so that what commutes with the
-    reflections is solved block by block; Kbar is K for every kind, so
-    all pencils share K's split. The stability probe reads its top pair
-    (:meth:`top_kmbar`) and steps on the splits of K and Mbar here too.
+    Each assembled matrix is one :class:`linalg.CheckedMatrix` in the
+    mesh's mirror basis, checked for symmetry when it is built: K and M
+    with their pair, each Mbar on first use (:meth:`mass`). Each keeps its
+    split in that basis (eight dense blocks of order about n/8, or None
+    when the matrix does not mirror) from its first read, so every solve
+    that reads a matrix shares one split, and what commutes with the
+    reflections is solved block by block. K, M and every Mbar of a local
+    kind are CSR arrays, and so are the other global kinds' Mbar; global
+    deflation's Mbar is M plus an n x r factor, and its dense
+    M + V S V^T is formed for each read that needs it, not kept. The
+    stability probe reads its top pair (:meth:`top_kmbar`) and steps on
+    the same checked matrices.
     """
 
     def __init__(self, mesh, material):
         self.mesh, self.material = mesh, material
-        self._values, self._low_rank = {}, {}
+        self._values, self._scaled = {}, {}
 
     @functools.cached_property
     def blocks(self):
@@ -61,10 +54,12 @@ class MeshSystem:
 
     @functools.cached_property
     def pair(self):
-        """MatrixPair(K, M) of CSR arrays, with the lumped M."""
+        """MatrixPair(K, M) of checked CSR matrices in the mesh's mirror
+        basis, with the lumped M."""
         n = self.mesh.dof_count
-        return MatrixPair(fem.assemble(self.blocks, "stiffness", n, sparse=True),
-                          fem.assemble(self.blocks, "lumped", n, sparse=True))
+        return MatrixPair(*(CheckedMatrix(fem.assemble(self.blocks, which, n, sparse=True),
+                                          self.basis, name)
+                            for which, name in (("stiffness", "K"), ("lumped", "M"))))
 
     @functools.cached_property
     def basis(self):
@@ -72,14 +67,12 @@ class MeshSystem:
         return fem.mirror_basis(self.mesh)
 
     def scale(self, spec):
-        """The :class:`scaling.ScaledSystem` of ``spec`` on (K, M)."""
-        if spec in self._low_rank:
-            return self._low_rank[spec]
-        scaled = scaling.apply_spec(spec, self.blocks, self.mesh.dof_count, pair=self.pair,
-                                    k_global=self.pair.a)
-        if isinstance(scaled.mbar, LowRankUpdate):
-            self._low_rank[spec] = scaled
-        return scaled
+        """The :class:`scaling.ScaledSystem` of ``spec`` on (K, M), applied
+        once per spec."""
+        if spec not in self._scaled:
+            self._scaled[spec] = scaling.apply_spec(spec, self.blocks, self.mesh.dof_count,
+                                                    pair=self.pair, k_global=self.pair.a.matrix)
+        return self._scaled[spec]
 
     @staticmethod
     def _spec(scaled):
@@ -93,70 +86,35 @@ class MeshSystem:
         return self._values[key, spec]
 
     def mass(self, scaled=None):
-        """M for no spec and for none, else the Mbar of ``scaled`` as one
-        matrix, checked for symmetry on first request, once. A sparse Mbar
-        is kept; global deflation's dense M + V S V^T is formed anew on
-        each request."""
+        """The checked M for no spec and for none, else the checked Mbar of
+        ``scaled``, built on first request, once."""
         if self._spec(scaled) is None:
             return self.pair.b
-        mbar = scaled.mbar
-        if isinstance(mbar, LowRankUpdate):  # only that it was checked is kept
-            mbar = mbar.dense()
-            self._once("Mbar", scaled, lambda: require_symmetric(mbar, "Mbar") is mbar)
-            return mbar
-        return self._once("Mbar", scaled, lambda: require_symmetric(mbar, "Mbar"))
-
-    def _split(self, a):
-        return None if self.basis is None else mirror_split(a, self.basis)
-
-    def split_k(self):
-        return self._once("split K", None, lambda: self._split(self.pair.a))
-
-    def split_mass(self, scaled=None):
-        """The split of :meth:`mass`."""
-        return self._once("split M", scaled, lambda: self._split(self.mass(scaled)))
+        return self._once("Mbar", scaled, lambda: CheckedMatrix(scaled.mbar, self.basis, "Mbar"))
 
     def values_km(self):
-        return self._once("K,M", None, lambda: _eigvalues(
-            self.pair, split=(self.split_k(), self.split_mass())))
+        return self._once("K,M", None, lambda: generalized_eigvalues(self.pair))
 
     def values_m(self):
         """(lambda_min, lambda_max) of M."""
-        return self._once("M", None, lambda: extreme_eigvalues(
-            self.pair.b, split=self.split_mass()))
-
-    # The solves of Mbar take its split before Mbar itself, so that global
-    # deflation's dense Mbar, formed on each request, exists once at a time.
+        return self._once("M", None, lambda: extreme_eigvalues(self.pair.b))
 
     def values_kmbar(self, scaled):
-        def solve():
-            split = self.split_k(), self.split_mass(scaled)
-            return _eigvalues((scaled.kbar, self.mass(scaled)), split=split)
-
-        return self._once("K,M", scaled, solve)
+        return self._once("K,M", scaled, lambda: generalized_eigvalues(
+            MatrixPair(self.pair.a, self.mass(scaled))))
 
     def values_mbar(self, scaled):
         """(lambda_min, lambda_max) of Mbar."""
-        def solve():
-            split = self.split_mass(scaled)
-            return extreme_eigvalues(self.mass(scaled), split=split)
-
-        return self._once("M", scaled, solve)
+        return self._once("M", scaled, lambda: extreme_eigvalues(self.mass(scaled)))
 
     def values_mbarm(self, scaled):
-        def solve():
-            split = self.split_mass(scaled), self.split_mass()
-            return _eigvalues((self.mass(scaled), self.pair.b), split=split)
-
-        return self._once("Mbar,M", scaled, solve)
+        return self._once("Mbar,M", scaled, lambda: generalized_eigvalues(
+            MatrixPair(self.mass(scaled), self.pair.b)))
 
     def top_kmbar(self, scaled=None):
         """The largest eigenpair of (Kbar, Mbar), or of (K, M) for no spec.
-        When K and Mbar both split, it is read from the blocks
-        (``linalg._block_top``): the top pair of the block with the largest
-        top value, its vector mapped through Q_k; no n-order Mbar is formed.
-        Otherwise it is a partial dense solve of the checked matrices."""
-        split = self.split_k(), self.split_mass(scaled)
-        if _blockwise(split):
-            return _block_top(*split, 1)
-        return _eig((self.pair.a, self.mass(scaled)), top=1)
+        When K and Mbar both split, it is read from the blocks: the top
+        pair of the block with the largest top value, its vector mapped
+        through Q_k; no n-order Mbar is formed. Otherwise it is a partial
+        dense solve."""
+        return generalized_eig(MatrixPair(self.pair.a, self.mass(scaled)), top=1)

@@ -407,9 +407,9 @@ def test_each_assembled_pencil_solved_once_per_execute(tmp_path, monkeypatch):
 
         return wrapper
 
-    for name in ("_eigvalues", "extreme_eigvalues", "_eig"):
+    for name in ("generalized_eigvalues", "extreme_eigvalues", "generalized_eig"):
         original = getattr(linalg, name)
-        wrapped = counting_top(original) if name == "_eig" else counting(name, original)
+        wrapped = counting_top(original) if name == "generalized_eig" else counting(name, original)
         for mod_name, module in list(sys.modules.items()):
             if mod_name.split(".")[0] == "masscale" and getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, wrapped)
@@ -446,7 +446,7 @@ def test_each_matrix_split_and_checked_once_per_execute(tmp_path, monkeypatch):
             mats = (arg, args[0]) if name == "_ritz" else _members(arg)
             if mats[0].shape[0] == n:
                 key = tuple(_digest(m) for m in mats)
-                bare = name == "extreme_eigvalues" and kwargs.get("split") is None
+                bare = name == "extreme_eigvalues" and not isinstance(arg, linalg.CheckedMatrix)
                 calls[name, key, bare] += 1
                 if name == "mirror_split":
                     splits[key[0]] = result is not None
@@ -578,3 +578,61 @@ def test_config_fuzz_exits_with_one_line(tmp_path, path, value):
         assert res.exit_code != 1, res.stderr
     else:
         assert res.exit_code == 1, res.stderr
+
+
+# The 4 x 2 x 2-node mesh: n = 48 with six rigid-body modes, so global
+# deflation at rank 42 shaves to a rigid-body value and rank 48 is out of range.
+SMALL_MESH = {"mesh": {"node_counts": [4, 2, 2], "extents_mm": [40.0, 20.0, 10.0]}}
+
+
+@pytest.mark.parametrize("rank", [48, 42])
+@pytest.mark.parametrize("where", ["scalings", "sweep"])
+def test_deflation_rank_too_large_is_a_config_error(tmp_path, rank, where):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    if where == "scalings":
+        overrides = {"scalings": [{"kind": "global_deflation", "rank": rank}],
+                     "studies": {"spectrum": True, "bounds": True}}
+    else:
+        overrides = {"sweep": {"kind": "global_deflation", "parameter": "rank",
+                               "values": [1, rank]},
+                     "studies": {"spectrum": True, "sweep": True}}
+    write_config(cfg, geometry=SMALL_MESH, **overrides)
+    res = CliRunner().invoke(cli.main, ["run", "--config", str(cfg), "--out", str(out)])
+    assert res.exit_code == 1, res.output
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1, res.stderr
+    assert lines[0].startswith(f"config error: scaling[global_deflation_rank{rank}]: ")
+    assert not out.exists()
+
+
+def test_deflation_rank_below_the_rigid_modes_runs(tmp_path):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    write_config(cfg, geometry=SMALL_MESH, scalings=[{"kind": "global_deflation", "rank": 41}],
+                 studies={"spectrum": True, "bounds": True})
+    res = CliRunner().invoke(cli.main, ["run", "--config", str(cfg), "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert (out / "spectrum_global_deflation_rank41.json").exists()
+
+
+def test_untraced_pass_never_converts_a_checked_matrix(tmp_path, monkeypatch):
+    # numpy converts a CheckedMatrix to a dense copy only for a reader outside
+    # the package; eig_stabilization's Mbar does not mirror, so its pencils
+    # and its probe take the paths off the blocks, and global deflation's
+    # Mbar is a low-rank update
+    def refuse(self, dtype=None, copy=None):
+        raise AssertionError("a CheckedMatrix was converted to an array")
+
+    monkeypatch.setattr(linalg.CheckedMatrix, "__array__", refuse)
+    specs = [{"kind": "olovsson", "beta": 10.0}, {"kind": "global_deflation", "rank": 4},
+             {"kind": "eig_stabilization", "rank": 3, "epsilon": 1e-6}]
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, scalings=specs,
+                 sweep={"kind": "olovsson", "parameter": "beta", "values": [1.0, 10.0]})
+    cfg = cli.load_config(cfg_path)
+    cfg.output_dir = str(tmp_path / "out")
+    probe = system.MeshSystem(cfg.mesh(), cfg.material)
+    assert probe.mass(probe.scale(cfg.scalings[2])).split is None
+    cli.execute(cfg, ["spectrum", "bounds", "sweep", "integrate"])
+    with open(tmp_path / "out" / "stability_brackets.json") as fh:
+        paths = {label: [v["path"] for v in verdicts] for label, verdicts in json.load(fh).items()}
+    assert "blocks" not in paths["eig_stabilization_rank3_epsilon1e-06"]

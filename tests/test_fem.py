@@ -118,46 +118,56 @@ class TestShapeFunctions:
             assert np.allclose(g[:, j], fd, atol=1e-9)
 
 
+def single_element(corners):
+    """The one-element mesh on ``corners`` (8, 3), in the kernel's vertex order."""
+    return fem.Mesh(corners, np.arange(8)[None])
+
+
+def box_corners(lx, ly, lz):
+    """Corners of the lx x ly x lz box at the origin, in the kernel's vertex order."""
+    return 0.5 * (1.0 + fem._CORNER_SIGNS) * np.array([lx, ly, lz])
+
+
 class TestElementMatrices:
     def test_stiffness_rigid_body_nullspace(self, material):
-        geo = fem.Hex8Geometry.box(1.0, 1.0, 1e-3)
-        k = fem.hex8_stiffness(geo, material)
-        modes = fem.rigid_body_modes(geo.corners)
+        corners = box_corners(1.0, 1.0, 1e-3)
+        k = fem.element_blocks(single_element(corners), material).stiffness[0]
+        modes = fem.rigid_body_modes(corners)
         resid = np.abs(k @ modes).max()
         assert resid <= 1e-8 * np.abs(k).max()
 
     def test_stiffness_six_zero_eigenvalues(self, material):
-        geo = fem.Hex8Geometry.box(0.01, 0.01, 0.01)
-        k = fem.hex8_stiffness(geo, material)
+        mesh = single_element(box_corners(0.01, 0.01, 0.01))
+        k = fem.element_blocks(mesh, material).stiffness[0]
         vals = sym_eig(k).values
         assert np.all(np.abs(vals[:6]) <= 1e-8 * vals[-1])
         assert vals[6] > 1e-6 * vals[-1]
 
     def test_consistent_mass_total(self, material):
         # each component block of the consistent mass integrates to rho * V
-        geo = fem.Hex8Geometry.box(1.0, 1.0, 1e-3)
-        mc = fem.hex8_consistent_mass(geo, material)
+        mesh = single_element(box_corners(1.0, 1.0, 1e-3))
+        mc = fem.element_blocks(mesh, material).consistent_mass[0]
         me = BENCH_RHO * 1.0 * 1.0 * 1e-3
         assert mc[:8, :8].sum() == pytest.approx(me, rel=1e-12)
         assert np.allclose(mc[:8, 8:16], 0.0)
 
     def test_consistent_mass_kron_structure(self, material):
-        geo = fem.Hex8Geometry.box(0.3, 0.2, 0.1)
-        mc = fem.hex8_consistent_mass(geo, material)
+        mesh = single_element(box_corners(0.3, 0.2, 0.1))
+        mc = fem.element_blocks(mesh, material).consistent_mass[0]
         m8 = mc[:8, :8]
         assert np.allclose(mc, np.kron(np.eye(3), m8))
 
     def test_thin_element_lumped_entries(self, material):
         # 1 x 1 x 1e-3 m element at rho = 7800: me = 7.8 kg, entries me/8
-        geo = fem.Hex8Geometry.box(1.0, 1.0, 1e-3)
-        diag = fem.lump_row_sum(fem.hex8_consistent_mass(geo, material))
+        mesh = single_element(box_corners(1.0, 1.0, 1e-3))
+        diag = fem.lump_row_sum(fem.element_blocks(mesh, material).consistent_mass[0])
         assert np.allclose(diag, 0.975, rtol=1e-12)
 
     def test_inverted_element_raises(self, material):
         corners = fem._CORNER_SIGNS.copy()
         corners[:, 2] *= -1.0  # flips orientation
         with pytest.raises(DegenerateJacobian):
-            fem.hex8_stiffness(fem.Hex8Geometry(corners), material)
+            fem.element_blocks(single_element(corners), material)
 
 
 class TestStructuredMesh:
@@ -286,12 +296,6 @@ class TestStackedKernel:
         assert blocks.element_mass.sum() == pytest.approx(expect, rel=1e-12)
         m = fem.assemble(blocks, "lumped", mesh.dof_count)
         assert np.trace(m) / 3 == pytest.approx(expect, rel=1e-12)
-
-    def test_single_element_functions_are_the_kernel(self, material):
-        geo = fem.Hex8Geometry.box(0.3, 0.2, 0.1)
-        blocks = fem.element_blocks(fem.Mesh(geo.corners, np.arange(8)[None]), material)
-        assert np.array_equal(fem.hex8_stiffness(geo, material), blocks.stiffness[0])
-        assert np.array_equal(fem.hex8_consistent_mass(geo, material), blocks.consistent_mass[0])
 
     def test_assembly_matches_loop_and_is_exactly_symmetric(self, distorted):
         mesh, blocks = distorted

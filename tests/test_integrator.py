@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import random_spd
-from masscale import analysis, fem, integrator, scaling
+from masscale import analysis, fem, integrator, linalg, scaling
 from masscale.errors import SolveFailure
 from masscale.linalg import (
+    CheckedMatrix,
     LowRankUpdate,
     MatrixPair,
     generalized_eig,
@@ -233,12 +234,14 @@ def beam(material):
 
 
 def _beam_case(beam, path):
-    """(K, Mbar as the CLI passes it, the splits of K and Mbar, the checked
-    Mbar, the scaled system or None)."""
+    """(the checked K and Mbar as the CLI passes them, the scaled system or None)."""
     scaled = None if BEAM_SPECS[path] is None else beam.scale(BEAM_SPECS[path])
-    mbar = beam.pair.b if scaled is None else scaled.mbar
-    split = beam.split_k(), beam.split_mass(scaled)
-    return beam.pair.a, mbar, split, beam.mass(scaled), scaled
+    return beam.pair.a, beam.mass(scaled), scaled
+
+
+def _unsplit(checked):
+    """The matrix of ``checked``, checked again with no mirror basis."""
+    return CheckedMatrix(checked.matrix)
 
 
 class TestBlockPath:
@@ -247,20 +250,21 @@ class TestBlockPath:
     @pytest.mark.parametrize("path", list(BEAM_SPECS))
     def test_blocks_only_when_both_members_split(self, beam, path, monkeypatch):
         monkeypatch.setattr(integrator, "PROBE_STEPS", 20)
-        k, mbar, (split_k, split_m), _, _ = _beam_case(beam, path)
-        assert split_k is not None and split_m is not None
-        for split, expect in (((split_k, split_m), "blocks"), ((split_k, None), path),
-                              ((None, split_m), path), (None, path)):
-            verdicts = integrator._stability_bracket(k, mbar, 1e-7, 42, None, split)
+        k, mbar, _ = _beam_case(beam, path)
+        assert k.split is not None and mbar.split is not None
+        for members, expect in (((k, mbar), "blocks"), ((k, _unsplit(mbar)), path),
+                                ((_unsplit(k), mbar), path), ((k.matrix, mbar.matrix), path)):
+            verdicts = stability_bracket(*members, 1e-7, 42, None)
             assert [v.path for v in verdicts] == [expect, expect]
 
     @pytest.mark.parametrize("path", list(BEAM_SPECS))
     def test_blocks_match_the_sparse_path(self, beam, path):
-        k, mbar, split, _, scaled = _beam_case(beam, path)
+        checked_k, checked_mbar, scaled = _beam_case(beam, path)
+        k, mbar = checked_k.matrix, checked_mbar.matrix
         top = beam.top_kmbar(scaled)
         dt_c = analysis.critical_dt(top.values[-1])
         sparse_v = stability_bracket(k, mbar, dt_c, highest_mode=top.vectors[:, -1])
-        block_v = integrator._stability_bracket(k, mbar, dt_c, 42, top.vectors[:, -1], split)
+        block_v = stability_bracket(checked_k, checked_mbar, dt_c, 42, top.vectors[:, -1])
         assert [v.path for v in sparse_v] == [path, path]
         assert [v.path for v in block_v] == ["blocks", "blocks"]
         for a, b in zip(sparse_v, block_v):
@@ -270,8 +274,9 @@ class TestBlockPath:
         # the stable run: every response norm of 10 000 steps
         u0 = np.random.default_rng(3).standard_normal(k.shape[0])
         sparse_run = central_difference_run(k, mbar, u0, 0.99 * dt_c, integrator.PROBE_STEPS)
-        block_run = central_difference_run(k, integrator._MirrorBlocks(split), u0, 0.99 * dt_c,
-                                           integrator.PROBE_STEPS)
+        block_run = central_difference_run(
+            k, integrator._MirrorBlocks((checked_k.split, checked_mbar.split)), u0, 0.99 * dt_c,
+            integrator.PROBE_STEPS)
         assert sparse_run.final.step == block_run.final.step == integrator.PROBE_STEPS
         diff = np.abs(block_run.response_norms - sparse_run.response_norms)
         assert np.all(diff <= 1e-8 * sparse_run.response_norms)
@@ -279,28 +284,34 @@ class TestBlockPath:
         assert np.linalg.norm(block_run.final.displacement - final) <= 1e-8 * np.linalg.norm(final)
 
     def test_non_spd_block_mass_raises(self, beam):
-        k, mbar, (split_k, (blocks, basis)), _, _ = _beam_case(beam, "diagonal")
+        k, mbar, _ = _beam_case(beam, "diagonal")
+        blocks, basis = mbar.split
         bad = [b.copy() for b in blocks]
         bad[3][0, 0] = -bad[3][0, 0]
         with pytest.raises(SolveFailure, match="mass matrix is not SPD"):
-            integrator._stability_bracket(k, mbar, 1e-7, 42, None, (split_k, (bad, basis)))
+            integrator._MirrorBlocks((k.split, (bad, basis)))
 
     def test_public_bracket_checks_the_mass(self, beam):
-        # the public entry takes no split, so it checks what it is given
+        # a raw mass is checked: only a CheckedMatrix is trusted
         k = beam.pair.a
-        mbar = beam.pair.b.toarray() + np.diag(np.full(k.shape[0] - 1, 1e-9), 1)
+        mbar = beam.pair.b.matrix.toarray() + np.diag(np.full(k.shape[0] - 1, 1e-9), 1)
         with pytest.raises(ValueError, match="not symmetric"):
             stability_bracket(k, mbar, 1e-7)
 
     @pytest.mark.parametrize("path", list(BEAM_SPECS))
     def test_block_top_pair_matches_dense(self, beam, path, monkeypatch):
-        k, _, _, mass, scaled = _beam_case(beam, path)
+        checked_k, checked_mass, scaled = _beam_case(beam, path)
+        k, mass = checked_k.matrix, linalg.dense(checked_mass)
         dense = generalized_eig(MatrixPair(k, mass), top=1)
+        assert checked_mass.split is not None
+        original = linalg.dense
 
-        def no_dense_mass(*_):
-            raise AssertionError("top_kmbar formed an n-order Mbar")
+        def no_dense_mass(a):
+            if a.shape[0] == k.shape[0]:
+                raise AssertionError("top_kmbar formed an n-order matrix")
+            return original(a)
 
-        monkeypatch.setattr(beam, "mass", no_dense_mass)
+        monkeypatch.setattr(linalg, "dense", no_dense_mass)
         top = beam.top_kmbar(scaled)
         value, vector = top.values[-1], top.vectors[:, -1]
         assert abs(value - dense.values[-1]) <= 1e-12 * dense.values[-1]
@@ -331,14 +342,14 @@ class TestPanelLoop:
 
     @pytest.fixture(scope="class", params=list(BEAM_SPECS))
     def case(self, request, beam):
-        k, mbar, split, _, scaled = _beam_case(beam, request.param)
+        k, mbar, scaled = _beam_case(beam, request.param)
         top = beam.top_kmbar(scaled)
-        return k, mbar, split, analysis.critical_dt(top.values[-1]), top.vectors[:, -1]
+        return k, mbar, (k.split, mbar.split), analysis.critical_dt(top.values[-1]), top.vectors[:, -1]
 
     def test_bracket_matches_single_steps(self, case, monkeypatch):
         k, mbar, split, dt_c, mode = case
         panel, single = _panel_and_single(
-            monkeypatch, lambda: integrator._stability_bracket(k, mbar, dt_c, 42, mode, split))
+            monkeypatch, lambda: stability_bracket(k, mbar, dt_c, 42, mode))
         keys = ("classification", "steps_run", "stable_crossing", "unstable_crossing", "path")
         assert [[getattr(v, key) for key in keys] for v in panel] == [
             [getattr(v, key) for key in keys] for v in single]
@@ -347,20 +358,20 @@ class TestPanelLoop:
         # steps. The final displacements differ by 2e-10 to 5e-10 relative;
         # from a random start, the one-step loop is itself up to 7e-10 off
         # an extended-precision run of the same operator, so 1e-9 bounds them.
-        u0 = integrator._seeded_initial(k, 42, mode)
+        u0 = integrator._seeded_initial(k.matrix, 42, mode)
         blocks = integrator._MirrorBlocks(split)
         a, b = _panel_and_single(monkeypatch, lambda: central_difference_run(
-            k, blocks, u0, 0.99 * dt_c, integrator.PROBE_STEPS))
+            k.matrix, blocks, u0, 0.99 * dt_c, integrator.PROBE_STEPS))
         assert a.final.step == integrator.PROBE_STEPS
         _assert_same_run(a, b, 1e-10, 1e-9)
 
     @pytest.mark.parametrize("factor, steps", [(1.05, integrator.PROBE_STEPS), (0.99, 8 * 125 + 3)])
     def test_divergence_and_ragged_end(self, case, monkeypatch, factor, steps):
         k, _, split, dt_c, mode = case
-        u0 = integrator._seeded_initial(k, 42, mode)
+        u0 = integrator._seeded_initial(k.matrix, 42, mode)
         blocks = integrator._MirrorBlocks(split)
         a, b = _panel_and_single(monkeypatch, lambda: central_difference_run(
-            k, blocks, u0, factor * dt_c, steps))
+            k.matrix, blocks, u0, factor * dt_c, steps))
         _assert_same_run(a, b, 1e-10)
         if factor > 1:  # stopped inside the panel loop, not on a panel's first step
             assert a.diverged and a.final.step > 2 * integrator.PANEL_STEPS
@@ -372,12 +383,12 @@ class TestPanelLoop:
     def test_far_above_critical_raises_no_warning(self, case, monkeypatch, factor):
         # 1e12 overflows within the first 2s iterates; the overshoot is discarded
         k, _, split, dt_c, mode = case
-        u0 = integrator._seeded_initial(k, 42, mode)
+        u0 = integrator._seeded_initial(k.matrix, 42, mode)
         blocks = integrator._MirrorBlocks(split)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             a, b = _panel_and_single(monkeypatch, lambda: central_difference_run(
-                k, blocks, u0, factor * dt_c, integrator.PROBE_STEPS))
+                k.matrix, blocks, u0, factor * dt_c, integrator.PROBE_STEPS))
         assert a.diverged and a.final.step < integrator.PANEL_STEPS
         _assert_same_run(a, b, 1e-10)
 

@@ -6,6 +6,7 @@ from conftest import KIND_DOCS, random_spd, random_spsd
 from masscale import analysis, fem, linalg, scaling
 from masscale.errors import NotPositiveDefinite, SingularCore
 from masscale.linalg import (
+    CheckedMatrix,
     EigDecomposition,
     LowRankUpdate,
     MatrixPair,
@@ -347,8 +348,8 @@ class TestExtremeEigvalues:
         system = request.getfixturevalue(system)
         mbar = scaled_mass(system, kind).mbar_dense()
         dense = np.linalg.eigvalsh(mbar)[[0, -1]]
-        split = linalg.mirror_split(mbar, fem.mirror_basis(system[0]))
-        for ends in (extreme_eigvalues(mbar), extreme_eigvalues(mbar, split=split)):
+        checked = CheckedMatrix(mbar, fem.mirror_basis(system[0]))
+        for ends in (extreme_eigvalues(mbar), extreme_eigvalues(checked)):
             assert np.allclose(ends, dense, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("system", ["small_system", "wide_system"])
@@ -388,9 +389,9 @@ def three_pencils(system, kind):
     return [pair, MatrixPair(scaled.kbar, mbar), MatrixPair(mbar, pair.b)]
 
 
-def pencil_split(pencil, basis):
-    """The mirror splits of a pencil's two members."""
-    return linalg.mirror_split(pencil.a, basis), linalg.mirror_split(pencil.b, basis)
+def checked_pencil(pencil, basis):
+    """The pencil with its two members checked in the mirror basis."""
+    return MatrixPair(CheckedMatrix(pencil.a, basis), CheckedMatrix(pencil.b, basis))
 
 
 class TestMirrorBlocks:
@@ -406,9 +407,9 @@ class TestMirrorBlocks:
             assert linalg.mirror_split(pencil.a, basis) is not None
             assert linalg.mirror_split(pencil.b, basis) is not None
             full = generalized_eigvalues(pencil)
-            blocked = generalized_eigvalues(pencil, split=pencil_split(pencil, basis))
+            blocked = generalized_eigvalues(checked_pencil(pencil, basis))
             assert np.abs(blocked - full).max() <= linalg.rigid_cutoff(full)
-            start, count = analysis.flexible_slice(full), linalg._low_tail(full)
+            start, count = analysis.flexible_slice(full), linalg.low_tail(full)
             if with_tails and index < 2:  # the stiffness pencils have a low tail
                 assert count > start == 6
             assert np.allclose(blocked[start:count], full[start:count], rtol=1e-12, atol=0.0)
@@ -418,8 +419,8 @@ class TestMirrorBlocks:
         basis = fem.mirror_basis(kinds_mesh[0])
         mbar = scaled_mass(kinds_mesh, kind).mbar_dense()
         dense = np.linalg.eigvalsh(mbar)[[0, -1]]
-        split = linalg.mirror_split(mbar, basis)
-        assert np.allclose(extreme_eigvalues(mbar, split=split), dense, rtol=1e-12, atol=0.0)
+        checked = CheckedMatrix(mbar, basis)
+        assert np.allclose(extreme_eigvalues(checked), dense, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("kind", sorted(KIND_DOCS))
     def test_sparse_and_dense_input_split_alike(self, kinds_mesh, kind):
@@ -440,7 +441,7 @@ class TestMirrorBlocks:
         mbar = scaling.apply_spec(spec, blocks, mesh.dof_count, pair=pair).mbar_dense()
         assert linalg.mirror_split(mbar, basis) is None
         for pencil in (MatrixPair(pair.a, mbar), MatrixPair(mbar, pair.b)):
-            assert np.array_equal(generalized_eigvalues(pencil, split=pencil_split(pencil, basis)),
+            assert np.array_equal(generalized_eigvalues(checked_pencil(pencil, basis)),
                                   generalized_eigvalues(pencil))
 
     def test_perturbed_mesh_gets_the_full_path(self, kinds_mesh, material):
@@ -452,7 +453,7 @@ class TestMirrorBlocks:
         # the unperturbed mesh's reflections do not commute with this K
         basis = fem.mirror_basis(kinds_mesh[0])
         assert linalg.mirror_split(pair.a, basis) is None
-        assert np.array_equal(generalized_eigvalues(pair, split=pencil_split(pair, basis)),
+        assert np.array_equal(generalized_eigvalues(checked_pencil(pair, basis)),
                               generalized_eigvalues(pair))
 
 
@@ -467,17 +468,17 @@ class TestVectorsOnlyForATail:
         spec = scaling.ScalingSpec("global_deflation", rank=10)
         mbar = scaling.apply_spec(spec, blocks, n, pair=pair, k_global=pair.a).mbar_dense()
         calls = []
-        original = linalg._eig
+        original = linalg.generalized_eig
 
         def counting(pencil, top=None):
             calls.append(pencil.order)
             return original(pencil, top=top)
 
-        monkeypatch.setattr(linalg, "_eig", counting)
+        monkeypatch.setattr(linalg, "generalized_eig", counting)
         mass = generalized_eigvalues(MatrixPair(mbar, pair.b))
-        assert linalg._low_tail(mass) == 0 and calls == []
+        assert linalg.low_tail(mass) == 0 and calls == []
         values = generalized_eigvalues(pair)
-        assert linalg._low_tail(values) > 6 and calls == [n]
+        assert linalg.low_tail(values) > 6 and calls == [n]
 
 
 class TestWoodbury:

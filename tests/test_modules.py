@@ -1,0 +1,61 @@
+"""Module boundaries: no private name crosses a module line in the package."""
+import ast
+import pathlib
+
+import masscale
+
+SRC = pathlib.Path(masscale.__file__).parent
+MODULES = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _dotted(node):
+    """``a.b.c`` of a chain of attribute reads on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
+
+
+def crossings(source):
+    """The private names that ``source`` imports from, or reads on, another
+    masscale module."""
+    tree = ast.parse(source)
+    module_names = {"masscale"} | {f"masscale.{m}" for m in MODULES}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            inside = node.level > 0 or (node.module or "").split(".")[0] == "masscale"
+            if not inside:
+                continue
+            package = node.module in (None, "masscale")
+            for alias in node.names:
+                if _private(alias.name):
+                    found.append(f"from {'.' * node.level}{node.module or ''} import {alias.name}")
+                elif package and alias.name in MODULES:
+                    module_names.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "masscale" and alias.asname:
+                    module_names.add(alias.asname)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr):
+            if _dotted(node.value) in module_names:
+                found.append(f"{_dotted(node.value)}.{node.attr}")
+    return found
+
+
+def test_the_scan_finds_a_crossing():
+    assert crossings("from .linalg import _eig, cholesky\n") == ["from .linalg import _eig"]
+    assert crossings("from . import integrator\nintegrator._first(1)\n") == ["integrator._first"]
+    assert crossings("import masscale.fem as f\nf._CORNER_SIGNS\n") == ["f._CORNER_SIGNS"]
+    assert crossings("from . import fem\nself._values\nfem.Mesh\n") == []
+
+
+def test_no_private_name_crosses_a_module_line():
+    found = {path.name: crossings(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}
