@@ -234,7 +234,10 @@ class Emitter:
     """Serializes writes into the output directory and records the manifest."""
 
     def __init__(self, out_dir):
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"output_dir: {exc}") from exc
         self.out_dir = out_dir
         self.files = []
 

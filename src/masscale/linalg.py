@@ -6,11 +6,12 @@ An assembled matrix arrives as a scipy.sparse CSR array, and every
 function that reads a whole matrix (:func:`require_symmetric`,
 :func:`is_diagonal`, :func:`factor_spd`, :func:`mirror_split`,
 :func:`extreme_eigvalues` and the low-tail recomputation) reads its
-nonzeros alone; each also takes a dense numpy array. Dense arrays are
-formed only for the dense solves: the mirror blocks, a pencil that does
-not mirror, and a partial solve with ``top``. Symmetry is imposed at
-construction points with :func:`symmetrize` and checked with
-:func:`require_symmetric`.
+nonzeros alone (a dense array as it is, or converted to CSR by
+:func:`mirror_split`), and a :class:`LowRankUpdate` M + V S V^T as M and
+V. Dense arrays are formed only for the dense solves: the mirror blocks,
+a pencil that does not mirror, and a partial solve off the blocks.
+Symmetry is imposed at construction points with :func:`symmetrize` and
+checked with :func:`require_symmetric`.
 
 A :class:`CheckedMatrix` is a symmetric matrix checked once, when it is
 built, with the mesh's mirror basis or None. The solvers trust it and
@@ -108,8 +109,7 @@ def dense(a):
     """``a`` as a dense float array: a sparse one converted, a
     :class:`LowRankUpdate` formed, a :class:`CheckedMatrix` as its matrix
     is; a dense one is returned as it is, not copied."""
-    if isinstance(a, CheckedMatrix):
-        a = a.matrix
+    a = _operand(a)
     if isinstance(a, LowRankUpdate):
         return a.dense()
     return a.toarray() if _is_sparse(a) else np.asarray(a, dtype=float)
@@ -220,6 +220,14 @@ class LowRankUpdate:
         b, v = dense(self.base), self.factors
         return symmetrize((np.diag(b) if b.ndim == 1 else b) + (v * self.core) @ v.T)
 
+    def diagonal(self):
+        """The diagonal of base + V S V^T for a 2-D base, without the matrix."""
+        return self.base.diagonal() + (self.factors**2) @ self.core
+
+    def __matmul__(self, x):
+        """(base + V S V^T) x for columns x and a 2-D base: base x + V (S (V^T x))."""
+        return self.base @ x + self.factors @ (self.core[:, None] * (self.factors.T @ x))
+
 
 @dataclass(frozen=True, eq=False)
 class CheckedMatrix:
@@ -228,10 +236,10 @@ class CheckedMatrix:
     are computed on first read and kept.
 
     ``matrix`` is a CSR or dense array, kept as :func:`require_symmetric`
-    returns it, or a :class:`LowRankUpdate`, formed dense for the check and
-    for each read that needs it, and not kept. Numpy converts it to a dense
-    copy (``__array__``) for a reader outside the package; it is not an
-    operand: ``checked @ x`` and numpy's operators raise.
+    returns it, or a :class:`LowRankUpdate`, kept implicit: its base is
+    checked (a 1-D one raises ``ValueError``), V S V^T is symmetric by
+    construction. Numpy converts it to a dense copy (``__array__``) for a
+    reader outside the package; ``checked @ x`` and numpy's operators raise.
     """
 
     matrix: object
@@ -242,7 +250,7 @@ class CheckedMatrix:
 
     def __post_init__(self):
         if isinstance(self.matrix, LowRankUpdate):
-            require_symmetric(self.matrix.dense(), self.name)
+            require_symmetric(self.matrix.base, self.name)
         else:
             object.__setattr__(self, "matrix", require_symmetric(self.matrix, self.name))
 
@@ -257,20 +265,17 @@ class CheckedMatrix:
     def split(self):
         """The matrix's :func:`mirror_split` in ``basis``: None without a
         basis or when it does not mirror."""
-        return None if self.basis is None else mirror_split(_operand(self), self.basis)
+        return None if self.basis is None else mirror_split(self.matrix, self.basis)
 
     @functools.cached_property
     def is_diagonal(self):
         """:func:`is_diagonal` of the matrix."""
-        return is_diagonal(_operand(self))
+        return is_diagonal(self.matrix)
 
 
 def _operand(m):
-    """What a solver reads of ``m``: a checked matrix's array, a low-rank
-    update in it formed dense; any other ``m`` itself."""
-    if isinstance(m, CheckedMatrix):
-        return dense(m) if isinstance(m.matrix, LowRankUpdate) else m.matrix
-    return m
+    """What a solver reads of ``m``: a checked matrix's matrix, else ``m``."""
+    return m.matrix if isinstance(m, CheckedMatrix) else m
 
 
 def _fix_signs(vectors):
@@ -312,23 +317,19 @@ def is_diagonal(a, rtol=1e-14):
     """True when every entry of the square matrix ``a`` is finite and no
     off-diagonal one exceeds ``rtol`` times its largest entry in magnitude.
 
-    A sparse ``a`` is read through its stored entries. A dense one is read
-    in place: in the flat C order, the off-diagonal entries are the n - 1
-    runs of n entries between consecutive diagonal entries. A transposed
-    C-contiguous matrix is read through its transpose, which has the same
-    off-diagonal entries; no n x n temporary is formed.
+    A sparse ``a`` is read through its stored entries, a dense one through
+    a copy of its off-diagonal entries. A :class:`LowRankUpdate` is
+    diagonal with a zero core on a diagonal base.
     """
+    if isinstance(a, LowRankUpdate):
+        return not a.core.any() and is_diagonal(a.base)
     if _is_sparse(a):
         a = _csr(a)
         on = _rows_of(a) == a.indices
         off, diagonal = a.data[~on], a.data[on]
     else:
         a = np.asarray(a, dtype=float)
-        if not a.flags.c_contiguous and a.T.flags.c_contiguous:
-            a = a.T
-        n = a.shape[0]
-        off = np.ascontiguousarray(a).reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
-        diagonal = np.diagonal(a)
+        off, diagonal = a[~np.eye(a.shape[0], dtype=bool)], np.diagonal(a)
     high, low = (off.max(), off.min()) if off.size else (0.0, 0.0)
     top = np.max([high, -low, np.abs(diagonal).max(initial=0.0)])  # NaN propagates
     return bool(np.isfinite(top)) and max(high, -low) <= rtol * (top or 1.0)
@@ -373,11 +374,6 @@ _EPS = np.finfo(float).eps
 # there the dense error eps * lambda_max exceeds 2e-12 of the value. Above
 # it lie all flexible values of the benchmark meshes' element pairs.
 _LOW_CUT = 1e-4
-
-
-def _checked(pair):
-    """``pair`` as a :class:`MatrixPair`: a tuple (A, B) is checked here."""
-    return pair if isinstance(pair, MatrixPair) else MatrixPair(*pair)
 
 
 def mirror_splits(a, b):
@@ -461,6 +457,8 @@ def _accurate_matmul(a, x):
     Rump and Oishi, 2005). A is read through its CSR arrays (a dense ``a``
     is converted), so only its stored entries are split and multiplied.
     """
+    if isinstance(a, LowRankUpdate):  # the base in twice the precision
+        return _accurate_matmul(a.base, x) + a.factors @ (a.core[:, None] * (a.factors.T @ x))
     from scipy import sparse  # deferred: its import would add to every CLI start
 
     a = _csr(a)
@@ -513,27 +511,20 @@ def generalized_eig(pair, top=None):
     Eigenvalues are real and ascending; eigenvectors are B-orthonormal.
     A diagonal B takes a fast scaling path instead of the reduction.
 
-    Values above 1e-4 * lambda_max are the dense solve's, accurate to
-    eps * lambda_max, which is 2e-12 of them or less. For a positive
-    semidefinite A, the values below the cut and their vectors are
-    recomputed by Rayleigh-Ritz with A u formed in twice the working
-    precision, which makes them accurate relative to themselves too. A's
-    null space (values within n * eps * lambda_max of zero) stays in that
-    block and is not computed separately. Pencils with nothing but a null
-    space below the cut (mass pairs, most element pairs) or with A
-    indefinite keep the dense result at no extra cost. See the module
-    docstring.
+    For a positive semidefinite A, the values below 1e-4 * lambda_max and
+    their vectors are recomputed by Rayleigh-Ritz (see the module
+    docstring); pencils with nothing but a null space below that cut (mass
+    pairs, most element pairs) or with A indefinite keep the dense result.
 
     With ``top``, only the ``top`` largest pairs are formed, by a partial
-    dense solve, or from the blocks when both members split
-    (:func:`_block_top`); their values are the dense solves', with no
-    recomputation.
+    dense solve or from the blocks when both members split
+    (:func:`_block_top`), with no recomputation.
 
     ``pair`` is a :class:`MatrixPair`, or a tuple (A, B) that is checked
     here as one; its members are raw or checked matrices, sparse or
     dense, and the dense solve converts them once.
     """
-    pair = _checked(pair)
+    pair = pair if isinstance(pair, MatrixPair) else MatrixPair(*pair)
     split = mirror_splits(pair.a, pair.b) if top is not None else None
     if split:
         return _block_top(*split, top)
@@ -563,13 +554,10 @@ def mirror_split(a, basis):
     (``basis.columns``). The commutation is checked on the same rows: A
     commutes with every group element g exactly when D_g = R_g A R_g - A
     vanishes on them, and each of those rows of D_g is a representative's
-    row of A subtracted from its image's row, permuted and signed. A
-    sparse ``a`` (CSR) is read through the stored entries of those rows,
-    as one sparse difference for all seven D_g; a dense one, such as
-    global deflation's M + V S V^T, through those rows gathered dense,
-    which for a full matrix is cheaper than a CSR copy and its index
-    arrays. Each row of any
-    D_g is the difference of two such rows, and the coupling between
+    row of A subtracted from its image's row, permuted and signed. ``a``
+    is read as CSR (a dense one is converted) through the stored entries
+    of those rows, as one sparse difference for all seven D_g. Each row of
+    any D_g is the difference of two such rows, and the coupling between
     blocks that the solve drops is E = -(1/8) sum_g D_g, so with rho the
     largest absolute row sum over the checked rows, ||E||_2 <= 2 rho; the
     blocks formed from the rows differ from the exact ones by at most
@@ -580,33 +568,44 @@ def mirror_split(a, basis):
     mirror to about 1e-14 of max|A| in row sum (their node coordinates
     mirror only to rounding): the benchmark plate's K to 1.8e-14, against
     6.7e-14 allowed.
+
+    A :class:`LowRankUpdate` A = B + V S V^T adds W_k S_k W_k^T to B's
+    blocks, W_k the columns of Q_k^T V that block k holds most of. With
+    Q^T v_j = p_j + e_j, p_j in that block, this drops delta <= sum_j
+    |s_j| ||e_j|| (2 ||p_j|| + ||e_j||) in 2-norm; accepting delta <= n *
+    eps * max|A| / 8 (max|A| the largest diagonal entry of the SPD A)
+    keeps all ignored terms within 1.1 n * eps * ||A||_2 for S >= 0. Global
+    deflation's V = M U, U from the blocks, gives delta <= 1.4e-2 n * eps
+    * max|A| on the benchmark meshes; LAPACK's vectors can mix blocks.
     """
+    if isinstance(a, LowRankUpdate):
+        split = mirror_split(a.base, basis)
+        w = [q.T @ a.factors for q in basis.columns]  # Q_k^T V, (m_k, r)
+        parts = np.array([np.einsum("ij,ij->j", x, x) for x in w])  # ||Q_k^T v_j||^2
+        own = np.arange(len(w))[:, None] == parts.argmax(axis=0)
+        leak = np.sqrt(np.where(own, 0.0, parts).sum(axis=0))
+        delta = np.abs(a.core) @ (leak * (2.0 * np.sqrt(parts.max(axis=0)) + leak))
+        if split is None or not delta <= a.shape[0] * _EPS * a.diagonal().max() / 8:
+            return None
+        return [symmetrize(b + (x[:, o] * a.core[o]) @ x[:, o].T)
+                for b, x, o in zip(split[0], w, own)], basis
     from scipy import sparse  # deferred: its import would add to every CLI start
 
+    a = _csr(a)
     n = a.shape[0]
     reps = np.unique(np.concatenate(basis.reps))  # one dof of every orbit
     m = len(reps)
-    if _is_sparse(a):
-        a = _csr(a)
-        # row (g - 1) * m + i: row reps[i] of R_g A R_g - A, for g = 1..7
-        images = a[basis.images[1:, reps].ravel()]
-        lengths = np.diff(images.indptr)
-        flat = np.repeat(np.repeat(np.arange(1, 8), m) * n, lengths) + images.indices
-        signs = basis.signs.ravel()[flat] * np.repeat(basis.signs[1:, reps].ravel(), lengths)
-        mirrored = sparse.csr_array((images.data * signs, basis.images.ravel()[flat],
-                                     images.indptr), shape=(7 * m, n))
-        mirrored.sort_indices()
-        diff = mirrored - a[np.tile(reps, 7)]
-        sums = np.bincount(_rows_of(diff), np.abs(diff.data), minlength=7 * m)
-        scale = np.abs(a.data).max(initial=0.0)
-    else:
-        a = np.asarray(a, dtype=float)
-        rows = a[reps]
-        sums = np.concatenate([np.abs(
-            np.take(a[basis.images[g, reps]], basis.images[g], axis=1) * basis.signs[g]
-            * basis.signs[g, reps][:, None] - rows).sum(axis=1) for g in range(1, 8)])
-        scale = max(a.max(), -a.min())
-    if not sums.max(initial=0.0) <= n * _EPS * scale / 8:
+    # row (g - 1) * m + i: row reps[i] of R_g A R_g - A, for g = 1..7
+    images = a[basis.images[1:, reps].ravel()]
+    lengths = np.diff(images.indptr)
+    flat = np.repeat(np.repeat(np.arange(1, 8), m) * n, lengths) + images.indices
+    signs = basis.signs.ravel()[flat] * np.repeat(basis.signs[1:, reps].ravel(), lengths)
+    mirrored = sparse.csr_array((images.data * signs, basis.images.ravel()[flat],
+                                 images.indptr), shape=(7 * m, n))
+    mirrored.sort_indices()
+    diff = mirrored - a[np.tile(reps, 7)]
+    sums = np.bincount(_rows_of(diff), np.abs(diff.data), minlength=7 * m)
+    if not sums.max(initial=0.0) <= n * _EPS * np.abs(a.data).max(initial=0.0) / 8:
         return None
     blocks = [symmetrize(dense(a[r] @ q) * np.sqrt(basis.sizes[r])[:, None])
               for r, q in zip(basis.reps, basis.columns)]
@@ -672,7 +671,7 @@ def generalized_eigvalues(pair):
     would recompute takes its values instead, and a pencil without one
     forms no vectors.
     """
-    pair = _checked(pair)
+    pair = pair if isinstance(pair, MatrixPair) else MatrixPair(*pair)
     split = mirror_splits(pair.a, pair.b)
     if split:
         return _block_eigvalues(pair, *split)

@@ -63,8 +63,8 @@ class Kind:
     local kind sets ``element_term(blocks, spec)``, which maps the stacked
     :class:`fem.ElementBlocks` to the scaled element masses Mbar_e of all
     elements at once, (E, 24, 24); a global kind sets
-    ``transform(k, m, spec) -> ScaledSystem`` on the matrices of the
-    assembled pair. ``growth(spec)`` is g, the
+    ``transform(k, m, spec, pair) -> Mbar`` on the matrices (K, M) of the
+    assembled :class:`MatrixPair` ``pair``. ``growth(spec)`` is g, the
     largest eigenvalue of every element pair (Mbar_e, M_e), whose smallest
     is 1: omega_i / omegabar_i <= sqrt(g) and kappa(Mbar) / kappa(M) <= g.
     ``corollary(spec, blocks)`` gives the first bound in another form.
@@ -147,10 +147,10 @@ class ScaledSystem:
 
     ``kbar`` is K for every kind. ``mbar`` is a CSR array for a local kind
     and, for the other global kinds, of the type of the pair's members;
-    global deflation keeps it an implicit :class:`LowRankUpdate` so
-    Woodbury solves remain available. For local strategies
-    ``element_mbar`` is the (E, 24, 24) array of the scaled element
-    masses, element e in row e as in the blocks.
+    global deflation keeps it an implicit :class:`LowRankUpdate`, formed
+    only by :meth:`mbar_dense` and for a dense solve. For local
+    strategies ``element_mbar`` is the (E, 24, 24) array of the scaled
+    element masses, element e in row e as in the blocks.
     """
 
     kbar: object  # CSR or dense
@@ -248,7 +248,7 @@ def _cms_term(blocks, spec):
     return _diagonal(diag)
 
 
-def _polynomial_sms(k, m, spec):
+def _polynomial_sms(k, m, spec, pair):
     """Second-degree polynomial SMS: Mbar = M + c K M^{-1} K.
 
     Transformed eigenvalues obey lambda -> lambda / (1 + c lambda^2) with
@@ -262,38 +262,34 @@ def _polynomial_sms(k, m, spec):
     if np.any(m_diag <= 0):
         raise NonDiagonalMass("mass diagonal must be strictly positive")
     mbar = m + spec.c * (k @ (k / m_diag[:, None]))
-    return ScaledSystem(k, 0.5 * (mbar + mbar.T), spec)
+    return 0.5 * (mbar + mbar.T)
 
 
-def _global_deflation(k, m, spec):
+def _global_deflation(k, m, spec, pair):
     """Deflate the top r eigenvalues of the assembled pair: ``shave`` (the
     default) flattens them to lambda_{n-r}, ordering preserved, and raises
     :class:`RankTooLarge` when that anchor is a rigid-body value (at or
     below :func:`~masscale.linalg.rigid_cutoff`); ``cutoff``
-    divides them by 1 + alpha. Mbar stays a :class:`LowRankUpdate`.
+    divides them by 1 + alpha. Mbar is an implicit :class:`LowRankUpdate`.
 
-    The top r + 1 pairs come from a partial dense solve of K and M,
-    checked again with no mirror basis: V is then built from LAPACK's
-    vectors in any degenerate group, not from vectors aligned with the
-    blocks."""
+    The top r + 1 pairs come from ``generalized_eig(pair, top=r + 1)``:
+    from the mirror blocks when both members are checked and split, so
+    that each column of V = M U lies in one block, else from a partial
+    dense solve."""
     n = m.shape[0]
     r = spec.rank
     if r >= n:
         raise RankTooLarge(f"rank {r} out of range for order {n}")
-    dec = generalized_eig(MatrixPair(CheckedMatrix(k, name="K"), CheckedMatrix(m, name="M")),
-                          top=r + 1)
-    u2 = dec.vectors[:, 1:]
-    d2 = dec.values[1:]
-    v = m @ u2
+    dec = generalized_eig(pair, top=r + 1)
+    v = m @ dec.vectors[:, 1:]  # V = M U over the top r pairs
     if spec.mode == "cutoff":
         g = np.full(r, spec.alpha)
     elif not dec.values[0] > rigid_cutoff(dec.values, n):
         raise RankTooLarge(f"rank {r} shaves to lambda_{n - r} = {dec.values[0]:g}, "
                            f"a rigid-body value, for order {n}")
     else:
-        g = d2 / dec.values[0] - 1.0
-    mbar = LowRankUpdate(m, v, np.asarray(g, dtype=float))
-    return ScaledSystem(k, mbar, spec)
+        g = dec.values[1:] / dec.values[0] - 1.0
+    return LowRankUpdate(m, v, np.asarray(g, dtype=float))
 
 
 def _deflation_rank(values, r, expand_ties, rtol=1e-9):
@@ -367,20 +363,20 @@ def _stabilized_term(blocks, spec):
 def apply_spec(spec, blocks, ndof, pair=None, k_global=None):
     """Apply the strategy that :data:`KINDS` holds for ``spec.kind``.
 
-    Global kinds transform the assembled ``pair`` (K, M): a
-    :class:`MatrixPair`, or a tuple checked here as one; the transform
-    reads the matrix a :class:`CheckedMatrix` member holds. Local kinds
-    scale all elements of the stacked ``blocks`` at once and assemble the
-    result as a CSR array; K is ``k_global`` when given, else assembled
-    from ``blocks``, also as CSR.
+    Global kinds transform the assembled ``pair`` (K, M), a
+    :class:`MatrixPair` or a tuple checked here as one: the matrices its
+    members hold, and the pair itself for global deflation's solve. Local
+    kinds scale all elements of the stacked ``blocks`` at once and
+    assemble the result as a CSR array; K is ``k_global`` when given,
+    else assembled from ``blocks``, also as CSR.
     """
     entry = KINDS[spec.kind]
     if entry.transform is not None:
         if pair is None:
             raise ValueError(f"{spec.kind} requires the assembled pair")
         pair = pair if isinstance(pair, MatrixPair) else MatrixPair(*pair)
-        return entry.transform(*(x.matrix if isinstance(x, CheckedMatrix) else x
-                                 for x in (pair.a, pair.b)), spec)
+        k, m = (x.matrix if isinstance(x, CheckedMatrix) else x for x in (pair.a, pair.b))
+        return ScaledSystem(k, entry.transform(k, m, spec, pair), spec)
     element_mbar = entry.element_term(blocks, spec)
     kbar = fem.assemble(blocks, "stiffness", ndof, sparse=True) if k_global is None else k_global
     mbar = fem.assemble(blocks, "custom", ndof, element_matrices=element_mbar,
@@ -390,7 +386,7 @@ def apply_spec(spec, blocks, ndof, pair=None, k_global=None):
 
 KINDS = {
     "none": Kind(
-        transform=lambda k, m, spec: ScaledSystem(k, m, spec),
+        transform=lambda k, m, spec, pair: m,
         corollary=lambda spec, blocks: 1.0,
     ),
     "cms": Kind(
@@ -401,11 +397,11 @@ KINDS = {
     ),
     "uniform_lft": Kind(  # lambda -> lambda / mu
         params={"mu": _number(0, strict=True)},
-        transform=lambda k, m, spec: ScaledSystem(k, spec.mu * m, spec),
+        transform=lambda k, m, spec, pair: spec.mu * m,
     ),
     "stiffness_proportional_lft": Kind(  # lambda -> lambda / (mu lambda + 1)
         params={"mu": _number(0, strict=True)},
-        transform=lambda k, m, spec: ScaledSystem(k, m + spec.mu * k, spec),
+        transform=lambda k, m, spec, pair: m + spec.mu * k,
     ),
     "polynomial_sms": Kind(
         params={"c": _number(0)},

@@ -37,10 +37,10 @@ class MeshSystem:
     that reads a matrix shares one split, and what commutes with the
     reflections is solved block by block. K, M and every Mbar of a local
     kind are CSR arrays, and so are the other global kinds' Mbar; global
-    deflation's Mbar is M plus an n x r factor, and its dense
-    M + V S V^T is formed for each read that needs it, not kept. The
-    stability probe reads its top pair (:meth:`top_kmbar`) and steps on
-    the same checked matrices.
+    deflation's Mbar is M plus an n x r factor, from the top pairs of
+    :attr:`pair`'s blocks, and splits as M's blocks plus the factor's.
+    The stability probe reads its top pair (:meth:`top_kmbar`) and steps
+    on the same checked matrices.
     """
 
     def __init__(self, mesh, material):

@@ -198,21 +198,23 @@ def test_plate_system_takes_the_block_path(system, plate, plate_eig):
 
 
 def test_plate_pass_forms_no_full_order_array(material):
-    # K, M and Mbar stay CSR from assembly to the solves, and the dense
-    # arrays are the mirror blocks of order about n/8: a plate pass, from
-    # element blocks to every spectrum and extreme, peaks below one n x n array
+    # K, M and Mbar stay CSR (global deflation's Mbar M plus an n x r
+    # factor) from assembly to the solves, and the dense arrays are the
+    # mirror blocks of order about n/8: a plate pass, from element blocks
+    # to every spectrum and extreme, peaks below one n x n array
     mesh = fem.build_structured_mesh(shared.PLATE_COUNTS, shared.PLATE_EXTENTS)
     n = mesh.dof_count
-    tracemalloc.start()
-    try:
-        fresh = MeshSystem(mesh, material)
-        scaled = fresh.scale(ScalingSpec("olovsson", beta=10.0))
-        fresh.values_km(), fresh.values_kmbar(scaled), fresh.values_mbarm(scaled)
-        fresh.values_m(), fresh.values_mbar(scaled)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < n * n * 8, f"traced peak {peak / 2**20:.1f} MiB"
+    for spec in (ScalingSpec("olovsson", beta=10.0), ScalingSpec("global_deflation", rank=20)):
+        tracemalloc.start()
+        try:
+            fresh = MeshSystem(mesh, material)
+            scaled = fresh.scale(spec)
+            fresh.values_km(), fresh.values_kmbar(scaled), fresh.values_mbarm(scaled)
+            fresh.values_m(), fresh.values_mbar(scaled)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8, f"{spec.label}: traced peak {peak / 2**20:.1f} MiB"
 
 
 def test_criterion_05_corollary_bound_suite(plate, scaled_plate):

@@ -344,6 +344,22 @@ def test_malformed_config_one_line_no_traceback(tmp_path, name):
     assert len(lines) == 1 and lines[0].startswith(prefix), res.stderr
 
 
+@pytest.mark.parametrize("where", ["config", "option"])
+def test_output_dir_that_cannot_be_made_is_a_config_error(tmp_path, where):
+    # a directory under a regular file, or --out naming an existing file
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "out" if where == "config" else blocker
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, **({"output_dir": str(out)} if where == "config" else {}))
+    args = ["bounds", "--config", str(cfg)] + (["--out", str(out)] if where == "option" else [])
+    res = CliRunner().invoke(cli.main, args)
+    assert res.exit_code == 1, res.output
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: output_dir: "), res.stderr
+
+
 def test_mesh_system_built_once_per_execute(tmp_path, monkeypatch):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, sweep={"kind": "olovsson", "parameter": "beta", "values": [1.0]})
@@ -618,11 +634,15 @@ def test_untraced_pass_never_converts_a_checked_matrix(tmp_path, monkeypatch):
     # numpy converts a CheckedMatrix to a dense copy only for a reader outside
     # the package; eig_stabilization's Mbar does not mirror, so its pencils
     # and its probe take the paths off the blocks, and global deflation's
-    # Mbar is a low-rank update
+    # Mbar is a low-rank update that splits on the blocks and is never formed
     def refuse(self, dtype=None, copy=None):
         raise AssertionError("a CheckedMatrix was converted to an array")
 
+    def refuse_update(self):
+        raise AssertionError("a LowRankUpdate was formed dense")
+
     monkeypatch.setattr(linalg.CheckedMatrix, "__array__", refuse)
+    monkeypatch.setattr(linalg.LowRankUpdate, "dense", refuse_update)
     specs = [{"kind": "olovsson", "beta": 10.0}, {"kind": "global_deflation", "rank": 4},
              {"kind": "eig_stabilization", "rank": 3, "epsilon": 1e-6}]
     cfg_path = tmp_path / "cfg.json"
@@ -636,3 +656,4 @@ def test_untraced_pass_never_converts_a_checked_matrix(tmp_path, monkeypatch):
     with open(tmp_path / "out" / "stability_brackets.json") as fh:
         paths = {label: [v["path"] for v in verdicts] for label, verdicts in json.load(fh).items()}
     assert "blocks" not in paths["eig_stabilization_rank3_epsilon1e-06"]
+    assert paths["global_deflation_rank4"] == ["blocks", "blocks"]

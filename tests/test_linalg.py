@@ -414,6 +414,62 @@ class TestMirrorBlocks:
                 assert count > start == 6
             assert np.allclose(blocked[start:count], full[start:count], rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("system", ["kinds_mesh", "small_system"])
+    def test_update_splits_as_its_dense_form(self, request, system):
+        # global deflation scaled through a checked pair takes its top pairs
+        # from the blocks; its Mbar splits without being formed
+        mesh, blocks, pair = request.getfixturevalue(system)
+        basis = fem.mirror_basis(mesh)
+        checked = checked_pencil(pair, basis)
+        spec = scaling.ScalingSpec(**KIND_DOCS["global_deflation"][0])
+        scaled = scaling.apply_spec(spec, blocks, mesh.dof_count, pair=checked)
+        mbar = CheckedMatrix(scaled.mbar, basis)
+        dense = scaled.mbar_dense()
+        assert isinstance(mbar.matrix, LowRankUpdate) and not mbar.is_diagonal
+        for x, y in zip(mbar.split[0], linalg.mirror_split(dense, basis)[0]):
+            assert np.abs(x - y).max() <= 1e-15 * np.abs(dense).max()
+        for pencil, blocked in ((MatrixPair(pair.a, dense), MatrixPair(checked.a, mbar)),
+                                (MatrixPair(dense, pair.b), MatrixPair(mbar, checked.b))):
+            full, values = generalized_eigvalues(pencil), generalized_eigvalues(blocked)
+            assert np.abs(values - full).max() <= linalg.rigid_cutoff(full)
+            start, count = analysis.flexible_slice(full), linalg.low_tail(full)
+            assert np.allclose(values[start:count], full[start:count], rtol=1e-12, atol=0.0)
+        assert np.allclose(extreme_eigvalues(mbar), np.linalg.eigvalsh(dense)[[0, -1]],
+                           rtol=1e-12, atol=0.0)
+
+    def test_update_mixing_two_blocks_takes_the_dense_path(self, kinds_mesh):
+        mesh, _, pair = kinds_mesh
+        basis = fem.mirror_basis(mesh)
+        q = sum(basis.columns[k][:, [0]].toarray() for k in (0, 1))  # q_0 + q_1
+        update = LowRankUpdate(sparse.csr_array(pair.b), q * np.sqrt(pair.b.max()), np.ones(1))
+        mbar, k = CheckedMatrix(update, basis), CheckedMatrix(pair.a, basis)
+        m = CheckedMatrix(pair.b, basis)
+        assert k.split is not None and m.split is not None and mbar.split is None
+        dense = update.dense()
+        assert np.array_equal(extreme_eigvalues(mbar), extreme_eigvalues(dense))
+        assert np.array_equal(generalized_eigvalues(MatrixPair(mbar, m)),
+                              generalized_eigvalues(MatrixPair(dense, pair.b)))
+        full = generalized_eigvalues(MatrixPair(pair.a, dense))
+        values = generalized_eigvalues(MatrixPair(k, mbar))
+        start = analysis.flexible_slice(full)
+        assert linalg.low_tail(full) > start == 6
+        assert np.allclose(values[start:], full[start:], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("params", [{"rank": 0}, {"rank": 3, "mode": "cutoff", "alpha": 0.0}])
+    def test_zero_update_keeps_the_exact_extremes(self, small_system, params):
+        mesh, blocks, pair = small_system
+        basis = fem.mirror_basis(mesh)
+        spec = scaling.ScalingSpec("global_deflation", **params)
+        scaled = scaling.apply_spec(spec, blocks, mesh.dof_count, pair=checked_pencil(pair, basis))
+        mbar = CheckedMatrix(scaled.mbar, basis)
+        assert mbar.is_diagonal
+        assert np.array_equal(extreme_eigvalues(mbar), extreme_eigvalues(pair.b))
+
+    def test_update_of_a_vector_base_raises(self):
+        update = LowRankUpdate(np.ones(3), np.ones((3, 1)), np.ones(1))
+        with pytest.raises(ValueError, match="square"):
+            CheckedMatrix(update)
+
     @pytest.mark.parametrize("kind", sorted(KIND_DOCS))
     def test_extremes_match_dense_values(self, kinds_mesh, kind):
         basis = fem.mirror_basis(kinds_mesh[0])
