@@ -369,8 +369,8 @@ def execute(cfg, studies):
     so each assembled pencil is solved once per call; the element study
     has one of a single element. The sweep section, the mesh and every
     scaling a study applies, sweep points included, are checked before
-    any output is written: a rank that global deflation cannot take is a
-    config error. Each system keeps the scalings applied here."""
+    any output is written: a rank that global deflation or local
+    deflation S2 cannot take is a config error. Each system keeps the scalings applied here."""
     _require_sweep(cfg, "sweep" in studies)
     mesh = MeshSystem(cfg.mesh(), cfg.material) if set(studies) - {"element_spectrum"} else None
     element = MeshSystem(fem.build_structured_mesh((2, 2, 2), cfg.element_geometry_size()),

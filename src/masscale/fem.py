@@ -8,7 +8,10 @@ structures of the form I_3 (x) A stay block-diagonal per component.
 Elements are handled all at once. :func:`element_blocks` returns
 :class:`ElementBlocks`, stacked arrays with element e in row e, from one
 quadrature kernel over elements and Gauss points; ``blocks[e]`` is that
-element's :class:`ElementBlock`. :func:`assemble_sparse` scatters stacked
+element's :class:`ElementBlock`. On a uniform mesh the kernel forms the
+stiffness of element 0 alone and every element shares it through a
+read-only view, so congruent elements carry the same bits; each
+element's masses are its own. :func:`assemble_sparse` scatters stacked
 element matrices into the global matrix as a CSR array, with one
 ``bincount`` into the slots of the blocks' sparsity pattern, which
 :class:`ElementBlocks` computes once; :func:`assemble` returns the same
@@ -21,7 +24,8 @@ the reflections generate, each block's columns a sparse array (each dof
 lies in one orbit, so each row of a block holds one entry at most). The
 matrices assembled on such a mesh commute with the reflections and are
 block diagonal in it. A reflection keeps the component-blocked order and
-flips the sign of its own component.
+flips the sign of its own component. :func:`hex8_reflections` gives the
+same three reflections on the 24 local dofs of a box element.
 """
 from __future__ import annotations
 
@@ -50,6 +54,7 @@ __all__ = [
     "assemble_sparse",
     "MirrorBasis",
     "mirror_basis",
+    "hex8_reflections",
     "rigid_body_modes",
 ]
 
@@ -131,19 +136,23 @@ def gauss_points(n):
     return pts, wts
 
 
-def _hex8_matrices(corners, material):
+def _hex8_matrices(corners, material, shared=False):
     """Stiffness and consistent mass of every element, each (E, 24, 24).
 
     ``corners`` is (E, 8, 3). The loop runs over the 2x2x2 Gauss points;
     at each one the Jacobians, their determinants and the physical shape
     gradients of all elements are batched, and K_e += w det J B^T D B and
     M8_e += w det J rho N N^T add the point's terms, so each element gets
-    the same arithmetic as a loop over its own points. Raises
-    :class:`DegenerateJacobian` naming the first element with det J <= 0.
+    the same arithmetic as a loop over its own points. With ``shared``
+    the stiffness terms are formed for element 0 alone, on a leading axis
+    of 1, and the stiffness returned is a read-only view that gives every
+    element element 0's matrix. Raises :class:`DegenerateJacobian` naming
+    the first element with det J <= 0.
     """
     d = material.elasticity()
     count = corners.shape[0]
-    stiffness, m8 = np.zeros((count, 24, 24)), np.zeros((count, 8, 8))
+    formed = 1 if shared else count  # elements whose stiffness is formed
+    stiffness, m8 = np.zeros((formed, 24, 24)), np.zeros((count, 8, 8))
     pts, wts = gauss_points(2)
     for xi, w in zip(pts, wts):
         dn_dxi = shape_gradients(xi)
@@ -153,17 +162,33 @@ def _hex8_matrices(corners, material):
         if bad.size:
             raise DegenerateJacobian(
                 f"element {bad[0]}: det J = {det[bad[0]]:g} at quadrature point {xi}")
-        dn_dx = np.linalg.solve(jac, np.broadcast_to(dn_dxi.T, (count, 3, 8)))  # (E, 3, 8)
-        b = np.zeros((count, 6, 24))
+        dn_dx = np.linalg.solve(jac[:formed], np.broadcast_to(dn_dxi.T, (formed, 3, 8)))
+        b = np.zeros((formed, 6, 24))
         for row, comp, direction in _B_ENTRIES:
             b[:, row, comp * 8:(comp + 1) * 8] = dn_dx[:, direction]
-        stiffness += (w * det)[:, None, None] * (b.transpose(0, 2, 1) @ d @ b)
+        stiffness += (w * det[:formed])[:, None, None] * (b.transpose(0, 2, 1) @ d @ b)
         n = shape_functions(xi)
         m8 += (w * det * material.density)[:, None, None] * np.outer(n, n)
     m8, mass = symmetrize(m8), np.zeros((count, 24, 24))
     for c in range(3):
         mass[:, c * 8:(c + 1) * 8, c * 8:(c + 1) * 8] = m8
-    return symmetrize(stiffness), mass
+    return np.broadcast_to(symmetrize(stiffness), (count, 24, 24)), mass
+
+
+def hex8_reflections():
+    """The three mid-plane reflections of a box element, as signed
+    permutations of its 24 local dofs, (3, 24, 24): reflection a sends
+    each vertex to the one whose corner sign along axis a is flipped and
+    flips the sign of displacement component a. Each is symmetric and its
+    own inverse, and the matrices of a box element commute with them."""
+    out = np.zeros((3, 24, 24))
+    vertices = np.arange(8)
+    for axis in range(3):
+        flipped = _CORNER_SIGNS * np.where(np.arange(3) == axis, -1, 1)
+        image = (flipped[:, None] == _CORNER_SIGNS).all(axis=2).argmax(axis=1)
+        for c in range(3):
+            out[axis, c * 8 + image, c * 8 + vertices] = -1.0 if c == axis else 1.0
+    return out
 
 
 def lump_row_sum(consistent):
@@ -282,11 +307,12 @@ class ElementBlocks:
     """The matrices of every element, stacked: element e is row e of each
     array. ``len(blocks)`` is the element count and ``blocks[e]`` the
     :class:`ElementBlock` of element e, so iteration yields those in
-    order. A dof map that repeats an index raises
-    :class:`IndexOutOfRange` naming the first such element.
+    order. The stiffness may be a read-only view that repeats element 0's
+    matrix for every element (:attr:`shared`). A dof map that repeats an
+    index raises :class:`IndexOutOfRange` naming the first such element.
     """
 
-    stiffness: np.ndarray  # (E, 24, 24)
+    stiffness: np.ndarray  # (E, 24, 24), possibly a broadcast view
     consistent_mass: np.ndarray  # (E, 24, 24)
     lumped_mass: np.ndarray  # (E, 24) diagonals
     element_mass: np.ndarray  # (E,) kg
@@ -306,6 +332,12 @@ class ElementBlocks:
     def __getitem__(self, e):
         return ElementBlock(self.stiffness[e], self.consistent_mass[e], self.lumped_mass[e],
                             float(self.element_mass[e]), self.dof_map[e])
+
+    @property
+    def shared(self):
+        """True when every element's stiffness is a view of element 0's, as
+        :func:`element_blocks` gives it on a uniform mesh."""
+        return self.stiffness.strides[0] == 0
 
     @functools.cached_property
     def pattern(self):
@@ -331,8 +363,12 @@ def _index_type(size):
 
 def element_blocks(mesh, material):
     """Stiffness, consistent and row-sum lumped mass of every element of
-    the mesh, stacked."""
-    stiffness, consistent = _hex8_matrices(mesh.coords[mesh.connectivity], material)
+    the mesh, stacked. On a uniform mesh (:meth:`Mesh.is_uniform`) the
+    stiffness is formed once, for element 0, and shared as a read-only
+    view (:attr:`ElementBlocks.shared`); the masses are each element's
+    own."""
+    stiffness, consistent = _hex8_matrices(mesh.coords[mesh.connectivity], material,
+                                           shared=mesh.is_uniform())
     diag = lump_row_sum(consistent)
     masses = diag[:, :8].sum(axis=1)  # translational mass in one direction
     return ElementBlocks(stiffness, consistent, diag, masses, mesh.dof_map(slice(None)))

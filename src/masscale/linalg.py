@@ -565,9 +565,9 @@ def mirror_split(a, basis):
     keeps every ignored term within n * eps * ||A||_2, the backward error
     of the dense solve itself, which :func:`rigid_cutoff` carries over to
     the eigenvalues as n * eps * lambda_max. The hex8 meshes' matrices
-    mirror to about 1e-14 of max|A| in row sum (their node coordinates
-    mirror only to rounding): the benchmark plate's K to 1.8e-14, against
-    6.7e-14 allowed.
+    mirror to rounding of their sums: the benchmark plate's K, whose
+    elements share one stiffness, to 5.4e-16 of max|A| in row sum,
+    against 6.7e-14 allowed.
 
     A :class:`LowRankUpdate` A = B + V S V^T adds W_k S_k W_k^T to B's
     blocks, W_k the columns of Q_k^T V that block k holds most of. With

@@ -4,9 +4,13 @@ A scaling replaces M by Mbar = M + E and keeps Kbar = K. Global kinds
 (the two LFTs, polynomial SMS, global deflation) transform the assembled
 pair (K, M); local kinds (CMS, local deflation, the ad hoc Olovsson and
 Hoffmann constructions, eigenvalue stabilization) scale the element mass
-matrices before assembly. A :class:`ScalingSpec` names a kind and its
-parameters, and :func:`apply_spec` is the one way to scale: it returns a
-:class:`ScaledSystem` carrying the scaled pair and the spec.
+matrices before assembly. Local deflation solves the element pairs (K_e,
+M_e), element 0's alone when every element shares its stiffness (a
+uniform mesh), and averages its term over the element's reflections, so
+that the assembled Mbar mirrors as M does. A :class:`ScalingSpec` names
+a kind and its parameters, and :func:`apply_spec` is the one way to
+scale: it returns a :class:`ScaledSystem` carrying the scaled pair and
+the spec.
 
 :data:`KINDS` holds one :class:`Kind` per strategy: its typed parameters,
 its element term or pair transform, and its bound data. A new kind is one
@@ -220,23 +224,27 @@ def _diagonal(diag):
 
 
 def _element_eigh(blocks):
-    """Ascending eigenvalues (E, 24) and M_e-orthonormal vectors
-    (E, 24, 24) of every element pair (K_e, M_e), M_e = D_e lumped, as
-    :func:`generalized_eig` gives them: one stacked ``eigh`` of
-    D_e^{-1/2} K_e D_e^{-1/2}, and :func:`generalized_eig` itself for an
-    element with a low tail to recompute (a thin element; none on the
-    benchmark meshes). A lumped entry that is not positive raises
+    """Ascending eigenvalues (S, 24) and M_e-orthonormal vectors
+    (S, 24, 24) of the element pairs (K_e, M_e), M_e = D_e lumped, as
+    :func:`generalized_eig` gives them: S = 1, element 0's pair, when the
+    blocks share one stiffness (:attr:`fem.ElementBlocks.shared`), else
+    S = E, every element's. One stacked ``eigh`` of D_e^{-1/2} K_e
+    D_e^{-1/2}, and :func:`generalized_eig` itself for an element with a
+    low tail to recompute (a thin element; none on the benchmark meshes).
+    A lumped entry that is not positive raises
     :class:`DefectiveElementPair` naming the first such element."""
     diag = blocks.lumped_mass
     bad = np.argwhere(~(diag > 0))
     if bad.size:
         e, entry = bad[0]
         raise DefectiveElementPair(f"element {e}: lumped mass entry {entry} is not positive")
+    count = 1 if blocks.shared else len(blocks)
+    stiffness, diag = blocks.stiffness[:count], diag[:count]
     s = 1.0 / np.sqrt(diag)
-    values, vectors = np.linalg.eigh(symmetrize(blocks.stiffness * s[:, :, None] * s[:, None, :]))
+    values, vectors = np.linalg.eigh(symmetrize(stiffness * s[:, :, None] * s[:, None, :]))
     vectors *= s[:, :, None]
     for e in np.flatnonzero([low_tail(v) for v in values]):
-        dec = generalized_eig(MatrixPair(blocks.stiffness[e], np.diag(diag[e])))
+        dec = generalized_eig(MatrixPair(stiffness[e], np.diag(diag[e])))
         values[e], vectors[e] = dec.values, dec.vectors
     return values, vectors
 
@@ -304,33 +312,72 @@ def _deflation_rank(values, r, expand_ties, rtol=1e-9):
     return r
 
 
-def _deflated_term(blocks, spec, cutoff):
-    """M_e + V_e G V_e^T over the top element eigenpairs of (K_e, M_e).
+def _mirrored(terms):
+    """The (S, 24, 24) element terms averaged over the eight reflections of
+    a box element (:func:`fem.hex8_reflections`), where a term breaks them
+    by at most 24^2 * eps * max|T| in any entry, as much as a perturbation
+    of 2-norm 24 * eps * ||T||_2 can; any other term is kept as it is. A
+    box element's exact term commutes with them, and the error of its
+    eigenvectors breaks them by up to 67 eps * max|T| on the benchmark
+    meshes; an element that is not a box breaks them by about its
+    distortion. The average is taken one reflection at a time, (T + R T
+    R) / 2, and the reflections are signed permutations that commute, so
+    the result commutes with all eight exactly."""
+    out = terms
+    for r in fem.hex8_reflections():
+        out = 0.5 * (out + r @ out @ r)
+    limit = _ORDER**2 * np.finfo(float).eps * np.abs(terms).max(axis=(1, 2))
+    keep = np.abs(out - terms).max(axis=(1, 2)) <= limit
+    return np.where(keep[:, None, None], out, terms)
 
-    With ``cutoff`` (S1) G = alpha I over the top pairs, each element's
-    rank widened by :func:`_deflation_rank`; otherwise (S2) G shaves the
-    top r element eigenvalues to lambda_{m-r}.
+
+def _deflated_term(blocks, spec, cutoff):
+    """M_e + V G V^T over the top eigenpairs of the element pairs that
+    :func:`_element_eigh` solves: element 0's for every element when the
+    blocks share one stiffness, else each element's own.
+
+    With ``cutoff`` (S1) G = alpha I over the top pairs, the rank widened
+    by :func:`_deflation_rank`; otherwise (S2) G shaves the top r
+    eigenvalues to the anchor lambda_{m-r} (:func:`_s2_anchors`). The term
+    V G V^T is averaged over the element's reflections where it breaks
+    them at rounding level only (:func:`_mirrored`).
     """
-    diag = blocks.lumped_mass
     values, vectors = _element_eigh(blocks)
+    diag = blocks.lumped_mass[:len(values)]
+    if not cutoff:
+        _s2_anchors(values, spec.rank)
     ranks = np.array([_deflation_rank(v, spec.rank, expand_ties=cutoff) for v in values])
-    out = _diagonal(diag)
+    term = np.zeros(vectors.shape)
     for re in np.unique(ranks[ranks > 0]):  # one product per rank, shaped as one element's
         sel = ranks == re
         cut = _ORDER - re
         d2 = values[sel, cut:]
         g = np.full(d2.shape, spec.alpha) if cutoff else d2 / values[sel, cut - 1:cut] - 1.0
         v = diag[sel, :, None] * vectors[sel, :, cut:]  # V_e = M_e U_{e,2} for diagonal M_e
-        out[sel] = symmetrize(out[sel] + (v * g[:, None, :]) @ v.transpose(0, 2, 1))
-    return out
+        term[sel] = symmetrize((v * g[:, None, :]) @ v.transpose(0, 2, 1))
+    return _diagonal(blocks.lumped_mass) + _mirrored(term)
+
+
+def _s2_anchors(values, rank):
+    """lambda_{m-r} of each element spectrum (rows of ``values``), the
+    value that S2 shaves its top r to. An anchor at or below
+    :func:`~masscale.linalg.rigid_cutoff` of its spectrum is a rigid-body
+    value (r >= 18 on a hex8) and raises :class:`RankTooLarge`."""
+    anchors = values[:, _ORDER - rank - 1]
+    low = np.flatnonzero([a <= rigid_cutoff(v) for a, v in zip(anchors, values)])
+    if low.size:
+        raise RankTooLarge(f"rank {rank} shaves to lambda_{_ORDER - rank} = "
+                           f"{anchors[low[0]]:g}, a rigid-body value of the element pair")
+    return anchors
 
 
 def _s2_corollary(spec, blocks):
-    """max(1, max_e omega_{m,e} / omega_{m-r,e}) over the element pairs."""
+    """max(1, max_e omega_{m,e} / omega_{m-r,e}) over the element pairs
+    that :func:`_element_eigh` solves."""
     if blocks is None:
         raise ValueError("S2 bound needs the element blocks")
     values = _element_eigh(blocks)[0]
-    return max(1.0, float(np.sqrt(values[:, -1] / values[:, _ORDER - spec.rank - 1]).max()))
+    return max(1.0, float(np.sqrt(values[:, -1] / _s2_anchors(values, spec.rank)).max()))
 
 
 def olovsson_block(element_mass, beta, projector_variant=False):

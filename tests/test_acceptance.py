@@ -187,11 +187,11 @@ def _sweep_specs():
 
 def test_plate_system_takes_the_block_path(system, plate, plate_eig):
     # what the gate reads of the plate comes from the mirror blocks: a
-    # silent fall back to the dense path fails here
+    # silent fall back to the dense path fails here; every mass of
+    # criterion 5 splits, the local deflation ones included
     assert system.pair.a.split is not None and system.pair.b.split is not None
     for spec in _sweep_specs():
-        if spec.kind in ("olovsson", "hoffmann"):
-            assert system.mass(system.scale(spec)).split is not None, spec
+        assert system.mass(system.scale(spec)).split is not None, spec
     oracle = plate_eig.values
     above = oracle > linalg.rigid_cutoff(oracle)
     assert np.allclose(plate.values[above], oracle[above], rtol=1e-12, atol=0.0)

@@ -630,6 +630,22 @@ def test_deflation_rank_below_the_rigid_modes_runs(tmp_path):
     assert (out / "spectrum_global_deflation_rank41.json").exists()
 
 
+@pytest.mark.parametrize("rank", [18, 20])
+def test_s2_rank_on_the_rigid_modes_is_a_config_error(tmp_path, rank):
+    # the element's lambda_{24 - r} is a rigid-body value for r >= 18
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    write_config(cfg, geometry={"mesh": {"node_counts": [3, 2, 2],
+                                         "extents_mm": [40.0, 20.0, 10.0]}},
+                 scalings=[{"kind": "local_deflation_s2", "rank": rank}],
+                 studies={"element_spectrum": True, "spectrum": True, "bounds": True})
+    res = CliRunner().invoke(cli.main, ["run", "--config", str(cfg), "--out", str(out)])
+    assert res.exit_code == 1, res.output
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1, res.stderr
+    assert lines[0].startswith(f"config error: scaling[local_deflation_s2_rank{rank}]: rank ")
+    assert not out.exists()
+
+
 def test_untraced_pass_never_converts_a_checked_matrix(tmp_path, monkeypatch):
     # numpy converts a CheckedMatrix to a dense copy only for a reader outside
     # the package; eig_stabilization's Mbar does not mirror, so its pencils

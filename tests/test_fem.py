@@ -313,6 +313,40 @@ class TestStackedKernel:
             mbar = scaling.apply_spec(spec, blocks, n, pair=pair, k_global=pair.a).mbar_dense()
             assert np.array_equal(mbar, mbar.T)
 
+    def test_uniform_mesh_shares_element_zero_stiffness(self, material):
+        # the stiffness is element 0's of the batched kernel, bit for bit,
+        # as one read-only view; the masses are every element's own
+        mesh = fem.build_structured_mesh((10, 4, 3), (0.05, 0.015, 0.002))
+        blocks = fem.element_blocks(mesh, material)
+        stiffness, consistent = fem._hex8_matrices(mesh.coords[mesh.connectivity], material)
+        assert blocks.shared and not blocks.stiffness.flags.writeable
+        assert all(np.array_equal(k, stiffness[0]) for k in blocks.stiffness)
+        assert np.array_equal(blocks.consistent_mass, consistent)
+        assert np.array_equal(blocks.lumped_mass, fem.lump_row_sum(consistent))
+
+    def test_moved_node_keeps_the_batched_kernel(self, material):
+        mesh = fem.build_structured_mesh((4, 3, 3), (0.04, 0.02, 0.01))
+        coords = mesh.coords.copy()
+        coords[mesh.node_count // 2] += 1e-6 * 0.04
+        moved = fem.Mesh(coords, mesh.connectivity)
+        assert not moved.is_uniform()
+        blocks = fem.element_blocks(moved, material)
+        stiffness, consistent = fem._hex8_matrices(moved.coords[moved.connectivity], material)
+        assert not blocks.shared
+        assert np.array_equal(blocks.stiffness, stiffness)
+        assert np.array_equal(blocks.consistent_mass, consistent)
+
+    def test_box_element_commutes_with_its_reflections(self, material, distorted):
+        reflections = fem.hex8_reflections()
+        for r in reflections:
+            assert np.array_equal(r, r.T) and np.array_equal(r @ r, np.eye(24))
+        box = fem.element_blocks(single_element(box_corners(0.3, 0.2, 0.1)), material)[0]
+        for a in (box.stiffness, box.consistent_mass):
+            for r in reflections:
+                assert np.abs(r @ a @ r - a).max() <= 1e-14 * np.abs(a).max()
+        k = distorted[1].stiffness[0]
+        assert max(np.abs(r @ k @ r - k).max() for r in reflections) > 1e-3 * np.abs(k).max()
+
     def test_degenerate_jacobian_names_element(self, material):
         mesh = fem.build_structured_mesh((4, 2, 2), (0.3, 0.1, 0.1))
         conn = mesh.connectivity.copy()

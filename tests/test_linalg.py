@@ -19,6 +19,7 @@ from masscale.linalg import (
     symmetrize,
     woodbury_factor,
 )
+from masscale.system import MeshSystem
 
 HOFFMANN_G = np.array(
     [
@@ -201,8 +202,8 @@ def slender_beam(material):
 def long_beam(material):
     """A 30 cm beam of the slender beam's cross-section, 83 elements long (n = 1008).
 
-    Its first flexible eigenvalue is 1.3e-9 of the largest, and its K does
-    not pass the mirror check, so every solve of it is dense.
+    Its first flexible eigenvalue is 1.3e-9 of the largest. Its pencils
+    are passed unchecked, so every solve of it is dense.
     """
     mesh = fem.build_structured_mesh((84, 2, 2), (0.3, 0.01, 0.0005))
     blocks = fem.element_blocks(mesh, material)
@@ -489,6 +490,21 @@ class TestMirrorBlocks:
             assert (dense is None) == (csr is None)
             for x, y in zip(*(split[0] if split else [] for split in (dense, csr))):
                 assert np.abs(x - y).max() <= 1e-15 * np.abs(a).max()
+
+    @pytest.mark.parametrize("counts, extents", [((10, 4, 3), (0.05, 0.015, 0.002)),
+                                                 ((84, 2, 2), (0.3, 0.01, 0.0005))],
+                             ids=["kinds", "long_beam"])
+    def test_local_deflation_masses_split(self, material, counts, extents):
+        # one stiffness for every element of a uniform mesh, and element
+        # terms averaged over the element's reflections: K and every S1
+        # and S2 mass mirror to within the check
+        mesh_system = MeshSystem(fem.build_structured_mesh(counts, extents), material)
+        assert mesh_system.pair.a.split is not None
+        specs = [scaling.ScalingSpec("local_deflation_s1", alpha=alpha, rank=rank)
+                 for alpha in (1.0, 10.0, 100.0) for rank in (3, 7)]
+        specs += [scaling.ScalingSpec("local_deflation_s2", rank=rank) for rank in (2, 6, 10, 12)]
+        for spec in specs:
+            assert mesh_system.mass(mesh_system.scale(spec)).split is not None, spec.label
 
     def test_cms_on_some_dofs_fails_the_coupling_check(self, kinds_mesh):
         mesh, blocks, pair = kinds_mesh

@@ -368,6 +368,40 @@ class TestLocalDeflation:
                 for b in blocks)))
             assert analysis.corollary_bound(scaled.spec, blocks) == pytest.approx(bound, rel=1e-13)
 
+    @pytest.mark.parametrize("rank", [18, 20, 23])
+    def test_s2_anchor_on_a_rigid_value_raises(self, material, rank):
+        # lambda_{24 - r} is one of the element's six rigid-body values for r >= 18
+        mesh = fem.build_structured_mesh((3, 2, 2), (0.04, 0.02, 0.01))
+        blocks = fem.element_blocks(mesh, material)
+        spec = ScalingSpec("local_deflation_s2", rank=rank)
+        with pytest.raises(RankTooLarge, match=f"rank {rank} shaves to lambda_{24 - rank} "):
+            scaling.apply_spec(spec, blocks, mesh.dof_count)
+        with pytest.raises(RankTooLarge):
+            analysis.corollary_bound(spec, blocks)
+        spec = ScalingSpec("local_deflation_s2", rank=17)
+        scaling.apply_spec(spec, blocks, mesh.dof_count)
+        assert np.isfinite(analysis.corollary_bound(spec, blocks))
+
+    @pytest.mark.parametrize("params", [{"rank": 7, "alpha": 10.0}, {"rank": 10}])
+    def test_box_element_terms_mirror_exactly(self, material, params):
+        # each box element's term is averaged over its reflections; the
+        # elements around a moved node keep their asymmetric terms
+        box = fem.build_structured_mesh((10, 4, 3), (0.05, 0.015, 0.002))
+        coords = box.coords.copy()
+        node = box.node_count // 2
+        coords[node] += 1e-6 * 0.05
+        spec = ScalingSpec("local_deflation_s1" if "alpha" in params else "local_deflation_s2",
+                           **params)
+        off = ~np.eye(24, dtype=bool)  # the lumped masses add to the diagonal only
+        for mesh in (box, fem.Mesh(coords, box.connectivity)):
+            blocks = fem.element_blocks(mesh, material)
+            mbar = scaling.KINDS[spec.kind].element_term(blocks, spec)
+            broken = np.array([max(np.abs((r @ m @ r - m)[off]).max()
+                                   for r in fem.hex8_reflections()) for m in mbar])
+            moved = (mesh.connectivity == node).any(axis=1) & (mesh is not box)
+            assert np.all(broken[~moved] == 0.0)
+            assert np.all(broken[moved] > 1e-9 * np.abs(mbar).max())
+
     def test_defective_pair_names_element(self, small_system):
         mesh, blocks, pair = small_system
         lumped = blocks.lumped_mass.copy()
