@@ -11,11 +11,11 @@ quadrature kernel over elements and Gauss points; ``blocks[e]`` is that
 element's :class:`ElementBlock`. On a uniform mesh the kernel forms the
 stiffness of element 0 alone and every element shares it through a
 read-only view, so congruent elements carry the same bits; each
-element's masses are its own. :func:`assemble_sparse` scatters stacked
-element matrices into the global matrix as a CSR array, with one
-``bincount`` into the slots of the blocks' sparsity pattern, which
-:class:`ElementBlocks` computes once; :func:`assemble` returns the same
-matrix as a dense array, or with ``sparse=True`` as that CSR array.
+element's masses are its own. :func:`assemble` scatters stacked
+element matrices into the global matrix with one ``bincount`` into the
+slots of the blocks' sparsity pattern, which :class:`ElementBlocks`
+computes once, and returns it as a dense array, or with ``sparse=True``
+as a CSR array.
 
 :func:`mirror_basis` finds the three mid-plane reflections of a mesh
 whose nodes mirror (every box mesh) and returns a :class:`MirrorBasis`:
@@ -51,7 +51,6 @@ __all__ = [
     "build_structured_mesh",
     "element_blocks",
     "assemble",
-    "assemble_sparse",
     "MirrorBasis",
     "mirror_basis",
     "hex8_reflections",
@@ -72,6 +71,9 @@ _CORNER_SIGNS = np.array(
     ],
     dtype=float,
 )
+
+# Largest corner offset mismatch of a uniform mesh, relative to the largest offset.
+_UNIFORM_RTOL = 1e-12
 
 # Strain-displacement entries (strain row, displacement component, gradient
 # direction) in Voigt order xx, yy, zz, xy, yz, xz with engineering shear.
@@ -256,9 +258,9 @@ class Mesh:
         nodes = self.connectivity[e]
         return np.concatenate([c * self.node_count + nodes for c in range(3)], axis=-1)
 
-    def is_uniform(self, rtol=1e-12):
+    def is_uniform(self):
         """True when all elements are translates of one axis-aligned box:
-        every corner offset from corner 0 matches, to rtol of the largest
+        every corner offset from corner 0 matches, to 1e-12 of the largest
         offset, that of the box spanned by corners 0 and 6 of the first
         element."""
         if self.element_count == 0:
@@ -266,7 +268,7 @@ class Mesh:
         corners = self.coords[self.connectivity]
         local = corners - corners[:, :1]
         box = (_CORNER_SIGNS + 1) / 2 * local[0, 6]
-        return bool(np.all(np.abs(local - box) <= rtol * np.abs(box).max()))
+        return bool(np.all(np.abs(local - box) <= _UNIFORM_RTOL * np.abs(box).max()))
 
 
 def build_structured_mesh(node_counts, extents):
@@ -374,8 +376,10 @@ def element_blocks(mesh, material):
     return ElementBlocks(stiffness, consistent, diag, masses, mesh.dof_map(slice(None)))
 
 
-def assemble_sparse(blocks, which, ndof, element_matrices=None):
-    """Global matrix A = sum_e L_e^T A_e L_e as a symmetric CSR array.
+def assemble(blocks, which, ndof, element_matrices=None, sparse=False):
+    """Global matrix A = sum_e L_e^T A_e L_e as a dense array, or with
+    ``sparse`` as a CSR array, the same entries bit for bit. Every assembly
+    of the package passes through here, so one entry point sees them all.
 
     ``which`` selects stiffness | consistent | lumped from the
     :class:`ElementBlocks`; pass ``which="custom"`` with explicit
@@ -388,7 +392,7 @@ def assemble_sparse(blocks, which, ndof, element_matrices=None):
     element-by-element loop would sum it. Entries that sum to zero are
     not stored.
     """
-    from scipy import sparse  # deferred: its import would add to every CLI start
+    from scipy.sparse import csr_array  # deferred: its import would add to every CLI start
 
     dof = blocks.dof_map
     bad = np.flatnonzero((dof < 0).any(axis=1) | (dof >= ndof).any(axis=1))
@@ -407,15 +411,7 @@ def assemble_sparse(blocks, which, ndof, element_matrices=None):
                            minlength=len(rows))
     keep = data != 0
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[keep], minlength=ndof))))
-    return sparse.csr_array((data[keep], cols[keep], indptr.astype(cols.dtype)),
-                            shape=(ndof, ndof))
-
-
-def assemble(blocks, which, ndof, element_matrices=None, sparse=False):
-    """:func:`assemble_sparse` as a dense array, the same entries bit for
-    bit, or with ``sparse`` the CSR array itself. Every assembly of the
-    package passes through here, so one entry point sees them all."""
-    a = assemble_sparse(blocks, which, ndof, element_matrices)
+    a = csr_array((data[keep], cols[keep], indptr.astype(cols.dtype)), shape=(ndof, ndof))
     return a if sparse else a.toarray()
 
 

@@ -8,39 +8,37 @@ function that reads a whole matrix (:func:`require_symmetric`,
 :func:`extreme_eigvalues` and the low-tail recomputation) reads its
 nonzeros alone (a dense array as it is, or converted to CSR by
 :func:`mirror_split`), and a :class:`LowRankUpdate` M + V S V^T as M and
-V. Dense arrays are formed only for the dense solves: the mirror blocks,
-a pencil that does not mirror, and a partial solve off the blocks.
-Symmetry is imposed at construction points with :func:`symmetrize` and
-checked with :func:`require_symmetric`.
+V. Dense arrays are formed only for the dense solves of the block pairs
+below. Symmetry is imposed at construction points with :func:`symmetrize`
+and checked with :func:`require_symmetric`.
 
 A :class:`CheckedMatrix` is a symmetric matrix checked once, when it is
-built, with the mesh's mirror basis or None. The solvers trust it and
-take the block path when both members of a pencil split
-(:func:`mirror_splits`); a raw matrix is checked, and a tuple (A, B) as
-a :class:`MatrixPair`. :func:`factor_spd` factors a general SPD matrix
-once as a sparse LU, so that each later solve costs the factor's fill.
+built, with the mesh's mirror basis or None. The solvers trust it; a raw
+matrix is checked, and a tuple (A, B) as a :class:`MatrixPair`.
+:func:`factor_spd` factors a general SPD matrix once as a sparse LU, so
+that each later solve costs the factor's fill.
 
 Dense factorizations and the standard symmetric eigensolver are delegated
 to LAPACK (through numpy/scipy); the generalized solver performs the
 explicit Cholesky reduction to standard form so that eigenvectors come out
 B-orthonormal.
 
-Each question has its own solver, so that a caller pays for what it reads:
+Every eigensolve runs over a pencil's block pairs (:func:`_block_pairs`):
+the eight mirror blocks Q_k^T A Q_k of its members (:func:`mirror_split`,
+in the mesh's basis :func:`masscale.fem.mirror_basis`, order about n/8)
+when both are checked matrices that split (:func:`mirror_splits`), else
+the pencil itself as one block. Each question has its own solver, so that
+a caller pays for what it reads:
 
-- all eigenpairs of a pencil: :func:`generalized_eig`, dense; with
-  ``top``, only the largest pairs, by a partial dense solve, or from the
-  top pairs of each block pair (the stability probe's top pair);
-- the blocks Q_k^T A Q_k of a matrix in the mesh's mirror basis
-  (:func:`masscale.fem.mirror_basis`), or None when it does not commute
-  with the reflections to within the dense error: :func:`mirror_split`;
-- all eigenvalues of a pencil: :func:`generalized_eigvalues`: eight
-  dense solves of the block pairs (order about n/8), with the low tail
-  (below) recomputed on the full pencil from the blocks' vectors, or the
-  dense values-only solve, where a pencil with a low tail takes
-  :func:`generalized_eig`'s values instead;
+- all eigenpairs, or with ``top`` only the largest ones, of a pencil:
+  :func:`generalized_eig`, a full or partial dense solve of each block
+  pair, the vectors mapped back to order n;
+- all eigenvalues of a pencil: :func:`generalized_eigvalues`, a
+  values-only solve of each block pair, with the low tail (below)
+  recomputed on the full pencil from vectors of each block's share of it;
 - lambda_min and lambda_max of a symmetric matrix:
   :func:`extreme_eigvalues`: the ends of the diagonal of a diagonal
-  matrix, of the blocks' dense values, or of the dense values-only solve.
+  matrix, else of the values-only solve of each block.
 
 Accuracy of the generalized eigenvalues. The dense solve errs by about
 eps * lambda_max in absolute terms on every eigenvalue, so it is accurate
@@ -50,13 +48,14 @@ flexible mode of the benchmark plate is 3e-8 * lambda_max and keeps eight
 or nine digits, different ones for each matrix ordering and BLAS thread
 count. :func:`generalized_eig` and :func:`generalized_eigvalues` therefore
 recompute every value below 1e-4 * lambda_max by Rayleigh-Ritz, with A u
-formed in twice the working precision, on the dense or the mirror blocks'
-eigenvectors. Every eigenvalue is then accurate to a few 1e-12 relative
-to itself: the low tail by the recomputation (to about 1e-15, on either
-of these vectors), the rest because the dense error eps * lambda_max is
-at most 2e-12 of a value above the cut. The values-only and the full
-dense solves use different LAPACK algorithms, so their values above the
-cut differ by up to that bound; the smaller block solves err no more (on
+formed in twice the working precision, on the block pairs' eigenvectors.
+Every eigenvalue is then accurate to a few 1e-12 relative to itself: the
+low tail by the recomputation (to about 1e-15, on the mirror blocks' or
+the whole pencil's vectors alike), the rest because the dense error
+eps * lambda_max is at most 2e-12 of a value above the cut. The
+values-only and the full dense solves use different LAPACK algorithms,
+so their values above the cut differ by up to that bound; the mirror
+blocks' smaller solves err no more (on
 the benchmark plate's two stiffness pencils, at most 5.6e-15 *
 lambda_max, against 8.0e-15 for the full values-only solve, both
 measured from Rayleigh quotients). A's null space (the rigid-body modes)
@@ -98,6 +97,8 @@ __all__ = [
 ]
 
 _TILE = 256  # rows per block of the symmetry check
+_SYMMETRY_RTOL = 1e-10  # largest |a - a^T| accepted, relative to max |a|
+_DIAGONAL_RTOL = 1e-14  # largest off-diagonal |a_ij| of a diagonal a, relative to max |a|
 
 
 def _is_sparse(a):
@@ -140,9 +141,9 @@ def symmetrize(a):
     return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
-def require_symmetric(a, name="matrix", rtol=1e-10):
-    """Validate that ``a`` is square, finite and symmetric to ``rtol``:
-    max |a - a^T| <= rtol * max |a|. A sparse ``a`` is compared with its
+def require_symmetric(a, name="matrix"):
+    """Validate that ``a`` is square, finite and symmetric:
+    max |a - a^T| <= 1e-10 * max |a|. A sparse ``a`` is compared with its
     transpose entry by entry and returned as :func:`_csr` gives it; a dense
     one is compared over tile pairs a_ij against a_ji^T, so that no n x n
     temporary is formed."""
@@ -164,7 +165,7 @@ def require_symmetric(a, name="matrix", rtol=1e-10):
             for j in range(0, i + 1, _TILE):
                 tile = a[i:i + _TILE, j:j + _TILE] - a[j:j + _TILE, i:i + _TILE].T
                 asymmetry = max(asymmetry, np.abs(tile).max())
-    if asymmetry > rtol * (scale or 1.0):
+    if asymmetry > _SYMMETRY_RTOL * (scale or 1.0):
         raise ValueError(f"{name} is not symmetric")
     return a
 
@@ -192,24 +193,28 @@ class MatrixPair:
 
 @dataclass(frozen=True)
 class EigDecomposition:
-    """Ascending eigenvalues and column eigenvectors.
-
-    ``normalization`` is ``"unit"`` (2-norm) for standard problems or
-    ``"b-orthonormal"`` for generalized ones (U^T B U = I).
-    """
+    """Ascending eigenvalues and column eigenvectors: of unit 2-norm for a
+    standard problem, B-orthonormal (U^T B U = I) for a generalized one."""
 
     values: np.ndarray
     vectors: np.ndarray
-    normalization: str = "unit"
 
 
 @dataclass(frozen=True)
 class LowRankUpdate:
-    """Implicit representation of base + V S V^T with diagonal core S."""
+    """Implicit representation of base + V S V^T with diagonal core S.
 
-    base: object  # SPD: CSR or dense (n, n), or a diagonal as 1-D (n,)
+    Raises ``ValueError`` when the base is not a square matrix.
+    """
+
+    base: object  # SPD (n, n): CSR or dense
     factors: np.ndarray  # (n, r)
     core: np.ndarray  # (r,) diagonal entries of S
+
+    def __post_init__(self):
+        shape = np.shape(self.base)
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ValueError(f"base must be square, got shape {shape}")
 
     @property
     def shape(self):
@@ -217,15 +222,15 @@ class LowRankUpdate:
 
     def dense(self):
         """Materialize base + V S V^T as a dense symmetric matrix."""
-        b, v = dense(self.base), self.factors
-        return symmetrize((np.diag(b) if b.ndim == 1 else b) + (v * self.core) @ v.T)
+        v = self.factors
+        return symmetrize(dense(self.base) + (v * self.core) @ v.T)
 
     def diagonal(self):
-        """The diagonal of base + V S V^T for a 2-D base, without the matrix."""
+        """The diagonal of base + V S V^T, without the matrix."""
         return self.base.diagonal() + (self.factors**2) @ self.core
 
     def __matmul__(self, x):
-        """(base + V S V^T) x for columns x and a 2-D base: base x + V (S (V^T x))."""
+        """(base + V S V^T) x for columns x: base x + V (S (V^T x))."""
         return self.base @ x + self.factors @ (self.core[:, None] * (self.factors.T @ x))
 
 
@@ -237,9 +242,9 @@ class CheckedMatrix:
 
     ``matrix`` is a CSR or dense array, kept as :func:`require_symmetric`
     returns it, or a :class:`LowRankUpdate`, kept implicit: its base is
-    checked (a 1-D one raises ``ValueError``), V S V^T is symmetric by
-    construction. Numpy converts it to a dense copy (``__array__``) for a
-    reader outside the package; ``checked @ x`` and numpy's operators raise.
+    checked, V S V^T is symmetric by construction. Numpy converts it to a
+    dense copy (``__array__``) for a reader outside the package;
+    ``checked @ x`` and numpy's operators raise.
     """
 
     matrix: object
@@ -310,12 +315,12 @@ def sym_eig(m):
         values, vectors = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise NoConvergence(-1, str(exc)) from exc
-    return EigDecomposition(values, _fix_signs(vectors), "unit")
+    return EigDecomposition(values, _fix_signs(vectors))
 
 
-def is_diagonal(a, rtol=1e-14):
+def is_diagonal(a):
     """True when every entry of the square matrix ``a`` is finite and no
-    off-diagonal one exceeds ``rtol`` times its largest entry in magnitude.
+    off-diagonal one exceeds 1e-14 times its largest entry in magnitude.
 
     A sparse ``a`` is read through its stored entries, a dense one through
     a copy of its off-diagonal entries. A :class:`LowRankUpdate` is
@@ -332,7 +337,7 @@ def is_diagonal(a, rtol=1e-14):
         off, diagonal = a[~np.eye(a.shape[0], dtype=bool)], np.diagonal(a)
     high, low = (off.max(), off.min()) if off.size else (0.0, 0.0)
     top = np.max([high, -low, np.abs(diagonal).max(initial=0.0)])  # NaN propagates
-    return bool(np.isfinite(top)) and max(high, -low) <= rtol * (top or 1.0)
+    return bool(np.isfinite(top)) and max(high, -low) <= _DIAGONAL_RTOL * (top or 1.0)
 
 
 def factor_spd(b):
@@ -378,12 +383,28 @@ _LOW_CUT = 1e-4
 
 def mirror_splits(a, b):
     """The mirror splits (:attr:`CheckedMatrix.split`) of ``a`` and ``b``
-    when both are checked matrices that split, else None: the solvers
-    take the block path exactly when this is not None."""
+    when both are checked matrices that split, else None: the integrator
+    steps on the blocks exactly when this is not None."""
     if isinstance(a, CheckedMatrix) and isinstance(b, CheckedMatrix):
         if a.split is not None and b.split is not None:
             return a.split, b.split
     return None
+
+
+def _block_pairs(*members):
+    """The blocks that the eigensolvers solve one by one, of the members
+    of a pencil or of one matrix, and ``expand(k, y)``, the map from block
+    k's coefficients y back to order n: the mirror blocks
+    (:attr:`CheckedMatrix.split`) and ``basis.expand`` when every member
+    is a checked matrix that splits, else the members themselves as one
+    block and the identity. No split is read after one that fails."""
+    splits = []
+    for m in members:
+        split = m.split if isinstance(m, CheckedMatrix) else None
+        if split is None:
+            return [members], lambda k, y: y
+        splits.append(split[0])
+    return list(zip(*splits)), split[1].expand
 
 
 def _standard_form(pair):
@@ -511,34 +532,37 @@ def generalized_eig(pair, top=None):
     Eigenvalues are real and ascending; eigenvectors are B-orthonormal.
     A diagonal B takes a fast scaling path instead of the reduction.
 
-    For a positive semidefinite A, the values below 1e-4 * lambda_max and
-    their vectors are recomputed by Rayleigh-Ritz (see the module
-    docstring); pencils with nothing but a null space below that cut (mass
-    pairs, most element pairs) or with A indefinite keep the dense result.
-
-    With ``top``, only the ``top`` largest pairs are formed, by a partial
-    dense solve or from the blocks when both members split
-    (:func:`_block_top`), with no recomputation.
+    Each block pair (:func:`_block_pairs`) is solved dense, and its
+    vectors are mapped back through L_k^{-T} and Q_k, which is orthonormal,
+    so they stay B-orthonormal. With ``top``, only the ``top`` largest
+    pairs of each block are formed, and the largest ``top`` of all blocks
+    kept. Otherwise, for a positive semidefinite A, the values below 1e-4
+    * lambda_max and their vectors are recomputed by Rayleigh-Ritz on the
+    full pencil (see the module docstring); pencils with nothing but a
+    null space below that cut (mass pairs, most element pairs) or with A
+    indefinite keep the dense result, and so do the ``top`` pairs.
 
     ``pair`` is a :class:`MatrixPair`, or a tuple (A, B) that is checked
     here as one; its members are raw or checked matrices, sparse or
-    dense, and the dense solve converts them once.
+    dense, and the dense solve converts each block once.
     """
     pair = pair if isinstance(pair, MatrixPair) else MatrixPair(*pair)
-    split = mirror_splits(pair.a, pair.b) if top is not None else None
-    if split:
-        return _block_top(*split, top)
-    c, back = _standard_form(pair)
-    if top is not None:
-        n = c.shape[0]
-        values, y = sla.eigh(c, subset_by_index=[n - top, n - 1])
-        return EigDecomposition(values, _fix_signs(back(y)), "b-orthonormal")
-    std = sym_eig(c)
-    values, vectors = std.values, back(std.vectors)
-    count = low_tail(values)
+    blocks, expand = _block_pairs(pair.a, pair.b)
+    values, vectors = [], []
+    for k, block in enumerate(blocks):
+        c, back = _standard_form(block)
+        m = c.shape[0]
+        v, y = (np.linalg.eigh(c) if top is None
+                else sla.eigh(c, subset_by_index=[max(m - top, 0), m - 1]))
+        values.append(v)
+        vectors.append(expand(k, back(_fix_signs(y))))
+    order = np.argsort(np.concatenate(values), kind="stable")
+    order = order if top is None else order[-top:]
+    values, vectors = np.concatenate(values)[order], np.take(np.hstack(vectors), order, axis=1)
+    count = 0 if top is not None else low_tail(values)
     if count:
         values[:count], vectors[:, :count] = _ritz(pair.a, pair.b, vectors[:, :count])
-    return EigDecomposition(values, _fix_signs(vectors), "b-orthonormal")
+    return EigDecomposition(values, _fix_signs(vectors))
 
 
 def mirror_split(a, basis):
@@ -612,18 +636,22 @@ def mirror_split(a, basis):
     return blocks, basis
 
 
-def _block_eigvalues(pair, split_a, split_b):
-    """All eigenvalues of the pencil from the mirror splits of its members.
+def generalized_eigvalues(pair):
+    """Eigenvalues only of A u = lambda B u, as accurate as :func:`generalized_eig`.
 
-    Each block pair is solved for its values alone. A low tail that
-    :func:`low_tail` marks on the merged values is recomputed by
-    :func:`_ritz` on the full pencil, from the vectors of each block's
-    share of the tail (a partial dense solve of the block), mapped back
-    through L_k^{-T} and Q_k; only then are the full matrices read, and
-    they are not checked again.
+    ``pair`` is a :class:`MatrixPair` or a tuple (A, B), checked here as
+    one; its members are raw or checked matrices, sparse or dense. Each
+    block pair (:func:`_block_pairs`) is solved for its values alone. A
+    low tail that :func:`low_tail` marks on the merged values is
+    recomputed by :func:`_ritz` on the full pencil, from the vectors of
+    each block's share of the tail (a partial dense solve of the block),
+    mapped back through L_k^{-T} and Q_k; only then are the full matrices
+    read, and they are not checked again. A pencil without a low tail
+    forms no vectors.
     """
-    (blocks_a, basis), (blocks_b, _) = split_a, split_b
-    solved = [_standard_form((a, b)) for a, b in zip(blocks_a, blocks_b)]
+    pair = pair if isinstance(pair, MatrixPair) else MatrixPair(*pair)
+    blocks, expand = _block_pairs(pair.a, pair.b)
+    solved = [_standard_form(block) for block in blocks]
     parts = [np.linalg.eigvalsh(c) for c, _ in solved]
     owner = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
     order = np.argsort(np.concatenate(parts), kind="stable")
@@ -632,51 +660,12 @@ def _block_eigvalues(pair, split_a, split_b):
     if count:
         shares = np.bincount(owner[order[:count]], minlength=len(parts))
         x = np.hstack([
-            basis.expand(k, back(sla.eigh(c, subset_by_index=[0, share - 1])[1]))
+            expand(k, back(sla.eigh(c, subset_by_index=[0, share - 1])[1]))
             for k, ((c, back), share) in enumerate(zip(solved, shares)) if share
         ])
-        del solved  # the blocks' forms, n^2 / 8 entries in all, are freed before the Ritz step
+        del solved  # the blocks' standard forms are freed before the Ritz step
         values[:count] = _ritz(pair.a, pair.b, x)[0]
     return values
-
-
-def _block_top(split_a, split_b, top):
-    """The ``top`` largest eigenpairs of a pencil from the mirror splits of
-    its members: the top pairs of each block pair by a partial dense solve
-    of order about n/8, the largest ``top`` of them kept, and their
-    vectors mapped back through L_k^{-T} and Q_k. Q_k is orthonormal, so
-    the vectors stay B-orthonormal; the values are the blocks' dense ones,
-    accurate to eps * lambda_max like the full partial solve's."""
-    (blocks_a, basis), (blocks_b, _) = split_a, split_b
-    values, vectors = [], []
-    for k, (a, b) in enumerate(zip(blocks_a, blocks_b)):
-        c, back = _standard_form((a, b))
-        v, y = sla.eigh(c, subset_by_index=[max(len(a) - top, 0), len(a) - 1])
-        values.append(v)
-        vectors.append(basis.expand(k, back(y)))
-    order = np.argsort(np.concatenate(values), kind="stable")[-top:]
-    return EigDecomposition(np.concatenate(values)[order],
-                            _fix_signs(np.hstack(vectors)[:, order]), "b-orthonormal")
-
-
-def generalized_eigvalues(pair):
-    """Eigenvalues only of A u = lambda B u, as accurate as :func:`generalized_eig`.
-
-    ``pair`` is a :class:`MatrixPair` or a tuple (A, B), checked here as
-    one; its members are raw or checked matrices, sparse or dense. When
-    both members split (:func:`mirror_splits`), the pencil is solved block
-    by block (:func:`_block_eigvalues`): eight dense solves of order about
-    n/8. Otherwise the values come from the dense values-only solve of the
-    standard form; a pencil with a low tail that :func:`generalized_eig`
-    would recompute takes its values instead, and a pencil without one
-    forms no vectors.
-    """
-    pair = pair if isinstance(pair, MatrixPair) else MatrixPair(*pair)
-    split = mirror_splits(pair.a, pair.b)
-    if split:
-        return _block_eigvalues(pair, *split)
-    values = np.linalg.eigvalsh(_standard_form(pair)[0])
-    return generalized_eig(pair).values if low_tail(values) else values
 
 
 def extreme_eigvalues(a):
@@ -685,27 +674,26 @@ def extreme_eigvalues(a):
     as one, with no basis.
 
     A matrix that :func:`is_diagonal` accepts gives the ends of its
-    diagonal, exactly; one that splits, the ends of the dense values of
-    its eight blocks; any other, the two ends of its dense values-only
-    solve.
+    diagonal, exactly; any other the ends of the values-only solves of
+    its blocks (:func:`_block_pairs`): the eight mirror blocks when it
+    splits, else the whole matrix.
     """
     if not isinstance(a, CheckedMatrix):
         a = CheckedMatrix(a, name="a")
     if a.is_diagonal:
         d = _operand(a).diagonal()
         return np.array([d.min(), d.max()])
-    if a.split is not None:
-        ends = np.array([np.linalg.eigvalsh(b)[[0, -1]] for b in a.split[0]])
-        return np.array([ends[:, 0].min(), ends[:, 1].max()])
-    return np.linalg.eigvalsh(dense(a))[[0, -1]]
+    blocks, _ = _block_pairs(a)
+    ends = np.array([np.linalg.eigvalsh(dense(block))[[0, -1]] for block, in blocks])
+    return np.array([ends[:, 0].min(), ends[:, 1].max()])
 
 
 def woodbury_factor(update):
     """Precompute solves with base + V S V^T through the Woodbury identity.
 
     Returns ``solve(rhs)`` for a vector or a matrix of columns. The SPD
-    base is factored once with :func:`factor_spd` (a diagonal base, 1-D or
-    2-D, divides). Zero core entries are dropped (they contribute
+    base is factored once with :func:`factor_spd` (a diagonal base
+    divides). Zero core entries are dropped (they contribute
     nothing). The r x r inner system S^{-1} + V^T B^{-1} V is solved here
     once for all of V^T, so each later solve costs one base solve and two
     n x r products.

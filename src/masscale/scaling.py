@@ -44,6 +44,8 @@ from .linalg import (
 __all__ = ["KINDS", "Kind", "ScalingSpec", "ScaledSystem", "apply_spec"]
 
 _ORDER = 24  # dofs of a hex8 element
+# S1 element values this close, relative to the largest, are one degenerate group.
+_TIE_RTOL = 1e-9
 
 # Hoffmann coupling matrices: thickness pairing and in-plane ring pattern.
 _HOFFMANN_A = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -300,14 +302,14 @@ def _global_deflation(k, m, spec, pair):
     return LowRankUpdate(m, v, np.asarray(g, dtype=float))
 
 
-def _deflation_rank(values, r, expand_ties, rtol=1e-9):
+def _deflation_rank(values, r, expand_ties):
     """Effective rank; for S1 a degenerate group split by the cut is
     deflated as a whole so the low-rank factor stays basis-independent."""
     m = len(values)
     if not expand_ties:
         return r
     scale = abs(values[-1]) or 1.0
-    while 0 < r < m - 1 and abs(values[m - r - 1] - values[m - r]) <= rtol * scale:
+    while 0 < r < m - 1 and abs(values[m - r - 1] - values[m - r]) <= _TIE_RTOL * scale:
         r += 1
     return r
 

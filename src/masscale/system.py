@@ -112,9 +112,9 @@ class MeshSystem:
             MatrixPair(self.mass(scaled), self.pair.b)))
 
     def top_kmbar(self, scaled=None):
-        """The largest eigenpair of (Kbar, Mbar), or of (K, M) for no spec.
-        When K and Mbar both split, it is read from the blocks: the top
-        pair of the block with the largest top value, its vector mapped
-        through Q_k; no n-order Mbar is formed. Otherwise it is a partial
-        dense solve."""
+        """The largest eigenpair of (Kbar, Mbar), or of (K, M) for no spec,
+        from :func:`generalized_eig` with ``top=1``: the top pair of the
+        block pair with the largest top value, its vector mapped back to
+        order n. When K and Mbar both split, those are the mirror blocks
+        and no n-order Mbar is formed; otherwise the pencil is one block."""
         return generalized_eig(MatrixPair(self.pair.a, self.mass(scaled)), top=1)

@@ -1,5 +1,13 @@
-import numpy as np
-import pytest
+import os
+
+# One BLAS thread, as the benchmark runs: the mirror blocks (order about
+# n/8) are solved faster on one thread than on two. Set before numpy loads
+# the library; a value already in the environment is kept.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 from masscale import fem
 from masscale.linalg import MatrixPair, generalized_eig

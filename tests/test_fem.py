@@ -254,7 +254,6 @@ class TestAssembly:
         mats = scaling.KINDS["olovsson"].element_term(blocks, spec) if which == "custom" else None
         a = fem.assemble(blocks, which, n, element_matrices=mats)
         assert isinstance(a, np.ndarray) and a.ndim == 2
-        assert np.array_equal(a, fem.assemble_sparse(blocks, which, n, mats).toarray())
         assert np.array_equal(a, fem.assemble(blocks, which, n, mats, sparse=True).toarray())
         reference = np.zeros((n, n))
         if which == "lumped":

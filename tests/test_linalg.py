@@ -134,7 +134,6 @@ class TestGeneralizedEig:
         rng = np.random.default_rng(3)
         a, b = random_spd(8, rng), random_spd(8, rng)
         dec = generalized_eig(MatrixPair(a, b))
-        assert dec.normalization == "b-orthonormal"
         assert np.allclose(dec.vectors.T @ b @ dec.vectors, np.eye(8), atol=1e-10)
 
     def test_diagonal_fast_path_matches_dense(self):
@@ -415,6 +414,23 @@ class TestMirrorBlocks:
                 assert count > start == 6
             assert np.allclose(blocked[start:count], full[start:count], rtol=1e-12, atol=0.0)
 
+    def test_all_pairs_from_the_blocks_match_one_block(self, kinds_mesh):
+        # generalized_eig without top solves the eight block pairs and
+        # recomputes the low tail on the full pencil from their vectors
+        mesh, _, pair = kinds_mesh
+        checked = checked_pencil(pair, fem.mirror_basis(mesh))
+        assert linalg.mirror_splits(checked.a, checked.b) is not None
+        full, dec = generalized_eig(pair), generalized_eig(checked)
+        assert linalg.low_tail(full.values) > 6
+        assert np.abs(dec.values - full.values).max() <= linalg.rigid_cutoff(full.values)
+        above = full.values > linalg.rigid_cutoff(full.values)
+        assert np.allclose(dec.values[above], full.values[above], rtol=1e-12, atol=0.0)
+        u = dec.vectors
+        assert np.allclose(u.T @ pair.b @ u, np.eye(pair.order), atol=1e-12)
+        res = pair.a @ u - (pair.b @ u) * dec.values
+        assert np.abs(res).max() <= 1e-12 * dec.values[-1] * np.abs(pair.b).max()
+        assert np.all(np.diff(dec.values) >= 0)
+
     @pytest.mark.parametrize("system", ["kinds_mesh", "small_system"])
     def test_update_splits_as_its_dense_form(self, request, system):
         # global deflation scaled through a checked pair takes its top pairs
@@ -467,9 +483,9 @@ class TestMirrorBlocks:
         assert np.array_equal(extreme_eigvalues(mbar), extreme_eigvalues(pair.b))
 
     def test_update_of_a_vector_base_raises(self):
-        update = LowRankUpdate(np.ones(3), np.ones((3, 1)), np.ones(1))
+        # a 1-D base would broadcast in base @ x and fail in diagonal()
         with pytest.raises(ValueError, match="square"):
-            CheckedMatrix(update)
+            LowRankUpdate(np.ones(3), np.ones((3, 1)), np.ones(1))
 
     @pytest.mark.parametrize("kind", sorted(KIND_DOCS))
     def test_extremes_match_dense_values(self, kinds_mesh, kind):
@@ -531,8 +547,10 @@ class TestMirrorBlocks:
 
 class TestVectorsOnlyForATail:
     def test_counts_dense_vector_solves(self, kinds_mesh, material, monkeypatch):
-        # a non-mirrored mesh: the mass pencil of global deflation (a full
-        # Mbar) has no low tail and forms no vectors
+        # a non-mirrored mesh, so each pencil is one block: the mass pencil
+        # of global deflation (a full Mbar) has no low tail and forms no
+        # vectors, and (K, M)'s tail is recomputed from one partial solve
+        # of exactly its columns
         mesh = perturbed(kinds_mesh[0])
         blocks = fem.element_blocks(mesh, material)
         n = mesh.dof_count
@@ -540,17 +558,24 @@ class TestVectorsOnlyForATail:
         spec = scaling.ScalingSpec("global_deflation", rank=10)
         mbar = scaling.apply_spec(spec, blocks, n, pair=pair, k_global=pair.a).mbar_dense()
         calls = []
-        original = linalg.generalized_eig
 
-        def counting(pencil, top=None):
-            calls.append(pencil.order)
-            return original(pencil, top=top)
+        def counting(name, original):
+            def wrapped(*args, **kwargs):
+                order = args[0].order if name == "eig" else args[0].shape[0]
+                calls.append((name, order, kwargs.get("subset_by_index")))
+                return original(*args, **kwargs)
+            return wrapped
 
-        monkeypatch.setattr(linalg, "generalized_eig", counting)
+        monkeypatch.setattr(linalg, "generalized_eig", counting("eig", linalg.generalized_eig))
+        monkeypatch.setattr(linalg.np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+        monkeypatch.setattr(linalg.sla, "eigh", counting("sla.eigh", linalg.sla.eigh))
         mass = generalized_eigvalues(MatrixPair(mbar, pair.b))
         assert linalg.low_tail(mass) == 0 and calls == []
         values = generalized_eigvalues(pair)
-        assert linalg.low_tail(values) > 6 and calls == [n]
+        count = linalg.low_tail(values)
+        assert count > 6
+        # the partial solve of the standard form, then the Ritz step's count x count solve
+        assert calls == [("sla.eigh", n, [0, count - 1]), ("sla.eigh", count, None)]
 
 
 class TestWoodbury:
@@ -573,7 +598,7 @@ class TestWoodbury:
         v = rng.standard_normal((10, 2))
         s = np.array([2.0, 0.5])
         rhs = rng.standard_normal(10)
-        upd = LowRankUpdate(d, v, s)
+        upd = LowRankUpdate(np.diag(d), v, s)
         x = woodbury_factor(upd)(rhs)
         dense = np.diag(d) + (v * s) @ v.T
         x_ref = np.linalg.solve(dense, rhs)
