@@ -172,9 +172,9 @@ def load_config(path):
     """Read and check a config document; every malformed field raises a
     ConfigError that names it."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
         raise ConfigError(f"config: {exc}") from exc
     _object(raw, "config")
 
@@ -236,7 +236,7 @@ class Emitter:
     def __init__(self, out_dir):
         try:
             os.makedirs(out_dir, exist_ok=True)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
             raise ConfigError(f"output_dir: {exc}") from exc
         self.out_dir = out_dir
         self.files = []

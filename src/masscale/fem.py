@@ -14,8 +14,8 @@ read-only view, so congruent elements carry the same bits; each
 element's masses are its own. :func:`assemble` scatters stacked
 element matrices into the global matrix with one ``bincount`` into the
 slots of the blocks' sparsity pattern, which :class:`ElementBlocks`
-computes once, and returns it as a dense array, or with ``sparse=True``
-as a CSR array.
+computes once from the node graph, and returns it as a dense array, or
+with ``sparse=True`` as a CSR array.
 
 :func:`mirror_basis` finds the three mid-plane reflections of a mesh
 whose nodes mirror (every box mesh) and returns a :class:`MirrorBasis`:
@@ -311,7 +311,9 @@ class ElementBlocks:
     :class:`ElementBlock` of element e, so iteration yields those in
     order. The stiffness may be a read-only view that repeats element 0's
     matrix for every element (:attr:`shared`). A dof map that repeats an
-    index raises :class:`IndexOutOfRange` naming the first such element.
+    index, or that is not component-blocked as :meth:`Mesh.dof_map` gives
+    it (dof c N + node for component c, N nodes, 0 <= node < N), raises
+    :class:`IndexOutOfRange` naming the first such element.
     """
 
     stiffness: np.ndarray  # (E, 24, 24), possibly a broadcast view
@@ -326,6 +328,12 @@ class ElementBlocks:
         bad = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
         if bad.size:
             raise IndexOutOfRange(f"dof_map of element {bad[0]} is not injective")
+        nodes, count = dof[:, :8], _node_count(dof)
+        blocked = (dof.reshape(-1, 3, 8) == nodes[:, None] + count * np.arange(3)[:, None])
+        inside = (nodes >= 0) & (nodes < count)
+        bad = np.flatnonzero(~(blocked.all(axis=(1, 2)) & inside.all(axis=1)))
+        if bad.size:
+            raise IndexOutOfRange(f"dof_map of element {bad[0]} is not component-blocked")
         object.__setattr__(self, "dof_map", dof)
 
     def __len__(self):
@@ -347,14 +355,40 @@ class ElementBlocks:
         ``(slots, rows, cols)``, where entry (i, j) of element e's matrix
         adds into slot ``slots[e, i, j]``, and slot s is entry
         (``rows[s]``, ``cols[s]``) of the global matrix. The slots run in
-        CSR order, by row and then by column."""
+        CSR order, by row and then by column.
+
+        It is read off the node graph: the P node pairs (I, J) that share
+        an element, by I and then J, node I with deg_I of them, the first
+        at start_I. With the component-blocked dofs c N + I, row c N + I
+        holds the columns d N + J for d = 0, 1, 2 and I's neighbours J, so
+        entry (c N + I, d N + J) is slot c 3P + 3 start_I + d deg_I +
+        rank_I(J), rank_I(J) the place of (I, J) among I's pairs."""
         dof = self.dof_map
-        size = int(dof.max(initial=-1)) + 1
-        keys = dof[:, :, None] * size + dof[:, None, :]
-        unique, slots = np.unique(keys, return_inverse=True)
-        rows, cols = np.divmod(unique, size)
-        index = _index_type(max(len(unique), size))
-        return slots.reshape(keys.shape).astype(index), rows.astype(index), cols.astype(index)
+        nodes, count = dof[:, :8], _node_count(dof)
+        pairs, pair_of = np.unique(nodes[:, :, None] * count + nodes[:, None, :],
+                                   return_inverse=True)
+        first, second = np.divmod(pairs, count)
+        degree = np.bincount(first, minlength=count)
+        start = np.cumsum(degree) - degree
+        size = len(pairs)
+        component = np.arange(3)[:, None]
+        # slot of entry (I, d N + J), pair p = (I, J), among the x rows:
+        # 3 start_I + d deg_I + rank_I(J), with rank_I(J) = p - start_I; (3, P)
+        place = 2 * start[first] + np.arange(size) + component * degree[first]
+        cols = np.empty(3 * size, dtype=int)
+        cols[place] = component * count + second
+        # slots[e, c, a, d, b]: element e's entry (c 8 + a, d 8 + b)
+        slots = (3 * size * component[:, :, None, None]
+                 + place[:, pair_of.reshape(-1, 8, 8)].transpose(1, 2, 0, 3)[:, None])
+        rows = np.repeat(np.arange(3 * count), np.tile(3 * degree, 3))
+        index = _index_type(max(9 * size, 3 * count))
+        return (slots.reshape(-1, 24, 24).astype(index), rows.astype(index),
+                np.tile(cols, 3).astype(index))
+
+
+def _node_count(dof):
+    """N of the component-blocked dof maps c N + node (0 without elements)."""
+    return int(dof[0, 8] - dof[0, 0]) if len(dof) else 0
 
 
 def _index_type(size):

@@ -2,15 +2,17 @@
 
 Factorizations, standard and generalized eigensolvers, low-rank-update
 (Woodbury) solves, and condition numbers of computed eigenvalues.
-An assembled matrix arrives as a scipy.sparse CSR array, and every
-function that reads a whole matrix (:func:`require_symmetric`,
+An assembled matrix arrives as a scipy.sparse CSR array or as a dense
+array. Every function that reads a whole matrix (:func:`require_symmetric`,
 :func:`is_diagonal`, :func:`factor_spd`, :func:`mirror_split`,
 :func:`extreme_eigvalues` and the low-tail recomputation) reads its
-nonzeros alone (a dense array as it is, or converted to CSR by
-:func:`mirror_split`), and a :class:`LowRankUpdate` M + V S V^T as M and
-V. Dense arrays are formed only for the dense solves of the block pairs
-below. Symmetry is imposed at construction points with :func:`symmetrize`
-and checked with :func:`require_symmetric`.
+stored entries alone, and a :class:`LowRankUpdate` M + V S V^T as M and
+V. One reader finds them: :func:`_stored`, a sparse array's entries, or a
+dense array's entries != 0 found strip by strip, so that a dense check
+forms no temporary of the matrix's size; :func:`_csr` builds its CSR
+arrays from them. Dense arrays are formed only for the dense solves of
+the block pairs below. Symmetry is imposed at construction points with
+:func:`symmetrize` and checked with :func:`require_symmetric`.
 
 A :class:`CheckedMatrix` is a symmetric matrix checked once, when it is
 built, with the mesh's mirror basis or None. The solvers trust it; a raw
@@ -96,7 +98,7 @@ __all__ = [
     "condition_number",
 ]
 
-_TILE = 256  # rows per block of the symmetry check
+_STRIP = 256  # rows per strip of a dense array's read
 _SYMMETRY_RTOL = 1e-10  # largest |a - a^T| accepted, relative to max |a|
 _DIAGONAL_RTOL = 1e-14  # largest off-diagonal |a_ij| of a diagonal a, relative to max |a|
 
@@ -116,15 +118,36 @@ def dense(a):
     return a.toarray() if _is_sparse(a) else np.asarray(a, dtype=float)
 
 
+def _stored(a):
+    """The stored entries of the 2-D array ``a`` as ``(rows, cols,
+    values)``, in row-major order with no duplicates: a sparse ``a``'s
+    entries after :func:`_csr`, a dense one's entries != 0 (NaN among
+    them). A dense ``a`` is searched in strips of _STRIP rows, so that no
+    temporary of its size is formed, not even a boolean one."""
+    if _is_sparse(a):
+        a = _csr(a)
+        return _rows_of(a), a.indices, a.data
+    a = np.asarray(a, dtype=float)
+    width = a.shape[1]
+    flat = [np.flatnonzero(a[i:i + _STRIP] != 0) + i * width
+            for i in range(0, a.shape[0], _STRIP)]
+    rows, cols = np.divmod(np.concatenate(flat) if flat else np.zeros(0, dtype=int), width)
+    return rows, cols, a[rows, cols]
+
+
 def _csr(a):
     """``a`` as a float CSR array with sorted indices and no duplicates;
-    one already in that form is returned as it is."""
+    one already in that form is returned as it is. A dense ``a`` is built
+    from its :func:`_stored` entries, which come in that order."""
     from scipy import sparse  # deferred: its import would add to every CLI start
 
-    if not (sparse.issparse(a) and a.format == "csr" and a.dtype == float
-            and a.has_canonical_format):
-        a = sparse.csr_array(a if sparse.issparse(a) else np.asarray(a, dtype=float),
-                             dtype=float, copy=True)
+    if not _is_sparse(a):
+        a = np.asarray(a, dtype=float)
+        rows, cols, values = _stored(a)
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=a.shape[0]))))
+        return sparse.csr_array((values, cols, indptr), shape=a.shape)
+    if not (a.format == "csr" and a.dtype == float and a.has_canonical_format):
+        a = sparse.csr_array(a, dtype=float, copy=True)
         a.sum_duplicates()
     return a
 
@@ -143,29 +166,20 @@ def symmetrize(a):
 
 def require_symmetric(a, name="matrix"):
     """Validate that ``a`` is square, finite and symmetric:
-    max |a - a^T| <= 1e-10 * max |a|. A sparse ``a`` is compared with its
-    transpose entry by entry and returned as :func:`_csr` gives it; a dense
-    one is compared over tile pairs a_ij against a_ji^T, so that no n x n
-    temporary is formed."""
+    max |a - a^T| <= 1e-10 * max |a|, raising ``ValueError`` for the first
+    of these that fails. Both maxima are read over the stored entries
+    (:func:`_stored`), each a_ij compared with its mirror a_ji gathered by
+    index; a pair of zeros adds nothing to either, so they are the maxima
+    over all entries. A sparse ``a`` is returned as :func:`_csr` gives it,
+    a dense one as it is."""
     a = _csr(a) if _is_sparse(a) else np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-    if _is_sparse(a):
-        scale = np.abs(a.data).max(initial=0.0)
-        if not np.isfinite(scale):
-            raise ValueError(f"{name} contains non-finite entries")
-        asymmetry = np.abs((a - a.T).data).max(initial=0.0)
-    else:
-        scale = asymmetry = 0.0
-        for i in range(0, a.shape[0], _TILE):
-            top = np.abs(a[i:i + _TILE]).max()  # NaN and inf propagate through max
-            if not np.isfinite(top):
-                raise ValueError(f"{name} contains non-finite entries")
-            scale = max(scale, top)
-            for j in range(0, i + 1, _TILE):
-                tile = a[i:i + _TILE, j:j + _TILE] - a[j:j + _TILE, i:i + _TILE].T
-                asymmetry = max(asymmetry, np.abs(tile).max())
-    if asymmetry > _SYMMETRY_RTOL * (scale or 1.0):
+    rows, cols, values = _stored(a)
+    scale = np.abs(values).max(initial=0.0)  # NaN and inf propagate through max
+    if not np.isfinite(scale):
+        raise ValueError(f"{name} contains non-finite entries")
+    if np.abs(values - a[cols, rows]).max(initial=0.0) > _SYMMETRY_RTOL * (scale or 1.0):
         raise ValueError(f"{name} is not symmetric")
     return a
 
@@ -322,19 +336,15 @@ def is_diagonal(a):
     """True when every entry of the square matrix ``a`` is finite and no
     off-diagonal one exceeds 1e-14 times its largest entry in magnitude.
 
-    A sparse ``a`` is read through its stored entries, a dense one through
-    a copy of its off-diagonal entries. A :class:`LowRankUpdate` is
-    diagonal with a zero core on a diagonal base.
+    Both are read over the stored entries (:func:`_stored`), sparse or
+    dense. A :class:`LowRankUpdate` is diagonal with a zero core on a
+    diagonal base.
     """
     if isinstance(a, LowRankUpdate):
         return not a.core.any() and is_diagonal(a.base)
-    if _is_sparse(a):
-        a = _csr(a)
-        on = _rows_of(a) == a.indices
-        off, diagonal = a.data[~on], a.data[on]
-    else:
-        a = np.asarray(a, dtype=float)
-        off, diagonal = a[~np.eye(a.shape[0], dtype=bool)], np.diagonal(a)
+    rows, cols, values = _stored(a)
+    on = rows == cols
+    off, diagonal = values[~on], values[on]
     high, low = (off.max(), off.min()) if off.size else (0.0, 0.0)
     top = np.max([high, -low, np.abs(diagonal).max(initial=0.0)])  # NaN propagates
     return bool(np.isfinite(top)) and max(high, -low) <= _DIAGONAL_RTOL * (top or 1.0)

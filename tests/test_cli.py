@@ -360,6 +360,31 @@ def test_output_dir_that_cannot_be_made_is_a_config_error(tmp_path, where):
     assert len(lines) == 1 and lines[0].startswith("config error: output_dir: "), res.stderr
 
 
+def _unreadable(tmp_path, name):
+    """A config file that cannot be read as a document, and the CLI args."""
+    cfg = tmp_path / "cfg.json"
+    if name == "not_utf8":
+        cfg.write_bytes(b"\xff\xfe" + json.dumps({"seed": 1}).encode("utf-16-le"))
+    elif name == "nested_deep":
+        cfg.write_text("[" * 100_000 + "]" * 100_000)
+    else:
+        write_config(cfg, output_dir="a\u0000b")
+    return ["bounds", "--config", str(cfg)]
+
+
+@pytest.mark.parametrize("name, prefix", [("not_utf8", "config error: config: "),
+                                          ("nested_deep", "config error: config: "),
+                                          ("output_dir_nul", "config error: output_dir: ")])
+def test_unreadable_config_is_a_config_error(tmp_path, name, prefix):
+    # bytes that are not UTF-8, JSON nested beyond the parser's depth, and
+    # an output directory that no file system can name
+    res = CliRunner().invoke(cli.main, _unreadable(tmp_path, name))
+    assert res.exit_code == 1, res.output
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix), res.stderr
+
+
 def test_mesh_system_built_once_per_execute(tmp_path, monkeypatch):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, sweep={"kind": "olovsson", "parameter": "beta", "values": [1.0]})

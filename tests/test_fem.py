@@ -269,6 +269,42 @@ class TestAssembly:
 
 
 
+def unique_pattern(dof):
+    """The sparsity pattern by one np.unique over every element's 576 dof
+    pairs: the oracle for :attr:`fem.ElementBlocks.pattern`."""
+    size = int(dof.max(initial=-1)) + 1
+    keys = dof[:, :, None] * size + dof[:, None, :]
+    unique, slots = np.unique(keys, return_inverse=True)
+    rows, cols = np.divmod(unique, size)
+    index = np.int32 if max(len(unique), size) < 2**31 else np.int64
+    return slots.reshape(keys.shape).astype(index), rows.astype(index), cols.astype(index)
+
+
+class TestPattern:
+    @pytest.mark.parametrize("counts, extents", [
+        ((2, 2, 2), (1.0, 1.0, 1e-3)),  # one element
+        ((10, 4, 3), (0.05, 0.015, 0.002)),  # kinds_small
+        ((20, 4, 3), (0.1, 0.015, 0.002)),  # beam_dynamics
+        (PLATE_COUNTS, PLATE_EXTENTS),
+    ])
+    def test_matches_the_unique_construction(self, material, counts, extents):
+        blocks = fem.element_blocks(fem.build_structured_mesh(counts, extents), material)
+        for got, want in zip(blocks.pattern, unique_pattern(blocks.dof_map)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_distorted_and_renumbered_meshes(self, distorted, material):
+        # nodes renumbered and elements reordered, so that no node's
+        # neighbours follow the grid
+        mesh, blocks = distorted
+        rng = np.random.default_rng(5)
+        perm = rng.permutation(mesh.node_count)
+        conn = np.argsort(perm)[mesh.connectivity][rng.permutation(mesh.element_count)]
+        renumbered = fem.element_blocks(fem.Mesh(mesh.coords[perm], conn), material)
+        for b in (blocks, renumbered):
+            for got, want in zip(b.pattern, unique_pattern(b.dof_map)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 class TestStackedKernel:
     def test_matches_per_element_loop(self, distorted, material):
         mesh, blocks = distorted
@@ -359,6 +395,22 @@ class TestStackedKernel:
         dof[2, 5] = dof[2, 0]
         with pytest.raises(IndexOutOfRange, match="element 2 "):
             dataclasses.replace(blocks, dof_map=dof)
+
+    @pytest.mark.parametrize("swap", [(slice(0, 8), slice(8, 16)), (0, 1)])
+    def test_dof_map_not_component_blocked_names_element(self, distorted, swap):
+        # components exchanged, or x dofs of two vertices that the y and z
+        # dofs do not follow: injective, but not c N + node
+        _, blocks = distorted
+        dof = blocks.dof_map.copy()
+        dof[3, swap[0]], dof[3, swap[1]] = dof[3, swap[1]], dof[3, swap[0]].copy()
+        with pytest.raises(IndexOutOfRange, match="element 3 is not component-blocked"):
+            dataclasses.replace(blocks, dof_map=dof)
+
+    def test_interleaved_dof_map_is_rejected(self, distorted):
+        mesh, blocks = distorted
+        interleaved = (3 * mesh.connectivity[:, None, :] + np.arange(3)[:, None]).reshape(-1, 24)
+        with pytest.raises(IndexOutOfRange, match="component-blocked"):
+            dataclasses.replace(blocks, dof_map=interleaved)
 
     def test_out_of_range_names_first_element(self, distorted):
         mesh, blocks = distorted

@@ -55,8 +55,30 @@ class TestCholesky:
             cholesky(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+def two_pass_is_symmetric(a, rtol=1e-10):
+    """The n x n test that :func:`linalg.require_symmetric` makes over the
+    stored entries, as an oracle for finite ``a``."""
+    return np.abs(a - a.T).max(initial=0.0) <= rtol * (np.abs(a).max(initial=0.0) or 1.0)
+
+
+def accepts(a):
+    """True when :func:`linalg.require_symmetric` accepts ``a``."""
+    try:
+        linalg.require_symmetric(a)
+    except ValueError:
+        return False
+    return True
+
+
+def layouts(a):
+    """``a`` in C order, in Fortran order and as a strided view."""
+    strided = np.zeros((2 * a.shape[0], 3 * a.shape[1]))
+    strided[::2, ::3] = a
+    return [np.ascontiguousarray(a), np.asfortranarray(a), strided[::2, ::3]]
+
+
 class TestRequireSymmetric:
-    # order 600 spans tiles of 256, 256 and a partial one of 88 rows
+    # order 600 spans strips of 256, 256 and a partial one of 88 rows
     @pytest.fixture
     def sym(self):
         return symmetrize(np.random.default_rng(3).standard_normal((600, 600)))
@@ -81,6 +103,86 @@ class TestRequireSymmetric:
     def test_non_square(self, sym):
         with pytest.raises(ValueError, match="square"):
             linalg.require_symmetric(sym[:, :599])
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 600])
+    def test_agrees_with_the_two_pass_test(self, n):
+        # a sparse symmetric matrix, then a few entries moved on one side of
+        # the diagonal, by amounts on both sides of the tolerance
+        rng = np.random.default_rng(n)
+        base = symmetrize(rng.standard_normal((n, n)) * (rng.uniform(size=(n, n)) < 0.1))
+        base[np.diag_indices(n)] = rng.uniform(1.0, 2.0, n)
+        seen = set()
+        for rel in (0.0, 1e-12, 0.9e-10, 1.1e-10, 1e-6):
+            a = base.copy()
+            i, j = rng.integers(0, n, (2, 3))
+            a[i, j] += rel * np.abs(base).max()
+            for view in layouts(a) + [a.T, -a]:
+                assert accepts(view) == two_pass_is_symmetric(view)
+            seen.add(two_pass_is_symmetric(a))
+        assert seen == {True, False} or n == 1
+
+    @pytest.mark.parametrize("lower", [True, False])
+    def test_entry_whose_mirror_is_zero(self, lower):
+        a = np.diag([1.0, 2.0, 3.0, 4.0])
+        at = (3, 1) if lower else (1, 3)
+        a[at] = 0.9e-10 * 4.0
+        assert accepts(a) and accepts(a.T)
+        a[at] = 1.1e-10 * 4.0
+        assert not accepts(a) and not accepts(a.T)
+        a[at] = -1.0
+        with pytest.raises(ValueError, match="not symmetric"):
+            linalg.require_symmetric(a)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("lower", [True, False])
+    def test_non_finite_whose_mirror_is_zero(self, value, lower):
+        a = np.diag([1.0, 2.0, 3.0])
+        a[(2, 0) if lower else (0, 2)] = value
+        for view in (a, a.T):
+            with pytest.raises(ValueError, match="non-finite"):
+                linalg.require_symmetric(view)
+
+    def test_non_finite_is_reported_before_asymmetry(self, sym):
+        sym[0, 1] += 1.0
+        sym[599, 599] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.require_symmetric(sym)
+
+    def test_negative_zero_and_all_zero(self):
+        a = np.diag([1.0, 2.0, 3.0])
+        a[0, 2] = -0.0
+        assert accepts(a)
+        for zero in (np.zeros((5, 5)), np.full((5, 5), -0.0), np.zeros((0, 0))):
+            assert accepts(zero) and two_pass_is_symmetric(zero)
+
+    @pytest.mark.parametrize("at", [(255, 256), (256, 255), (10, 590), (599, 0)])
+    def test_asymmetry_across_a_strip_boundary(self, sym, at):
+        scale = np.abs(sym).max()
+        sym[at] += 0.9e-10 * scale
+        assert accepts(sym)
+        sym[at] += 0.2e-10 * scale
+        assert not accepts(sym) and not two_pass_is_symmetric(sym)
+
+    def test_returns_a_dense_array_as_it_is(self, sym):
+        assert linalg.require_symmetric(sym) is sym
+
+
+class TestCsr:
+    @pytest.mark.parametrize("n", [1, 7, 600])
+    def test_dense_matches_scipy(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, n)) * (rng.uniform(size=(n, n)) < 0.1)
+        a[0, -1], a[-1, 0] = np.nan, -0.0
+        for view in layouts(a):
+            got, want = linalg._csr(view), sparse.csr_array(view)
+            assert got.has_canonical_format
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.data, want.data, equal_nan=True)
+
+    def test_all_zero(self):
+        got = linalg._csr(np.zeros((4, 4)))
+        assert got.nnz == 0 and got.shape == (4, 4) and got.has_canonical_format
 
 
 class TestSymEig:
@@ -294,12 +396,12 @@ def two_pass_is_diagonal(a, rtol=1e-14):
 
 
 class TestIsDiagonal:
-    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 600])
     def test_agrees_with_the_two_pass_test(self, n):
         rng = np.random.default_rng(n)
         for scale in (0.0, 1e-16, 1e-14, 1e-13, 1.0):
             a = np.diag(rng.uniform(0.5, 2.0, n)) + scale * rng.standard_normal((n, n))
-            for view in (a, a.T, -a):
+            for view in layouts(a) + [a.T, -a]:
                 assert linalg.is_diagonal(view) == two_pass_is_diagonal(view)
 
     def test_one_and_two(self):
