@@ -318,14 +318,15 @@ def study_bounds(cfg, emitter, system):
 
 
 def study_sweep(cfg, emitter, system):
-    """Parameter sweep: step ratio, corollary bound, condition ratio per point."""
-    dt0 = analysis.critical_dt(system.values_km()[-1])
+    """Parameter sweep: step ratio, corollary bound, condition ratio per point.
+    lambda_max comes from each pencil's cached top pair, shared with the probe."""
+    dt0 = analysis.critical_dt(system.top_kmbar().values[-1])
     kappa_m = condition_number(system.values_m())
 
     rows = {"value": [], "dt_ratio": [], "bound": [], "kappa_ratio": []}
     for value, spec in cfg.sweep_points:
         scaled = system.scale(spec)
-        dt_ratio = analysis.critical_dt(system.values_kmbar(scaled)[-1]) / dt0
+        dt_ratio = analysis.critical_dt(system.top_kmbar(scaled).values[-1]) / dt0
         try:
             bound = analysis.corollary_bound(spec, system.blocks)
         except MasscaleError:

@@ -21,35 +21,38 @@ lambda_max. A run steps on one of two paths:
   formed once per bracket from a Cholesky factor of each M_k and
   stacked, zero-padded to the largest order m, as one (8, m, m) array.
   The run steps the coordinates x = Q^T u in panels of
-  s = ``PANEL_STEPS`` = 8: the panel operator is formed once per run by
-  three batched (8, m, m) products, and each panel is one batched matmul
-  of (8, m, m) by (8, m, 8), which reads the 8 m^2 entries once for
-  eight steps. Q is orthonormal, so the response norm is ||x||, and the
-  final displacement is mapped back once.
+  s = ``PANEL_STEPS`` = 32: the panel operator is formed once per run,
+  at the first panel, by five batched (8, m, m) products, so a run that
+  diverges within its first 2s single steps never forms it. Each panel is
+  one batched matmul of (8, m, m) by (8, m, 32), which reads the 8 m^2
+  entries once for 32 steps. Q is orthonormal, so the response norm is
+  ||x||, and the final displacement is mapped back once.
 
 The blocks are taken whenever both members split. Whole steps through
-:func:`central_difference_run`, in microseconds, in 2000-step runs at 0.99
-times the critical step on the hex8 beam and plate meshes (one BLAS
-thread, one core of a shared 2-core machine), for the Olovsson beta = 10
-mass (sparse: an LU solve) and the lumped mass (sparse: a division):
+:func:`central_difference_run`, in microseconds, in 10 000-step runs at
+0.99 times the critical step on the hex8 beam and plate meshes (one BLAS
+thread, one core of a shared 2-core machine; best of two runs at n = 720
+and 2400, one run at 5040). The block columns give the range over the
+lumped, Olovsson beta = 10 and global deflation r = 20 masses; on the
+sparse path these divide, solve an LU and solve by Woodbury:
 
-    n       panels of 8    one step per matmul    sparse, LU    sparse, lumped
-    720     7              15                     73            37
-    2400    85             293                    318           120
-    5040    803            1230                   751           235
+    n       panels of 32   panels of 8   one step per matmul   sparse: lumped   LU    Woodbury
+    720     3.3-4.1        5.2-5.4       17-20                 37               86    56
+    2400    54-60          61-68         313-317               136              335   188
+    5040    221-285        362-539       1115-1272             260              734   320
 
-The panels step the 720-dof beam five to ten times faster than the
-sparse path, and the 2400-dof plate 1.4 times as fast as a lumped mass
-and nearly four times as fast as an LU mass. At n = 5040 an LU mass
-steps about as fast on either path, and a lumped mass over three times
-faster on the sparse one. No benchmark workload runs the probe at that
-size, so no rule on n picks the path.
+The panels step the 720-dof beam 10 to 26 times faster than the sparse
+path, and the 2400-dof plate 2.5 to 5.6 times. At n = 5040 they step
+near the sparse path for the lumped mass, 1.5 times as fast for global
+deflation and 2.8 times as fast for the LU: a cost model that picks the
+path must be fitted to these figures, not to panels of 8. No benchmark
+workload runs the probe at that size, so no rule on n picks the path.
 """
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 import scipy.linalg as sla
@@ -80,7 +83,7 @@ PROBE_FACTORS = (0.99, 1.05)
 # The seeded start must hold at least this share of the highest mode.
 MIN_COMPONENT = 1e-12
 # Steps per application of the block path's D = 2 T_s(C): a power of two.
-PANEL_STEPS = 8
+PANEL_STEPS = 32
 
 
 class MassSolver:
@@ -199,8 +202,8 @@ def central_difference_run(kbar, mbar, u0, dt, steps):
     u_{j+s} = 2 T_s(C) u_j - u_{j-s}. The run steps u_1 ... u_{2s-1} one
     at a time, then advances the panels U_b = [u_{bs}, ..., u_{bs+s-1}]
     as U_{b+1} = 2 T_s(C) U_b - U_{b-1}: s steps per product. On the
-    block path s = ``PANEL_STEPS``, and T_s(C) is formed once per run by
-    log2(s) doublings T_{2j} = 2 T_j^2 - I. The sparse path applies
+    block path s = ``PANEL_STEPS``, and T_s(C) is formed once per run, at
+    the first panel, by log2(s) doublings T_{2j} = 2 T_j^2 - I. The sparse path applies
     M^{-1} by a solve and cannot raise it to a power without fill: s = 1.
 
     ``kbar`` may be dense or scipy.sparse; ``kbar @ u`` is formed as it is.
@@ -229,11 +232,19 @@ def central_difference_run(kbar, mbar, u0, dt, steps):
                 return np.subtract(2.0 * p, g1(p), out=out)
         else:
             s, x, back = PANEL_STEPS, op.coords(u0), op.displacement
-            g1_mat, eye = h * op.a, np.eye(op.a.shape[1])
-            t = eye - 0.5 * g1_mat
-            for _ in range(s.bit_length() - 1):
-                t = 2.0 * (t @ t) - eye
-            g1, d = partial(np.matmul, g1_mat), partial(np.matmul, 2.0 * t)
+            g1_mat = h * op.a
+            g1 = partial(np.matmul, g1_mat)
+
+            @cache  # formed at the first panel: a run that diverges sooner never needs it
+            def two_t():
+                eye = np.eye(op.a.shape[1])
+                t = eye - 0.5 * g1_mat
+                for _ in range(s.bit_length() - 1):
+                    t = 2.0 * (t @ t) - eye
+                return 2.0 * t
+
+            def d(p, out):
+                return np.matmul(two_t(), p, out=out)
         xs = [x, x - 0.5 * g1(x)]
         while len(xs) < 2 * s:
             xs.append(2.0 * xs[-1] - xs[-2] - g1(xs[-1]))

@@ -23,8 +23,9 @@ __all__ = ["MeshSystem"]
 class MeshSystem:
     """A mesh of one material, its element blocks and (K, M), built on
     first use, and what is read of the assembled pencils, each solved on
-    first request: all eigenvalues of (K, M) and the extremes of M once,
-    and the same of (Kbar, Mbar), (Mbar, M) and Mbar once per scaling spec.
+    first request: all eigenvalues of (K, M), its top pair and the
+    extremes of M once, and the same of (Kbar, Mbar), (Mbar, M) and Mbar
+    once per scaling spec.
     Kbar is K for every kind, and the none kind's Mbar is M, so it shares
     their entries. It keeps eigenvalues, the scaled system of each spec
     and each checked Mbar.
@@ -39,8 +40,9 @@ class MeshSystem:
     kind are CSR arrays, and so are the other global kinds' Mbar; global
     deflation's Mbar is M plus an n x r factor, from the top pairs of
     :attr:`pair`'s blocks, and splits as M's blocks plus the factor's.
-    The stability probe reads its top pair (:meth:`top_kmbar`) and steps
-    on the same checked matrices.
+    The sweep reads lambda_max from the cached top pair of each pencil
+    (:meth:`top_kmbar`), and the stability probe reads the same pair and
+    steps on the same checked matrices.
     """
 
     def __init__(self, mesh, material):
@@ -112,9 +114,12 @@ class MeshSystem:
             MatrixPair(self.mass(scaled), self.pair.b)))
 
     def top_kmbar(self, scaled=None):
-        """The largest eigenpair of (Kbar, Mbar), or of (K, M) for no spec,
-        from :func:`generalized_eig` with ``top=1``: the top pair of the
-        block pair with the largest top value, its vector mapped back to
-        order n. When K and Mbar both split, those are the mirror blocks
-        and no n-order Mbar is formed; otherwise the pencil is one block."""
-        return generalized_eig(MatrixPair(self.pair.a, self.mass(scaled)), top=1)
+        """The largest eigenpair of (Kbar, Mbar), or of (K, M) for no spec
+        and for none, solved once per spec: the sweep reads lambda_max from
+        it and the stability probe its pair. It comes from
+        :func:`generalized_eig` with ``top=1``: the top pair of the block
+        pair with the largest top value, its vector mapped back to order n.
+        When K and Mbar both split, those are the mirror blocks and no
+        n-order Mbar is formed; otherwise the pencil is one block."""
+        return self._once("top", scaled, lambda: generalized_eig(
+            MatrixPair(self.pair.a, self.mass(scaled)), top=1))

@@ -438,12 +438,12 @@ def test_each_assembled_pencil_solved_once_per_execute(tmp_path, monkeypatch):
 
         return wrapper
 
-    tops = Counter()  # (top, order) -> partial dense solves
+    tops = Counter()  # (top, order, digests of the pencil) -> partial dense solves
 
     def counting_top(fn):
         def wrapper(pair, top=None):
             if top is not None:
-                tops[top, pair.order] += 1
+                tops[top, pair.order, tuple(_digest(m) for m in _members(pair))] += 1
             return fn(pair, top=top)
 
         return wrapper
@@ -455,14 +455,19 @@ def test_each_assembled_pencil_solved_once_per_execute(tmp_path, monkeypatch):
             if mod_name.split(".")[0] == "masscale" and getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, wrapped)
     for expected in (1, 2):
-        cli.execute(cfg, ["spectrum", "bounds", "sweep"])
+        cli.execute(cfg, ["spectrum", "bounds", "sweep", "integrate"])
         assembled = {key: n for key, n in solves.items() if key[1] > 24}
-        # (K, M) and M, shared with none; (Kbar, Mbar) and Mbar for four
-        # other specs; (Mbar, M) for the four configured specs
-        assert len(assembled) == 14
+        # (K, M) and M, shared with none; (Kbar, Mbar) for the three other
+        # configured specs; Mbar for those and the sweep's beta = 1; (Mbar, M)
+        # for the four configured specs
+        assert len(assembled) == 13
         assert set(assembled.values()) == {expected}
-        # global deflation rank 4 takes its top 5 pairs of (K, M) once
-        assert tops == {(5, 108): expected}
+        # one top pair of (K, M), shared with none, and one of (Kbar, Mbar)
+        # for the three other specs and the sweep's beta = 1: the sweep and
+        # the probe share the pairs of (K, M) and beta = 10. Global deflation
+        # rank 4 takes its top 5 pairs of (K, M) once.
+        assert Counter(key[:2] for key in tops) == {(1, 108): 5, (5, 108): 1}
+        assert set(tops.values()) == {expected}
 
 
 def test_each_matrix_split_and_checked_once_per_execute(tmp_path, monkeypatch):

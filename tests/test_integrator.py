@@ -301,7 +301,9 @@ class TestBlockPath:
 
     @pytest.mark.parametrize("path", list(BEAM_SPECS))
     def test_block_top_pair_matches_dense(self, beam, path, monkeypatch):
-        checked_k, checked_mass, scaled = _beam_case(beam, path)
+        # a fresh system: the module's beam may hold this top pair already
+        system = MeshSystem(beam.mesh, beam.material)
+        checked_k, checked_mass, scaled = _beam_case(system, path)
         k, mass = checked_k.matrix, linalg.dense(checked_mass)
         dense = generalized_eig(MatrixPair(k, mass), top=1)
         assert checked_mass.split is not None
@@ -313,7 +315,7 @@ class TestBlockPath:
             return original(a)
 
         monkeypatch.setattr(linalg, "dense", no_dense_mass)
-        top = beam.top_kmbar(scaled)
+        top = system.top_kmbar(scaled)
         value, vector = top.values[-1], top.vectors[:, -1]
         assert abs(value - dense.values[-1]) <= 1e-12 * dense.values[-1]
         assert vector @ (mass @ vector) == pytest.approx(1.0, rel=1e-12)
@@ -366,7 +368,9 @@ class TestPanelLoop:
         assert a.final.step == integrator.PROBE_STEPS
         _assert_same_run(a, b, 1e-10, 1e-9)
 
-    @pytest.mark.parametrize("factor, steps", [(1.05, integrator.PROBE_STEPS), (0.99, 8 * 125 + 3)])
+    @pytest.mark.parametrize("factor, steps", [
+        (1.05, integrator.PROBE_STEPS), (1.005, integrator.PROBE_STEPS),
+        (0.99, integrator.PANEL_STEPS * 31 + 3)])
     def test_divergence_and_ragged_end(self, case, monkeypatch, factor, steps):
         k, _, split, dt_c, mode = case
         u0 = integrator._seeded_initial(k.matrix, 42, mode)
@@ -374,11 +378,32 @@ class TestPanelLoop:
         a, b = _panel_and_single(monkeypatch, lambda: central_difference_run(
             k.matrix, blocks, u0, factor * dt_c, steps))
         _assert_same_run(a, b, 1e-10)
-        if factor > 1:  # stopped inside the panel loop, not on a panel's first step
+        if factor > 1.01:  # stopped among the first 2s single steps, before any panel
+            assert a.diverged and a.final.step < 2 * integrator.PANEL_STEPS
+        elif factor > 1:  # stopped inside the panel loop, not on a panel's first step
             assert a.diverged and a.final.step > 2 * integrator.PANEL_STEPS
             assert a.final.step % integrator.PANEL_STEPS
         else:
             assert not a.diverged and a.final.step == steps
+
+    def test_panels_match_extended_precision(self, beam):
+        # The lumped mass, 2000 steps: the long-double loop, one step at a
+        # time on the same operator dt^2 A, costs about 0.3 ms per step.
+        k, mbar, scaled = _beam_case(beam, "diagonal")
+        top = beam.top_kmbar(scaled)
+        u0 = integrator._seeded_initial(k.matrix, 42, top.vectors[:, -1])
+        blocks = integrator._MirrorBlocks((k.split, mbar.split))
+        dt, steps = 0.99 * analysis.critical_dt(top.values[-1]), 2000
+        run = central_difference_run(k.matrix, blocks, u0, dt, steps)
+        assert run.final.step == steps and not run.diverged
+        g1 = (dt * dt * blocks.a).astype(np.longdouble)
+        prev = blocks.coords(u0).astype(np.longdouble)
+        cur = prev - 0.5 * (g1 @ prev)
+        for _ in range(steps - 1):
+            prev, cur = cur, 2 * cur - prev - g1 @ cur
+        exact = blocks.displacement(cur[..., 0].astype(float))
+        error = np.linalg.norm(run.final.displacement - exact)
+        assert error <= 1e-9 * np.linalg.norm(exact)
 
     @pytest.mark.parametrize("factor", [20.0, 1e12])
     def test_far_above_critical_raises_no_warning(self, case, monkeypatch, factor):
