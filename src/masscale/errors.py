@@ -13,14 +13,6 @@ class NotPositiveDefinite(MasscaleError):
         super().__init__(message or f"matrix is not positive definite (pivot {pivot})")
 
 
-class NoConvergence(MasscaleError):
-    """Eigensolver iteration cap exceeded."""
-
-    def __init__(self, index, message=None):
-        self.index = index
-        super().__init__(message or f"eigensolver failed to converge (index {index})")
-
-
 class SingularCore(MasscaleError):
     """Inner r x r system of a Woodbury solve is singular."""
 

@@ -492,10 +492,6 @@ class MirrorBasis:
                                         shape=(self.order, len(reps))))
         return out
 
-    def expand(self, k, y):
-        """Q_k @ y for the (m_k, t) coefficients ``y`` of block k; (n, t)."""
-        return self.columns[k] @ y
-
 
 def mirror_basis(mesh):
     """The :class:`MirrorBasis` of a mesh whose nodes mirror, else None.

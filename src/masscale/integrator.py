@@ -18,9 +18,10 @@ lambda_max. A run steps on one of two paths:
   (:class:`masscale.linalg.CheckedMatrix`, whose split is eight dense
   blocks of order about n/8; the CLI passes those that
   :class:`masscale.system.MeshSystem` keeps), A_k = M_k^{-1} K_k is
-  formed once per bracket from a Cholesky factor of each M_k and
+  formed once per bracket from a Cholesky factor of each M_k, on the
+  same :class:`masscale.linalg.Blocks` that the eigensolvers read, and
   stacked, zero-padded to the largest order m, as one (8, m, m) array.
-  The run steps the coordinates x = Q^T u in panels of
+  The run steps the coordinates x_k = Q_k^T u in panels of
   s = ``PANEL_STEPS`` = 32: the panel operator is formed once per run,
   at the first panel, by five batched (8, m, m) products, so a run that
   diverges within its first 2s single steps never forms it. Each panel is
@@ -61,9 +62,9 @@ from .errors import NotPositiveDefinite, SolveFailure
 from .linalg import (
     CheckedMatrix,
     LowRankUpdate,
+    block_pairs,
     cholesky,
     factor_spd,
-    mirror_splits,
     woodbury_factor,
 )
 
@@ -121,32 +122,33 @@ class MassSolver:
 
 class _MirrorBlocks:
     """The step operator of the block path: A_k = M_k^{-1} K_k for the
-    mirror splits (K's, M's), stacked zero-padded as ``a`` (8, m, m).
+    parts (K_k, M_k) of ``blocks``, the :func:`block_pairs` of (K, M),
+    stacked zero-padded as ``a`` (8, m, m).
 
     Raises :class:`SolveFailure` when a mass block is not SPD.
     """
 
     mode = "blocks"
 
-    def __init__(self, split):
-        (blocks_k, self.basis), (blocks_m, _) = split
-        self.a = np.zeros((len(blocks_k),) + (max(map(len, blocks_k)),) * 2)
-        for a, k, m in zip(self.a, blocks_k, blocks_m):
+    def __init__(self, blocks):
+        self.blocks, self.orders = blocks, [len(k) for k, _ in blocks.parts]
+        self.a = np.zeros((len(self.orders),) + (max(self.orders),) * 2)
+        for a, (k, m), order in zip(self.a, blocks.parts, self.orders):
             try:
-                a[:len(k), :len(k)] = sla.cho_solve((cholesky(m), True), k)
+                a[:order, :order] = sla.cho_solve((cholesky(m), True), k)
             except NotPositiveDefinite as exc:
                 raise SolveFailure(f"mass matrix is not SPD: {exc}") from exc
 
     def coords(self, u):
-        """x = Q^T u as an (8, m, 1) stack, zero in the padding."""
+        """x_k = Q_k^T u as an (8, m, 1) stack, zero in the padding."""
         x = np.zeros(self.a.shape[:2] + (1,))
-        for xk, q in zip(x, self.basis.columns):
-            xk[:q.shape[1], 0] = q.T @ u
+        for k, (xk, order) in enumerate(zip(x, self.orders)):
+            xk[:order, 0] = self.blocks.restrict(k, u)
         return x
 
     def displacement(self, x):
-        """u = Q x for coordinates x, (8, m)."""
-        return sum(q @ xk[:q.shape[1]] for xk, q in zip(x, self.basis.columns))
+        """u = sum_k Q_k x_k for coordinates x, (8, m)."""
+        return sum(self.blocks.expand(k, xk[:mk]) for k, (xk, mk) in enumerate(zip(x, self.orders)))
 
 
 def _operator(mbar):
@@ -311,15 +313,15 @@ def stability_bracket(kbar, mbar, dt_estimate, seed=42, highest_mode=None):
     at which the growth crossed 10x and 1e6x and the path the runs took.
 
     ``kbar`` and ``mbar`` are raw matrices, or checked matrices
-    (:class:`~masscale.linalg.CheckedMatrix`). When both are checked and
-    split, the runs step on the blocks (see the module docstring);
-    otherwise on the sparse path, where :class:`MassSolver` checks a mass
-    it factors. Raises :class:`SolveFailure` when the mass, or a mass
-    block, is not SPD.
+    (:class:`~masscale.linalg.CheckedMatrix`). When both split, so that
+    their :func:`~masscale.linalg.block_pairs` has a basis, the runs step
+    on the blocks (see the module docstring); otherwise on the sparse
+    path, where :class:`MassSolver` checks a mass it factors. Raises
+    :class:`SolveFailure` when the mass, or a mass block, is not SPD.
     """
-    split = mirror_splits(kbar, mbar)
+    blocks = block_pairs(kbar, mbar)
     kbar, mbar = (m.matrix if isinstance(m, CheckedMatrix) else m for m in (kbar, mbar))
-    op = _MirrorBlocks(split) if split else _operator(mbar)
+    op = _MirrorBlocks(blocks) if blocks.basis is not None else _operator(mbar)
     u0 = _seeded_initial(kbar, seed, highest_mode)
 
     verdicts = []

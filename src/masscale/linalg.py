@@ -25,12 +25,13 @@ to LAPACK (through numpy/scipy); the generalized solver performs the
 explicit Cholesky reduction to standard form so that eigenvectors come out
 B-orthonormal.
 
-Every eigensolve runs over a pencil's block pairs (:func:`_block_pairs`):
+Every eigensolve runs over a pencil's :class:`Blocks` (:func:`block_pairs`):
 the eight mirror blocks Q_k^T A Q_k of its members (:func:`mirror_split`,
 in the mesh's basis :func:`masscale.fem.mirror_basis`, order about n/8)
-when both are checked matrices that split (:func:`mirror_splits`), else
-the pencil itself as one block. Each question has its own solver, so that
-a caller pays for what it reads:
+when every member is a checked matrix that splits, else the pencil
+itself as one block. The integrator's stability probe steps on the same
+blocks. Each question has its own solver, so that a caller pays for what
+it reads:
 
 - all eigenpairs, or with ``top`` only the largest ones, of a pencil:
   :func:`generalized_eig`, a full or partial dense solve of each block
@@ -73,25 +74,25 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import NoConvergence, NotPositiveDefinite, SingularCore
+from .errors import NotPositiveDefinite, SingularCore
 
 __all__ = [
     "symmetrize",
     "require_symmetric",
     "MatrixPair",
     "CheckedMatrix",
+    "Blocks",
     "EigDecomposition",
     "LowRankUpdate",
     "dense",
     "cholesky",
     "is_diagonal",
     "factor_spd",
-    "sym_eig",
     "generalized_eig",
     "generalized_eigvalues",
     "extreme_eigvalues",
     "mirror_split",
-    "mirror_splits",
+    "block_pairs",
     "rigid_cutoff",
     "low_tail",
     "woodbury_factor",
@@ -249,6 +250,25 @@ class LowRankUpdate:
 
 
 @dataclass(frozen=True, eq=False)
+class Blocks:
+    """The blocks of a matrix or a pencil in a mirror basis
+    (:class:`masscale.fem.MirrorBasis`): ``parts[k]`` is block k, Q_k^T A
+    Q_k, or the tuple of the members' k-th blocks. With ``basis`` None:
+    one block, the matrix or the members, and identity maps."""
+
+    parts: list
+    basis: object = None
+
+    def expand(self, k, y):
+        """Q_k y, block k's coefficients y mapped to order n."""
+        return y if self.basis is None else self.basis.columns[k] @ y
+
+    def restrict(self, k, u):
+        """Q_k^T u, the coefficients in block k of u of order n."""
+        return u if self.basis is None else self.basis.columns[k].T @ u
+
+
+@dataclass(frozen=True, eq=False)
 class CheckedMatrix:
     """A symmetric matrix checked once, when it is built, with the mesh's
     :class:`masscale.fem.MirrorBasis` or None; its split and diagonal test
@@ -282,8 +302,8 @@ class CheckedMatrix:
 
     @functools.cached_property
     def split(self):
-        """The matrix's :func:`mirror_split` in ``basis``: None without a
-        basis or when it does not mirror."""
+        """The matrix's :func:`mirror_split` in ``basis``, a :class:`Blocks`:
+        None without a basis or when it does not mirror."""
         return None if self.basis is None else mirror_split(self.matrix, self.basis)
 
     @functools.cached_property
@@ -320,16 +340,6 @@ def cholesky(m):
     if info < 0:
         raise ValueError(f"illegal argument {-info} to dpotrf")
     return np.tril(c)
-
-
-def sym_eig(m):
-    """Full spectrum of a dense symmetric matrix, ascending, orthonormal vectors."""
-    m = require_symmetric(m, "m")
-    try:
-        values, vectors = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
-        raise NoConvergence(-1, str(exc)) from exc
-    return EigDecomposition(values, _fix_signs(vectors))
 
 
 def is_diagonal(a):
@@ -391,40 +401,30 @@ _EPS = np.finfo(float).eps
 _LOW_CUT = 1e-4
 
 
-def mirror_splits(a, b):
-    """The mirror splits (:attr:`CheckedMatrix.split`) of ``a`` and ``b``
-    when both are checked matrices that split, else None: the integrator
-    steps on the blocks exactly when this is not None."""
-    if isinstance(a, CheckedMatrix) and isinstance(b, CheckedMatrix):
-        if a.split is not None and b.split is not None:
-            return a.split, b.split
-    return None
-
-
-def _block_pairs(*members):
-    """The blocks that the eigensolvers solve one by one, of the members
-    of a pencil or of one matrix, and ``expand(k, y)``, the map from block
-    k's coefficients y back to order n: the mirror blocks
-    (:attr:`CheckedMatrix.split`) and ``basis.expand`` when every member
-    is a checked matrix that splits, else the members themselves as one
-    block and the identity. No split is read after one that fails."""
+def block_pairs(*members):
+    """The :class:`Blocks` of a pencil's members, or of one matrix, that
+    the eigensolvers solve and the integrator steps on one by one:
+    ``parts[k]`` is the tuple of the members' k-th mirror blocks
+    (:attr:`CheckedMatrix.split`) when every member is a checked matrix
+    that splits, else the members as one block. No split is read after
+    one that fails."""
     splits = []
     for m in members:
         split = m.split if isinstance(m, CheckedMatrix) else None
         if split is None:
-            return [members], lambda k, y: y
-        splits.append(split[0])
-    return list(zip(*splits)), split[1].expand
+            return Blocks([members])
+        splits.append(split.parts)
+    return Blocks(list(zip(*splits)), split.basis)
 
 
 def _standard_form(pair):
     """C = L^{-1} A L^{-T} for B = L L^T, and the map y -> L^{-T} y back,
-    formed dense from a checked pencil, a :class:`MatrixPair` or a tuple
-    (a sparse member is converted).
+    formed dense from one part (A, B) of :func:`block_pairs` (a sparse
+    member is converted).
 
     A diagonal B takes a scaling path instead of the Cholesky reduction.
     """
-    a, b = (pair.a, pair.b) if isinstance(pair, MatrixPair) else pair
+    a, b = pair
     diagonal = b.is_diagonal if isinstance(b, CheckedMatrix) else is_diagonal(b)
     if diagonal:
         d = _operand(b).diagonal().copy()
@@ -542,7 +542,7 @@ def generalized_eig(pair, top=None):
     Eigenvalues are real and ascending; eigenvectors are B-orthonormal.
     A diagonal B takes a fast scaling path instead of the reduction.
 
-    Each block pair (:func:`_block_pairs`) is solved dense, and its
+    Each block pair (:func:`block_pairs`) is solved dense, and its
     vectors are mapped back through L_k^{-T} and Q_k, which is orthonormal,
     so they stay B-orthonormal. With ``top``, only the ``top`` largest
     pairs of each block are formed, and the largest ``top`` of all blocks
@@ -557,15 +557,15 @@ def generalized_eig(pair, top=None):
     dense, and the dense solve converts each block once.
     """
     pair = pair if isinstance(pair, MatrixPair) else MatrixPair(*pair)
-    blocks, expand = _block_pairs(pair.a, pair.b)
+    blocks = block_pairs(pair.a, pair.b)
     values, vectors = [], []
-    for k, block in enumerate(blocks):
-        c, back = _standard_form(block)
+    for k, part in enumerate(blocks.parts):
+        c, back = _standard_form(part)
         m = c.shape[0]
         v, y = (np.linalg.eigh(c) if top is None
                 else sla.eigh(c, subset_by_index=[max(m - top, 0), m - 1]))
         values.append(v)
-        vectors.append(expand(k, back(_fix_signs(y))))
+        vectors.append(blocks.expand(k, back(_fix_signs(y))))
     order = np.argsort(np.concatenate(values), kind="stable")
     order = order if top is None else order[-top:]
     values, vectors = np.concatenate(values)[order], np.take(np.hstack(vectors), order, axis=1)
@@ -577,10 +577,10 @@ def generalized_eig(pair, top=None):
 
 def mirror_split(a, basis):
     """The blocks Q_k^T A Q_k of a symmetric ``a`` in the mirror basis
-    (:class:`masscale.fem.MirrorBasis`), as the pair (blocks, basis), or
-    None when ``a`` does not commute with the reflections to within the
-    dense error. A :class:`CheckedMatrix` calls it once and keeps the
-    result as its ``split``; ``a`` itself is not checked for symmetry here.
+    (:class:`masscale.fem.MirrorBasis`), as :class:`Blocks`, or None when
+    ``a`` does not commute with the reflections to within the dense
+    error. A :class:`CheckedMatrix` calls it once and keeps the result as
+    its ``split``; ``a`` itself is not checked for symmetry here.
 
     The block entries use the commutation: the column of Q_k for
     representative d is sqrt(s) P_k e_d, so Q_k^T A Q_k is sqrt(s) times
@@ -610,19 +610,22 @@ def mirror_split(a, basis):
     eps * max|A| / 8 (max|A| the largest diagonal entry of the SPD A)
     keeps all ignored terms within 1.1 n * eps * ||A||_2 for S >= 0. Global
     deflation's V = M U, U from the blocks, gives delta <= 1.4e-2 n * eps
-    * max|A| on the benchmark meshes; LAPACK's vectors can mix blocks.
+    * max|A| on the benchmark meshes; LAPACK's vectors can mix blocks. An
+    update whose B does not split is None before any Q_k^T V is formed.
     """
     if isinstance(a, LowRankUpdate):
         split = mirror_split(a.base, basis)
-        w = [q.T @ a.factors for q in basis.columns]  # Q_k^T V, (m_k, r)
-        parts = np.array([np.einsum("ij,ij->j", x, x) for x in w])  # ||Q_k^T v_j||^2
-        own = np.arange(len(w))[:, None] == parts.argmax(axis=0)
-        leak = np.sqrt(np.where(own, 0.0, parts).sum(axis=0))
-        delta = np.abs(a.core) @ (leak * (2.0 * np.sqrt(parts.max(axis=0)) + leak))
-        if split is None or not delta <= a.shape[0] * _EPS * a.diagonal().max() / 8:
+        if split is None:
             return None
-        return [symmetrize(b + (x[:, o] * a.core[o]) @ x[:, o].T)
-                for b, x, o in zip(split[0], w, own)], basis
+        w = [split.restrict(k, a.factors) for k in range(len(split.parts))]  # (m_k, r)
+        norms = np.array([np.einsum("ij,ij->j", x, x) for x in w])  # ||Q_k^T v_j||^2
+        own = np.arange(len(w))[:, None] == norms.argmax(axis=0)
+        leak = np.sqrt(np.where(own, 0.0, norms).sum(axis=0))
+        delta = np.abs(a.core) @ (leak * (2.0 * np.sqrt(norms.max(axis=0)) + leak))
+        if not delta <= a.shape[0] * _EPS * a.diagonal().max() / 8:
+            return None
+        return Blocks([symmetrize(b + (x[:, o] * a.core[o]) @ x[:, o].T)
+                       for b, x, o in zip(split.parts, w, own)], basis)
     from scipy import sparse  # deferred: its import would add to every CLI start
 
     a = _csr(a)
@@ -641,9 +644,8 @@ def mirror_split(a, basis):
     sums = np.bincount(_rows_of(diff), np.abs(diff.data), minlength=7 * m)
     if not sums.max(initial=0.0) <= n * _EPS * np.abs(a.data).max(initial=0.0) / 8:
         return None
-    blocks = [symmetrize(dense(a[r] @ q) * np.sqrt(basis.sizes[r])[:, None])
-              for r, q in zip(basis.reps, basis.columns)]
-    return blocks, basis
+    return Blocks([symmetrize(dense(a[r] @ q) * np.sqrt(basis.sizes[r])[:, None])
+                   for r, q in zip(basis.reps, basis.columns)], basis)
 
 
 def generalized_eigvalues(pair):
@@ -651,7 +653,7 @@ def generalized_eigvalues(pair):
 
     ``pair`` is a :class:`MatrixPair` or a tuple (A, B), checked here as
     one; its members are raw or checked matrices, sparse or dense. Each
-    block pair (:func:`_block_pairs`) is solved for its values alone. A
+    block pair (:func:`block_pairs`) is solved for its values alone. A
     low tail that :func:`low_tail` marks on the merged values is
     recomputed by :func:`_ritz` on the full pencil, from the vectors of
     each block's share of the tail (a partial dense solve of the block),
@@ -660,8 +662,8 @@ def generalized_eigvalues(pair):
     forms no vectors.
     """
     pair = pair if isinstance(pair, MatrixPair) else MatrixPair(*pair)
-    blocks, expand = _block_pairs(pair.a, pair.b)
-    solved = [_standard_form(block) for block in blocks]
+    blocks = block_pairs(pair.a, pair.b)
+    solved = [_standard_form(part) for part in blocks.parts]
     parts = [np.linalg.eigvalsh(c) for c, _ in solved]
     owner = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
     order = np.argsort(np.concatenate(parts), kind="stable")
@@ -670,7 +672,7 @@ def generalized_eigvalues(pair):
     if count:
         shares = np.bincount(owner[order[:count]], minlength=len(parts))
         x = np.hstack([
-            expand(k, back(sla.eigh(c, subset_by_index=[0, share - 1])[1]))
+            blocks.expand(k, back(sla.eigh(c, subset_by_index=[0, share - 1])[1]))
             for k, ((c, back), share) in enumerate(zip(solved, shares)) if share
         ])
         del solved  # the blocks' standard forms are freed before the Ritz step
@@ -685,7 +687,7 @@ def extreme_eigvalues(a):
 
     A matrix that :func:`is_diagonal` accepts gives the ends of its
     diagonal, exactly; any other the ends of the values-only solves of
-    its blocks (:func:`_block_pairs`): the eight mirror blocks when it
+    its blocks (:func:`block_pairs`): the eight mirror blocks when it
     splits, else the whole matrix.
     """
     if not isinstance(a, CheckedMatrix):
@@ -693,8 +695,7 @@ def extreme_eigvalues(a):
     if a.is_diagonal:
         d = _operand(a).diagonal()
         return np.array([d.min(), d.max()])
-    blocks, _ = _block_pairs(a)
-    ends = np.array([np.linalg.eigvalsh(dense(block))[[0, -1]] for block, in blocks])
+    ends = np.array([np.linalg.eigvalsh(dense(m))[[0, -1]] for m, in block_pairs(a).parts])
     return np.array([ends[:, 0].min(), ends[:, 1].max()])
 
 
@@ -731,8 +732,8 @@ def woodbury_factor(update):
 
 def condition_number(values):
     """lambda_max / lambda_min of ascending eigenvalues, such as
-    ``sym_eig(a).values`` or ``generalized_eig(pair).values``; raises
-    :class:`NotPositiveDefinite` when lambda_min <= 0."""
+    ``generalized_eig(pair).values``; raises :class:`NotPositiveDefinite`
+    when lambda_min <= 0."""
     if values[0] <= 0:
         raise NotPositiveDefinite(0, "nonpositive smallest eigenvalue")
     return float(values[-1] / values[0])

@@ -33,10 +33,10 @@ class MeshSystem:
     Each assembled matrix is one :class:`linalg.CheckedMatrix` in the
     mesh's mirror basis, checked for symmetry when it is built: K and M
     with their pair, each Mbar on first use (:meth:`mass`). Each keeps its
-    split in that basis (eight dense blocks of order about n/8, or None
-    when the matrix does not mirror) from its first read, so every solve
-    that reads a matrix shares one split, and what commutes with the
-    reflections is solved block by block. K, M and every Mbar of a local
+    split, a :class:`linalg.Blocks` of eight dense blocks of order about
+    n/8 (None when the matrix does not mirror), from its first read, so
+    every solve and probe that reads a matrix shares one split, and what
+    commutes with the reflections is solved block by block. K, M and every Mbar of a local
     kind are CSR arrays, and so are the other global kinds' Mbar; global
     deflation's Mbar is M plus an n x r factor, from the top pairs of
     :attr:`pair`'s blocks, and splits as M's blocks plus the factor's.

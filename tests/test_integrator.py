@@ -276,8 +276,8 @@ class TestBlockPath:
         u0 = np.random.default_rng(3).standard_normal(k.shape[0])
         sparse_run = central_difference_run(k, mbar, u0, 0.99 * dt_c, integrator.PROBE_STEPS)
         block_run = central_difference_run(
-            k, integrator._MirrorBlocks((checked_k.split, checked_mbar.split)), u0, 0.99 * dt_c,
-            integrator.PROBE_STEPS)
+            k, integrator._MirrorBlocks(linalg.block_pairs(checked_k, checked_mbar)), u0,
+            0.99 * dt_c, integrator.PROBE_STEPS)
         assert sparse_run.final.step == block_run.final.step == integrator.PROBE_STEPS
         diff = np.abs(block_run.response_norms - sparse_run.response_norms)
         assert np.all(diff <= 1e-8 * sparse_run.response_norms)
@@ -286,11 +286,11 @@ class TestBlockPath:
 
     def test_non_spd_block_mass_raises(self, beam):
         k, mbar, _ = _beam_case(beam, "diagonal")
-        blocks, basis = mbar.split
-        bad = [b.copy() for b in blocks]
-        bad[3][0, 0] = -bad[3][0, 0]
+        blocks = linalg.block_pairs(k, mbar)
+        bad = [(kk, m.copy()) for kk, m in blocks.parts]
+        bad[3][1][0, 0] = -bad[3][1][0, 0]
         with pytest.raises(SolveFailure, match="mass matrix is not SPD"):
-            integrator._MirrorBlocks((k.split, (bad, basis)))
+            integrator._MirrorBlocks(linalg.Blocks(bad, blocks.basis))
 
     def test_public_bracket_checks_the_mass(self, beam):
         # a raw mass is checked: only a CheckedMatrix is trusted
@@ -347,10 +347,11 @@ class TestPanelLoop:
     def case(self, request, beam):
         k, mbar, scaled = _beam_case(beam, request.param)
         top = beam.top_kmbar(scaled)
-        return k, mbar, (k.split, mbar.split), analysis.critical_dt(top.values[-1]), top.vectors[:, -1]
+        return (k, mbar, linalg.block_pairs(k, mbar), analysis.critical_dt(top.values[-1]),
+                top.vectors[:, -1])
 
     def test_bracket_matches_single_steps(self, case, monkeypatch):
-        k, mbar, split, dt_c, mode = case
+        k, mbar, pairs, dt_c, mode = case
         panel, single = _panel_and_single(
             monkeypatch, lambda: stability_bracket(k, mbar, dt_c, 42, mode))
         keys = ("classification", "steps_run", "stable_crossing", "unstable_crossing", "path")
@@ -362,7 +363,7 @@ class TestPanelLoop:
         # from a random start, the one-step loop is itself up to 7e-10 off
         # an extended-precision run of the same operator, so 1e-9 bounds them.
         u0 = integrator._seeded_initial(k.matrix, 42, mode)
-        blocks = integrator._MirrorBlocks(split)
+        blocks = integrator._MirrorBlocks(pairs)
         a, b = _panel_and_single(monkeypatch, lambda: central_difference_run(
             k.matrix, blocks, u0, 0.99 * dt_c, integrator.PROBE_STEPS))
         assert a.final.step == integrator.PROBE_STEPS
@@ -372,9 +373,9 @@ class TestPanelLoop:
         (1.05, integrator.PROBE_STEPS), (1.005, integrator.PROBE_STEPS),
         (0.99, integrator.PANEL_STEPS * 31 + 3)])
     def test_divergence_and_ragged_end(self, case, monkeypatch, factor, steps):
-        k, _, split, dt_c, mode = case
+        k, _, pairs, dt_c, mode = case
         u0 = integrator._seeded_initial(k.matrix, 42, mode)
-        blocks = integrator._MirrorBlocks(split)
+        blocks = integrator._MirrorBlocks(pairs)
         a, b = _panel_and_single(monkeypatch, lambda: central_difference_run(
             k.matrix, blocks, u0, factor * dt_c, steps))
         _assert_same_run(a, b, 1e-10)
@@ -392,7 +393,7 @@ class TestPanelLoop:
         k, mbar, scaled = _beam_case(beam, "diagonal")
         top = beam.top_kmbar(scaled)
         u0 = integrator._seeded_initial(k.matrix, 42, top.vectors[:, -1])
-        blocks = integrator._MirrorBlocks((k.split, mbar.split))
+        blocks = integrator._MirrorBlocks(linalg.block_pairs(k, mbar))
         dt, steps = 0.99 * analysis.critical_dt(top.values[-1]), 2000
         run = central_difference_run(k.matrix, blocks, u0, dt, steps)
         assert run.final.step == steps and not run.diverged
@@ -408,9 +409,9 @@ class TestPanelLoop:
     @pytest.mark.parametrize("factor", [20.0, 1e12])
     def test_far_above_critical_raises_no_warning(self, case, monkeypatch, factor):
         # 1e12 overflows within the first 2s iterates; the overshoot is discarded
-        k, _, split, dt_c, mode = case
+        k, _, pairs, dt_c, mode = case
         u0 = integrator._seeded_initial(k.matrix, 42, mode)
-        blocks = integrator._MirrorBlocks(split)
+        blocks = integrator._MirrorBlocks(pairs)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             a, b = _panel_and_single(monkeypatch, lambda: central_difference_run(

@@ -15,7 +15,6 @@ from masscale.linalg import (
     extreme_eigvalues,
     generalized_eig,
     generalized_eigvalues,
-    sym_eig,
     symmetrize,
     woodbury_factor,
 )
@@ -186,29 +185,31 @@ class TestCsr:
 
 
 class TestSymEig:
+    """The standard problem as the pencil (M, I): generalized_eig keeps the sign convention."""
+
     def test_diagonal(self):
-        dec = sym_eig(np.diag([3.0, 1.0, 2.0]))
+        dec = generalized_eig((np.diag([3.0, 1.0, 2.0]), np.eye(3)))
         assert np.allclose(dec.values, [1.0, 2.0, 3.0])
 
     def test_identity(self):
-        dec = sym_eig(np.eye(5))
+        dec = generalized_eig((np.eye(5), np.eye(5)))
         assert np.allclose(dec.values, 1.0)
 
     def test_hoffmann_ring_matrix(self):
         # circulant in-plane coupling matrix has spectrum {1, 3, 3, 9}
-        dec = sym_eig(HOFFMANN_G)
+        dec = generalized_eig((HOFFMANN_G, np.eye(4)))
         assert np.allclose(dec.values, [1.0, 3.0, 3.0, 9.0], atol=1e-12)
 
     def test_residual_and_orthonormality(self):
         rng = np.random.default_rng(11)
         m = symmetrize(rng.standard_normal((40, 40)))
-        dec = sym_eig(m)
+        dec = generalized_eig((m, np.eye(40)))
         res = m @ dec.vectors - dec.vectors * dec.values
         assert np.abs(res).max() <= 1e-12 * np.linalg.norm(m, 2) * 40
         assert np.allclose(dec.vectors.T @ dec.vectors, np.eye(40), atol=1e-12)
 
     def test_sign_convention(self):
-        dec = sym_eig(np.diag([2.0, 1.0]))
+        dec = generalized_eig((np.diag([2.0, 1.0]), np.eye(2)))
         for k in range(2):
             v = dec.vectors[:, k]
             assert v[np.argmax(np.abs(v))] > 0
@@ -457,7 +458,7 @@ class TestExtremeEigvalues:
     @pytest.mark.parametrize("system", ["small_system", "wide_system"])
     def test_diagonal_path_is_exact(self, request, system):
         m = request.getfixturevalue(system)[2].b
-        assert np.array_equal(extreme_eigvalues(m), sym_eig(m).values[[0, -1]])
+        assert np.array_equal(extreme_eigvalues(m), np.linalg.eigh(m).eigenvalues[[0, -1]])
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -521,7 +522,7 @@ class TestMirrorBlocks:
         # recomputes the low tail on the full pencil from their vectors
         mesh, _, pair = kinds_mesh
         checked = checked_pencil(pair, fem.mirror_basis(mesh))
-        assert linalg.mirror_splits(checked.a, checked.b) is not None
+        assert linalg.block_pairs(checked.a, checked.b).basis is not None
         full, dec = generalized_eig(pair), generalized_eig(checked)
         assert linalg.low_tail(full.values) > 6
         assert np.abs(dec.values - full.values).max() <= linalg.rigid_cutoff(full.values)
@@ -532,6 +533,28 @@ class TestMirrorBlocks:
         res = pair.a @ u - (pair.b @ u) * dec.values
         assert np.abs(res).max() <= 1e-12 * dec.values[-1] * np.abs(pair.b).max()
         assert np.all(np.diff(dec.values) >= 0)
+
+    def test_blocks_map_to_order_n_and_back(self, kinds_mesh):
+        # restrict(k, .) undoes expand(k, .) on block k, and the eight
+        # blocks together give back a vector of order n
+        mesh, _, pair = kinds_mesh
+        checked = checked_pencil(pair, fem.mirror_basis(mesh))
+        blocks = linalg.block_pairs(checked.a, checked.b)
+        assert blocks.basis is not None and len(blocks.parts) == 8
+        rng = np.random.default_rng(28)
+        for k, (a, b) in enumerate(blocks.parts):
+            assert a.shape == b.shape
+            y = rng.standard_normal((len(a), 3))
+            error = np.abs(blocks.restrict(k, blocks.expand(k, y)) - y).max()
+            assert error <= 1e-15 * np.abs(y).max()
+        u = rng.standard_normal(pair.order)
+        back = sum(blocks.expand(k, blocks.restrict(k, u)) for k in range(8))
+        assert np.abs(back - u).max() <= 1e-15 * np.abs(u).max()
+        # a member that does not split: the members as one block, identity maps
+        one = linalg.block_pairs(checked.a, pair.b)
+        assert one.basis is None and len(one.parts) == 1
+        assert one.parts[0][0] is checked.a and one.parts[0][1] is pair.b
+        assert one.expand(0, u) is u and one.restrict(0, u) is u
 
     @pytest.mark.parametrize("system", ["kinds_mesh", "small_system"])
     def test_update_splits_as_its_dense_form(self, request, system):
@@ -545,7 +568,7 @@ class TestMirrorBlocks:
         mbar = CheckedMatrix(scaled.mbar, basis)
         dense = scaled.mbar_dense()
         assert isinstance(mbar.matrix, LowRankUpdate) and not mbar.is_diagonal
-        for x, y in zip(mbar.split[0], linalg.mirror_split(dense, basis)[0]):
+        for x, y in zip(mbar.split.parts, linalg.mirror_split(dense, basis).parts):
             assert np.abs(x - y).max() <= 1e-15 * np.abs(dense).max()
         for pencil, blocked in ((MatrixPair(pair.a, dense), MatrixPair(checked.a, mbar)),
                                 (MatrixPair(dense, pair.b), MatrixPair(mbar, checked.b))):
@@ -606,7 +629,7 @@ class TestMirrorBlocks:
         for a in (kinds_mesh[2].a, scaled_mass(kinds_mesh, kind).mbar_dense()):
             dense, csr = (linalg.mirror_split(m, basis) for m in (a, sparse.csr_array(a)))
             assert (dense is None) == (csr is None)
-            for x, y in zip(*(split[0] if split else [] for split in (dense, csr))):
+            for x, y in zip(*(split.parts if split else [] for split in (dense, csr))):
                 assert np.abs(x - y).max() <= 1e-15 * np.abs(a).max()
 
     @pytest.mark.parametrize("counts, extents", [((10, 4, 3), (0.05, 0.015, 0.002)),
@@ -729,10 +752,11 @@ class TestWoodbury:
 
 class TestConditionNumbers:
     def test_identity(self):
-        assert condition_number(sym_eig(np.eye(4)).values) == pytest.approx(1.0)
+        assert condition_number(np.linalg.eigh(np.eye(4)).eigenvalues) == pytest.approx(1.0)
 
     def test_diagonal(self):
-        assert condition_number(sym_eig(np.diag([1.0, 10.0])).values) == pytest.approx(10.0)
+        values = np.linalg.eigh(np.diag([1.0, 10.0])).eigenvalues
+        assert condition_number(values) == pytest.approx(10.0)
 
     def test_pair_identity(self):
         values = generalized_eig(MatrixPair(np.eye(3), np.eye(3))).values
@@ -740,7 +764,7 @@ class TestConditionNumbers:
 
     def test_not_spd(self):
         with pytest.raises(NotPositiveDefinite):
-            condition_number(sym_eig(np.diag([1.0, 0.0])).values)
+            condition_number(np.linalg.eigh(np.diag([1.0, 0.0])).eigenvalues)
 
     def test_conditioning_bound(self):
         # kappa(A)/kappa(B) <= kappa(A, B) for SPD pairs
@@ -748,6 +772,7 @@ class TestConditionNumbers:
         for _ in range(20):
             n = rng.integers(3, 15)
             a, b = random_spd(n, rng), random_spd(n, rng)
-            lhs = condition_number(sym_eig(a).values) / condition_number(sym_eig(b).values)
+            lhs = (condition_number(np.linalg.eigh(a).eigenvalues)
+                   / condition_number(np.linalg.eigh(b).eigenvalues))
             rhs = condition_number(generalized_eig(MatrixPair(a, b)).values)
             assert lhs <= rhs * (1 + 1e-10)

@@ -1,4 +1,5 @@
-"""Module boundaries: no private name crosses a module line in the package."""
+"""Module boundaries: no private name crosses a module line in the package,
+and only fem and linalg read the fields of a mirror basis."""
 import ast
 import pathlib
 
@@ -59,3 +60,26 @@ def test_the_scan_finds_a_crossing():
 def test_no_private_name_crosses_a_module_line():
     found = {path.name: crossings(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+# fem.MirrorBasis's fields: fem builds the basis, linalg reads it behind linalg.Blocks.
+BASIS_FIELDS = {"columns", "reps", "images", "signs", "sizes", "characters"}
+BASIS_READERS = {"fem.py", "linalg.py"}
+
+
+def basis_reads(source):
+    """The lines of ``source`` that read a field named in BASIS_FIELDS, as ``line: .field``."""
+    reads = sorted((node.lineno, node.attr) for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute) and node.attr in BASIS_FIELDS)
+    return [f"{line}: .{attr}" for line, attr in reads]
+
+
+def test_the_basis_scan_finds_a_field():
+    assert basis_reads("for q in self.basis.columns:\n    q.T\n") == ["1: .columns"]
+    assert basis_reads("blocks.expand(k, y)\nbasis.order\n") == []
+
+
+def test_only_fem_and_linalg_read_the_mirror_basis():
+    found = {path.name: basis_reads(path.read_text()) for path in sorted(SRC.glob("*.py"))
+             if path.name not in BASIS_READERS}
+    assert {name: lines for name, lines in found.items() if lines} == {}
