@@ -56,17 +56,17 @@ from dataclasses import dataclass
 from functools import cache, partial
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import NotPositiveDefinite, SolveFailure
 from .linalg import (
     CheckedMatrix,
     LowRankUpdate,
+    block_operator,
     block_pairs,
-    cholesky,
     factor_spd,
     woodbury_factor,
 )
+from .linalg import cholesky  # noqa: F401 - unused; perfbench's tracer wraps it by this name
 
 __all__ = [
     "MassSolver",
@@ -133,9 +133,9 @@ class _MirrorBlocks:
     def __init__(self, blocks):
         self.blocks, self.orders = blocks, [len(k) for k, _ in blocks.parts]
         self.a = np.zeros((len(self.orders),) + (max(self.orders),) * 2)
-        for a, (k, m), order in zip(self.a, blocks.parts, self.orders):
+        for a, part, order in zip(self.a, blocks.parts, self.orders):
             try:
-                a[:order, :order] = sla.cho_solve((cholesky(m), True), k)
+                a[:order, :order] = block_operator(part)
             except NotPositiveDefinite as exc:
                 raise SolveFailure(f"mass matrix is not SPD: {exc}") from exc
 
@@ -314,14 +314,16 @@ def stability_bracket(kbar, mbar, dt_estimate, seed=42, highest_mode=None):
 
     ``kbar`` and ``mbar`` are raw matrices, or checked matrices
     (:class:`~masscale.linalg.CheckedMatrix`). When both split, so that
-    their :func:`~masscale.linalg.block_pairs` has a basis, the runs step
-    on the blocks (see the module docstring); otherwise on the sparse
+    their :func:`~masscale.linalg.block_pairs` has a basis, and do not both
+    decouple the displacement components (no K does), the runs step on the
+    blocks (see the module docstring); otherwise on the sparse
     path, where :class:`MassSolver` checks a mass it factors. Raises
     :class:`SolveFailure` when the mass, or a mass block, is not SPD.
     """
     blocks = block_pairs(kbar, mbar)
     kbar, mbar = (m.matrix if isinstance(m, CheckedMatrix) else m for m in (kbar, mbar))
-    op = _MirrorBlocks(blocks) if blocks.basis is not None else _operator(mbar)
+    on_blocks = blocks.basis is not None and blocks.copies == 1
+    op = _MirrorBlocks(blocks) if on_blocks else _operator(mbar)
     u0 = _seeded_initial(kbar, seed, highest_mode)
 
     verdicts = []

@@ -5,9 +5,10 @@ Factorizations, standard and generalized eigensolvers, low-rank-update
 An assembled matrix arrives as a scipy.sparse CSR array or as a dense
 array. Every function that reads a whole matrix (:func:`require_symmetric`,
 :func:`is_diagonal`, :func:`factor_spd`, :func:`mirror_split`,
-:func:`extreme_eigvalues` and the low-tail recomputation) reads its
-stored entries alone, and a :class:`LowRankUpdate` M + V S V^T as M and
-V. One reader finds them: :func:`_stored`, a sparse array's entries, or a
+:attr:`CheckedMatrix.is_decoupled`, :func:`extreme_eigvalues` and the
+low-tail recomputation) reads its stored entries alone, and a
+:class:`LowRankUpdate` M + V S V^T as M and V. One reader finds them:
+:func:`_stored`, a sparse array's entries, or a
 dense array's entries != 0 found strip by strip, so that a dense check
 forms no temporary of the matrix's size; :func:`_csr` builds its CSR
 arrays from them. Dense arrays are formed only for the dense solves of
@@ -29,16 +30,22 @@ Every eigensolve runs over a pencil's :class:`Blocks` (:func:`block_pairs`):
 the eight mirror blocks Q_k^T A Q_k of its members (:func:`mirror_split`,
 in the mesh's basis :func:`masscale.fem.mirror_basis`, order about n/8)
 when every member is a checked matrix that splits, else the pencil
-itself as one block. The integrator's stability probe steps on the same
-blocks. Each question has its own solver, so that a caller pays for what
-it reads:
+itself as one block. When every member is also I_3 (x) A_s, one block per
+displacement component (:attr:`CheckedMatrix.is_decoupled`), only the
+x-component rows and columns of each block are solved (order about n/24,
+or n/3 for one block), and each of their values counts three times. The
+integrator's stability probe steps on the mirror blocks of (K, M), each
+as :func:`block_operator` forms it. Each question has its own solver, so
+that a caller pays for what it reads:
 
 - all eigenpairs, or with ``top`` only the largest ones, of a pencil:
   :func:`generalized_eig`, a full or partial dense solve of each block
   pair, the vectors mapped back to order n;
-- all eigenvalues of a pencil: :func:`generalized_eigvalues`, a
-  values-only solve of each block pair, with the low tail (below)
-  recomputed on the full pencil from vectors of each block's share of it;
+- all eigenvalues of a pencil: :func:`generalized_eigvalues`, one
+  Householder reduction of each block pair's standard form to
+  tridiagonal form, all its values from the tridiagonal, and the low
+  tail (below) recomputed on the full pencil from vectors of each
+  block's share of it, taken from the same tridiagonal;
 - lambda_min and lambda_max of a symmetric matrix:
   :func:`extreme_eigvalues`: the ends of the diagonal of a diagonal
   matrix, else of the values-only solve of each block.
@@ -93,6 +100,7 @@ __all__ = [
     "extreme_eigvalues",
     "mirror_split",
     "block_pairs",
+    "block_operator",
     "rigid_cutoff",
     "low_tail",
     "woodbury_factor",
@@ -254,17 +262,32 @@ class Blocks:
     """The blocks of a matrix or a pencil in a mirror basis
     (:class:`masscale.fem.MirrorBasis`): ``parts[k]`` is block k, Q_k^T A
     Q_k, or the tuple of the members' k-th blocks. With ``basis`` None:
-    one block, the matrix or the members, and identity maps."""
+    one block, the matrix or the members, and identity maps.
+
+    With ``copies`` = 3 the matrices are I_3 (x) A_s (:func:`block_pairs`),
+    and ``parts[k]`` holds only the x-component rows and columns of block
+    k, or A_s with ``basis`` None. Each eigenvalue of a part then occurs
+    three times, once per displacement component: the values of part k
+    are its own, repeated as ``np.tile(values, 3)``, and :meth:`expand`
+    gives the three component copies of each vector in that order.
+    """
 
     parts: list
     basis: object = None
+    copies: int = 1
 
     def expand(self, k, y):
-        """Q_k y, block k's coefficients y mapped to order n."""
-        return y if self.basis is None else self.basis.columns[k] @ y
+        """Q_k y, block k's coefficients y mapped to order n. With three
+        copies, y holds columns of x-component coefficients (m_k, c), and
+        the result (n, 3 c) is Q_k y on the x, then y, then z dofs."""
+        if self.copies == 1:
+            return y if self.basis is None else self.basis.columns[k] @ y
+        if self.basis is not None:  # the x reps lead each block, and Q_k maps them to x dofs
+            y = self.basis.columns[k][:self.basis.order // 3, :len(y)] @ y
+        return np.kron(np.eye(3), y)
 
     def restrict(self, k, u):
-        """Q_k^T u, the coefficients in block k of u of order n."""
+        """Q_k^T u, the coefficients in block k of u of order n (one copy)."""
         return u if self.basis is None else self.basis.columns[k].T @ u
 
 
@@ -311,6 +334,27 @@ class CheckedMatrix:
         """:func:`is_diagonal` of the matrix."""
         return is_diagonal(self.matrix)
 
+    @functools.cached_property
+    def is_decoupled(self):
+        """True when the matrix is I_3 (x) A_s in the component-blocked dof
+        order (:mod:`masscale.fem`): no stored entry couples two
+        displacement components, and the three diagonal blocks are equal
+        entry for entry. Read once, in O(nnz), from its CSR arrays (a dense
+        matrix is converted); a :class:`LowRankUpdate` reads False."""
+        a = self.matrix
+        third, rest = divmod(a.shape[0], 3)
+        if isinstance(a, LowRankUpdate) or rest or not third:
+            return False
+        a = _csr(a)
+        lengths = np.diff(a.indptr).reshape(3, third)
+        if not (lengths == lengths[0]).all():
+            return False
+        cuts = a.indptr[::third]  # rows 0, N, 2N, 3N
+        cols, data = ([x[cuts[c]:cuts[c + 1]] for c in range(3)] for x in (a.indices, a.data))
+        return bool(np.all((cols[0] >= 0) & (cols[0] < third))
+                    and all(np.array_equal(cols[c] - c * third, cols[0])
+                            and np.array_equal(data[c], data[0]) for c in (1, 2)))
+
 
 def _operand(m):
     """What a solver reads of ``m``: a checked matrix's matrix, else ``m``."""
@@ -333,8 +377,13 @@ def cholesky(m):
     Raises :class:`NotPositiveDefinite` (with the first failing pivot index,
     0-based) if the matrix is not SPD within the pivot tolerance of LAPACK.
     """
-    m = dense(m if isinstance(m, CheckedMatrix) else require_symmetric(m, "m"))
-    c, info = sla.lapack.dpotrf(m, lower=1, overwrite_a=0)
+    return _cholesky_lower(m if isinstance(m, CheckedMatrix) else require_symmetric(m, "m"))
+
+
+def _cholesky_lower(m):
+    """:func:`cholesky` of ``m`` without the symmetry check: for a matrix
+    checked already, or a block that :func:`block_pairs` formed symmetric."""
+    c, info = sla.lapack.dpotrf(dense(m), lower=1, overwrite_a=0)
     if info > 0:
         raise NotPositiveDefinite(info - 1)
     if info < 0:
@@ -407,14 +456,43 @@ def block_pairs(*members):
     ``parts[k]`` is the tuple of the members' k-th mirror blocks
     (:attr:`CheckedMatrix.split`) when every member is a checked matrix
     that splits, else the members as one block. No split is read after
-    one that fails."""
+    one that fails.
+
+    When every member is a checked matrix of the form I_3 (x) A_s
+    (:attr:`CheckedMatrix.is_decoupled`), the pencil is three copies of
+    (A_s, B_s, ...), and the :class:`Blocks` has three copies: each part
+    keeps only the x-component rows and columns of its mirror blocks
+    (the x reps lead each block, which no entry couples to its y and z
+    reps), or is A_s itself when a member does not split. The mass
+    pencils of the lumped, CMS, Olovsson, Hoffmann and uniform-LFT masses
+    have that form; K couples the components, so no pencil with K does.
+    """
+    copies = 3 if all(isinstance(m, CheckedMatrix) and m.is_decoupled for m in members) else 1
     splits = []
     for m in members:
         split = m.split if isinstance(m, CheckedMatrix) else None
         if split is None:
-            return Blocks([members])
+            if copies == 1:
+                return Blocks([members])
+            third = m.shape[0] // 3
+            return Blocks([tuple(_operand(x)[:third, :third] for x in members)], copies=3)
         splits.append(split.parts)
-    return Blocks(list(zip(*splits)), split.basis)
+    parts, basis = list(zip(*splits)), split.basis
+    if copies == 3:
+        orders = [np.count_nonzero(reps < basis.order // 3) for reps in basis.reps]
+        parts = [tuple(b[:x, :x] for b in part) for part, x in zip(parts, orders)]
+    return Blocks(parts, basis, copies)
+
+
+def block_operator(part):
+    """B^{-1} A of one part (A, B) of :func:`block_pairs`, dense, by a
+    Cholesky factor of B, which is not checked again for symmetry.
+
+    Raises :class:`NotPositiveDefinite` (with the first failing pivot
+    index) when B is not SPD.
+    """
+    a, b = part
+    return sla.cho_solve((_cholesky_lower(b), True), dense(a))
 
 
 def _standard_form(pair):
@@ -433,7 +511,7 @@ def _standard_form(pair):
             raise NotPositiveDefinite(int(bad[0]))
         s = 1.0 / np.sqrt(d)
         return symmetrize(dense(a) * s[:, None] * s[None, :]), lambda y: y * s[:, None]
-    ell = cholesky(b)
+    ell = _cholesky_lower(b)
     c, info = sla.lapack.dsygst(dense(a), ell, itype=1, lower=1)
     if info != 0:  # pragma: no cover - LAPACK reports illegal arguments only
         raise ValueError(f"illegal argument {-info} to dsygst")
@@ -564,7 +642,7 @@ def generalized_eig(pair, top=None):
         m = c.shape[0]
         v, y = (np.linalg.eigh(c) if top is None
                 else sla.eigh(c, subset_by_index=[max(m - top, 0), m - 1]))
-        values.append(v)
+        values.append(np.tile(v, blocks.copies))
         vectors.append(blocks.expand(k, back(_fix_signs(y))))
     order = np.argsort(np.concatenate(values), kind="stable")
     order = order if top is None else order[-top:]
@@ -648,34 +726,69 @@ def mirror_split(a, basis):
                    for r, q in zip(basis.reps, basis.columns)], basis)
 
 
+def _reduce(c):
+    """All eigenvalues of the symmetric C, ascending, and its reduction
+    C = Q T Q^T to tridiagonal T, formed in place in ``c`` by LAPACK's
+    blocked Householder reduction (dsytrd) of the lower triangle: the
+    values are T's (dsterf, as in numpy's ``eigvalsh``), and the reduction
+    is (reflectors, diagonal, off-diagonal, tau) for
+    :func:`_lowest_vectors`. ``c`` is exactly symmetric, so its
+    transpose, which LAPACK reads in place, is the same matrix."""
+    lwork = int(sla.lapack.dsytrd_lwork(len(c), lower=1)[0])
+    r, d, e, tau, info = sla.lapack.dsytrd(c.T, lower=1, lwork=lwork, overwrite_a=1)
+    if info != 0:  # pragma: no cover - LAPACK reports illegal arguments only
+        raise ValueError(f"illegal argument {-info} to dsytrd")
+    # the wrapper rejects the empty e of a 1 x 1 block, which is its own value
+    values, info = sla.lapack.dsterf(d, e) if len(d) > 1 else (d.copy(), 0)
+    if info != 0:
+        raise np.linalg.LinAlgError("tridiagonal eigenvalues did not converge")
+    return values, (r, d, e, tau)
+
+
+def _lowest_vectors(reduced, count):
+    """The eigenvectors of C for its ``count`` smallest values, from the
+    :func:`_reduce` reduction of C: those of T (bisection and inverse
+    iteration), mapped back by Q = H(1) ... H(m-1), whose reflector i acts
+    on rows i+1 onward and is stored below the off-diagonal."""
+    r, d, e, tau = reduced
+    z = sla.eigh_tridiagonal(d, e, select="i", select_range=(0, count - 1))[1]
+    if len(z) > 1:
+        v = np.asfortranarray(r[1:, :-1])
+        lwork = int(sla.lapack.dormqr("L", "N", v, tau, z[1:], -1)[1][0])
+        z[1:] = sla.lapack.dormqr("L", "N", v, tau, z[1:], lwork)[0]
+    return z
+
+
 def generalized_eigvalues(pair):
     """Eigenvalues only of A u = lambda B u, as accurate as :func:`generalized_eig`.
 
     ``pair`` is a :class:`MatrixPair` or a tuple (A, B), checked here as
-    one; its members are raw or checked matrices, sparse or dense. Each
-    block pair (:func:`block_pairs`) is solved for its values alone. A
-    low tail that :func:`low_tail` marks on the merged values is
-    recomputed by :func:`_ritz` on the full pencil, from the vectors of
-    each block's share of the tail (a partial dense solve of the block),
-    mapped back through L_k^{-T} and Q_k; only then are the full matrices
-    read, and they are not checked again. A pencil without a low tail
-    forms no vectors.
+    one; its members are raw or checked matrices, sparse or dense. The
+    standard form of each block pair (:func:`block_pairs`) is reduced
+    once, in place, to tridiagonal form, and all its values come from the
+    tridiagonal. A low tail that :func:`low_tail` marks on the merged
+    values is recomputed by :func:`_ritz` on the full pencil, from the
+    vectors of each block's share of the tail, taken from the same
+    reduction and mapped back through L_k^{-T} and Q_k; only then are the
+    full matrices read, and they are not checked again. A pencil without a
+    low tail forms no vectors.
     """
     pair = pair if isinstance(pair, MatrixPair) else MatrixPair(*pair)
     blocks = block_pairs(pair.a, pair.b)
-    solved = [_standard_form(part) for part in blocks.parts]
-    parts = [np.linalg.eigvalsh(c) for c, _ in solved]
+    solved = [(*_reduce(c), back) for c, back in map(_standard_form, blocks.parts)]
+    parts = [np.tile(values, blocks.copies) for values, _, _ in solved]
     owner = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
     order = np.argsort(np.concatenate(parts), kind="stable")
     values = np.concatenate(parts)[order]
     count = low_tail(values)
     if count:
-        shares = np.bincount(owner[order[:count]], minlength=len(parts))
+        # the copies of a value are equal, so the tail holds all or none of them
+        shares = np.bincount(owner[order[:count]], minlength=len(parts)) // blocks.copies
         x = np.hstack([
-            blocks.expand(k, back(sla.eigh(c, subset_by_index=[0, share - 1])[1]))
-            for k, ((c, back), share) in enumerate(zip(solved, shares)) if share
+            blocks.expand(k, back(_lowest_vectors(reduction, share)))
+            for k, ((_, reduction, back), share) in enumerate(zip(solved, shares)) if share
         ])
-        del solved  # the blocks' standard forms are freed before the Ritz step
+        del solved  # the blocks' reductions are freed before the Ritz step
         values[:count] = _ritz(pair.a, pair.b, x)[0]
     return values
 
@@ -688,7 +801,8 @@ def extreme_eigvalues(a):
     A matrix that :func:`is_diagonal` accepts gives the ends of its
     diagonal, exactly; any other the ends of the values-only solves of
     its blocks (:func:`block_pairs`): the eight mirror blocks when it
-    splits, else the whole matrix.
+    splits, else the whole matrix, and of each only the x component
+    when the matrix is I_3 (x) A_s.
     """
     if not isinstance(a, CheckedMatrix):
         a = CheckedMatrix(a, name="a")

@@ -36,9 +36,15 @@ class MeshSystem:
     split, a :class:`linalg.Blocks` of eight dense blocks of order about
     n/8 (None when the matrix does not mirror), from its first read, so
     every solve and probe that reads a matrix shares one split, and what
-    commutes with the reflections is solved block by block. K, M and every Mbar of a local
-    kind are CSR arrays, and so are the other global kinds' Mbar; global
-    deflation's Mbar is M plus an n x r factor, from the top pairs of
+    commutes with the reflections is solved block by block. M and the Mbar
+    of the lumped, CMS, Olovsson, Hoffmann and uniform-LFT masses are
+    I_3 (x) Mbar_s (:attr:`linalg.CheckedMatrix.is_decoupled`), so the
+    mass-only solves, :meth:`values_mbar` and :meth:`values_mbarm`, read
+    only the x-component rows and columns of each block (order about
+    n/24) and count each value three times; K couples the components, so
+    every pencil with K is solved on the whole blocks. K, M and every
+    Mbar of a local kind are CSR arrays, and so are the other global
+    kinds' Mbar; global deflation's Mbar is M plus an n x r factor, from the top pairs of
     :attr:`pair`'s blocks, and splits as M's blocks plus the factor's.
     The sweep reads lambda_max from the cached top pair of each pencil
     (:meth:`top_kmbar`), and the stability probe reads the same pair and

@@ -33,6 +33,9 @@ S1_ALPHAS = (1.0, 10.0, 100.0)
 S1_RANKS = (7, 12)
 S2_RANKS = tuple(range(1, 13))
 SLOPE_BETAS = (100.0, 200.0, 300.0, 400.0, 500.0)
+# The plate's extents refined to 60 x 7 x 4 nodes (n = 5040): criterion 9's
+# slope at the next size, from the mass solves alone.
+REFINED_COUNTS = (60, 7, 4)
 
 
 @contextmanager
@@ -267,7 +270,15 @@ def test_criterion_08_s2_tightness(plate, scaled_plate):
             ))
 
 
-def test_criterion_09_condition_numbers(plate, system):
+def slope_and_rate(system):
+    """The fitted large-beta Olovsson slope of kappa(Mbar)/kappa(M) on
+    ``system``'s mesh, and the rate 8n/(7mN) it should approach."""
+    ratios = [kappa(system, system.scale(ScalingSpec("olovsson", beta=beta))) / kappa(system)
+              for beta in SLOPE_BETAS]
+    return analysis.fit_cond_slope(SLOPE_BETAS, ratios), analysis.asymptotic_cond_rate(system.mesh)
+
+
+def test_criterion_09_condition_numbers(plate, system, material):
     with criterion(9, "mass condition numbers, ratio bounds, large-beta slope") as chk:
         kappa_m = kappa(system)
         chk.append((
@@ -287,12 +298,14 @@ def test_criterion_09_condition_numbers(plate, system):
                 f"hoffmann kappa ratio b={beta:g}",
                 km / kappa_m <= (1.0 + 9.0 * beta / 2.0) * (1 + REL),
             ))
-        ratios = [kappa(system, system.scale(ScalingSpec("olovsson", beta=beta))) / kappa_m
-                  for beta in SLOPE_BETAS]
-        slope = analysis.fit_cond_slope(SLOPE_BETAS, ratios)
-        rate = analysis.asymptotic_cond_rate(plate.mesh)
+        slope, rate = slope_and_rate(system)
         chk.append(("rate formula", abs(rate - 8 * 2400 / (7 * 24 * 468)) < 1e-14))
         chk.append(("fitted slope within 10%", abs(slope - rate) <= 0.1 * rate))
+        refined = MeshSystem(
+            fem.build_structured_mesh(REFINED_COUNTS, shared.PLATE_EXTENTS), material)
+        slope, rate = slope_and_rate(refined)
+        chk.append(("5040 dofs", refined.mesh.dof_count == 5040))
+        chk.append(("fitted slope within 10% at 5040 dofs", abs(slope - rate) <= 0.1 * rate))
 
 
 def test_criterion_10_ordering_threshold(thin_element):

@@ -284,6 +284,21 @@ class TestBlockPath:
         final = sparse_run.final.displacement
         assert np.linalg.norm(block_run.final.displacement - final) <= 1e-8 * np.linalg.norm(final)
 
+    def test_decoupled_pencil_takes_the_sparse_path(self, thin_element):
+        # the blocks would hold the x component alone; a stiffness that
+        # decouples the components is no K, but it must still step right
+        mesh, blocks = thin_element
+        basis, n = fem.mirror_basis(mesh), mesh.dof_count
+        m = fem.assemble(blocks, "lumped", n, sparse=True)
+        spec = scaling.ScalingSpec("olovsson", beta=1.0)
+        kbar = CheckedMatrix(scaling.apply_spec(spec, blocks, n).mbar, basis)
+        mbar = CheckedMatrix(m, basis)
+        assert linalg.block_pairs(kbar, mbar).copies == 3
+        top = linalg.generalized_eig(MatrixPair(kbar, mbar), top=1).values[-1]
+        verdicts = stability_bracket(kbar, mbar, analysis.critical_dt(top))
+        assert [v.path for v in verdicts] == ["diagonal"] * 2
+        assert [v.classification for v in verdicts] == ["stable", "unstable"]
+
     def test_non_spd_block_mass_raises(self, beam):
         k, mbar, _ = _beam_case(beam, "diagonal")
         blocks = linalg.block_pairs(k, mbar)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from scipy import sparse
 
-from conftest import KIND_DOCS, random_spd, random_spsd
+from conftest import KIND_DOCS, PLATE_COUNTS, PLATE_EXTENTS, random_spd, random_spsd
 from masscale import analysis, fem, linalg, scaling
 from masscale.errors import NotPositiveDefinite, SingularCore
 from masscale.linalg import (
@@ -670,12 +671,106 @@ class TestMirrorBlocks:
                               generalized_eigvalues(pair))
 
 
+# The kinds whose Mbar is I_3 (x) Mbar_s: one mass term per node, or
+# element terms of the form I_3 (x) G.
+DECOUPLED_KINDS = {"none", "cms", "uniform_lft", "olovsson", "hoffmann"}
+OLOVSSON = scaling.ScalingSpec("olovsson", beta=10.0)
+
+
+@pytest.fixture(scope="module")
+def kinds_system(material):
+    """The kinds_small mesh as a MeshSystem: K, M and every Mbar checked in
+    its mirror basis."""
+    return MeshSystem(fem.build_structured_mesh((10, 4, 3), (0.05, 0.015, 0.002)), material)
+
+
+class TestComponentSplit:
+    """Pencils of matrices I_3 (x) A_s, solved on the x component alone."""
+
+    def test_the_masses_that_decouple(self, kinds_system):
+        # K couples the components; of the masses, exactly the decoupled kinds' Mbar
+        assert not kinds_system.pair.a.is_decoupled and kinds_system.pair.b.is_decoupled
+        found = {kind for kind, (doc, _) in KIND_DOCS.items()
+                 if kinds_system.mass(kinds_system.scale(scaling.ScalingSpec(**doc))).is_decoupled}
+        assert found == DECOUPLED_KINDS
+
+    def test_near_misses_do_not_decouple(self, kinds_system):
+        mbar = kinds_system.mass(kinds_system.scale(OLOVSSON)).matrix
+        third = mbar.shape[0] // 3
+        assert CheckedMatrix(mbar).is_decoupled
+        coupled = mbar.tolil()  # one entry, and its mirror, between x dof 0 and y dof 0
+        coupled[0, third] = coupled[third, 0] = 1e-3 * mbar.max()
+        ulp = mbar.tolil()  # the z block one ulp off the x block in one entry
+        ulp[2 * third, 2 * third] = np.nextafter(ulp[2 * third, 2 * third], np.inf)
+        update = LowRankUpdate(mbar, np.zeros((mbar.shape[0], 1)), np.zeros(1))
+        for a in (sparse.csr_array(coupled), sparse.csr_array(ulp), update):
+            assert not CheckedMatrix(a).is_decoupled
+
+    def test_plate_mass_pencils_match_the_mirror_blocks(self, material):
+        system = MeshSystem(fem.build_structured_mesh(PLATE_COUNTS, PLATE_EXTENTS), material)
+        scaled = system.scale(OLOVSSON)
+        mbar, m = system.mass(scaled), system.pair.b
+        blocks = linalg.block_pairs(mbar, m)
+        assert blocks.copies == 3 and len(blocks.parts) == 8
+        assert sum(len(a) for a, _ in blocks.parts) == system.mesh.dof_count // 3
+        # the mirror-block solve: all eight block pairs, every component
+        mirror = list(zip(mbar.split.parts, m.split.parts))
+        reference = np.sort(np.concatenate([sla.eigh(a, b, eigvals_only=True) for a, b in mirror]))
+        values = system.values_mbarm(scaled)
+        assert np.abs(values / reference - 1.0).max() <= 1e-13
+        triples = values.reshape(-1, 3)
+        assert np.array_equal(triples, np.repeat(triples[:, :1], 3, axis=1))
+        ends = np.array([np.linalg.eigvalsh(a)[[0, -1]] for a, _ in mirror])
+        expected = [ends[:, 0].min(), ends[:, 1].max()]
+        assert np.abs(system.values_mbar(scaled) / expected - 1.0).max() <= 1e-13
+
+    def test_a_low_tail_is_recomputed_from_the_component_blocks(self, material):
+        # I_3 (x) K_zz of a slender beam, against its lumped M: a tail in
+        # whole triples, three of them rigid
+        system = MeshSystem(fem.build_structured_mesh((20, 2, 2), (0.2, 0.01, 0.0005)), material)
+        k, m = system.pair.a.matrix, system.pair.b
+        third = k.shape[0] // 3
+        a = sparse.block_diag([k[2 * third:, 2 * third:]] * 3, format="csr")
+        pencil = MatrixPair(CheckedMatrix(a, system.basis), m)
+        assert linalg.block_pairs(pencil.a, pencil.b).copies == 3
+        full = generalized_eigvalues(MatrixPair(a.toarray(), m.matrix.toarray()))
+        start, count = analysis.flexible_slice(full), linalg.low_tail(full)
+        assert count > start == 3 and count % 3 == 0
+        for values in (generalized_eigvalues(pencil), generalized_eig(pencil).values):
+            assert np.abs(values - full).max() <= linalg.rigid_cutoff(full)
+            assert np.allclose(values[start:count], full[start:count], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("mirrored", [True, False])
+    def test_pairs_are_b_orthonormal(self, kinds_system, mirrored):
+        # the eight x-component blocks, or with no basis A_s as one block
+        basis = kinds_system.basis if mirrored else None
+        a, b = kinds_system.mass(kinds_system.scale(OLOVSSON)).matrix, kinds_system.pair.b.matrix
+        pencil = MatrixPair(CheckedMatrix(a, basis), CheckedMatrix(b, basis))
+        blocks = linalg.block_pairs(pencil.a, pencil.b)
+        assert blocks.copies == 3 and (blocks.basis is None) == (not mirrored)
+        dec = generalized_eig(pencil)
+        a, b = a.toarray(), b.toarray()
+        u, n = dec.vectors, len(a)
+        assert u.shape == (n, n)
+        assert np.allclose(u.T @ b @ u, np.eye(n), atol=1e-12)
+        res = a @ u - (b @ u) * dec.values
+        assert np.abs(res).max() <= 1e-12 * dec.values[-1] * np.abs(b).max()
+        triples = dec.values.reshape(-1, 3)
+        assert np.array_equal(triples, np.repeat(triples[:, :1], 3, axis=1))
+        for values in (generalized_eigvalues(pencil), generalized_eigvalues(MatrixPair(a, b))):
+            assert np.allclose(dec.values, values, rtol=1e-13, atol=0.0)
+        top = generalized_eig(pencil, top=1)
+        assert abs(top.values[0] / dec.values[-1] - 1.0) <= 1e-13
+        assert np.abs(a @ top.vectors - (b @ top.vectors) * top.values).max() <= 1e-12 * (
+            top.values[0] * np.abs(b).max())
+
+
 class TestVectorsOnlyForATail:
     def test_counts_dense_vector_solves(self, kinds_mesh, material, monkeypatch):
-        # a non-mirrored mesh, so each pencil is one block: the mass pencil
-        # of global deflation (a full Mbar) has no low tail and forms no
-        # vectors, and (K, M)'s tail is recomputed from one partial solve
-        # of exactly its columns
+        # a non-mirrored mesh, so each pencil is one block, reduced once to
+        # tridiagonal form for all its values: the mass pencil of global
+        # deflation (a full Mbar) has no low tail and forms no vectors, and
+        # (K, M)'s tail takes exactly its columns from the same reduction
         mesh = perturbed(kinds_mesh[0])
         blocks = fem.element_blocks(mesh, material)
         n = mesh.dof_count
@@ -684,23 +779,42 @@ class TestVectorsOnlyForATail:
         mbar = scaling.apply_spec(spec, blocks, n, pair=pair, k_global=pair.a).mbar_dense()
         calls = []
 
-        def counting(name, original):
-            def wrapped(*args, **kwargs):
-                order = args[0].order if name == "eig" else args[0].shape[0]
-                calls.append((name, order, kwargs.get("subset_by_index")))
-                return original(*args, **kwargs)
-            return wrapped
+        def counting(module, label, read):
+            name = label.split(".")[-1]
+            original = getattr(module, name)
 
-        monkeypatch.setattr(linalg, "generalized_eig", counting("eig", linalg.generalized_eig))
-        monkeypatch.setattr(linalg.np.linalg, "eigh", counting("eigh", np.linalg.eigh))
-        monkeypatch.setattr(linalg.sla, "eigh", counting("sla.eigh", linalg.sla.eigh))
+            def wrapped(*args, **kwargs):
+                calls.append((label, *read(*args, **kwargs)))
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapped)
+
+        lapack = linalg.sla.lapack
+        counting(linalg, "generalized_eig", lambda pair, **_: (pair.order,))
+        counting(linalg.np.linalg, "np.eigh", lambda a, *_, **__: (len(a),))
+        counting(linalg.np.linalg, "np.eigvalsh", lambda a, *_, **__: (len(a),))
+        counting(linalg.sla, "sla.eigh",
+                 lambda a, *_, subset_by_index=None, **__: (len(a), subset_by_index))
+        counting(lapack, "dsytrd", lambda a, **_: (len(a),))
+        counting(lapack, "dsterf", lambda d, e, **_: (len(d),))
+        counting(linalg.sla, "eigh_tridiagonal", lambda d, e, **kw: (len(d), kw["select_range"]))
+        # c's shape, and whether the call is the workspace query
+        counting(lapack, "dormqr", lambda side, trans, v, tau, c, lwork: (c.shape, lwork == -1))
+        reduced_once = [("dsytrd", n), ("dsterf", n)]
         mass = generalized_eigvalues(MatrixPair(mbar, pair.b))
-        assert linalg.low_tail(mass) == 0 and calls == []
+        assert linalg.low_tail(mass) == 0 and calls == reduced_once
+        calls.clear()
         values = generalized_eigvalues(pair)
         count = linalg.low_tail(values)
         assert count > 6
-        # the partial solve of the standard form, then the Ritz step's count x count solve
-        assert calls == [("sla.eigh", n, [0, count - 1]), ("sla.eigh", count, None)]
+        assert [call for call in calls if call[0] == "dsytrd"] == [("dsytrd", n)]
+        # count vectors of the tridiagonal, mapped back by its reflectors,
+        # then the Ritz step's count x count solve
+        assert calls == reduced_once + [
+            ("eigh_tridiagonal", n, (0, count - 1)),
+            ("dormqr", (n - 1, count), True),
+            ("dormqr", (n - 1, count), False),
+            ("sla.eigh", count, None),
+        ]
 
 
 class TestWoodbury:
