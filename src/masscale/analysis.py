@@ -6,17 +6,16 @@ solve (the CLI, each pencil once per run). Only the element Rayleigh
 tables solve their own 24 x 24 element pairs.
 
 Bounds are *reported* (both sides stored, slack signed) rather than
-asserted; the test suite owns the assertions.
+asserted; the test suite owns the assertions. A kind without a bound
+gets None. No file is written here: :class:`cli.Emitter` writes them.
 """
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoBoundForKind, NonPositiveEigenvalue, NonUniformMesh
+from .errors import NonPositiveEigenvalue, NonUniformMesh
 from .linalg import MatrixPair, condition_number, generalized_eig, rigid_cutoff
 from .scaling import KINDS
 
@@ -34,8 +33,6 @@ __all__ = [
     "fit_cond_slope",
     "element_rayleigh_report",
     "spectral_report",
-    "report_to_json",
-    "write_curve_csv",
 ]
 
 
@@ -124,27 +121,25 @@ def sandwich_bounds(values, scaled_values, mass_values):
 
 
 def corollary_bound(spec, blocks=None):
-    """Upper bound on omega_i / omegabar_i for the given strategy.
+    """Upper bound on omega_i / omegabar_i for the given strategy, or None
+    where the kind has none.
 
     sqrt(g) for a kind with growth factor g (see :class:`scaling.Kind`):
     CMS sqrt(alpha), local deflation S1 sqrt(1 + alpha), Olovsson
     sqrt(1 + 8 beta / 7), Hoffmann sqrt(1 + 9 beta / 2). S2 needs the
-    element blocks: max_e omega_{m,e} / omega_{m-r,e}. No scaling: 1.
+    element blocks: max_e omega_{m,e} / omega_{m-r,e}, None without them.
+    No scaling: 1.
     """
     entry = KINDS[spec.kind]
     if entry.corollary is not None:
         return entry.corollary(spec, blocks)
-    if entry.growth is None:
-        raise NoBoundForKind(f"no corollary bound for kind {spec.kind!r}")
-    return float(np.sqrt(entry.growth(spec)))
+    return None if entry.growth is None else float(np.sqrt(entry.growth(spec)))
 
 
 def kappa_ratio_bound(spec):
-    """Per-method upper bound g on kappa(Mbar) / kappa(M), where available."""
+    """Per-method upper bound g on kappa(Mbar) / kappa(M), or None if none."""
     growth = KINDS[spec.kind].growth
-    if growth is None:
-        raise NoBoundForKind(f"no condition-ratio bound for kind {spec.kind!r}")
-    return growth(spec)
+    return None if growth is None else growth(spec)
 
 
 def condition_report(m_values, mbar_values, mass_values, p_max, element_masses, spec=None,
@@ -174,8 +169,9 @@ def condition_report(m_values, mbar_values, mass_values, p_max, element_masses, 
             upper=float(p_max * masses.max() / masses.min()),
         )
     )
-    if spec is not None and KINDS[spec.kind].growth is not None:
-        out.add(BoundRecord("kappa_ratio", kappa_mbar / kappa_m, upper=kappa_ratio_bound(spec)))
+    bound = None if spec is None else kappa_ratio_bound(spec)
+    if bound is not None:
+        out.add(BoundRecord("kappa_ratio", kappa_mbar / kappa_m, upper=bound))
     return out
 
 
@@ -200,7 +196,8 @@ def fit_cond_slope(betas, kappa_ratios):
 
 @dataclass
 class ElementRayleighRow:
-    """Rayleigh factor and scaled eigenvalue for one flexible element mode."""
+    """Rayleigh factor and scaled eigenvalue for one flexible element mode;
+    the fields, in order, are the columns of the CLI's element file."""
 
     mode: int  # index k into the original element spectrum (0-based)
     original: float  # lambda_k(K_e, M_e)
@@ -230,7 +227,8 @@ def element_rayleigh_report(block, mbar_e):
 
 @dataclass
 class SpectralReport:
-    """Original and scaled spectra with the derived critical steps."""
+    """Original and scaled spectra, critical steps and corollary bound; the
+    fields are keys of the CLI's spectrum file."""
 
     kind: str
     original_values: np.ndarray
@@ -238,16 +236,12 @@ class SpectralReport:
     ratio_curve: np.ndarray
     dt_original: float
     dt_scaled: float
-    corollary: float | None
+    corollary_bound: float | None
 
 
 def spectral_report(values, scaled_values, spec, blocks=None):
-    """SpectralReport for one scaling from the ascending eigenvalues of
-    (K, M) and of (Kbar, Mbar); ``blocks`` serve the S2 corollary."""
-    try:
-        bound = corollary_bound(spec, blocks)
-    except (NoBoundForKind, ValueError):
-        bound = None
+    """SpectralReport for one scaling from the ascending eigenvalues of (K, M)
+    and of (Kbar, Mbar); ``blocks`` serve the S2 corollary (None if none)."""
     return SpectralReport(
         kind=spec.kind,
         original_values=values,
@@ -255,36 +249,5 @@ def spectral_report(values, scaled_values, spec, blocks=None):
         ratio_curve=frequency_ratio_curve(values, scaled_values),
         dt_original=critical_dt(values[-1]),
         dt_scaled=critical_dt(scaled_values[-1]),
-        corollary=bound,
+        corollary_bound=corollary_bound(spec, blocks),
     )
-
-
-def report_to_json(report, path=None):
-    """Serialize a SpectralReport to JSON (arrays become lists)."""
-    payload = {
-        "kind": report.kind,
-        "original_values": report.original_values.tolist(),
-        "scaled_values": report.scaled_values.tolist(),
-        "ratio_curve": report.ratio_curve.tolist(),
-        "dt_original": report.dt_original,
-        "dt_scaled": report.dt_scaled,
-        "corollary_bound": report.corollary,
-        # null, kept for readers; the bounds study writes the condition numbers
-        **dict.fromkeys(("kappa_m", "kappa_mbar", "kappa_pair", "gershgorin_scaled")),
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    return text
-
-
-def write_curve_csv(path, columns):
-    """Write named columns (dict of name -> sequence) as CSV, 17 sig digits."""
-    names = list(columns)
-    rows = zip(*(columns[n] for n in names))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for row in rows:
-            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])

@@ -6,12 +6,13 @@ to SI on load. Exit codes: 0 ok, 1 config error, 2 internal error.
 """
 from __future__ import annotations
 
+import csv
 import json
 import os
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import click
 import numpy as np
@@ -135,13 +136,22 @@ def _parse_material(obj):
         raise ConfigError(f"material: {exc}") from exc
 
 
+_ALIASES = {"r": "rank", "eps": "epsilon"}  # config key -> ScalingSpec field
+
+
 def parse_scaling(obj):
-    """Build a ScalingSpec from a config mapping (kind + named parameters)."""
+    """Build a ScalingSpec from a config mapping (kind + named parameters,
+    aliases resolved); a parameter given twice is a ConfigError naming it."""
     kind = _object(obj, "scaling").get("kind")
     if kind is None:
         raise ConfigError("scaling.kind: missing")
-    aliases = {"r": "rank", "eps": "epsilon"}
-    kwargs = {aliases.get(key, key): value for key, value in obj.items() if key != "kind"}
+    kwargs = {}
+    for key, value in obj.items():
+        name = _ALIASES.get(key, key)
+        if name in kwargs:
+            raise ConfigError(f"scaling[{kind}]: parameter {name} is given twice")
+        if key != "kind":
+            kwargs[name] = value
     try:
         return scaling.ScalingSpec(kind, **kwargs)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -154,9 +164,12 @@ def _require_sweep(cfg, enabled):
 
 
 def _sweep_points(sweep):
-    """(value, ScalingSpec) for each value of a checked sweep section."""
+    """(value, ScalingSpec) for each value of a checked sweep section. A
+    section that also fixes the swept parameter is a ConfigError."""
     kind, parameter = sweep["kind"], sweep["parameter"]
     base = {k: v for k, v in sweep.items() if k not in ("kind", "parameter", "values")}
+    if parameter in base:  # an alias of it is caught by parse_scaling
+        raise ConfigError(f"sweep: parameter {parameter} is given twice")
     points = []
     for value in sweep["values"]:
         if not _is_number(value):
@@ -231,7 +244,9 @@ def load_config(path):
 
 
 class Emitter:
-    """Serializes writes into the output directory and records the manifest."""
+    """Writes every output file into the output directory, recorded in
+    ``files`` for the manifest: JSON with indent 2, sorted keys, arrays as
+    lists and a trailing newline; CSV floats to 17 significant digits."""
 
     def __init__(self, out_dir):
         try:
@@ -241,24 +256,30 @@ class Emitter:
         self.out_dir = out_dir
         self.files = []
 
-    def path(self, name):
+    def _path(self, name):
         p = os.path.join(self.out_dir, name)
         self.files.append(p)
         return p
 
     def write_json(self, name, payload):
-        with open(self.path(name), "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        text = json.dumps(payload, indent=2, sort_keys=True, default=np.ndarray.tolist)
+        with open(self._path(name), "w") as fh:
+            fh.write(text + "\n")  # one write: json.dump writes each token separately
 
     def write_csv(self, name, columns):
-        analysis.write_curve_csv(self.path(name), columns)
+        """Named columns (dict of name -> sequence), one row per index."""
+        with open(self._path(name), "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            for row in zip(*columns.values()):
+                writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
 
 
 def study_element_spectrum(cfg, emitter, element):
     """Per-element spectra and Rayleigh tables for each configured scaling,
     on the one-element system ``element``."""
     block = element.blocks[0]
+    columns = [f.name for f in fields(analysis.ElementRayleighRow)]
     for spec in cfg.specs():
         if spec.kind == "none":
             mbar_e = np.diag(block.lumped_mass)
@@ -266,19 +287,10 @@ def study_element_spectrum(cfg, emitter, element):
             scaled = element.scale(spec)
             mbar_e = scaled.mbar_dense() if scaled.element_mbar is None else scaled.element_mbar[0]
         rows, ordering = analysis.element_rayleigh_report(block, mbar_e)
-        emitter.write_csv(
-            f"element_{spec.label}.csv",
-            {
-                "mode": [r.mode for r in rows],
-                "original": [r.original for r in rows],
-                "rayleigh": [r.rayleigh for r in rows],
-                "scaled": [r.scaled for r in rows],
-            },
-        )
-        emitter.write_json(
-            f"element_{spec.label}.json",
-            {"kind": spec.kind, "ordering_preserved": ordering},
-        )
+        emitter.write_csv(f"element_{spec.label}.csv",
+                          {c: [getattr(row, c) for row in rows] for c in columns})
+        emitter.write_json(f"element_{spec.label}.json",
+                           {"kind": spec.kind, "ordering_preserved": ordering})
 
 
 def study_spectrum(cfg, emitter, system):
@@ -288,10 +300,11 @@ def study_spectrum(cfg, emitter, system):
         report = analysis.spectral_report(
             system.values_km(), system.values_kmbar(scaled), spec, blocks=system.blocks
         )
-        label = spec.label
-        analysis.report_to_json(report, emitter.path(f"spectrum_{label}.json"))
+        # the four nulls are kept for readers; the bounds study writes the condition numbers
+        nulls = dict.fromkeys(("kappa_m", "kappa_mbar", "kappa_pair", "gershgorin_scaled"))
+        emitter.write_json(f"spectrum_{spec.label}.json", {**vars(report), **nulls})
         curve = report.ratio_curve
-        emitter.write_csv(f"ratio_{label}.csv",
+        emitter.write_csv(f"ratio_{spec.label}.csv",
                           {"mode": list(range(len(curve))), "ratio": curve.tolist()})
 
 
@@ -318,7 +331,7 @@ def study_bounds(cfg, emitter, system):
 
 
 def study_sweep(cfg, emitter, system):
-    """Parameter sweep: step ratio, corollary bound, condition ratio per point.
+    """Parameter sweep: step ratio, corollary bound (nan for none), condition ratio per point.
     lambda_max comes from each pencil's cached top pair, shared with the probe."""
     dt0 = analysis.critical_dt(system.top_kmbar().values[-1])
     kappa_m = condition_number(system.values_m())
@@ -327,10 +340,8 @@ def study_sweep(cfg, emitter, system):
     for value, spec in cfg.sweep_points:
         scaled = system.scale(spec)
         dt_ratio = analysis.critical_dt(system.top_kmbar(scaled).values[-1]) / dt0
-        try:
-            bound = analysis.corollary_bound(spec, system.blocks)
-        except MasscaleError:
-            bound = float("nan")
+        bound = analysis.corollary_bound(spec, system.blocks)
+        bound = float("nan") if bound is None else bound
         kappa_ratio = condition_number(system.values_mbar(scaled)) / kappa_m
         for column, v in zip(rows.values(), (value, dt_ratio, bound, kappa_ratio)):
             column.append(float(v))
@@ -394,11 +405,9 @@ def execute(cfg, studies):
         "seed": cfg.seed,
         "versions": {"masscale": __version__, "numpy": np.__version__},
         "wall_clock_s": timings,
-        "outputs": emitter.files,
+        "outputs": list(emitter.files),  # the study files, not the manifest itself
     }
-    with open(os.path.join(cfg.output_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    emitter.write_json("manifest.json", manifest)
     return manifest
 
 

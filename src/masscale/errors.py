@@ -57,10 +57,6 @@ class NonUniformMesh(MasscaleError):
     """Asymptotic condition rate is only claimed for uniform structured meshes."""
 
 
-class NoBoundForKind(MasscaleError):
-    """The scaling kind has no corollary frequency-ratio bound."""
-
-
 class ConfigError(MasscaleError):
     """Experiment configuration failed validation; message names the field."""
 

@@ -139,7 +139,8 @@ def gauss_points(n):
 
 
 def _hex8_matrices(corners, material, shared=False):
-    """Stiffness and consistent mass of every element, each (E, 24, 24).
+    """Stiffness (E, 24, 24) and one-component consistent mass (E, 8, 8) of
+    every element; the element's consistent mass is I_3 (x) the latter.
 
     ``corners`` is (E, 8, 3). The loop runs over the 2x2x2 Gauss points;
     at each one the Jacobians, their determinants and the physical shape
@@ -171,10 +172,7 @@ def _hex8_matrices(corners, material, shared=False):
         stiffness += (w * det[:formed])[:, None, None] * (b.transpose(0, 2, 1) @ d @ b)
         n = shape_functions(xi)
         m8 += (w * det * material.density)[:, None, None] * np.outer(n, n)
-    m8, mass = symmetrize(m8), np.zeros((count, 24, 24))
-    for c in range(3):
-        mass[:, c * 8:(c + 1) * 8, c * 8:(c + 1) * 8] = m8
-    return np.broadcast_to(symmetrize(stiffness), (count, 24, 24)), mass
+    return np.broadcast_to(symmetrize(stiffness), (count, 24, 24)), symmetrize(m8)
 
 
 def hex8_reflections():
@@ -194,8 +192,8 @@ def hex8_reflections():
 
 
 def lump_row_sum(consistent):
-    """Row-sum lumping of a (24, 24) or stacked (E, 24, 24) consistent mass;
-    returns the diagonals, (24,) or (E, 24). A nonpositive entry raises
+    """Row-sum lumping of an (m, m) consistent mass or a stack (E, m, m) of
+    them; returns the diagonals, (m,) or (E, m). A nonpositive entry raises
     :class:`NegativeLumpedEntry`, naming the element when stacked."""
     diag = np.asarray(consistent, dtype=float).sum(axis=-1)
     bad = np.argwhere(~(diag > 0))
@@ -298,7 +296,6 @@ class ElementBlock:
     ``ElementBlocks[e]`` gives them."""
 
     stiffness: np.ndarray  # (24, 24)
-    consistent_mass: np.ndarray  # (24, 24)
     lumped_mass: np.ndarray  # (24,) diagonal
     element_mass: float  # kg
     dof_map: np.ndarray  # (24,) global indices
@@ -317,7 +314,6 @@ class ElementBlocks:
     """
 
     stiffness: np.ndarray  # (E, 24, 24), possibly a broadcast view
-    consistent_mass: np.ndarray  # (E, 24, 24)
     lumped_mass: np.ndarray  # (E, 24) diagonals
     element_mass: np.ndarray  # (E,) kg
     dof_map: np.ndarray  # (E, 24) global indices
@@ -340,8 +336,8 @@ class ElementBlocks:
         return self.dof_map.shape[0]
 
     def __getitem__(self, e):
-        return ElementBlock(self.stiffness[e], self.consistent_mass[e], self.lumped_mass[e],
-                            float(self.element_mass[e]), self.dof_map[e])
+        return ElementBlock(self.stiffness[e], self.lumped_mass[e], float(self.element_mass[e]),
+                            self.dof_map[e])
 
     @property
     def shared(self):
@@ -398,16 +394,17 @@ def _index_type(size):
 
 
 def element_blocks(mesh, material):
-    """Stiffness, consistent and row-sum lumped mass of every element of
-    the mesh, stacked. On a uniform mesh (:meth:`Mesh.is_uniform`) the
-    stiffness is formed once, for element 0, and shared as a read-only
-    view (:attr:`ElementBlocks.shared`); the masses are each element's
-    own."""
+    """Stiffness and row-sum lumped mass of every element of the mesh,
+    stacked. The consistent mass is lumped as it is formed, one component
+    block per element, and not kept. On a uniform mesh
+    (:meth:`Mesh.is_uniform`) the stiffness is formed once, for element 0,
+    and shared as a read-only view (:attr:`ElementBlocks.shared`); the
+    masses are each element's own."""
     stiffness, consistent = _hex8_matrices(mesh.coords[mesh.connectivity], material,
                                            shared=mesh.is_uniform())
     diag = lump_row_sum(consistent)
-    masses = diag[:, :8].sum(axis=1)  # translational mass in one direction
-    return ElementBlocks(stiffness, consistent, diag, masses, mesh.dof_map(slice(None)))
+    masses = diag.sum(axis=1)  # translational mass in one direction
+    return ElementBlocks(stiffness, np.tile(diag, 3), masses, mesh.dof_map(slice(None)))
 
 
 def assemble(blocks, which, ndof, element_matrices=None, sparse=False):
@@ -415,10 +412,10 @@ def assemble(blocks, which, ndof, element_matrices=None, sparse=False):
     ``sparse`` as a CSR array, the same entries bit for bit. Every assembly
     of the package passes through here, so one entry point sees them all.
 
-    ``which`` selects stiffness | consistent | lumped from the
-    :class:`ElementBlocks`; pass ``which="custom"`` with explicit
-    ``element_matrices`` ((E, 24, 24), one per element, e.g. scaled
-    masses) to assemble arbitrary contributions. Each A_e is symmetrized,
+    ``which`` selects stiffness | lumped from the :class:`ElementBlocks`;
+    pass ``which="custom"`` with explicit ``element_matrices`` ((E, 24,
+    24), one per element, e.g. scaled or consistent masses) to assemble
+    arbitrary contributions. Each A_e is symmetrized,
     and one ``bincount`` adds the entries into the slots of
     ``blocks.pattern`` (the diagonal alone for the lumped mass) in element
     order, so that A_ij and A_ji receive the same terms in the same order:
@@ -436,8 +433,7 @@ def assemble(blocks, which, ndof, element_matrices=None, sparse=False):
         data = np.bincount(dof.ravel(), weights=blocks.lumped_mass.ravel(), minlength=ndof)
         rows = cols = np.arange(ndof, dtype=_index_type(ndof))
     else:
-        chosen = {"stiffness": blocks.stiffness, "consistent": blocks.consistent_mass,
-                  "custom": element_matrices}
+        chosen = {"stiffness": blocks.stiffness, "custom": element_matrices}
         if which not in chosen:
             raise ValueError(f"unknown matrix kind {which!r}")
         slots, rows, cols = blocks.pattern

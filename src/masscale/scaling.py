@@ -73,7 +73,8 @@ class Kind:
     assembled :class:`MatrixPair` ``pair``. ``growth(spec)`` is g, the
     largest eigenvalue of every element pair (Mbar_e, M_e), whose smallest
     is 1: omega_i / omegabar_i <= sqrt(g) and kappa(Mbar) / kappa(M) <= g.
-    ``corollary(spec, blocks)`` gives the first bound in another form.
+    ``corollary(spec, blocks)`` gives the first bound in another form, or
+    None where it cannot.
     """
 
     params: dict = field(default_factory=dict)
@@ -375,9 +376,9 @@ def _s2_anchors(values, rank):
 
 def _s2_corollary(spec, blocks):
     """max(1, max_e omega_{m,e} / omega_{m-r,e}) over the element pairs
-    that :func:`_element_eigh` solves."""
+    that :func:`_element_eigh` solves; None without the element blocks."""
     if blocks is None:
-        raise ValueError("S2 bound needs the element blocks")
+        return None
     values = _element_eigh(blocks)[0]
     return max(1.0, float(np.sqrt(values[:, -1] / _s2_anchors(values, spec.rank)).max()))
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import sys
 from collections import Counter
 
@@ -10,7 +11,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from masscale import cli, linalg, system
+from masscale import analysis, cli, linalg, system
 from masscale.errors import ConfigError
 
 
@@ -162,6 +163,15 @@ class TestCommands:
         assert lines[0] == "value,dt_ratio,bound,kappa_ratio"
         assert len(lines) == 3
 
+    def test_sweep_of_a_kind_without_bound_writes_nan(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, sweep={"kind": "uniform_lft", "parameter": "mu", "values": [2.0, 4.0]})
+        out = tmp_path / "out"
+        res = self.run_cli(["sweep", "--config", str(cfg), "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        rows = (out / "sweep_uniform_lft_mu.csv").read_text().strip().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == ["nan", "nan"]
+
     def test_sweep_study_without_section_writes_nothing(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         write_config(cfg)
@@ -244,6 +254,55 @@ class TestCommands:
                                            "integer, got -1"]
 
 
+class TestReports:
+    def test_spectral_report_round_trip(self, tmp_path):
+        # the spectrum file of a run holds its SpectralReport, key for key
+        path = tmp_path / "cfg.json"
+        write_config(path, scalings=[{"kind": "olovsson", "beta": 10.0},
+                                     {"kind": "uniform_lft", "mu": 2.0}])
+        cfg = cli.load_config(path)
+        out = tmp_path / "out"
+        cfg.output_dir = str(out)
+        manifest = cli.execute(cfg, ["spectrum"])
+        mesh = system.MeshSystem(cfg.mesh(), cfg.material)
+        spec = cfg.scalings[0]
+        report = analysis.spectral_report(mesh.values_km(), mesh.values_kmbar(mesh.scale(spec)),
+                                          spec, mesh.blocks)
+        assert report.kind == "olovsson"
+        assert report.dt_scaled > report.dt_original
+        data = json.loads((out / "spectrum_olovsson_beta10.json").read_text())
+        assert data["kind"] == "olovsson"
+        assert len(data["original_values"]) == mesh.pair.order
+        assert data == {
+            "kind": report.kind, "original_values": report.original_values.tolist(),
+            "scaled_values": report.scaled_values.tolist(),
+            "ratio_curve": report.ratio_curve.tolist(), "dt_original": report.dt_original,
+            "dt_scaled": report.dt_scaled, "corollary_bound": report.corollary_bound,
+            **dict.fromkeys(("kappa_m", "kappa_mbar", "kappa_pair", "gershgorin_scaled")),
+        }
+        for key in ("kappa_m", "kappa_mbar", "kappa_pair", "gershgorin_scaled"):
+            assert key in data and data[key] is None
+        # a kind without a corollary bound writes null
+        assert json.loads((out / "spectrum_uniform_lft_mu2.json").read_text())[
+            "corollary_bound"] is None
+        # the manifest lists every study file and not itself
+        written = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert written == manifest["outputs"]
+        assert sorted(map(os.path.basename, written)) == sorted(
+            name for name in os.listdir(out) if name != "manifest.json")
+
+    def test_write_csv(self, tmp_path):
+        emitter = cli.Emitter(str(tmp_path))
+        emitter.write_csv("curve.csv", {"x": [1.0, 2.0], "y": [0.5, 1 / 3]})
+        assert emitter.files == [str(tmp_path / "curve.csv")]
+        lines = (tmp_path / "curve.csv").read_text().strip().splitlines()
+        assert lines[0] == "x,y"
+        assert len(lines) == 3
+        back = [float(v) for v in lines[1].split(",")]
+        assert back == [1.0, 0.5]
+        assert lines[2] == "2,0.33333333333333331"  # floats to 17 significant digits
+
+
 def _probe(scaling):
     return {"scalings": [scaling]}
 
@@ -320,6 +379,21 @@ PROBES = {
                                         "poisson_ratio": 0.49999999999999994, "density": 7800.0},
                            **_mesh_probe(extents_mm=[1.5e-141, 10.0, 10.0])}, 1,
                           "config error: geometry.mesh.extents_mm: "),
+    # a parameter given twice, by its name and an alias, or swept and fixed
+    "rank_given_twice": (_probe({"kind": "global_deflation", "r": 2, "rank": 3}), 1,
+                         "config error: scaling[global_deflation]: parameter rank is given twice"),
+    "epsilon_given_twice": (_probe({"kind": "eig_stabilization", "rank": 3, "epsilon": 1e-3,
+                                    "eps": 1e-3}), 1,
+                            "config error: scaling[eig_stabilization]: parameter epsilon is given "
+                            "twice"),
+    "sweep_fixes_its_parameter": ({"sweep": {"kind": "olovsson", "parameter": "beta",
+                                             "values": [1, 10, 100], "beta": 5}}, 1,
+                                  "config error: sweep: parameter beta is given twice"),
+    "sweep_fixes_its_parameter_by_alias": ({"sweep": {"kind": "local_deflation_s2",
+                                                      "parameter": "rank", "values": [1, 2],
+                                                      "r": 7}}, 1,
+                                           "config error: sweep: scaling[local_deflation_s2]: "
+                                           "parameter rank is given twice"),
     # numpy overflows past a well-formed config: one line, not its RuntimeWarnings
     "beta_overflow": (_probe({"kind": "olovsson", "beta": 1e308}), 2,
                       "internal error: RuntimeWarning: "),
@@ -342,6 +416,7 @@ def test_malformed_config_one_line_no_traceback(tmp_path, name):
     assert "Traceback" not in res.stderr
     lines = res.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(prefix), res.stderr
+    assert code != 1 or not (tmp_path / "out").exists()  # a config error writes nothing
 
 
 @pytest.mark.parametrize("where", ["config", "option"])

@@ -144,23 +144,24 @@ class TestElementMatrices:
         assert vals[6] > 1e-6 * vals[-1]
 
     def test_consistent_mass_total(self, material):
-        # each component block of the consistent mass integrates to rho * V
-        mesh = single_element(box_corners(1.0, 1.0, 1e-3))
-        mc = fem.element_blocks(mesh, material).consistent_mass[0]
+        # the kernel's one-component consistent mass integrates to rho * V
+        m8 = fem._hex8_matrices(box_corners(1.0, 1.0, 1e-3)[None], material)[1][0]
         me = BENCH_RHO * 1.0 * 1.0 * 1e-3
-        assert mc[:8, :8].sum() == pytest.approx(me, rel=1e-12)
-        assert np.allclose(mc[:8, 8:16], 0.0)
+        assert m8.shape == (8, 8)
+        assert m8.sum() == pytest.approx(me, rel=1e-12)
 
     def test_consistent_mass_kron_structure(self, material):
-        mesh = single_element(box_corners(0.3, 0.2, 0.1))
-        mc = fem.element_blocks(mesh, material).consistent_mass[0]
-        m8 = mc[:8, :8]
+        # the 24 x 24 consistent mass of the reference loop is I_3 (x) the kernel's block
+        corners = box_corners(0.3, 0.2, 0.1)
+        mc = loop_element_matrices(corners, material)[1]
+        m8 = fem._hex8_matrices(corners[None], material)[1][0]
         assert np.allclose(mc, np.kron(np.eye(3), m8))
 
     def test_thin_element_lumped_entries(self, material):
         # 1 x 1 x 1e-3 m element at rho = 7800: me = 7.8 kg, entries me/8
         mesh = single_element(box_corners(1.0, 1.0, 1e-3))
-        diag = fem.lump_row_sum(fem.element_blocks(mesh, material).consistent_mass[0])
+        diag = fem.element_blocks(mesh, material).lumped_mass[0]
+        assert diag.shape == (24,)
         assert np.allclose(diag, 0.975, rtol=1e-12)
 
     def test_inverted_element_raises(self, material):
@@ -309,11 +310,13 @@ class TestStackedKernel:
     def test_matches_per_element_loop(self, distorted, material):
         mesh, blocks = distorted
         assert len(blocks) == mesh.element_count == 27
+        m8 = fem._hex8_matrices(mesh.coords[mesh.connectivity], material)[1]
         for e in range(mesh.element_count):
             k, mc = loop_element_matrices(mesh.coords[mesh.connectivity[e]], material)
+            consistent = np.kron(np.eye(3), m8[e])
             assert np.abs(blocks.stiffness[e] - k).max() <= 1e-13 * np.abs(k).max()
-            assert np.abs(blocks.consistent_mass[e] - mc).max() <= 1e-13 * np.abs(mc).max()
-            assert np.array_equal(blocks[e].lumped_mass, fem.lump_row_sum(blocks.consistent_mass[e]))
+            assert np.abs(consistent - mc).max() <= 1e-13 * np.abs(mc).max()
+            assert np.array_equal(blocks[e].lumped_mass, fem.lump_row_sum(consistent))
             assert np.array_equal(blocks[e].dof_map, mesh.dof_map(e))
 
     def test_rigid_body_null_spaces(self, distorted):
@@ -332,13 +335,16 @@ class TestStackedKernel:
         m = fem.assemble(blocks, "lumped", mesh.dof_count)
         assert np.trace(m) / 3 == pytest.approx(expect, rel=1e-12)
 
-    def test_assembly_matches_loop_and_is_exactly_symmetric(self, distorted):
+    def test_assembly_matches_loop_and_is_exactly_symmetric(self, distorted, material):
+        # the consistent mass is the full-block case, through "custom"
         mesh, blocks = distorted
         n = mesh.dof_count
+        consistent = np.kron(np.eye(3), fem._hex8_matrices(mesh.coords[mesh.connectivity],
+                                                           material)[1])
         for which, mats in (("stiffness", blocks.stiffness),
-                            ("consistent", blocks.consistent_mass),
+                            ("custom", consistent),
                             ("lumped", [np.diag(d) for d in blocks.lumped_mass])):
-            a = fem.assemble(blocks, which, n)
+            a = fem.assemble(blocks, which, n, element_matrices=mats)
             assert np.array_equal(a, a.T)
             ref = loop_assemble(blocks, mats, n)
             assert np.abs(a - ref).max() <= 1e-15 * np.abs(ref).max()
@@ -353,11 +359,11 @@ class TestStackedKernel:
         # as one read-only view; the masses are every element's own
         mesh = fem.build_structured_mesh((10, 4, 3), (0.05, 0.015, 0.002))
         blocks = fem.element_blocks(mesh, material)
-        stiffness, consistent = fem._hex8_matrices(mesh.coords[mesh.connectivity], material)
+        stiffness, m8 = fem._hex8_matrices(mesh.coords[mesh.connectivity], material)
         assert blocks.shared and not blocks.stiffness.flags.writeable
         assert all(np.array_equal(k, stiffness[0]) for k in blocks.stiffness)
-        assert np.array_equal(blocks.consistent_mass, consistent)
-        assert np.array_equal(blocks.lumped_mass, fem.lump_row_sum(consistent))
+        # lumped from the one-component blocks, bit for bit as from the 24 x 24 masses
+        assert np.array_equal(blocks.lumped_mass, fem.lump_row_sum(np.kron(np.eye(3), m8)))
 
     def test_moved_node_keeps_the_batched_kernel(self, material):
         mesh = fem.build_structured_mesh((4, 3, 3), (0.04, 0.02, 0.01))
@@ -366,17 +372,19 @@ class TestStackedKernel:
         moved = fem.Mesh(coords, mesh.connectivity)
         assert not moved.is_uniform()
         blocks = fem.element_blocks(moved, material)
-        stiffness, consistent = fem._hex8_matrices(moved.coords[moved.connectivity], material)
+        stiffness, m8 = fem._hex8_matrices(moved.coords[moved.connectivity], material)
         assert not blocks.shared
         assert np.array_equal(blocks.stiffness, stiffness)
-        assert np.array_equal(blocks.consistent_mass, consistent)
+        assert np.array_equal(blocks.lumped_mass, fem.lump_row_sum(np.kron(np.eye(3), m8)))
 
     def test_box_element_commutes_with_its_reflections(self, material, distorted):
         reflections = fem.hex8_reflections()
         for r in reflections:
             assert np.array_equal(r, r.T) and np.array_equal(r @ r, np.eye(24))
-        box = fem.element_blocks(single_element(box_corners(0.3, 0.2, 0.1)), material)[0]
-        for a in (box.stiffness, box.consistent_mass):
+        corners = box_corners(0.3, 0.2, 0.1)
+        box = fem.element_blocks(single_element(corners), material)[0]
+        mass = np.kron(np.eye(3), fem._hex8_matrices(corners[None], material)[1][0])
+        for a in (box.stiffness, mass):
             for r in reflections:
                 assert np.abs(r @ a @ r - a).max() <= 1e-14 * np.abs(a).max()
         k = distorted[1].stiffness[0]
@@ -420,9 +428,9 @@ class TestStackedKernel:
         with pytest.raises(IndexOutOfRange, match=f"element {first} "):
             fem.assemble(blocks, "stiffness", ndof)
 
-    def test_nonpositive_lumped_entry_names_element(self, distorted):
-        _, blocks = distorted
-        consistent = blocks.consistent_mass.copy()
+    def test_nonpositive_lumped_entry_names_element(self, distorted, material):
+        mesh, _ = distorted
+        consistent = fem._hex8_matrices(mesh.coords[mesh.connectivity], material)[1]
         consistent[4] *= -1.0
         with pytest.raises(NegativeLumpedEntry, match="element 4"):
             fem.lump_row_sum(consistent)

@@ -1,5 +1,6 @@
 """Module boundaries: no private name crosses a module line in the package,
-and only fem and linalg read the fields of a mirror basis."""
+only fem and linalg read the fields of a mirror basis, and only
+cli.Emitter opens a file for writing."""
 import ast
 import pathlib
 
@@ -83,3 +84,42 @@ def test_only_fem_and_linalg_read_the_mirror_basis():
     found = {path.name: basis_reads(path.read_text()) for path in sorted(SRC.glob("*.py"))
              if path.name not in BASIS_READERS}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def file_writes(source):
+    """``(line, scope)`` of each call of ``open`` in ``source`` whose mode
+    writes (holds w, a, x or +, or is not a string constant), the scope
+    being the dotted names of the classes and functions around it."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                  and child.func.id == "open"):
+                mode = child.args[1] if len(child.args) > 1 else next(
+                    (k.value for k in child.keywords if k.arg == "mode"), None)
+                constant = isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                if mode is not None and (not constant or set(mode.value) & set("wax+")):
+                    found.append((child.lineno, scope))
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_the_write_scan_finds_an_open_for_writing():
+    source = ("class Emitter:\n    def write(self, p):\n        open(p, 'w')\n"
+              "def report(p, mode):\n    open(p, mode=mode)\n    open(p)\n    open(p, 'rb')\n"
+              "    with open(p, 'a', newline='') as fh:\n        fh.write('')\n"
+              "open('log', 'r+')\n")
+    assert file_writes(source) == [(3, "Emitter.write"), (5, "report"), (8, "report"), (10, "")]
+
+
+def test_only_the_emitter_opens_a_file_for_writing():
+    # every output file, the manifest included, is written by cli.Emitter
+    found = [f"{path.stem}.{scope}:{line}" for path in sorted(SRC.glob("*.py"))
+             for line, scope in file_writes(path.read_text())]
+    assert [w for w in found if not w.startswith("cli.Emitter.")] == []
