@@ -181,14 +181,53 @@ def _sweep_points(sweep):
     return points
 
 
+class _Object(dict):
+    """A JSON object as read, with the first key that it gives twice, or None."""
+
+    repeated = None
+
+
+def _read_object(pairs):
+    """The ``object_pairs_hook`` of the config reader: an _Object that
+    keeps the last value of a repeated key, as json does, and names the key."""
+    obj = _Object(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        obj.repeated = next(key for key, _ in pairs if key in seen or seen.add(key))
+    return obj
+
+
+def _check_repeated_keys(raw):
+    """Raise a ConfigError for the first key given twice in one object of
+    the document ``raw``, in document order, naming the key and the
+    object's place (``config``, ``geometry.mesh``, ``scalings[0]``)."""
+    stack = [("", raw)]
+    while stack:
+        where, value = stack.pop()
+        if isinstance(value, dict):
+            if value.repeated is not None:
+                raise ConfigError(f"{where or 'config'}: key {json.dumps(value.repeated)} "
+                                  "is given twice")
+            items = [(f"{where}.{key}" if where else key, v) for key, v in value.items()]
+        elif isinstance(value, list):
+            items = [(f"{where}[{i}]", v) for i, v in enumerate(value)]
+        else:
+            continue
+        stack.extend(reversed(items))
+
+
 def load_config(path):
     """Read and check a config document; every malformed field raises a
-    ConfigError that names it."""
+    ConfigError that names it. A key given twice in one JSON object, and
+    two scalings with one label (they would write one file twice), are
+    errors too. Repeated sweep values are not: each is one row of the
+    sweep's one file, and the repeat is solved once."""
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_read_object)
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
         raise ConfigError(f"config: {exc}") from exc
+    _check_repeated_keys(raw)
     _object(raw, "config")
 
     geometry = _object(raw.get("geometry", {}), "geometry")
@@ -221,6 +260,10 @@ def load_config(path):
     if not isinstance(scalings, list):
         raise ConfigError(f"scalings: expected a list, got {scalings!r}")
     cfg.scalings = [parse_scaling(s) for s in scalings]
+    labels = [spec.label for spec in cfg.scalings]
+    repeated = next((label for i, label in enumerate(labels) if label in labels[:i]), None)
+    if repeated is not None:
+        raise ConfigError(f"scalings: {repeated} is given twice")
     cfg.sweep = raw.get("sweep")
     if "sweep" in raw:
         values = _object(cfg.sweep, "sweep").get("values")
@@ -246,7 +289,9 @@ def load_config(path):
 class Emitter:
     """Writes every output file into the output directory, recorded in
     ``files`` for the manifest: JSON with indent 2, sorted keys, arrays as
-    lists and a trailing newline; CSV floats to 17 significant digits."""
+    lists and a trailing newline; CSV floats to 17 significant digits. A
+    file is written once in a run: a second write of it raises
+    :class:`MasscaleError` before it overwrites anything."""
 
     def __init__(self, out_dir):
         try:
@@ -258,6 +303,8 @@ class Emitter:
 
     def _path(self, name):
         p = os.path.join(self.out_dir, name)
+        if p in self.files:
+            raise MasscaleError(f"output {name} is written twice")
         self.files.append(p)
         return p
 

@@ -15,10 +15,11 @@ lambda_max. A run steps on one of two paths:
   raised to a power without fill, so s = 1: each step costs one K u,
   one mass solve and one norm;
 - blocks: when K and M are checked matrices that both split
-  (:class:`masscale.linalg.CheckedMatrix`, whose split is eight dense
+  (:class:`masscale.linalg.CheckedMatrix`, whose split is eight sparse
   blocks of order about n/8; the CLI passes those that
   :class:`masscale.system.MeshSystem` keeps), A_k = M_k^{-1} K_k is
-  formed once per bracket from a Cholesky factor of each M_k, on the
+  formed once per bracket from a Cholesky factor of each M_k, one block
+  made dense at a time (:func:`masscale.linalg.block_operator`), on the
   same :class:`masscale.linalg.Blocks` that the eigensolvers read, and
   stacked, zero-padded to the largest order m, as one (8, m, m) array.
   The run steps the coordinates x_k = Q_k^T u in panels of
@@ -131,11 +132,11 @@ class _MirrorBlocks:
     mode = "blocks"
 
     def __init__(self, blocks):
-        self.blocks, self.orders = blocks, [len(k) for k, _ in blocks.parts]
+        self.blocks, self.orders = blocks, blocks.orders
         self.a = np.zeros((len(self.orders),) + (max(self.orders),) * 2)
-        for a, part, order in zip(self.a, blocks.parts, self.orders):
+        for k, (a, order) in enumerate(zip(self.a, self.orders)):
             try:
-                a[:order, :order] = block_operator(part)
+                a[:order, :order] = block_operator(blocks, k)
             except NotPositiveDefinite as exc:
                 raise SolveFailure(f"mass matrix is not SPD: {exc}") from exc
 

@@ -12,8 +12,9 @@ low-tail recomputation) reads its stored entries alone, and a
 dense array's entries != 0 found strip by strip, so that a dense check
 forms no temporary of the matrix's size; :func:`_csr` builds its CSR
 arrays from them. Dense arrays are formed only for the dense solves of
-the block pairs below. Symmetry is imposed at construction points with
-:func:`symmetrize` and checked with :func:`require_symmetric`.
+the block pairs below, one block at a time. Symmetry is imposed at
+construction points with :func:`symmetrize` and checked with
+:func:`require_symmetric`.
 
 A :class:`CheckedMatrix` is a symmetric matrix checked once, when it is
 built, with the mesh's mirror basis or None. The solvers trust it; a raw
@@ -30,7 +31,9 @@ Every eigensolve runs over a pencil's :class:`Blocks` (:func:`block_pairs`):
 the eight mirror blocks Q_k^T A Q_k of its members (:func:`mirror_split`,
 in the mesh's basis :func:`masscale.fem.mirror_basis`, order about n/8)
 when every member is a checked matrix that splits, else the pencil
-itself as one block. When every member is also I_3 (x) A_s, one block per
+itself as one block. A mirror block is stored as CSR, or as its 1-D
+diagonal for a diagonal matrix, and is formed dense right before the
+LAPACK call that solves it. When every member is also I_3 (x) A_s, one block per
 displacement component (:attr:`CheckedMatrix.is_decoupled`), only the
 x-component rows and columns of each block are solved (order about n/24,
 or n/3 for one block), and each of their values counts three times. The
@@ -253,8 +256,9 @@ class LowRankUpdate:
         return self.base.diagonal() + (self.factors**2) @ self.core
 
     def __matmul__(self, x):
-        """(base + V S V^T) x for columns x: base x + V (S (V^T x))."""
-        return self.base @ x + self.factors @ (self.core[:, None] * (self.factors.T @ x))
+        """(base + V S V^T) x for a vector or columns x: base x + V (S (V^T x))."""
+        core = self.core if np.ndim(x) == 1 else self.core[:, None]
+        return self.base @ x + self.factors @ (core * (self.factors.T @ x))
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,7 +266,14 @@ class Blocks:
     """The blocks of a matrix or a pencil in a mirror basis
     (:class:`masscale.fem.MirrorBasis`): ``parts[k]`` is block k, Q_k^T A
     Q_k, or the tuple of the members' k-th blocks. With ``basis`` None:
-    one block, the matrix or the members, and identity maps.
+    one block, the matrix or the members as they are, and identity maps.
+
+    A mirror block is stored in proportion to its entries: as the 1-D
+    array of its diagonal when the matrix is diagonal (:func:`is_diagonal`),
+    else as a CSR array, or dense where a low-rank update fills it
+    (:func:`mirror_split`). A solver forms one part dense right before its
+    LAPACK call (:func:`_dense_part`), so that one dense block of order
+    about n/8 is alive at a time. Only this module reads ``parts``.
 
     With ``copies`` = 3 the matrices are I_3 (x) A_s (:func:`block_pairs`),
     and ``parts[k]`` holds only the x-component rows and columns of block
@@ -275,6 +286,11 @@ class Blocks:
     parts: list
     basis: object = None
     copies: int = 1
+
+    @property
+    def orders(self):
+        """The order m_k of each block (of its x part with three copies)."""
+        return [(p[0] if isinstance(p, tuple) else p).shape[0] for p in self.parts]
 
     def expand(self, k, y):
         """Q_k y, block k's coefficients y mapped to order n. With three
@@ -289,6 +305,17 @@ class Blocks:
     def restrict(self, k, u):
         """Q_k^T u, the coefficients in block k of u of order n (one copy)."""
         return u if self.basis is None else self.basis.columns[k].T @ u
+
+
+def _is_vector(x):
+    """True for a 1-D numpy array: a :class:`Blocks` member stored as its diagonal."""
+    return isinstance(x, np.ndarray) and x.ndim == 1
+
+
+def _dense_part(x):
+    """One member of a :class:`Blocks` part as a dense array: a 1-D
+    diagonal as its diagonal matrix, anything else as :func:`dense` gives it."""
+    return np.diag(x) if _is_vector(x) else dense(x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,8 +352,9 @@ class CheckedMatrix:
 
     @functools.cached_property
     def split(self):
-        """The matrix's :func:`mirror_split` in ``basis``, a :class:`Blocks`:
-        None without a basis or when it does not mirror."""
+        """The matrix's :func:`mirror_split` in ``basis``, a :class:`Blocks`
+        of eight blocks stored sparse (a diagonal matrix's as eight 1-D
+        diagonals): None without a basis or when it does not mirror."""
         return None if self.basis is None else mirror_split(self.matrix, self.basis)
 
     @functools.cached_property
@@ -480,43 +508,69 @@ def block_pairs(*members):
     parts, basis = list(zip(*splits)), split.basis
     if copies == 3:
         orders = [np.count_nonzero(reps < basis.order // 3) for reps in basis.reps]
-        parts = [tuple(b[:x, :x] for b in part) for part, x in zip(parts, orders)]
+        parts = [tuple(_leading(b, x) for b in part) for part, x in zip(parts, orders)]
     return Blocks(parts, basis, copies)
 
 
-def block_operator(part):
-    """B^{-1} A of one part (A, B) of :func:`block_pairs`, dense, by a
-    Cholesky factor of B, which is not checked again for symmetry.
+def _leading(b, order):
+    """The leading ``order`` rows and columns of a mirror block ``b`` of a
+    decoupled matrix, 1-D or CSR: its x-component part. No entry of those
+    rows lies beyond them, so a CSR ``b`` gives them as a prefix of its
+    arrays."""
+    if _is_vector(b):
+        return b[:order]
+    from scipy import sparse  # deferred: its import would add to every CLI start
+
+    end = b.indptr[order]
+    return sparse.csr_array((b.data[:end], b.indices[:end], b.indptr[:order + 1]),
+                            shape=(order, order))
+
+
+def block_operator(blocks, k):
+    """B^{-1} A of part k (A, B) of ``blocks``, the :func:`block_pairs` of
+    a pencil, dense, by a Cholesky factor of B, which is not checked again
+    for symmetry. Only part k is formed dense.
 
     Raises :class:`NotPositiveDefinite` (with the first failing pivot
     index) when B is not SPD.
     """
-    a, b = part
-    return sla.cho_solve((_cholesky_lower(b), True), dense(a))
+    a, b = blocks.parts[k]
+    return sla.cho_solve((_cholesky_lower(_dense_part(b)), True), _dense_part(a))
 
 
-def _standard_form(pair):
-    """C = L^{-1} A L^{-T} for B = L L^T, and the map y -> L^{-T} y back,
-    formed dense from one part (A, B) of :func:`block_pairs` (a sparse
-    member is converted).
+def _standard_form(pair, split):
+    """C = L^{-1} A L^{-T} for B = L L^T, formed dense from one part (A, B)
+    of a :class:`Blocks` (:func:`_dense_part`), and the factor of the map
+    y -> L^{-T} y back (:func:`_back`): L^T, or 1/sqrt(B) for a diagonal B.
 
     A diagonal B takes a scaling path instead of the Cholesky reduction.
+    In the blocks of a ``split`` (a basis), B is diagonal exactly when it
+    is 1-D; a member of the one-block path is tested here, or answers from
+    its :attr:`CheckedMatrix.is_diagonal`.
     """
     a, b = pair
-    diagonal = b.is_diagonal if isinstance(b, CheckedMatrix) else is_diagonal(b)
-    if diagonal:
-        d = _operand(b).diagonal().copy()
-        bad = np.flatnonzero(d <= 0)
+    if not split and (b.is_diagonal if isinstance(b, CheckedMatrix) else is_diagonal(b)):
+        b = _operand(b).diagonal().copy()
+    if _is_vector(b):
+        bad = np.flatnonzero(b <= 0)
         if bad.size:
             raise NotPositiveDefinite(int(bad[0]))
-        s = 1.0 / np.sqrt(d)
-        return symmetrize(dense(a) * s[:, None] * s[None, :]), lambda y: y * s[:, None]
+        s = 1.0 / np.sqrt(b)
+        return symmetrize(_dense_part(a) * s[:, None] * s[None, :]), s
     ell = _cholesky_lower(b)
-    c, info = sla.lapack.dsygst(dense(a), ell, itype=1, lower=1)
+    c, info = sla.lapack.dsygst(_dense_part(a), ell, itype=1, lower=1)
     if info != 0:  # pragma: no cover - LAPACK reports illegal arguments only
         raise ValueError(f"illegal argument {-info} to dsygst")
     c = np.tril(c) + np.tril(c, -1).T
-    return c, lambda y: sla.solve_triangular(ell.T, y, lower=False)
+    return c, ell.T
+
+
+def _back(factor, y):
+    """L^{-T} y for the ``factor`` of :func:`_standard_form`: a 1-D one
+    scales, a 2-D one is solved on its upper triangle, L^T, alone."""
+    if factor.ndim == 1:
+        return y * factor[:, None]
+    return sla.solve_triangular(factor, y, lower=False)
 
 
 def rigid_cutoff(values, order=None):
@@ -638,12 +692,12 @@ def generalized_eig(pair, top=None):
     blocks = block_pairs(pair.a, pair.b)
     values, vectors = [], []
     for k, part in enumerate(blocks.parts):
-        c, back = _standard_form(part)
+        c, factor = _standard_form(part, blocks.basis is not None)
         m = c.shape[0]
         v, y = (np.linalg.eigh(c) if top is None
                 else sla.eigh(c, subset_by_index=[max(m - top, 0), m - 1]))
         values.append(np.tile(v, blocks.copies))
-        vectors.append(blocks.expand(k, back(_fix_signs(y))))
+        vectors.append(blocks.expand(k, _back(factor, _fix_signs(y))))
     order = np.argsort(np.concatenate(values), kind="stable")
     order = order if top is None else order[-top:]
     values, vectors = np.concatenate(values)[order], np.take(np.hstack(vectors), order, axis=1)
@@ -681,6 +735,10 @@ def mirror_split(a, basis):
     elements share one stiffness, to 5.4e-16 of max|A| in row sum,
     against 6.7e-14 allowed.
 
+    Each block is formed on its own (:func:`_mirror_block`) and stored as
+    CSR, or as its 1-D diagonal when ``a`` :func:`is_diagonal` (dropping
+    off-diagonal entries below that test's tolerance).
+
     A :class:`LowRankUpdate` A = B + V S V^T adds W_k S_k W_k^T to B's
     blocks, W_k the columns of Q_k^T V that block k holds most of. With
     Q^T v_j = p_j + e_j, p_j in that block, this drops delta <= sum_j
@@ -689,7 +747,9 @@ def mirror_split(a, basis):
     keeps all ignored terms within 1.1 n * eps * ||A||_2 for S >= 0. Global
     deflation's V = M U, U from the blocks, gives delta <= 1.4e-2 n * eps
     * max|A| on the benchmark meshes; LAPACK's vectors can mix blocks. An
-    update whose B does not split is None before any Q_k^T V is formed.
+    update whose B does not split is None before any Q_k^T V is formed. A
+    block that W_k S_k W_k^T fills is stored dense; one that the update
+    leaves at zero keeps B's block as it is.
     """
     if isinstance(a, LowRankUpdate):
         split = mirror_split(a.base, basis)
@@ -702,8 +762,9 @@ def mirror_split(a, basis):
         delta = np.abs(a.core) @ (leak * (2.0 * np.sqrt(norms.max(axis=0)) + leak))
         if not delta <= a.shape[0] * _EPS * a.diagonal().max() / 8:
             return None
-        return Blocks([symmetrize(b + (x[:, o] * a.core[o]) @ x[:, o].T)
-                       for b, x, o in zip(split.parts, w, own)], basis)
+        # a block that the update leaves alone keeps the base's storage
+        return Blocks([symmetrize(_dense_part(b) + (x[:, o] * a.core[o]) @ x[:, o].T)
+                       if a.core[o].any() else b for b, x, o in zip(split.parts, w, own)], basis)
     from scipy import sparse  # deferred: its import would add to every CLI start
 
     a = _csr(a)
@@ -722,8 +783,40 @@ def mirror_split(a, basis):
     sums = np.bincount(_rows_of(diff), np.abs(diff.data), minlength=7 * m)
     if not sums.max(initial=0.0) <= n * _EPS * np.abs(a.data).max(initial=0.0) / 8:
         return None
-    return Blocks([symmetrize(dense(a[r] @ q) * np.sqrt(basis.sizes[r])[:, None])
+    diagonal = is_diagonal(a)
+    return Blocks([_mirror_block(a, r, q, np.sqrt(basis.sizes[r]), diagonal)
                    for r, q in zip(basis.reps, basis.columns)], basis)
+
+
+def _mirror_block(a, reps, q, scale, diagonal):
+    """One block Q_k^T A Q_k of the CSR ``a`` that mirrors, for the block's
+    representatives ``reps``, its columns ``q``
+    (:attr:`masscale.fem.MirrorBasis.columns`, one entry per row at most)
+    and ``scale`` = sqrt(s) of each rep: the 1-D diagonal for a
+    ``diagonal`` ``a``, else a CSR array.
+
+    The block is symmetrize(dense(a[reps] @ q) * scale[:, None]), bit for
+    bit, formed without a sparse product: the reps' stored entries a_ij
+    are gathered once, and each (i, c) sums a_ij q_jc over j in ascending
+    order, as scipy's product does (``np.bincount`` adds in input order).
+    The one dense transient, of the block's order, is symmetrized and its
+    entries != 0 kept; a diagonal takes only the slots (i, i)."""
+    m, n = len(reps), a.shape[0]
+    col, coef = np.full(n, -1), np.zeros(n)  # the column and entry of q in each row
+    col[_rows_of(q)], coef[_rows_of(q)] = q.indices, q.data
+    starts = a.indptr[reps]
+    lengths = a.indptr[reps + 1] - starts
+    rows = np.repeat(np.arange(m), lengths)
+    # the index in a.data of each stored entry of the reps' rows, row after row
+    entries = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    cols = col[a.indices[entries]]
+    keep = np.flatnonzero(cols == rows if diagonal else cols >= 0)
+    rows, cols, entries = rows[keep], cols[keep], entries[keep]
+    terms = a.data[entries] * coef[a.indices[entries]]
+    if diagonal:
+        return np.bincount(rows, terms, minlength=m) * scale
+    block = np.bincount(rows * m + cols, terms, minlength=m * m).reshape(m, m)
+    return _csr(symmetrize(block * scale[:, None]))
 
 
 def _reduce(c):
@@ -733,7 +826,9 @@ def _reduce(c):
     values are T's (dsterf, as in numpy's ``eigvalsh``), and the reduction
     is (reflectors, diagonal, off-diagonal, tau) for
     :func:`_lowest_vectors`. ``c`` is exactly symmetric, so its
-    transpose, which LAPACK reads in place, is the same matrix."""
+    transpose, which LAPACK reads in place, is the same matrix. The
+    reflectors lie below the first subdiagonal of the first array, and
+    nothing reads its diagonal or upper triangle again."""
     lwork = int(sla.lapack.dsytrd_lwork(len(c), lower=1)[0])
     r, d, e, tau, info = sla.lapack.dsytrd(c.T, lower=1, lwork=lwork, overwrite_a=1)
     if info != 0:  # pragma: no cover - LAPACK reports illegal arguments only
@@ -771,11 +866,20 @@ def generalized_eigvalues(pair):
     vectors of each block's share of the tail, taken from the same
     reduction and mapped back through L_k^{-T} and Q_k; only then are the
     full matrices read, and they are not checked again. A pencil without a
-    low tail forms no vectors.
+    low tail forms no vectors. Each block's reduction is kept for the tail
+    with L_k^T in its unread upper triangle, so that a block keeps one
+    array of its order squared.
     """
     pair = pair if isinstance(pair, MatrixPair) else MatrixPair(*pair)
     blocks = block_pairs(pair.a, pair.b)
-    solved = [(*_reduce(c), back) for c, back in map(_standard_form, blocks.parts)]
+    solved = []
+    for part in blocks.parts:
+        c, factor = _standard_form(part, blocks.basis is not None)
+        values, reduction = _reduce(c)
+        if factor.ndim == 2:  # L^T moves into the triangle that the reduction leaves unread
+            np.copyto(reduction[0], factor, where=~np.tri(len(c), k=-1, dtype=bool))
+            factor = reduction[0]
+        solved.append((values, reduction, factor))
     parts = [np.tile(values, blocks.copies) for values, _, _ in solved]
     owner = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
     order = np.argsort(np.concatenate(parts), kind="stable")
@@ -785,8 +889,8 @@ def generalized_eigvalues(pair):
         # the copies of a value are equal, so the tail holds all or none of them
         shares = np.bincount(owner[order[:count]], minlength=len(parts)) // blocks.copies
         x = np.hstack([
-            blocks.expand(k, back(_lowest_vectors(reduction, share)))
-            for k, ((_, reduction, back), share) in enumerate(zip(solved, shares)) if share
+            blocks.expand(k, _back(factor, _lowest_vectors(reduction, share)))
+            for k, ((_, reduction, factor), share) in enumerate(zip(solved, shares)) if share
         ])
         del solved  # the blocks' reductions are freed before the Ritz step
         values[:count] = _ritz(pair.a, pair.b, x)[0]
@@ -809,7 +913,7 @@ def extreme_eigvalues(a):
     if a.is_diagonal:
         d = _operand(a).diagonal()
         return np.array([d.min(), d.max()])
-    ends = np.array([np.linalg.eigvalsh(dense(m))[[0, -1]] for m, in block_pairs(a).parts])
+    ends = np.array([np.linalg.eigvalsh(_dense_part(m))[[0, -1]] for m, in block_pairs(a).parts])
     return np.array([ends[:, 0].min(), ends[:, 1].max()])
 
 

@@ -33,10 +33,14 @@ class MeshSystem:
     Each assembled matrix is one :class:`linalg.CheckedMatrix` in the
     mesh's mirror basis, checked for symmetry when it is built: K and M
     with their pair, each Mbar on first use (:meth:`mass`). Each keeps its
-    split, a :class:`linalg.Blocks` of eight dense blocks of order about
-    n/8 (None when the matrix does not mirror), from its first read, so
-    every solve and probe that reads a matrix shares one split, and what
-    commutes with the reflections is solved block by block. M and the Mbar
+    split, a :class:`linalg.Blocks` of eight blocks of order about n/8
+    (None when the matrix does not mirror), from its first read, so every
+    solve and probe that reads a matrix shares one split, and what
+    commutes with the reflections is solved block by block. A split is
+    stored sparse, in about the bytes of its matrix's CSR arrays: CSR
+    blocks, eight 1-D diagonals for M and every diagonal Mbar, and dense
+    blocks only where global deflation's update fills them. A solve makes
+    one block dense at a time. M and the Mbar
     of the lumped, CMS, Olovsson, Hoffmann and uniform-LFT masses are
     I_3 (x) Mbar_s (:attr:`linalg.CheckedMatrix.is_decoupled`), so the
     mass-only solves, :meth:`values_mbar` and :meth:`values_mbarm`, read

@@ -220,6 +220,25 @@ def test_plate_pass_forms_no_full_order_array(material):
         assert peak < n * n * 8, f"{spec.label}: traced peak {peak / 2**20:.1f} MiB"
 
 
+def test_one_system_with_two_specs_forms_no_full_order_array(material):
+    # one system keeps K, M and both Mbar with their mirror blocks stored
+    # sparse (M's as 1-D diagonals, global deflation's dense where its
+    # update fills them), so two passes on it still peak below one n x n array
+    mesh = fem.build_structured_mesh(shared.PLATE_COUNTS, shared.PLATE_EXTENTS)
+    n = mesh.dof_count
+    tracemalloc.start()
+    try:
+        fresh = MeshSystem(mesh, material)
+        for spec in (ScalingSpec("olovsson", beta=10.0), ScalingSpec("global_deflation", rank=20)):
+            scaled = fresh.scale(spec)
+            fresh.values_km(), fresh.values_kmbar(scaled), fresh.values_mbarm(scaled)
+            fresh.values_m(), fresh.values_mbar(scaled)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8, f"traced peak {peak / 2**20:.1f} MiB"
+
+
 def test_criterion_05_corollary_bound_suite(plate, scaled_plate):
     with criterion(5, "frequency ratios within [1, bound] over all sweeps") as chk:
         for spec in _sweep_specs():

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from masscale import analysis, cli, linalg, system
-from masscale.errors import ConfigError
+from masscale.errors import ConfigError, MasscaleError
 
 
 def write_config(path, **overrides):
@@ -163,6 +163,28 @@ class TestCommands:
         assert lines[0] == "value,dt_ratio,bound,kappa_ratio"
         assert len(lines) == 3
 
+    def test_repeated_sweep_values_write_repeated_rows(self, tmp_path):
+        # a repeated value is no config error: it adds a row to the sweep's
+        # one file, equal to the first, and overwrites nothing
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, sweep={"kind": "olovsson", "parameter": "beta", "values": [10, 1, 10.0]})
+        out = tmp_path / "out"
+        res = self.run_cli(["sweep", "--config", str(cfg), "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        rows = (out / "sweep_olovsson_beta.csv").read_text().strip().splitlines()[1:]
+        assert len(rows) == 3 and rows[0] == rows[2] != rows[1]
+
+    def test_a_file_written_twice_is_an_internal_error(self, tmp_path, monkeypatch):
+        # a clash that the config checks miss ends the run before it overwrites
+        spec = cli.parse_scaling({"kind": "olovsson", "beta": 10.0})
+        monkeypatch.setattr(cli.ExperimentConfig, "specs", lambda self: [spec, spec])
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg)
+        res = self.run_cli(["bounds", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert res.exit_code == 2, res.output
+        assert res.stderr.splitlines() == [
+            "internal error: output bounds_olovsson_beta10.json is written twice"]
+
     def test_sweep_of_a_kind_without_bound_writes_nan(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         write_config(cfg, sweep={"kind": "uniform_lft", "parameter": "mu", "values": [2.0, 4.0]})
@@ -291,6 +313,15 @@ class TestReports:
         assert sorted(map(os.path.basename, written)) == sorted(
             name for name in os.listdir(out) if name != "manifest.json")
 
+    def test_each_file_is_written_once(self, tmp_path):
+        emitter = cli.Emitter(str(tmp_path))
+        emitter.write_json("a.json", {"first": 1})
+        for write in (emitter.write_json, emitter.write_csv):
+            with pytest.raises(MasscaleError, match="output a.json is written twice"):
+                write("a.json", {"second": [2]})
+        assert json.loads((tmp_path / "a.json").read_text()) == {"first": 1}
+        assert emitter.files == [str(tmp_path / "a.json")]
+
     def test_write_csv(self, tmp_path):
         emitter = cli.Emitter(str(tmp_path))
         emitter.write_csv("curve.csv", {"x": [1.0, 2.0], "y": [0.5, 1 / 3]})
@@ -394,6 +425,13 @@ PROBES = {
                                                       "r": 7}}, 1,
                                            "config error: sweep: scaling[local_deflation_s2]: "
                                            "parameter rank is given twice"),
+    # two scalings with one label would write each of their files twice
+    "scaling_given_twice": ({"scalings": [{"kind": "olovsson", "beta": 100.0},
+                                          {"kind": "olovsson", "beta": 100}]}, 1,
+                            "config error: scalings: olovsson_beta100 is given twice"),
+    "none_given_twice": ({"scalings": [{"kind": "none"}, {"kind": "cms", "alpha": 4.0},
+                                       {"kind": "none"}]}, 1,
+                         "config error: scalings: none is given twice"),
     # numpy overflows past a well-formed config: one line, not its RuntimeWarnings
     "beta_overflow": (_probe({"kind": "olovsson", "beta": 1e308}), 2,
                       "internal error: RuntimeWarning: "),
@@ -417,6 +455,36 @@ def test_malformed_config_one_line_no_traceback(tmp_path, name):
     lines = res.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(prefix), res.stderr
     assert code != 1 or not (tmp_path / "out").exists()  # a config error writes nothing
+
+
+# Documents with a key given twice in one object, as text: json keeps the
+# last value, so without the check the first one was lost with no message.
+REPEATED_KEYS = {
+    "beta": ('"scalings": [{"kind": "olovsson", "beta": 1.0, "beta": 100.0}]',
+             'scalings[0]: key "beta" is given twice'),
+    "scalings": ('"scalings": [{"kind": "none"}], "scalings": [{"kind": "cms", "alpha": 4.0}]',
+                 'config: key "scalings" is given twice'),
+    "node_counts": ('"geometry": {"mesh": {"node_counts": [3, 2, 2], "node_counts": [4, 2, 2], '
+                    '"extents_mm": [30.0, 20.0, 10.0]}}',
+                    'geometry.mesh: key "node_counts" is given twice'),
+}
+
+
+@pytest.mark.parametrize("name", list(REPEATED_KEYS))
+def test_repeated_key_is_a_config_error(tmp_path, name):
+    text, message = REPEATED_KEYS[name]
+    base = write_config(tmp_path / "base.json")
+    del base["scalings"], base["geometry"]  # the text gives them
+    if name != "node_counts":
+        text += ', "geometry": ' + json.dumps({"mesh": {"node_counts": [3, 2, 2],
+                                                        "extents_mm": [30.0, 20.0, 10.0]}})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{" + text + ", " + json.dumps(base)[1:])
+    res = CliRunner().invoke(cli.main, ["bounds", "--config", str(cfg), "--out",
+                                        str(tmp_path / "out")])
+    assert res.exit_code == 1, res.output
+    assert res.stderr.splitlines() == [f"config error: {message}"]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("where", ["config", "option"])
@@ -675,24 +743,56 @@ _json_values = st.recursive(
 _near_triples = st.lists(st.integers(-2, 4) | st.floats(-1e3, 1e3), min_size=3, max_size=3)
 
 
+def _dumps_repeating(value, path):
+    """``json.dumps(value)``, with the last key of ``path`` written twice in
+    its object: first as it is, then again with the same value."""
+    if not path:
+        return json.dumps(value)
+    key, rest = path[0], path[1:]
+    if isinstance(value, list):
+        return "[" + ", ".join(_dumps_repeating(v, rest) if i == key else json.dumps(v)
+                               for i, v in enumerate(value)) + "]"
+    items = [f"{json.dumps(k)}: {_dumps_repeating(v, rest) if k == key else json.dumps(v)}"
+             for k, v in value.items()]
+    if not rest:
+        items.append(f"{json.dumps(key)}: {json.dumps(value[key])}")
+    return "{" + ", ".join(items) + "}"
+
+
+def _place(path):
+    """Where the loader says a key of the object at ``path`` sits."""
+    place = ""
+    for key in path:
+        place += f"[{key}]" if isinstance(key, int) else f".{key}" if place else key
+    return place or "config"
+
+
 @settings(max_examples=100, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(path=st.sampled_from(sorted(FUZZ_FIELDS, key=str)), value=_json_values | _near_triples)
-def test_config_fuzz_exits_with_one_line(tmp_path, path, value):
+@given(path=st.sampled_from(sorted(FUZZ_FIELDS, key=str)), value=_json_values | _near_triples,
+       repeat=st.booleans())
+def test_config_fuzz_exits_with_one_line(tmp_path, path, value, repeat):
+    # with ``repeat``, the field's key is given twice in its object, at
+    # every nesting level of FUZZ_FIELDS: a config error that names both
     doc = json.loads(json.dumps(FUZZ_BASE))
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
     parent[path[-1]] = value
+    repeat = repeat and isinstance(path[-1], str)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(doc))
+    cfg.write_text(_dumps_repeating(doc, path) if repeat else json.dumps(doc))
     res = CliRunner().invoke(cli.main, ["run", "--config", str(cfg), "--out",
                                         str(tmp_path / "out")])
     assert res.exit_code in (0, 1, 2), res.output
     assert "Traceback" not in res.stderr
     assert len(res.stderr.splitlines()) == (res.exit_code != 0), res.stderr
     expected = FUZZ_FIELDS[path]
-    if isinstance(expected, type):
+    if repeat:
+        assert res.exit_code == 1, res.stderr
+        assert res.stderr == (f"config error: {_place(path[:-1])}: key {json.dumps(path[-1])} "
+                              "is given twice\n")
+    elif isinstance(expected, type):
         if not isinstance(value, expected):
             assert res.exit_code == 1, res.stderr
     elif expected(value):

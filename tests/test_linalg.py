@@ -544,6 +544,7 @@ class TestMirrorBlocks:
         assert blocks.basis is not None and len(blocks.parts) == 8
         rng = np.random.default_rng(28)
         for k, (a, b) in enumerate(blocks.parts):
+            a, b = linalg._dense_part(a), linalg._dense_part(b)
             assert a.shape == b.shape
             y = rng.standard_normal((len(a), 3))
             error = np.abs(blocks.restrict(k, blocks.expand(k, y)) - y).max()
@@ -570,6 +571,7 @@ class TestMirrorBlocks:
         dense = scaled.mbar_dense()
         assert isinstance(mbar.matrix, LowRankUpdate) and not mbar.is_diagonal
         for x, y in zip(mbar.split.parts, linalg.mirror_split(dense, basis).parts):
+            x, y = linalg._dense_part(x), linalg._dense_part(y)
             assert np.abs(x - y).max() <= 1e-15 * np.abs(dense).max()
         for pencil, blocked in ((MatrixPair(pair.a, dense), MatrixPair(checked.a, mbar)),
                                 (MatrixPair(dense, pair.b), MatrixPair(mbar, checked.b))):
@@ -631,6 +633,7 @@ class TestMirrorBlocks:
             dense, csr = (linalg.mirror_split(m, basis) for m in (a, sparse.csr_array(a)))
             assert (dense is None) == (csr is None)
             for x, y in zip(*(split.parts if split else [] for split in (dense, csr))):
+                x, y = linalg._dense_part(x), linalg._dense_part(y)
                 assert np.abs(x - y).max() <= 1e-15 * np.abs(a).max()
 
     @pytest.mark.parametrize("counts, extents", [((10, 4, 3), (0.05, 0.015, 0.002)),
@@ -669,6 +672,57 @@ class TestMirrorBlocks:
         assert linalg.mirror_split(pair.a, basis) is None
         assert np.array_equal(generalized_eigvalues(checked_pencil(pair, basis)),
                               generalized_eigvalues(pair))
+
+
+def _stored_bytes(x):
+    """The bytes of a dense or 1-D array, or of a CSR array's three arrays."""
+    return x.nbytes if isinstance(x, np.ndarray) else x.data.nbytes + x.indices.nbytes + x.indptr.nbytes
+
+
+class TestSparseSplits:
+    """Mirror blocks stored in proportion to their entries, and made dense
+    one at a time as the dense blocks were formed."""
+
+    def test_parts_take_at_most_twice_the_matrix(self, material):
+        # dense blocks took 3.8 times the CSR bytes of the plate's K, 10
+        # times its Olovsson Mbar's and 200 times its lumped M's
+        system = MeshSystem(fem.build_structured_mesh(PLATE_COUNTS, PLATE_EXTENTS), material)
+        for checked in (system.pair.a, system.pair.b, system.mass(system.scale(OLOVSSON))):
+            parts = checked.split.parts
+            assert len(parts) == 8
+            assert all(p.ndim == 1 for p in parts) == checked.is_diagonal, checked.name
+            assert sum(map(_stored_bytes, parts)) <= 2 * _stored_bytes(checked.matrix), checked.name
+
+    @pytest.mark.parametrize("kind", sorted(KIND_DOCS))
+    def test_dense_parts_are_the_dense_products_bit_for_bit(self, kinds_mesh, kind):
+        # each part, made dense, is symmetrize(dense(a[r] @ q) * sqrt(s)), the
+        # block the dense split stored, to the last bit: the same blocks
+        # reach the same LAPACK calls
+        mesh, _, pair = kinds_mesh
+        basis = fem.mirror_basis(mesh)
+        for a in (pair.a, pair.b, scaled_mass(kinds_mesh, kind).mbar):
+            split = linalg.mirror_split(a, basis)
+            if isinstance(a, LowRankUpdate) or split is None:
+                continue
+            a = linalg._csr(a)
+            for part, r, q in zip(split.parts, basis.reps, basis.columns):
+                block = linalg.symmetrize(linalg.dense(a[r] @ q) * np.sqrt(basis.sizes[r])[:, None])
+                assert np.array_equal(linalg._dense_part(part), block)
+                assert (part.ndim == 1) == linalg.is_diagonal(a)
+
+    def test_update_keeps_the_base_blocks_it_leaves_alone(self, kinds_mesh):
+        # global deflation: the blocks that own a column of V are dense, the
+        # others stay the lumped mass's 1-D diagonals
+        mesh, blocks, pair = kinds_mesh
+        basis = fem.mirror_basis(mesh)
+        spec = scaling.ScalingSpec(**KIND_DOCS["global_deflation"][0])
+        scaled = scaling.apply_spec(spec, blocks, mesh.dof_count, pair=checked_pencil(pair, basis))
+        parts = CheckedMatrix(scaled.mbar, basis).split.parts
+        base = linalg.mirror_split(pair.b, basis).parts
+        kept = [x.ndim == 1 for x in parts]
+        assert any(kept) and not all(kept)
+        for x, b in zip(parts, base):
+            assert np.array_equal(x, b) if x.ndim == 1 else x.shape == (len(b), len(b))
 
 
 # The kinds whose Mbar is I_3 (x) Mbar_s: one mass term per node, or
@@ -712,9 +766,10 @@ class TestComponentSplit:
         mbar, m = system.mass(scaled), system.pair.b
         blocks = linalg.block_pairs(mbar, m)
         assert blocks.copies == 3 and len(blocks.parts) == 8
-        assert sum(len(a) for a, _ in blocks.parts) == system.mesh.dof_count // 3
+        assert sum(blocks.orders) == system.mesh.dof_count // 3
         # the mirror-block solve: all eight block pairs, every component
-        mirror = list(zip(mbar.split.parts, m.split.parts))
+        mirror = [tuple(map(linalg._dense_part, part))
+                  for part in zip(mbar.split.parts, m.split.parts)]
         reference = np.sort(np.concatenate([sla.eigh(a, b, eigvals_only=True) for a, b in mirror]))
         values = system.values_mbarm(scaled)
         assert np.abs(values / reference - 1.0).max() <= 1e-13
@@ -818,6 +873,15 @@ class TestVectorsOnlyForATail:
 
 
 class TestWoodbury:
+    @pytest.mark.parametrize("shape", [(6,), (6, 2)], ids=["vector", "columns"])
+    def test_product_matches_dense(self, shape):
+        rng = np.random.default_rng(6)
+        upd = LowRankUpdate(random_spd(6, rng), rng.standard_normal((6, 2)), np.array([2.0, 0.5]))
+        x = rng.standard_normal(shape)
+        y = upd @ x
+        assert y.shape == shape
+        assert np.allclose(y, upd.dense() @ x, rtol=1e-14, atol=1e-14 * np.abs(y).max())
+
     def test_rank_zero_is_plain_solve(self):
         base = np.diag([2.0, 4.0])
         upd = LowRankUpdate(base, np.zeros((2, 0)), np.zeros(0))

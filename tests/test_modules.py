@@ -1,6 +1,6 @@
 """Module boundaries: no private name crosses a module line in the package,
-only fem and linalg read the fields of a mirror basis, and only
-cli.Emitter opens a file for writing."""
+only fem and linalg read the fields of a mirror basis, only linalg reads
+the parts of its blocks, and only cli.Emitter opens a file for writing."""
 import ast
 import pathlib
 
@@ -83,6 +83,26 @@ def test_the_basis_scan_finds_a_field():
 def test_only_fem_and_linalg_read_the_mirror_basis():
     found = {path.name: basis_reads(path.read_text()) for path in sorted(SRC.glob("*.py"))
              if path.name not in BASIS_READERS}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+# linalg.Blocks.parts: a part may be a 1-D diagonal, a CSR or a dense
+# array, and linalg alone forms it dense (linalg._dense_part); other
+# modules ask a Blocks for its orders and operators.
+def parts_reads(source):
+    """The lines of ``source`` that read an attribute ``parts``, as ``line: .parts``."""
+    return [f"{node.lineno}: .parts" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == "parts"]
+
+
+def test_the_parts_scan_finds_a_read():
+    assert parts_reads("for k, _ in blocks.parts:\n    len(k)\n") == ["1: .parts"]
+    assert parts_reads("parts = [label]\nblocks.orders\n") == []
+
+
+def test_only_linalg_reads_the_parts_of_blocks():
+    found = {path.name: parts_reads(path.read_text()) for path in sorted(SRC.glob("*.py"))
+             if path.name != "linalg.py"}
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
