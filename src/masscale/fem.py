@@ -466,6 +466,8 @@ class MirrorBasis:
     reps: tuple  # 8 arrays of representative dofs, one per block
     characters: np.ndarray  # (8, 8) chi_k(g), +-1
 
+    joins = tuple((k, k ^ 3, k ^ 5) for k in range(8))  # see :attr:`component`
+
     @property
     def order(self):
         return self.images.shape[1]
@@ -487,6 +489,15 @@ class MirrorBasis:
             out.append(sparse.csr_array((coef.ravel()[first], (dofs, cols.ravel()[first])),
                                         shape=(self.order, len(reps))))
         return out
+
+    @functools.cached_property
+    def component(self):
+        """This basis on the x dofs, where A_s of I_3 (x) A_s splits. A reflection
+        flips the sign of its own component, so block k's y and z reps have their
+        x reps' columns in blocks k (+) 3 and k (+) 5, and ``joins[k]`` lists them."""
+        n = self.order // 3
+        return MirrorBasis(self.images[:, :n].copy(), self.signs[:, :n].copy(), self.sizes[:n],
+                           tuple(r[r < n] for r in self.reps), self.characters)
 
 
 def mirror_basis(mesh):

@@ -315,16 +315,15 @@ def stability_bracket(kbar, mbar, dt_estimate, seed=42, highest_mode=None):
 
     ``kbar`` and ``mbar`` are raw matrices, or checked matrices
     (:class:`~masscale.linalg.CheckedMatrix`). When both split, so that
-    their :func:`~masscale.linalg.block_pairs` has a basis, and do not both
-    decouple the displacement components (no K does), the runs step on the
-    blocks (see the module docstring); otherwise on the sparse
-    path, where :class:`MassSolver` checks a mass it factors. Raises
+    their :func:`~masscale.linalg.block_pairs` has a basis, the runs step
+    on the eight mirror blocks, those of I_3 (x) A_s too (see the module
+    docstring); otherwise on the sparse path, where :class:`MassSolver`
+    checks a mass it factors. Raises
     :class:`SolveFailure` when the mass, or a mass block, is not SPD.
     """
     blocks = block_pairs(kbar, mbar)
     kbar, mbar = (m.matrix if isinstance(m, CheckedMatrix) else m for m in (kbar, mbar))
-    on_blocks = blocks.basis is not None and blocks.copies == 1
-    op = _MirrorBlocks(blocks) if on_blocks else _operator(mbar)
+    op = _MirrorBlocks(blocks) if blocks.basis is not None else _operator(mbar)
     u0 = _seeded_initial(kbar, seed, highest_mode)
 
     verdicts = []

@@ -5,16 +5,15 @@ Factorizations, standard and generalized eigensolvers, low-rank-update
 An assembled matrix arrives as a scipy.sparse CSR array or as a dense
 array. Every function that reads a whole matrix (:func:`require_symmetric`,
 :func:`is_diagonal`, :func:`factor_spd`, :func:`mirror_split`,
-:attr:`CheckedMatrix.is_decoupled`, :func:`extreme_eigvalues` and the
+:attr:`CheckedMatrix.component`, :func:`extreme_eigvalues` and the
 low-tail recomputation) reads its stored entries alone, and a
 :class:`LowRankUpdate` M + V S V^T as M and V. One reader finds them:
-:func:`_stored`, a sparse array's entries, or a
-dense array's entries != 0 found strip by strip, so that a dense check
-forms no temporary of the matrix's size; :func:`_csr` builds its CSR
-arrays from them. Dense arrays are formed only for the dense solves of
-the block pairs below, one block at a time. Symmetry is imposed at
-construction points with :func:`symmetrize` and checked with
-:func:`require_symmetric`.
+:func:`_stored`, a sparse array's entries, or a dense array's entries
+!= 0 found strip by strip, so that a dense check forms no temporary of
+the matrix's size; :func:`_csr` builds its CSR arrays from them. Dense
+arrays are formed only for the dense solves of the block pairs below,
+one block at a time. Symmetry is imposed at construction points with
+:func:`symmetrize` and checked with :func:`require_symmetric`.
 
 A :class:`CheckedMatrix` is a symmetric matrix checked once, when it is
 built, with the mesh's mirror basis or None. The solvers trust it; a raw
@@ -22,24 +21,19 @@ matrix is checked, and a tuple (A, B) as a :class:`MatrixPair`.
 :func:`factor_spd` factors a general SPD matrix once as a sparse LU, so
 that each later solve costs the factor's fill.
 
-Dense factorizations and the standard symmetric eigensolver are delegated
-to LAPACK (through numpy/scipy); the generalized solver performs the
-explicit Cholesky reduction to standard form so that eigenvectors come out
-B-orthonormal.
-
-Every eigensolve runs over a pencil's :class:`Blocks` (:func:`block_pairs`):
+Dense factorizations and eigensolves are delegated to LAPACK (through
+numpy/scipy), the generalized ones by the explicit Cholesky reduction to
+standard form, so that eigenvectors come out B-orthonormal. Every
+eigensolve runs over a pencil's :class:`Blocks` (:func:`block_pairs`):
 the eight mirror blocks Q_k^T A Q_k of its members (:func:`mirror_split`,
 in the mesh's basis :func:`masscale.fem.mirror_basis`, order about n/8)
 when every member is a checked matrix that splits, else the pencil
-itself as one block. A mirror block is stored as CSR, or as its 1-D
-diagonal for a diagonal matrix, and is formed dense right before the
-LAPACK call that solves it. When every member is also I_3 (x) A_s, one block per
-displacement component (:attr:`CheckedMatrix.is_decoupled`), only the
-x-component rows and columns of each block are solved (order about n/24,
-or n/3 for one block), and each of their values counts three times. The
+itself as one block, each formed dense right before its LAPACK call. A
+matrix I_3 (x) A_s splits only A_s, its :attr:`CheckedMatrix.component`,
+and the values-only solvers solve a pencil of such matrices as the
+pencil of the components, each value counted three times. The
 integrator's stability probe steps on the mirror blocks of (K, M), each
-as :func:`block_operator` forms it. Each question has its own solver, so
-that a caller pays for what it reads:
+as :func:`block_operator` forms it. Each question has its own solver:
 
 - all eigenpairs, or with ``top`` only the largest ones, of a pencil:
   :func:`generalized_eig`, a full or partial dense solve of each block
@@ -267,40 +261,24 @@ class Blocks:
     (:class:`masscale.fem.MirrorBasis`): ``parts[k]`` is block k, Q_k^T A
     Q_k, or the tuple of the members' k-th blocks. With ``basis`` None:
     one block, the matrix or the members as they are, and identity maps.
-
-    A mirror block is stored in proportion to its entries: as the 1-D
-    array of its diagonal when the matrix is diagonal (:func:`is_diagonal`),
-    else as a CSR array, or dense where a low-rank update fills it
-    (:func:`mirror_split`). A solver forms one part dense right before its
-    LAPACK call (:func:`_dense_part`), so that one dense block of order
-    about n/8 is alive at a time. Only this module reads ``parts``.
-
-    With ``copies`` = 3 the matrices are I_3 (x) A_s (:func:`block_pairs`),
-    and ``parts[k]`` holds only the x-component rows and columns of block
-    k, or A_s with ``basis`` None. Each eigenvalue of a part then occurs
-    three times, once per displacement component: the values of part k
-    are its own, repeated as ``np.tile(values, 3)``, and :meth:`expand`
-    gives the three component copies of each vector in that order.
+    A mirror block is stored as the 1-D array of its diagonal when the
+    matrix is diagonal (:func:`is_diagonal`), else as CSC, or dense where a
+    low-rank update fills it (:func:`mirror_split`). A solver forms one
+    part dense right before its LAPACK call (:func:`_dense_part`). Only
+    this module reads ``parts``.
     """
 
     parts: list
     basis: object = None
-    copies: int = 1
 
     @property
     def orders(self):
-        """The order m_k of each block (of its x part with three copies)."""
+        """The order m_k of each block."""
         return [(p[0] if isinstance(p, tuple) else p).shape[0] for p in self.parts]
 
     def expand(self, k, y):
-        """Q_k y, block k's coefficients y mapped to order n. With three
-        copies, y holds columns of x-component coefficients (m_k, c), and
-        the result (n, 3 c) is Q_k y on the x, then y, then z dofs."""
-        if self.copies == 1:
-            return y if self.basis is None else self.basis.columns[k] @ y
-        if self.basis is not None:  # the x reps lead each block, and Q_k maps them to x dofs
-            y = self.basis.columns[k][:self.basis.order // 3, :len(y)] @ y
-        return np.kron(np.eye(3), y)
+        """Q_k y, block k's coefficients y mapped to the basis's order."""
+        return y if self.basis is None else self.basis.columns[k] @ y
 
     def restrict(self, k, u):
         """Q_k^T u, the coefficients in block k of u of order n (one copy)."""
@@ -313,16 +291,35 @@ def _is_vector(x):
 
 
 def _dense_part(x):
-    """One member of a :class:`Blocks` part as a dense array: a 1-D
-    diagonal as its diagonal matrix, anything else as :func:`dense` gives it."""
-    return np.diag(x) if _is_vector(x) else dense(x)
+    """One member of a :class:`Blocks` part, 1-D diagonal or 2-D, as a new
+    Fortran-ordered dense array, which LAPACK may overwrite in place."""
+    a = _operand(x)
+    if _is_vector(a):
+        return np.diag(a).T
+    return a.toarray(order="F") if _is_sparse(a) else np.array(dense(a), order="F")
+
+
+def _symmetrize_in_place(c, average=True):
+    """Make the square ``c`` symmetric in place, strip by strip: as :func:`symmetrize`,
+    or without ``average`` as tril(c) + tril(c, -1).T (0.0 added to each entry)."""
+    for i in range(0, len(c), _STRIP):
+        e = i + _STRIP
+        square, top, bottom = c[i:e, i:e], c[i:e, e:], c[e:, i:e]
+        if average:
+            square[...] = 0.5 * (square + square.T)
+            top += bottom.T
+            top *= 0.5
+        else:
+            square[...] = np.tril(square) + np.tril(square, -1).T
+            top[...] = bottom.T + 0.0
+        bottom[...] = top.T
 
 
 @dataclass(frozen=True, eq=False)
 class CheckedMatrix:
     """A symmetric matrix checked once, when it is built, with the mesh's
-    :class:`masscale.fem.MirrorBasis` or None; its split and diagonal test
-    are computed on first read and kept.
+    :class:`masscale.fem.MirrorBasis` or None; its split, component and
+    diagonal test are computed on first read and kept.
 
     ``matrix`` is a CSR or dense array, kept as :func:`require_symmetric`
     returns it, or a :class:`LowRankUpdate`, kept implicit: its base is
@@ -334,6 +331,7 @@ class CheckedMatrix:
     matrix: object
     basis: object = None
     name: str = field(default="matrix", repr=False)
+    full_order: int = field(default=None, repr=False)  # a component's n, its split's limit
 
     __array_ufunc__ = None
 
@@ -352,41 +350,56 @@ class CheckedMatrix:
 
     @functools.cached_property
     def split(self):
-        """The matrix's :func:`mirror_split` in ``basis``, a :class:`Blocks`
-        of eight blocks stored sparse (a diagonal matrix's as eight 1-D
-        diagonals): None without a basis or when it does not mirror."""
-        return None if self.basis is None else mirror_split(self.matrix, self.basis)
+        """The matrix's :func:`mirror_split` in ``basis``, eight sparse blocks
+        (a diagonal matrix's 1-D), or None. A matrix with a :attr:`component`
+        splits only that, joining its block k from ``basis.joins[k]``."""
+        if self.component is None:
+            return self.basis and mirror_split(self.matrix, self.basis, self.full_order)
+        p = self.component.split and self.component.split.parts
+        return p and Blocks([_join([p[j] for j in js]) for js in self.basis.joins], self.basis)
+
+    @functools.cached_property
+    def component(self):
+        """A_s when the matrix is I_3 (x) A_s in the component-blocked dof
+        order (:mod:`masscale.fem`), else None (always for a LowRankUpdate or
+        a component): no stored entry couples two components and the three
+        diagonal blocks are equal entry for entry, read in O(nnz). A_s is the
+        x rows' CSR prefix, checked in :attr:`masscale.fem.MirrorBasis.component`."""
+        a = self.matrix
+        third, rest = divmod(a.shape[0], 3)
+        if isinstance(a, LowRankUpdate) or rest or not third or self.full_order:
+            return None
+        a = _csr(a)
+        lengths = np.diff(a.indptr).reshape(3, third)
+        cuts = a.indptr[::third]  # rows 0, N, 2N, 3N
+        cols, data = ([x[cuts[c]:cuts[c + 1]] for c in range(3)] for x in (a.indices, a.data))
+        if not ((lengths == lengths[0]).all() and np.all(cols[0] < third)
+                and all(np.array_equal(cols[c] - c * third, cols[0])
+                        and np.array_equal(data[c], data[0]) for c in (1, 2))):
+            return None
+        a_s = type(a)((data[0], cols[0], a.indptr[:third + 1]), shape=(third, third))
+        return CheckedMatrix(a_s, self.basis and self.basis.component, f"{self.name}_s", a.shape[0])
 
     @functools.cached_property
     def is_diagonal(self):
         """:func:`is_diagonal` of the matrix."""
         return is_diagonal(self.matrix)
 
-    @functools.cached_property
-    def is_decoupled(self):
-        """True when the matrix is I_3 (x) A_s in the component-blocked dof
-        order (:mod:`masscale.fem`): no stored entry couples two
-        displacement components, and the three diagonal blocks are equal
-        entry for entry. Read once, in O(nnz), from its CSR arrays (a dense
-        matrix is converted); a :class:`LowRankUpdate` reads False."""
-        a = self.matrix
-        third, rest = divmod(a.shape[0], 3)
-        if isinstance(a, LowRankUpdate) or rest or not third:
-            return False
-        a = _csr(a)
-        lengths = np.diff(a.indptr).reshape(3, third)
-        if not (lengths == lengths[0]).all():
-            return False
-        cuts = a.indptr[::third]  # rows 0, N, 2N, 3N
-        cols, data = ([x[cuts[c]:cuts[c + 1]] for c in range(3)] for x in (a.indices, a.data))
-        return bool(np.all((cols[0] >= 0) & (cols[0] < third))
-                    and all(np.array_equal(cols[c] - c * third, cols[0])
-                            and np.array_equal(data[c], data[0]) for c in (1, 2)))
-
 
 def _operand(m):
     """What a solver reads of ``m``: a checked matrix's matrix, else ``m``."""
     return m.matrix if isinstance(m, CheckedMatrix) else m
+
+
+def _join(parts):
+    """The block diagonal of 1-D or compressed blocks, joined array by array."""
+    if all(map(_is_vector, parts)):
+        return np.concatenate(parts)
+    rows = np.cumsum([0] + [len(p.indptr) - 1 for p in parts])
+    ends = np.cumsum([0] + [p.indptr[-1] for p in parts])
+    arrays = [(p.data, p.indices + r, p.indptr[1:] + e) for p, r, e in zip(parts, rows, ends)]
+    data, indices, indptr = map(np.concatenate, zip(*arrays))
+    return type(parts[0])((data, indices, np.append(0, indptr)), shape=(rows[-1],) * 2)
 
 
 def _fix_signs(vectors):
@@ -410,13 +423,14 @@ def cholesky(m):
 
 def _cholesky_lower(m):
     """:func:`cholesky` of ``m`` without the symmetry check: for a matrix
-    checked already, or a block that :func:`block_pairs` formed symmetric."""
-    c, info = sla.lapack.dpotrf(dense(m), lower=1, overwrite_a=0)
+    checked already, or a part of :func:`block_pairs`. The factor overwrites
+    its dense copy (:func:`_dense_part`), its upper triangle zeroed."""
+    c, info = sla.lapack.dpotrf(_dense_part(m), lower=1, overwrite_a=1)
     if info > 0:
         raise NotPositiveDefinite(info - 1)
     if info < 0:
         raise ValueError(f"illegal argument {-info} to dpotrf")
-    return np.tril(c)
+    return c
 
 
 def is_diagonal(a):
@@ -484,46 +498,14 @@ def block_pairs(*members):
     ``parts[k]`` is the tuple of the members' k-th mirror blocks
     (:attr:`CheckedMatrix.split`) when every member is a checked matrix
     that splits, else the members as one block. No split is read after
-    one that fails.
-
-    When every member is a checked matrix of the form I_3 (x) A_s
-    (:attr:`CheckedMatrix.is_decoupled`), the pencil is three copies of
-    (A_s, B_s, ...), and the :class:`Blocks` has three copies: each part
-    keeps only the x-component rows and columns of its mirror blocks
-    (the x reps lead each block, which no entry couples to its y and z
-    reps), or is A_s itself when a member does not split. The mass
-    pencils of the lumped, CMS, Olovsson, Hoffmann and uniform-LFT masses
-    have that form; K couples the components, so no pencil with K does.
-    """
-    copies = 3 if all(isinstance(m, CheckedMatrix) and m.is_decoupled for m in members) else 1
+    one that fails."""
     splits = []
     for m in members:
         split = m.split if isinstance(m, CheckedMatrix) else None
         if split is None:
-            if copies == 1:
-                return Blocks([members])
-            third = m.shape[0] // 3
-            return Blocks([tuple(_operand(x)[:third, :third] for x in members)], copies=3)
+            return Blocks([members])
         splits.append(split.parts)
-    parts, basis = list(zip(*splits)), split.basis
-    if copies == 3:
-        orders = [np.count_nonzero(reps < basis.order // 3) for reps in basis.reps]
-        parts = [tuple(_leading(b, x) for b in part) for part, x in zip(parts, orders)]
-    return Blocks(parts, basis, copies)
-
-
-def _leading(b, order):
-    """The leading ``order`` rows and columns of a mirror block ``b`` of a
-    decoupled matrix, 1-D or CSR: its x-component part. No entry of those
-    rows lies beyond them, so a CSR ``b`` gives them as a prefix of its
-    arrays."""
-    if _is_vector(b):
-        return b[:order]
-    from scipy import sparse  # deferred: its import would add to every CLI start
-
-    end = b.indptr[order]
-    return sparse.csr_array((b.data[:end], b.indices[:end], b.indptr[:order + 1]),
-                            shape=(order, order))
+    return Blocks(list(zip(*splits)), split.basis)
 
 
 def block_operator(blocks, k):
@@ -535,13 +517,14 @@ def block_operator(blocks, k):
     index) when B is not SPD.
     """
     a, b = blocks.parts[k]
-    return sla.cho_solve((_cholesky_lower(_dense_part(b)), True), _dense_part(a))
+    return sla.cho_solve((_cholesky_lower(b), True), _dense_part(a))
 
 
 def _standard_form(pair, split):
     """C = L^{-1} A L^{-T} for B = L L^T, formed dense from one part (A, B)
     of a :class:`Blocks` (:func:`_dense_part`), and the factor of the map
     y -> L^{-T} y back (:func:`_back`): L^T, or 1/sqrt(B) for a diagonal B.
+    C overwrites A's copy, so only it, the factor and a strip are held.
 
     A diagonal B takes a scaling path instead of the Cholesky reduction.
     In the blocks of a ``split`` (a basis), B is diagonal exactly when it
@@ -551,17 +534,21 @@ def _standard_form(pair, split):
     a, b = pair
     if not split and (b.is_diagonal if isinstance(b, CheckedMatrix) else is_diagonal(b)):
         b = _operand(b).diagonal().copy()
+    c = _dense_part(a)
     if _is_vector(b):
         bad = np.flatnonzero(b <= 0)
         if bad.size:
             raise NotPositiveDefinite(int(bad[0]))
         s = 1.0 / np.sqrt(b)
-        return symmetrize(_dense_part(a) * s[:, None] * s[None, :]), s
+        c *= s[:, None]
+        c *= s[None, :]
+        _symmetrize_in_place(c)
+        return c, s
     ell = _cholesky_lower(b)
-    c, info = sla.lapack.dsygst(_dense_part(a), ell, itype=1, lower=1)
+    c, info = sla.lapack.dsygst(c, ell, itype=1, lower=1, overwrite_a=1)
     if info != 0:  # pragma: no cover - LAPACK reports illegal arguments only
         raise ValueError(f"illegal argument {-info} to dsygst")
-    c = np.tril(c) + np.tril(c, -1).T
+    _symmetrize_in_place(c, average=False)
     return c, ell.T
 
 
@@ -678,9 +665,10 @@ def generalized_eig(pair, top=None):
     vectors are mapped back through L_k^{-T} and Q_k, which is orthonormal,
     so they stay B-orthonormal. With ``top``, only the ``top`` largest
     pairs of each block are formed, and the largest ``top`` of all blocks
-    kept. Otherwise, for a positive semidefinite A, the values below 1e-4
-    * lambda_max and their vectors are recomputed by Rayleigh-Ritz on the
-    full pencil (see the module docstring); pencils with nothing but a
+    kept (all of a block whose subset solve, dsyevr, drops pairs in a tight
+    cluster). Otherwise, for a positive semidefinite A, the values below
+    1e-4 * lambda_max and their vectors are recomputed by Rayleigh-Ritz on
+    the full pencil (see the module docstring); pencils with nothing but a
     null space below that cut (mass pairs, most element pairs) or with A
     indefinite keep the dense result, and so do the ``top`` pairs.
 
@@ -696,7 +684,9 @@ def generalized_eig(pair, top=None):
         m = c.shape[0]
         v, y = (np.linalg.eigh(c) if top is None
                 else sla.eigh(c, subset_by_index=[max(m - top, 0), m - 1]))
-        values.append(np.tile(v, blocks.copies))
+        if len(v) < min(top or m, m):  # dsyevr can drop an index range inside a tight cluster
+            v, y = (x[..., -top:] for x in np.linalg.eigh(c))
+        values.append(v)
         vectors.append(blocks.expand(k, _back(factor, _fix_signs(y))))
     order = np.argsort(np.concatenate(values), kind="stable")
     order = order if top is None else order[-top:]
@@ -707,7 +697,7 @@ def generalized_eig(pair, top=None):
     return EigDecomposition(values, _fix_signs(vectors))
 
 
-def mirror_split(a, basis):
+def mirror_split(a, basis, order=None):
     """The blocks Q_k^T A Q_k of a symmetric ``a`` in the mirror basis
     (:class:`masscale.fem.MirrorBasis`), as :class:`Blocks`, or None when
     ``a`` does not commute with the reflections to within the dense
@@ -733,10 +723,12 @@ def mirror_split(a, basis):
     the eigenvalues as n * eps * lambda_max. The hex8 meshes' matrices
     mirror to rounding of their sums: the benchmark plate's K, whose
     elements share one stiffness, to 5.4e-16 of max|A| in row sum,
-    against 6.7e-14 allowed.
+    against 6.7e-14 allowed. The n of the limit is ``order``, by default
+    ``a``'s: A_s of I_3 (x) A_s keeps its matrix's n, as the y and z rows'
+    sums are its rows', and n/3 would refuse Hoffmann's Mbar on some meshes.
 
     Each block is formed on its own (:func:`_mirror_block`) and stored as
-    CSR, or as its 1-D diagonal when ``a`` :func:`is_diagonal` (dropping
+    CSC, or as its 1-D diagonal when ``a`` :func:`is_diagonal` (dropping
     off-diagonal entries below that test's tolerance).
 
     A :class:`LowRankUpdate` A = B + V S V^T adds W_k S_k W_k^T to B's
@@ -781,7 +773,7 @@ def mirror_split(a, basis):
     mirrored.sort_indices()
     diff = mirrored - a[np.tile(reps, 7)]
     sums = np.bincount(_rows_of(diff), np.abs(diff.data), minlength=7 * m)
-    if not sums.max(initial=0.0) <= n * _EPS * np.abs(a.data).max(initial=0.0) / 8:
+    if not sums.max(initial=0.0) <= (order or n) * _EPS * np.abs(a.data).max(initial=0.0) / 8:
         return None
     diagonal = is_diagonal(a)
     return Blocks([_mirror_block(a, r, q, np.sqrt(basis.sizes[r]), diagonal)
@@ -793,14 +785,14 @@ def _mirror_block(a, reps, q, scale, diagonal):
     representatives ``reps``, its columns ``q``
     (:attr:`masscale.fem.MirrorBasis.columns`, one entry per row at most)
     and ``scale`` = sqrt(s) of each rep: the 1-D diagonal for a
-    ``diagonal`` ``a``, else a CSR array.
+    ``diagonal`` ``a``, else a CSC array.
 
     The block is symmetrize(dense(a[reps] @ q) * scale[:, None]), bit for
     bit, formed without a sparse product: the reps' stored entries a_ij
     are gathered once, and each (i, c) sums a_ij q_jc over j in ascending
     order, as scipy's product does (``np.bincount`` adds in input order).
-    The one dense transient, of the block's order, is symmetrized and its
-    entries != 0 kept; a diagonal takes only the slots (i, i)."""
+    The one dense transient, of the block's order, is scaled, symmetrized
+    in place and its entries != 0 kept; a diagonal takes only slots (i, i)."""
     m, n = len(reps), a.shape[0]
     col, coef = np.full(n, -1), np.zeros(n)  # the column and entry of q in each row
     col[_rows_of(q)], coef[_rows_of(q)] = q.indices, q.data
@@ -816,7 +808,12 @@ def _mirror_block(a, reps, q, scale, diagonal):
     if diagonal:
         return np.bincount(rows, terms, minlength=m) * scale
     block = np.bincount(rows * m + cols, terms, minlength=m * m).reshape(m, m)
-    return _csr(symmetrize(block * scale[:, None]))
+    block *= scale[:, None]
+    _symmetrize_in_place(block)
+    from scipy import sparse  # deferred: its import would add to every CLI start
+
+    rows, cols, values = _stored(block)  # the symmetric block's CSR arrays, read as CSC
+    return sparse.csc_array((values, cols, np.searchsorted(rows, np.arange(m + 1))), shape=(m, m))
 
 
 def _reduce(c):
@@ -825,12 +822,12 @@ def _reduce(c):
     blocked Householder reduction (dsytrd) of the lower triangle: the
     values are T's (dsterf, as in numpy's ``eigvalsh``), and the reduction
     is (reflectors, diagonal, off-diagonal, tau) for
-    :func:`_lowest_vectors`. ``c`` is exactly symmetric, so its
-    transpose, which LAPACK reads in place, is the same matrix. The
+    :func:`_lowest_vectors`. ``c`` is Fortran-ordered, as
+    :func:`_standard_form` gives it, so LAPACK reads it in place. The
     reflectors lie below the first subdiagonal of the first array, and
     nothing reads its diagonal or upper triangle again."""
     lwork = int(sla.lapack.dsytrd_lwork(len(c), lower=1)[0])
-    r, d, e, tau, info = sla.lapack.dsytrd(c.T, lower=1, lwork=lwork, overwrite_a=1)
+    r, d, e, tau, info = sla.lapack.dsytrd(c, lower=1, lwork=lwork, overwrite_a=1)
     if info != 0:  # pragma: no cover - LAPACK reports illegal arguments only
         raise ValueError(f"illegal argument {-info} to dsytrd")
     # the wrapper rejects the empty e of a 1 x 1 block, which is its own value
@@ -868,10 +865,13 @@ def generalized_eigvalues(pair):
     full matrices read, and they are not checked again. A pencil without a
     low tail forms no vectors. Each block's reduction is kept for the tail
     with L_k^T in its unread upper triangle, so that a block keeps one
-    array of its order squared.
+    array of its order squared. A pencil (I_3 (x) A_s, I_3 (x) B_s) is solved
+    as (A_s, B_s) (:attr:`CheckedMatrix.component`), each value thrice.
     """
     pair = pair if isinstance(pair, MatrixPair) else MatrixPair(*pair)
-    blocks = block_pairs(pair.a, pair.b)
+    components = [getattr(m, "component", None) for m in (pair.a, pair.b)]
+    members = components if all(components) else (pair.a, pair.b)
+    blocks = block_pairs(*members)
     solved = []
     for part in blocks.parts:
         c, factor = _standard_form(part, blocks.basis is not None)
@@ -880,36 +880,32 @@ def generalized_eigvalues(pair):
             np.copyto(reduction[0], factor, where=~np.tri(len(c), k=-1, dtype=bool))
             factor = reduction[0]
         solved.append((values, reduction, factor))
-    parts = [np.tile(values, blocks.copies) for values, _, _ in solved]
+    parts = [values for values, _, _ in solved]
     owner = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
     order = np.argsort(np.concatenate(parts), kind="stable")
     values = np.concatenate(parts)[order]
     count = low_tail(values)
     if count:
-        # the copies of a value are equal, so the tail holds all or none of them
-        shares = np.bincount(owner[order[:count]], minlength=len(parts)) // blocks.copies
+        shares = np.bincount(owner[order[:count]], minlength=len(parts))
         x = np.hstack([
             blocks.expand(k, _back(factor, _lowest_vectors(reduction, share)))
             for k, ((_, reduction, factor), share) in enumerate(zip(solved, shares)) if share
         ])
         del solved  # the blocks' reductions are freed before the Ritz step
-        values[:count] = _ritz(pair.a, pair.b, x)[0]
-    return values
+        values[:count] = _ritz(*members, x)[0]
+    return np.repeat(values, 3) if all(components) else values
 
 
 def extreme_eigvalues(a):
     """(lambda_min, lambda_max) of a symmetric matrix: a
     :class:`CheckedMatrix`, or a sparse or dense array that is checked here
-    as one, with no basis.
-
-    A matrix that :func:`is_diagonal` accepts gives the ends of its
-    diagonal, exactly; any other the ends of the values-only solves of
-    its blocks (:func:`block_pairs`): the eight mirror blocks when it
-    splits, else the whole matrix, and of each only the x component
-    when the matrix is I_3 (x) A_s.
+    as one, with no basis. A matrix I_3 (x) A_s is read as A_s
+    (:attr:`CheckedMatrix.component`). A matrix that :func:`is_diagonal`
+    accepts gives the ends of its diagonal, exactly; any other the ends of
+    the values-only solves of its blocks (:func:`block_pairs`).
     """
-    if not isinstance(a, CheckedMatrix):
-        a = CheckedMatrix(a, name="a")
+    a = a if isinstance(a, CheckedMatrix) else CheckedMatrix(a, name="a")
+    a = a.component or a
     if a.is_diagonal:
         d = _operand(a).diagonal()
         return np.array([d.min(), d.max()])

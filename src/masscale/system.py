@@ -33,23 +33,17 @@ class MeshSystem:
     Each assembled matrix is one :class:`linalg.CheckedMatrix` in the
     mesh's mirror basis, checked for symmetry when it is built: K and M
     with their pair, each Mbar on first use (:meth:`mass`). Each keeps its
-    split, a :class:`linalg.Blocks` of eight blocks of order about n/8
-    (None when the matrix does not mirror), from its first read, so every
-    solve and probe that reads a matrix shares one split, and what
-    commutes with the reflections is solved block by block. A split is
-    stored sparse, in about the bytes of its matrix's CSR arrays: CSR
-    blocks, eight 1-D diagonals for M and every diagonal Mbar, and dense
-    blocks only where global deflation's update fills them. A solve makes
-    one block dense at a time. M and the Mbar
-    of the lumped, CMS, Olovsson, Hoffmann and uniform-LFT masses are
-    I_3 (x) Mbar_s (:attr:`linalg.CheckedMatrix.is_decoupled`), so the
-    mass-only solves, :meth:`values_mbar` and :meth:`values_mbarm`, read
-    only the x-component rows and columns of each block (order about
-    n/24) and count each value three times; K couples the components, so
-    every pencil with K is solved on the whole blocks. K, M and every
-    Mbar of a local kind are CSR arrays, and so are the other global
-    kinds' Mbar; global deflation's Mbar is M plus an n x r factor, from the top pairs of
-    :attr:`pair`'s blocks, and splits as M's blocks plus the factor's.
+    split, eight sparse blocks of order about n/8 (None when it does not
+    mirror), so every solve and probe that reads a matrix shares one
+    split. M and the Mbar of the lumped, CMS, Olovsson, Hoffmann and
+    uniform-LFT masses are I_3 (x) Mbar_s, which splits alone, on n/3
+    rows: :meth:`values_mbar` and :meth:`values_mbarm` solve its blocks
+    (order about n/24), each value counted three times, and form no split
+    of order n; a pencil with K, which couples the components, joins the
+    mass's full blocks from them. K, M and every Mbar but global
+    deflation's are CSR arrays; that one is M plus an n x r factor, from
+    the top pairs of :attr:`pair`'s blocks, and splits as M's blocks
+    plus the factor's.
     The sweep reads lambda_max from the cached top pair of each pencil
     (:meth:`top_kmbar`), and the stability probe reads the same pair and
     steps on the same checked matrices.

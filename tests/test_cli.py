@@ -10,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from masscale import analysis, cli, linalg, system
 from masscale.errors import ConfigError, MasscaleError
@@ -633,6 +634,8 @@ def test_each_matrix_split_and_checked_once_per_execute(tmp_path, monkeypatch):
         def wrapper(arg, *args, **kwargs):
             result = fn(arg, *args, **kwargs)
             mats = (arg, args[0]) if name == "_ritz" else _members(arg)
+            if name == "mirror_split" and mats[0].shape[0] == n // 3:
+                mats = (sparse.block_diag([arg] * 3),)  # A_s: the split of I_3 (x) A_s
             if mats[0].shape[0] == n:
                 key = tuple(_digest(m) for m in mats)
                 bare = name == "extreme_eigvalues" and not isinstance(arg, linalg.CheckedMatrix)
@@ -656,7 +659,8 @@ def test_each_matrix_split_and_checked_once_per_execute(tmp_path, monkeypatch):
                    and (matrix is None or matrix in key) and b == bare)
 
     # K, M and the Mbar of olovsson (beta 1 and 10), cms and eig_stabilization;
-    # none shares M's split, and a split that finds no mirror is kept too
+    # none shares M's split, and a split that finds no mirror is kept too.
+    # M and the olovsson and cms Mbar split once each, as their component A_s
     assert len(splits) == 6 and count("mirror_split") == 6
     assert list(splits.values()).count(False) == 1  # eig_stabilization's Mbar
     # full pencils solved without a split because a member does not mirror;

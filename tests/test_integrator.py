@@ -284,20 +284,33 @@ class TestBlockPath:
         final = sparse_run.final.displacement
         assert np.linalg.norm(block_run.final.displacement - final) <= 1e-8 * np.linalg.norm(final)
 
-    def test_decoupled_pencil_takes_the_sparse_path(self, thin_element):
-        # the blocks would hold the x component alone; a stiffness that
-        # decouples the components is no K, but it must still step right
+    def test_decoupled_pencil_steps_on_the_blocks(self, thin_element):
+        # a stiffness that decouples the components is no K, but its blocks,
+        # joined from its component's split, step as the sparse path does
         mesh, blocks = thin_element
         basis, n = fem.mirror_basis(mesh), mesh.dof_count
         m = fem.assemble(blocks, "lumped", n, sparse=True)
         spec = scaling.ScalingSpec("olovsson", beta=1.0)
         kbar = CheckedMatrix(scaling.apply_spec(spec, blocks, n).mbar, basis)
         mbar = CheckedMatrix(m, basis)
-        assert linalg.block_pairs(kbar, mbar).copies == 3
+        assert all(c.split is not None for c in (kbar.component, mbar.component))
         top = linalg.generalized_eig(MatrixPair(kbar, mbar), top=1).values[-1]
-        verdicts = stability_bracket(kbar, mbar, analysis.critical_dt(top))
-        assert [v.path for v in verdicts] == ["diagonal"] * 2
-        assert [v.classification for v in verdicts] == ["stable", "unstable"]
+        dt_c = analysis.critical_dt(top)
+        sparse_v = stability_bracket(kbar.matrix, mbar.matrix, dt_c)
+        block_v = stability_bracket(kbar, mbar, dt_c)
+        assert [v.path for v in sparse_v] == ["diagonal"] * 2
+        assert [v.path for v in block_v] == ["blocks"] * 2
+        assert [v.classification for v in block_v] == [v.classification for v in sparse_v]
+        assert [v.classification for v in block_v] == ["stable", "unstable"]
+        u0 = np.random.default_rng(3).standard_normal(n)
+        sparse_run = central_difference_run(kbar.matrix, mbar.matrix, u0, 0.99 * dt_c,
+                                            integrator.PROBE_STEPS)
+        block_run = central_difference_run(
+            kbar.matrix, integrator._MirrorBlocks(linalg.block_pairs(kbar, mbar)), u0,
+            0.99 * dt_c, integrator.PROBE_STEPS)
+        assert sparse_run.final.step == block_run.final.step == integrator.PROBE_STEPS
+        diff = np.abs(block_run.response_norms - sparse_run.response_norms)
+        assert np.all(diff <= 1e-8 * sparse_run.response_norms)
 
     def test_non_spd_block_mass_raises(self, beam):
         k, mbar, _ = _beam_case(beam, "diagonal")

@@ -4,7 +4,7 @@ import scipy.linalg as sla
 from scipy import sparse
 
 from conftest import KIND_DOCS, PLATE_COUNTS, PLATE_EXTENTS, random_spd, random_spsd
-from masscale import analysis, fem, linalg, scaling
+from masscale import analysis, fem, integrator, linalg, scaling
 from masscale.errors import NotPositiveDefinite, SingularCore
 from masscale.linalg import (
     CheckedMatrix,
@@ -724,6 +724,38 @@ class TestSparseSplits:
         for x, b in zip(parts, base):
             assert np.array_equal(x, b) if x.ndim == 1 else x.shape == (len(b), len(b))
 
+    def test_solves_leave_the_parts_and_inputs_as_they_are(self, kinds_mesh):
+        # LAPACK overwrites one dense copy of each part: the dense blocks of
+        # global deflation's split, and a caller's dense array, stay as they are
+        mesh, blocks, pair = kinds_mesh
+        basis = fem.mirror_basis(mesh)
+        checked = checked_pencil(pair, basis)
+        spec = scaling.ScalingSpec(**KIND_DOCS["global_deflation"][0])
+        mbar = CheckedMatrix(scaling.apply_spec(spec, blocks, mesh.dof_count, pair=checked).mbar,
+                             basis)
+        before = [x.copy() for x in mbar.split.parts]
+        values = generalized_eigvalues(MatrixPair(checked.a, mbar))
+        generalized_eig(MatrixPair(checked.a, mbar), top=3), extreme_eigvalues(mbar)
+        integrator._MirrorBlocks(linalg.block_pairs(checked.a, mbar))
+        assert all(np.array_equal(x, y) for x, y in zip(mbar.split.parts, before))
+        assert np.array_equal(generalized_eigvalues(MatrixPair(checked.a, mbar)), values)
+        a = random_spd(40, np.random.default_rng(33))
+        kept = a.copy()
+        linalg.cholesky(a), generalized_eigvalues((kept, a)), extreme_eigvalues(a)
+        assert np.array_equal(a, kept)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("m", [1, 45, 256, 300, 513])
+    def test_symmetrize_in_place_is_bit_for_bit(self, m, order):
+        # strip by strip, across the strips' edges, with a -0.0 below the diagonal
+        a = np.random.default_rng(m).standard_normal((m, m))
+        a[-1, 0] = -0.0
+        fill = np.tril(a) + np.tril(a, -1).T
+        for average, expected in ((True, linalg.symmetrize(a)), (False, fill)):
+            c = np.array(a, order=order)
+            linalg._symmetrize_in_place(c, average)
+            assert np.array_equal(c, expected) and np.array_equal(np.signbit(c), np.signbit(expected))
+
 
 # The kinds whose Mbar is I_3 (x) Mbar_s: one mass term per node, or
 # element terms of the form I_3 (x) G.
@@ -743,29 +775,66 @@ class TestComponentSplit:
 
     def test_the_masses_that_decouple(self, kinds_system):
         # K couples the components; of the masses, exactly the decoupled kinds' Mbar
-        assert not kinds_system.pair.a.is_decoupled and kinds_system.pair.b.is_decoupled
+        assert kinds_system.pair.a.component is None and kinds_system.pair.b.component is not None
         found = {kind for kind, (doc, _) in KIND_DOCS.items()
-                 if kinds_system.mass(kinds_system.scale(scaling.ScalingSpec(**doc))).is_decoupled}
+                 if kinds_system.mass(kinds_system.scale(scaling.ScalingSpec(**doc))).component}
         assert found == DECOUPLED_KINDS
 
     def test_near_misses_do_not_decouple(self, kinds_system):
         mbar = kinds_system.mass(kinds_system.scale(OLOVSSON)).matrix
         third = mbar.shape[0] // 3
-        assert CheckedMatrix(mbar).is_decoupled
+        assert CheckedMatrix(mbar).component is not None
         coupled = mbar.tolil()  # one entry, and its mirror, between x dof 0 and y dof 0
         coupled[0, third] = coupled[third, 0] = 1e-3 * mbar.max()
         ulp = mbar.tolil()  # the z block one ulp off the x block in one entry
         ulp[2 * third, 2 * third] = np.nextafter(ulp[2 * third, 2 * third], np.inf)
         update = LowRankUpdate(mbar, np.zeros((mbar.shape[0], 1)), np.zeros(1))
         for a in (sparse.csr_array(coupled), sparse.csr_array(ulp), update):
-            assert not CheckedMatrix(a).is_decoupled
+            assert CheckedMatrix(a).component is None
+
+    @pytest.mark.parametrize("counts, extents", [
+        (PLATE_COUNTS, PLATE_EXTENTS), ((20, 4, 3), (0.1, 0.015, 0.002)),
+        ((10, 4, 3), (0.05, 0.015, 0.002)), ((10, 4, 3), (0.1, 0.015, 0.002)),
+        ((84, 2, 2), (0.3, 0.01, 0.0005))],
+        ids=["plate", "beam", "kinds", "kinds_100mm", "long_beam"])
+    def test_component_split_is_the_full_split(self, material, counts, extents):
+        # a decoupled mass splits on its x rows alone, and the blocks joined
+        # from that split are the full split's to the last bit, 1-D where it
+        # is diagonal; the limit of order n accepts what the full check
+        # accepts (one of order n/3 refused Hoffmann's Mbar on the last two)
+        system = MeshSystem(fem.build_structured_mesh(counts, extents), material)
+        masses = [system.pair.b] + [system.mass(system.scale(scaling.ScalingSpec(**doc)))
+                                    for kind, (doc, _) in sorted(KIND_DOCS.items())
+                                    if kind in DECOUPLED_KINDS - {"none"}]
+        for checked in masses:
+            assert checked.component.shape[0] == checked.shape[0] // 3
+            full = linalg.mirror_split(checked.matrix, system.basis)
+            assert (checked.split is None) == (full is None), checked.name
+            assert checked.split is not None, checked.name
+            for x, y in zip(checked.split.parts, full.parts):
+                assert x.ndim == y.ndim == (1 if checked.is_diagonal else 2)
+                assert np.array_equal(linalg._dense_part(x), linalg._dense_part(y))
+
+    def test_mass_solves_split_no_order_n_matrix(self, material, monkeypatch):
+        # values_mbar and values_mbarm read the components alone
+        system = MeshSystem(fem.build_structured_mesh(PLATE_COUNTS, PLATE_EXTENTS), material)
+        orders, original = [], linalg.mirror_split
+
+        def recording(a, *args, **kwargs):
+            orders.append(a.shape[0])
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "mirror_split", recording)
+        scaled = system.scale(OLOVSSON)
+        system.values_mbar(scaled), system.values_mbarm(scaled)
+        assert orders == [system.mesh.dof_count // 3] * 2
 
     def test_plate_mass_pencils_match_the_mirror_blocks(self, material):
         system = MeshSystem(fem.build_structured_mesh(PLATE_COUNTS, PLATE_EXTENTS), material)
         scaled = system.scale(OLOVSSON)
         mbar, m = system.mass(scaled), system.pair.b
-        blocks = linalg.block_pairs(mbar, m)
-        assert blocks.copies == 3 and len(blocks.parts) == 8
+        blocks = linalg.block_pairs(mbar.component, m.component)
+        assert blocks.basis is system.basis.component and len(blocks.parts) == 8
         assert sum(blocks.orders) == system.mesh.dof_count // 3
         # the mirror-block solve: all eight block pairs, every component
         mirror = [tuple(map(linalg._dense_part, part))
@@ -787,7 +856,8 @@ class TestComponentSplit:
         third = k.shape[0] // 3
         a = sparse.block_diag([k[2 * third:, 2 * third:]] * 3, format="csr")
         pencil = MatrixPair(CheckedMatrix(a, system.basis), m)
-        assert linalg.block_pairs(pencil.a, pencil.b).copies == 3
+        a_s, m_s = pencil.a.component, pencil.b.component
+        assert a_s.shape == m_s.shape == (third, third) and a_s.split is not None
         full = generalized_eigvalues(MatrixPair(a.toarray(), m.matrix.toarray()))
         start, count = analysis.flexible_slice(full), linalg.low_tail(full)
         assert count > start == 3 and count % 3 == 0
@@ -797,12 +867,13 @@ class TestComponentSplit:
 
     @pytest.mark.parametrize("mirrored", [True, False])
     def test_pairs_are_b_orthonormal(self, kinds_system, mirrored):
-        # the eight x-component blocks, or with no basis A_s as one block
+        # the eight x-component blocks, or with no basis A_s as one block,
+        # for the values alone; generalized_eig solves the joined blocks
         basis = kinds_system.basis if mirrored else None
         a, b = kinds_system.mass(kinds_system.scale(OLOVSSON)).matrix, kinds_system.pair.b.matrix
         pencil = MatrixPair(CheckedMatrix(a, basis), CheckedMatrix(b, basis))
-        blocks = linalg.block_pairs(pencil.a, pencil.b)
-        assert blocks.copies == 3 and (blocks.basis is None) == (not mirrored)
+        blocks = linalg.block_pairs(pencil.a.component, pencil.b.component)
+        assert sum(blocks.orders) == a.shape[0] // 3 and (blocks.basis is None) == (not mirrored)
         dec = generalized_eig(pencil)
         a, b = a.toarray(), b.toarray()
         u, n = dec.vectors, len(a)
@@ -810,7 +881,9 @@ class TestComponentSplit:
         assert np.allclose(u.T @ b @ u, np.eye(n), atol=1e-12)
         res = a @ u - (b @ u) * dec.values
         assert np.abs(res).max() <= 1e-12 * dec.values[-1] * np.abs(b).max()
-        triples = dec.values.reshape(-1, 3)
+        # the component pencil's values, each three times; generalized_eig
+        # solves the joined blocks, which hold the three components together
+        triples = generalized_eigvalues(pencil).reshape(-1, 3)
         assert np.array_equal(triples, np.repeat(triples[:, :1], 3, axis=1))
         for values in (generalized_eigvalues(pencil), generalized_eigvalues(MatrixPair(a, b))):
             assert np.allclose(dec.values, values, rtol=1e-13, atol=0.0)

@@ -63,8 +63,10 @@ def test_no_private_name_crosses_a_module_line():
     assert {name: names for name, names in found.items() if names} == {}
 
 
-# fem.MirrorBasis's fields: fem builds the basis, linalg reads it behind linalg.Blocks.
-BASIS_FIELDS = {"columns", "reps", "images", "signs", "sizes", "characters"}
+# fem.MirrorBasis's fields, its one-component basis and the joins of its
+# blocks from that basis's: fem builds them, linalg reads them behind
+# linalg.Blocks and linalg.CheckedMatrix.component.
+BASIS_FIELDS = {"columns", "reps", "images", "signs", "sizes", "characters", "component", "joins"}
 BASIS_READERS = {"fem.py", "linalg.py"}
 
 
