@@ -12,8 +12,14 @@ low-tail recomputation) reads its stored entries alone, and a
 != 0 found strip by strip, so that a dense check forms no temporary of
 the matrix's size; :func:`_csr` builds its CSR arrays from them. Dense
 arrays are formed only for the dense solves of the block pairs below,
-one block at a time. Symmetry is imposed at construction points with
-:func:`symmetrize` and checked with :func:`require_symmetric`.
+one block at a time. The readers of a matrix's rows that form
+temporaries per stored entry, the commutation check of
+:func:`mirror_split` and the accurate product of the low-tail
+recomputation, run in strips of about _STRIP_ENTRIES stored entries
+(:func:`_strips`), so that every solver layer holds one block, or one
+strip, of transients beyond its inputs and outputs. Symmetry is imposed at
+construction points with :func:`symmetrize` and checked with
+:func:`require_symmetric`.
 
 A :class:`CheckedMatrix` is a symmetric matrix checked once, when it is
 built, with the mesh's mirror basis or None. The solvers trust it; a raw
@@ -42,7 +48,8 @@ as :func:`block_operator` forms it. Each question has its own solver:
   Householder reduction of each block pair's standard form to
   tridiagonal form, all its values from the tridiagonal, and the low
   tail (below) recomputed on the full pencil from vectors of each
-  block's share of it, taken from the same tridiagonal;
+  block's share of it, taken from the same tridiagonal as soon as the
+  block is reduced, so that one block's reduction is held at a time;
 - lambda_min and lambda_max of a symmetric matrix:
   :func:`extreme_eigvalues`: the ends of the diagonal of a diagonal
   matrix, else of the values-only solve of each block.
@@ -105,6 +112,7 @@ __all__ = [
 ]
 
 _STRIP = 256  # rows per strip of a dense array's read
+_STRIP_ENTRIES = 1 << 15  # stored entries per strip of a sparse check or product
 _SYMMETRY_RTOL = 1e-10  # largest |a - a^T| accepted, relative to max |a|
 _DIAGONAL_RTOL = 1e-14  # largest off-diagonal |a_ij| of a diagonal a, relative to max |a|
 
@@ -161,6 +169,15 @@ def _csr(a):
 def _rows_of(a):
     """The row index of each stored entry of the CSR array ``a``."""
     return np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+
+
+def _strips(lengths):
+    """Consecutive rows, of ``lengths`` stored entries each, as slices
+    of about _STRIP_ENTRIES entries: a row starts a new strip where the
+    entries before it pass a multiple of _STRIP_ENTRIES."""
+    first = (np.cumsum(lengths) - lengths) // _STRIP_ENTRIES
+    bounds = [0, *(np.flatnonzero(np.diff(first)) + 1), len(lengths)]
+    return [slice(start, stop) for start, stop in zip(bounds[:-1], bounds[1:])]
 
 
 def symmetrize(a):
@@ -318,8 +335,9 @@ def _symmetrize_in_place(c, average=True):
 @dataclass(frozen=True, eq=False)
 class CheckedMatrix:
     """A symmetric matrix checked once, when it is built, with the mesh's
-    :class:`masscale.fem.MirrorBasis` or None; its split, component and
-    diagonal test are computed on first read and kept.
+    :class:`masscale.fem.MirrorBasis` or None; its split (of a decoupled
+    matrix, its component's), component and diagonal test are computed on
+    first read and kept.
 
     ``matrix`` is a CSR or dense array, kept as :func:`require_symmetric`
     returns it, or a :class:`LowRankUpdate`, kept implicit: its base is
@@ -348,15 +366,21 @@ class CheckedMatrix:
     def __array__(self, dtype=None, copy=None):
         return np.array(dense(self), dtype=dtype)
 
-    @functools.cached_property
+    @property
     def split(self):
         """The matrix's :func:`mirror_split` in ``basis``, eight sparse blocks
-        (a diagonal matrix's 1-D), or None. A matrix with a :attr:`component`
-        splits only that, joining its block k from ``basis.joins[k]``."""
+        (a diagonal matrix's 1-D), or None, formed on first read and kept.
+        A matrix with a :attr:`component` splits and keeps only that: each
+        read joins its block k from ``basis.joins[k]`` anew, so that the
+        joined blocks live only as long as the pencil with K that reads them."""
         if self.component is None:
-            return self.basis and mirror_split(self.matrix, self.basis, self.full_order)
+            return self._own_split
         p = self.component.split and self.component.split.parts
         return p and Blocks([_join([p[j] for j in js]) for js in self.basis.joins], self.basis)
+
+    @functools.cached_property
+    def _own_split(self):
+        return self.basis and mirror_split(self.matrix, self.basis, self.full_order)
 
     @functools.cached_property
     def component(self):
@@ -576,12 +600,18 @@ def low_tail(values):
     is when it holds no value above :func:`rigid_cutoff` (a null space
     alone), and when the spectrum is not nonnegative (A indefinite).
     """
-    top = values[-1]
-    noise = rigid_cutoff(values)
-    if not top > 0 or values[0] < -noise:
+    count = _below_cut(values, values[-1], len(values))
+    return count if count and values[count - 1] > rigid_cutoff(values) else 0
+
+
+def _below_cut(values, top, order):
+    """Number of the ascending ``values`` below _LOW_CUT * ``top``, for
+    ``top`` up to lambda_max of a pencil of ``order`` n, or 0 where
+    :func:`low_tail` keeps every value: when ``top`` is not positive or a
+    value lies below -n * eps * ``top`` (A indefinite)."""
+    if not top > 0 or values[0] < -order * _EPS * top:
         return 0
-    count = int(np.searchsorted(values, _LOW_CUT * top))
-    return count if count and values[count - 1] > noise else 0
+    return int(np.searchsorted(values, _LOW_CUT * top))
 
 
 def _split_on_grid(v, exponent, bits):
@@ -606,27 +636,47 @@ def _accurate_matmul(a, x):
     products are summed with error-free transformations (Sum2 of Ogita,
     Rump and Oishi, 2005). A is read through its CSR arrays (a dense ``a``
     is converted), so only its stored entries are split and multiplied.
+    X is split once; A is split and multiplied in row strips of about
+    _STRIP_ENTRIES stored entries (:func:`_strips`), each row's arithmetic
+    the same in any strip, so that its transients are of a strip's size.
     """
     if isinstance(a, LowRankUpdate):  # the base in twice the precision
         return _accurate_matmul(a.base, x) + a.factors @ (a.core[:, None] * (a.factors.T @ x))
-    from scipy import sparse  # deferred: its import would add to every CLI start
-
     a = _csr(a)
     lengths = np.diff(a.indptr)
-    row_top = np.zeros(a.shape[0])
-    np.maximum.at(row_top, _rows_of(a), np.abs(a.data))
     bits = (53 - int(np.ceil(np.log2(max(lengths.max(initial=1), 2))))) // 2
-    row_exp = np.repeat(np.frexp(row_top)[1], lengths)
-    a1, a2 = _split_on_grid(a.data, row_exp, bits)
-    a2, a3 = _split_on_grid(a2, row_exp - bits, bits)
     col_exp = np.frexp(np.abs(x).max(axis=0))[1]
     x1, x2 = _split_on_grid(x, col_exp, bits)
     x2, x3 = _split_on_grid(x2, col_exp - bits, bits)
+    product = np.empty(x.shape)
+    for rows in _strips(lengths):
+        product[rows] = _accurate_strip(a, rows, bits, (x, x1, x2, x3))
+    return product
 
-    def times(data, rhs):
-        return sparse.csr_array((data, a.indices, a.indptr), shape=a.shape) @ rhs
 
-    total, comp = times(a1, x1), np.zeros_like(x)
+def _accurate_strip(a, rows, bits, xs):
+    """The ``rows`` of :func:`_accurate_matmul`'s A @ X, from the CSR ``a``
+    and X with its slices ``xs`` = (X, X1, X2, X3). The strip is read as
+    slices of A's arrays: scipy copies them into a CSR array built once
+    for the strip, which would hold them for the whole strip."""
+    from scipy import sparse  # deferred: its import would add to every CLI start
+
+    start, stop = a.indptr[rows.start], a.indptr[rows.stop]
+    indptr, indices = a.indptr[rows.start:rows.stop + 1] - start, a.indices[start:stop]
+    data, lengths = a.data[start:stop], np.diff(indptr)
+    shape = (len(lengths), a.shape[1])
+    row_top = np.zeros(shape[0])
+    np.maximum.at(row_top, np.repeat(np.arange(shape[0]), lengths), np.abs(data))
+    row_exp = np.repeat(np.frexp(row_top)[1], lengths)
+    a1, a2 = _split_on_grid(data, row_exp, bits)
+    a2, a3 = _split_on_grid(a2, row_exp - bits, bits)
+    x, x1, x2, x3 = xs
+
+    def times(values, rhs):
+        return sparse.csr_array((values, indices, indptr), shape=shape) @ rhs
+
+    total = times(a1, x1)
+    comp = np.zeros_like(total)
     small = times(a1, x3) + times(a2, x3) + times(a3, x)
     for term in (times(a1, x2), times(a2, x1), times(a2, x2), small):
         s = total + term
@@ -644,7 +694,8 @@ def _ritz(a, b, x):
     B-orthonormal approximate eigenvectors. Returns the Ritz values
     ascending, each as the Rayleigh quotient of its Ritz vector (accurate
     relative to the value, where the small eigensolve is accurate only
-    relative to the largest), and the B-orthonormal Ritz vectors.
+    relative to the largest), and the coefficients q of the B-orthonormal
+    Ritz vectors x q, which only a caller that wants them forms.
     """
     a, b = _operand(a), _operand(b)
     h = symmetrize(x.T @ _accurate_matmul(a, x))
@@ -652,7 +703,7 @@ def _ritz(a, b, x):
     _, q = sla.eigh(h, g)
     values = np.einsum("ij,ij->j", q, h @ q)
     order = np.argsort(values)
-    return values[order], x @ q[:, order]
+    return values[order], q[:, order]
 
 
 def generalized_eig(pair, top=None):
@@ -693,7 +744,8 @@ def generalized_eig(pair, top=None):
     values, vectors = np.concatenate(values)[order], np.take(np.hstack(vectors), order, axis=1)
     count = 0 if top is not None else low_tail(values)
     if count:
-        values[:count], vectors[:, :count] = _ritz(pair.a, pair.b, vectors[:, :count])
+        values[:count], q = _ritz(pair.a, pair.b, vectors[:, :count])
+        vectors[:, :count] = vectors[:, :count] @ q
     return EigDecomposition(values, _fix_signs(vectors))
 
 
@@ -712,7 +764,11 @@ def mirror_split(a, basis, order=None):
     vanishes on them, and each of those rows of D_g is a representative's
     row of A subtracted from its image's row, permuted and signed. ``a``
     is read as CSR (a dense one is converted) through the stored entries
-    of those rows, as one sparse difference for all seven D_g. Each row of
+    of those rows (:func:`_coupling`), in strips of representatives whose
+    rows, seven images each, hold about _STRIP_ENTRIES entries: each strip
+    is one sparse difference for all seven D_g, and the check stops at the
+    first strip that fails (a matrix of the kinds_small mesh, n = 360, is
+    one strip; the benchmark plate's K five). Each row of
     any D_g is the difference of two such rows, and the coupling between
     blocks that the solve drops is E = -(1/8) sum_g D_g, so with rho the
     largest absolute row sum over the checked rows, ||E||_2 <= 2 rho; the
@@ -757,12 +813,25 @@ def mirror_split(a, basis, order=None):
         # a block that the update leaves alone keeps the base's storage
         return Blocks([symmetrize(_dense_part(b) + (x[:, o] * a.core[o]) @ x[:, o].T)
                        if a.core[o].any() else b for b, x, o in zip(split.parts, w, own)], basis)
+    a = _csr(a)
+    reps = np.unique(np.concatenate(basis.reps))  # one dof of every orbit
+    limit = (order or a.shape[0]) * _EPS * np.abs(a.data).max(initial=0.0) / 8
+    if not all(_coupling(a, basis, reps[strip]) <= limit
+               for strip in _strips(7 * np.diff(a.indptr)[reps])):
+        return None
+    diagonal = is_diagonal(a)
+    return Blocks([_mirror_block(a, r, q, np.sqrt(basis.sizes[r]), diagonal)
+                   for r, q in zip(basis.reps, basis.columns)], basis)
+
+
+def _coupling(a, basis, reps):
+    """The largest absolute row sum of D_g = R_g A R_g - A over the rows
+    ``reps`` and g = 1..7, for the CSR ``a``: each row of D_g is the
+    representative's row of A subtracted from its image's row, permuted
+    and signed, all 7 * len(reps) of them formed as one sparse difference."""
     from scipy import sparse  # deferred: its import would add to every CLI start
 
-    a = _csr(a)
-    n = a.shape[0]
-    reps = np.unique(np.concatenate(basis.reps))  # one dof of every orbit
-    m = len(reps)
+    n, m = a.shape[0], len(reps)
     # row (g - 1) * m + i: row reps[i] of R_g A R_g - A, for g = 1..7
     images = a[basis.images[1:, reps].ravel()]
     lengths = np.diff(images.indptr)
@@ -772,12 +841,7 @@ def mirror_split(a, basis, order=None):
                                  images.indptr), shape=(7 * m, n))
     mirrored.sort_indices()
     diff = mirrored - a[np.tile(reps, 7)]
-    sums = np.bincount(_rows_of(diff), np.abs(diff.data), minlength=7 * m)
-    if not sums.max(initial=0.0) <= (order or n) * _EPS * np.abs(a.data).max(initial=0.0) / 8:
-        return None
-    diagonal = is_diagonal(a)
-    return Blocks([_mirror_block(a, r, q, np.sqrt(basis.sizes[r]), diagonal)
-                   for r, q in zip(basis.reps, basis.columns)], basis)
+    return np.bincount(_rows_of(diff), np.abs(diff.data), minlength=7 * m).max(initial=0.0)
 
 
 def _mirror_block(a, reps, q, scale, diagonal):
@@ -860,40 +924,67 @@ def generalized_eigvalues(pair):
     once, in place, to tridiagonal form, and all its values come from the
     tridiagonal. A low tail that :func:`low_tail` marks on the merged
     values is recomputed by :func:`_ritz` on the full pencil, from the
-    vectors of each block's share of the tail, taken from the same
-    reduction and mapped back through L_k^{-T} and Q_k; only then are the
-    full matrices read, and they are not checked again. A pencil without a
-    low tail forms no vectors. Each block's reduction is kept for the tail
-    with L_k^T in its unread upper triangle, so that a block keeps one
-    array of its order squared. A pencil (I_3 (x) A_s, I_3 (x) B_s) is solved
-    as (A_s, B_s) (:attr:`CheckedMatrix.component`), each value thrice.
+    vectors of each block's share of the tail, mapped back through L_k^{-T}
+    and Q_k; only then are the full matrices read, and they are not
+    checked again. The blocks are solved one at a time: right after its
+    reduction, a block forms the vectors of its values below _LOW_CUT
+    times the largest value seen so far (:func:`_below_cut`), and its
+    reduction is freed. As lambda_max only grows, a block's final share is
+    at least that count; a block whose share is larger, because lambda_max
+    grew after it, is solved again for its exact share. So at most one
+    block's dense arrays are held at a time, and a pencil with no value
+    below the cut forms no vectors. A pencil (I_3 (x) A_s, I_3 (x) B_s) is
+    solved as (A_s, B_s) (:attr:`CheckedMatrix.component`), each value thrice.
     """
     pair = pair if isinstance(pair, MatrixPair) else MatrixPair(*pair)
     components = [getattr(m, "component", None) for m in (pair.a, pair.b)]
     members = components if all(components) else (pair.a, pair.b)
     blocks = block_pairs(*members)
-    solved = []
-    for part in blocks.parts:
-        c, factor = _standard_form(part, blocks.basis is not None)
-        values, reduction = _reduce(c)
-        if factor.ndim == 2:  # L^T moves into the triangle that the reduction leaves unread
-            np.copyto(reduction[0], factor, where=~np.tri(len(c), k=-1, dtype=bool))
-            factor = reduction[0]
-        solved.append((values, reduction, factor))
-    parts = [values for values, _, _ in solved]
+    n, top, parts, tails = sum(blocks.orders), -np.inf, [], []
+    for k in range(len(blocks.parts)):
+        values, x = _block_tail(blocks, k, lambda v: _below_cut(v, max(top, v[-1]), n), True)
+        top = max(top, values[-1])
+        parts.append(values)
+        tails.append(x)
     owner = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
     order = np.argsort(np.concatenate(parts), kind="stable")
     values = np.concatenate(parts)[order]
     count = low_tail(values)
     if count:
         shares = np.bincount(owner[order[:count]], minlength=len(parts))
-        x = np.hstack([
-            blocks.expand(k, _back(factor, _lowest_vectors(reduction, share)))
-            for k, ((_, reduction, factor), share) in enumerate(zip(solved, shares)) if share
-        ])
-        del solved  # the blocks' reductions are freed before the Ritz step
+        for k, share in enumerate(shares):
+            if share and share != tails[k].shape[1]:  # lambda_max grew after block k
+                tails[k] = _block_tail(blocks, k, lambda _: share)[1]
+        x = np.hstack([t for t, share in zip(tails, shares) if share])
+        del blocks, tails  # joined blocks of a decoupled member are freed before the Ritz step
         values[:count] = _ritz(*members, x)[0]
     return np.repeat(values, 3) if all(components) else values
+
+
+def _block_tail(blocks, k, share, early=False):
+    """The ascending values of block pair k of ``blocks``, and the vectors
+    of its ``share(values)`` smallest, mapped back to order n (an empty
+    array for none): from the block's :func:`_reduce` reduction, which is
+    freed on return. L_k^T is copied into the reduction's unread upper
+    triangle, so that :func:`_back` reads it Fortran-ordered. An ``early``
+    block whose vectors LAPACK's bisection cannot form (near overflow)
+    forms none: the tail step meets that failure after every block is
+    reduced, or never when the merged values keep their tail."""
+    c, factor = _standard_form(blocks.parts[k], blocks.basis is not None)
+    values, reduction = _reduce(c)
+    count = share(values)
+    if not count:
+        return values, np.zeros((0, 0))
+    if factor.ndim == 2:  # L^T's own array is freed before the vectors are formed
+        np.copyto(reduction[0], factor, where=~np.tri(len(c), k=-1, dtype=bool))
+        factor = reduction[0]
+    try:
+        z = _lowest_vectors(reduction, count)
+    except np.linalg.LinAlgError:
+        if not early:
+            raise
+        return values, np.zeros((0, 0))
+    return values, blocks.expand(k, _back(factor, z))
 
 
 def extreme_eigvalues(a):

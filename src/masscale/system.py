@@ -40,7 +40,7 @@ class MeshSystem:
     rows: :meth:`values_mbar` and :meth:`values_mbarm` solve its blocks
     (order about n/24), each value counted three times, and form no split
     of order n; a pencil with K, which couples the components, joins the
-    mass's full blocks from them. K, M and every Mbar but global
+    mass's full blocks from them on each solve, and does not keep them. K, M and every Mbar but global
     deflation's are CSR arrays; that one is M plus an n x r factor, from
     the top pairs of :attr:`pair`'s blocks, and splits as M's blocks
     plus the factor's.

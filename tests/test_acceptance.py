@@ -221,6 +221,27 @@ def test_plate_pass_forms_no_full_order_array(material):
         assert peak < n * n * 8, f"{spec.label}: traced peak {peak / 2**20:.1f} MiB"
 
 
+def test_stiffness_pencils_hold_a_few_mirror_blocks_at_a_time(material):
+    # values_km and Olovsson values_kmbar on a fresh plate system, its
+    # matrices assembled beforehand: K's split checked in strips of
+    # representatives, one block reduced at a time with its tail vectors
+    # formed at once, the Ritz step's accurate product in row strips. Their
+    # peak above what the system keeps is at most 10 mirror blocks of the
+    # largest order (7.4 measured; 15.7 when every block's reduction was
+    # kept for the tail and the check and product were formed whole)
+    system = MeshSystem(fem.build_structured_mesh(shared.PLATE_COUNTS, shared.PLATE_EXTENTS),
+                        material)
+    scaled = system.scale(ScalingSpec("olovsson", beta=10.0))
+    block = max(map(len, system.basis.reps)) ** 2 * 8
+    tracemalloc.start()
+    try:
+        system.values_km(), system.values_kmbar(scaled)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - kept <= 10 * block, f"{(peak - kept) / block:.2f} blocks above {kept} bytes"
+
+
 def test_one_system_with_two_specs_forms_no_full_order_array(material):
     # one system keeps K, M and both Mbar with their mirror blocks stored
     # sparse (M's as 1-D diagonals, global deflation's dense where its

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -943,6 +945,101 @@ class TestVectorsOnlyForATail:
             ("dormqr", (n - 1, count), False),
             ("sla.eigh", count, None),
         ]
+
+
+class TestStreamedSolves:
+    """Solver layers that hold one block, or one strip, at a time, with the
+    values of the solves that held everything at once."""
+
+    @pytest.fixture(scope="class")
+    def beam_system(self, material):
+        """The beam_dynamics mesh (n = 720): with its blocks ordered by their
+        largest value, two blocks hold a value that only the final
+        lambda_max puts below the tail cut."""
+        return MeshSystem(fem.build_structured_mesh((20, 4, 3), (0.1, 0.015, 0.002)), material)
+
+    @pytest.mark.parametrize("order", ["natural", "ascending", "descending"])
+    def test_values_do_not_depend_on_where_lambda_max_lies(self, beam_system, monkeypatch, order):
+        # the blocks reordered so that lambda_max comes first, last or where
+        # the basis puts it; each block's early share is taken below the cut
+        # of the largest value seen so far, and a block whose final share is
+        # larger is reduced again. The values equal, bit for bit, those of the
+        # same blocks solved with every share read from the final lambda_max,
+        # as when all reductions were kept until the merge
+        pencil, original = beam_system.pair, linalg.block_pairs
+        blocks = original(pencil.a, pencil.b)
+        tops = [extreme_eigvalues(linalg._dense_part(a))[1] for a, _ in blocks.parts]
+        perm = {"natural": np.arange(8), "ascending": np.argsort(tops),
+                "descending": np.argsort(tops)[::-1]}[order]
+        reordered = linalg.Blocks([blocks.parts[k] for k in perm],
+                                  SimpleNamespace(columns=[blocks.basis.columns[k] for k in perm]))
+        monkeypatch.setattr(linalg, "block_pairs", lambda *members: reordered)
+        reduced, reduce = [], linalg._reduce
+        monkeypatch.setattr(linalg, "_reduce", lambda c: reduced.append(len(c)) or reduce(c))
+        streamed = generalized_eigvalues(pencil)
+        again = len(reduced) - 8
+        below_cut, top = linalg._below_cut, streamed[-1]
+        monkeypatch.setattr(linalg, "_below_cut",
+                            lambda values, _, order: below_cut(values, top, order))
+        reduced.clear()
+        assert np.array_equal(generalized_eigvalues(pencil), streamed) and len(reduced) == 8
+        if order == "ascending":
+            assert again > 0  # the blocks before lambda_max's are reduced again
+        elif order == "descending":
+            assert again == 0  # lambda_max comes first: every early share is final
+        assert linalg.low_tail(streamed) > 6
+
+    def test_accurate_product_in_strips_is_correctly_rounded(self, monkeypatch):
+        # a banded Laplacian-like A of 1500 rows and 45 entries per row spans
+        # three strips; on near-null columns its product cancels to 1e-6 of
+        # the terms. The strips give the one-strip product bit for bit, and
+        # that is the exact product, correctly rounded
+        from fractions import Fraction
+
+        n, half = 1500, 22
+        rng = np.random.default_rng(34)
+        offsets = np.arange(1, half + 1)
+        bands = [rng.uniform(0.5, 2.0, n - d) for d in offsets]
+        a = sparse.diags_array([*(-b for b in bands), *(-b for b in bands)],
+                               offsets=[*offsets, *(-offsets)], shape=(n, n), format="csr")
+        a = (a - sparse.diags_array(a.sum(axis=1))).tocsr()  # rows sum to zero
+        a.sum_duplicates(), a.sort_indices()
+        assert len(linalg._strips(np.diff(a.indptr))) == 3
+        x = 1.0 + 1e-6 * rng.standard_normal((n, 2))
+        strips = linalg._accurate_matmul(a, x)
+        monkeypatch.setattr(linalg, "_STRIP_ENTRIES", a.nnz + 1)
+        assert len(linalg._strips(np.diff(a.indptr))) == 1
+        assert np.array_equal(linalg._accurate_matmul(a, x), strips)
+        cancel = np.abs(strips) / (np.abs(a) @ np.abs(x))
+        assert cancel.max() < 1e-5
+        data = [Fraction(v) for v in a.data]
+        columns = [[Fraction(v) for v in col] for col in x.T]
+        exact = np.array([[float(sum(data[p] * col[a.indices[p]]
+                                     for p in range(a.indptr[i], a.indptr[i + 1])))
+                           for col in columns] for i in range(n)])
+        assert np.array_equal(strips, exact)
+
+    @pytest.mark.parametrize("strip", ["first", "last"])
+    def test_split_checks_every_strip_until_one_fails(self, material, monkeypatch, strip):
+        # the plate's K spans several strips of representatives; a relative
+        # 1e-9 change of one representative's diagonal entry, a mirror
+        # asymmetry within one strip alone, is refused, after every strip when
+        # it lies in the last one and after one strip when it lies in the first
+        system = MeshSystem(fem.build_structured_mesh(PLATE_COUNTS, PLATE_EXTENTS), material)
+        k, basis = system.pair.a.matrix, system.basis
+        reps = np.unique(np.concatenate(basis.reps))
+        strips = linalg._strips(7 * np.diff(k.indptr)[reps])
+        assert len(strips) >= 3
+        rep = reps[strips[-1]][-1] if strip == "last" else reps[0]
+        changed = k.copy()
+        changed.data[k.indptr[rep] + np.flatnonzero(k.indices[k.indptr[rep]:k.indptr[rep + 1]]
+                                                    == rep)] *= 1.0 + 1e-9
+        calls, coupling = [], linalg._coupling
+        monkeypatch.setattr(linalg, "_coupling", lambda *args: calls.append(1) or coupling(*args))
+        assert linalg.mirror_split(k, basis) is not None and len(calls) == len(strips)
+        calls.clear()
+        assert linalg.mirror_split(changed, basis) is None
+        assert len(calls) == (len(strips) if strip == "last" else 1)
 
 
 class TestWoodbury:
