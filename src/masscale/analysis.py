@@ -145,8 +145,11 @@ def kappa_ratio_bound(spec):
 def condition_report(m_values, mbar_values, mass_values, p_max, element_masses, spec=None,
                      element_mbar=None):
     """Condition numbers of M, Mbar and (Mbar, M), from their ascending
-    eigenvalues, with their upper bounds (Fried's from ``element_mbar``,
-    the (E, 24, 24) scaled element masses, by one stacked eigensolve)."""
+    eigenvalues, with their upper bounds. Fried's bound needs
+    ``element_mbar``, the (E, 24, 24) scaled element masses that
+    :meth:`~masscale.scaling.ScaledSystem.element_terms` forms for a local
+    kind, and reads their extreme eigenvalues by one stacked eigensolve;
+    without them (a global kind) it is not reported."""
     kappa_m = condition_number(m_values)
     kappa_mbar = condition_number(mbar_values)
     kappa_pair = condition_number(mass_values)

@@ -332,7 +332,8 @@ def study_element_spectrum(cfg, emitter, element):
             mbar_e = np.diag(block.lumped_mass)
         else:
             scaled = element.scale(spec)
-            mbar_e = scaled.mbar_dense() if scaled.element_mbar is None else scaled.element_mbar[0]
+            terms = scaled.element_terms()
+            mbar_e = scaled.mbar_dense() if terms is None else terms[0]
         rows, ordering = analysis.element_rayleigh_report(block, mbar_e)
         emitter.write_csv(f"element_{spec.label}.csv",
                           {c: [getattr(row, c) for row in rows] for c in columns})
@@ -367,7 +368,7 @@ def study_bounds(cfg, emitter, system):
         cond = analysis.condition_report(
             system.values_m(), system.values_mbar(scaled), mass_values,
             system.mesh.p_max, system.blocks.element_mass, spec=spec,
-            element_mbar=scaled.element_mbar,
+            element_mbar=scaled.element_terms(),
         )
         payload = {
             name: {"value": r.value, "lower": r.lower, "upper": r.upper, "holds": r.holds(),

@@ -25,10 +25,12 @@ lambda_max. A run steps on one of two paths:
   The run steps the coordinates x_k = Q_k^T u in panels of
   s = ``PANEL_STEPS`` = 32: the panel operator is formed once per run,
   at the first panel, by five batched (8, m, m) products, so a run that
-  diverges within its first 2s single steps never forms it. Each panel is
-  one batched matmul of (8, m, m) by (8, m, 32), which reads the 8 m^2
-  entries once for 32 steps. Q is orthonormal, so the response norm is
-  ||x||, and the final displacement is mapped back once.
+  diverges within its first 2s single steps never forms it. It is formed
+  in place in the buffer of dt^2 A, which only the single steps before
+  it read, so a run holds A and at most two working stacks of (8, m, m).
+  Each panel is one batched matmul of (8, m, m) by (8, m, 32), which
+  reads the 8 m^2 entries once for 32 steps. Q is orthonormal, so the
+  response norm is ||x||, and the final displacement is mapped back once.
 
 The blocks are taken whenever both members split. Whole steps through
 :func:`central_difference_run`, in microseconds, in 10 000-step runs at
@@ -205,9 +207,11 @@ def central_difference_run(kbar, mbar, u0, dt, steps):
     u_{j+s} = 2 T_s(C) u_j - u_{j-s}. The run steps u_1 ... u_{2s-1} one
     at a time, then advances the panels U_b = [u_{bs}, ..., u_{bs+s-1}]
     as U_{b+1} = 2 T_s(C) U_b - U_{b-1}: s steps per product. On the
-    block path s = ``PANEL_STEPS``, and T_s(C) is formed once per run, at
-    the first panel, by log2(s) doublings T_{2j} = 2 T_j^2 - I. The sparse path applies
-    M^{-1} by a solve and cannot raise it to a power without fill: s = 1.
+    block path s = ``PANEL_STEPS``, and 2 T_s(C) is formed once per run, at
+    the first panel, by log2(s) doublings T_{2j} = 2 T_j^2 - I, in the
+    buffer of dt^2 A that the single steps read (:func:`_panel_operator`).
+    The sparse path applies M^{-1} by a solve and cannot raise it to a
+    power without fill: s = 1.
 
     ``kbar`` may be dense or scipy.sparse; ``kbar @ u`` is formed as it is.
     ``mbar`` is anything :class:`MassSolver` accepts, or a MassSolver;
@@ -240,11 +244,7 @@ def central_difference_run(kbar, mbar, u0, dt, steps):
 
             @cache  # formed at the first panel: a run that diverges sooner never needs it
             def two_t():
-                eye = np.eye(op.a.shape[1])
-                t = eye - 0.5 * g1_mat
-                for _ in range(s.bit_length() - 1):
-                    t = 2.0 * (t @ t) - eye
-                return 2.0 * t
+                return _panel_operator(g1_mat, s)
 
             def d(p, out):
                 return np.matmul(two_t(), p, out=out)
@@ -272,6 +272,27 @@ def central_difference_run(kbar, mbar, u0, dt, steps):
     x = xs[last][..., 0] if last < 2 * s else cur[..., last - k + s]
     u = x if back is None else back(x)
     return TransientResult(norms[:last + 1], TransientState(u, last), bool(bad.size))
+
+
+def _panel_operator(g, s):
+    """D = 2 T_s(C), C = I - g/2, formed in the buffer of the (8, m, m)
+    stack ``g`` = dt^2 A, which it overwrites and returns; ``s`` is a
+    power of two. The steps are those of ``t = I - 0.5 g``, log2(s)
+    doublings ``t = 2 (t @ t) - I`` and ``2 t``, done in place, so D
+    equals that expression bit for bit, the sign of a zero included: the
+    ``+= 0.0`` turns the -0 of ``-0.5 * 0`` into the +0 of ``0 - 0``. At
+    most one more stack is held while D is formed."""
+    diag = (slice(None),) + (np.arange(g.shape[-1]),) * 2
+    g *= -0.5
+    g += 0.0
+    g[diag] += 1.0
+    t, spare = g, np.empty_like(g)
+    for _ in range(s.bit_length() - 1):
+        np.matmul(t, t, out=spare)
+        spare *= 2.0
+        spare[diag] -= 1.0
+        t, spare = spare, t
+    return np.multiply(t, 2.0, out=g)
 
 
 def _panel_norms(panel, out):

@@ -155,19 +155,29 @@ class ScaledSystem:
     ``kbar`` is K for every kind. ``mbar`` is a CSR array for a local kind
     and, for the other global kinds, of the type of the pair's members;
     global deflation keeps it an implicit :class:`LowRankUpdate`, formed
-    only by :meth:`mbar_dense` and for a dense solve. For local
-    strategies ``element_mbar`` is the (E, 24, 24) array of the scaled
-    element masses, element e in row e as in the blocks.
+    only by :meth:`mbar_dense` and for a dense solve. A local kind's
+    system keeps the :class:`fem.ElementBlocks` it was assembled from as
+    ``blocks``, and no scaled element masses: :meth:`element_terms` forms
+    them again on request.
     """
 
     kbar: object  # CSR or dense
     mbar: object  # CSR, dense or LowRankUpdate
     spec: ScalingSpec
-    element_mbar: np.ndarray | None = None
+    blocks: fem.ElementBlocks | None = None  # a local kind's; None for a global kind
 
     def mbar_dense(self):
         """Mbar as a dense array."""
         return dense(self.mbar)
+
+    def element_terms(self):
+        """The (E, 24, 24) scaled element masses of a local kind, element e
+        in row e as in the blocks, formed by the kind's ``element_term`` as
+        :func:`apply_spec` assembled them, bit for bit; None for a global
+        kind."""
+        if self.blocks is None:
+            return None
+        return KINDS[self.spec.kind].element_term(self.blocks, self.spec)
 
 
 def _number(low, high=None, strict=False, integer=False):
@@ -417,8 +427,9 @@ def apply_spec(spec, blocks, ndof, pair=None, k_global=None):
     :class:`MatrixPair` or a tuple checked here as one: the matrices its
     members hold, and the pair itself for global deflation's solve. Local
     kinds scale all elements of the stacked ``blocks`` at once and
-    assemble the result as a CSR array; K is ``k_global`` when given,
-    else assembled from ``blocks``, also as CSR.
+    assemble the result as a CSR array, keeping ``blocks`` and not the
+    scaled element masses (:meth:`ScaledSystem.element_terms`); K is
+    ``k_global`` when given, else assembled from ``blocks``, also as CSR.
     """
     entry = KINDS[spec.kind]
     if entry.transform is not None:
@@ -427,11 +438,10 @@ def apply_spec(spec, blocks, ndof, pair=None, k_global=None):
         pair = pair if isinstance(pair, MatrixPair) else MatrixPair(*pair)
         k, m = (x.matrix if isinstance(x, CheckedMatrix) else x for x in (pair.a, pair.b))
         return ScaledSystem(k, entry.transform(k, m, spec, pair), spec)
-    element_mbar = entry.element_term(blocks, spec)
     kbar = fem.assemble(blocks, "stiffness", ndof, sparse=True) if k_global is None else k_global
-    mbar = fem.assemble(blocks, "custom", ndof, element_matrices=element_mbar,
-                         sparse=True)
-    return ScaledSystem(kbar, mbar, spec, element_mbar)
+    mbar = fem.assemble(blocks, "custom", ndof, element_matrices=entry.element_term(blocks, spec),
+                        sparse=True)
+    return ScaledSystem(kbar, mbar, spec, blocks)
 
 
 KINDS = {

@@ -28,7 +28,9 @@ class MeshSystem:
     once per scaling spec.
     Kbar is K for every kind, and the none kind's Mbar is M, so it shares
     their entries. It keeps eigenvalues, the scaled system of each spec
-    and each checked Mbar.
+    (a local kind's with the element blocks, not its (E, 24, 24) element
+    terms, which :meth:`scaling.ScaledSystem.element_terms` forms on
+    request) and each checked Mbar.
 
     Each assembled matrix is one :class:`linalg.CheckedMatrix` in the
     mesh's mirror basis, checked for symmetry when it is built: K and M

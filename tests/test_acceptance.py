@@ -242,6 +242,29 @@ def test_stiffness_pencils_hold_a_few_mirror_blocks_at_a_time(material):
     assert peak - kept <= 10 * block, f"{(peak - kept) / block:.2f} blocks above {kept} bytes"
 
 
+def test_probe_holds_a_few_block_stacks(material):
+    # one Olovsson beta = 10 bracket on the beam_dynamics mesh, its top pair
+    # and checked mass formed beforehand: the block operator A, the panel
+    # operator formed in the buffer of dt^2 A with one spare stack, and the
+    # panels. Its peak above its start is at most 6 stacks of the blocks'
+    # largest order, 8 m^2 doubles each (4.97 measured; 7.08 when D was
+    # formed through an identity stack and whole-stack temporaries)
+    system = MeshSystem(fem.build_structured_mesh((20, 4, 3), (0.1, 0.015, 0.002)), material)
+    scaled = system.scale(ScalingSpec("olovsson", beta=10.0))
+    top, mbar = system.top_kmbar(scaled), system.mass(scaled)
+    stack = 8 * max(map(len, system.basis.reps)) ** 2 * 8
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        verdicts = integrator.stability_bracket(
+            system.pair.a, mbar, analysis.critical_dt(top.values[-1]), 42, top.vectors[:, -1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [v.path for v in verdicts] == ["blocks", "blocks"]
+    assert peak - start <= 6 * stack, f"{(peak - start) / stack:.2f} stacks"
+
+
 def test_one_system_with_two_specs_forms_no_full_order_array(material):
     # one system keeps K, M and both Mbar with their mirror blocks stored
     # sparse (M's as 1-D diagonals, global deflation's dense where its
@@ -369,7 +392,7 @@ def test_criterion_10_ordering_threshold(thin_element):
             scaled = scaling.apply_spec(
                 ScalingSpec("local_deflation_s1", rank=rank, alpha=alpha), blocks, mesh.dof_count
             )
-            mbar_e = scaled.element_mbar[0]
+            mbar_e = scaled.element_terms()[0]
             lam_bar = generalized_eigvalues(MatrixPair(block.stiffness, mbar_e))
             tag = "below" if expect_preserved else "above"
             expected_max = max(lam[m - rank - 1], lam[-1] / (1 + alpha))

@@ -185,7 +185,7 @@ class TestConditionReport:
         masses = [b.element_mass for b in blocks]
         report = analysis.condition_report(
             *mass_spectra(pair.b, scaled.mbar_dense()), mesh.p_max, masses,
-            spec=spec, element_mbar=scaled.element_mbar,
+            spec=spec, element_mbar=scaled.element_terms(),
         )
         assert all(r.holds(1e-9) for r in report.records.values())
 
@@ -196,7 +196,7 @@ class TestConditionReport:
         masses = [b.element_mass for b in blocks]
         report = analysis.condition_report(
             *mass_spectra(pair.b, scaled.mbar_dense()), mesh.p_max, masses,
-            spec=spec, element_mbar=scaled.element_mbar,
+            spec=spec, element_mbar=scaled.element_terms(),
         )
         assert all(r.holds(1e-9) for r in report.records.values())
 

@@ -415,6 +415,22 @@ class TestPanelLoop:
         else:
             assert not a.diverged and a.final.step == steps
 
+    @pytest.mark.parametrize("s", [integrator.PANEL_STEPS, 1])
+    def test_operator_in_place_matches_the_formula(self, case, s):
+        # D formed in G's buffer equals 2 T_s(I - G/2) as the doublings
+        # spell it out, bit for bit and zero signs included
+        _, _, pairs, dt_c, _ = case
+        g = dt_c * dt_c * integrator._MirrorBlocks(pairs).a
+        eye = np.eye(g.shape[1])
+        t = eye - 0.5 * g
+        for _ in range(s.bit_length() - 1):
+            t = 2.0 * (t @ t) - eye
+        expected = 2.0 * t
+        d = integrator._panel_operator(g, s)
+        assert d is g
+        assert np.array_equal(d, expected)
+        assert np.array_equal(np.signbit(d), np.signbit(expected))
+
     def test_panels_match_extended_precision(self, beam):
         # The lumped mass, 2000 steps: the long-double loop, one step at a
         # time on the same operator dt^2 A, costs about 0.3 ms per step.

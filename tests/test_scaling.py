@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -273,7 +274,7 @@ class TestLocalDeflation:
         pair_e = MatrixPair(block.stiffness, np.diag(block.lumped_mass))
         lam_e = generalized_eigvalues(pair_e)
         lam_bar = generalized_eigvalues(
-            MatrixPair(block.stiffness, scaled.element_mbar[0])
+            MatrixPair(block.stiffness, scaled.element_terms()[0])
         )
         # ties at the cut expand the deflated group, so compare sorted unions
         re = scaling._deflation_rank(lam_e, r, expand_ties=True)
@@ -292,7 +293,7 @@ class TestLocalDeflation:
             MatrixPair(block.stiffness, np.diag(block.lumped_mass))
         )
         lam_bar = generalized_eigvalues(
-            MatrixPair(block.stiffness, scaled.element_mbar[0])
+            MatrixPair(block.stiffness, scaled.element_terms()[0])
         )
         assert np.allclose(lam_bar[24 - r :], lam_e[24 - r - 1], rtol=1e-8)
         assert np.allclose(lam_bar[: 24 - r], lam_e[: 24 - r], rtol=1e-8,
@@ -354,8 +355,8 @@ class TestLocalDeflation:
             assert widened == len(blocks)
         spec = ScalingSpec(f"local_deflation_{strategy}", rank=rank, alpha=alpha if cutoff else None)
         scaled = scaling.apply_spec(spec, blocks, mesh.dof_count)
-        scale = np.abs(scaled.element_mbar).max()
-        assert np.abs(scaled.element_mbar - np.array(expected)).max() <= 1e-13 * scale
+        scale = np.abs(scaled.element_terms()).max()
+        assert np.abs(scaled.element_terms() - np.array(expected)).max() <= 1e-13 * scale
         loop = np.zeros_like(pair.b)
         for block, mbar_e in zip(blocks, expected):
             loop[np.ix_(block.dof_map, block.dof_map)] += mbar_e
@@ -493,7 +494,7 @@ class TestEigStabilization:
         spec = ScalingSpec("eig_stabilization", rank=2, epsilon=eps)
         scaled = scaling.apply_spec(spec, blocks, mesh.dof_count)
         block = blocks[0]
-        vals = np.linalg.eigh(scaled.element_mbar[0]).eigenvalues
+        vals = np.linalg.eigh(scaled.element_terms()[0]).eigenvalues
         base = np.sort(block.lumped_mass)
         expect = np.sort(np.concatenate([base[:2] + eps, base[2:]]))
         assert np.allclose(vals, expect, rtol=1e-10)
@@ -539,3 +540,37 @@ class TestApplySpec:
             scaling.apply_spec(
                 ScalingSpec("uniform_lft", mu=2.0), blocks, mesh.dof_count, None
             )
+
+    @pytest.mark.parametrize("kind", list(KIND_DOCS))
+    def test_element_terms_are_the_assembled_ones(self, small_system, kind):
+        # a local kind's terms, formed again on request, assemble to its
+        # Mbar bit for bit; a global kind has none
+        mesh, blocks, pair = small_system
+        spec = ScalingSpec(**KIND_DOCS[kind][0])
+        scaled = scaling.apply_spec(spec, blocks, mesh.dof_count, pair, k_global=pair.a)
+        terms = scaled.element_terms()
+        if scaling.KINDS[kind].element_term is None:
+            assert terms is None
+            return
+        assert terms.shape == (len(blocks), 24, 24)
+        again = fem.assemble(blocks, "custom", mesh.dof_count, element_matrices=terms,
+                             sparse=True)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(again, name), getattr(scaled.mbar, name))
+
+    def test_systems_keep_no_element_terms(self, material):
+        # the 12 specs of kinds_small's S2 sweep through one MeshSystem keep
+        # their assembled Mbar, less than one (E, 24, 24) array each
+        system = MeshSystem(fem.build_structured_mesh((10, 4, 3), (0.05, 0.015, 0.002)),
+                            material)
+        system.pair
+        terms = len(system.blocks) * 24 * 24 * 8
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for rank in range(1, 13):
+                system.scale(ScalingSpec("local_deflation_s2", rank=rank))
+            kept = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert kept < 12 * terms, f"{kept / terms / 12:.2f} element-term arrays per spec"
