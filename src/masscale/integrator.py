@@ -24,10 +24,10 @@ lambda_max. A run steps on one of two paths:
   stacked, zero-padded to the largest order m, as one (8, m, m) array.
   The run steps the coordinates x_k = Q_k^T u in panels of
   s = ``PANEL_STEPS`` = 32: the panel operator is formed once per run,
-  at the first panel, by five batched (8, m, m) products, so a run that
+  at the first panel, by five products of each block, so a run that
   diverges within its first 2s single steps never forms it. It is formed
   in place in the buffer of dt^2 A, which only the single steps before
-  it read, so a run holds A and at most two working stacks of (8, m, m).
+  it read, so a run holds A, one working stack and an m x m spare.
   Each panel is one batched matmul of (8, m, m) by (8, m, 32), which
   reads the 8 m^2 entries once for 32 steps. Q is orthonormal, so the
   response norm is ||x||, and the final displacement is mapped back once.
@@ -278,21 +278,21 @@ def _panel_operator(g, s):
     """D = 2 T_s(C), C = I - g/2, formed in the buffer of the (8, m, m)
     stack ``g`` = dt^2 A, which it overwrites and returns; ``s`` is a
     power of two. The steps are those of ``t = I - 0.5 g``, log2(s)
-    doublings ``t = 2 (t @ t) - I`` and ``2 t``, done in place, so D
-    equals that expression bit for bit, the sign of a zero included: the
-    ``+= 0.0`` turns the -0 of ``-0.5 * 0`` into the +0 of ``0 - 0``. At
-    most one more stack is held while D is formed."""
-    diag = (slice(None),) + (np.arange(g.shape[-1]),) * 2
+    doublings ``t = 2 (t @ t) - I`` and ``2 t``, done in place block by
+    block, so D equals that expression bit for bit, the sign of a zero
+    included: the ``+= 0.0`` turns the -0 of ``-0.5 * 0`` into the +0 of
+    ``0 - 0``. One more m x m array is held while D is formed."""
+    diag = (np.arange(g.shape[-1]),) * 2
     g *= -0.5
     g += 0.0
-    g[diag] += 1.0
-    t, spare = g, np.empty_like(g)
-    for _ in range(s.bit_length() - 1):
-        np.matmul(t, t, out=spare)
-        spare *= 2.0
-        spare[diag] -= 1.0
-        t, spare = spare, t
-    return np.multiply(t, 2.0, out=g)
+    spare = np.empty_like(g[0])
+    for t in g:
+        t[diag] += 1.0
+        for _ in range(s.bit_length() - 1):
+            np.matmul(t, t, out=spare)
+            np.multiply(spare, 2.0, out=t)
+            t[diag] -= 1.0
+    return np.multiply(g, 2.0, out=g)
 
 
 def _panel_norms(panel, out):

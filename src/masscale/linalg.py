@@ -1,25 +1,22 @@
 """Symmetric linear algebra: dense solvers, by mirror-symmetry blocks where they apply.
 
 Factorizations, standard and generalized eigensolvers, low-rank-update
-(Woodbury) solves, and condition numbers of computed eigenvalues.
-An assembled matrix arrives as a scipy.sparse CSR array or as a dense
-array. Every function that reads a whole matrix (:func:`require_symmetric`,
+(Woodbury) solves, and condition numbers of computed eigenvalues. An
+assembled matrix arrives as a scipy.sparse CSR array or as a dense array.
+Every function that reads a whole matrix (:func:`require_symmetric`,
 :func:`is_diagonal`, :func:`factor_spd`, :func:`mirror_split`,
 :attr:`CheckedMatrix.component`, :func:`extreme_eigvalues` and the
 low-tail recomputation) reads its stored entries alone, and a
-:class:`LowRankUpdate` M + V S V^T as M and V. One reader finds them:
-:func:`_stored`, a sparse array's entries, or a dense array's entries
-!= 0 found strip by strip, so that a dense check forms no temporary of
-the matrix's size; :func:`_csr` builds its CSR arrays from them. Dense
-arrays are formed only for the dense solves of the block pairs below,
-one block at a time. The readers of a matrix's rows that form
-temporaries per stored entry, the commutation check of
-:func:`mirror_split` and the accurate product of the low-tail
-recomputation, run in strips of about _STRIP_ENTRIES stored entries
-(:func:`_strips`), so that every solver layer holds one block, or one
-strip, of transients beyond its inputs and outputs. Symmetry is imposed at
-construction points with :func:`symmetrize` and checked with
-:func:`require_symmetric`.
+:class:`LowRankUpdate` M + V S V^T as M and V, through :func:`_stored`: a
+sparse array's entries, or a dense array's entries != 0 found strip by
+strip, so that a dense check forms no temporary of the matrix's size
+(:func:`_csr` builds its CSR arrays from them). The readers that form
+temporaries per stored entry, :func:`mirror_split`'s commutation check
+and the low-tail recomputation's accurate product, run in strips of about
+_STRIP_ENTRIES stored entries (:func:`_strips`), so that every solver
+layer holds one block, or one strip, of transients beyond its inputs and
+outputs. Symmetry is imposed at construction points with
+:func:`symmetrize` and checked with :func:`require_symmetric`.
 
 A :class:`CheckedMatrix` is a symmetric matrix checked once, when it is
 built, with the mesh's mirror basis or None. The solvers trust it; a raw
@@ -27,32 +24,26 @@ matrix is checked, and a tuple (A, B) as a :class:`MatrixPair`.
 :func:`factor_spd` factors a general SPD matrix once as a sparse LU, so
 that each later solve costs the factor's fill.
 
-Dense factorizations and eigensolves are delegated to LAPACK (through
-numpy/scipy), the generalized ones by the explicit Cholesky reduction to
-standard form, so that eigenvectors come out B-orthonormal. Every
-eigensolve runs over a pencil's :class:`Blocks` (:func:`block_pairs`):
-the eight mirror blocks Q_k^T A Q_k of its members (:func:`mirror_split`,
-in the mesh's basis :func:`masscale.fem.mirror_basis`, order about n/8)
-when every member is a checked matrix that splits, else the pencil
-itself as one block, each formed dense right before its LAPACK call. A
-matrix I_3 (x) A_s splits only A_s, its :attr:`CheckedMatrix.component`,
-and the values-only solvers solve a pencil of such matrices as the
-pencil of the components, each value counted three times. The
-integrator's stability probe steps on the mirror blocks of (K, M), each
-as :func:`block_operator` forms it. Each question has its own solver:
-
-- all eigenpairs, or with ``top`` only the largest ones, of a pencil:
-  :func:`generalized_eig`, a full or partial dense solve of each block
-  pair, the vectors mapped back to order n;
-- all eigenvalues of a pencil: :func:`generalized_eigvalues`, one
-  Householder reduction of each block pair's standard form to
-  tridiagonal form, all its values from the tridiagonal, and the low
-  tail (below) recomputed on the full pencil from vectors of each
-  block's share of it, taken from the same tridiagonal as soon as the
-  block is reduced, so that one block's reduction is held at a time;
-- lambda_min and lambda_max of a symmetric matrix:
-  :func:`extreme_eigvalues`: the ends of the diagonal of a diagonal
-  matrix, else of the values-only solve of each block.
+Dense factorizations and eigensolves are delegated to scipy's LAPACK,
+the generalized ones by the explicit Cholesky reduction to standard form,
+so that eigenvectors come out B-orthonormal. Every eigensolve runs over a
+pencil's :class:`Blocks` (:func:`block_pairs`): the eight mirror blocks
+Q_k^T A Q_k of its members (:func:`mirror_split`, in the mesh's basis
+:func:`masscale.fem.mirror_basis`, order about n/8) when every member is a
+checked matrix that splits, else the pencil itself as one block. A matrix
+I_3 (x) A_s splits only A_s, its :attr:`CheckedMatrix.component`, and the
+values-only solvers solve a pencil of such matrices as the pencil of the
+components, each value counted three times. The integrator's stability
+probe steps on the mirror blocks of (K, M), each as :func:`block_operator`
+forms it. A mesh's pencil is solved one block at a time
+(:func:`_block_solve`): its standard form, formed dense, is reduced once,
+in place, to tridiagonal form, all its values come from the tridiagonal
+(:func:`_reduce`), and vectors only for the indices that the caller
+selects (:func:`_vectors`). So :func:`generalized_eigvalues` (all values,
+and vectors for a low tail), :func:`generalized_eig` with ``top`` (the top
+pairs) and :func:`extreme_eigvalues` (the ends) read the same lambda_max,
+bit for bit. :func:`generalized_eig` without ``top``, for the 24 x 24
+element pairs, solves each block in full by divide and conquer.
 
 Accuracy of the generalized eigenvalues. The dense solve errs by about
 eps * lambda_max in absolute terms on every eigenvalue, so it is accurate
@@ -66,13 +57,13 @@ formed in twice the working precision, on the block pairs' eigenvectors.
 Every eigenvalue is then accurate to a few 1e-12 relative to itself: the
 low tail by the recomputation (to about 1e-15, on the mirror blocks' or
 the whole pencil's vectors alike), the rest because the dense error
-eps * lambda_max is at most 2e-12 of a value above the cut. The
-values-only and the full dense solves use different LAPACK algorithms,
-so their values above the cut differ by up to that bound; the mirror
-blocks' smaller solves err no more (on
-the benchmark plate's two stiffness pencils, at most 5.6e-15 *
-lambda_max, against 8.0e-15 for the full values-only solve, both
-measured from Rayleigh quotients). A's null space (the rigid-body modes)
+eps * lambda_max is at most 2e-12 of a value above the cut. The full
+solve without ``top`` uses another LAPACK algorithm, so its values above
+the cut differ from the others' by up to that bound; the mirror blocks'
+smaller solves err no more (on the benchmark plate's two stiffness
+pencils, at most 5.6e-15 * lambda_max, against 8.0e-15 for the full
+values-only solve, both measured from Rayleigh quotients). A's null space
+(the rigid-body modes)
 is not factored out: its vectors, whose values lie within
 :func:`rigid_cutoff` (n * eps * lambda_max) of zero, stay in the
 Rayleigh-Ritz block, which separates them from the flexible modes.
@@ -709,43 +700,59 @@ def _ritz(a, b, x):
 def generalized_eig(pair, top=None):
     """Solve A u = lambda B u via Cholesky reduction to standard form.
 
-    Eigenvalues are real and ascending; eigenvectors are B-orthonormal.
-    A diagonal B takes a fast scaling path instead of the reduction.
-
-    Each block pair (:func:`block_pairs`) is solved dense, and its
-    vectors are mapped back through L_k^{-T} and Q_k, which is orthonormal,
-    so they stay B-orthonormal. With ``top``, only the ``top`` largest
-    pairs of each block are formed, and the largest ``top`` of all blocks
-    kept (all of a block whose subset solve, dsyevr, drops pairs in a tight
-    cluster). Otherwise, for a positive semidefinite A, the values below
-    1e-4 * lambda_max and their vectors are recomputed by Rayleigh-Ritz on
-    the full pencil (see the module docstring); pencils with nothing but a
-    null space below that cut (mass pairs, most element pairs) or with A
-    indefinite keep the dense result, and so do the ``top`` pairs.
-
-    ``pair`` is a :class:`MatrixPair`, or a tuple (A, B) that is checked
-    here as one; its members are raw or checked matrices, sparse or
-    dense, and the dense solve converts each block once.
+    Eigenvalues are real and ascending; eigenvectors are B-orthonormal. A
+    diagonal B takes a fast scaling path instead of the reduction. Each
+    block pair (:func:`block_pairs`) is solved on its own, its vectors
+    mapped back through L_k^{-T} and Q_k, which is orthonormal, so they
+    stay B-orthonormal. With ``top``, only the ``top`` largest pairs are
+    formed (:func:`_top_pairs`). Without it, each block is solved in full
+    (scipy's ``eigh``, driver "evd"), and for a positive semidefinite A
+    the values below 1e-4 * lambda_max and their vectors are recomputed by
+    Rayleigh-Ritz on the full pencil (see the module docstring); pencils
+    with nothing but a null space below that cut (mass pairs, most element
+    pairs) or with A indefinite keep the dense result. ``pair`` is a
+    :class:`MatrixPair`, or a tuple (A, B) that is checked here as one;
+    its members are raw or checked matrices, sparse or dense, and each
+    block is made dense once.
     """
     pair = pair if isinstance(pair, MatrixPair) else MatrixPair(*pair)
     blocks = block_pairs(pair.a, pair.b)
+    if top is not None:
+        return _top_pairs(blocks, top)
     values, vectors = [], []
     for k, part in enumerate(blocks.parts):
         c, factor = _standard_form(part, blocks.basis is not None)
-        m = c.shape[0]
-        v, y = (np.linalg.eigh(c) if top is None
-                else sla.eigh(c, subset_by_index=[max(m - top, 0), m - 1]))
-        if len(v) < min(top or m, m):  # dsyevr can drop an index range inside a tight cluster
-            v, y = (x[..., -top:] for x in np.linalg.eigh(c))
+        v, y = sla.eigh(c, driver="evd", overwrite_a=True, check_finite=False)
         values.append(v)
         vectors.append(blocks.expand(k, _back(factor, _fix_signs(y))))
     order = np.argsort(np.concatenate(values), kind="stable")
-    order = order if top is None else order[-top:]
     values, vectors = np.concatenate(values)[order], np.take(np.hstack(vectors), order, axis=1)
-    count = 0 if top is not None else low_tail(values)
+    count = low_tail(values)
     if count:
         values[:count], q = _ritz(pair.a, pair.b, vectors[:, :count])
         vectors[:, :count] = vectors[:, :count] @ q
+    return EigDecomposition(values, _fix_signs(vectors))
+
+
+def _top_pairs(blocks, top):
+    """The ``top`` largest eigenpairs of the pencil of ``blocks``, kept
+    ascending, ties in block order. A block whose largest value reaches
+    the ``top``-th largest kept so far forms the vectors of its own ``top``
+    largest values (:func:`_block_solve`): inverse iteration's vectors
+    depend at rounding level on the range they are formed in, so a count
+    of the block's own keeps the pairs independent of the block order. The
+    kept values only rise, so no block is reduced twice."""
+    values, vectors = np.zeros(0), np.zeros((sum(blocks.orders), 0))
+
+    def select(v):
+        reaches = len(values) < top or v[-1] >= values[0]
+        return range(max(len(v) - top, 0), len(v)) if reaches else range(0)
+
+    for k in range(len(blocks.parts)):
+        v, x = _block_solve(blocks, k, select)
+        merged = np.concatenate((values, v[len(v) - x.shape[1]:]))
+        order = np.argsort(merged, kind="stable")[-top:]
+        values, vectors = merged[order], np.hstack((vectors, x))[:, order]
     return EigDecomposition(values, _fix_signs(vectors))
 
 
@@ -882,13 +889,12 @@ def _mirror_block(a, reps, q, scale, diagonal):
 
 def _reduce(c):
     """All eigenvalues of the symmetric C, ascending, and its reduction
-    C = Q T Q^T to tridiagonal T, formed in place in ``c`` by LAPACK's
-    blocked Householder reduction (dsytrd) of the lower triangle: the
-    values are T's (dsterf, as in numpy's ``eigvalsh``), and the reduction
-    is (reflectors, diagonal, off-diagonal, tau) for
-    :func:`_lowest_vectors`. ``c`` is Fortran-ordered, as
-    :func:`_standard_form` gives it, so LAPACK reads it in place. The
-    reflectors lie below the first subdiagonal of the first array, and
+    C = Q T Q^T to tridiagonal T, formed in place in the Fortran-ordered
+    ``c`` (as :func:`_standard_form` gives it) by LAPACK's blocked
+    Householder reduction (dsytrd) of the lower triangle: the values are
+    T's (dsterf), and the reduction is (reflectors, diagonal, off-diagonal,
+    tau) for :func:`_vectors`. The reflectors lie below the first
+    subdiagonal of the first array (H(i) acts on rows i+1 onward), and
     nothing reads its diagonal or upper triangle again."""
     lwork = int(sla.lapack.dsytrd_lwork(len(c), lower=1)[0])
     r, d, e, tau, info = sla.lapack.dsytrd(c, lower=1, lwork=lwork, overwrite_a=1)
@@ -901,13 +907,12 @@ def _reduce(c):
     return values, (r, d, e, tau)
 
 
-def _lowest_vectors(reduced, count):
-    """The eigenvectors of C for its ``count`` smallest values, from the
-    :func:`_reduce` reduction of C: those of T (bisection and inverse
-    iteration), mapped back by Q = H(1) ... H(m-1), whose reflector i acts
-    on rows i+1 onward and is stored below the off-diagonal."""
+def _vectors(reduced, rows):
+    """The eigenvectors of C for its values ``rows``, a nonempty range of
+    indices, from the :func:`_reduce` reduction of C: those of T (bisection
+    and inverse iteration), mapped back by Q = H(1) ... H(m-1)."""
     r, d, e, tau = reduced
-    z = sla.eigh_tridiagonal(d, e, select="i", select_range=(0, count - 1))[1]
+    z = sla.eigh_tridiagonal(d, e, select="i", select_range=(rows.start, rows.stop - 1))[1]
     if len(z) > 1:
         v = np.asfortranarray(r[1:, :-1])
         lwork = int(sla.lapack.dormqr("L", "N", v, tau, z[1:], -1)[1][0])
@@ -919,22 +924,16 @@ def generalized_eigvalues(pair):
     """Eigenvalues only of A u = lambda B u, as accurate as :func:`generalized_eig`.
 
     ``pair`` is a :class:`MatrixPair` or a tuple (A, B), checked here as
-    one; its members are raw or checked matrices, sparse or dense. The
-    standard form of each block pair (:func:`block_pairs`) is reduced
-    once, in place, to tridiagonal form, and all its values come from the
-    tridiagonal. A low tail that :func:`low_tail` marks on the merged
-    values is recomputed by :func:`_ritz` on the full pencil, from the
-    vectors of each block's share of the tail, mapped back through L_k^{-T}
-    and Q_k; only then are the full matrices read, and they are not
-    checked again. The blocks are solved one at a time: right after its
-    reduction, a block forms the vectors of its values below _LOW_CUT
-    times the largest value seen so far (:func:`_below_cut`), and its
-    reduction is freed. As lambda_max only grows, a block's final share is
-    at least that count; a block whose share is larger, because lambda_max
-    grew after it, is solved again for its exact share. So at most one
-    block's dense arrays are held at a time, and a pencil with no value
-    below the cut forms no vectors. A pencil (I_3 (x) A_s, I_3 (x) B_s) is
-    solved as (A_s, B_s) (:attr:`CheckedMatrix.component`), each value thrice.
+    one; its members are raw or checked matrices, sparse or dense. Each
+    block pair (:func:`block_pairs`) is solved once (:func:`_block_solve`)
+    and forms the vectors of its values below _LOW_CUT times the largest
+    value seen so far (:func:`_below_cut`): at most its share of the low
+    tail that :func:`low_tail` marks on the merged values, as lambda_max
+    only grows. A block whose share is larger is solved again for it, and
+    the tail is recomputed by :func:`_ritz` on the full pencil, whose
+    matrices are read only then, and not checked again. A pencil
+    (I_3 (x) A_s, I_3 (x) B_s) is solved as (A_s, B_s)
+    (:attr:`CheckedMatrix.component`), each value thrice.
     """
     pair = pair if isinstance(pair, MatrixPair) else MatrixPair(*pair)
     components = [getattr(m, "component", None) for m in (pair.a, pair.b)]
@@ -942,7 +941,8 @@ def generalized_eigvalues(pair):
     blocks = block_pairs(*members)
     n, top, parts, tails = sum(blocks.orders), -np.inf, [], []
     for k in range(len(blocks.parts)):
-        values, x = _block_tail(blocks, k, lambda v: _below_cut(v, max(top, v[-1]), n), True)
+        values, x = _block_solve(blocks, k, lambda v: range(_below_cut(v, max(top, v[-1]), n)),
+                                 True)
         top = max(top, values[-1])
         parts.append(values)
         tails.append(x)
@@ -953,37 +953,36 @@ def generalized_eigvalues(pair):
     if count:
         shares = np.bincount(owner[order[:count]], minlength=len(parts))
         for k, share in enumerate(shares):
-            if share and share != tails[k].shape[1]:  # lambda_max grew after block k
-                tails[k] = _block_tail(blocks, k, lambda _: share)[1]
-        x = np.hstack([t for t, share in zip(tails, shares) if share])
+            if share != tails[k].shape[1]:  # lambda_max grew after block k
+                tails[k] = _block_solve(blocks, k, lambda _: range(share))[1]
+        x = np.hstack(tails)
         del blocks, tails  # joined blocks of a decoupled member are freed before the Ritz step
         values[:count] = _ritz(*members, x)[0]
     return np.repeat(values, 3) if all(components) else values
 
 
-def _block_tail(blocks, k, share, early=False):
+def _block_solve(blocks, k, select, early=False):
     """The ascending values of block pair k of ``blocks``, and the vectors
-    of its ``share(values)`` smallest, mapped back to order n (an empty
-    array for none): from the block's :func:`_reduce` reduction, which is
-    freed on return. L_k^T is copied into the reduction's unread upper
-    triangle, so that :func:`_back` reads it Fortran-ordered. An ``early``
-    block whose vectors LAPACK's bisection cannot form (near overflow)
-    forms none: the tail step meets that failure after every block is
-    reduced, or never when the merged values keep their tail."""
+    of its values ``select(values)``, a range of indices, mapped back to
+    order n: from the block's :func:`_reduce` reduction, freed on return,
+    with L_k^T copied into its unread upper triangle, so that :func:`_back`
+    reads it Fortran-ordered. An ``early`` block whose vectors LAPACK's
+    bisection cannot form (near overflow) forms none: the tail step meets
+    that failure after every block is reduced, or never."""
     c, factor = _standard_form(blocks.parts[k], blocks.basis is not None)
     values, reduction = _reduce(c)
-    count = share(values)
-    if not count:
-        return values, np.zeros((0, 0))
+    rows = select(values)
+    if not rows:
+        return values, np.zeros((sum(blocks.orders), 0))
     if factor.ndim == 2:  # L^T's own array is freed before the vectors are formed
         np.copyto(reduction[0], factor, where=~np.tri(len(c), k=-1, dtype=bool))
         factor = reduction[0]
     try:
-        z = _lowest_vectors(reduction, count)
+        z = _vectors(reduction, rows)
     except np.linalg.LinAlgError:
         if not early:
             raise
-        return values, np.zeros((0, 0))
+        return values, np.zeros((sum(blocks.orders), 0))
     return values, blocks.expand(k, _back(factor, z))
 
 
@@ -993,14 +992,14 @@ def extreme_eigvalues(a):
     as one, with no basis. A matrix I_3 (x) A_s is read as A_s
     (:attr:`CheckedMatrix.component`). A matrix that :func:`is_diagonal`
     accepts gives the ends of its diagonal, exactly; any other the ends of
-    the values-only solves of its blocks (:func:`block_pairs`).
+    its blocks' values (:func:`block_pairs`, :func:`_reduce`).
     """
     a = a if isinstance(a, CheckedMatrix) else CheckedMatrix(a, name="a")
     a = a.component or a
     if a.is_diagonal:
         d = _operand(a).diagonal()
         return np.array([d.min(), d.max()])
-    ends = np.array([np.linalg.eigvalsh(_dense_part(m))[[0, -1]] for m, in block_pairs(a).parts])
+    ends = np.array([_reduce(_dense_part(m))[0][[0, -1]] for m, in block_pairs(a).parts])
     return np.array([ends[:, 0].min(), ends[:, 1].max()])
 
 

@@ -295,8 +295,8 @@ def _global_deflation(k, m, spec, pair):
 
     The top r + 1 pairs come from ``generalized_eig(pair, top=r + 1)``:
     from the mirror blocks when both members are checked and split, so
-    that each column of V = M U lies in one block, else from a partial
-    dense solve."""
+    that each column of V = M U lies in one block, else from the pencil as
+    one block, their values from its tridiagonal."""
     n = m.shape[0]
     r = spec.rank
     if r >= n:

@@ -123,8 +123,8 @@ class MeshSystem:
         """The largest eigenpair of (Kbar, Mbar), or of (K, M) for no spec
         and for none, solved once per spec: the sweep reads lambda_max from
         it and the stability probe its pair. It comes from
-        :func:`generalized_eig` with ``top=1``: the top pair of the block
-        pair with the largest top value, its vector mapped back to order n.
+        :func:`generalized_eig` with ``top=1``, from the tridiagonals of
+        :meth:`values_kmbar`: lambda_max is the spectrum's, bit for bit.
         When K and Mbar both split, those are the mirror blocks and no
         n-order Mbar is formed; otherwise the pencil is one block."""
         return self._once("top", scaled, lambda: generalized_eig(

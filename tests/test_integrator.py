@@ -417,8 +417,9 @@ class TestPanelLoop:
 
     @pytest.mark.parametrize("s", [integrator.PANEL_STEPS, 1])
     def test_operator_in_place_matches_the_formula(self, case, s):
-        # D formed in G's buffer equals 2 T_s(I - G/2) as the doublings
-        # spell it out, bit for bit and zero signs included
+        # D formed in G's buffer, block by block with one m x m spare,
+        # equals 2 T_s(I - G/2) as the batched (8, m, m) doublings spell it
+        # out, bit for bit and zero signs included, on the beam's three masses
         _, _, pairs, dt_c, _ = case
         g = dt_c * dt_c * integrator._MirrorBlocks(pairs).a
         eye = np.eye(g.shape[1])

@@ -894,6 +894,27 @@ class TestComponentSplit:
         assert np.abs(a @ top.vectors - (b @ top.vectors) * top.values).max() <= 1e-12 * (
             top.values[0] * np.abs(b).max())
 
+    @pytest.mark.parametrize("top", [1, 3])
+    def test_top_pairs_inside_a_tight_cluster(self, kinds_system, top):
+        # (Mbar, M) of Olovsson beta = 10 unchecked, so one block of order
+        # 360, most of whose values lie within 1e-14 of the largest: there a
+        # subset solve by dsyevr returned no pair. The top pairs come from
+        # the tridiagonal's inverse iteration, B-orthonormal and within the
+        # residual bound above, the largest value the spectrum's bit for bit
+        a, b = kinds_system.mass(kinds_system.scale(OLOVSSON)).matrix, kinds_system.pair.b.matrix
+        pencil = MatrixPair(a, b)
+        assert linalg.block_pairs(pencil.a, pencil.b).basis is None
+        values = generalized_eigvalues(pencil)
+        assert len(values) == 360 and np.sum(values >= values[-1] * (1.0 - 1e-14)) > 180
+        dec = generalized_eig(pencil, top=top)
+        a, b = a.toarray(), b.toarray()
+        u = dec.vectors
+        assert u.shape == (360, top)
+        assert np.allclose(u.T @ b @ u, np.eye(top), atol=1e-12)
+        res = a @ u - (b @ u) * dec.values
+        assert np.abs(res).max() <= 1e-12 * dec.values[-1] * np.abs(b).max()
+        assert dec.values[-1] == values[-1]
+
 
 class TestVectorsOnlyForATail:
     def test_counts_dense_vector_solves(self, kinds_mesh, material, monkeypatch):
@@ -945,6 +966,16 @@ class TestVectorsOnlyForATail:
             ("dormqr", (n - 1, count), False),
             ("sla.eigh", count, None),
         ]
+        # the top pairs and the extremes: one reduction each, the top
+        # vectors from it, and no other dense solve
+        top = spec.rank + 1
+        top_vectors = [("eigh_tridiagonal", n, (n - top, n - 1)),
+                       ("dormqr", (n - 1, top), True), ("dormqr", (n - 1, top), False)]
+        for solve, vectors in ((lambda: generalized_eig(pair, top=top), top_vectors),
+                               (lambda: extreme_eigvalues(mbar), [])):
+            calls.clear()
+            solve()
+            assert calls == reduced_once + vectors
 
 
 class TestStreamedSolves:
@@ -968,6 +999,7 @@ class TestStreamedSolves:
         # as when all reductions were kept until the merge
         pencil, original = beam_system.pair, linalg.block_pairs
         blocks = original(pencil.a, pencil.b)
+        natural_top = {k: generalized_eig(pencil, top=k) for k in (1, 21)}
         tops = [extreme_eigvalues(linalg._dense_part(a))[1] for a, _ in blocks.parts]
         perm = {"natural": np.arange(8), "ascending": np.argsort(tops),
                 "descending": np.argsort(tops)[::-1]}[order]
@@ -988,6 +1020,15 @@ class TestStreamedSolves:
         elif order == "descending":
             assert again == 0  # lambda_max comes first: every early share is final
         assert linalg.low_tail(streamed) > 6
+        # the top pairs: each block reduced once, and the pairs of the
+        # basis's block order, bit for bit, with the spectrum's top values
+        for k, natural in natural_top.items():
+            reduced.clear()
+            dec = generalized_eig(pencil, top=k)
+            assert len(reduced) == 8
+            assert np.array_equal(dec.values, natural.values)
+            assert np.array_equal(dec.vectors, natural.vectors)
+            assert np.array_equal(dec.values, streamed[-k:])
 
     def test_accurate_product_in_strips_is_correctly_rounded(self, monkeypatch):
         # a banded Laplacian-like A of 1500 rows and 45 entries per row spans
@@ -1040,6 +1081,20 @@ class TestStreamedSolves:
         calls.clear()
         assert linalg.mirror_split(changed, basis) is None
         assert len(calls) == (len(strips) if strip == "last" else 1)
+
+
+@pytest.mark.parametrize("counts, extents, rank", [
+    (PLATE_COUNTS, PLATE_EXTENTS, 20), ((20, 4, 3), (0.1, 0.015, 0.002), 20),
+    ((10, 4, 3), (0.05, 0.015, 0.002), 10)], ids=["plate", "beam", "kinds"])
+def test_top_pair_has_the_spectrum_lambda_max(material, counts, extents, rank):
+    # the sweep and the probe read lambda_max from top_kmbar, the spectrum
+    # study from values_kmbar: the same number, bit for bit, on the three
+    # benchmark configs' meshes
+    system = MeshSystem(fem.build_structured_mesh(counts, extents), material)
+    for spec in (scaling.ScalingSpec("none"), OLOVSSON,
+                 scaling.ScalingSpec("global_deflation", rank=rank)):
+        scaled = system.scale(spec)
+        assert system.top_kmbar(scaled).values[-1] == system.values_kmbar(scaled)[-1], spec.kind
 
 
 class TestWoodbury:
